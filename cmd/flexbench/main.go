@@ -13,19 +13,19 @@
 //
 //	flexbench [-out dir] [-sizes 10,50,200] [-bus-per-node 24] [-seed 42]
 //	          [-micro-time 100ms] [-check BENCH_old.json|latest] [-check-threshold 1.25]
-//	          [-max-allocs-per-event N] [-xl-sizes 2000,10000] [-xl-shards 8]
+//	          [-max-allocs-per-event N] [-xl-sizes 2000,10000]
 //	          [-xl-bus-per-node 8] [-xl-budget 2m] [-min-xl-events-per-sec N]
 //	          [-net-sizes 200,2000]
 //
 // Beyond the classic grid, an XL section runs single-job cells at
-// cluster scale (default n=2000 and n=10000) on the sharded engine.
-// XL cells carry a wall-clock budget and an optional events/sec floor:
-// the point of sharding is that a 10k-node cluster stays simulable, and
-// the floor pins that in CI. A net section repeats the single-job cell
-// with the cluster organized into racks behind a 4:1-oversubscribed
-// core, so the max-min fair network fabric (remote map fetches plus the
-// reduce shuffle) is on the measured path; net cells run sharded and
-// are covered by the same budget and events/sec floor as XL cells.
+// cluster scale (default n=2000 and n=10000), named xl/n<N>/<engine>.
+// XL cells carry a wall-clock budget and an optional events/sec floor
+// that pins in CI that a 10k-node cluster stays simulable. A net section
+// repeats the single-job cell with the cluster organized into racks
+// behind a 4:1-oversubscribed core, so the max-min fair network fabric
+// (remote map fetches plus the reduce shuffle) is on the measured path;
+// net cells, named net/n<N>/<engine>, are covered by the same budget and
+// events/sec floor as XL cells.
 // -check accepts the literal "latest", which
 // resolves to the highest-numbered BENCH_<n>.json already in -out —
 // resolved before the new report is written, so the gate always compares
@@ -64,8 +64,10 @@ import (
 	"flexmap/internal/yarn"
 )
 
-// Report is the schema-stable top-level JSON document. Field sets must
-// only ever grow; CI and diff tooling key on run/bench names.
+// Report is the schema-stable top-level JSON document. CI and diff
+// tooling key on run/bench names. Fields are only ever added, except
+// GridRun's former "shards" field: older BENCH_<n>.json files that carry
+// it still decode, because encoding/json ignores unknown fields.
 type Report struct {
 	Schema    string     `json:"schema"`
 	CreatedAt string     `json:"created_at"`
@@ -94,10 +96,6 @@ type GridRun struct {
 	AllocsPerEv float64 `json:"allocs_per_event"`
 	BytesPerEv  float64 `json:"bytes_per_event"`
 
-	// Shards is the engine shard count the cell ran with; omitted (1,
-	// serial) for the classic grid so historical diffs stay clean.
-	Shards int `json:"shards,omitempty"`
-
 	// Workload cells: sustained concurrent-job load through one RM.
 	Jobs              int `json:"jobs,omitempty"`
 	JobsCompleted     int `json:"jobs_completed,omitempty"`
@@ -121,8 +119,7 @@ func main() {
 	check := flag.String("check", "", "baseline BENCH_<n>.json to gate against, or \"latest\" for the newest in -out")
 	threshold := flag.Float64("check-threshold", 1.25, "max allowed allocs/event (and allocs/op) ratio vs -check baseline")
 	maxAllocs := flag.Float64("max-allocs-per-event", 0, "absolute allocs/event ceiling over the grid (0 = no gate)")
-	xlSizes := flag.String("xl-sizes", "2000,10000", "comma-separated XL cluster sizes run on the sharded engine (empty = skip)")
-	xlShards := flag.Int("xl-shards", 8, "engine shard count for XL cells")
+	xlSizes := flag.String("xl-sizes", "2000,10000", "comma-separated XL cluster sizes (empty = skip)")
 	xlBusPerNode := flag.Int("xl-bus-per-node", 8, "input scale for XL cells: 8 MB block units per node")
 	xlBudget := flag.Duration("xl-budget", 2*time.Minute, "wall-clock budget per XL cell (0 = no budget)")
 	minXLEvents := flag.Float64("min-xl-events-per-sec", 0, "events/sec floor over XL and net cells (0 = no gate)")
@@ -146,7 +143,7 @@ func main() {
 		for _, eng := range []runner.EngineKind{runner.Hadoop, runner.FlexMap} {
 			for _, withFaults := range []bool{false, true} {
 				for _, withTrace := range []bool{false, true} {
-					run, err := runCell(n, eng, withFaults, withTrace, *busPerNode, *seed, 1)
+					run, err := runCell(gridCellName(n, eng, withFaults, withTrace), n, eng, withFaults, withTrace, *busPerNode, *seed)
 					if err != nil {
 						fatal(fmt.Errorf("%s: %w", run.Name, err))
 					}
@@ -184,10 +181,10 @@ func main() {
 		rep.Grid = append(rep.Grid, run)
 	}
 
-	// XL cells: the largest clusters, single job, sharded engine. Faults
-	// and tracing stay off — the cell isolates raw event throughput at
-	// fleet scale, and the shard-equivalence suite already pins that
-	// traces are byte-identical at any shard count.
+	// XL cells: the largest clusters, single job. Faults and tracing stay
+	// off and a lighter per-node input (xl-bus-per-node) is used, so the
+	// cell isolates steady-state event throughput at fleet scale rather
+	// than DFS placement.
 	xlCounts, err := parseSizes(*xlSizes)
 	if *xlSizes == "" {
 		xlCounts, err = nil, nil
@@ -197,7 +194,7 @@ func main() {
 	}
 	for _, n := range xlCounts {
 		for _, eng := range []runner.EngineKind{runner.Hadoop, runner.FlexMap} {
-			run, err := runXLCell(n, eng, *xlBusPerNode, *seed, *xlShards)
+			run, err := runCell(xlCellName(n, eng), n, eng, false, false, *xlBusPerNode, *seed)
 			if err != nil {
 				fatal(fmt.Errorf("%s: %w", run.Name, err))
 			}
@@ -213,8 +210,8 @@ func main() {
 	// Net cells: the same single-job measurement with the network fabric
 	// on the hot path — racks of 20 hosts behind a 4:1-oversubscribed
 	// core, so every remote map fetch and shuffle copy goes through the
-	// max-min fair bandwidth allocator. Sharded, so the XL events/sec
-	// floor and wall budget also pin fabric overhead in CI.
+	// max-min fair bandwidth allocator. The XL events/sec floor and wall
+	// budget also pin fabric overhead in CI.
 	netCounts, err := parseSizes(*netSizes)
 	if *netSizes == "" {
 		netCounts, err = nil, nil
@@ -224,7 +221,7 @@ func main() {
 	}
 	for _, n := range netCounts {
 		for _, eng := range []runner.EngineKind{runner.Hadoop, runner.FlexMap} {
-			run, err := runNetCell(n, eng, *xlBusPerNode, *seed, *xlShards)
+			run, err := runNetCell(n, eng, *xlBusPerNode, *seed)
 			if err != nil {
 				fatal(fmt.Errorf("%s: %w", run.Name, err))
 			}
@@ -289,16 +286,44 @@ func main() {
 		fmt.Printf("gate: within %.2fx of %s\n", *threshold, *check)
 	}
 	if *minXLEvents > 0 {
-		for _, g := range rep.Grid {
-			if g.Shards == 0 {
-				continue // classic grid; the floor covers only XL cells
-			}
-			if g.EventsPerS < *minXLEvents {
-				fatal(fmt.Errorf("gate: %s ran at %.0f events/sec, floor %.0f", g.Name, g.EventsPerS, *minXLEvents))
-			}
+		if err := gateEventsFloor(rep.Grid, *minXLEvents); err != nil {
+			fatal(err)
 		}
-		fmt.Printf("gate: all XL cells above %.0f events/sec\n", *minXLEvents)
+		fmt.Printf("gate: all XL and net cells above %.0f events/sec\n", *minXLEvents)
 	}
+}
+
+// Cell-name prefixes of the fleet-scale sections. The events/sec floor
+// covers exactly the cells whose names carry one of them.
+const (
+	xlPrefix  = "xl/"
+	netPrefix = "net/"
+)
+
+func gridCellName(n int, kind runner.EngineKind, withFaults, withTrace bool) string {
+	return fmt.Sprintf("n%d/%s/faults=%s/trace=%s", n, kind, onOff(withFaults), onOff(withTrace))
+}
+
+func xlCellName(n int, kind runner.EngineKind) string {
+	return fmt.Sprintf("%sn%d/%s", xlPrefix, n, kind)
+}
+
+func netCellName(n int, kind runner.EngineKind) string {
+	return fmt.Sprintf("%sn%d/%s", netPrefix, n, kind)
+}
+
+// gateEventsFloor fails on the first XL or net cell that ran below floor
+// events/sec. Grid and workload cells are not gated.
+func gateEventsFloor(grid []GridRun, floor float64) error {
+	for _, g := range grid {
+		if !strings.HasPrefix(g.Name, xlPrefix) && !strings.HasPrefix(g.Name, netPrefix) {
+			continue
+		}
+		if g.EventsPerS < floor {
+			return fmt.Errorf("gate: %s ran at %.0f events/sec, floor %.0f", g.Name, g.EventsPerS, floor)
+		}
+	}
+	return nil
 }
 
 func fatal(err error) {
@@ -335,11 +360,7 @@ func benchCluster(n int) runner.ClusterFactory {
 	}
 }
 
-func runCell(n int, kind runner.EngineKind, withFaults, withTrace bool, busPerNode int, seed int64, shards int) (GridRun, error) {
-	name := fmt.Sprintf("n%d/%s/faults=%s/trace=%s", n, kind, onOff(withFaults), onOff(withTrace))
-	if shards > 1 {
-		name = fmt.Sprintf("xl/n%d/%s/shards=%d", n, kind, shards)
-	}
+func runCell(name string, n int, kind runner.EngineKind, withFaults, withTrace bool, busPerNode int, seed int64) (GridRun, error) {
 	run := GridRun{
 		Name:   name,
 		Nodes:  n,
@@ -347,15 +368,11 @@ func runCell(n int, kind runner.EngineKind, withFaults, withTrace bool, busPerNo
 		Faults: withFaults,
 		Trace:  withTrace,
 	}
-	if shards > 1 {
-		run.Shards = shards
-	}
 	sc := runner.Scenario{
 		Name:      run.Name,
 		Cluster:   benchCluster(n),
 		Seed:      seed,
 		InputSize: int64(n) * int64(busPerNode) * dfs.BUSize,
-		Shards:    shards,
 	}
 	if withFaults {
 		sc.Faults = faults.Plan{CrashRate: 1}
@@ -468,13 +485,6 @@ func runWorkloadCell(n int, kind runner.EngineKind, seed int64) (GridRun, error)
 	return run, nil
 }
 
-// runXLCell is one fleet-scale cell: single job, no faults, no tracing,
-// sharded engine. A lighter per-node input (xl-bus-per-node) keeps the
-// cell about steady-state event throughput rather than DFS placement.
-func runXLCell(n int, kind runner.EngineKind, busPerNode int, seed int64, shards int) (GridRun, error) {
-	return runCell(n, kind, false, false, busPerNode, seed, shards)
-}
-
 // Net cells' rack shape: 20 hosts per rack behind a 4:1-oversubscribed
 // core — the midpoint of the netplace experiment's fabric sweep, and
 // enough contention that the max-min allocator recomputes on every flow
@@ -487,12 +497,11 @@ const (
 // runNetCell is one topology-enabled cell: the XL single-job scenario on
 // the same heterogeneous cluster, but organized into racks so remote map
 // fetches and the reduce shuffle route through the fair-sharing fabric.
-func runNetCell(n int, kind runner.EngineKind, busPerNode int, seed int64, shards int) (GridRun, error) {
+func runNetCell(n int, kind runner.EngineKind, busPerNode int, seed int64) (GridRun, error) {
 	run := GridRun{
-		Name:   fmt.Sprintf("net/n%d/%s/shards=%d", n, kind, shards),
+		Name:   netCellName(n, kind),
 		Nodes:  n,
 		Engine: string(kind),
-		Shards: shards,
 	}
 	sc := runner.Scenario{
 		Name: run.Name,
@@ -503,7 +512,6 @@ func runNetCell(n int, kind runner.EngineKind, busPerNode int, seed int64, shard
 		},
 		Seed:      seed,
 		InputSize: int64(n) * int64(busPerNode) * dfs.BUSize,
-		Shards:    shards,
 	}
 	reducers := n / 4
 	if reducers < 4 {
@@ -597,9 +605,11 @@ func benchTrackerTake(b *testing.B) {
 	}
 }
 
-// benchRelativeSpeeds measures the per-dispatch speed-map path through
-// the exported monitor API (windows empty: every node reports 1.0, the
-// buffer-reuse and map-fill cost is identical either way).
+// benchRelativeSpeeds measures the 200-node speed-map recompute through
+// the exported monitor API. Resetting one node's window each iteration
+// bumps the monitor's epoch, so every call recomputes instead of hitting
+// the memo (windows empty: every node reports 1.0, the buffer-reuse and
+// map-fill cost is identical either way).
 func benchRelativeSpeeds(b *testing.B) {
 	eng := sim.New()
 	specs := make([]cluster.NodeSpec, 200)
@@ -623,6 +633,7 @@ func benchRelativeSpeeds(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		m.ResetNode(cluster.NodeID(i % len(specs)))
 		if rel := m.RelativeSpeeds(); len(rel) != 200 {
 			b.Fatal("short map")
 		}

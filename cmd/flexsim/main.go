@@ -51,7 +51,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "simulation seed")
 	topology := flag.Int("topology", 0, "hosts per rack for the two-level network topology (0 = legacy flat model)")
 	oversub := flag.Float64("oversub", 1, "rack uplink oversubscription ratio with -topology (1 = full bisection)")
-	shards := flag.Int("shards", 1, "event-queue shard count (output is byte-identical at any value)")
 	attempts := flag.Bool("attempts", false, "print the per-attempt table")
 	tracePath := flag.String("trace", "", "write the typed event trace as JSON Lines to this file")
 	perfettoPath := flag.String("perfetto", "", "write a Chrome trace-event file (chrome://tracing, ui.perfetto.dev)")
@@ -138,7 +137,6 @@ func main() {
 			downtime:    *downtime,
 			membership:  membership,
 			tracePath:   *tracePath,
-			shards:      *shards,
 		})
 		return
 	}
@@ -149,7 +147,6 @@ func main() {
 		Seed:       *seed,
 		InputSize:  *sizeGB * flexmap.GB,
 		SkewSigma:  *skew,
-		Shards:     *shards,
 		Faults:     flexmap.FaultPlan{CrashRate: *crashRate, MeanDowntime: flexmap.Duration(*downtime)},
 		Membership: membership,
 		Trace: flexmap.TraceOptions{
@@ -304,7 +301,6 @@ type workloadArgs struct {
 	downtime    float64
 	membership  flexmap.MembershipPlan
 	tracePath   string
-	shards      int
 }
 
 // runWorkload runs the open multi-job mode and prints per-job outcomes
@@ -331,7 +327,6 @@ func runWorkload(a workloadArgs) {
 		SkewSigma:  a.skew,
 		Faults:     flexmap.FaultPlan{CrashRate: a.crashRate, MeanDowntime: flexmap.Duration(a.downtime)},
 		Membership: a.membership,
-		Shards:     a.shards,
 		Trace:      flexmap.TraceOptions{JSONLPath: a.tracePath},
 	}
 	switch a.process {

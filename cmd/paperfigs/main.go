@@ -42,10 +42,9 @@ func main() {
 	workers := flag.Int("parallel", 0, "concurrent simulations per experiment (0 = one per core, 1 = serial)")
 	progress := flag.Bool("progress", false, "report per-grid simulation progress on stderr")
 	traceDir := flag.String("trace-dir", "", "write one event-trace JSONL per simulation into this directory")
-	shards := flag.Int("shards", 1, "event-queue shards per simulation (figures are byte-identical at any value)")
 	flag.Parse()
 
-	cfg := experiments.Config{Seed: *seed, Scale: *scale, Parallel: *workers, TraceDir: *traceDir, Shards: *shards}
+	cfg := experiments.Config{Seed: *seed, Scale: *scale, Parallel: *workers, TraceDir: *traceDir}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fatalf("%v", err)

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 )
 
 // Goroexit keeps the deterministic core single-threaded: simulated
@@ -19,16 +18,6 @@ import (
 // internal/parallel is exempt (it is the sanctioned concurrency
 // surface); internal/analysis is exempt (the linter itself is host
 // tooling, not simulation).
-//
-// One file carries a scoped exemption: internal/sim/shard.go, the
-// sharded-execution runtime. Its Engine.Fork spawns per-shard goroutines
-// for read-only sweeps joined by a WaitGroup before any simulation state
-// is mutated, so no scheduler-ordered choice can reach the fired-event
-// sequence (DESIGN.md §13); the shard-equivalence battery in
-// internal/runner enforces that byte-for-byte. The exemption is keyed on
-// (package, file): a `go` statement in any other internal/sim file — or
-// in a file named shard.go anywhere else in the core — is still flagged
-// (see TestGoroexitShardRuntime).
 var Goroexit = &Analyzer{
 	Name: "goroexit",
 	Doc: "no go statements or unbuffered channel operations in the " +
@@ -40,20 +29,9 @@ var Goroexit = &Analyzer{
 	Run: runGoroexit,
 }
 
-// goroexitExemptFile reports whether file (a basename) in package pkgPath
-// is the sharded-execution runtime, the one file in the deterministic
-// core allowed to spawn goroutines.
-func goroexitExemptFile(pkgPath, file string) bool {
-	return pkgPath == "flexmap/internal/sim" && file == "shard.go"
-}
-
 func runGoroexit(pass *Pass) {
 	info := pass.Pkg.TypesInfo
 	for _, f := range pass.Pkg.Files {
-		fname := filepath.Base(pass.Pkg.Fset.Position(f.Pos()).Filename)
-		if goroexitExemptFile(pass.Pkg.Path, fname) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:

@@ -6,15 +6,6 @@ func TestGoroexit(t *testing.T) {
 	runWant(t, "testdata/src/goroexit", "flexmap/internal/engine/goetest", Goroexit)
 }
 
-// The sharded-execution runtime file internal/sim/shard.go is exempt —
-// and only it: go statements in sibling files of internal/sim are still
-// flagged, and a file named shard.go in any other core package gets no
-// exemption.
-func TestGoroexitShardRuntime(t *testing.T) {
-	runWant(t, "testdata/src/goroexitshard", "flexmap/internal/sim", Goroexit)
-	runWant(t, "testdata/src/goroexitshardelsewhere", "flexmap/internal/engine", Goroexit)
-}
-
 // internal/parallel is the sanctioned concurrency surface; the same code
 // there is not flagged.
 func TestGoroexitExemptsParallel(t *testing.T) {

@@ -130,7 +130,7 @@ func isZeroComposite(e ast.Expr) bool {
 // routed through a different engine expression. The tracking is textual
 // (types.ExprString) and local — it proves nothing about aliasing — but
 // it catches the realistic mistake: a function holding two engines (a
-// shard pair, a sim plus a sub-sim) canceling on the wrong one.
+// sim plus a sub-sim) canceling on the wrong one.
 func checkCrossEngineCancel(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 	scheduledOn := map[types.Object]string{} // handle var → engine expr text
 	ast.Inspect(fd.Body, func(n ast.Node) bool {

@@ -95,9 +95,10 @@ func modulePath(gomod []byte) string {
 // Load resolves package patterns to directories and loads each one.
 // Supported patterns: a directory path ("./internal/sim", "."), or a
 // recursive pattern ("./...", "./internal/...") covering every package
-// directory beneath the prefix. Directories named testdata or vendor and
-// hidden/underscore directories are skipped, as are directories with no
-// non-test Go files.
+// directory beneath the prefix. Directories named testdata or vendor,
+// hidden/underscore directories and nested modules (a go.mod below the
+// prefix, which the go tool's "./..." also leaves out) are skipped, as
+// are directories with no non-test Go files.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	var dirs []string
 	seen := map[string]bool{}
@@ -131,6 +132,11 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 				if path != base && (name == "testdata" || name == "vendor" ||
 					strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 					return filepath.SkipDir
+				}
+				if path != base {
+					if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+						return filepath.SkipDir
+					}
 				}
 				if ok, err := hasGoFiles(path); err != nil {
 					return err

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -38,5 +39,36 @@ func TestRunDedupesDuplicatePackages(t *testing.T) {
 	}
 	if !reflect.DeepEqual(once, twice) {
 		t.Errorf("duplicate package changed output: once=%d findings, twice=%d", len(once), len(twice))
+	}
+}
+
+// TestLoadSkipsNestedModules: a recursive pattern leaves out directories
+// that carry their own go.mod, as the go tool's "./..." does.
+func TestLoadSkipsNestedModules(t *testing.T) {
+	loader, err := sharedLoader()
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	root := t.TempDir()
+	files := map[string]string{
+		"outer.go":        "package outer\n",
+		"nested/go.mod":   "module nested\n",
+		"nested/inner.go": "package inner\n",
+	}
+	for name, body := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := loader.Load(root + "/...")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(pkgs) != 1 || pkgs[0].Types.Name() != "outer" {
+		t.Fatalf("Load returned %d packages, want only the outer one", len(pkgs))
 	}
 }

@@ -102,8 +102,7 @@ func (n *Node) OnSpeedChange(fn func(*Node)) {
 // TopologySpec describes a two-level fat-tree fabric: hosts attach to
 // top-of-rack switches whose uplinks into the core can be oversubscribed.
 // Racks are contiguous NodeID blocks — rack r holds nodes
-// [r*HostsPerRack, (r+1)*HostsPerRack) — which keeps rack locality aligned
-// with the sharded engine's contiguous node→shard blocks.
+// [r*HostsPerRack, (r+1)*HostsPerRack).
 type TopologySpec struct {
 	// HostsPerRack is the rack width; the last rack may be partial.
 	HostsPerRack int
@@ -229,18 +228,17 @@ type NodeSpec struct {
 	BaseSpeed float64
 	Slots     int
 	// Offline provisions the node as an elastic spare: it occupies a
-	// NodeID (so topology racks and shard routing are fixed for the whole
-	// run) but is not a member until JoinNode brings it online.
+	// NodeID (so topology racks are fixed for the whole run) but is not a
+	// member until JoinNode brings it online.
 	Offline bool
 }
 
 // AddSpares appends n offline spare nodes cut from the given spec
 // (zero-value fields default like NewCluster: 2 slots, speed 1.0) and
 // returns their IDs. Spares extend the tail of the NodeID space, so
-// contiguous rack blocks and the engine's contiguous node→shard blocks
-// stay consistent. Call before any per-node state is sized off the
-// cluster — in practice immediately after the cluster factory, before
-// the DFS, RM, watcher or fabric are built.
+// contiguous rack blocks stay consistent. Call before any per-node state
+// is sized off the cluster — in practice immediately after the cluster
+// factory, before the DFS, RM, watcher or fabric are built.
 func (c *Cluster) AddSpares(n int, spec NodeSpec) []NodeID {
 	if n <= 0 {
 		return nil

@@ -49,12 +49,9 @@ type SpeedMonitor struct {
 	capBuf  map[cluster.NodeID]float64
 	scratch []float64
 
-	// Heartbeat-sweep scratch: roundBuf holds each node's round sample
-	// (negative = no report) written by the per-shard phase; sweepBufs
-	// gives each shard a private attempt buffer so the parallel phase
-	// allocates nothing and shares nothing.
-	roundBuf  []float64
-	sweepBufs [][]*engine.MapAttempt
+	// running is the heartbeat sweep's reused attempt buffer, so a round
+	// allocates nothing.
+	running []*engine.MapAttempt
 }
 
 // ipsRing is a fixed-capacity ring of the last ipsWindow IPS samples.
@@ -107,62 +104,34 @@ func NewSpeedMonitor(d *engine.Driver) *SpeedMonitor {
 // Stop halts the heartbeat ticker.
 func (m *SpeedMonitor) Stop() { m.ticker.Stop() }
 
-// round collects one heartbeat round of IPS reports. It is one batched
-// timer event sweeping every node, split in two phases: a parallel
-// read-only phase where each event-queue shard samples its contiguous
-// node block into roundBuf, and a serial phase applying the samples (and
-// trace emission) in node order. The parallel phase reads driver/attempt
-// state but writes only to this shard's roundBuf block and private
-// scratch, so the sweep is race-free and — because application order is
-// node order regardless of shard count — byte-identical to the serial
-// per-node loop it replaced (see DESIGN.md §13).
+// round collects one heartbeat round of IPS reports: one batched timer
+// event sweeping every node in cluster order instead of one event per
+// node. Sampling a node reads only driver/attempt state, never another
+// node's window, so the sweep equals the per-node loop it replaced.
 func (m *SpeedMonitor) round(now sim.Time) {
-	nodes := m.driver.Cluster.Nodes
-	n := len(nodes)
-	eng := m.driver.Eng
-	k := eng.Shards()
-	if cap(m.roundBuf) < n {
-		m.roundBuf = make([]float64, n)
-	}
-	buf := m.roundBuf[:n]
-	if len(m.sweepBufs) < k {
-		m.sweepBufs = make([][]*engine.MapAttempt, k)
-	}
-	eng.Fork(func(shard int) {
-		scratch := m.sweepBufs[shard]
-		for i := shard * n / k; i < (shard+1)*n/k; i++ {
-			buf[i] = -1
-			scratch = m.driver.RunningMapsInto(nodes[i].ID, scratch[:0])
-			if len(scratch) == 0 {
+	tr := m.driver.Trace
+	for _, node := range m.driver.Cluster.Nodes {
+		m.running = m.driver.RunningMapsInto(node.ID, m.running[:0])
+		var sum float64
+		reports := 0
+		for _, a := range m.running {
+			if remoteHeavy(a) {
 				continue
 			}
-			var sum float64
-			reports := 0
-			for _, a := range scratch {
-				if remoteHeavy(a) {
-					continue
-				}
-				elapsed := float64(now - a.Start)
-				if elapsed <= 0 {
-					continue
-				}
-				sum += float64(a.ProcessedBytes(now)) / elapsed
-				reports++
+			elapsed := float64(now - a.Start)
+			if elapsed <= 0 {
+				continue
 			}
-			if reports > 0 {
-				buf[i] = sum / float64(reports)
-			}
+			sum += float64(a.ProcessedBytes(now)) / elapsed
+			reports++
 		}
-		m.sweepBufs[shard] = scratch
-	})
-	tr := m.driver.Trace
-	for i, node := range nodes {
-		if buf[i] < 0 {
+		if reports == 0 {
 			continue
 		}
-		m.push(node.ID, buf[i])
+		ips := sum / float64(reports)
+		m.push(node.ID, ips)
 		if tr.Enabled() {
-			tr.Heartbeat(node.ID, buf[i], m.GetSpeed(node.ID), false)
+			tr.Heartbeat(node.ID, ips, m.GetSpeed(node.ID), false)
 		}
 	}
 }

@@ -283,10 +283,10 @@ func (d *Driver) LaunchMap(l MapLaunch) *MapAttempt {
 		// Fully-local split: nothing to move, so no fetch phase — skip
 		// straight from overhead to compute instead of scheduling a dead
 		// zero-duration "map-fetch" event.
-		a.phaseEv = d.Eng.AfterShard(d.Exec.ShardFor(l.Node.ID), d.Cost.Overhead(), "map-overhead", func() { a.beginCompute() })
+		a.phaseEv = d.Eng.After(d.Cost.Overhead(), "map-overhead", func() { a.beginCompute() })
 		return a
 	}
-	a.phaseEv = d.Eng.AfterShard(d.Exec.ShardFor(l.Node.ID), d.Cost.Overhead(), "map-overhead", func() { a.beginFetch() })
+	a.phaseEv = d.Eng.After(d.Cost.Overhead(), "map-overhead", func() { a.beginFetch() })
 	return a
 }
 
@@ -295,7 +295,7 @@ func (a *MapAttempt) beginFetch() {
 	d := a.d
 	if d.Net == nil {
 		a.phaseEndsAt = d.Eng.Now() + sim.Time(a.fetchDur)
-		a.phaseEv = d.Eng.AfterShard(d.Exec.ShardFor(a.Node.ID), a.fetchDur, "map-fetch", func() { a.finishFetch() })
+		a.phaseEv = d.Eng.After(a.fetchDur, "map-fetch", func() { a.finishFetch() })
 		return
 	}
 	// Topology model: one flow per distinct source node for replica

@@ -50,10 +50,9 @@ func (w *Work) sync(now sim.Time) {
 	w.lastSync = now
 }
 
-// plan (re)schedules the completion event from the current state, on the
-// owning node's queue shard. Canceling a handle whose event already fired
-// or was never scheduled is a no-op, so no pending-state bookkeeping is
-// needed.
+// plan (re)schedules the completion event from the current state.
+// Canceling a handle whose event already fired or was never scheduled is
+// a no-op, so no pending-state bookkeeping is needed.
 func (w *Work) plan(eng *sim.Engine) {
 	eng.Cancel(w.ev)
 	if w.finished || w.canceled {
@@ -64,7 +63,7 @@ func (w *Work) plan(eng *sim.Engine) {
 		panic(fmt.Sprintf("engine: work on node %d has non-positive rate %v", w.node.ID, w.rate))
 	}
 	d := sim.Duration(remaining / w.rate)
-	w.ev = eng.AfterShard(w.exec.ShardFor(w.node.ID), d, "work-done", func() {
+	w.ev = eng.After(d, "work-done", func() {
 		w.sync(eng.Now())
 		w.finished = true
 		w.exec.detach(w)
@@ -86,7 +85,6 @@ type Executor struct {
 	baseIPS float64
 	nextSeq uint64
 	running [][]*Work // per node, ascending Work.seq
-	shardOf []int32   // node index → event-queue shard
 }
 
 // NewExecutor wires an executor to every node of the cluster.
@@ -95,23 +93,11 @@ func NewExecutor(eng *sim.Engine, c *cluster.Cluster, baseIPS float64) *Executor
 		eng:     eng,
 		baseIPS: baseIPS,
 		running: make([][]*Work, c.Size()),
-		shardOf: make([]int32, c.Size()),
 	}
-	for i, n := range c.Nodes {
-		x.shardOf[i] = int32(eng.ShardOf(i, c.Size()))
+	for _, n := range c.Nodes {
 		n.OnSpeedChange(x.onSpeedChange)
 	}
 	return x
-}
-
-// ShardFor returns the event-queue shard owning a node's per-node events.
-// The assignment is the contiguous-block partition of sim.Engine.ShardOf,
-// precomputed once per cluster.
-func (x *Executor) ShardFor(id cluster.NodeID) int {
-	if int(id) < 0 || int(id) >= len(x.shardOf) {
-		return 0
-	}
-	return int(x.shardOf[id])
 }
 
 func (x *Executor) onSpeedChange(n *cluster.Node) {

@@ -153,7 +153,6 @@ func Autoscale(cfg Config) (*AutoscaleResult, error) {
 				Seed:       cfg.Seed,
 				InputSize:  input,
 				Membership: f.plan,
-				Shards:     cfg.Shards,
 			}
 			labels = append(labels, AutoscaleRow{Fleet: f.name, Engine: eng.String()})
 			jobs = append(jobs, simJob{sc.Name + "/" + eng.String(), func() (*runner.Result, error) {

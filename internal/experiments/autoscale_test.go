@@ -77,22 +77,6 @@ func approxEqual(a, b, eps float64) bool {
 	return d <= eps
 }
 
-// TestAutoscaleShardsIdentical extends the determinism contract to the
-// membership-heavy experiment: serial and 8-shard renders byte-equal.
-func TestAutoscaleShardsIdentical(t *testing.T) {
-	a, err := Autoscale(Config{Scale: 16, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Autoscale(Config{Scale: 16, Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Render() != b.Render() {
-		t.Errorf("autoscale output differs between shards=1 and shards=8:\n%s\nvs\n%s", a.Render(), b.Render())
-	}
-}
-
 // TestAutoscaleParallelIdentical: the worker count must not change a
 // byte either (runJobs fans cells out across workers).
 func TestAutoscaleParallelIdentical(t *testing.T) {

@@ -47,10 +47,6 @@ type Config struct {
 	// File contents are byte-identical at any Parallel setting: each run
 	// emits its own stream stamped with its own virtual clock.
 	TraceDir string
-	// Shards is each simulation's event-queue shard count (0 or 1 = one
-	// queue). Figures and traces are byte-identical at any value; see
-	// sim.NewSharded.
-	Shards int
 }
 
 // withDefaults fills zero fields. Seed 0 means "default seed 42" by
@@ -188,7 +184,6 @@ func runWith(cfg Config, def clusterDef, b puma.Benchmark, input int64, eng runn
 		Cluster:   def.factory,
 		Seed:      cfg.Seed,
 		InputSize: input,
-		Shards:    cfg.Shards,
 	}
 	traceInto(cfg, &sc, eng)
 	return runner.Run(sc, spec, eng)

@@ -108,7 +108,6 @@ func faultTolerance(cfg Config, rates []float64) (*FaultToleranceResult, error) 
 					Seed:      cfg.Seed,
 					InputSize: input,
 					Faults:    faults.Plan{CrashRate: rate},
-					Shards:    cfg.Shards,
 				}
 				traceInto(cfg, &sc, eng)
 				res, err := runner.Run(sc, spec, eng)

@@ -113,7 +113,6 @@ func NetPlace(cfg Config) (*NetPlaceResult, error) {
 				Cluster:   netPlaceCluster(f.oversub),
 				Seed:      cfg.Seed,
 				InputSize: input,
-				Shards:    cfg.Shards,
 			}
 			labels = append(labels, NetPlaceRow{Fabric: f.name, Placement: p.name})
 			jobs = append(jobs, simJob{sc.Name + "/" + eng.String(), func() (*runner.Result, error) {

@@ -81,20 +81,3 @@ func sign(v float64) int {
 	}
 	return 0
 }
-
-// TestNetPlaceShardsIdentical renders the grid serially and at 8 shards:
-// the tentpole determinism contract extends to the fabric-heavy
-// experiment byte for byte.
-func TestNetPlaceShardsIdentical(t *testing.T) {
-	a, err := NetPlace(Config{Scale: 8, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NetPlace(Config{Scale: 8, Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Render() != b.Render() {
-		t.Errorf("netplace output differs between shards=1 and shards=8:\n%s\nvs\n%s", a.Render(), b.Render())
-	}
-}

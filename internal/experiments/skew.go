@@ -49,7 +49,6 @@ func Skew(cfg Config) (*SkewResult, error) {
 		Seed:      cfg.Seed,
 		InputSize: smallInput(p, cfg.Scale),
 		SkewSigma: sigma,
-		Shards:    cfg.Shards,
 	}
 
 	out := &SkewResult{Sigma: sigma, JCT: map[string]float64{}, Norm: map[string]float64{}}

@@ -89,7 +89,6 @@ func workloadScenario(cfg Config, eng runner.Engine, load float64, small, large 
 				Engine: eng, Spec: large},
 		},
 		Policy: "fair",
-		Shards: cfg.Shards,
 	}
 }
 

@@ -12,12 +12,10 @@
 //
 // # Determinism
 //
-// Everything here is deterministic and shard-count independent: flows are
-// kept in start order, links are compared by index with an explicit
-// lowest-index tie-break, the floating-point operations run in one fixed
-// order, and completion events are scheduled onto the destination node's
-// queue shard — the shard only picks a heap, never an order, exactly as
-// with compute Work events. No RNG, no wall clock, no map iteration.
+// Everything here is deterministic: flows are kept in start order, links
+// are compared by index with an explicit lowest-index tie-break, and the
+// floating-point operations run in one fixed order. No RNG, no wall
+// clock, no map iteration.
 package net
 
 import (
@@ -150,7 +148,6 @@ type Fabric struct {
 	active    []*Flow   // start order (ascending id)
 	prevRates []float64 // scratch: pre-recompute rates, index-aligned with active
 	nextID    uint64
-	shardOf   []int32 // node → event-queue shard, as engine.Executor
 
 	crossRackBytes int64
 }
@@ -187,7 +184,6 @@ func New(eng *sim.Engine, c *cluster.Cluster) (*Fabric, error) {
 		rackBW:       hostBW * MB * float64(spec.HostsPerRack) / oversub,
 		links:        make([]link, 2*n+2*racks),
 		mark:         make([]uint64, 2*n+2*racks),
-		shardOf:      make([]int32, n),
 	}
 	for i := 0; i < 2*n; i++ {
 		f.links[i].cap = f.hostBW
@@ -199,9 +195,6 @@ func New(eng *sim.Engine, c *cluster.Cluster) (*Fabric, error) {
 		if f.links[i].cap <= 0 {
 			return nil, fmt.Errorf("net: cluster %q link %d has non-positive capacity", c.Name, i)
 		}
-	}
-	for i := 0; i < n; i++ {
-		f.shardOf[i] = int32(eng.ShardOf(i, n))
 	}
 	return f, nil
 }
@@ -448,7 +441,7 @@ func (f *Fabric) recompute() {
 		}
 		f.eng.Cancel(fl.ev)
 		flc := fl
-		fl.ev = f.eng.AfterShard(int(f.shardOf[fl.dst]), sim.Duration(rem/fl.rate), "net-flow-done", func() {
+		fl.ev = f.eng.After(sim.Duration(rem/fl.rate), "net-flow-done", func() {
 			f.finish(flc)
 		})
 	}

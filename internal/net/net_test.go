@@ -230,50 +230,3 @@ func TestValidation(t *testing.T) {
 		})
 	}
 }
-
-// TestShardIndependentRates replays one churn schedule serially and on an
-// 8-shard engine; rates, completion times, and cross-rack totals must be
-// bit-identical.
-func TestShardIndependentRates(t *testing.T) {
-	run := func(shards int) (sim.Time, int64, []sim.Time) {
-		var eng *sim.Engine
-		if shards == 1 {
-			eng = sim.New()
-		} else {
-			eng = sim.NewSharded(shards)
-		}
-		c := testCluster(16, &cluster.TopologySpec{HostsPerRack: 4, Oversub: 8})
-		f := mustFabric(t, eng, c)
-		var ends []sim.Time
-		for i := 0; i < 24; i++ {
-			i := i
-			eng.At(sim.Time(i)*0.25, "start", func() {
-				src := cluster.NodeID(i % 16)
-				dst := cluster.NodeID((i*7 + 3) % 16)
-				if src == dst {
-					dst = (dst + 1) % 16
-				}
-				f.StartFlow(src, dst, int64(10+i)*MB, "s", func() {
-					ends = append(ends, eng.Now())
-				})
-			})
-		}
-		end := eng.Run()
-		return end, f.CrossRackBytes(), ends
-	}
-	wantEnd, wantCross, wantEnds := run(1)
-	for _, shards := range []int{4, 8} {
-		gotEnd, gotCross, gotEnds := run(shards)
-		if gotEnd != wantEnd || gotCross != wantCross {
-			t.Errorf("shards=%d: end %v / cross %d, want %v / %d", shards, gotEnd, gotCross, wantEnd, wantCross)
-		}
-		if len(gotEnds) != len(wantEnds) {
-			t.Fatalf("shards=%d: %d completions, want %d", shards, len(gotEnds), len(wantEnds))
-		}
-		for i := range wantEnds {
-			if gotEnds[i] != wantEnds[i] {
-				t.Errorf("shards=%d: completion %d at %v, want %v", shards, i, gotEnds[i], wantEnds[i])
-			}
-		}
-	}
-}

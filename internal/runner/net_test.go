@@ -2,8 +2,6 @@ package runner
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -11,8 +9,6 @@ import (
 	"flexmap/internal/dfs"
 	"flexmap/internal/faults"
 	"flexmap/internal/mr"
-	"flexmap/internal/sim"
-	"flexmap/internal/trace"
 	"flexmap/internal/workload"
 )
 
@@ -29,8 +25,7 @@ func rackCluster(n, hostsPerRack int, oversub float64) ClusterFactory {
 // TestFullyLocalJobFiresNoFetch is the satellite-1 regression: with
 // replication equal to the cluster size every block unit is node-local,
 // so no attempt ever enters the fetch phase — zero map-fetch events,
-// zero remote bytes — and the run stays byte-identical across shard
-// counts (the skipped zero-duration event must not shift event order).
+// zero remote bytes.
 func TestFullyLocalJobFiresNoFetch(t *testing.T) {
 	spec, err := specForEquiv(3)
 	if err != nil {
@@ -44,23 +39,14 @@ func TestFullyLocalJobFiresNoFetch(t *testing.T) {
 		InputSize:   3 * 4 * dfs.BUSize,
 	}
 	eng := Engine{Kind: Hadoop}
-	wantF, wantT, wantR := runEquivCell(t, sc, spec, eng, 1)
-	for _, f := range wantF {
+	fired, _, res := runEquivCell(t, sc, spec, eng)
+	for _, f := range fired {
 		if f.name == "map-fetch" {
 			t.Fatalf("fully-local run fired a map-fetch event at %v", f.at)
 		}
 	}
-	if wantR.RemoteBytesRead != 0 {
-		t.Fatalf("fully-local run read %d remote bytes", wantR.RemoteBytesRead)
-	}
-	for _, shards := range []int{2, 4} {
-		label := fmt.Sprintf("shards=%d", shards)
-		gotF, gotT, gotR := runEquivCell(t, sc, spec, eng, shards)
-		diffFirings(t, label, gotF, wantF)
-		if string(gotT) != string(wantT) {
-			t.Errorf("%s: JSONL trace bytes differ", label)
-		}
-		compareResults(t, label, gotR, wantR)
+	if res.RemoteBytesRead != 0 {
+		t.Fatalf("fully-local run read %d remote bytes", res.RemoteBytesRead)
 	}
 }
 
@@ -179,45 +165,6 @@ func TestRemoteReadAccountingUnderFaults(t *testing.T) {
 	}
 }
 
-// TestShardEquivalenceWithTopology extends the tentpole invariant to the
-// network fabric: flow starts, max-min rate recomputations, and
-// completion reschedules all ride the sharded queues, and the full
-// observable output must not move by one event at any shard count.
-func TestShardEquivalenceWithTopology(t *testing.T) {
-	const n = 40
-	spec, err := specForEquiv(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seed := range []int64{0, 42} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			sc := Scenario{
-				Name:      "equiv-net",
-				Cluster:   rackCluster(n, 10, 4),
-				Seed:      seed,
-				InputSize: n * 2 * dfs.BUSize,
-			}
-			eng := Engine{Kind: FlexMap}
-			wantF, wantT, wantR := runEquivCell(t, sc, spec, eng, 1)
-			if wantR.CrossRackBytes == 0 {
-				t.Fatal("topology run moved no cross-rack bytes — fabric not exercised")
-			}
-			for _, shards := range []int{4, 8} {
-				label := fmt.Sprintf("shards=%d", shards)
-				gotF, gotT, gotR := runEquivCell(t, sc, spec, eng, shards)
-				diffFirings(t, label, gotF, wantF)
-				if string(gotT) != string(wantT) {
-					t.Errorf("%s: JSONL trace bytes differ (%d vs %d bytes)", label, len(gotT), len(wantT))
-				}
-				compareResults(t, label, gotR, wantR)
-				if gotR.CrossRackBytes != wantR.CrossRackBytes {
-					t.Errorf("%s: CrossRackBytes = %d, want %d", label, gotR.CrossRackBytes, wantR.CrossRackBytes)
-				}
-			}
-		})
-	}
-}
-
 // TestFlatVsTopologyGolden is the golden diff between the legacy flat
 // model (Topology == nil) and a 1:1 non-oversubscribed fabric on the
 // same scenario: the flat run must emit no net-flow trace events and
@@ -231,25 +178,8 @@ func TestFlatVsTopologyGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(factory ClusterFactory) (*Result, string, []firing) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "trace.jsonl")
-		var fired []firing
-		sc := Scenario{
-			Name:      "golden",
-			Cluster:   factory,
-			Seed:      42,
-			InputSize: n * 2 * dfs.BUSize,
-			Trace:     trace.Options{JSONLPath: path},
-			OnFire:    func(at sim.Time, name string) { fired = append(fired, firing{at, name}) },
-		}
-		res, err := Run(sc, spec, Engine{Kind: FlexMap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sc := Scenario{Name: "golden", Cluster: factory, Seed: 42, InputSize: n * 2 * dfs.BUSize}
+		fired, raw, res := runEquivCell(t, sc, spec, Engine{Kind: FlexMap})
 		return res, string(raw), fired
 	}
 

@@ -200,20 +200,13 @@ type Scenario struct {
 	// placement, noise or scheduling randomness of the base fleet.
 	Membership elastic.Plan
 
-	// Shards is the event-queue shard count for the run (0 or 1 = one
-	// queue). Sharding partitions nodes across per-shard queues and
-	// parallelizes the heartbeat sweeps, but every output — fired-event
-	// sequence, traces, metrics, results — is byte-identical at any
-	// value; see sim.NewSharded.
-	Shards int
-
 	// MaxSimTime bounds the virtual clock (guard against scheduling
 	// bugs); default 30 days.
 	MaxSimTime sim.Time
 
 	// OnFire, when non-nil, observes every fired event as (time, name) —
-	// the hook the shard-equivalence tests use to assert the fired
-	// sequence is identical across shard counts.
+	// the hook the replay tests use to assert two same-seed runs fire the
+	// identical sequence.
 	OnFire func(sim.Time, string)
 
 	// Trace selects event tracing for the run (see internal/trace). The
@@ -329,7 +322,7 @@ func Run(sc Scenario, spec mr.JobSpec, eng Engine) (*Result, error) {
 		return nil, fmt.Errorf("runner: scenario %q has no input", sc.Name)
 	}
 
-	simEng := sim.NewSharded(sc.Shards)
+	simEng := sim.New()
 	if sc.OnFire != nil {
 		simEng.SetFireObserver(sc.OnFire)
 	}

@@ -2,13 +2,17 @@ package runner
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"flexmap/internal/cluster"
 	"flexmap/internal/datagen"
 	"flexmap/internal/dfs"
+	"flexmap/internal/elastic"
 	"flexmap/internal/faults"
 	"flexmap/internal/mr"
 	"flexmap/internal/puma"
@@ -111,26 +115,206 @@ func TestEngineString(t *testing.T) {
 	}
 }
 
+// TestDeterminismAcrossRuns runs each cell twice at one seed and requires
+// the fired-event sequence, the JSONL trace bytes and every Result field
+// to replay exactly. Beyond the plain heterogeneous run, the cells cover
+// each feature that schedules its own events: crash injection with
+// liveness detection and recovery, elastic membership with a mid-run
+// join, drain and release (flat and racked), the occupancy autoscaler,
+// and the topology fabric.
 func TestDeterminismAcrossRuns(t *testing.T) {
-	sc := smallScenario(hetFactory)
-	run := func() float64 {
-		res, err := Run(sc, wcSpec(t, 4), Engine{Kind: FlexMap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return float64(res.JCT())
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("same seed diverged: %v vs %v", a, b)
-	}
-	sc2 := sc
-	sc2.Seed = 99
-	res, err := Run(sc2, wcSpec(t, 4), Engine{Kind: FlexMap})
+	spec50, err := specForEquiv(50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if float64(res.JCT()) == run() {
-		t.Log("note: different seeds produced identical JCT (possible but unlikely)")
+	spec40, err := specForEquiv(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell50 := func(name string) Scenario {
+		return Scenario{Name: name, Cluster: equivCluster(50), Seed: 42, InputSize: 50 * 2 * dfs.BUSize}
+	}
+	faulty := cell50("replay-faults")
+	// Crashes dense and short enough that injection, liveness detection
+	// and a rejoin all land inside the job.
+	faulty.Faults = faults.Plan{CrashRate: 120, MeanDowntime: 20}
+	churn := cell50("replay-membership")
+	churn.Membership = equivMembership()
+	rackedChurn := churn
+	rackedChurn.Cluster = rackCluster(50, 6, 4)
+	// A one-second cadence with no debounce, so the autoscaler both
+	// scales out and drains within the job.
+	autoscaled := cell50("replay-autoscale")
+	autoscaled.Membership = elastic.Plan{
+		Spares:    4,
+		SpareSpec: cluster.NodeSpec{Class: "spare", BaseSpeed: 2.0, Slots: 2},
+		Notice:    2,
+		Autoscale: &elastic.Autoscaler{Interval: 1, Streak: 1, Cooldown: 1},
+	}
+	racked := Scenario{Name: "replay-net", Cluster: rackCluster(40, 10, 4), Seed: 42, InputSize: 40 * 2 * dfs.BUSize}
+
+	// Coverage guards: a cell whose run no longer reaches the feature it
+	// stands for proves nothing about that feature's determinism.
+	traceHas := func(kinds ...string) func(*testing.T, []byte, *Result) {
+		return func(t *testing.T, raw []byte, _ *Result) {
+			for _, kind := range kinds {
+				if !strings.Contains(string(raw), `"`+kind+`"`) {
+					t.Fatalf("cell trace has no %s event; the cell no longer covers it", kind)
+				}
+			}
+		}
+	}
+	churnGuard := traceHas("node-join", "node-drain", "node-release")
+	cells := []struct {
+		name  string
+		sc    Scenario
+		spec  mr.JobSpec
+		eng   Engine
+		guard func(*testing.T, []byte, *Result)
+	}{
+		{"heterogeneous", smallScenario(hetFactory), wcSpec(t, 4), Engine{Kind: FlexMap}, nil},
+		{"faults", faulty, spec50, Engine{Kind: Hadoop}, traceHas("fault-inject", "fault-detect", "fault-recover")},
+		{"membership", churn, spec50, Engine{Kind: FlexMap}, churnGuard},
+		{"membership-topology", rackedChurn, spec50, Engine{Kind: FlexMap}, churnGuard},
+		{"autoscaler", autoscaled, spec50, Engine{Kind: FlexMap}, traceHas("node-join", "node-drain")},
+		{"topology", racked, spec40, Engine{Kind: FlexMap}, func(t *testing.T, _ []byte, res *Result) {
+			if res.CrossRackBytes == 0 {
+				t.Fatal("topology run moved no cross-rack bytes; fabric not exercised")
+			}
+		}},
+	}
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			wantF, wantT, wantR := runEquivCell(t, c.sc, c.spec, c.eng)
+			if c.guard != nil {
+				c.guard(t, wantT, wantR)
+			}
+			gotF, gotT, gotR := runEquivCell(t, c.sc, c.spec, c.eng)
+			diffFirings(t, "replay", gotF, wantF)
+			if string(gotT) != string(wantT) {
+				t.Errorf("replay: JSONL trace bytes differ (%d vs %d bytes)", len(gotT), len(wantT))
+			}
+			compareResults(t, "replay", gotR, wantR)
+		})
+	}
+}
+
+// equivSpeeds cycles the paper testbed's four machine generations, as
+// flexbench does, so replay cells run on a heterogeneous cluster.
+var equivSpeeds = []float64{1.0, 1.5, 2.4, 2.8}
+
+func equivCluster(n int) ClusterFactory {
+	return func() (*cluster.Cluster, cluster.Interferer) {
+		specs := make([]cluster.NodeSpec, n)
+		for i := range specs {
+			specs[i] = cluster.NodeSpec{
+				Name:      fmt.Sprintf("eq-%04d", i),
+				BaseSpeed: equivSpeeds[i%len(equivSpeeds)],
+				Slots:     2,
+			}
+		}
+		return cluster.NewCluster(fmt.Sprintf("equiv-%d", n), specs), nil
+	}
+}
+
+func specForEquiv(n int) (mr.JobSpec, error) {
+	reducers := n / 4
+	if reducers < 4 {
+		reducers = 4
+	}
+	spec := mr.JobSpec{
+		Name:         "equiv",
+		InputFile:    "input",
+		MapCost:      1,
+		ShuffleRatio: 0.3,
+		ReduceCost:   0.5,
+		NumReducers:  reducers,
+	}
+	return spec, spec.Validate()
+}
+
+// equivMembership is the replay battery's canonical churn plan: scripted
+// early join/drain so fleet changes land inside even the shortest cell,
+// plus drawn churn and a spot reclaim on top. The cells finish in
+// single-digit sim seconds, so the churn rates are extreme and the
+// notices tiny: joins, drains AND releases must all land while maps are
+// still running or the cell only covers the join path.
+func equivMembership() elastic.Plan {
+	return elastic.Plan{
+		Spares:        4,
+		SpareSpec:     cluster.NodeSpec{Class: "spare", BaseSpeed: 2.0, Slots: 2},
+		JoinsPerHour:  3600,
+		LeavesPerHour: 1800,
+		SpotFraction:  0.5,
+		Notice:        2,
+		SpotNotice:    1,
+		Script: []elastic.Event{
+			{At: 1, Node: 50, Kind: elastic.Join},
+			{At: 3, Node: 50, Kind: elastic.Drain},
+		},
+	}
+}
+
+// firing is one observed event dispatch.
+type firing struct {
+	at   sim.Time
+	name string
+}
+
+// runEquivCell runs one scenario, capturing the fired sequence and trace
+// bytes alongside the result.
+func runEquivCell(t *testing.T, sc Scenario, spec mr.JobSpec, eng Engine) ([]firing, []byte, *Result) {
+	t.Helper()
+	sc.Trace.JSONLPath = filepath.Join(t.TempDir(), "trace.jsonl")
+	var fired []firing
+	sc.OnFire = func(at sim.Time, name string) { fired = append(fired, firing{at, name}) }
+	res, err := Run(sc, spec, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(sc.Trace.JSONLPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fired, raw, res
+}
+
+// diffFirings reports the first divergence between two fired sequences.
+func diffFirings(t *testing.T, label string, got, want []firing) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: fired %d events, first run fired %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if i >= len(got) {
+			return
+		}
+		if got[i] != want[i] {
+			t.Fatalf("%s: fired sequence diverges at event %d: got (%v, %s), want (%v, %s)",
+				label, i, got[i].at, got[i].name, want[i].at, want[i].name)
+		}
+	}
+}
+
+// compareResults asserts every comparable field of two run results is
+// identical (the cluster and tracer pointers are per-run objects).
+func compareResults(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.JobResult, want.JobResult) {
+		t.Errorf("%s: JobResult differs:\ngot  %+v\nwant %+v", label, got.JobResult, want.JobResult)
+	}
+	if !reflect.DeepEqual(got.SizeTrace, want.SizeTrace) {
+		t.Errorf("%s: SizeTrace differs (%d vs %d samples)", label, len(got.SizeTrace), len(want.SizeTrace))
+	}
+	if !reflect.DeepEqual(got.BUCommits, want.BUCommits) {
+		t.Errorf("%s: BUCommits differs", label)
+	}
+	if got.SimEvents != want.SimEvents {
+		t.Errorf("%s: SimEvents = %d, want %d", label, got.SimEvents, want.SimEvents)
+	}
+	if got.NodeHours != want.NodeHours || got.CrossRackBytes != want.CrossRackBytes {
+		t.Errorf("%s: NodeHours/CrossRackBytes = %v/%d, want %v/%d",
+			label, got.NodeHours, got.CrossRackBytes, want.NodeHours, want.CrossRackBytes)
 	}
 }
 

@@ -74,9 +74,6 @@ type WorkloadScenario struct {
 	// join/drain timeline or autoscaler shared by every concurrent job
 	// (see internal/elastic). The zero value adds nothing to the run.
 	Membership elastic.Plan
-	// Shards is the event-queue shard count (0 or 1 = one queue); every
-	// output is byte-identical at any value (see sim.NewSharded).
-	Shards int
 	// MaxSimTime bounds the virtual clock; default 30 days.
 	MaxSimTime sim.Time
 	// Trace selects event tracing; each job's events carry its job ID.
@@ -276,7 +273,7 @@ func RunWorkload(sc WorkloadScenario) (*WorkloadResult, error) {
 		return nil, err
 	}
 
-	simEng := sim.NewSharded(sc.Shards)
+	simEng := sim.New()
 	clus, interferer := sc.Cluster()
 	// Spares must exist before per-node state is sized off the cluster
 	// (see Run); they start offline and perturb nothing until a join.

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -129,30 +130,57 @@ func traceBytes(t *testing.T, res *WorkloadResult) []byte {
 }
 
 // TestWorkloadDeterministicReplay: same seed ⇒ identical outcomes and
-// byte-identical trace JSONL across repeated runs.
+// byte-identical trace JSONL across repeated runs. The cells are the
+// mixed stock/FlexMap battery scenario and a 16-job FlexMap stream on a
+// heterogeneous 20-node cluster, where many drivers share one engine and
+// their per-job events interleave into one trace.
 func TestWorkloadDeterministicReplay(t *testing.T) {
-	run := func() (*WorkloadResult, []byte) {
-		sc := testWorkload(42, 10)
-		sc.Trace = trace.Options{Collect: true}
-		res, err := RunWorkload(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, traceBytes(t, res)
+	spec20, err := specForEquiv(20)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, ab := run()
-	b, bb := run()
-	if !bytes.Equal(ab, bb) {
-		t.Fatal("trace JSONL differs across identical-seed runs")
+	sixteen := WorkloadScenario{
+		Name:    "replay-workload",
+		Cluster: equivCluster(20),
+		Seed:    42,
+		Pattern: workload.Pattern{Jobs: 16, Rate: 0.5},
+		Classes: []WorkloadClass{{
+			Name: "wc", Weight: 1,
+			MinBytes: 4 * dfs.BUSize, MaxBytes: 16 * dfs.BUSize,
+			Engine: Engine{Kind: FlexMap}, Spec: spec20,
+		}},
+		Policy: "fair",
 	}
-	if a.SimEvents != b.SimEvents || a.Span != b.Span || a.MaxConcurrent != b.MaxConcurrent {
-		t.Fatalf("aggregates differ: %+v vs %+v", a, b)
-	}
-	for i := range a.Jobs {
-		ja, jb := a.Jobs[i], b.Jobs[i]
-		if ja.Finished != jb.Finished || ja.Latency != jb.Latency || ja.QueueWait != jb.QueueWait {
-			t.Fatalf("job %d outcome differs across replays: %+v vs %+v", i, ja, jb)
-		}
+	for _, c := range []struct {
+		name string
+		sc   WorkloadScenario
+	}{
+		{"mixed", testWorkload(42, 10)},
+		{"16-job", sixteen},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func() (*WorkloadResult, []byte) {
+				sc := c.sc
+				sc.Trace = trace.Options{Collect: true}
+				res, err := RunWorkload(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, traceBytes(t, res)
+			}
+			a, ab := run()
+			b, bb := run()
+			if !bytes.Equal(ab, bb) {
+				t.Fatal("trace JSONL differs across identical-seed runs")
+			}
+			if a.SimEvents != b.SimEvents || a.Span != b.Span || a.MaxConcurrent != b.MaxConcurrent ||
+				a.Utilization != b.Utilization || a.GoodputBytesPerSec != b.GoodputBytesPerSec {
+				t.Fatalf("aggregates differ: %+v vs %+v", a, b)
+			}
+			if !reflect.DeepEqual(a.Jobs, b.Jobs) {
+				t.Fatal("per-job outcomes differ across replays")
+			}
+		})
 	}
 }
 

@@ -19,19 +19,6 @@
 // events return to an intrusive free list and are reused by later At/After
 // calls, so steady-state scheduling performs no per-event allocation. See
 // DESIGN.md §11.
-//
-// # Sharding
-//
-// NewSharded(k) partitions the queue into k independent heaps. Every event
-// is scheduled onto exactly one shard (At/After use shard 0; AtShard and
-// AfterShard take an explicit shard, typically derived from a node index
-// via ShardOf), the sequence counter stays global, and the dispatch loop
-// fires the global (time, seq) minimum across all shard heads. Because
-// seq uniquely orders same-instant events and is assigned at scheduling
-// time — which only ever happens inside serially-executed callbacks — the
-// fired-event sequence is byte-identical at every shard count. Fork runs
-// read-only per-shard sweeps on real goroutines between events; see
-// shard.go and DESIGN.md §13.
 package sim
 
 import (
@@ -59,7 +46,6 @@ type event struct {
 	fn   func()
 
 	gen      uint32 // incremented when the event's storage is collected
-	shard    uint32 // heap (and free list) this event belongs to
 	queued   bool
 	canceled bool
 	nextFree *event
@@ -104,27 +90,20 @@ func (h Handle) Canceled() bool {
 	return h.ev != nil && h.ev.canceled
 }
 
-// shardHeap is one partition of the event queue: a 4-ary min-heap over
-// (at, seq) plus the free list for events scheduled on this shard.
-type shardHeap struct {
-	queue []*event // 4-ary min-heap ordered by (at, seq)
-	free  *event   // free list of recycled event storage
-}
-
 // Engine is a discrete-event simulator. The zero value is ready to use
-// and behaves like New() — a single shard.
+// and behaves like New().
 type Engine struct {
 	now     Time
 	seq     uint64
 	fired   uint64
 	stopped bool
-	shards  []shardHeap
+	queue   []*event                  // 4-ary min-heap ordered by (at, seq)
+	free    *event                    // free list of recycled event storage
 	onFire  func(t Time, name string) // fired-sequence observer, may be nil
 }
 
-// New returns a fresh engine with the clock at zero and a single event
-// queue. It is equivalent to NewSharded(1).
-func New() *Engine { return &Engine{shards: make([]shardHeap, 1)} }
+// New returns a fresh engine with the clock at zero and an empty queue.
+func New() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -133,78 +112,42 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events still queued (including canceled
-// events whose marks have not yet been collected from the heaps).
-func (e *Engine) Pending() int {
-	n := 0
-	for i := range e.shards {
-		n += len(e.shards[i].queue)
-	}
-	return n
-}
+// events whose marks have not yet been collected from the heap).
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // SetFireObserver installs fn to be called immediately before each event's
 // callback runs, with the event's time and name. It exists so equivalence
 // tests can capture the exact fired-event sequence; pass nil to remove.
 func (e *Engine) SetFireObserver(fn func(t Time, name string)) { e.onFire = fn }
 
-// ensureShards lazily initializes the zero-value Engine to one shard.
-func (e *Engine) ensureShards() {
-	if len(e.shards) == 0 {
-		e.shards = make([]shardHeap, 1)
-	}
-}
-
-// At schedules fn to run at absolute virtual time t on shard 0.
-// Scheduling in the past panics: it would violate causality and always
-// indicates a bug in the caller. The returned Handle may be used to
-// Cancel the event until it fires.
+// At schedules fn to run at absolute virtual time t. Scheduling in the
+// past panics: it would violate causality and always indicates a bug in
+// the caller. The returned Handle may be used to Cancel the event until
+// it fires.
 func (e *Engine) At(t Time, name string, fn func()) Handle {
-	return e.AtShard(0, t, name, fn)
-}
-
-// AtShard schedules fn at absolute virtual time t on the given shard.
-// The shard only selects which heap holds the event — firing order is
-// global (time, seq) regardless — so callers route per-node events to
-// ShardOf(node) purely to keep each heap small and cache-resident.
-func (e *Engine) AtShard(shard int, t Time, name string, fn func()) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", name, t, e.now))
 	}
-	e.ensureShards()
-	if shard < 0 || shard >= len(e.shards) {
-		panic(fmt.Sprintf("sim: scheduling %q on shard %d of %d", name, shard, len(e.shards)))
-	}
-	h := &e.shards[shard]
-	ev := h.free
+	ev := e.free
 	if ev != nil {
-		h.free = ev.nextFree
+		e.free = ev.nextFree
 		ev.nextFree = nil
 		ev.canceled = false
 	} else {
-		ev = &event{shard: uint32(shard)}
+		ev = &event{}
 	}
 	ev.at, ev.seq, ev.name, ev.fn, ev.queued = t, e.seq, name, fn, true
 	e.seq++
-	h.push(ev)
+	e.push(ev)
 	return Handle{ev: ev, gen: ev.gen}
 }
 
-// After schedules fn to run d seconds from now on shard 0. Negative d
-// panics.
+// After schedules fn to run d seconds from now. Negative d panics.
 func (e *Engine) After(d Duration, name string, fn func()) Handle {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v for %q", d, name))
 	}
-	return e.AtShard(0, e.now+Time(d), name, fn)
-}
-
-// AfterShard schedules fn to run d seconds from now on the given shard.
-// Negative d panics.
-func (e *Engine) AfterShard(shard int, d Duration, name string, fn func()) Handle {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v for %q", d, name))
-	}
-	return e.AtShard(shard, e.now+Time(d), name, fn)
+	return e.At(e.now+Time(d), name, fn)
 }
 
 // Cancel marks an event so it will not fire. It is O(1): the event keeps
@@ -221,70 +164,54 @@ func (e *Engine) Cancel(h Handle) {
 	ev.canceled = true
 }
 
-// collect recycles an event's storage onto its shard's free list,
-// invalidating all outstanding Handles to it via the generation bump. The
-// canceled mark is deliberately left in place so Handle.Canceled stays
-// accurate until the storage is reused.
-func (h *shardHeap) collect(ev *event) {
+// collect recycles an event's storage onto the free list, invalidating
+// all outstanding Handles to it via the generation bump. The canceled
+// mark is deliberately left in place so Handle.Canceled stays accurate
+// until the storage is reused.
+func (e *Engine) collect(ev *event) {
 	ev.gen++
 	ev.queued = false
 	ev.fn = nil
-	ev.nextFree = h.free
-	h.free = ev
+	ev.nextFree = e.free
+	e.free = ev
 }
 
 // dropCanceledHead collects canceled events sitting at the heap root so
 // the head, if any, is a live event.
-func (h *shardHeap) dropCanceledHead() {
-	for len(h.queue) > 0 && h.queue[0].canceled {
-		h.collect(h.pop())
+func (e *Engine) dropCanceledHead() {
+	for len(e.queue) > 0 && e.queue[0].canceled {
+		e.collect(e.pop())
 	}
 }
 
-// minShard collects canceled heads and returns the shard whose head is
-// the global (time, seq) minimum, or -1 if every queue is empty. With a
-// global sequence counter the minimum is unique, so the pick — and hence
-// the fired-event sequence — does not depend on the shard count.
-func (e *Engine) minShard() int {
-	best := -1
-	var bestEv *event
-	for i := range e.shards {
-		h := &e.shards[i]
-		h.dropCanceledHead()
-		if len(h.queue) == 0 {
-			continue
-		}
-		if bestEv == nil || less(h.queue[0], bestEv) {
-			best, bestEv = i, h.queue[0]
-		}
-	}
-	return best
-}
-
-// Step fires the next event, advancing the clock. It reports whether an
-// event was fired (false when the queues are empty or the engine stopped).
-func (e *Engine) Step() bool {
-	if e.stopped {
-		return false
-	}
-	s := e.minShard()
-	if s < 0 {
-		return false
-	}
-	h := &e.shards[s]
-	ev := h.pop()
+// fire pops the heap root, advances the clock to it and runs it.
+func (e *Engine) fire() {
+	ev := e.pop()
 	e.now = ev.at
 	e.fired++
 	name, fn := ev.name, ev.fn
-	h.collect(ev)
+	e.collect(ev)
 	if e.onFire != nil {
 		e.onFire(e.now, name)
 	}
 	fn()
+}
+
+// Step fires the next event, advancing the clock. It reports whether an
+// event was fired (false when the queue is empty or the engine stopped).
+func (e *Engine) Step() bool {
+	if e.stopped {
+		return false
+	}
+	e.dropCanceledHead()
+	if len(e.queue) == 0 {
+		return false
+	}
+	e.fire()
 	return true
 }
 
-// Run fires events until the queues are empty or Stop is called. It
+// Run fires events until the queue is empty or Stop is called. It
 // returns the final virtual time.
 func (e *Engine) Run() Time {
 	for e.Step() {
@@ -299,20 +226,11 @@ func (e *Engine) Run() Time {
 // actually performed.
 func (e *Engine) RunUntil(deadline Time) Time {
 	for !e.stopped {
-		s := e.minShard()
-		if s < 0 || e.shards[s].queue[0].at > deadline {
+		e.dropCanceledHead()
+		if len(e.queue) == 0 || e.queue[0].at > deadline {
 			break
 		}
-		h := &e.shards[s]
-		ev := h.pop()
-		e.now = ev.at
-		e.fired++
-		name, fn := ev.name, ev.fn
-		h.collect(ev)
-		if e.onFire != nil {
-			e.onFire(e.now, name)
-		}
-		fn()
+		e.fire()
 	}
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
@@ -342,9 +260,9 @@ func less(a, b *event) bool {
 }
 
 // push appends ev and sifts it up to its position.
-func (h *shardHeap) push(ev *event) {
-	h.queue = append(h.queue, ev)
-	q := h.queue
+func (e *Engine) push(ev *event) {
+	e.queue = append(e.queue, ev)
+	q := e.queue
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / heapArity
@@ -358,23 +276,23 @@ func (h *shardHeap) push(ev *event) {
 }
 
 // pop removes and returns the minimum event.
-func (h *shardHeap) pop() *event {
-	q := h.queue
+func (e *Engine) pop() *event {
+	q := e.queue
 	root := q[0]
 	n := len(q) - 1
 	last := q[n]
 	q[n] = nil
-	h.queue = q[:n]
+	e.queue = q[:n]
 	if n > 0 {
-		h.siftDown(last)
+		e.siftDown(last)
 	}
 	return root
 }
 
 // siftDown places ev into the root hole, walking it down past smaller
 // children.
-func (h *shardHeap) siftDown(ev *event) {
-	q := h.queue
+func (e *Engine) siftDown(ev *event) {
+	q := e.queue
 	n := len(q)
 	i := 0
 	for {

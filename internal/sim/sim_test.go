@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -347,4 +348,84 @@ func TestPropertyOrderingAndCompleteness(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkRandomLoad drives a fresh engine with roots pre-scheduled events
+// whose delays and branching come from draw: delays fall on a grid of 8
+// instants, and a callback may spawn two children (to depth 2), so
+// children often land on the instant their parent fires at. Names carry
+// a schedule-order serial. The queue contract must hold: every event
+// fires exactly once, time never goes backwards, and same-instant events
+// fire in schedule (seq) order — a child sharing an instant with an
+// earlier event can only have been scheduled by a callback at that
+// instant, so its serial is the larger one.
+func checkRandomLoad(t *testing.T, roots int, draw func(n int) int) {
+	t.Helper()
+	e := New()
+	type firing struct {
+		at   Time
+		name string
+	}
+	var fired []firing
+	e.SetFireObserver(func(at Time, name string) { fired = append(fired, firing{at, name}) })
+	serial := 0
+	var spawn func(depth int)
+	spawn = func(depth int) {
+		name := fmt.Sprintf("ev-%04d", serial)
+		serial++
+		e.After(Duration(draw(8)), name, func() {
+			if depth > 0 && draw(2) == 0 {
+				spawn(depth - 1)
+				spawn(depth - 1)
+			}
+		})
+	}
+	for i := 0; i < roots; i++ {
+		spawn(2)
+	}
+	e.Run()
+	seen := map[string]bool{}
+	for i, f := range fired {
+		if seen[f.name] {
+			t.Fatalf("event %s fired twice", f.name)
+		}
+		seen[f.name] = true
+		if i > 0 && (f.at < fired[i-1].at || f.at == fired[i-1].at && f.name <= fired[i-1].name) {
+			t.Fatalf("firing %d (%v, %s) out of order after (%v, %s)", i, f.at, f.name, fired[i-1].at, fired[i-1].name)
+		}
+	}
+	if len(fired) != serial || e.Pending() != 0 {
+		t.Fatalf("%d of %d events fired, %d left pending", len(fired), serial, e.Pending())
+	}
+}
+
+// TestPropertyCallbackChildrenOrder covers what the up-front batch of
+// TestPropertyOrderingAndCompleteness cannot: events scheduled from
+// callbacks at the instant they fire.
+func TestPropertyCallbackChildrenOrder(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		checkRandomLoad(t, 50, rand.New(rand.NewSource(seed)).Intn)
+	}
+}
+
+// FuzzMergeOrder drives the same load from raw bytes, one byte per draw
+// (zero once the input runs out).
+func FuzzMergeOrder(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3})
+	f.Add([]byte{0, 7, 3, 3, 0})
+	f.Add([]byte{254, 0, 0, 9, 9, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 256 {
+			return
+		}
+		draw := func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b) % n
+		}
+		checkRandomLoad(t, len(data)/2+1, draw)
+	})
 }

@@ -42,7 +42,6 @@ type NodeWatcher struct {
 	lost         []bool
 	wasDown      []bool
 	deregistered []bool
-	verdicts     []uint8 // sweep scratch: per-node phase-A classification
 	onLost       []func(cluster.NodeID)
 	onRejoin     []func(cluster.NodeID)
 	ticker       *sim.Ticker
@@ -61,7 +60,6 @@ func NewNodeWatcher(eng *sim.Engine, c *cluster.Cluster, rm *RM) *NodeWatcher {
 		lost:          make([]bool, c.Size()),
 		wasDown:       make([]bool, c.Size()),
 		deregistered:  make([]bool, c.Size()),
-		verdicts:      make([]uint8, c.Size()),
 	}
 	for _, n := range c.Nodes {
 		w.lastBeat[n.ID] = eng.Now()
@@ -115,80 +113,44 @@ func (w *NodeWatcher) Deregistered(id cluster.NodeID) bool {
 	return int(id) >= 0 && int(id) < len(w.deregistered) && w.deregistered[id]
 }
 
-// Phase-A sweep verdicts: what this round's heartbeat means for a node.
-const (
-	verdictNone    uint8 = iota // live and never down, or already handled
-	verdictRejoin               // up again after an outage: re-register
-	verdictDeclare              // down past the timeout: declare lost
-)
-
 // tick is one heartbeat round: one batched timer event sweeping every
-// node instead of one event per node. Phase A classifies nodes in
-// parallel, one contiguous block per event-queue shard — it reads only
-// per-node liveness state and writes only this node's verdict slot, so
-// the sweep is race-free. Phase B applies verdicts (state flips, RM
-// reconciliation, loss/rejoin callbacks, trace emission) serially in
-// cluster order, so same-instant detections and rejoins fire in exactly
-// the order the per-node loop produced and the round is byte-identical
-// at any shard count.
-//
-// A node's verdict depends only on its own lastBeat/lost/wasDown/Down —
-// never on another node's — and the phase-B callbacks never mutate
-// another node's liveness state, so classifying before applying cannot
-// change any verdict.
+// node in cluster order instead of one event per node. A node's outcome
+// depends only on its own lastBeat/lost/wasDown/Down, and the loss and
+// rejoin callbacks never mutate another node's liveness state, so the
+// round equals the per-node loop it replaces: same-instant detections and
+// rejoins fire in cluster order.
 func (w *NodeWatcher) tick(now sim.Time) {
-	nodes := w.c.Nodes
-	n := len(nodes)
-	k := w.eng.Shards()
 	timeout := w.Period * sim.Duration(w.MissThreshold)
-	verdicts := w.verdicts
-	w.eng.Fork(func(shard int) {
-		for i := shard * n / k; i < (shard+1)*n/k; i++ {
-			node := nodes[i]
-			switch {
-			case w.deregistered[node.ID]:
-				verdicts[i] = verdictNone
-			case !node.Down():
-				if w.lost[node.ID] || w.wasDown[node.ID] {
-					verdicts[i] = verdictRejoin
-				} else {
-					verdicts[i] = verdictNone
-				}
-			case !w.lost[node.ID] && sim.Duration(now-w.lastBeat[node.ID]) >= timeout:
-				verdicts[i] = verdictDeclare
-			default:
-				verdicts[i] = verdictNone
-			}
-		}
-	})
-	for i, node := range nodes {
-		if w.deregistered[node.ID] {
+	for _, node := range w.c.Nodes {
+		id := node.ID
+		if w.deregistered[id] {
 			continue
 		}
 		if !node.Down() {
-			declared := w.lost[node.ID]
-			w.lost[node.ID] = false
-			w.wasDown[node.ID] = false
-			w.lastBeat[node.ID] = now
-			if verdicts[i] == verdictRejoin {
+			declared := w.lost[id]
+			rejoin := declared || w.wasDown[id]
+			w.lost[id] = false
+			w.wasDown[id] = false
+			w.lastBeat[id] = now
+			if rejoin {
 				// Re-registration: the restored node's first heartbeat. Even
 				// after an outage too brief to be declared, its containers
 				// died, so capacity is reconciled and rejoin hooks fire.
-				w.Trace.FaultRecover(node.ID, declared)
-				w.rm.NodeRestored(node.ID)
+				w.Trace.FaultRecover(id, declared)
+				w.rm.NodeRestored(id)
 				for _, fn := range w.onRejoin {
-					fn(node.ID)
+					fn(id)
 				}
 			}
 			continue
 		}
-		w.wasDown[node.ID] = true
-		if verdicts[i] == verdictDeclare {
-			w.lost[node.ID] = true
-			w.Trace.FaultDetect(node.ID)
-			w.rm.NodeLost(node.ID)
+		w.wasDown[id] = true
+		if !w.lost[id] && sim.Duration(now-w.lastBeat[id]) >= timeout {
+			w.lost[id] = true
+			w.Trace.FaultDetect(id)
+			w.rm.NodeLost(id)
 			for _, fn := range w.onLost {
-				fn(node.ID)
+				fn(id)
 			}
 		}
 	}

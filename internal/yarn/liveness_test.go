@@ -59,6 +59,37 @@ func TestLossDeclaredAtThirdMissedBeat(t *testing.T) {
 	}
 }
 
+// TestLivenessSweepDetectionBoundary pins the exact detection time of the
+// batched sweep: with period 5 and threshold 3, a node in the middle of
+// the cluster silent from just after t=5 is declared precisely at the
+// t=20 sweep, not the t=15 one. The subtest keeps the name it had when
+// the engine could be split into shards; the single heap is that case.
+func TestLivenessSweepDetectionBoundary(t *testing.T) {
+	t.Run("shards1", func(t *testing.T) {
+		eng := sim.New()
+		c := cluster.Homogeneous(10)
+		rm := NewRM(eng, c)
+		rm.SetScheduler(&acceptN{rm: rm, n: 0})
+		w := NewNodeWatcher(eng, c, rm)
+		var lostAt []sim.Time
+		w.OnLost(func(cluster.NodeID) { lostAt = append(lostAt, eng.Now()) })
+		eng.At(6, "crash", func() { c.Node(3).SetDown(true) })
+		eng.RunUntil(15)
+		if w.Lost(3) || len(lostAt) != 0 {
+			t.Fatal("node declared lost after only 2 missed beats")
+		}
+		eng.RunUntil(20)
+		if !w.Lost(3) {
+			t.Fatal("node not declared lost at the third missed beat")
+		}
+		if len(lostAt) != 1 || lostAt[0] != 20 {
+			t.Fatalf("loss declared at %v, want exactly [20]", lostAt)
+		}
+		w.Stop()
+		eng.Run()
+	})
+}
+
 func TestRejoinRestoresCapacityAndFires(t *testing.T) {
 	h := newLivenessHarness(2)
 	h.eng.At(6, "crash", func() { h.c.Node(0).SetDown(true) })

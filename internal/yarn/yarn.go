@@ -41,15 +41,13 @@ type RM struct {
 	// Per-node hot state is struct-of-arrays: flat slices indexed by the
 	// dense NodeID. offerFns holds one preallocated heartbeat callback
 	// per node so the steady-state offer chain — the most frequent event
-	// class in a run — schedules without a fresh closure allocation, and
-	// shardOf routes each node's offers to its event-queue shard.
+	// class in a run — schedules without a fresh closure allocation.
 	free           []int
 	offerScheduled []bool
 	lastGrant      []sim.Time
 	granted        []bool
 	draining       []bool
 	offerFns       []func()
-	shardOf        []int32
 	nextCID        int
 	started        bool
 
@@ -71,14 +69,12 @@ func NewRM(eng *sim.Engine, c *cluster.Cluster) *RM {
 		granted:        make([]bool, c.Size()),
 		draining:       make([]bool, c.Size()),
 		offerFns:       make([]func(), c.Size()),
-		shardOf:        make([]int32, c.Size()),
 	}
 	for i, n := range c.Nodes {
 		// Offline elastic spares register no capacity until NodeJoined.
 		if !n.Offline() {
 			rm.free[n.ID] = n.Slots
 		}
-		rm.shardOf[i] = int32(eng.ShardOf(i, c.Size()))
 		id := n.ID
 		rm.offerFns[i] = func() {
 			rm.offerScheduled[id] = false
@@ -139,14 +135,6 @@ func (rm *RM) TotalFree() int {
 	return total
 }
 
-// NodeShard returns the event-queue shard owning a node's offer events.
-func (rm *RM) NodeShard(id cluster.NodeID) int {
-	if int(id) < 0 || int(id) >= len(rm.shardOf) {
-		return 0
-	}
-	return int(rm.shardOf[id])
-}
-
 // Poke re-offers idle capacity on every node immediately. AMs call it
 // when new schedulable work appears.
 func (rm *RM) Poke() {
@@ -190,9 +178,8 @@ func (rm *RM) offerNow(n *cluster.Node) {
 	}
 }
 
-// scheduleOffer arms a single delayed offer per node (no parallel chains)
-// on the node's event-queue shard, reusing the node's preallocated
-// callback. Offers stay one event per node, not one batched sweep:
+// scheduleOffer arms a single delayed offer per node (no parallel chains),
+// reusing the node's preallocated callback. Offers stay one event per node, not one batched sweep:
 // same-instant offers interleave with work-done and release events in
 // (time, seq) order, and collapsing them into a sweep would reorder
 // scheduler decisions against those events.
@@ -201,7 +188,7 @@ func (rm *RM) scheduleOffer(id cluster.NodeID, delay sim.Duration) {
 		return
 	}
 	rm.offerScheduled[id] = true
-	rm.eng.AfterShard(int(rm.shardOf[id]), delay, "nm-heartbeat", rm.offerFns[id])
+	rm.eng.After(delay, "nm-heartbeat", rm.offerFns[id])
 }
 
 // NodeLost removes a node's capacity from the pool: the NodeWatcher
