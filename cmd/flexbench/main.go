@@ -167,7 +167,7 @@ func main() {
 	}
 	// The stock side runs with speculation on, as production Hadoop does.
 	// The speculation-candidate set is maintained incrementally (see
-	// engine.SpecCandidates) — the old rebuild-per-probe scan was
+	// engine.AttemptBook) — the old rebuild-per-probe scan was
 	// quadratic under ~100 concurrent jobs, which is why this cell once
 	// had to run the no-spec ablation.
 	for _, eng := range []runner.EngineKind{runner.Hadoop, runner.FlexMap} {

@@ -57,7 +57,7 @@ func main() {
 	timeline := flag.Bool("timeline", false, "print the event timeline after the run")
 	jsonOut := flag.String("json", "", "write the attempt trace as JSON Lines to this file")
 	inputFile := flag.String("input", "", "run LIVE over this real input file (map/reduce functions execute; overrides -size-gb)")
-	skew := flag.Float64("skew", 0, "lognormal sigma of per-block data-skew weights (0 = uniform)")
+	skew := flag.Float64("skew", 0, "lognormal sigma of per-block data-skew weights (0 = uniform; single-job runs only)")
 	crashRate := flag.Float64("faults", 0, "node crash rate in crashes per node-hour (0 = no fault injection)")
 	downtime := flag.Float64("fault-downtime", 120, "mean crashed-node downtime in seconds (with -faults)")
 	wlJobs := flag.Int("workload", 0, "run an open multi-job workload with this many arrivals instead of one job")
@@ -121,6 +121,9 @@ func main() {
 		if *inputFile != "" {
 			fatalf("-workload runs modeled inputs only; drop -input")
 		}
+		if *skew != 0 {
+			fatalf("-workload does not model data skew; drop -skew")
+		}
 		runWorkload(workloadArgs{
 			clusterName: *clusterName,
 			factory:     factory,
@@ -132,7 +135,6 @@ func main() {
 			process:     *wlProcess,
 			policy:      *wlPolicy,
 			sizeBytes:   *sizeGB * flexmap.GB,
-			skew:        *skew,
 			crashRate:   *crashRate,
 			downtime:    *downtime,
 			membership:  membership,
@@ -296,7 +298,6 @@ type workloadArgs struct {
 	process     string
 	policy      string
 	sizeBytes   int64
-	skew        float64
 	crashRate   float64
 	downtime    float64
 	membership  flexmap.MembershipPlan
@@ -324,7 +325,6 @@ func runWorkload(a workloadArgs) {
 			Spec:     a.spec,
 		}},
 		Policy:     a.policy,
-		SkewSigma:  a.skew,
 		Faults:     flexmap.FaultPlan{CrashRate: a.crashRate, MeanDowntime: flexmap.Duration(a.downtime)},
 		Membership: a.membership,
 		Trace:      flexmap.TraceOptions{JSONLPath: a.tracePath},

@@ -42,24 +42,14 @@ type AM struct {
 	NoReduceBias bool
 
 	d       *engine.Driver
+	book    *engine.AttemptBook
 	tracker *dfs.Tracker
 	monitor *SpeedMonitor
 	sizer   *Sizer
 	rng     *randutil.Source
 
-	nextTask   int
-	attempts   map[string][]*engine.MapAttempt
-	completed  map[string]bool
-	tasksLeft  int // live (incomplete) tasks with attempts in flight
-	activeSpec int
-	waveByNode []int // per-node launch count, indexed by dense NodeID
-
-	// Speculation candidates, maintained incrementally at each attempt
-	// lifecycle transition instead of rebuilt by scanning attempt state
-	// per probe (see engine.SpecCandidates). attemptEpoch versions the
-	// set for the policy's Pick memoization.
-	attemptEpoch uint64
-	cands        *engine.SpecCandidates
+	nextTask  int
+	tasksLeft int // live (incomplete) tasks with attempts in flight
 
 	// SizeTrace records every dispatched task's size for Fig. 7.
 	SizeTrace []SizeSample
@@ -94,17 +84,15 @@ func NewAM(d *engine.Driver, rng *randutil.Source) (*AM, error) {
 		return nil, err
 	}
 	am := &AM{
-		Name:       "flexmap",
-		d:          d,
-		tracker:    tracker,
-		monitor:    NewSpeedMonitor(d),
-		sizer:      NewSizer(),
-		rng:        rng,
-		attempts:   make(map[string][]*engine.MapAttempt),
-		completed:  make(map[string]bool),
-		cands:      engine.NewSpecCandidates(),
-		waveByNode: make([]int, d.Cluster.Size()),
+		Name:    "flexmap",
+		d:       d,
+		tracker: tracker,
+		monitor: NewSpeedMonitor(d),
+		sizer:   NewSizer(),
+		rng:     rng,
 	}
+	am.book = engine.NewAttemptBook(d, am.onMapDone)
+	am.book.OnCommit = am.monitor.ReportCompletion
 	d.Result.Engine = am.Name
 	d.ReducePlacer = am.placeReducers
 	d.Register(am)
@@ -114,15 +102,6 @@ func NewAM(d *engine.Driver, rng *randutil.Source) (*AM, error) {
 	d.OnNodeRejoin(am.monitor.ResetNode)
 	return am, nil
 }
-
-// Driver returns the underlying driver.
-func (am *AM) Driver() *engine.Driver { return am.d }
-
-// Monitor returns the AM's speed monitor.
-func (am *AM) Monitor() *SpeedMonitor { return am.monitor }
-
-// Sizer returns the AM's task sizer.
-func (am *AM) Sizer() *Sizer { return am.sizer }
 
 // RelativeSpeed returns the node's observed speed normalized to the
 // slowest measured node (1.0 when unmeasured) — the signal the elastic
@@ -138,7 +117,7 @@ func (am *AM) OnSlotFree(node *cluster.Node) bool {
 		return false
 	}
 	if am.tracker.Remaining() == 0 {
-		return am.trySpeculate(node)
+		return am.book.Speculate(am.Speculation, node)
 	}
 	rels := am.monitor.RelativeSpeeds()
 	rel := rels[node.ID]
@@ -172,7 +151,7 @@ func (am *AM) OnSlotFree(node *cluster.Node) bool {
 		Task: task, Node: node.ID, BUs: len(bus),
 		SizeUnit: am.sizer.SizeUnit(int(node.ID)), RelSpeed: rel,
 	})
-	am.launch(node, task, bus, local, false)
+	am.book.Launch(engine.MapLaunch{Task: task, Node: node, BUs: bus, LocalBUs: local})
 	return true
 }
 
@@ -217,56 +196,10 @@ func (am *AM) fairShare(node *cluster.Node, rel float64, rels map[cluster.NodeID
 	return share
 }
 
-// launch starts one attempt of a task on a node.
-func (am *AM) launch(node *cluster.Node, task string, bus []dfs.BUID, local int, speculative bool) {
-	wave := am.waveByNode[node.ID] / node.Slots
-	am.waveByNode[node.ID]++
-	if speculative {
-		am.activeSpec++
-	}
-	a := am.d.LaunchMap(engine.MapLaunch{
-		Task:        task,
-		Node:        node,
-		Container:   am.d.RM.Acquire(node),
-		BUs:         bus,
-		LocalBUs:    local,
-		Wave:        wave,
-		Speculative: speculative,
-		OnDone:      am.onMapDone,
-	})
-	am.attempts[task] = append(am.attempts[task], a)
-	if len(am.attempts[task]) == 1 && !speculative {
-		am.cands.Add(a)
-	} else {
-		// A second live attempt (the speculative copy) disqualifies the
-		// task: there is already a race in flight.
-		am.cands.Remove(task)
-	}
-	am.attemptEpoch++
-}
-
 func (am *AM) onMapDone(a *engine.MapAttempt) {
-	if a.Speculative {
-		am.activeSpec--
+	if !am.book.Win(a) {
+		return
 	}
-	a.Container.Release()
-	if am.completed[a.Task] {
-		return // lost a photo-finish race; winner already committed
-	}
-	am.completed[a.Task] = true
-	am.cands.Remove(a.Task)
-	am.d.CommitOutput(a)
-	am.monitor.ReportCompletion(a)
-	for _, other := range am.attempts[a.Task] {
-		if other != a && other.Kill() {
-			if other.Speculative {
-				am.activeSpec--
-			}
-			other.Container.Release()
-		}
-	}
-	delete(am.attempts, a.Task)
-	am.attemptEpoch++
 	am.tasksLeft--
 
 	// Vertical scaling feedback from this attempt's productivity (Eq. 1):
@@ -284,30 +217,6 @@ func (am *AM) onMapDone(a *engine.MapAttempt) {
 	if am.tracker.Remaining() == 0 && am.tasksLeft == 0 {
 		am.d.MapsDone()
 	}
-}
-
-// trySpeculate duplicates the worst straggler per the policy, reading
-// replicas local to the idle node where possible.
-func (am *AM) trySpeculate(node *cluster.Node) bool {
-	if am.Speculation == nil {
-		return false
-	}
-	victim := am.Speculation.Pick(am.d, node, am.cands.List(), am.attemptEpoch, am.activeSpec)
-	if victim == nil {
-		return false
-	}
-	ordered := make([]dfs.BUID, 0, len(victim.BUs))
-	var remote []dfs.BUID
-	for _, id := range victim.BUs {
-		if am.d.Store.HasReplica(node.ID, id) {
-			ordered = append(ordered, id)
-		} else {
-			remote = append(remote, id)
-		}
-	}
-	local := len(ordered)
-	am.launch(node, victim.Task, append(ordered, remote...), local, true)
-	return true
 }
 
 // placeReducers implements §III-F: node i's dispatch bias is c_i² where

@@ -16,11 +16,7 @@ import (
 // re-enters the pools.
 func (am *AM) OnNodeLost(id cluster.NodeID, crashed []*engine.MapAttempt, lostOutput []dfs.BUID) {
 	for _, a := range crashed {
-		if a.Speculative {
-			am.activeSpec--
-		}
-		live := am.dropAttempt(a)
-		if am.completed[a.Task] || live > 0 {
+		if !am.book.Drop(a) {
 			continue // committed, or a speculative copy still racing
 		}
 		am.rescueAndRestore(a)
@@ -33,11 +29,7 @@ func (am *AM) OnNodeLost(id cluster.NodeID, crashed []*engine.MapAttempt, lostOu
 // OnPreempted implements engine.RecoveryHandler. Same BU-granular
 // recovery as a crash, delivered synchronously and with the node alive.
 func (am *AM) OnPreempted(a *engine.MapAttempt) {
-	if a.Speculative {
-		am.activeSpec--
-	}
-	live := am.dropAttempt(a)
-	if am.completed[a.Task] || live > 0 {
+	if !am.book.Drop(a) {
 		return
 	}
 	am.rescueAndRestore(a)
@@ -92,31 +84,4 @@ func (am *AM) checkMapsDone() {
 		am.tracker.Remaining() == 0 && am.tasksLeft == 0 {
 		am.d.MapsDone()
 	}
-}
-
-// dropAttempt removes a dead attempt from the task's live-attempt list
-// and returns how many live attempts the task still has. The
-// speculation-candidate set is reconciled in place: a surviving sole
-// original (its speculative rival just died) is promoted back to
-// candidacy; anything else disqualifies the task.
-func (am *AM) dropAttempt(a *engine.MapAttempt) int {
-	list := am.attempts[a.Task]
-	for i, other := range list {
-		if other == a {
-			list = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(am.attempts, a.Task)
-	} else {
-		am.attempts[a.Task] = list
-	}
-	if len(list) == 1 && !list[0].Speculative && !list[0].Killed() && !am.completed[a.Task] {
-		am.cands.Add(list[0])
-	} else {
-		am.cands.Remove(a.Task)
-	}
-	am.attemptEpoch++
-	return len(list)
 }

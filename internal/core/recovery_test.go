@@ -43,7 +43,9 @@ func newFlexHarness(t *testing.T, c *cluster.Cluster, fileBUs int64, spec mr.Job
 		t.Fatal(err)
 	}
 	am.Speculation = speculation
-	d.AttachWatcher(yarn.NewNodeWatcher(eng, c, rm))
+	w := yarn.NewNodeWatcher(eng, c, rm)
+	d.AttachWatcher(w)
+	d.OnFinished(w.Stop)
 	return &flexHarness{eng: eng, c: c, rm: rm, d: d, am: am, BUs: int(fileBUs), spec: spec}
 }
 

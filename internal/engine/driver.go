@@ -214,7 +214,8 @@ type MapAttempt struct {
 	onDone         func(*MapAttempt)
 }
 
-// MapLaunch parameterizes Driver.LaunchMap.
+// MapLaunch parameterizes Driver.LaunchMap. AttemptBook.Launch fills in
+// Container, Wave and OnDone.
 type MapLaunch struct {
 	Task        string
 	Node        *cluster.Node
@@ -226,8 +227,8 @@ type MapLaunch struct {
 	// ExtraFetchBytes models additional input movement beyond non-local
 	// replica reads (SkewTune repartitioning charges moved bytes here).
 	ExtraFetchBytes int64
-	// OnDone fires when the attempt completes successfully. The AM is
-	// responsible for releasing the container.
+	// OnDone fires when the attempt completes successfully; the
+	// container stays held until AttemptBook.Win releases it.
 	OnDone func(*MapAttempt)
 }
 

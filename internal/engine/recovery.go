@@ -39,17 +39,10 @@ func (d *Driver) OnNodeRejoin(fn func(cluster.NodeID)) {
 
 // AttachWatcher wires heartbeat-timeout failure detection into the
 // driver: loss declarations deliver crashed work and drop resident
-// output, rejoins deliver crashed work and restore capacity. The watcher
-// stops with the job.
+// output, rejoins deliver crashed work and restore capacity. The
+// watcher's lifetime is the caller's: one watcher may serve many
+// concurrent drivers.
 func (d *Driver) AttachWatcher(w *yarn.NodeWatcher) {
-	d.AttachWatcherShared(w)
-	d.OnFinished(w.Stop)
-}
-
-// AttachWatcherShared wires loss/rejoin delivery without tying the
-// watcher's lifetime to this job — for workload runs where one watcher
-// serves every concurrent driver and must outlive each of them.
-func (d *Driver) AttachWatcherShared(w *yarn.NodeWatcher) {
 	w.OnLost(d.nodeLost)
 	w.OnRejoin(d.nodeRejoined)
 }

@@ -13,6 +13,7 @@ import (
 func attachLiveness(h *harness) *yarn.NodeWatcher {
 	w := yarn.NewNodeWatcher(h.eng, h.clus, h.rm)
 	h.driver.AttachWatcher(w)
+	h.driver.OnFinished(w.Stop)
 	return w
 }
 
@@ -138,7 +139,7 @@ func TestStockRetryExhaustionFailsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	am.MaxTaskAttempts = 2
+	am.maxTaskAttempts = 2
 	attachLiveness(h)
 	// The only node crashes while its single task runs, twice. The task
 	// relaunches at t=41 (first allocation after the restore) and runs
@@ -151,7 +152,7 @@ func TestStockRetryExhaustionFailsJob(t *testing.T) {
 	h.eng.Run()
 	r := h.driver.Result
 	if !r.Failed {
-		t.Fatal("job should fail after MaxTaskAttempts crashes of one task")
+		t.Fatal("job should fail after maxTaskAttempts crashes of one task")
 	}
 	if !strings.Contains(r.FailReason, "crashed 2 times") {
 		t.Fatalf("FailReason = %q", r.FailReason)
@@ -162,15 +163,15 @@ func TestStockRetryExhaustionFailsJob(t *testing.T) {
 }
 
 func TestStockRetryBackoffDoubles(t *testing.T) {
-	// Same-task crash twice: the first requeue waits RetryBackoff, the
-	// second 2×RetryBackoff. Observed via the relaunch times of the
+	// Same-task crash twice: the first requeue waits retryBackoff, the
+	// second 2×retryBackoff. Observed via the relaunch times of the
 	// crashed task's attempts.
 	h := newHarness(t, cluster.Homogeneous(2), 16, wcSpec(0))
 	am, err := NewStockAM(h.driver, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	am.MaxTaskAttempts = 4
+	am.maxTaskAttempts = 4
 	attachLiveness(h)
 	h.eng.At(3, "crash-1", func() { h.driver.CrashNode(0) })
 	h.eng.At(30, "restore-1", func() { h.driver.RestoreNode(0) })

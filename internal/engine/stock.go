@@ -33,6 +33,14 @@ type PendingSplit struct {
 	ExtraFetchBytes int64
 }
 
+// localityWait is how long a node's free slot waits for node-local work
+// before accepting a remote split.
+const localityWait sim.Duration = 1
+
+// retryBackoff is the base re-queue delay after a crash; it doubles per
+// retry of the same task (capped at 60 s).
+const retryBackoff sim.Duration = 5
+
 // StockAM is the classic Hadoop MRAppMaster: fixed-size splits statically
 // bound at submission, locality-preferring dispatch with a short delay
 // before falling back to remote execution, and optional LATE-style
@@ -40,44 +48,23 @@ type PendingSplit struct {
 type StockAM struct {
 	Name string
 
-	// LocalityWait is how long a node's free slot waits for node-local
-	// work before accepting a remote split.
-	LocalityWait sim.Duration
-
 	// Speculation, when non-nil, enables speculative execution.
 	Speculation SpeculationPolicy
 
 	d       *Driver
+	book    *AttemptBook
 	pending pendingQueue
-	// attempts tracks live attempts per task; completed tasks are removed.
-	attempts  map[string][]*MapAttempt
-	completed map[string]bool
 	// tasksRemaining counts tasks not yet completed (grows when SkewTune
 	// splits a task into subtasks).
 	tasksRemaining int
-	// waveByNode and remoteAllowedAt are flat per-node slices indexed by
-	// the dense NodeID (remoteAllowedAt < 0 means no locality-wait timer
-	// is armed for the node).
-	waveByNode      []int
+	// remoteAllowedAt is indexed by the dense NodeID; < 0 means no
+	// locality-wait timer is armed for the node.
 	remoteAllowedAt []sim.Time
-	activeSpec      int
 
-	// Speculation candidates, maintained incrementally at each attempt
-	// lifecycle transition instead of rebuilt by scanning attempt state
-	// per probe — under concurrent-workload load the scans were quadratic
-	// in job size per heartbeat. attemptEpoch versions the set for the
-	// policy's Pick memoization; it also bumps on liveness-only changes
-	// (kills delivered later) that leave the set untouched.
-	attemptEpoch uint64
-	cands        *SpecCandidates
-
-	// MaxTaskAttempts bounds executions of one task (Hadoop's
-	// mapreduce.map.maxattempts, default 4): the job fails when a task
-	// crashes that many times.
-	MaxTaskAttempts int
-	// RetryBackoff is the base re-queue delay after a crash; it doubles
-	// per retry of the same task (capped at 60 s).
-	RetryBackoff sim.Duration
+	// maxTaskAttempts bounds executions of one task (Hadoop's
+	// mapreduce.map.maxattempts, 4): the job fails when a task crashes
+	// that many times.
+	maxTaskAttempts int
 
 	// Crash-recovery bookkeeping: the immutable split of every task (to
 	// re-queue it whole — stock has no sub-split granularity), the task
@@ -97,15 +84,9 @@ func NewStockAM(d *Driver, splitBUs int, speculation SpeculationPolicy) (*StockA
 	}
 	am := &StockAM{
 		Name:            fmt.Sprintf("hadoop-%dm", int64(splitBUs)*dfs.BUSize/MB),
-		LocalityWait:    1.0,
 		Speculation:     speculation,
-		MaxTaskAttempts: 4,
-		RetryBackoff:    5.0,
+		maxTaskAttempts: 4,
 		d:               d,
-		attempts:        make(map[string][]*MapAttempt),
-		completed:       make(map[string]bool),
-		cands:           NewSpecCandidates(),
-		waveByNode:      make([]int, d.Cluster.Size()),
 		remoteAllowedAt: make([]sim.Time, d.Cluster.Size()),
 		splitByTask:     make(map[string]PendingSplit),
 		taskOfBU:        make(map[dfs.BUID]string),
@@ -114,6 +95,7 @@ func NewStockAM(d *Driver, splitBUs int, speculation SpeculationPolicy) (*StockA
 	for i := range am.remoteAllowedAt {
 		am.remoteAllowedAt[i] = -1
 	}
+	am.book = NewAttemptBook(d, am.onMapDone)
 	for _, sp := range splits {
 		p := PendingSplit{
 			Task:  fmt.Sprintf("map-%04d", sp.Index),
@@ -177,8 +159,8 @@ func (am *StockAM) TryDispatch(node *cluster.Node) bool {
 		now := am.d.Eng.Now()
 		if allowed := am.remoteAllowedAt[node.ID]; allowed < 0 {
 			// First miss: start the locality-wait timer and re-offer later.
-			am.remoteAllowedAt[node.ID] = now + sim.Time(am.LocalityWait)
-			am.d.Eng.After(am.LocalityWait, "locality-wait", func() { am.d.RM.Poke() })
+			am.remoteAllowedAt[node.ID] = now + sim.Time(localityWait)
+			am.d.Eng.After(localityWait, "locality-wait", func() { am.d.RM.Poke() })
 			return false
 		} else if now < allowed {
 			return false
@@ -187,84 +169,27 @@ func (am *StockAM) TryDispatch(node *cluster.Node) bool {
 		am.launchPending(node, p)
 		return true
 	}
-	return am.trySpeculate(node)
+	return am.book.Speculate(am.Speculation, node)
 }
 
 func (am *StockAM) launchPending(node *cluster.Node, p PendingSplit) {
 	// Reset the node's locality wait: delay scheduling re-waits per task
 	// assignment, whether this launch was local or (timed-out) remote.
 	am.remoteAllowedAt[node.ID] = -1
-	am.launch(node, p, false)
-}
-
-func (am *StockAM) launch(node *cluster.Node, p PendingSplit, speculative bool) {
-	container := am.d.RM.Acquire(node)
-	local := 0
-	bus := p.BUs
-	// Order local BUs first so fetch accounting is exact.
-	ordered := make([]dfs.BUID, 0, len(bus))
-	var remote []dfs.BUID
-	for _, id := range bus {
-		if am.d.Store.HasReplica(node.ID, id) {
-			ordered = append(ordered, id)
-		} else {
-			remote = append(remote, id)
-		}
-	}
-	local = len(ordered)
-	ordered = append(ordered, remote...)
-
-	// A "wave" is one round of concurrent tasks on the node: the first
-	// Slots launches are wave 0, the next Slots are wave 1, and so on.
-	wave := am.waveByNode[node.ID] / node.Slots
-	am.waveByNode[node.ID]++
-	if speculative {
-		am.activeSpec++
-	}
-	a := am.d.LaunchMap(MapLaunch{
+	bus, local := am.book.localFirst(node, p.BUs)
+	am.book.Launch(MapLaunch{
 		Task:            p.Task,
 		Node:            node,
-		Container:       container,
-		BUs:             ordered,
+		BUs:             bus,
 		LocalBUs:        local,
-		Wave:            wave,
-		Speculative:     speculative,
 		ExtraFetchBytes: p.ExtraFetchBytes,
-		OnDone:          am.onMapDone,
 	})
-	am.attempts[p.Task] = append(am.attempts[p.Task], a)
-	if len(am.attempts[p.Task]) == 1 && !speculative {
-		am.cands.Add(a)
-	} else {
-		// A second live attempt (the speculative copy) disqualifies the
-		// task: there is already a race in flight.
-		am.cands.Remove(p.Task)
-	}
-	am.attemptEpoch++
 }
 
 func (am *StockAM) onMapDone(a *MapAttempt) {
-	if a.Speculative {
-		am.activeSpec--
+	if !am.book.Win(a) {
+		return
 	}
-	a.Container.Release()
-	if am.completed[a.Task] {
-		return // lost a photo-finish race; winner already committed
-	}
-	am.completed[a.Task] = true
-	am.cands.Remove(a.Task)
-	am.attemptEpoch++
-	am.d.CommitOutput(a)
-	// Kill losing attempts of the same task.
-	for _, other := range am.attempts[a.Task] {
-		if other != a && other.Kill() {
-			if other.Speculative {
-				am.activeSpec--
-			}
-			other.Container.Release()
-		}
-	}
-	delete(am.attempts, a.Task)
 	am.tasksRemaining--
 	if am.tasksRemaining == 0 {
 		am.d.MapsDone()
@@ -272,23 +197,8 @@ func (am *StockAM) onMapDone(a *MapAttempt) {
 }
 
 // KillTaskAttempts force-kills all live attempts of a task (SkewTune
-// repartition). It returns the attempts that were actually killed.
-func (am *StockAM) KillTaskAttempts(task string) []*MapAttempt {
-	var killed []*MapAttempt
-	for _, a := range am.attempts[task] {
-		if a.Kill() {
-			if a.Speculative {
-				am.activeSpec--
-			}
-			a.Container.Release()
-			killed = append(killed, a)
-		}
-	}
-	delete(am.attempts, task)
-	am.cands.Remove(task)
-	am.attemptEpoch++
-	return killed
-}
+// repartition).
+func (am *StockAM) KillTaskAttempts(task string) { am.book.killTask(task) }
 
 // OnNodeLost implements RecoveryHandler: stock Hadoop has no sub-split
 // granularity, so every crashed attempt re-queues its *whole* fixed
@@ -297,27 +207,21 @@ func (am *StockAM) KillTaskAttempts(task string) []*MapAttempt {
 // reducers can still shuffle their partitions.
 func (am *StockAM) OnNodeLost(id cluster.NodeID, crashed []*MapAttempt, lostOutput []dfs.BUID) {
 	for _, a := range crashed {
-		if a.Speculative {
-			am.activeSpec--
-		}
-		am.dropAttempt(a)
-		if am.completed[a.Task] || len(am.attempts[a.Task]) > 0 {
+		if !am.book.Drop(a) {
 			continue // committed, or a live copy is still racing
 		}
 		am.retries[a.Task]++
-		if am.retries[a.Task] >= am.MaxTaskAttempts {
+		if am.retries[a.Task] >= am.maxTaskAttempts {
 			am.d.FailJob(fmt.Sprintf("task %s crashed %d times (max attempts %d)",
-				a.Task, am.retries[a.Task], am.MaxTaskAttempts))
+				a.Task, am.retries[a.Task], am.maxTaskAttempts))
 			return
 		}
 		am.requeueWithBackoff(a.Task, a.CrashProcessedBytes())
 	}
 	for _, task := range am.ownersOf(lostOutput) {
-		if !am.completed[task] {
+		if !am.book.reopen(task) {
 			continue // already pending or running again; it will recommit
 		}
-		am.completed[task] = false
-		am.attemptEpoch++
 		am.tasksRemaining++
 		sp := am.splitByTask[task]
 		am.d.Result.TaskRetries++
@@ -330,11 +234,7 @@ func (am *StockAM) OnNodeLost(id cluster.NodeID, crashed []*MapAttempt, lostOutp
 // OnPreempted implements RecoveryHandler: preemption is scheduler-
 // initiated, so the split re-queues immediately with no retry charged.
 func (am *StockAM) OnPreempted(a *MapAttempt) {
-	if a.Speculative {
-		am.activeSpec--
-	}
-	am.dropAttempt(a)
-	if am.completed[a.Task] || len(am.attempts[a.Task]) > 0 {
+	if !am.book.Drop(a) {
 		return
 	}
 	sp := am.splitByTask[a.Task]
@@ -345,7 +245,7 @@ func (am *StockAM) OnPreempted(a *MapAttempt) {
 }
 
 // requeueWithBackoff re-queues a crashed task's split after an
-// exponentially growing delay (base RetryBackoff, doubling per crash of
+// exponentially growing delay (base retryBackoff, doubling per crash of
 // the task, capped at 60 s) — Hadoop's re-attempt pacing. waste is the
 // crashed attempt's processed-at-crash bytes, charged as re-processed
 // work (the whole-split re-run redoes exactly that much).
@@ -356,7 +256,7 @@ func (am *StockAM) requeueWithBackoff(task string, waste int64) {
 	}
 	am.d.Result.TaskRetries++
 	am.d.Result.ReprocessedBytes += waste
-	backoff := am.RetryBackoff
+	backoff := retryBackoff
 	for i := 1; i < am.retries[task]; i++ {
 		backoff *= 2
 	}
@@ -364,37 +264,12 @@ func (am *StockAM) requeueWithBackoff(task string, waste int64) {
 		backoff = 60
 	}
 	am.d.Eng.After(backoff, "map-retry", func() {
-		if am.d.Finished() || am.completed[task] {
+		if am.d.Finished() || am.book.completed[task] {
 			return
 		}
 		am.pending.add(sp)
 		am.d.RM.Poke()
 	})
-}
-
-// dropAttempt removes a dead attempt from the task's live-attempt list
-// and reconciles the speculation-candidate set: a surviving sole
-// original (its speculative rival just died) is promoted back to
-// candidacy; anything else disqualifies the task.
-func (am *StockAM) dropAttempt(a *MapAttempt) {
-	list := am.attempts[a.Task]
-	for i, other := range list {
-		if other == a {
-			list = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(am.attempts, a.Task)
-	} else {
-		am.attempts[a.Task] = list
-	}
-	if len(list) == 1 && !list[0].Speculative && !list[0].Killed() && !am.completed[a.Task] {
-		am.cands.Add(list[0])
-	} else {
-		am.cands.Remove(a.Task)
-	}
-	am.attemptEpoch++
 }
 
 // ownersOf maps lost output BUs to their owning tasks, deduplicated and
@@ -426,16 +301,4 @@ func (am *StockAM) splitBytes(p PendingSplit) int64 {
 		b += am.d.Store.Block(id).Size
 	}
 	return b
-}
-
-func (am *StockAM) trySpeculate(node *cluster.Node) bool {
-	if am.Speculation == nil {
-		return false
-	}
-	victim := am.Speculation.Pick(am.d, node, am.cands.List(), am.attemptEpoch, am.activeSpec)
-	if victim == nil {
-		return false
-	}
-	am.launch(node, PendingSplit{Task: victim.Task, BUs: victim.BUs}, true)
-	return true
 }

@@ -6,7 +6,6 @@ package runner
 
 import (
 	"fmt"
-	"strings"
 
 	"flexmap/internal/cluster"
 	"flexmap/internal/core"
@@ -21,7 +20,6 @@ import (
 	"flexmap/internal/skewtune"
 	"flexmap/internal/speculate"
 	"flexmap/internal/trace"
-	"flexmap/internal/yarn"
 )
 
 // MB and GB are size units in bytes.
@@ -95,52 +93,6 @@ func applyReducePlacement(d *engine.Driver, eng Engine) error {
 		return fmt.Errorf("runner: unknown reduce placement %q", eng.ReducePlacement)
 	}
 	return nil
-}
-
-// validateNet rejects network parameters that would silently produce
-// +Inf/NaN transfer durations: a non-positive flat NetBW, or a topology
-// spec with empty racks or zero-capacity links.
-func validateNet(name string, c *cluster.Cluster) error {
-	if c.NetBW <= 0 {
-		return fmt.Errorf("runner: %q: cluster %q NetBW %v MB/s is not positive (fetch durations would be +Inf/NaN)",
-			name, c.Name, c.NetBW)
-	}
-	if c.Topology != nil {
-		if err := c.Topology.Validate(c.NetBW); err != nil {
-			return fmt.Errorf("runner: %q: %w", name, err)
-		}
-	}
-	return nil
-}
-
-// recordNetStats stamps the fabric's end-of-run link gauges: every rack
-// link individually (oversubscription saturates these), plus fleet-wide
-// totals and maxima over the host access links, which would be 2N
-// separate gauges on a big cluster.
-func recordNetStats(tracer *trace.Tracer, fabric *net.Fabric, until sim.Time) {
-	if tracer == nil || fabric == nil {
-		return
-	}
-	var upBytes, downBytes int64
-	var upMax, downMax float64
-	for _, ls := range fabric.LinkStats(until) {
-		switch {
-		case strings.HasPrefix(ls.Name, "rack"):
-			tracer.NetLinkStats(ls.Name, ls.Bytes, ls.Util)
-		case strings.HasSuffix(ls.Name, "-up"):
-			upBytes += ls.Bytes
-			if ls.Util > upMax {
-				upMax = ls.Util
-			}
-		default:
-			downBytes += ls.Bytes
-			if ls.Util > downMax {
-				downMax = ls.Util
-			}
-		}
-	}
-	tracer.NetLinkStats("hosts-up-max", upBytes, upMax)
-	tracer.NetLinkStats("hosts-down-max", downBytes, downMax)
 }
 
 // ClusterFactory builds a fresh cluster (and optional interference
@@ -321,85 +273,6 @@ func Run(sc Scenario, spec mr.JobSpec, eng Engine) (*Result, error) {
 	if sc.InputSize <= 0 && sc.InputData == nil {
 		return nil, fmt.Errorf("runner: scenario %q has no input", sc.Name)
 	}
-
-	simEng := sim.New()
-	if sc.OnFire != nil {
-		simEng.SetFireObserver(sc.OnFire)
-	}
-	clus, interferer := sc.Cluster()
-	// Spares must exist before anything sizes per-node state off the
-	// cluster (DFS placement, RM slots, driver, topology racks); they
-	// start offline, store no blocks, and draw no randomness, so the base
-	// fleet's run is untouched until a join fires.
-	var spares []cluster.NodeID
-	if sc.Membership.Active() {
-		spares = clus.AddSpares(sc.Membership.Spares, sc.Membership.SpareSpec)
-	}
-	if err := validateNet(sc.Name, clus); err != nil {
-		return nil, err
-	}
-	rng := randutil.New(sc.Seed)
-
-	store := dfs.NewStore(clus, sc.Replication, rng.Split("placement"))
-	var err error
-	if sc.InputData != nil {
-		_, err = store.AddFileWithData(spec.InputFile, sc.InputData)
-	} else {
-		_, err = store.AddFile(spec.InputFile, sc.InputSize)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if sc.SkewSigma > 0 {
-		store.ApplySkew(rng.Split("data-skew"), sc.SkewSigma)
-	}
-
-	cost := sc.Cost
-	if cost == (engine.CostModel{}) {
-		cost = engine.DefaultCostModel()
-	}
-	rm := yarn.NewRM(simEng, clus)
-	driver, err := engine.NewDriver(simEng, clus, store, rm, cost, spec)
-	if err != nil {
-		return nil, err
-	}
-	var tracer *trace.Tracer
-	if sc.Trace.Enabled() {
-		tracer = trace.New(simEng)
-		driver.Trace = tracer
-	}
-	var fabric *net.Fabric
-	if clus.Topology != nil {
-		fabric, err = net.New(simEng, clus)
-		if err != nil {
-			return nil, err
-		}
-		fabric.Trace = tracer
-		driver.Net = fabric
-	}
-	driver.Noise = rng.Split("runtime-noise")
-	driver.NoiseSigma = sc.NoiseSigma
-	if sc.NoiseSigma == 0 {
-		driver.NoiseSigma = DefaultNoiseSigma
-	}
-	if interferer != nil {
-		interferer.Start(simEng)
-		driver.OnFinished(interferer.Stop)
-	}
-
-	flexAM, err := buildAM(driver, eng, rng.Split("flexmap"))
-	if err != nil {
-		return nil, err
-	}
-	if err := applyReducePlacement(driver, eng); err != nil {
-		return nil, err
-	}
-	// The engine label is authoritative here: StockAM names itself
-	// "hadoop-<split>m" whether or not speculation is enabled, which
-	// would collide in comparisons that include the no-spec ablation.
-	driver.Result.Engine = eng.String()
-
-	var watcher *yarn.NodeWatcher
 	if sc.Faults.Active() {
 		if sc.InputData != nil {
 			return nil, fmt.Errorf("runner: scenario %q combines fault injection with live input data (re-execution would duplicate live mapper output)", sc.Name)
@@ -407,17 +280,7 @@ func Run(sc Scenario, spec mr.JobSpec, eng Engine) (*Result, error) {
 		if eng.Kind == SkewTune {
 			return nil, fmt.Errorf("runner: fault injection is not supported for %s (repartition/recovery interplay is unmodeled)", eng)
 		}
-		watcher = yarn.NewNodeWatcher(simEng, clus, rm)
-		watcher.Trace = tracer
-		driver.AttachWatcher(watcher)
-		inj := faults.NewInjector(simEng, clus,
-			sc.Faults.Schedule(rng.Split("faults").Seed(), clus.Size()), driver)
-		inj.Trace = tracer
-		driver.OnFinished(inj.Stop)
-		inj.Start()
 	}
-
-	var ctl *elastic.Controller
 	if sc.Membership.Active() {
 		if sc.InputData != nil {
 			return nil, fmt.Errorf("runner: scenario %q combines elastic membership with live input data (drain re-execution would duplicate live mapper output)", sc.Name)
@@ -425,75 +288,75 @@ func Run(sc Scenario, spec mr.JobSpec, eng Engine) (*Result, error) {
 		if eng.Kind == SkewTune {
 			return nil, fmt.Errorf("runner: elastic membership is not supported for %s (repartition/decommission interplay is unmodeled)", eng)
 		}
-		ctl = elastic.NewController(simEng, clus, rm, sc.Membership, spares)
-		ctl.Trace = tracer
-		ctl.AddDrainer(driver)
-		if watcher != nil {
-			ctl.SetWatcher(watcher)
-		}
-		if flexAM != nil {
-			ctl.Speeds = flexAM.RelativeSpeed
-		}
-		driver.OnFinished(ctl.Stop)
-		ctl.Start(rng.Split("membership").Seed())
 	}
 
-	rm.Start()
-	deadline := sc.MaxSimTime
-	if deadline == 0 {
-		deadline = 30 * 24 * 3600
+	s, err := newStack(sc)
+	if err != nil {
+		return nil, err
 	}
-	simEng.RunUntil(deadline)
-	tracer.FinalizeRun()
-	recordNetStats(tracer, fabric, driver.Result.Finished)
-	nodeHours := float64(clus.Size()) * float64(driver.Result.Finished) / 3600
-	if ctl != nil {
-		nodeHours = ctl.NodeHours(driver.Result.Finished)
+	if sc.InputData != nil {
+		_, err = s.store.AddFileWithData(spec.InputFile, sc.InputData)
+	} else {
+		_, err = s.store.AddFile(spec.InputFile, sc.InputSize)
 	}
-	if driver.Result.Failed {
-		// Export what was collected: a failed job's trace is the artifact
-		// you want most.
-		if err := sc.Trace.Write(tracer); err != nil {
-			return nil, err
+	if err != nil {
+		return nil, err
+	}
+	if sc.SkewSigma > 0 {
+		s.store.ApplySkew(s.rng.Split("data-skew"), sc.SkewSigma)
+	}
+	// Interference is armed before the AM's heartbeat ticker and the
+	// liveness watcher: same-instant ticks fire in that order.
+	s.startInterference()
+	driver, flexAM, err := s.newJob(spec, eng, s.rng, s.tracer, nil)
+	if err != nil {
+		return nil, err
+	}
+	s.addChurn(sc.Faults, sc.Membership, driver)
+	if s.watcher != nil {
+		driver.AttachWatcher(s.watcher)
+	}
+	if s.ctl != nil {
+		s.ctl.AddDrainer(driver)
+		if flexAM != nil {
+			s.ctl.Speeds = flexAM.RelativeSpeed
 		}
-		return nil, &JobFailedError{
-			Job:    spec.Name,
-			Engine: eng.String(),
-			Reason: driver.Result.FailReason,
-			Result: &Result{
-				JobResult:  driver.Result,
-				Cluster:    clus,
-				BUCommits:  driver.BUCommits(),
-				InputBytes: sc.InputSize,
-				Trace:      tracer,
-				SimEvents:  simEng.Fired(),
-				NodeHours:  nodeHours,
-			},
-		}
 	}
+	driver.OnFinished(s.stop)
+
+	deadline := s.run(sc.MaxSimTime)
+	s.recordNetStats(driver.Result.Finished)
 	if !driver.Finished() {
 		return nil, fmt.Errorf("runner: job %q under %s did not finish by t=%v (scheduler hang?)",
 			spec.Name, eng, deadline)
 	}
-
-	if err := sc.Trace.Write(tracer); err != nil {
+	// A failed job's trace is exported too: it is the artifact you want most.
+	if err := sc.Trace.Write(s.tracer); err != nil {
 		return nil, err
 	}
 	out := &Result{
 		JobResult:  driver.Result,
-		Cluster:    clus,
+		Cluster:    s.clus,
 		BUCommits:  driver.BUCommits(),
 		InputBytes: sc.InputSize,
-		Trace:      tracer,
-		SimEvents:  simEng.Fired(),
-		NodeHours:  nodeHours,
+		Trace:      s.tracer,
+		SimEvents:  s.eng.Fired(),
+		NodeHours:  s.nodeHours(driver.Result.Finished),
 	}
 	if flexAM != nil {
 		out.SizeTrace = flexAM.SizeTrace
 	}
-	if fabric != nil {
-		out.CrossRackBytes = fabric.CrossRackBytes()
-		out.NetLinks = fabric.LinkStats(driver.Result.Finished)
+	if s.fabric != nil {
+		out.CrossRackBytes = s.fabric.CrossRackBytes()
+		out.NetLinks = s.fabric.LinkStats(driver.Result.Finished)
+	}
+	if driver.Result.Failed {
+		return nil, &JobFailedError{
+			Job:    spec.Name,
+			Engine: eng.String(),
+			Reason: driver.Result.FailReason,
+			Result: out,
+		}
 	}
 	return out, nil
 }

@@ -11,7 +11,6 @@ import (
 	"flexmap/internal/faults"
 	"flexmap/internal/metrics"
 	"flexmap/internal/mr"
-	"flexmap/internal/net"
 	"flexmap/internal/randutil"
 	"flexmap/internal/sim"
 	"flexmap/internal/trace"
@@ -65,8 +64,6 @@ type WorkloadScenario struct {
 	// NoiseSigma is per-task runtime noise (0 = DefaultNoiseSigma;
 	// negative disables).
 	NoiseSigma float64
-	// SkewSigma, when positive, applies lognormal per-BU cost weights.
-	SkewSigma float64
 	// Faults injects seeded node crashes/slowdowns/preemptions shared
 	// by every concurrent job.
 	Faults faults.Plan
@@ -273,118 +270,34 @@ func RunWorkload(sc WorkloadScenario) (*WorkloadResult, error) {
 		return nil, err
 	}
 
-	simEng := sim.New()
-	clus, interferer := sc.Cluster()
-	// Spares must exist before per-node state is sized off the cluster
-	// (see Run); they start offline and perturb nothing until a join.
-	var spares []cluster.NodeID
-	if sc.Membership.Active() {
-		spares = clus.AddSpares(sc.Membership.Spares, sc.Membership.SpareSpec)
-	}
-	if err := validateNet(sc.Name, clus); err != nil {
+	s, err := newStack(Scenario{
+		Name: sc.Name, Cluster: sc.Cluster, Seed: sc.Seed, Replication: sc.Replication,
+		Cost: sc.Cost, NoiseSigma: sc.NoiseSigma, Membership: sc.Membership, Trace: sc.Trace,
+	})
+	if err != nil {
 		return nil, err
 	}
-	rng := randutil.New(sc.Seed)
-	store := dfs.NewStore(clus, sc.Replication, rng.Split("placement"))
-	if sc.SkewSigma > 0 {
-		store.ApplySkew(rng.Split("data-skew"), sc.SkewSigma)
-	}
-	cost := sc.Cost
-	if cost == (engine.CostModel{}) {
-		cost = engine.DefaultCostModel()
-	}
-	noiseSigma := sc.NoiseSigma
-	if noiseSigma == 0 {
-		noiseSigma = DefaultNoiseSigma
-	}
+	mux := yarn.NewInterJob(s.eng, s.rm, policy)
+	target := &multiTarget{clus: s.clus}
+	// Unlike Run, the watcher's ticker is armed before interference.
+	s.addChurn(sc.Faults, sc.Membership, target)
+	s.startInterference()
 
-	rm := yarn.NewRM(simEng, clus)
-	mux := yarn.NewInterJob(simEng, rm, policy)
-	var tracer *trace.Tracer
-	if sc.Trace.Enabled() {
-		tracer = trace.New(simEng)
-	}
-	// One fabric serves every job: concurrent jobs' flows contend for the
-	// same links, which is the whole point of the topology model under a
-	// multi-job workload.
-	var fabric *net.Fabric
-	if clus.Topology != nil {
-		var err error
-		fabric, err = net.New(simEng, clus)
-		if err != nil {
-			return nil, err
-		}
-		fabric.Trace = tracer
-	}
-
-	var watcher *yarn.NodeWatcher
-	var injector *faults.Injector
-	target := &multiTarget{clus: clus}
-	if sc.Faults.Active() {
-		watcher = yarn.NewNodeWatcher(simEng, clus, rm)
-		watcher.Trace = tracer
-		injector = faults.NewInjector(simEng, clus,
-			sc.Faults.Schedule(rng.Split("faults").Seed(), clus.Size()), target)
-		injector.Trace = tracer
-	}
-	var ctl *elastic.Controller
-	if sc.Membership.Active() {
-		ctl = elastic.NewController(simEng, clus, rm, sc.Membership, spares)
-		ctl.Trace = tracer
-		if watcher != nil {
-			ctl.SetWatcher(watcher)
-		}
-	}
-	if interferer != nil {
-		interferer.Start(simEng)
-	}
-
-	st := &workloadState{
-		outcomes: make([]JobOutcome, len(arrivals)),
-		total:    len(arrivals),
-		ctl:      ctl,
-		stopAll: func() {
-			if interferer != nil {
-				interferer.Stop()
-			}
-			if watcher != nil {
-				watcher.Stop()
-			}
-			if injector != nil {
-				injector.Stop()
-			}
-			if ctl != nil {
-				ctl.Stop()
-			}
-		},
-	}
-
+	st := &workloadState{outcomes: make([]JobOutcome, len(arrivals)), total: len(arrivals)}
 	for _, a := range arrivals {
 		a := a
-		simEng.At(a.At, "job-arrival", func() {
+		s.eng.At(a.At, "job-arrival", func() {
 			if st.err != nil {
 				return
 			}
-			if err := submitJob(simEng, sc, a, clus, store, rm, mux, fabric, cost, noiseSigma, tracer, watcher, target, st); err != nil {
+			if err := submitJob(s, sc, a, mux, target, st); err != nil {
 				st.err = err
-				st.stopAll()
+				s.stop()
 			}
 		})
 	}
 
-	if injector != nil {
-		injector.Start()
-	}
-	if ctl != nil {
-		ctl.Start(rng.Split("membership").Seed())
-	}
-	rm.Start()
-	deadline := sc.MaxSimTime
-	if deadline == 0 {
-		deadline = 30 * 24 * 3600
-	}
-	simEng.RunUntil(deadline)
-	tracer.FinalizeRun()
+	deadline := s.run(sc.MaxSimTime)
 	// Utilization horizon: the last job completion, not the engine clock
 	// (draining lazily-canceled events can push the clock past it).
 	var lastDone sim.Time
@@ -393,7 +306,7 @@ func RunWorkload(sc WorkloadScenario) (*WorkloadResult, error) {
 			lastDone = o.Finished
 		}
 	}
-	recordNetStats(tracer, fabric, lastDone)
+	s.recordNetStats(lastDone)
 	if st.err != nil {
 		return nil, st.err
 	}
@@ -401,12 +314,12 @@ func RunWorkload(sc WorkloadScenario) (*WorkloadResult, error) {
 		return nil, fmt.Errorf("runner: workload %q: %d of %d jobs unfinished at t=%v (scheduler hang or deadline too low)",
 			sc.Name, st.total-st.done, st.total, deadline)
 	}
-	if err := sc.Trace.Write(tracer); err != nil {
+	if err := sc.Trace.Write(s.tracer); err != nil {
 		return nil, err
 	}
-	res := summarize(sc, policy, clus, tracer, simEng, st)
-	if fabric != nil {
-		res.CrossRackBytes = fabric.CrossRackBytes()
+	res := summarize(sc, policy, s, st)
+	if s.fabric != nil {
+		res.CrossRackBytes = s.fabric.CrossRackBytes()
 	}
 	return res, nil
 }
@@ -419,22 +332,16 @@ type workloadState struct {
 	active        int
 	maxConcurrent int
 	err           error
-	stopAll       func()
-	// ctl is the elastic membership controller (nil on static fleets);
-	// every submitted job registers its driver as a drainer.
-	ctl *elastic.Controller
 }
 
 // submitJob materializes one arrival: per-job input file, driver, AM,
 // and registration with the inter-job scheduler.
-func submitJob(simEng *sim.Engine, sc WorkloadScenario, a workload.Arrival,
-	clus *cluster.Cluster, store *dfs.Store, rm *yarn.RM, mux *yarn.InterJob,
-	fabric *net.Fabric, cost engine.CostModel, noiseSigma float64, tracer *trace.Tracer,
-	watcher *yarn.NodeWatcher, target *multiTarget, st *workloadState) error {
+func submitJob(s *stack, sc WorkloadScenario, a workload.Arrival, mux *yarn.InterJob,
+	target *multiTarget, st *workloadState) error {
 
 	id := jobID(a.Index)
 	class := sc.Classes[a.Class]
-	if _, err := store.AddFile(id+"/input", a.InputBytes); err != nil {
+	if _, err := s.store.AddFile(id+"/input", a.InputBytes); err != nil {
 		return err
 	}
 	spec := class.Spec
@@ -445,34 +352,21 @@ func submitJob(simEng *sim.Engine, sc WorkloadScenario, a workload.Arrival,
 	// per-job result doesn't pretend otherwise.
 	spec.Mapper, spec.Reducer = nil, nil
 
-	driver, err := engine.NewDriver(simEng, clus, store, rm, cost, spec)
-	if err != nil {
-		return err
-	}
-	driver.ReduceViaRM = true
-	driver.Net = fabric
-	driver.Trace = tracer.ForJob(id)
-	jobRng := randutil.New(a.Seed)
-	driver.Noise = jobRng.Split("runtime-noise")
-	driver.NoiseSigma = noiseSigma
-
 	// Route the AM's registration to the job scheduler instead of the
 	// shared RM (which the multiplexer owns). SkewTune registers twice;
 	// last one wins, as with direct SetScheduler.
 	var am yarn.Scheduler
-	driver.RegisterScheduler = func(s yarn.Scheduler) { am = s }
-	if _, err := buildAM(driver, class.Engine, jobRng.Split("flexmap")); err != nil {
+	driver, _, err := s.newJob(spec, class.Engine, randutil.New(a.Seed), s.tracer.ForJob(id),
+		func(sch yarn.Scheduler) { am = sch })
+	if err != nil {
 		return err
 	}
-	if err := applyReducePlacement(driver, class.Engine); err != nil {
-		return err
+	driver.ReduceViaRM = true
+	if s.watcher != nil {
+		driver.AttachWatcher(s.watcher)
 	}
-	driver.Result.Engine = class.Engine.String()
-	if watcher != nil {
-		driver.AttachWatcherShared(watcher)
-	}
-	if st.ctl != nil {
-		st.ctl.AddDrainer(driver)
+	if s.ctl != nil {
+		s.ctl.AddDrainer(driver)
 	}
 	target.drivers = append(target.drivers, driver)
 
@@ -502,24 +396,22 @@ func submitJob(simEng *sim.Engine, sc WorkloadScenario, a workload.Arrival,
 			BUCommits:  driver.BUCommits(),
 		}
 		if st.done == st.total {
-			st.stopAll()
+			s.stop()
 		}
 	})
 	return nil
 }
 
 // summarize computes the workload's cluster-level metrics.
-func summarize(sc WorkloadScenario, policy yarn.Policy, clus *cluster.Cluster,
-	tracer *trace.Tracer, simEng *sim.Engine, st *workloadState) *WorkloadResult {
-
+func summarize(sc WorkloadScenario, policy yarn.Policy, s *stack, st *workloadState) *WorkloadResult {
 	out := &WorkloadResult{
 		Scenario:      sc.Name,
 		Policy:        policy.Name(),
 		Jobs:          st.outcomes,
 		MaxConcurrent: st.maxConcurrent,
-		Cluster:       clus,
-		Trace:         tracer,
-		SimEvents:     simEng.Fired(),
+		Cluster:       s.clus,
+		Trace:         s.tracer,
+		SimEvents:     s.eng.Fired(),
 	}
 	var span sim.Time
 	var goodBytes int64
@@ -549,12 +441,11 @@ func summarize(sc WorkloadScenario, policy yarn.Policy, clus *cluster.Cluster,
 	out.Span = sim.Duration(span)
 	if span > 0 {
 		out.GoodputBytesPerSec = float64(goodBytes) / float64(span)
-		slotSecs := float64(span) * float64(clus.TotalSlots())
-		out.NodeHours = float64(clus.Size()) * float64(span) / 3600
-		if st.ctl != nil {
-			slotSecs = st.ctl.SlotSeconds(span)
-			out.NodeHours = st.ctl.NodeHours(span)
+		slotSecs := float64(span) * float64(s.clus.TotalSlots())
+		if s.ctl != nil {
+			slotSecs = s.ctl.SlotSeconds(span)
 		}
+		out.NodeHours = s.nodeHours(span)
 		out.Utilization = float64(busy) / slotSecs
 	}
 	if waited > 0 {

@@ -21,18 +21,19 @@ import (
 	"flexmap/internal/sim"
 )
 
+// minBUs is the smallest remainder worth splitting.
+const minBUs = 2
+
 // AM wraps the stock ApplicationMaster with SkewTune's stop-and-
 // repartition mitigation. Speculation is disabled: repartitioning is
 // SkewTune's replacement for it.
 type AM struct {
-	// MinRemaining is the smallest estimated remaining time worth
+	// minRemaining is the smallest estimated remaining time worth
 	// repartitioning (SkewTune's "is it worth it" test: the straggler's
 	// remaining work must dwarf the cost of planning, moving its data
-	// and restarting it elsewhere; default 4× the task startup overhead
-	// plus two seconds of planning).
-	MinRemaining sim.Duration
-	// MinBUs is the smallest remainder worth splitting (default 2).
-	MinBUs int
+	// and restarting it elsewhere — 4× the task startup overhead plus
+	// two seconds of planning).
+	minRemaining sim.Duration
 
 	stock  *engine.StockAM
 	d      *engine.Driver
@@ -47,8 +48,7 @@ func New(d *engine.Driver, splitBUs int) (*AM, error) {
 		return nil, err
 	}
 	am := &AM{
-		MinRemaining: 4*d.Cost.Overhead() + 2,
-		MinBUs:       2,
+		minRemaining: 4*d.Cost.Overhead() + 2,
 		stock:        stock,
 		d:            d,
 		rounds:       make(map[string]int),
@@ -58,9 +58,6 @@ func New(d *engine.Driver, splitBUs int) (*AM, error) {
 	d.Register(am) // shadow the stock AM's registration (last Register wins)
 	return am, nil
 }
-
-// Stock returns the wrapped stock AM.
-func (am *AM) Stock() *engine.StockAM { return am.stock }
 
 // OnSlotFree implements yarn.Scheduler: normal dispatch first, then skew
 // mitigation on idle capacity.
@@ -92,14 +89,14 @@ func (am *AM) repartition(node *cluster.Node) bool {
 	var worst sim.Duration = -1
 	for _, a := range am.d.AllRunningMaps() {
 		_, rem := a.SplitBUs(now)
-		if len(rem) < am.MinBUs {
+		if len(rem) < minBUs {
 			continue
 		}
 		if r := a.EstRemaining(now); r > worst {
 			worst, victim = r, a
 		}
 	}
-	if victim == nil || worst < am.MinRemaining {
+	if victim == nil || worst < am.minRemaining {
 		return false
 	}
 	done, rem := victim.SplitBUs(now)
