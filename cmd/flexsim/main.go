@@ -84,6 +84,12 @@ func main() {
 		fatalf("-autoscale needs a spare pool; set -membership N")
 	}
 
+	if *nodes < 1 {
+		fatalf("-nodes %d: need at least one node", *nodes)
+	}
+	if !(*slowFraction >= 0 && *slowFraction <= 1) {
+		fatalf("-slow-fraction %v: must lie in [0,1]", *slowFraction)
+	}
 	var factory flexmap.ClusterFactory
 	switch *clusterName {
 	case "physical":

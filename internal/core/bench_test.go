@@ -40,13 +40,16 @@ func benchMonitor(b *testing.B, n int) *SpeedMonitor {
 	return m
 }
 
-// BenchmarkRelativeSpeeds measures the per-dispatch speed-map cost:
-// OnSlotFree consults it before sizing every elastic task.
+// BenchmarkRelativeSpeeds measures the per-dispatch speed-map recompute:
+// OnSlotFree consults it before sizing every elastic task. Resetting one
+// node's window each iteration bumps the monitor's epoch, so every call
+// recomputes the 200-node map instead of hitting the epoch memo.
 func BenchmarkRelativeSpeeds(b *testing.B) {
 	m := benchMonitor(b, 200)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		m.ResetNode(cluster.NodeID(i % 200))
 		if rel := m.RelativeSpeeds(); len(rel) != 200 {
 			b.Fatal("short map")
 		}
@@ -54,12 +57,14 @@ func BenchmarkRelativeSpeeds(b *testing.B) {
 }
 
 // BenchmarkNormalizedCapacities measures the reduce-placement capacity
-// map consulted once per reduce wave.
+// map consulted once per reduce wave, recomputed each iteration as in
+// BenchmarkRelativeSpeeds.
 func BenchmarkNormalizedCapacities(b *testing.B) {
 	m := benchMonitor(b, 200)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		m.ResetNode(cluster.NodeID(i % 200))
 		if caps := m.NormalizedCapacities(); len(caps) != 200 {
 			b.Fatal("short map")
 		}

@@ -25,9 +25,6 @@ type Summary struct {
 	MeanProductivity float64
 	Attempts         int
 	Speculative      int
-	// Metrics is the run's counter/gauge snapshot when it was traced
-	// (nil otherwise) — see SummarizeTraced.
-	Metrics []Sample
 }
 
 // Summarize extracts a Summary from a job result.
@@ -49,15 +46,6 @@ func Summarize(r *mr.JobResult) Summary {
 		Attempts:         len(r.Attempts),
 		Speculative:      r.SpeculativeLaunches,
 	}
-}
-
-// SummarizeTraced extracts a Summary and attaches the run's registry
-// snapshot (from the tracer). A nil registry leaves Metrics nil, so the
-// call is safe for untraced runs.
-func SummarizeTraced(r *mr.JobResult, reg *Registry) Summary {
-	s := Summarize(r)
-	s.Metrics = reg.Snapshot()
-	return s
 }
 
 // FaultSummary condenses one run's failure-and-recovery counters — the

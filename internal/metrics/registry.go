@@ -4,8 +4,8 @@ import "sort"
 
 // Registry is a run-scoped counters/gauges store. The trace layer bumps
 // counters as events are emitted and sets gauges for last-value signals
-// (per-node speed, final sim clock); harnesses and CLIs snapshot it into
-// a Summary after the run. A nil *Registry is valid and inert, so call
+// (per-node speed, final sim clock); harnesses and CLIs read its Snapshot
+// after the run. A nil *Registry is valid and inert, so call
 // sites need no tracing-enabled checks.
 //
 // Registries are single-goroutine like everything else in a run: each

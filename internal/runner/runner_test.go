@@ -77,6 +77,8 @@ func TestAllEnginesFinish(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	spec := wcSpec(t, 2)
+	negRate := smallScenario(hetFactory)
+	negRate.Faults = faults.Plan{CrashRate: -1}
 	cases := []struct {
 		name string
 		sc   Scenario
@@ -86,6 +88,8 @@ func TestRunErrors(t *testing.T) {
 		{"no input", Scenario{Cluster: hetFactory}, Engine{Kind: Hadoop}},
 		{"bad split", smallScenario(hetFactory), Engine{Kind: Hadoop, SplitMB: 12}},
 		{"unknown engine", smallScenario(hetFactory), Engine{Kind: "mystery"}},
+		{"zero nodes", smallScenario(homoFactory(0)), Engine{Kind: Hadoop}},
+		{"negative crash rate", negRate, Engine{Kind: Hadoop}},
 	}
 	for _, tc := range cases {
 		if _, err := Run(tc.sc, spec, tc.eng); err == nil {
@@ -199,8 +203,9 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-// equivSpeeds cycles the paper testbed's four machine generations, as
-// flexbench does, so replay cells run on a heterogeneous cluster.
+// equivSpeeds cycles the paper testbed's four machine generations, as the
+// repo benchmark's clusters do, so replay and allocation cells run on a
+// heterogeneous cluster.
 var equivSpeeds = []float64{1.0, 1.5, 2.4, 2.8}
 
 func equivCluster(n int) ClusterFactory {

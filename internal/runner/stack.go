@@ -2,6 +2,7 @@ package runner
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"flexmap/internal/cluster"
@@ -45,14 +46,20 @@ type stack struct {
 }
 
 // newStack builds the stack from the scenario's shared fields: Name,
-// Cluster, Seed, Replication, Cost, NoiseSigma, Membership (spares only),
-// Trace and OnFire. It schedules no events.
+// Cluster, Seed, Replication, Cost, NoiseSigma, Faults (validated only),
+// Membership (spares only), Trace and OnFire. It schedules no events.
 func newStack(sc Scenario) (*stack, error) {
+	if err := validateFaults(sc.Name, sc.Faults); err != nil {
+		return nil, err
+	}
 	s := &stack{eng: sim.New()}
 	if sc.OnFire != nil {
 		s.eng.SetFireObserver(sc.OnFire)
 	}
 	s.clus, s.interferer = sc.Cluster()
+	if s.clus.Size() == 0 {
+		return nil, fmt.Errorf("runner: %q: cluster %q has no nodes", sc.Name, s.clus.Name)
+	}
 	// Spares must exist before anything sizes per-node state off the
 	// cluster (DFS placement, RM slots, drivers, topology racks); they
 	// start offline, store no blocks, and draw no randomness, so the base
@@ -99,6 +106,20 @@ func validateNet(name string, c *cluster.Cluster) error {
 	if c.Topology != nil {
 		if err := c.Topology.Validate(c.NetBW); err != nil {
 			return fmt.Errorf("runner: %q: %w", name, err)
+		}
+	}
+	return nil
+}
+
+// validateFaults rejects fault rates that would silently disable
+// injection (negative or NaN) or collapse every arrival onto t=0 (+Inf).
+func validateFaults(name string, p faults.Plan) error {
+	for _, r := range []struct {
+		field string
+		rate  float64
+	}{{"CrashRate", p.CrashRate}, {"SlowdownRate", p.SlowdownRate}, {"PreemptRate", p.PreemptRate}} {
+		if r.rate < 0 || math.IsNaN(r.rate) || math.IsInf(r.rate, 0) {
+			return fmt.Errorf("runner: %q: fault plan %s %v is not a finite non-negative rate", name, r.field, r.rate)
 		}
 	}
 	return nil

@@ -272,7 +272,7 @@ func RunWorkload(sc WorkloadScenario) (*WorkloadResult, error) {
 
 	s, err := newStack(Scenario{
 		Name: sc.Name, Cluster: sc.Cluster, Seed: sc.Seed, Replication: sc.Replication,
-		Cost: sc.Cost, NoiseSigma: sc.NoiseSigma, Membership: sc.Membership, Trace: sc.Trace,
+		Cost: sc.Cost, NoiseSigma: sc.NoiseSigma, Faults: sc.Faults, Membership: sc.Membership, Trace: sc.Trace,
 	})
 	if err != nil {
 		return nil, err

@@ -411,6 +411,12 @@ func TestWorkloadValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("SkewTune under fault injection accepted")
 	}
+	if err := bad(func(sc *WorkloadScenario) { sc.Cluster = homoFactory(0) }); err == nil {
+		t.Error("zero-node cluster accepted")
+	}
+	if err := bad(func(sc *WorkloadScenario) { sc.Faults = faults.Plan{CrashRate: -1} }); err == nil {
+		t.Error("negative crash rate accepted")
+	}
 	if err := bad(func(sc *WorkloadScenario) { sc.MaxSimTime = 10 }); err == nil {
 		t.Error("impossible deadline accepted (jobs can't finish)")
 	}
