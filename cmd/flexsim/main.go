@@ -242,14 +242,21 @@ func main() {
 		fmt.Print(flexmap.RenderTimeline(res.Trace.Events()))
 	}
 	if res.Trace != nil {
-		fmt.Println("\ntrace metrics:")
-		for _, s := range res.Trace.Registry().Snapshot() {
-			if s.Counter {
-				fmt.Printf("  %-26s %d\n", s.Name, int64(s.Value))
-			} else {
-				fmt.Printf("  %-26s %.6g\n", s.Name, s.Value)
+		// Event counts by kind, in order of first occurrence.
+		counts := map[string]int{}
+		var kinds []string
+		for _, e := range res.Trace.Events() {
+			k := e.Kind.String()
+			if counts[k] == 0 {
+				kinds = append(kinds, k)
 			}
+			counts[k]++
 		}
+		fmt.Println("\ntrace events:")
+		for _, k := range kinds {
+			fmt.Printf("  %-26s %d\n", k, counts[k])
+		}
+		fmt.Printf("  %-26s %d\n", "sim events fired", res.SimEvents)
 	}
 	if *tracePath != "" {
 		fmt.Printf("event trace written to %s\n", *tracePath)

@@ -15,19 +15,15 @@
 //	-skip a,b              run all but the named analyzers
 //	-fix                   render suggested fixes as minus/plus diffs
 //	-facts                 print the cross-package facts the run exported
-//	-baseline FILE         filter findings accepted in FILE before
-//	                       deciding the exit status
-//	-write-baseline FILE   write the current findings to FILE and exit 0
 //
 // Packages default to ./... and may be directories or /... patterns;
 // test files are not analyzed (the determinism suite itself exercises
 // them at runtime). Run it from inside the module — CI runs:
 //
-//	go run ./cmd/flexvet -baseline flexvet.baseline.json ./...
+//	go run ./cmd/flexvet ./...
 //
 // Exit status is uniform across text and JSON modes: 0 clean, 1
-// findings (after baseline filtering), 2 usage, load or type-check
-// errors.
+// findings, 2 usage, load or type-check errors.
 //
 // Findings are suppressed per-analyzer by a trailing (or directly
 // preceding) comment: //flexvet:ignore <analyzer>.
@@ -60,8 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	skipSel := fs.String("skip", "", "comma-separated analyzers to disable")
 	fix := fs.Bool("fix", false, "render suggested fixes as diffs (text mode)")
 	facts := fs.Bool("facts", false, "print the facts the run exported")
-	baselinePath := fs.String("baseline", "", "filter findings accepted in this baseline file")
-	writeBaseline := fs.String("write-baseline", "", "write current findings as a baseline file and exit 0")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -113,37 +107,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *writeBaseline != "" {
-		f, err := os.Create(*writeBaseline)
-		if err != nil {
-			return errorf("%v", err)
-		}
-		werr := analysis.NewBaseline(diags).Write(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return errorf("writing baseline: %v", werr)
-		}
-		fmt.Fprintf(stderr, "flexvet: wrote %d baseline finding(s) to %s\n", len(diags), *writeBaseline)
-		return 0
-	}
-
-	var suppressed []analysis.Diagnostic
-	if *baselinePath != "" {
-		baseline, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			return errorf("%v", err)
-		}
-		diags, suppressed = baseline.Filter(diags)
-	}
-
 	if *jsonOut {
 		out := struct {
 			Diagnostics []analysis.Diagnostic `json:"diagnostics"`
-			Suppressed  int                   `json:"suppressed,omitempty"`
 			Facts       []analysis.Fact       `json:"facts,omitempty"`
-		}{Diagnostics: diags, Suppressed: len(suppressed)}
+		}{Diagnostics: diags}
 		if out.Diagnostics == nil {
 			out.Diagnostics = []analysis.Diagnostic{}
 		}

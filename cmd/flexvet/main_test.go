@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -66,7 +65,6 @@ func TestExitErrorIsTwo(t *testing.T) {
 		{"./does-not-exist"},
 		{"-run", "nosuchanalyzer", cleanPkg},
 		{"-skip", "nosuchanalyzer", cleanPkg},
-		{"-baseline", "does-not-exist.json", cleanPkg},
 		{"-nosuchflag"},
 	}
 	for _, args := range cases {
@@ -80,27 +78,6 @@ func TestSkipDisablesAnalyzer(t *testing.T) {
 	code, _, _ := runCLI(t, "-run", "rangemap", "-skip", "rangemap", dirtyPkg)
 	if code != 0 {
 		t.Errorf("skipping the only findings-producing analyzer: exit = %d, want 0", code)
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	code, _, stderr := runCLI(t, "-run", "rangemap", "-write-baseline", path, dirtyPkg)
-	if code != 0 {
-		t.Fatalf("-write-baseline exit = %d, want 0; stderr: %s", code, stderr)
-	}
-	code, _, _ = runCLI(t, "-run", "rangemap", "-baseline", path, dirtyPkg)
-	if code != 0 {
-		t.Errorf("findings covered by their own baseline: exit = %d, want 0", code)
-	}
-	// An empty baseline (written from a clean package) suppresses nothing.
-	empty := filepath.Join(t.TempDir(), "empty.json")
-	if code, _, _ := runCLI(t, "-run", "rangemap", "-write-baseline", empty, cleanPkg); code != 0 {
-		t.Fatalf("writing empty baseline: exit = %d, want 0", code)
-	}
-	code, _, _ = runCLI(t, "-run", "rangemap", "-baseline", empty, dirtyPkg)
-	if code != 1 {
-		t.Errorf("empty baseline suppressed findings: exit = %d, want 1", code)
 	}
 }
 
@@ -120,7 +97,7 @@ func TestListExitsZero(t *testing.T) {
 		t.Fatalf("-list exit = %d, want 0", code)
 	}
 	for _, name := range []string{"detrand", "seedflow", "rangemap", "lockheld",
-		"traceemit", "handlesafe", "goroexit", "floatorder", "timescope"} {
+		"handlesafe", "goroexit", "floatorder", "timescope"} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing analyzer %s", name)
 		}

@@ -38,7 +38,6 @@ import (
 	"flexmap/internal/elastic"
 	"flexmap/internal/engine"
 	"flexmap/internal/faults"
-	"flexmap/internal/metrics"
 	"flexmap/internal/mr"
 	"flexmap/internal/net"
 	"flexmap/internal/puma"
@@ -120,13 +119,11 @@ type (
 	// TraceOptions selects event tracing for a run (Scenario.Trace). The
 	// zero value disables tracing and costs nothing.
 	TraceOptions = trace.Options
-	// Tracer holds a traced run's event stream and metrics registry
-	// (RunResult.Trace; nil unless the scenario enabled tracing).
+	// Tracer holds a traced run's event stream, its only telemetry
+	// record (RunResult.Trace; nil unless the scenario enabled tracing).
 	Tracer = trace.Tracer
 	// TraceEvent is one typed simulation event, stamped with virtual time.
 	TraceEvent = trace.Event
-	// MetricSample is one counter or gauge in a registry snapshot.
-	MetricSample = metrics.Sample
 	// WorkloadScenario describes an open multi-job run: seeded arrivals
 	// sharing one cluster and RM under an inter-job policy.
 	WorkloadScenario = runner.WorkloadScenario

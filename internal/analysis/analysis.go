@@ -202,13 +202,13 @@ func RunFacts(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *FactStore)
 	return deduped, store
 }
 
-// All returns the flexvet analyzer suite in reporting order: the four
-// PR-2 analyzers, then the five cross-package analyzers covering the
-// trace/workload/sim-handle subsystems.
+// All returns the eight flexvet analyzers in reporting order: the four
+// determinism and locking analyzers, then the four covering sim handles,
+// goroutine exits, float accumulation order and the wall clock.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Detrand, Seedflow, Rangemap, Lockheld,
-		Traceemit, Handlesafe, Goroexit, Floatorder, Timescope,
+		Handlesafe, Goroexit, Floatorder, Timescope,
 	}
 }
 

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/ast"
 	"go/types"
 	"sort"
 )
@@ -17,11 +18,10 @@ type Fact struct {
 	// Key is the object path, e.g.
 	// "flexmap/internal/parallel.Pool.OnProgress".
 	Key string `json:"key"`
-	// Name is the fact kind, e.g. "guarded-by", "wall-clock",
-	// "bare-metric-write", "emits-trace".
+	// Name is the fact kind, e.g. "guarded-by", "wall-clock".
 	Name string `json:"name"`
-	// Detail is the analyzer-specific payload (mutex name, counter name,
-	// the wall-clock call the function makes, …).
+	// Detail is the analyzer-specific payload (mutex name, the
+	// wall-clock call the function makes, …).
 	Detail string `json:"detail"`
 	// Analyzer is the exporting analyzer's name.
 	Analyzer string `json:"analyzer"`
@@ -116,6 +116,20 @@ func funcObjKey(fn *types.Func) string {
 		recv = named.Obj().Name()
 	}
 	return FuncKey(fn.Pkg().Path(), recv, fn.Name())
+}
+
+// calledFunc resolves a call's callee to a *types.Func for plain and
+// selector calls ("pkg.Fn(…)", "recv.Method(…)", "Fn(…)").
+func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
 }
 
 // fieldSelectionKey renders a field selection to the declaring-package

@@ -8,18 +8,17 @@ import (
 const factdepAPath = "flexmap/internal/analysis/testdata/src/factdep/a"
 
 // TestFactPropagationAcrossPackages is the fact-layer end-to-end: facts
-// exported while analyzing package a (guarded field, bare metric writer,
-// wall-clock reader) surface as findings in dependent package b. The
-// packages are passed importer-first, so the test also proves RunFacts
-// reorders them by dependency before analyzing.
+// exported while analyzing package a (guarded field, wall-clock reader)
+// surface as findings in dependent package b. The packages are passed
+// importer-first, so the test also proves RunFacts reorders them by
+// dependency before analyzing.
 func TestFactPropagationAcrossPackages(t *testing.T) {
 	a := loadTestPkg(t, "testdata/src/factdep/a", factdepAPath)
 	b := loadTestPkg(t, "testdata/src/factdep/b", "flexmap/internal/workload/fdep")
-	diags, facts := RunFacts([]*Package{b, a}, []*Analyzer{Lockheld, Traceemit, Timescope})
+	diags, facts := RunFacts([]*Package{b, a}, []*Analyzer{Lockheld, Timescope})
 
 	for _, want := range []struct{ key, name, detail string }{
 		{FieldKey(factdepAPath, "Shared", "Count"), FactGuardedBy, "Mu"},
-		{FuncKey(factdepAPath, "", "BumpBare"), FactBareMetricWrite, "via BumpBare"},
 		{FuncKey(factdepAPath, "", "WallNow"), FactWallClock, "via WallNow"},
 	} {
 		f, ok := facts.Lookup(want.key, want.name)
@@ -39,7 +38,7 @@ func TestFactPropagationAcrossPackages(t *testing.T) {
 		}
 		counts[d.Analyzer]++
 	}
-	for _, name := range []string{"lockheld", "traceemit", "timescope"} {
+	for _, name := range []string{"lockheld", "timescope"} {
 		if counts[name] != 1 {
 			t.Errorf("want exactly 1 %s finding in package b, got %d", name, counts[name])
 		}
@@ -52,7 +51,7 @@ func TestFactDepWant(t *testing.T) {
 	runWantPkgs(t, []wantPkg{
 		{"testdata/src/factdep/b", "flexmap/internal/workload/fdep"},
 		{"testdata/src/factdep/a", factdepAPath},
-	}, Lockheld, Traceemit, Timescope)
+	}, Lockheld, Timescope)
 }
 
 // TestSortByDeps pins the ordering contract directly: the imported

@@ -1,26 +1,18 @@
-// Package a exports a guarded field, a bare metric writer and a
-// wall-clock reader; package b consumes all three through the fact
-// layer. This package's own import path sits outside every reporting
-// scope, so the analyzers export facts here without reporting.
+// Package a exports a guarded field and a wall-clock reader; package b
+// consumes both through the fact layer. This package's own import path
+// sits outside every reporting scope, so the analyzers export facts here
+// without reporting.
 package a
 
 import (
 	"sync"
 	"time"
-
-	"flexmap/internal/metrics"
 )
 
 type Shared struct {
 	Mu sync.Mutex
 	// Count tallies things. guarded by Mu
 	Count int
-}
-
-// BumpBare writes a registry counter directly — traceemit exports a
-// bare-metric-write fact for it.
-func BumpBare(reg *metrics.Registry) {
-	reg.Inc("raw", 1)
 }
 
 // WallNow reads the wall clock — timescope exports a wall-clock fact.

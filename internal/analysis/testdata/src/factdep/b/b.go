@@ -1,13 +1,9 @@
 // Package b consumes package a's facts. Tests load it under a virtual
-// import path inside the workload scope, so lockheld, traceemit and
-// timescope all report here purely from facts exported while package a
-// was analyzed.
+// import path inside the workload scope, so lockheld and timescope both
+// report here purely from facts exported while package a was analyzed.
 package b
 
-import (
-	"flexmap/internal/analysis/testdata/src/factdep/a"
-	"flexmap/internal/metrics"
-)
+import "flexmap/internal/analysis/testdata/src/factdep/a"
 
 func readsUnlocked(s *a.Shared) int {
 	return s.Count // want lockheld:"guarded by Mu"
@@ -17,10 +13,6 @@ func readsLocked(s *a.Shared) int {
 	s.Mu.Lock()
 	defer s.Mu.Unlock()
 	return s.Count
-}
-
-func callsBareWriter(reg *metrics.Registry) {
-	a.BumpBare(reg) // want traceemit:"bare metrics\.Registry write"
 }
 
 func callsWallClock() int64 {

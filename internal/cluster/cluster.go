@@ -11,6 +11,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"flexmap/internal/maputil"
 	"flexmap/internal/randutil"
@@ -118,8 +119,9 @@ type TopologySpec struct {
 	Oversub float64
 }
 
-// Validate rejects geometries that would produce empty racks or
-// zero/negative-capacity links (which divide transfer times to +Inf/NaN).
+// Validate rejects geometries that would produce empty racks or links
+// whose capacity is zero, negative or not finite (which turn transfer
+// times into +Inf/NaN).
 func (t *TopologySpec) Validate(netBW float64) error {
 	if t.HostsPerRack < 1 {
 		return fmt.Errorf("cluster: topology HostsPerRack %d < 1", t.HostsPerRack)
@@ -128,11 +130,11 @@ func (t *TopologySpec) Validate(netBW float64) error {
 	if hostBW == 0 {
 		hostBW = netBW
 	}
-	if hostBW <= 0 {
-		return fmt.Errorf("cluster: topology host bandwidth %v MB/s is not positive", hostBW)
+	if !(hostBW > 0) || math.IsInf(hostBW, 0) {
+		return fmt.Errorf("cluster: topology host bandwidth %v MB/s is not positive and finite", hostBW)
 	}
-	if t.Oversub < 0 {
-		return fmt.Errorf("cluster: topology oversubscription %v is negative", t.Oversub)
+	if !(t.Oversub >= 0) || math.IsInf(t.Oversub, 0) {
+		return fmt.Errorf("cluster: topology oversubscription %v is not finite and non-negative", t.Oversub)
 	}
 	if ov := t.Oversub; ov != 0 {
 		if rackBW := hostBW * float64(t.HostsPerRack) / ov; rackBW <= 0 {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -71,6 +72,32 @@ func TestSetInterferenceRejectsBadValues(t *testing.T) {
 			}()
 			n.SetInterference(bad)
 		}()
+	}
+}
+
+func TestTopologyValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		spec  TopologySpec
+		netBW float64
+		ok    bool
+	}{
+		{TopologySpec{HostsPerRack: 4}, 1250, true},
+		{TopologySpec{HostsPerRack: 4, HostBW: 100, Oversub: 4}, 1250, true},
+		{TopologySpec{HostsPerRack: 0}, 1250, false},
+		{TopologySpec{HostsPerRack: 4}, 0, false},
+		{TopologySpec{HostsPerRack: 4}, nan, false},
+		{TopologySpec{HostsPerRack: 4, HostBW: -1}, 1250, false},
+		{TopologySpec{HostsPerRack: 4, HostBW: nan}, 1250, false},
+		{TopologySpec{HostsPerRack: 4, HostBW: inf}, 1250, false},
+		{TopologySpec{HostsPerRack: 4, HostBW: -inf}, 1250, false},
+		{TopologySpec{HostsPerRack: 4, Oversub: -1}, 1250, false},
+		{TopologySpec{HostsPerRack: 4, Oversub: nan}, 1250, false},
+		{TopologySpec{HostsPerRack: 4, Oversub: inf}, 1250, false},
+	} {
+		if err := tc.spec.Validate(tc.netBW); (err == nil) != tc.ok {
+			t.Errorf("%+v.Validate(%v) = %v, want ok=%v", tc.spec, tc.netBW, err, tc.ok)
+		}
 	}
 }
 

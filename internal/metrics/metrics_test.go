@@ -100,33 +100,6 @@ func TestPercentileBoundaries(t *testing.T) {
 	}
 }
 
-func TestRegistrySnapshotSortedAndNilSafe(t *testing.T) {
-	var nilReg *Registry
-	nilReg.Inc("x", 1)
-	nilReg.Set("y", 2)
-	if nilReg.Counter("x") != 0 || nilReg.Snapshot() != nil {
-		t.Fatal("nil registry must be inert")
-	}
-	if _, ok := nilReg.Gauge("y"); ok {
-		t.Fatal("nil registry gauge must report unset")
-	}
-	r := NewRegistry()
-	r.Inc("b.count", 2)
-	r.Inc("b.count", 3)
-	r.Set("a.gauge", 1.5)
-	r.Set("a.gauge", 2.5) // last value wins
-	if r.Counter("b.count") != 5 {
-		t.Fatalf("counter = %d, want 5", r.Counter("b.count"))
-	}
-	snap := r.Snapshot()
-	if len(snap) != 2 || snap[0].Name != "a.gauge" || snap[1].Name != "b.count" {
-		t.Fatalf("snapshot not sorted by name: %+v", snap)
-	}
-	if snap[0].Value != 2.5 || snap[0].Counter || snap[1].Value != 5 || !snap[1].Counter {
-		t.Fatalf("snapshot values wrong: %+v", snap)
-	}
-}
-
 func TestHistogramAndPDF(t *testing.T) {
 	h := NewHistogram([]float64{0.1, 0.1, 0.9, -5, 99}, 0, 1, 10)
 	if h.Total != 5 {

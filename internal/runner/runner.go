@@ -130,7 +130,8 @@ type Scenario struct {
 
 	// SkewSigma, when positive, assigns every stored block unit a
 	// lognormal processing-cost weight (mean 1) — computational data
-	// skew, the phenomenon SkewTune targets.
+	// skew, the phenomenon SkewTune targets. Negative or non-finite
+	// values are rejected.
 	SkewSigma float64
 
 	// Faults injects seeded node crashes, transient slowdowns and
@@ -181,8 +182,8 @@ type Result struct {
 	BUCommits map[dfs.BUID]int
 	// InputBytes is the modeled input size (goodput denominator).
 	InputBytes int64
-	// Trace holds the run's event stream and metrics registry when
-	// Scenario.Trace enabled tracing (nil otherwise).
+	// Trace holds the run's event stream when Scenario.Trace enabled
+	// tracing (nil otherwise).
 	Trace *trace.Tracer
 	// SimEvents is the number of discrete events the simulation fired —
 	// the work unit benchmark harnesses normalize against (events/sec,
@@ -273,6 +274,9 @@ func Run(sc Scenario, spec mr.JobSpec, eng Engine) (*Result, error) {
 	if sc.InputSize <= 0 && sc.InputData == nil {
 		return nil, fmt.Errorf("runner: scenario %q has no input", sc.Name)
 	}
+	if !finiteNonNegative(sc.SkewSigma) {
+		return nil, fmt.Errorf("runner: scenario %q SkewSigma %v is not finite and non-negative", sc.Name, sc.SkewSigma)
+	}
 	if sc.Faults.Active() {
 		if sc.InputData != nil {
 			return nil, fmt.Errorf("runner: scenario %q combines fault injection with live input data (re-execution would duplicate live mapper output)", sc.Name)
@@ -325,7 +329,6 @@ func Run(sc Scenario, spec mr.JobSpec, eng Engine) (*Result, error) {
 	driver.OnFinished(s.stop)
 
 	deadline := s.run(sc.MaxSimTime)
-	s.recordNetStats(driver.Result.Finished)
 	if !driver.Finished() {
 		return nil, fmt.Errorf("runner: job %q under %s did not finish by t=%v (scheduler hang?)",
 			spec.Name, eng, deadline)

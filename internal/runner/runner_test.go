@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -77,8 +78,25 @@ func TestAllEnginesFinish(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	spec := wcSpec(t, 2)
-	negRate := smallScenario(hetFactory)
-	negRate.Faults = faults.Plan{CrashRate: -1}
+	with := func(mut func(*Scenario)) Scenario {
+		sc := smallScenario(hetFactory)
+		mut(&sc)
+		return sc
+	}
+	withNet := func(mut func(*cluster.Cluster)) Scenario {
+		return with(func(sc *Scenario) {
+			sc.Cluster = func() (*cluster.Cluster, cluster.Interferer) {
+				c, _ := hetFactory()
+				mut(c)
+				return c, nil
+			}
+		})
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	crashes := func(p faults.Plan) Scenario {
+		p.CrashRate = 1
+		return with(func(sc *Scenario) { sc.Faults = p })
+	}
 	cases := []struct {
 		name string
 		sc   Scenario
@@ -89,7 +107,23 @@ func TestRunErrors(t *testing.T) {
 		{"bad split", smallScenario(hetFactory), Engine{Kind: Hadoop, SplitMB: 12}},
 		{"unknown engine", smallScenario(hetFactory), Engine{Kind: "mystery"}},
 		{"zero nodes", smallScenario(homoFactory(0)), Engine{Kind: Hadoop}},
-		{"negative crash rate", negRate, Engine{Kind: Hadoop}},
+		{"negative crash rate", with(func(sc *Scenario) { sc.Faults = faults.Plan{CrashRate: -1} }), Engine{Kind: Hadoop}},
+		{"negative skew", with(func(sc *Scenario) { sc.SkewSigma = -1 }), Engine{Kind: Hadoop}},
+		{"NaN skew", with(func(sc *Scenario) { sc.SkewSigma = nan }), Engine{Kind: Hadoop}},
+		{"+Inf skew", with(func(sc *Scenario) { sc.SkewSigma = inf }), Engine{Kind: Hadoop}},
+		{"NaN NetBW", withNet(func(c *cluster.Cluster) { c.NetBW = nan }), Engine{Kind: Hadoop}},
+		{"+Inf NetBW", withNet(func(c *cluster.Cluster) { c.NetBW = inf }), Engine{Kind: Hadoop}},
+		{"NaN oversub", withNet(func(c *cluster.Cluster) {
+			c.Topology = &cluster.TopologySpec{HostsPerRack: 4, Oversub: nan}
+		}), Engine{Kind: Hadoop}},
+		{"-Inf host bandwidth", withNet(func(c *cluster.Cluster) {
+			c.Topology = &cluster.TopologySpec{HostsPerRack: 4, HostBW: -inf}
+		}), Engine{Kind: Hadoop}},
+		{"NaN downtime", crashes(faults.Plan{MeanDowntime: sim.Duration(nan)}), Engine{Kind: Hadoop}},
+		{"+Inf downtime", crashes(faults.Plan{MeanDowntime: sim.Duration(inf)}), Engine{Kind: Hadoop}},
+		{"negative downtime", crashes(faults.Plan{MeanDowntime: -5}), Engine{Kind: Hadoop}},
+		{"NaN slowdown", crashes(faults.Plan{MeanSlowdown: sim.Duration(nan)}), Engine{Kind: Hadoop}},
+		{"NaN slow factor", crashes(faults.Plan{MinSlowFactor: nan}), Engine{Kind: Hadoop}},
 	}
 	for _, tc := range cases {
 		if _, err := Run(tc.sc, spec, tc.eng); err == nil {
@@ -652,7 +686,13 @@ func TestTraceRecordsFaultEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if res.Trace.Registry().Counter("faults.injected") == 0 {
+	injected := 0
+	for _, e := range res.Trace.Events() {
+		if e.Kind == trace.KindFaultInject {
+			injected++
+		}
+	}
+	if injected == 0 {
 		t.Fatal("crash plan injected no traced faults")
 	}
 }

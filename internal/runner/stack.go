@@ -3,7 +3,6 @@ package runner
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"flexmap/internal/cluster"
 	"flexmap/internal/core"
@@ -96,11 +95,11 @@ func newStack(sc Scenario) (*stack, error) {
 }
 
 // validateNet rejects network parameters that would silently produce
-// +Inf/NaN transfer durations: a non-positive flat NetBW, or a topology
-// spec with empty racks or zero-capacity links.
+// degenerate transfer durations: a flat NetBW that is not positive and
+// finite, or a topology spec with empty racks or degenerate links.
 func validateNet(name string, c *cluster.Cluster) error {
-	if c.NetBW <= 0 {
-		return fmt.Errorf("runner: %q: cluster %q NetBW %v MB/s is not positive (fetch durations would be +Inf/NaN)",
+	if !(c.NetBW > 0) || math.IsInf(c.NetBW, 0) {
+		return fmt.Errorf("runner: %q: cluster %q NetBW %v MB/s is not positive and finite (fetch durations would be 0, +Inf or NaN)",
 			name, c.Name, c.NetBW)
 	}
 	if c.Topology != nil {
@@ -112,17 +111,31 @@ func validateNet(name string, c *cluster.Cluster) error {
 }
 
 // validateFaults rejects fault rates that would silently disable
-// injection (negative or NaN) or collapse every arrival onto t=0 (+Inf).
+// injection (negative or NaN) or collapse every arrival onto t=0 (+Inf),
+// and mean durations or slow factors that would schedule restores at NaN
+// or +Inf and so never end an outage. Zero durations and factors keep
+// their defaults.
 func validateFaults(name string, p faults.Plan) error {
-	for _, r := range []struct {
+	for _, f := range []struct {
 		field string
-		rate  float64
-	}{{"CrashRate", p.CrashRate}, {"SlowdownRate", p.SlowdownRate}, {"PreemptRate", p.PreemptRate}} {
-		if r.rate < 0 || math.IsNaN(r.rate) || math.IsInf(r.rate, 0) {
-			return fmt.Errorf("runner: %q: fault plan %s %v is not a finite non-negative rate", name, r.field, r.rate)
+		v     float64
+	}{
+		{"CrashRate", p.CrashRate}, {"SlowdownRate", p.SlowdownRate}, {"PreemptRate", p.PreemptRate},
+		{"MeanDowntime", float64(p.MeanDowntime)}, {"MeanSlowdown", float64(p.MeanSlowdown)},
+	} {
+		if !finiteNonNegative(f.v) {
+			return fmt.Errorf("runner: %q: fault plan %s %v is not finite and non-negative", name, f.field, f.v)
 		}
 	}
+	if math.IsNaN(p.MinSlowFactor) || math.IsNaN(p.MaxSlowFactor) {
+		return fmt.Errorf("runner: %q: fault plan has a NaN slow factor (min %v, max %v)", name, p.MinSlowFactor, p.MaxSlowFactor)
+	}
 	return nil
+}
+
+// finiteNonNegative reports whether v is a finite number >= 0.
+func finiteNonNegative(v float64) bool {
+	return v >= 0 && !math.IsInf(v, 1)
 }
 
 // newJob builds one job's driver and ApplicationMaster on the stack. rng
@@ -215,7 +228,6 @@ func (s *stack) run(maxSimTime sim.Time) sim.Time {
 		deadline = 30 * 24 * 3600
 	}
 	s.eng.RunUntil(deadline)
-	s.tracer.FinalizeRun()
 	return deadline
 }
 
@@ -227,34 +239,4 @@ func (s *stack) nodeHours(until sim.Time) float64 {
 		return s.ctl.NodeHours(until)
 	}
 	return float64(s.clus.Size()) * float64(until) / 3600
-}
-
-// recordNetStats stamps the fabric's end-of-run link gauges: every rack
-// link individually (oversubscription saturates these), plus fleet-wide
-// totals and maxima over the host access links, which would be 2N
-// separate gauges on a big cluster.
-func (s *stack) recordNetStats(until sim.Time) {
-	if s.tracer == nil || s.fabric == nil {
-		return
-	}
-	var upBytes, downBytes int64
-	var upMax, downMax float64
-	for _, ls := range s.fabric.LinkStats(until) {
-		switch {
-		case strings.HasPrefix(ls.Name, "rack"):
-			s.tracer.NetLinkStats(ls.Name, ls.Bytes, ls.Util)
-		case strings.HasSuffix(ls.Name, "-up"):
-			upBytes += ls.Bytes
-			if ls.Util > upMax {
-				upMax = ls.Util
-			}
-		default:
-			downBytes += ls.Bytes
-			if ls.Util > downMax {
-				downMax = ls.Util
-			}
-		}
-	}
-	s.tracer.NetLinkStats("hosts-up-max", upBytes, upMax)
-	s.tracer.NetLinkStats("hosts-down-max", downBytes, downMax)
 }

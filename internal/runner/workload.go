@@ -298,15 +298,6 @@ func RunWorkload(sc WorkloadScenario) (*WorkloadResult, error) {
 	}
 
 	deadline := s.run(sc.MaxSimTime)
-	// Utilization horizon: the last job completion, not the engine clock
-	// (draining lazily-canceled events can push the clock past it).
-	var lastDone sim.Time
-	for _, o := range st.outcomes {
-		if o.Finished > lastDone {
-			lastDone = o.Finished
-		}
-	}
-	s.recordNetStats(lastDone)
 	if st.err != nil {
 		return nil, st.err
 	}

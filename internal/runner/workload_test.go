@@ -2,11 +2,12 @@ package runner
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
+	"flexmap/internal/cluster"
 	"flexmap/internal/dfs"
 	"flexmap/internal/faults"
 	"flexmap/internal/metrics"
@@ -199,10 +200,9 @@ func TestWorkloadSeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestWorkloadTraceJobScoping: every task-lifecycle event in a workload
-// trace carries a job label, jobs don't bleed into each other's metric
-// namespace, and the job-prefixed counters sum to the bare aggregate —
-// the regression test for global metric names colliding across jobs.
+// TestWorkloadTraceJobScoping: every event in a workload trace carries
+// a job label, and each job's task completions land under its own label —
+// the regression test for concurrent jobs colliding in one trace.
 func TestWorkloadTraceJobScoping(t *testing.T) {
 	sc := testWorkload(5, 6)
 	sc.Trace = trace.Options{Collect: true}
@@ -211,62 +211,56 @@ func TestWorkloadTraceJobScoping(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := make(map[string]bool)
+	done := make(map[string]int)
 	for _, e := range res.Trace.Events() {
 		if e.Job == "" {
 			t.Fatalf("workload event without job label: kind=%s task=%s", e.Kind, e.Task)
 		}
 		jobs[e.Job] = true
+		if e.Kind == trace.KindTaskDone {
+			done[e.Job]++
+		}
 	}
 	if len(jobs) != 6 {
 		t.Fatalf("trace covers %d jobs, want 6", len(jobs))
 	}
-	snap := res.Trace.Registry().Snapshot()
-	perJob := make(map[string]float64)
-	var bare float64
-	for _, s := range snap {
-		if !s.Counter {
-			continue
+	for job := range jobs {
+		if done[job] == 0 {
+			t.Errorf("job %s has no task-done events", job)
 		}
-		if s.Name == "tasks.done" {
-			bare = s.Value
-		}
-		if strings.HasSuffix(s.Name, ".tasks.done") && strings.HasPrefix(s.Name, "j") {
-			perJob[strings.TrimSuffix(s.Name, ".tasks.done")] = s.Value
-		}
-	}
-	if len(perJob) != 6 {
-		t.Fatalf("tasks.done namespaced for %d jobs, want 6", len(perJob))
-	}
-	var sum float64
-	for _, v := range perJob {
-		sum += v
-	}
-	if sum != bare || bare == 0 {
-		t.Fatalf("per-job tasks.done sum %v != cluster aggregate %v", sum, bare)
 	}
 }
 
+// fireCounter is a no-op interferer that counts the events its engine
+// fires: RunWorkload takes no fire observer, but it starts the cluster's
+// interferer on the shared engine.
+type fireCounter struct{ n *uint64 }
+
+func (f fireCounter) Start(eng *sim.Engine) {
+	eng.SetFireObserver(func(sim.Time, string) { *f.n++ })
+}
+func (f fireCounter) Stop() {}
+
 // TestWorkloadSimEventsNotDoubleCounted: the engine is shared, so the
-// workload result reports its event count exactly once — equal across
-// replays and strictly greater than any refire of a single job could
-// produce, while per-job outcomes carry no event count at all (the
-// field does not exist, by design; this guards the aggregate).
+// workload result reports its event count exactly once — equal to what
+// an observer on the engine sees fire — while per-job outcomes carry no
+// event count at all (the field does not exist, by design; this guards
+// the aggregate).
 func TestWorkloadSimEventsNotDoubleCounted(t *testing.T) {
 	sc := testWorkload(9, 6)
-	sc.Trace = trace.Options{Collect: true}
+	var fired uint64
+	factory := sc.Cluster
+	sc.Cluster = func() (*cluster.Cluster, cluster.Interferer) {
+		c, _ := factory()
+		return c, fireCounter{&fired}
+	}
 	res, err := RunWorkload(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range res.Trace.Registry().Snapshot() {
-		if s.Name == "sim.events_fired" {
-			if uint64(s.Value) != res.SimEvents {
-				t.Fatalf("registry sim.events_fired=%v != Result.SimEvents=%d", s.Value, res.SimEvents)
-			}
-			return
-		}
+	if fired == 0 || res.SimEvents != fired {
+		t.Fatalf("Result.SimEvents = %d, observer saw %d events fire", res.SimEvents, fired)
 	}
-	t.Fatal("sim.events_fired gauge missing")
 }
 
 // TestWorkloadFaultsGrid is the faults × workload integration test: a
@@ -416,6 +410,26 @@ func TestWorkloadValidation(t *testing.T) {
 	}
 	if err := bad(func(sc *WorkloadScenario) { sc.Faults = faults.Plan{CrashRate: -1} }); err == nil {
 		t.Error("negative crash rate accepted")
+	}
+	if err := bad(func(sc *WorkloadScenario) {
+		sc.Faults = faults.Plan{CrashRate: 2, MeanDowntime: sim.Duration(math.NaN())}
+	}); err == nil {
+		t.Error("NaN fault downtime accepted")
+	}
+	if err := bad(func(sc *WorkloadScenario) {
+		sc.Faults = faults.Plan{SlowdownRate: 2, MeanSlowdown: sim.Duration(math.Inf(1))}
+	}); err == nil {
+		t.Error("+Inf mean slowdown accepted")
+	}
+	if err := bad(func(sc *WorkloadScenario) {
+		factory := sc.Cluster
+		sc.Cluster = func() (*cluster.Cluster, cluster.Interferer) {
+			c, _ := factory()
+			c.Topology = &cluster.TopologySpec{HostsPerRack: 4, Oversub: math.NaN()}
+			return c, nil
+		}
+	}); err == nil {
+		t.Error("NaN oversubscription accepted")
 	}
 	if err := bad(func(sc *WorkloadScenario) { sc.MaxSimTime = 10 }); err == nil {
 		t.Error("impossible deadline accepted (jobs can't finish)")

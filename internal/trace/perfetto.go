@@ -101,6 +101,15 @@ func spanKey(task string, node int) string {
 	return task + "@" + strconv.Itoa(node)
 }
 
+// pad2 zero-pads small non-negative ints to two digits so per-node
+// counter tracks sort numerically.
+func pad2(v int) string {
+	if v >= 0 && v < 10 {
+		return "0" + strconv.Itoa(v)
+	}
+	return strconv.Itoa(v)
+}
+
 func (pw *perfettoWriter) sep() {
 	if pw.first {
 		pw.bw.WriteByte(',')

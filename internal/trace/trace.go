@@ -21,7 +21,6 @@ import (
 	"strconv"
 
 	"flexmap/internal/cluster"
-	"flexmap/internal/metrics"
 	"flexmap/internal/sim"
 )
 
@@ -175,20 +174,18 @@ type Event struct {
 }
 
 // traceState is the storage shared by every job-scoped view of one run:
-// a single chronologically interleaved event stream and one registry.
+// a single chronologically interleaved event stream.
 type traceState struct {
 	events []Event
-	reg    *metrics.Registry
 }
 
-// Tracer collects a run's events and feeds the counters/gauges registry.
+// Tracer collects a run's events, the run's only telemetry record.
 // The zero value is not used; a nil *Tracer is the disabled tracer and
 // every method is safe (and free) to call on it.
 //
 // A Tracer is a view over shared per-run state. Solo runs use the root
-// view (no job label). Workload runs hand each driver a ForJob view:
-// events carry the job label, and per-job counter/gauge names are
-// prefixed with it so concurrent jobs cannot collide in the registry.
+// view (no job label). Workload runs hand each driver a ForJob view,
+// whose events carry the job label.
 type Tracer struct {
 	eng *sim.Engine
 	job string
@@ -197,14 +194,11 @@ type Tracer struct {
 
 // New returns an enabled tracer stamping events from the engine's clock.
 func New(eng *sim.Engine) *Tracer {
-	return &Tracer{eng: eng, st: &traceState{reg: metrics.NewRegistry()}}
+	return &Tracer{eng: eng, st: &traceState{}}
 }
 
-// ForJob returns a view that labels everything it emits with the job ID:
-// events gain a job field, counters count under both the bare name (the
-// cluster-wide aggregate) and "<job>.<name>", and gauges move entirely
-// under the job prefix — two jobs observing one node report different
-// window means, so an unprefixed gauge would be last-writer-wins noise.
+// ForJob returns a view that labels every event it emits with the job ID;
+// the events land in the same run-wide stream as the root view's.
 func (t *Tracer) ForJob(job string) *Tracer {
 	if t == nil {
 		return nil
@@ -224,41 +218,12 @@ func (t *Tracer) Events() []Event {
 	return t.st.events
 }
 
-// Registry returns the run's counters/gauges registry (nil when
-// disabled; metrics.Registry methods are nil-safe too).
-func (t *Tracer) Registry() *metrics.Registry {
-	if t == nil {
-		return nil
-	}
-	return t.st.reg
-}
-
-// emit appends one event stamped at the current virtual time and bumps
-// its kind counter. Callers have already nil-checked t.
+// emit appends one event stamped at the current virtual time. Callers
+// have already nil-checked t.
 func (t *Tracer) emit(kind Kind, node cluster.NodeID, task string, args ...Arg) {
 	t.st.events = append(t.st.events, Event{
 		At: t.eng.Now(), Kind: kind, Job: t.job, Node: node, Task: task, Args: args,
 	})
-	t.inc("events."+kind.String(), 1)
-}
-
-// inc bumps a counter under the bare name and, for job views, under the
-// job-prefixed name too.
-func (t *Tracer) inc(name string, v int64) {
-	t.st.reg.Inc(name, v)
-	if t.job != "" {
-		t.st.reg.Inc(t.job+"."+name, v)
-	}
-}
-
-// set writes a gauge — job-prefixed only for job views, since gauges are
-// point-in-time observations that concurrent jobs would clobber.
-func (t *Tracer) set(name string, v float64) {
-	if t.job != "" {
-		t.st.reg.Set(t.job+"."+name, v)
-		return
-	}
-	t.st.reg.Set(name, v)
 }
 
 // SizerDecision records one Algorithm 1 sizing decision with its inputs:
@@ -294,11 +259,6 @@ func (t *Tracer) MapDispatch(task string, node cluster.NodeID, wave, bus, local 
 		Int("wave", int64(wave)), Int("bus", int64(bus)), Int("local", int64(local)),
 		Int("bytes", bytes), Int("remote_bytes", remoteBytes),
 		Bool("speculative", speculative))
-	t.inc("tasks.map_dispatched", 1)
-	if speculative {
-		t.inc("tasks.speculative", 1)
-	}
-	t.inc("bytes.remote_read", remoteBytes)
 }
 
 // ReduceDispatch records a reduce attempt launching.
@@ -307,7 +267,6 @@ func (t *Tracer) ReduceDispatch(task string, node cluster.NodeID, partBytes int6
 		return
 	}
 	t.emit(KindReduceDispatch, node, task, Int("bytes", partBytes))
-	t.inc("tasks.reduce_dispatched", 1)
 }
 
 // TaskDone records an attempt completing successfully.
@@ -316,7 +275,6 @@ func (t *Tracer) TaskDone(task string, node cluster.NodeID, bytes int64) {
 		return
 	}
 	t.emit(KindTaskDone, node, task, Int("bytes", bytes))
-	t.inc("tasks.done", 1)
 }
 
 // TaskKill records an attempt stopped before completion; crashed marks a
@@ -326,11 +284,6 @@ func (t *Tracer) TaskKill(task string, node cluster.NodeID, crashed bool) {
 		return
 	}
 	t.emit(KindTaskKill, node, task, Bool("crashed", crashed))
-	if crashed {
-		t.inc("tasks.crashed", 1)
-	} else {
-		t.inc("tasks.killed", 1)
-	}
 }
 
 // Commit records map output for a batch of BUs becoming shuffle-visible.
@@ -340,7 +293,6 @@ func (t *Tracer) Commit(node cluster.NodeID, bus int, interBytes int64) {
 	}
 	t.emit(KindCommit, node, "",
 		Int("bus", int64(bus)), Int("inter_bytes", interBytes))
-	t.inc("bus.committed", int64(bus))
 }
 
 // Heartbeat records one IPS sample entering a node's speed window and
@@ -353,8 +305,6 @@ func (t *Tracer) Heartbeat(node cluster.NodeID, sampleIPS, windowIPS float64, co
 	t.emit(KindHeartbeat, node, "",
 		Float("ips", sampleIPS), Float("window_ips", windowIPS),
 		Bool("completion", completion))
-	t.set("speed.node"+pad2(int(node)), windowIPS)
-	t.inc("heartbeat.samples", 1)
 }
 
 // ReducePlace records one biased reducer placement: the partition, the
@@ -367,8 +317,6 @@ func (t *Tracer) ReducePlace(partition int, node cluster.NodeID, accept float64,
 	t.emit(KindReducePlace, node, "",
 		Int("partition", int64(partition)),
 		Float("accept", accept), Int("draws", int64(draws)), Bool("fallback", fallback))
-	t.inc("reduce.placements", 1)
-	t.inc("reduce.placement_draws", int64(draws))
 }
 
 // FaultInject records the injector applying one scheduled fault.
@@ -378,7 +326,6 @@ func (t *Tracer) FaultInject(kind string, node cluster.NodeID, duration sim.Dura
 	}
 	t.emit(KindFaultInject, node, "",
 		Str("fault", kind), Float("duration", float64(duration)), Float("factor", factor))
-	t.inc("faults.injected", 1)
 }
 
 // FaultDetect records the NodeWatcher declaring a node lost.
@@ -387,7 +334,6 @@ func (t *Tracer) FaultDetect(node cluster.NodeID) {
 		return
 	}
 	t.emit(KindFaultDetect, node, "")
-	t.inc("faults.detected", 1)
 }
 
 // FaultRecover records a down node heartbeating again; declared says
@@ -397,7 +343,6 @@ func (t *Tracer) FaultRecover(node cluster.NodeID, declared bool) {
 		return
 	}
 	t.emit(KindFaultRecover, node, "", Bool("declared", declared))
-	t.inc("faults.recovered", 1)
 }
 
 // NetFlowStart records a flow entering the topology fabric. src is the
@@ -409,7 +354,6 @@ func (t *Tracer) NetFlowStart(task string, dst cluster.NodeID, src int, bytes in
 	}
 	t.emit(KindNetFlowStart, dst, task,
 		Int("src", int64(src)), Int("bytes", bytes), Bool("cross_rack", cross))
-	t.inc("net.flows", 1)
 }
 
 // NetFlowEnd records a flow leaving the fabric with the bytes it actually
@@ -421,10 +365,6 @@ func (t *Tracer) NetFlowEnd(task string, dst cluster.NodeID, transferred int64, 
 	t.emit(KindNetFlowEnd, dst, task,
 		Int("bytes", transferred), Bool("cross_rack", cross),
 		Float("dur", float64(dur)), Bool("canceled", canceled))
-	t.inc("net.bytes_transferred", transferred)
-	if cross {
-		t.inc("net.cross_rack_bytes", transferred)
-	}
 }
 
 // NodeJoin records an elastic spare coming online with its slot count.
@@ -433,7 +373,6 @@ func (t *Tracer) NodeJoin(node cluster.NodeID, slots int) {
 		return
 	}
 	t.emit(KindNodeJoin, node, "", Int("slots", int64(slots)))
-	t.inc("elastic.joins", 1)
 }
 
 // NodeDrain records a graceful decommission starting; spot marks a
@@ -444,7 +383,6 @@ func (t *Tracer) NodeDrain(node cluster.NodeID, notice sim.Duration, spot bool) 
 	}
 	t.emit(KindNodeDrain, node, "",
 		Float("notice", float64(notice)), Bool("spot", spot))
-	t.inc("elastic.drains", 1)
 }
 
 // NodeRelease records a drained node leaving the cluster, with the map
@@ -454,7 +392,6 @@ func (t *Tracer) NodeRelease(node cluster.NodeID, preempted int) {
 		return
 	}
 	t.emit(KindNodeRelease, node, "", Int("preempted", int64(preempted)))
-	t.inc("elastic.releases", 1)
 }
 
 // Autoscale records one autoscaler decision with the occupancy it read:
@@ -465,39 +402,4 @@ func (t *Tracer) Autoscale(action string, node cluster.NodeID, busy, slots int) 
 	}
 	t.emit(KindAutoscale, node, "",
 		Str("action", action), Int("busy", int64(busy)), Int("slots", int64(slots)))
-	t.inc("elastic.autoscale."+action, 1)
-}
-
-// NetLinkStats stamps one fabric link's end-of-run totals: bytes carried
-// and mean utilization (carried / capacity × span). The runner calls it
-// per link at finalize, alongside FinalizeRun.
-func (t *Tracer) NetLinkStats(link string, bytes int64, util float64) {
-	if t == nil {
-		return
-	}
-	t.set("net.link."+link+".bytes", float64(bytes))
-	t.set("net.link."+link+".util", util)
-}
-
-// FinalizeRun stamps end-of-run engine gauges (events fired, final
-// virtual time) into the registry. The runner calls it once after the
-// simulation drains.
-func (t *Tracer) FinalizeRun() {
-	if t == nil {
-		return
-	}
-	t.st.reg.Set("sim.events_fired", float64(t.eng.Fired()))
-	t.st.reg.Set("sim.final_time", float64(t.eng.Now()))
-}
-
-// pad2 zero-pads small non-negative ints to two digits so gauge names
-// sort numerically.
-func pad2(v int) string {
-	if v < 0 {
-		return strconv.Itoa(v)
-	}
-	if v < 10 {
-		return "0" + strconv.Itoa(v)
-	}
-	return strconv.Itoa(v)
 }

@@ -35,7 +35,6 @@ func emitSample(t *testing.T) *Tracer {
 		tr.FaultRecover(1, true)
 	})
 	eng.Run()
-	tr.FinalizeRun()
 	return tr
 }
 
@@ -56,8 +55,7 @@ func TestNilTracerIsSafeAndFree(t *testing.T) {
 	tr.FaultInject("crash", 0, 1, 0)
 	tr.FaultDetect(0)
 	tr.FaultRecover(0, false)
-	tr.FinalizeRun()
-	if tr.Events() != nil || tr.Registry() != nil {
+	if tr.Events() != nil || tr.ForJob("j0000") != nil {
 		t.Fatal("nil tracer must expose no state")
 	}
 }
@@ -147,30 +145,27 @@ func TestTimelineRendering(t *testing.T) {
 	}
 }
 
-func TestRegistryFedByEmissions(t *testing.T) {
-	tr := emitSample(t)
-	reg := tr.Registry()
-	for name, want := range map[string]int64{
-		"tasks.map_dispatched": 2,
-		"tasks.speculative":    1,
-		"tasks.done":           1,
-		"tasks.crashed":        1,
-		"bus.committed":        3,
-		"heartbeat.samples":    1,
-		"reduce.placements":    1,
-		"faults.injected":      1,
-		"faults.detected":      1,
-		"faults.recovered":     1,
-	} {
-		if got := reg.Counter(name); got != want {
-			t.Fatalf("counter %s = %d, want %d", name, got, want)
+// TestEmitAllocatesOnlyArgs pins the cost of tracing on: once the event
+// slice has grown, an emission allocates only its variadic args slice,
+// from the root view and from a job view alike.
+func TestEmitAllocatesOnlyArgs(t *testing.T) {
+	root := New(sim.New())
+	for _, tr := range []*Tracer{root, root.ForJob("j0000")} {
+		for _, c := range []struct {
+			name string
+			emit func()
+		}{
+			{"Heartbeat", func() { tr.Heartbeat(3, 10<<20, 9<<20, false) }},
+			{"MapDispatch", func() { tr.MapDispatch("map-0000", 3, 1, 4, 2, 4<<23, 2<<23, true) }},
+			{"TaskDone", func() { tr.TaskDone("map-0000", 3, 4<<23) }},
+		} {
+			for i := 0; i < 1024; i++ {
+				c.emit()
+			}
+			if allocs := testing.AllocsPerRun(1000, c.emit); allocs > 1 {
+				t.Errorf("%s (job %q): %v allocs per emission, want <= 1", c.name, tr.job, allocs)
+			}
 		}
-	}
-	if v, ok := reg.Gauge("sim.final_time"); !ok || v != 9 {
-		t.Fatalf("sim.final_time = %v (%v), want 9", v, ok)
-	}
-	if _, ok := reg.Gauge("speed.node00"); !ok {
-		t.Fatal("per-node speed gauge not set")
 	}
 }
 
