@@ -33,7 +33,8 @@ type WorkloadClass struct {
 	// Spec is the job template; Name and InputFile are overridden per
 	// job ("j0042", "j0042/input").
 	Spec mr.JobSpec
-	// Queue is the class's capacity-policy queue (ignored by FIFO/fair).
+	// Queue is the class's capacity-policy queue (ignored by FIFO/fair);
+	// under the capacity policy it must index WorkloadScenario.Queues.
 	Queue int
 }
 
@@ -246,6 +247,10 @@ func RunWorkload(sc WorkloadScenario) (*WorkloadResult, error) {
 	if len(sc.Classes) == 0 {
 		return nil, fmt.Errorf("runner: workload %q has no job classes", sc.Name)
 	}
+	policy, err := workloadPolicy(sc)
+	if err != nil {
+		return nil, err
+	}
 	genClasses := make([]workload.Class, len(sc.Classes))
 	for i, c := range sc.Classes {
 		genClasses[i] = workload.Class{Weight: c.Weight, MinBytes: c.MinBytes, MaxBytes: c.MaxBytes}
@@ -260,10 +265,10 @@ func RunWorkload(sc WorkloadScenario) (*WorkloadResult, error) {
 		if sc.Membership.Active() && c.Engine.Kind == SkewTune {
 			return nil, fmt.Errorf("runner: elastic membership is not supported for %s (class %d)", c.Engine, i)
 		}
-	}
-	policy, err := workloadPolicy(sc)
-	if err != nil {
-		return nil, err
+		if sc.Policy == "capacity" && (c.Queue < 0 || c.Queue >= len(sc.Queues)) {
+			return nil, fmt.Errorf("runner: workload class %d (%s) is in queue %d; the capacity policy has %d queues",
+				i, c.Name, c.Queue, len(sc.Queues))
+		}
 	}
 	arrivals, err := workload.Generate(sc.Seed, sc.Pattern, genClasses)
 	if err != nil {

@@ -120,6 +120,41 @@ func TestWorkloadCapacityPolicy(t *testing.T) {
 	}
 }
 
+// TestWorkloadSkewTuneRepartitions: SkewTune queues repartitioned work
+// from inside a slot offer and pokes the shared RM, which nests a sweep
+// of offers inside the multiplexer's own. The workload must still finish
+// with every BU committed once.
+func TestWorkloadSkewTuneRepartitions(t *testing.T) {
+	for _, policy := range []string{"fifo", "fair"} {
+		sc := testWorkload(7, 6)
+		sc.Cluster = hetFactory
+		sc.Policy = policy
+		for i := range sc.Classes {
+			sc.Classes[i].Engine = Engine{Kind: SkewTune, SplitMB: 64}
+			sc.Classes[i].MinBytes, sc.Classes[i].MaxBytes = 64*dfs.BUSize, 128*dfs.BUSize
+		}
+		res, err := RunWorkload(sc)
+		if err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		if res.Completed != 6 {
+			t.Fatalf("%s: completed=%d, want 6", policy, res.Completed)
+		}
+		var moved int64
+		for _, j := range res.Jobs {
+			moved += j.Result.RepartitionBytes
+			for bu, n := range j.BUCommits {
+				if n != 1 {
+					t.Fatalf("%s: job %d: BU %d committed %d times", policy, j.Index, bu, n)
+				}
+			}
+		}
+		if moved == 0 {
+			t.Fatalf("%s: no job repartitioned; the nested offer went untested", policy)
+		}
+	}
+}
+
 // traceBytes renders a workload's trace to canonical JSONL bytes.
 func traceBytes(t *testing.T, res *WorkloadResult) []byte {
 	t.Helper()
@@ -392,6 +427,27 @@ func TestWorkloadValidation(t *testing.T) {
 	}
 	if err := bad(func(sc *WorkloadScenario) { sc.Policy = "capacity" }); err == nil {
 		t.Error("capacity policy without queues accepted")
+	}
+	if err := bad(func(sc *WorkloadScenario) {
+		sc.Policy = "capacity"
+		sc.Queues = []yarn.Queue{{Name: "only", Share: 1}}
+		for i := range sc.Classes {
+			sc.Classes[i].Queue = 1
+		}
+	}); err == nil {
+		t.Error("class in a queue the capacity policy does not have accepted")
+	}
+	if err := bad(func(sc *WorkloadScenario) {
+		sc.Policy = "capacity"
+		sc.Queues = []yarn.Queue{{Name: "nan", Share: math.NaN()}}
+	}); err == nil {
+		t.Error("NaN queue share accepted")
+	}
+	if err := bad(func(sc *WorkloadScenario) {
+		sc.Policy = "capacity"
+		sc.Queues = []yarn.Queue{{Name: "inf", Share: 0.5, MaxShare: math.Inf(1)}}
+	}); err == nil {
+		t.Error("infinite queue MaxShare accepted")
 	}
 	if err := bad(func(sc *WorkloadScenario) { sc.Pattern.Rate = -1 }); err == nil {
 		t.Error("negative rate accepted")

@@ -2,7 +2,8 @@ package yarn
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"flexmap/internal/cluster"
 	"flexmap/internal/sim"
@@ -15,6 +16,11 @@ import (
 // and release observers keep per-job running-container counts, which is
 // the usage signal the fair and capacity policies rank by.
 //
+// Offers are the RM's hottest path (a Poke offers every node), so the
+// job list the policy orders and the buffers an offer walks persist
+// across offers: Submit and Retire maintain the list, and an offer
+// allocates nothing.
+//
 // Determinism: job ranking is a pure function of (policy, submission
 // order, running counts), offers arrive in the RM's deterministic
 // per-node order, and the observers do no RNG draws and schedule no
@@ -24,9 +30,12 @@ type InterJob struct {
 	rm     *RM
 	policy Policy
 
-	jobs    []*JobHandle
-	owners  map[int]ownerEntry // container ID → owning job while live
-	current *JobHandle         // job being consulted for the in-flight offer
+	nextIndex int                // the next submitted job's Index
+	jobs      []*JobHandle       // undone jobs, in the order Policy.Order last left them
+	walks     [][]*JobHandle     // per nesting depth, the order that offer walks
+	depth     int                // offers in flight
+	owners    map[int]ownerEntry // container ID → owning job while live
+	current   *JobHandle         // job being consulted for the innermost offer
 }
 
 // ownerEntry remembers which job owns a container and where it runs, so
@@ -86,12 +95,13 @@ func NewInterJob(eng *sim.Engine, rm *RM, p Policy) *InterJob {
 // RM so idle capacity is offered to it immediately.
 func (ij *InterJob) Submit(name string, queue int, s Scheduler) *JobHandle {
 	h := &JobHandle{
-		Index:     len(ij.jobs),
+		Index:     ij.nextIndex,
 		Name:      name,
 		Queue:     queue,
 		sched:     s,
 		submitted: ij.eng.Now(),
 	}
+	ij.nextIndex++
 	ij.jobs = append(ij.jobs, h)
 	ij.rm.Poke()
 	return h
@@ -101,38 +111,41 @@ func (ij *InterJob) Submit(name string, queue int, s Scheduler) *JobHandle {
 // longer consulted for offers. Containers it still holds drain through
 // the normal release path (or die with their nodes), so a failed job
 // cannot wedge the queue. Retiring twice is a no-op.
-func (ij *InterJob) Retire(h *JobHandle) { h.done = true }
-
-// Jobs returns all submitted handles in submission order.
-func (ij *InterJob) Jobs() []*JobHandle { return ij.jobs }
+func (ij *InterJob) Retire(h *JobHandle) {
+	if h.done {
+		return
+	}
+	h.done = true
+	i := slices.Index(ij.jobs, h)
+	ij.jobs = slices.Delete(ij.jobs, i, i+1)
+}
 
 // OnSlotFree implements Scheduler: one offer, consulted across jobs in
 // policy order until someone takes the slot.
+//
+// Offers nest: an AM that pokes the RM from its own OnSlotFree (SkewTune
+// queueing repartitioned work) runs a whole sweep of offers inside this
+// one, and each of them re-orders the job list. So every offer walks its
+// own copy of the order, in a buffer kept per nesting depth, and hands
+// the outer offer its consulted job back on return.
 func (ij *InterJob) OnSlotFree(n *cluster.Node) bool {
-	active := ij.active()
-	if len(active) == 0 {
-		return false
+	if ij.depth == len(ij.walks) {
+		ij.walks = append(ij.walks, nil)
 	}
-	for _, h := range ij.policy.Order(active, ij.rm.TotalSlots()) {
+	walk := append(ij.walks[ij.depth][:0], ij.policy.Order(ij.jobs, ij.rm.TotalSlots())...)
+	ij.walks[ij.depth] = walk
+	outer := ij.current
+	ij.depth++
+	placed := false
+	for _, h := range walk {
 		ij.current = h
-		placed := h.sched.OnSlotFree(n)
-		ij.current = nil
-		if placed {
-			return true
+		if placed = h.sched.OnSlotFree(n); placed {
+			break
 		}
 	}
-	return false
-}
-
-// active returns the undone jobs in submission order.
-func (ij *InterJob) active() []*JobHandle {
-	out := make([]*JobHandle, 0, len(ij.jobs))
-	for _, h := range ij.jobs {
-		if !h.done {
-			out = append(out, h)
-		}
-	}
-	return out
+	ij.depth--
+	ij.current = outer
+	return placed
 }
 
 // onGrant attributes a fresh container to the job whose scheduler is
@@ -173,16 +186,25 @@ func (ij *InterJob) purgeNode(id cluster.NodeID) {
 	}
 }
 
-// Policy ranks active jobs for one slot offer. Implementations must be
-// pure functions of their inputs: same jobs, same counts, same order.
+// Policy ranks active jobs for one slot offer. The ranking must be a
+// pure function of the active jobs and their counts: same jobs, same
+// counts, same order.
 type Policy interface {
 	// Name labels the policy in scenario configs and docs.
 	Name() string
 	// Order returns the jobs to consult, highest priority first. Jobs
 	// may be omitted to exclude them from this offer entirely (e.g. a
-	// capacity queue at its cap). The input slice is in submission
-	// order and must not be retained.
-	Order(active []*JobHandle, totalSlots int) []*JobHandle
+	// capacity queue at its cap).
+	//
+	// jobs holds the undone jobs. The caller keeps it across offers:
+	// Submit appends, Retire deletes keeping the others' order, and
+	// otherwise it stays in whatever order the previous call left it.
+	// So for a policy that never permutes it (FIFO, capacity) it is in
+	// submission order. A policy may permute jobs in place and return
+	// it, or return a buffer it owns; the caller copies the result
+	// before consulting any job. Order runs on every offer, so it
+	// should not allocate.
+	Order(jobs []*JobHandle, totalSlots int) []*JobHandle
 }
 
 // FIFOPolicy offers every slot to the earliest-submitted job first; a
@@ -194,7 +216,7 @@ type FIFOPolicy struct{}
 func (FIFOPolicy) Name() string { return "fifo" }
 
 // Order implements Policy: submission order, unchanged.
-func (FIFOPolicy) Order(active []*JobHandle, _ int) []*JobHandle { return active }
+func (FIFOPolicy) Order(jobs []*JobHandle, _ int) []*JobHandle { return jobs }
 
 // FairPolicy offers each slot to the job holding the fewest containers,
 // ties broken by submission order — so backlogged jobs converge to equal
@@ -204,11 +226,26 @@ type FairPolicy struct{}
 // Name implements Policy.
 func (FairPolicy) Name() string { return "fair" }
 
-// Order implements Policy.
-func (FairPolicy) Order(active []*JobHandle, _ int) []*JobHandle {
-	out := append([]*JobHandle(nil), active...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].running < out[j].running })
-	return out
+// Order implements Policy. A stable sort by running count over
+// submission order is the sort by the unique key (running, Index), so
+// jobs is re-sorted in place by insertion on that key. Between offers
+// only a few counts move by one, so jobs is nearly sorted already and
+// the pass is close to linear.
+func (FairPolicy) Order(jobs []*JobHandle, _ int) []*JobHandle {
+	for i := 1; i < len(jobs); i++ {
+		h := jobs[i]
+		j := i
+		for ; j > 0 && fairBefore(h, jobs[j-1]); j-- {
+			jobs[j] = jobs[j-1]
+		}
+		jobs[j] = h
+	}
+	return jobs
+}
+
+// fairBefore reports whether a ranks ahead of b under FairPolicy.
+func fairBefore(a, b *JobHandle) bool {
+	return a.running < b.running || (a.running == b.running && a.Index < b.Index)
 }
 
 // Queue is one capacity-scheduler queue: a guaranteed share of the
@@ -230,8 +267,15 @@ type Queue struct {
 // grouped into queues, the most underserved queue (usage relative to its
 // guaranteed share) is offered capacity first, and a queue at its
 // MaxShare cap is skipped outright. Within a queue, jobs run FIFO.
+//
+// Order reuses buffers held in the policy, so one CapacityPolicy value
+// serves one InterJob.
 type CapacityPolicy struct {
 	Queues []Queue
+
+	usage []int        // running containers per queue
+	rank  []int        // queue indices, most underserved first
+	out   []*JobHandle // the returned order
 }
 
 // NewCapacityPolicy validates the queue config.
@@ -241,8 +285,11 @@ func NewCapacityPolicy(queues []Queue) (*CapacityPolicy, error) {
 	}
 	total := 0.0
 	for i, q := range queues {
-		if q.Share <= 0 {
+		if !(q.Share > 0) { // NaN too; +Inf fails the sum check below
 			return nil, fmt.Errorf("yarn: queue %d (%s) needs a positive Share", i, q.Name)
+		}
+		if math.IsNaN(q.MaxShare) || math.IsInf(q.MaxShare, 0) {
+			return nil, fmt.Errorf("yarn: queue %d (%s) has non-finite MaxShare %v", i, q.Name, q.MaxShare)
 		}
 		if q.MaxShare != 0 && q.MaxShare < q.Share {
 			return nil, fmt.Errorf("yarn: queue %d (%s) has MaxShare %v below Share %v", i, q.Name, q.MaxShare, q.Share)
@@ -268,33 +315,46 @@ func (p *CapacityPolicy) Cap(queue, totalSlots int) int {
 }
 
 // Order implements Policy: underserved queues first, FIFO within each,
-// capped queues excluded.
-func (p *CapacityPolicy) Order(active []*JobHandle, totalSlots int) []*JobHandle {
-	usage := make([]int, len(p.Queues))
-	for _, h := range active {
+// capped queues excluded. Queues tie in index order. jobs is read in
+// submission order and left as it is; the result is the policy's own
+// buffer.
+func (p *CapacityPolicy) Order(jobs []*JobHandle, totalSlots int) []*JobHandle {
+	if len(p.usage) != len(p.Queues) {
+		p.usage = make([]int, len(p.Queues))
+		p.rank = make([]int, len(p.Queues))
+	}
+	clear(p.usage)
+	for _, h := range jobs {
+		// Internal invariant: RunWorkload rejects a class whose queue is
+		// out of range before any job is submitted.
 		if h.Queue < 0 || h.Queue >= len(p.Queues) {
 			panic(fmt.Sprintf("yarn: job %q in unknown queue %d", h.Name, h.Queue))
 		}
-		usage[h.Queue] += h.running
+		p.usage[h.Queue] += h.running
 	}
-	order := make([]int, len(p.Queues))
-	for i := range order {
-		order[i] = i
+	// Stable insertion sort of the queue indices by usage/share.
+	for i := range p.rank {
+		j := i
+		for ; j > 0 && p.load(i) < p.load(p.rank[j-1]); j-- {
+			p.rank[j] = p.rank[j-1]
+		}
+		p.rank[j] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		qa, qb := order[a], order[b]
-		return float64(usage[qa])/p.Queues[qa].Share < float64(usage[qb])/p.Queues[qb].Share
-	})
-	out := make([]*JobHandle, 0, len(active))
-	for _, q := range order {
-		if usage[q] >= p.Cap(q, totalSlots) {
+	p.out = p.out[:0]
+	for _, q := range p.rank {
+		if p.usage[q] >= p.Cap(q, totalSlots) {
 			continue
 		}
-		for _, h := range active {
+		for _, h := range jobs {
 			if h.Queue == q {
-				out = append(out, h)
+				p.out = append(p.out, h)
 			}
 		}
 	}
-	return out
+	return p.out
+}
+
+// load is a queue's usage relative to its guaranteed share.
+func (p *CapacityPolicy) load(q int) float64 {
+	return float64(p.usage[q]) / p.Queues[q].Share
 }

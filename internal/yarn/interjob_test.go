@@ -164,7 +164,7 @@ func TestCapacityNeverExceedsCaps(t *testing.T) {
 	}
 	for _, h := range handles {
 		// Re-check the invariant on every single grant.
-		fj := ij.jobs[h.Index].sched.(*fakeJob)
+		fj := h.sched.(*fakeJob)
 		fj.onGrant = check
 	}
 	rm.Start()
