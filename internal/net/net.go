@@ -5,17 +5,27 @@
 //
 // Bandwidth is shared max-min fairly by progressive filling: whenever a
 // flow starts, finishes, or is canceled, every active flow's progress is
-// folded in at its old rate, rates are recomputed from scratch — repeatedly
-// freezing the flows crossing the most-contended link at that link's equal
-// share — and flows whose rate changed get their completion events
-// rescheduled through sim.Handle's lazy-cancel path.
+// folded in at its old rate, rates are refilled — repeatedly freezing the
+// flows crossing the most-contended link at that link's equal share — and
+// flows whose rate changed get their completion events rescheduled through
+// sim.Handle's lazy-cancel path.
+//
+// Each link keeps the list of active flows crossing it, and an indexed
+// min-heap over the links in play, keyed on (share, link index), yields
+// each round's bottleneck. A freeze round walks only the bottleneck's
+// list and re-keys only the links its flows cross, so one change costs
+// O(F·p·log L) for F active flows of path length p ≤ 4 over L links in
+// play, not a scan of every link and every flow per round.
 //
 // # Determinism
 //
-// Everything here is deterministic: flows are kept in start order, links
-// are compared by index with an explicit lowest-index tie-break, and the
-// floating-point operations run in one fixed order. No RNG, no wall
-// clock, no map iteration.
+// Everything here is deterministic: flows are rescheduled in start order,
+// links are compared by index with an explicit lowest-index tie-break,
+// and no RNG, wall clock or map iteration is involved. Within a round
+// every frozen flow subtracts the same share from each link it crosses,
+// so a link's remaining capacity goes through the same float operations
+// whatever order its list is walked in, and the rates do not depend on
+// list order.
 package net
 
 import (
@@ -44,14 +54,17 @@ type Flow struct {
 
 	total float64 // bytes
 	done  float64 // bytes moved as of lastSync
-	rate  float64 // bytes/second since lastSync
+	rate  float64 // bytes/second since lastSync; -1 while unfrozen in fill
+	prev  float64 // rate before the current fill
 	start sim.Time
 
 	lastSync sim.Time
 	path     [4]int32 // link indices traversed, in order
+	slot     [4]int32 // position in links[path[i]].flows
 	npath    int
 	ev       sim.Handle
 	onDone   func()
+	complete func() // f.finish(fl), bound once so reschedules allocate nothing
 	finished bool
 	canceled bool
 }
@@ -95,24 +108,18 @@ func (fl *Flow) sync(now sim.Time) {
 	fl.lastSync = now
 }
 
-// uses reports whether the flow traverses link li.
-func (fl *Flow) uses(li int32) bool {
-	for i := 0; i < fl.npath; i++ {
-		if fl.path[i] == li {
-			return true
-		}
-	}
-	return false
-}
-
 // link is one directed fabric edge with a fixed capacity.
 type link struct {
 	cap   float64 // bytes/second
 	bytes int64   // cumulative bytes carried by ended flows
+	flows []*Flow // active flows crossing the link, in no particular order
 
 	// progressive-filling working state
 	capRem float64
-	cnt    int32
+	share  float64 // heap key: capRem/cnt as of the last finished round
+	cnt    int32   // unfrozen flows crossing the link
+	hpos   int32   // index in Fabric.heap, or -1 when not in play
+	dirty  bool    // capRem/cnt changed in the current round
 }
 
 // LinkStat is one link's end-of-run summary.
@@ -140,14 +147,12 @@ type Fabric struct {
 
 	// links is the flat edge array: hostUp[n] ++ hostDown[n] ++
 	// rackUp[racks] ++ rackDown[racks].
-	links   []link
-	touched []int32  // scratch: links referenced by active flows
-	mark    []uint64 // per-link epoch stamp backing touched
-	epoch   uint64
+	links []link
+	heap  []int32 // fill scratch: links with unfrozen flows, min (share, index) first
+	dirty []int32 // fill scratch: links re-keyed after the current round
 
-	active    []*Flow   // start order (ascending id)
-	prevRates []float64 // scratch: pre-recompute rates, index-aligned with active
-	nextID    uint64
+	active []*Flow // start order (ascending id)
+	nextID uint64
 
 	crossRackBytes int64
 }
@@ -183,7 +188,6 @@ func New(eng *sim.Engine, c *cluster.Cluster) (*Fabric, error) {
 		hostBW:       hostBW * MB,
 		rackBW:       hostBW * MB * float64(spec.HostsPerRack) / oversub,
 		links:        make([]link, 2*n+2*racks),
-		mark:         make([]uint64, 2*n+2*racks),
 	}
 	for i := 0; i < 2*n; i++ {
 		f.links[i].cap = f.hostBW
@@ -195,6 +199,7 @@ func New(eng *sim.Engine, c *cluster.Cluster) (*Fabric, error) {
 		if f.links[i].cap <= 0 {
 			return nil, fmt.Errorf("net: cluster %q link %d has non-positive capacity", c.Name, i)
 		}
+		f.links[i].hpos = -1
 	}
 	return f, nil
 }
@@ -227,6 +232,10 @@ func (f *Fabric) rackDown(r int) int32             { return int32(2*f.nodes + f.
 // StartFlow begins a point-to-point transfer from src to dst and invokes
 // onDone when the last byte lands. Intra-rack flows traverse the two host
 // links; cross-rack flows additionally cross both ToR links.
+//
+// bytes ≤ 0 and src == dst panic as internal invariants, not input
+// errors: the only caller, MapAttempt.beginFetch, skips empty blocks and
+// never picks the fetching node as a replica source.
 func (f *Fabric) StartFlow(src, dst cluster.NodeID, bytes int64, label string, onDone func()) *Flow {
 	if bytes <= 0 {
 		panic(fmt.Sprintf("net: flow %q of %d bytes", label, bytes))
@@ -255,6 +264,10 @@ func (f *Fabric) StartFlow(src, dst cluster.NodeID, bytes int64, label string, o
 // every other rack. Aggregates consume the destination-side links only —
 // the individual senders' uplinks are assumed unsaturated since each
 // contributes a sliver of the stream.
+//
+// bytes ≤ 0 panics as an internal invariant, not an input error: the only
+// callers, MapAttempt.beginFetch and reduceRun.startShuffle, start a flow
+// only for a positive byte count.
 func (f *Fabric) StartAggFlow(srcRack int, dst cluster.NodeID, bytes int64, label string, onDone func()) *Flow {
 	if bytes <= 0 {
 		panic(fmt.Sprintf("net: aggregate flow %q of %d bytes", label, bytes))
@@ -283,7 +296,7 @@ func (f *Fabric) StartAggFlow(srcRack int, dst cluster.NodeID, bytes int64, labe
 func (f *Fabric) newFlow(dst cluster.NodeID, src int, bytes int64, label string, onDone func()) *Flow {
 	f.nextID++
 	now := f.eng.Now()
-	return &Flow{
+	fl := &Flow{
 		id:       f.nextID,
 		label:    label,
 		dst:      dst,
@@ -293,11 +306,19 @@ func (f *Fabric) newFlow(dst cluster.NodeID, src int, bytes int64, label string,
 		lastSync: now,
 		onDone:   onDone,
 	}
+	fl.complete = func() { f.finish(fl) }
+	return fl
 }
 
-// admit registers the flow, emits its trace event, and reshares bandwidth.
+// admit registers the flow on the active list and its links' lists, emits
+// its trace event, and reshares bandwidth.
 func (f *Fabric) admit(fl *Flow) {
 	f.active = append(f.active, fl)
+	for i := 0; i < fl.npath; i++ {
+		l := &f.links[fl.path[i]]
+		fl.slot[i] = int32(len(l.flows))
+		l.flows = append(l.flows, fl)
+	}
 	f.Trace.NetFlowStart(fl.label, fl.dst, fl.src, int64(fl.total), fl.cross)
 	f.recompute()
 }
@@ -345,15 +366,29 @@ func (f *Fabric) account(fl *Flow, transferred int64) {
 	}
 }
 
-// remove detaches a flow from the active set, preserving start order.
+// remove detaches a flow from the active set, preserving start order, and
+// swap-deletes it from its links' lists.
 func (f *Fabric) remove(fl *Flow) {
 	for i, cand := range f.active {
 		if cand == fl {
 			copy(f.active[i:], f.active[i+1:])
 			f.active[len(f.active)-1] = nil
 			f.active = f.active[:len(f.active)-1]
-			return
+			break
 		}
+	}
+	for i := 0; i < fl.npath; i++ {
+		li := fl.path[i]
+		l := &f.links[li]
+		last := l.flows[len(l.flows)-1]
+		l.flows[fl.slot[i]] = last
+		for j := 0; j < last.npath; j++ {
+			if last.path[j] == li {
+				last.slot[j] = fl.slot[i]
+			}
+		}
+		l.flows[len(l.flows)-1] = nil
+		l.flows = l.flows[:len(l.flows)-1]
 	}
 }
 
@@ -366,73 +401,77 @@ func (f *Fabric) recompute() {
 		return
 	}
 	now := f.eng.Now()
-	// Fold in progress at the old rates before they change.
+	// Fold in progress at the old rates before they change, and put every
+	// link in play into the heap with its full capacity. The previous fill
+	// drained the heap, so hpos < 0 marks a link not yet seen in this one.
 	for _, fl := range f.active {
 		fl.sync(now)
-	}
-	// Reset working state on exactly the links in play.
-	f.epoch++
-	f.touched = f.touched[:0]
-	for _, fl := range f.active {
+		fl.prev, fl.rate = fl.rate, -1
 		for i := 0; i < fl.npath; i++ {
 			li := fl.path[i]
-			if f.mark[li] != f.epoch {
-				f.mark[li] = f.epoch
-				f.links[li].capRem = f.links[li].cap
-				f.links[li].cnt = 0
-				f.touched = append(f.touched, li)
-			}
-			f.links[li].cnt++
-		}
-	}
-	// Progressive filling: freeze the flows crossing the most-contended
-	// link at that link's equal share, release their claims, repeat.
-	prev := f.scratchRates()
-	unfrozen := len(f.active)
-	for _, fl := range f.active {
-		fl.rate = -1 // unfrozen sentinel
-	}
-	for unfrozen > 0 {
-		best := int32(-1)
-		var bestShare float64
-		for _, li := range f.touched {
 			l := &f.links[li]
-			if l.cnt == 0 {
-				continue
-			}
-			share := l.capRem / float64(l.cnt)
-			if best < 0 || share < bestShare || (share == bestShare && li < best) {
-				best, bestShare = li, share
+			if l.hpos < 0 {
+				l.capRem = l.cap
+				l.cnt = int32(len(l.flows))
+				l.share = l.capRem / float64(l.cnt)
+				l.hpos = int32(len(f.heap))
+				f.heap = append(f.heap, li)
 			}
 		}
-		if best < 0 {
-			break // unreachable: every unfrozen flow keeps its links' cnt > 0
-		}
+	}
+	for i := len(f.heap)/2 - 1; i >= 0; i-- {
+		f.down(i)
+	}
+	// Progressive filling: freeze the unfrozen flows crossing the
+	// most-contended link at that link's equal share, release their
+	// claims, re-key the links that changed, repeat. Every unfrozen flow
+	// keeps its links' cnt > 0, so the heap empties exactly when the last
+	// flow freezes.
+	for len(f.heap) > 0 {
+		best := &f.links[f.heap[0]]
+		bestShare := best.share
 		if bestShare <= 0 {
 			// Float rounding at epsilon scale; keep rates positive so
 			// completion events stay finite.
 			bestShare = 1e-9
 		}
-		for _, fl := range f.active {
-			if fl.rate >= 0 || !fl.uses(best) {
+		for _, fl := range best.flows {
+			if fl.rate >= 0 {
 				continue
 			}
 			fl.rate = bestShare
-			unfrozen--
 			for i := 0; i < fl.npath; i++ {
-				l := &f.links[fl.path[i]]
+				li := fl.path[i]
+				l := &f.links[li]
 				l.cnt--
 				l.capRem -= bestShare
 				if l.capRem < 0 {
 					l.capRem = 0
 				}
+				if !l.dirty {
+					l.dirty = true
+					f.dirty = append(f.dirty, li)
+				}
 			}
 		}
+		// Re-key only once the round is over: a link crossed by several
+		// frozen flows must be keyed on its final capRem/cnt.
+		for _, li := range f.dirty {
+			l := &f.links[li]
+			l.dirty = false
+			if l.cnt == 0 {
+				f.heapRemove(li)
+			} else {
+				l.share = l.capRem / float64(l.cnt)
+				f.heapFix(li)
+			}
+		}
+		f.dirty = f.dirty[:0]
 	}
 	// Reschedule only flows whose rate actually changed: an unchanged rate
 	// means the previously scheduled completion instant is still exact.
-	for i, fl := range f.active {
-		if fl.rate == prev[i] {
+	for _, fl := range f.active {
+		if fl.rate == fl.prev {
 			continue
 		}
 		rem := fl.total - fl.done
@@ -440,24 +479,73 @@ func (f *Fabric) recompute() {
 			rem = 0
 		}
 		f.eng.Cancel(fl.ev)
-		flc := fl
-		fl.ev = f.eng.After(sim.Duration(rem/fl.rate), "net-flow-done", func() {
-			f.finish(flc)
-		})
+		fl.ev = f.eng.After(sim.Duration(rem/fl.rate), "net-flow-done", fl.complete)
 	}
 }
 
-// scratchRates snapshots the active flows' pre-recompute rates into a
-// reused buffer so the reschedule pass can skip unchanged flows.
-func (f *Fabric) scratchRates() []float64 {
-	if cap(f.prevRates) < len(f.active) {
-		f.prevRates = make([]float64, len(f.active)*2)
+// heapLess orders links in play by (share, index): the lowest share is
+// the bottleneck, and equal shares break on the lower link index.
+func (f *Fabric) heapLess(a, b int32) bool {
+	sa, sb := f.links[a].share, f.links[b].share
+	return sa < sb || (sa == sb && a < b)
+}
+
+// heapSwap exchanges heap slots i and j and their links' positions.
+func (f *Fabric) heapSwap(i, j int) {
+	h := f.heap
+	h[i], h[j] = h[j], h[i]
+	f.links[h[i]].hpos = int32(i)
+	f.links[h[j]].hpos = int32(j)
+}
+
+// up sifts heap slot i toward the root.
+func (f *Fabric) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !f.heapLess(f.heap[i], f.heap[p]) {
+			return
+		}
+		f.heapSwap(i, p)
+		i = p
 	}
-	f.prevRates = f.prevRates[:len(f.active)]
-	for i, fl := range f.active {
-		f.prevRates[i] = fl.rate
+}
+
+// down sifts heap slot i toward the leaves and reports whether it moved.
+func (f *Fabric) down(i int) bool {
+	i0, n := i, len(f.heap)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && f.heapLess(f.heap[r], f.heap[c]) {
+			c = r
+		}
+		if !f.heapLess(f.heap[c], f.heap[i]) {
+			break
+		}
+		f.heapSwap(i, c)
+		i = c
 	}
-	return f.prevRates
+	return i > i0
+}
+
+// heapFix restores heap order after link li's key changed.
+func (f *Fabric) heapFix(li int32) {
+	if i := int(f.links[li].hpos); !f.down(i) {
+		f.up(i)
+	}
+}
+
+// heapRemove takes link li out of the heap.
+func (f *Fabric) heapRemove(li int32) {
+	i, n := int(f.links[li].hpos), len(f.heap)-1
+	f.heapSwap(i, n)
+	f.heap = f.heap[:n]
+	f.links[li].hpos = -1
+	if i < n {
+		f.heapFix(f.heap[i])
+	}
 }
 
 // LinkStats summarizes every link: bytes carried by ended flows and mean

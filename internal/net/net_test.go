@@ -3,6 +3,7 @@ package net
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"flexmap/internal/cluster"
@@ -228,5 +229,448 @@ func TestValidation(t *testing.T) {
 				t.Errorf("New accepted invalid topology %+v (NetBW=%v)", tc.topo, tc.netBW)
 			}
 		})
+	}
+}
+
+// referenceRates is the fabric's original from-scratch progressive
+// filling, kept as the model the incremental fill must match bit for bit.
+// paths holds the active flows' links in start order. It returns each
+// flow's rate and each link's remaining capacity after the fill (zero for
+// links no flow crosses).
+func referenceRates(caps []float64, paths [][]int32) (rates, capRem []float64) {
+	capRem = make([]float64, len(caps))
+	cnt := make([]int32, len(caps))
+	var touched []int32
+	for _, p := range paths {
+		for _, li := range p {
+			if cnt[li] == 0 {
+				capRem[li] = caps[li]
+				touched = append(touched, li)
+			}
+			cnt[li]++
+		}
+	}
+	rates = make([]float64, len(paths))
+	for i := range rates {
+		rates[i] = -1
+	}
+	for unfrozen := len(paths); unfrozen > 0; {
+		best := int32(-1)
+		var bestShare float64
+		for _, li := range touched {
+			if cnt[li] == 0 {
+				continue
+			}
+			share := capRem[li] / float64(cnt[li])
+			if best < 0 || share < bestShare || (share == bestShare && li < best) {
+				best, bestShare = li, share
+			}
+		}
+		if bestShare <= 0 {
+			bestShare = 1e-9
+		}
+		for i, p := range paths {
+			if rates[i] >= 0 || !slices.Contains(p, best) {
+				continue
+			}
+			rates[i] = bestShare
+			unfrozen--
+			for _, li := range p {
+				cnt[li]--
+				capRem[li] -= bestShare
+				if capRem[li] < 0 {
+					capRem[li] = 0
+				}
+			}
+		}
+	}
+	return rates, capRem
+}
+
+// churnGeoms are the geometries a churn script may run on: racks of
+// 4/6/20 hosts behind 1:1, 4:1 and 8:1 cores. At 4 hosts and 4:1 the rack
+// links have the host links' capacity.
+var churnGeoms = []cluster.TopologySpec{
+	{HostsPerRack: 4, Oversub: 1}, {HostsPerRack: 4, Oversub: 4}, {HostsPerRack: 4, Oversub: 8},
+	{HostsPerRack: 6, Oversub: 1}, {HostsPerRack: 6, Oversub: 4}, {HostsPerRack: 6, Oversub: 8},
+	{HostsPerRack: 20, Oversub: 1}, {HostsPerRack: 20, Oversub: 4}, {HostsPerRack: 20, Oversub: 8},
+}
+
+// churnRacks is the rack count of every churn geometry.
+const churnRacks = 3
+
+// Churn op kinds.
+const (
+	opFlow      = iota // point-to-point, any two nodes
+	opAggOwn           // aggregate from the destination's own rack
+	opAggRack          // aggregate from one named rack
+	opAggRemote        // aggregate from AllRemoteRacks
+	opCancel           // cancel an earlier flow (a no-op once it ended)
+	numOps
+)
+
+// churnOp is one scripted fabric mutation at virtual time at.
+type churnOp struct {
+	at    sim.Time
+	kind  int
+	x, y  int // node (or rack) selectors; for opCancel x picks a recent flow
+	bytes int64
+}
+
+// churnOpBytes is the encoded size of one op.
+const churnOpBytes = 5
+
+// decodeChurn turns bytes into a geometry and a churn script. The first
+// byte picks the geometry; each following 5 bytes are one op: kind, time
+// gap since the previous op, two selectors and a size of 1–256 × 2 MB.
+// A quarter of the gaps are zero, so ops often share an instant; the rest
+// are up to 0.37 s, which keeps tens of flows in the fabric.
+func decodeChurn(data []byte) (cluster.TopologySpec, []churnOp) {
+	if len(data) == 0 {
+		return churnGeoms[0], nil
+	}
+	geom := churnGeoms[int(data[0])%len(churnGeoms)]
+	var ops []churnOp
+	var at sim.Time
+	for b := data[1:]; len(b) >= churnOpBytes; b = b[churnOpBytes:] {
+		if b[1] >= 64 {
+			at += sim.Time(b[1]-64) / 512
+		}
+		ops = append(ops, churnOp{
+			at:    at,
+			kind:  int(b[0]) % numOps,
+			x:     int(b[2]),
+			y:     int(b[3]),
+			bytes: int64(1+int(b[4])) * 2 * MB,
+		})
+	}
+	return geom, ops
+}
+
+// churnBytes is the encoded script the model test runs for geometry gi
+// and seed: ops random draws after the geometry byte.
+func churnBytes(gi int, seed int64, ops int) []byte {
+	data := make([]byte, 1+ops*churnOpBytes)
+	randutil.New(seed).Read(data)
+	data[0] = byte(gi)
+	return data
+}
+
+// churnEvent is one observable outcome of a churn run: a flow finishing
+// (bytes −1) or a cancel returning the bytes moved.
+type churnEvent struct {
+	at    sim.Time
+	label string
+	bytes int64
+}
+
+// playChurn schedules a script on eng. start begins flow k (k counts
+// start ops) and cancel cancels flow k, one of the last 16 started.
+func playChurn(eng *sim.Engine, ops []churnOp, start func(k int, op churnOp), cancel func(k int)) {
+	started := 0
+	for _, op := range ops {
+		k := started
+		if op.kind == opCancel {
+			if started == 0 {
+				continue
+			}
+			k = max(started-1-op.x%16, 0)
+			eng.At(op.at, "churn-cancel", func() { cancel(k) })
+			continue
+		}
+		started++
+		eng.At(op.at, "churn-start", func() { start(k, op) })
+	}
+}
+
+// churnLabel names flow k.
+func churnLabel(k int) string { return fmt.Sprintf("flow-%03d", k) }
+
+// runFabric plays a script on the fabric, checks it against the model
+// after every start, cancel and finish, and returns what it observed and
+// each started flow's path.
+func runFabric(t testing.TB, geom cluster.TopologySpec, ops []churnOp) ([]churnEvent, [][]int32) {
+	t.Helper()
+	eng := sim.New()
+	n := churnRacks * geom.HostsPerRack
+	f, err := New(eng, testCluster(n, &geom))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log []churnEvent
+	var flows []*Flow
+	var paths [][]int32
+	mutation := 0
+	check := func(what string) {
+		mutation++
+		if err := checkAgainstReference(f); err != nil {
+			t.Fatalf("mutation %d (%s at t=%v): %v", mutation, what, eng.Now(), err)
+		}
+	}
+	playChurn(eng, ops, func(k int, op churnOp) {
+		label := churnLabel(k)
+		done := func() {
+			log = append(log, churnEvent{eng.Now(), label, -1})
+			check("finish " + label)
+		}
+		dst := cluster.NodeID(op.y % n)
+		var fl *Flow
+		switch op.kind {
+		case opFlow:
+			src := cluster.NodeID(op.x % n)
+			if src == dst {
+				src = (src + 1) % cluster.NodeID(n)
+			}
+			fl = f.StartFlow(src, dst, op.bytes, label, done)
+		case opAggOwn:
+			fl = f.StartAggFlow(f.RackOf(dst), dst, op.bytes, label, done)
+		case opAggRack:
+			fl = f.StartAggFlow(op.x%churnRacks, dst, op.bytes, label, done)
+		case opAggRemote:
+			fl = f.StartAggFlow(AllRemoteRacks, dst, op.bytes, label, done)
+		}
+		flows = append(flows, fl)
+		paths = append(paths, slices.Clone(fl.path[:fl.npath]))
+		check("start " + label)
+	}, func(k int) {
+		log = append(log, churnEvent{eng.Now(), churnLabel(k), f.Cancel(flows[k])})
+		check("cancel " + churnLabel(k))
+	})
+	eng.Run()
+	if len(f.active) != 0 {
+		t.Fatalf("%d flows still active after drain", len(f.active))
+	}
+	return log, paths
+}
+
+// checkAgainstReference compares the fabric's rates and per-link
+// remaining capacities with referenceRates bit for bit, and checks that
+// every link's flow list holds exactly the active flows crossing it, at
+// the slots the flows record, with the fill's heap drained. Only the
+// capRem comparison sees the clamp at zero: it bites on links whose last
+// unfrozen flows freeze in that round, which no later rate reads.
+func checkAgainstReference(f *Fabric) error {
+	caps := make([]float64, len(f.links))
+	for i := range f.links {
+		caps[i] = f.links[i].cap
+	}
+	paths := make([][]int32, len(f.active))
+	crossing := make([]int, len(f.links))
+	for i, fl := range f.active {
+		paths[i] = fl.path[:fl.npath]
+		for j, li := range paths[i] {
+			crossing[li]++
+			l := &f.links[li]
+			if int(fl.slot[j]) >= len(l.flows) || l.flows[fl.slot[j]] != fl {
+				return fmt.Errorf("flow %s missing from link %d's list at slot %d", fl.label, li, fl.slot[j])
+			}
+		}
+	}
+	for li := range f.links {
+		l := &f.links[li]
+		if len(l.flows) != crossing[li] || l.hpos != -1 || l.dirty {
+			return fmt.Errorf("link %d: %d listed flows, %d crossing, hpos %d, dirty %v",
+				li, len(l.flows), crossing[li], l.hpos, l.dirty)
+		}
+	}
+	if len(f.heap) != 0 || len(f.dirty) != 0 {
+		return fmt.Errorf("fill left %d links in the heap and %d dirty", len(f.heap), len(f.dirty))
+	}
+	rates, capRem := referenceRates(caps, paths)
+	for i, fl := range f.active {
+		if math.Float64bits(fl.rate) != math.Float64bits(rates[i]) {
+			return fmt.Errorf("flow %s rate %v (%#x), reference %v (%#x)",
+				fl.label, fl.rate, math.Float64bits(fl.rate), rates[i], math.Float64bits(rates[i]))
+		}
+	}
+	for li := range f.links {
+		if crossing[li] > 0 && math.Float64bits(f.links[li].capRem) != math.Float64bits(capRem[li]) {
+			return fmt.Errorf("link %d capRem %v, reference %v", li, f.links[li].capRem, capRem[li])
+		}
+	}
+	return nil
+}
+
+// refFlow is one flow of runReference.
+type refFlow struct {
+	label             string
+	path              []int32
+	total, done, rate float64
+	lastSync          sim.Time
+	ev                sim.Handle
+	ended             bool
+}
+
+// runReference plays a script the way the fabric did before per-link
+// lists: sync every flow, refill from scratch with referenceRates, and
+// reschedule the flows whose rate changed, in start order. paths are the
+// flows' links as the fabric routed them.
+func runReference(geom cluster.TopologySpec, ops []churnOp, paths [][]int32) []churnEvent {
+	eng := sim.New()
+	f, err := New(eng, testCluster(churnRacks*geom.HostsPerRack, &geom))
+	if err != nil {
+		panic(err)
+	}
+	caps := make([]float64, len(f.links))
+	for i := range f.links {
+		caps[i] = f.links[i].cap
+	}
+	var log []churnEvent
+	var active, flows []*refFlow
+	var recompute func()
+	end := func(fl *refFlow) {
+		fl.ended = true
+		active = slices.DeleteFunc(active, func(o *refFlow) bool { return o == fl })
+		recompute()
+	}
+	recompute = func() {
+		now := eng.Now()
+		ps := make([][]int32, len(active))
+		for i, fl := range active {
+			fl.done = math.Min(fl.done+fl.rate*float64(now-fl.lastSync), fl.total)
+			fl.lastSync = now
+			ps[i] = fl.path
+		}
+		rates, _ := referenceRates(caps, ps)
+		for i, fl := range active {
+			if rates[i] == fl.rate {
+				continue
+			}
+			fl.rate = rates[i]
+			eng.Cancel(fl.ev)
+			fl.ev = eng.After(sim.Duration(math.Max(fl.total-fl.done, 0)/fl.rate), "net-flow-done", func() {
+				fl.done = fl.total
+				end(fl)
+				log = append(log, churnEvent{eng.Now(), fl.label, -1})
+			})
+		}
+	}
+	playChurn(eng, ops, func(k int, op churnOp) {
+		fl := &refFlow{label: churnLabel(k), path: paths[k], total: float64(op.bytes), lastSync: eng.Now()}
+		flows = append(flows, fl)
+		active = append(active, fl)
+		recompute()
+	}, func(k int) {
+		fl := flows[k]
+		moved := int64(0)
+		if !fl.ended {
+			fl.done = math.Min(fl.done+fl.rate*float64(eng.Now()-fl.lastSync), fl.total)
+			fl.lastSync = eng.Now()
+			eng.Cancel(fl.ev)
+			moved = int64(fl.done + 0.5)
+			end(fl)
+		}
+		log = append(log, churnEvent{eng.Now(), fl.label, moved})
+	})
+	eng.Run()
+	return log
+}
+
+// checkChurn runs an encoded script on the fabric and on the reference
+// and requires the same finishes and cancels, at the same instants, in
+// the same order.
+func checkChurn(t testing.TB, data []byte) {
+	t.Helper()
+	geom, ops := decodeChurn(data)
+	got, paths := runFabric(t, geom, ops)
+	want := runReference(geom, ops, paths)
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: fabric %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("fabric logged %d events, reference %d", len(got), len(want))
+	}
+}
+
+// churnSeeds are the model test's seeds per geometry; the fuzz target
+// starts from the same scripts.
+var churnSeeds = []int64{1, 2, 3, 42}
+
+// churnScriptOps is the op count of each model-test script.
+const churnScriptOps = 300
+
+// TestFabricMatchesReference drives seeded random churn — point-to-point
+// flows, aggregates from all three source kinds, cancels and natural
+// finishes — over every churn geometry, and requires the incremental fill
+// to reproduce the from-scratch reference bit for bit after every
+// mutation, and the reference's completion schedule.
+func TestFabricMatchesReference(t *testing.T) {
+	for gi, geom := range churnGeoms {
+		for _, seed := range churnSeeds {
+			t.Run(fmt.Sprintf("hpr%d-oversub%g-seed%d", geom.HostsPerRack, geom.Oversub, seed), func(t *testing.T) {
+				checkChurn(t, churnBytes(gi, seed, churnScriptOps))
+			})
+		}
+	}
+}
+
+// FuzzFabricMatchesReference decodes bytes into a churn script (see
+// decodeChurn) and checks it as TestFabricMatchesReference does.
+func FuzzFabricMatchesReference(f *testing.F) {
+	for gi := range churnGeoms {
+		for _, seed := range churnSeeds {
+			f.Add(churnBytes(gi, seed, churnScriptOps))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1+400*churnOpBytes {
+			return
+		}
+		checkChurn(t, data)
+	})
+}
+
+// TestFabricChurnAllocs pins the allocation cost of a flow's life: a
+// StartFlow + Cancel cycle that reshares (and reschedules) about 100
+// other flows allocates only the Flow and its completion callback.
+func TestFabricChurnAllocs(t *testing.T) {
+	eng := sim.New()
+	// Stock the engine's free list: the completion events a reschedule
+	// cancels stay queued until their instant, so every reschedule takes
+	// fresh event storage.
+	for i := 0; i < 1<<14; i++ {
+		eng.At(0, "warm", func() {})
+	}
+	eng.Run()
+	f := mustFabric(t, eng, testCluster(128, &cluster.TopologySpec{HostsPerRack: 128}))
+	for i := 1; i <= 100; i++ {
+		f.StartFlow(cluster.NodeID(i), 0, 100*MB, "bg", func() {})
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		f.Cancel(f.StartFlow(101, 0, 100*MB, "churn", func() {}))
+	})
+	if allocs > 2 {
+		t.Errorf("StartFlow+Cancel with 100 flows resharing: %v allocs, want ≤ 2 (Flow and callback)", allocs)
+	}
+}
+
+// BenchmarkFabricChurn times one flow start plus one flow finish on a
+// 2,000-node fabric in racks of 20 behind a 4:1 core carrying about 400
+// aggregate shuffle flows.
+func BenchmarkFabricChurn(b *testing.B) {
+	const nodes, flows = 2000, 400
+	eng := sim.New()
+	f, err := New(eng, testCluster(nodes, &cluster.TopologySpec{HostsPerRack: 20, Oversub: 4}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := randutil.New(1)
+	start := func() {
+		dst := cluster.NodeID(rng.Intn(nodes))
+		src := AllRemoteRacks
+		if rng.Intn(2) == 0 {
+			src = f.RackOf(dst)
+		}
+		f.StartAggFlow(src, dst, int64(1+rng.Intn(256))*MB, "bench", func() {})
+	}
+	for i := 0; i < flows; i++ {
+		start()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start()
+		eng.Step() // the earliest completion: one flow finishes
 	}
 }
