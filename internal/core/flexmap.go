@@ -155,6 +155,14 @@ func (am *AM) OnSlotFree(node *cluster.Node) bool {
 	return true
 }
 
+// Idle implements yarn.Scheduler. Once every BU is bound, every offer is
+// a speculation probe; before that an offer sizes a task and traces the
+// decision, so the AM is not idle.
+func (am *AM) Idle() bool {
+	return am.d.Finished() || am.d.MapsFinished() ||
+		(am.tracker.Remaining() == 0 && am.book.SpeculationIdle(am.Speculation))
+}
+
 // fairShare returns this node's capacity-proportional share of the
 // remaining BUs when the job is inside its final wave — i.e. when the
 // remainder no longer fills every slot at current task sizes. Outside

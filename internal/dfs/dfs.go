@@ -58,7 +58,7 @@ type Store struct {
 
 	blockToNode map[BUID][]cluster.NodeID
 	nodeToBlock map[cluster.NodeID]map[BUID]bool
-	nodeLoad    map[cluster.NodeID]int // BUs stored per node, for balancing
+	nodeLoad    []int // BUs stored per node, by dense NodeID, for balancing
 
 	content map[BUID][]byte  // optional real payloads for live execution
 	weights map[BUID]float64 // optional per-BU processing-cost weights (data skew)
@@ -81,7 +81,7 @@ func NewStore(c *cluster.Cluster, replication int, rng *randutil.Source) *Store 
 		files:       make(map[string]*File),
 		blockToNode: make(map[BUID][]cluster.NodeID),
 		nodeToBlock: make(map[cluster.NodeID]map[BUID]bool),
-		nodeLoad:    make(map[cluster.NodeID]int),
+		nodeLoad:    make([]int, c.Size()),
 		content:     make(map[BUID][]byte),
 	}
 	for _, n := range c.Nodes {
@@ -262,7 +262,12 @@ func (s *Store) HasReplica(node cluster.NodeID, id BUID) bool {
 }
 
 // BUCountOn returns the number of BUs stored on a node.
-func (s *Store) BUCountOn(node cluster.NodeID) int { return s.nodeLoad[node] }
+func (s *Store) BUCountOn(node cluster.NodeID) int {
+	if int(node) < 0 || int(node) >= len(s.nodeLoad) {
+		return 0
+	}
+	return s.nodeLoad[node]
+}
 
 // Split is a contiguous run of BUs handed to one classic map task.
 type Split struct {

@@ -182,6 +182,12 @@ func (b *AttemptBook) Speculate(policy SpeculationPolicy, node *cluster.Node) bo
 	return true
 }
 
+// SpeculationIdle reports that Speculate would launch nothing on any
+// node at this instant.
+func (b *AttemptBook) SpeculationIdle(policy SpeculationPolicy) bool {
+	return policy == nil || policy.Idle(b.d, b.cands, b.epoch, b.activeSpec)
+}
+
 // localFirst reorders BUs so the node's local replicas come first — the
 // fetch accounting charges only the tail past the local count.
 func (b *AttemptBook) localFirst(node *cluster.Node, bus []dfs.BUID) ([]dfs.BUID, int) {

@@ -100,6 +100,7 @@ type Driver struct {
 	mapsFinished    bool
 	reduceRemaining int
 	reduceQueues    map[cluster.NodeID][]int
+	reduceQueued    int // partitions across reduceQueues
 	reduceActive    map[cluster.NodeID]int
 	runningReduce   map[cluster.NodeID][]*reduceRun
 	orphanReduces   []int
@@ -191,6 +192,7 @@ type MapAttempt struct {
 
 	d           *Driver
 	noiseMult   float64
+	unit        float64 // unitCost: every factor is fixed at launch
 	phase       attemptPhase
 	phaseEndsAt sim.Time
 	phaseEv     sim.Handle
@@ -264,6 +266,7 @@ func (d *Driver) LaunchMap(l MapLaunch) *MapAttempt {
 	}
 	a.RemoteBytes = remote
 	a.extraFetch = l.ExtraFetchBytes
+	a.unit = d.Spec.MapCost * d.Cost.SpillMultiplier(a.Bytes) * a.noiseMult * d.Store.MeanWeight(a.BUs)
 	if l.Speculative {
 		d.Result.SpeculativeLaunches++
 	}
@@ -402,11 +405,11 @@ func (a *MapAttempt) beginCompute() {
 
 // unitCost is the work units charged per input byte for this attempt:
 // job map cost × sort-spill penalty × runtime noise × the split's data
-// skew weight (the mean cost weight of its BUs).
-func (a *MapAttempt) unitCost() float64 {
-	return a.d.Spec.MapCost * a.d.Cost.SpillMultiplier(a.Bytes) * a.noiseMult *
-		a.d.Store.MeanWeight(a.BUs)
-}
+// skew weight (the mean cost weight of its BUs). LaunchMap computes it
+// once: the spec, cost model, byte count, noise draw, BUs and their
+// weights (ApplySkew runs before any job is built) never change after
+// launch, and progress probes call it on every speculation check.
+func (a *MapAttempt) unitCost() float64 { return a.unit }
 
 // drawNoise samples the per-attempt lognormal cost multiplier (1.0 when
 // noise is disabled). The multiplier is normalized by exp(σ²/2) so its

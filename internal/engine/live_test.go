@@ -94,6 +94,10 @@ func (p *fixedPolicy) Pick(d *Driver, node *cluster.Node, candidates []*MapAttem
 	return candidates[0]
 }
 
+func (p *fixedPolicy) Idle(d *Driver, candidates []*MapAttempt, candEpoch uint64, activeSpec int) bool {
+	return len(candidates) == 0 || activeSpec > 0
+}
+
 func TestStockSpeculationRaceViaPolicy(t *testing.T) {
 	// Fast/slow pair: the slow node's final task gets duplicated by the
 	// always-speculate policy and the fast copy must win the race.

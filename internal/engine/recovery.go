@@ -149,10 +149,7 @@ func (d *Driver) DrainNode(id cluster.NodeID) int {
 	// partitions crashed just above.
 	d.deliverCrashed(id, nil)
 	if d.mapsFinished && !d.finished {
-		if q := d.reduceQueues[id]; len(q) > 0 {
-			delete(d.reduceQueues, id)
-			d.requeueReduces(q)
-		}
+		d.requeueReduces(d.unqueueReduces(id))
 	}
 	d.RM.Poke()
 	return preempted
@@ -174,10 +171,7 @@ func (d *Driver) nodeLost(id cluster.NodeID) {
 	}
 	d.deliverCrashed(id, lostOutput)
 	if d.mapsFinished && !d.finished {
-		if q := d.reduceQueues[id]; len(q) > 0 {
-			d.reduceQueues[id] = nil
-			d.requeueReduces(q)
-		}
+		d.requeueReduces(d.unqueueReduces(id))
 	}
 	d.RM.Poke()
 }

@@ -66,7 +66,7 @@ func (d *Driver) beginReducePhase() {
 			displaced = append(displaced, p)
 			continue
 		}
-		d.reduceQueues[nid] = append(d.reduceQueues[nid], p)
+		d.queueReduce(nid, p)
 	}
 	if len(displaced) > 0 {
 		d.requeueReduces(displaced)
@@ -96,18 +96,11 @@ func (d *Driver) pumpReduces(n *cluster.Node) {
 		return
 	}
 	for d.reduceActive[n.ID] < n.Slots {
-		if q := d.reduceQueues[n.ID]; len(q) > 0 {
-			d.reduceQueues[n.ID] = q[1:]
-			d.runReduce(q[0], n, nil)
-			continue
+		p, ok := d.nextReduce(n.ID)
+		if !ok {
+			return
 		}
-		if len(d.orphanReduces) > 0 {
-			p := d.orphanReduces[0]
-			d.orphanReduces = d.orphanReduces[1:]
-			d.runReduce(p, n, nil)
-			continue
-		}
-		return
+		d.runReduce(p, n, nil)
 	}
 }
 
@@ -119,18 +112,51 @@ func (d *Driver) TryReduce(n *cluster.Node) bool {
 	if !d.ReduceViaRM || !d.mapsFinished || d.finished {
 		return false
 	}
-	var p int
-	if q := d.reduceQueues[n.ID]; len(q) > 0 {
-		p = q[0]
-		d.reduceQueues[n.ID] = q[1:]
-	} else if len(d.orphanReduces) > 0 {
-		p = d.orphanReduces[0]
-		d.orphanReduces = d.orphanReduces[1:]
-	} else {
+	p, ok := d.nextReduce(n.ID)
+	if !ok {
 		return false
 	}
 	d.runReduce(p, n, d.RM.Acquire(n))
 	return true
+}
+
+// ReduceIdle reports that TryReduce would decline every node: reduces
+// are not routed through the RM, the map phase is open, the job is done,
+// or no partition is queued or orphaned. It is O(1).
+func (d *Driver) ReduceIdle() bool {
+	return !d.ReduceViaRM || !d.mapsFinished || d.finished ||
+		d.reduceQueued+len(d.orphanReduces) == 0
+}
+
+// queueReduce appends partition p to the node's reduce queue.
+func (d *Driver) queueReduce(id cluster.NodeID, p int) {
+	d.reduceQueues[id] = append(d.reduceQueues[id], p)
+	d.reduceQueued++
+}
+
+// nextReduce dequeues the next partition for the node: its own queue
+// first, then the orphan pool.
+func (d *Driver) nextReduce(id cluster.NodeID) (int, bool) {
+	if q := d.reduceQueues[id]; len(q) > 0 {
+		d.reduceQueues[id] = q[1:]
+		d.reduceQueued--
+		return q[0], true
+	}
+	if len(d.orphanReduces) > 0 {
+		p := d.orphanReduces[0]
+		d.orphanReduces = d.orphanReduces[1:]
+		return p, true
+	}
+	return 0, false
+}
+
+// unqueueReduces empties the node's reduce queue and returns what it
+// held.
+func (d *Driver) unqueueReduces(id cluster.NodeID) []int {
+	q := d.reduceQueues[id]
+	delete(d.reduceQueues, id)
+	d.reduceQueued -= len(q)
+	return q
 }
 
 // requeueReduces redistributes displaced reduce partitions round-robin
@@ -151,7 +177,7 @@ func (d *Driver) requeueReduces(parts []int) {
 		return
 	}
 	for i, p := range parts {
-		d.reduceQueues[up[i%len(up)].ID] = append(d.reduceQueues[up[i%len(up)].ID], p)
+		d.queueReduce(up[i%len(up)].ID, p)
 	}
 	for _, n := range up {
 		d.pumpReduces(n)

@@ -20,6 +20,10 @@ type SpeculationPolicy interface {
 	// have, so policies can cache per (now, candEpoch). activeSpec is the
 	// number of speculative attempts in flight.
 	Pick(d *Driver, node *cluster.Node, candidates []*MapAttempt, candEpoch uint64, activeSpec int) *MapAttempt
+	// Idle reports that Pick, with the same arguments, would return nil
+	// for every node at this instant. It follows the yarn.Scheduler.Idle
+	// contract: false is always safe.
+	Idle(d *Driver, candidates []*MapAttempt, candEpoch uint64, activeSpec int) bool
 }
 
 // PendingSplit is a map task waiting for dispatch. Stock splits come from
@@ -145,6 +149,14 @@ func (am *StockAM) OnSlotFree(node *cluster.Node) bool {
 		return false // reduce phase is driven by the Driver
 	}
 	return am.TryDispatch(node)
+}
+
+// Idle implements yarn.Scheduler. With nothing pending, every offer is
+// a speculation probe: takeLocal only pops stale seqs left by lazy
+// deletion, and no locality wait is armed.
+func (am *StockAM) Idle() bool {
+	return am.d.Finished() || am.d.MapsFinished() ||
+		(am.pending.Len() == 0 && am.book.SpeculationIdle(am.Speculation))
 }
 
 // TryDispatch attempts to place map work on the node: a node-local

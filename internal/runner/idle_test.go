@@ -1,0 +1,183 @@
+package runner
+
+import (
+	"testing"
+
+	"flexmap/internal/cluster"
+	"flexmap/internal/dfs"
+	"flexmap/internal/elastic"
+	"flexmap/internal/faults"
+	"flexmap/internal/trace"
+	"flexmap/internal/workload"
+	"flexmap/internal/yarn"
+)
+
+// offerProbe stands between the RM and the scheduler under test. It
+// counts the offers that reach the scheduler, and with check set it
+// audits every Idle answer of true: it offers each free, up,
+// non-draining node anyway and fails if an offer is accepted or changes
+// the free slots, the event queue or the trace.
+type offerProbe struct {
+	t     *testing.T
+	s     *stack
+	inner yarn.Scheduler
+	check bool
+	stats *probeStats
+}
+
+type probeStats struct {
+	offers  int // OnSlotFree calls that reached the scheduler
+	audited int // Idle answers of true that were audited
+}
+
+func (p *offerProbe) OnSlotFree(n *cluster.Node) bool {
+	p.stats.offers++
+	return p.inner.OnSlotFree(n)
+}
+
+func (p *offerProbe) Idle() bool {
+	if !p.inner.Idle() {
+		return false
+	}
+	if !p.check {
+		return true
+	}
+	p.stats.audited++
+	free, queued, traced := p.s.rm.TotalFree(), p.s.eng.Pending(), len(p.s.tracer.Events())
+	for _, n := range p.s.clus.Nodes {
+		if p.s.rm.FreeSlots(n.ID) <= 0 || n.Down() || p.s.rm.Draining(n.ID) {
+			continue
+		}
+		if p.inner.OnSlotFree(n) {
+			p.t.Fatalf("t=%v: scheduler reported Idle, then accepted an offer on node %d", p.s.eng.Now(), n.ID)
+		}
+	}
+	if p.s.rm.TotalFree() != free || p.s.eng.Pending() != queued || len(p.s.tracer.Events()) != traced {
+		p.t.Fatalf("t=%v: scheduler reported Idle, then its declines acted: free %d→%d, queued events %d→%d, trace events %d→%d",
+			p.s.eng.Now(), free, p.s.rm.TotalFree(), queued, p.s.eng.Pending(), traced, len(p.s.tracer.Events()))
+	}
+	return true
+}
+
+// probeWith returns a wrap for run and runWorkload that installs a probe
+// sharing stats. SkewTune registers twice; each registration gets a
+// probe of its own over the same stats.
+func probeWith(t *testing.T, check bool, stats *probeStats) func(*stack, yarn.Scheduler) yarn.Scheduler {
+	return func(s *stack, inner yarn.Scheduler) yarn.Scheduler {
+		return &offerProbe{t: t, s: s, inner: inner, check: check, stats: stats}
+	}
+}
+
+// TestIdleDeclinesEveryOffer audits the Idle contract behind RM.Poke's
+// skip. Every time a scheduler answers Idle, every node it could be
+// offered is offered anyway, and no offer may be accepted or leave a
+// trace, an event or a grant behind. The cells cover StockAM with LATE,
+// FlexMap and SkewTune solo, crashes and an elastic drain, and the
+// inter-job scheduler under the fair and capacity policies.
+func TestIdleDeclinesEveryOffer(t *testing.T) {
+	spec := wcSpec(t, 6)
+	collect := trace.Options{Collect: true}
+	cell := func(name string) Scenario {
+		return Scenario{Name: name, Cluster: equivCluster(24), Seed: 42, InputSize: 24 * 3 * dfs.BUSize, Trace: collect}
+	}
+	crashes := faults.Plan{CrashRate: 120, MeanDowntime: 20, PreemptRate: 60}
+	drain := elastic.Plan{
+		Spares:    2,
+		SpareSpec: cluster.NodeSpec{Class: "spare", BaseSpeed: 2.0, Slots: 2},
+		Notice:    2,
+		Script: []elastic.Event{
+			{At: 1, Node: 24, Kind: elastic.Join},
+			{At: 2, Node: 25, Kind: elastic.Join},
+			{At: 6, Node: 24, Kind: elastic.Drain},
+		},
+	}
+	// audit marks the cells whose runs must reach an Idle answer: solo
+	// FlexMap and SkewTune poke the RM only on recovery.
+	type soloCell struct {
+		eng   Engine
+		sc    Scenario
+		audit bool
+	}
+	solo := []soloCell{
+		{Engine{Kind: Hadoop}, cell("hadoop"), true},
+		{Engine{Kind: HadoopNoSpec}, cell("hadoop-nospec"), true},
+		{Engine{Kind: FlexMap}, cell("flexmap"), false},
+		{Engine{Kind: SkewTune}, cell("skewtune"), false},
+	}
+	for _, kind := range []EngineKind{Hadoop, FlexMap} {
+		sc := cell(string(kind) + "-churn")
+		sc.Faults = crashes
+		sc.Membership = drain
+		solo = append(solo, soloCell{Engine{Kind: kind}, sc, true})
+	}
+	for _, c := range solo {
+		t.Run(c.sc.Name, func(t *testing.T) {
+			var stats probeStats
+			if _, err := run(c.sc, spec, c.eng, probeWith(t, true, &stats)); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d offers, %d Idle answers audited", stats.offers, stats.audited)
+			if c.audit && stats.audited == 0 {
+				t.Fatal("no Idle answer was audited; the cell no longer exercises the skip")
+			}
+		})
+	}
+
+	mix := []WorkloadClass{
+		{Name: "stock", Weight: 2, MinBytes: 8 * dfs.BUSize, MaxBytes: 24 * dfs.BUSize,
+			Engine: Engine{Kind: Hadoop}, Spec: wcSpec(t, 3), Queue: 0},
+		{Name: "flex", Weight: 2, MinBytes: 8 * dfs.BUSize, MaxBytes: 24 * dfs.BUSize,
+			Engine: Engine{Kind: FlexMap}, Spec: wcSpec(t, 3), Queue: 1},
+	}
+	workloads := []WorkloadScenario{
+		{Name: "fair", Policy: "fair", Classes: mix},
+		{Name: "capacity", Policy: "capacity", Classes: mix, Queues: []yarn.Queue{
+			{Name: "a", Share: 0.5, MaxShare: 0.75}, {Name: "b", Share: 0.5},
+		}},
+		{Name: "fair-skewtune", Policy: "fair", Classes: append(mix[:1:1], WorkloadClass{
+			Name: "skew", Weight: 1, MinBytes: 8 * dfs.BUSize, MaxBytes: 24 * dfs.BUSize,
+			Engine: Engine{Kind: SkewTune}, Spec: wcSpec(t, 3)})},
+		{Name: "fair-churn", Policy: "fair", Classes: mix, Faults: crashes, Membership: drain},
+	}
+	for _, sc := range workloads {
+		sc.Cluster, sc.Seed, sc.Trace = equivCluster(24), 42, collect
+		sc.Pattern = workload.Pattern{Jobs: 10, Rate: 0.5}
+		t.Run("workload-"+sc.Name, func(t *testing.T) {
+			var stats probeStats
+			if _, err := runWorkload(sc, probeWith(t, true, &stats)); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d offers, %d Idle answers audited", stats.offers, stats.audited)
+			if stats.audited == 0 {
+				t.Fatal("no Idle answer was audited; the cell no longer exercises the skip")
+			}
+		})
+	}
+}
+
+// TestOffersPerEventScaling is the counted scaling gate: the offers the
+// RM makes per fired event must not grow with the fleet. One WordCount
+// job over 2 BUs per node with n/4 reducers runs at n = 200 and n = 2000,
+// and the n = 2000 ratio must stay within 2× of the n = 200 one. Counts,
+// not times, so the gate cannot flake. Before RM.Poke skipped idle
+// sweeps, every expired locality wait offered every node to a stock AM
+// with nothing left to place: 58 offers per event at n = 200 and 627 at
+// n = 2000.
+func TestOffersPerEventScaling(t *testing.T) {
+	perEvent := func(n int, kind EngineKind) float64 {
+		sc := Scenario{Name: "scaling", Cluster: equivCluster(n), Seed: 42, InputSize: int64(n*2) * dfs.BUSize}
+		var stats probeStats
+		res, err := run(sc, wcSpec(t, n/4), Engine{Kind: kind}, probeWith(t, false, &stats))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(stats.offers) / float64(res.SimEvents)
+	}
+	for _, kind := range []EngineKind{Hadoop, FlexMap} {
+		small, large := perEvent(200, kind), perEvent(2000, kind)
+		t.Logf("%s: %.2f offers/event at n=200, %.2f at n=2000", kind, small, large)
+		if large > 2*small {
+			t.Errorf("%s: %.2f offers/event at n=2000 is more than 2× the %.2f at n=200", kind, large, small)
+		}
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"flexmap/internal/skewtune"
 	"flexmap/internal/speculate"
 	"flexmap/internal/trace"
+	"flexmap/internal/yarn"
 )
 
 // MB and GB are size units in bytes.
@@ -268,6 +269,13 @@ func buildAM(driver *engine.Driver, eng Engine, flexRng *randutil.Source) (*core
 
 // Run executes one job under one engine and returns its result.
 func Run(sc Scenario, spec mr.JobSpec, eng Engine) (*Result, error) {
+	return run(sc, spec, eng, nil)
+}
+
+// run is Run with an optional wrap, which, when non-nil, stands between
+// the RM and the AM: the RM offers to wrap(s, am). Tests use it to
+// observe every offer.
+func run(sc Scenario, spec mr.JobSpec, eng Engine, wrap func(*stack, yarn.Scheduler) yarn.Scheduler) (*Result, error) {
 	if sc.Cluster == nil {
 		return nil, fmt.Errorf("runner: scenario %q has no cluster factory", sc.Name)
 	}
@@ -312,7 +320,11 @@ func Run(sc Scenario, spec mr.JobSpec, eng Engine) (*Result, error) {
 	// Interference is armed before the AM's heartbeat ticker and the
 	// liveness watcher: same-instant ticks fire in that order.
 	s.startInterference()
-	driver, flexAM, err := s.newJob(spec, eng, s.rng, s.tracer, nil)
+	var register func(yarn.Scheduler)
+	if wrap != nil {
+		register = func(am yarn.Scheduler) { s.rm.SetScheduler(wrap(s, am)) }
+	}
+	driver, flexAM, err := s.newJob(spec, eng, s.rng, s.tracer, register)
 	if err != nil {
 		return nil, err
 	}

@@ -170,6 +170,10 @@ func (j *jobScheduler) OnSlotFree(n *cluster.Node) bool {
 	return j.d.TryReduce(n)
 }
 
+func (j *jobScheduler) Idle() bool {
+	return j.d.Finished() || ((j.am == nil || j.am.Idle()) && j.d.ReduceIdle())
+}
+
 // multiTarget fans fault-injector actions out across every job's
 // driver. The node flips down exactly once here — Driver.CrashNode's
 // own down-check would make the second driver skip its victims.
@@ -241,6 +245,12 @@ func jobID(index int) string { return fmt.Sprintf("j%04d", index) }
 // injection) are outcomes, not errors; the error path is reserved for
 // configuration problems and scheduler hangs.
 func RunWorkload(sc WorkloadScenario) (*WorkloadResult, error) {
+	return runWorkload(sc, nil)
+}
+
+// runWorkload is RunWorkload with an optional wrap, which, when non-nil,
+// stands between the RM and the inter-job scheduler, as in run.
+func runWorkload(sc WorkloadScenario, wrap func(*stack, yarn.Scheduler) yarn.Scheduler) (*WorkloadResult, error) {
 	if sc.Cluster == nil {
 		return nil, fmt.Errorf("runner: workload %q has no cluster factory", sc.Name)
 	}
@@ -283,6 +293,9 @@ func RunWorkload(sc WorkloadScenario) (*WorkloadResult, error) {
 		return nil, err
 	}
 	mux := yarn.NewInterJob(s.eng, s.rm, policy)
+	if wrap != nil {
+		s.rm.SetScheduler(wrap(s, mux))
+	}
 	target := &multiTarget{clus: s.clus}
 	// Unlike Run, the watcher's ticker is armed before interference.
 	s.addChurn(sc.Faults, sc.Membership, target)

@@ -80,6 +80,11 @@ func (am *AM) OnSlotFree(node *cluster.Node) bool {
 	return am.stock.TryDispatch(node)
 }
 
+// Idle implements yarn.Scheduler. A declined offer with nothing pending
+// may repartition a straggler, so SkewTune is idle only once its map
+// phase is over.
+func (am *AM) Idle() bool { return am.d.Finished() || am.d.MapsFinished() }
+
 // repartition picks the worst straggler, stops it, and re-queues its
 // unprocessed BUs as evenly-sized subtasks — evenly because SkewTune
 // assumes homogeneous workers. It reports whether a repartition happened.

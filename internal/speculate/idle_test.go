@@ -1,0 +1,168 @@
+package speculate
+
+import (
+	"fmt"
+	"sort"
+	"testing"
+
+	"flexmap/internal/cluster"
+	"flexmap/internal/dfs"
+	"flexmap/internal/engine"
+	"flexmap/internal/mr"
+	"flexmap/internal/randutil"
+	"flexmap/internal/sim"
+	"flexmap/internal/yarn"
+)
+
+// idleAudit wraps LATE and checks Idle on every probe of a real run: an
+// Idle answer must mean Pick declines every node, and an empty candidate
+// set or a full cap must always read as Idle.
+type idleAudit struct {
+	t                 *testing.T
+	l                 *LATE
+	idle, busy, atCap int
+}
+
+func (a *idleAudit) Pick(d *engine.Driver, node *cluster.Node, cands []*engine.MapAttempt, epoch uint64, active int) *engine.MapAttempt {
+	idle := a.l.Idle(d, cands, epoch, active)
+	if idle {
+		a.idle++
+		for _, n := range d.Cluster.Nodes {
+			if v := a.l.Pick(d, n, cands, epoch, active); v != nil {
+				a.t.Fatalf("t=%v: Idle, but Pick chose %s on node %d", d.Eng.Now(), v.Task, n.ID)
+			}
+		}
+	} else {
+		a.busy++
+	}
+	if active >= a.l.cap(d) {
+		a.atCap++
+	}
+	if !idle && (len(cands) == 0 || active >= a.l.cap(d)) {
+		a.t.Fatalf("t=%v: %d candidates and %d of %d copies in flight, but not Idle", d.Eng.Now(), len(cands), active, a.l.cap(d))
+	}
+	return a.l.Pick(d, node, cands, epoch, active)
+}
+
+func (a *idleAudit) Idle(d *engine.Driver, cands []*engine.MapAttempt, epoch uint64, active int) bool {
+	return a.l.Idle(d, cands, epoch, active)
+}
+
+func TestLATEIdleMatchesPick(t *testing.T) {
+	a := &idleAudit{t: t, l: NewLATE()}
+	r := runStock(t, a, 0.15)
+	t.Logf("%d probes idle, %d busy, %d at the cap; %d copies launched", a.idle, a.busy, a.atCap, r.SpeculativeLaunches)
+	if a.idle == 0 || a.busy == 0 || a.atCap == 0 || r.SpeculativeLaunches == 0 {
+		t.Fatal("the run no longer covers idle, busy and capped probes")
+	}
+}
+
+func TestLATEIdle(t *testing.T) {
+	eng := sim.New()
+	c := cluster.NewCluster("idle", []cluster.NodeSpec{
+		{Name: "a", BaseSpeed: 1, Slots: 2},
+		{Name: "b", BaseSpeed: 1, Slots: 2},
+		{Name: "slow", BaseSpeed: 0.2, Slots: 2},
+	})
+	store := dfs.NewStore(c, 3, randutil.New(4))
+	if _, err := store.AddFile("input", 8*dfs.BUSize); err != nil {
+		t.Fatal(err)
+	}
+	spec := mr.JobSpec{Name: "wc", InputFile: "input", MapCost: 1}
+	rm := yarn.NewRM(eng, c)
+	d, err := engine.NewDriver(eng, c, store, rm, engine.DefaultCostModel(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := store.File("input")
+	slow := c.Node(2)
+	straggler := []*engine.MapAttempt{d.LaunchMap(engine.MapLaunch{
+		Task: "map-0000", Node: slow, Container: rm.Acquire(slow), BUs: f.BUs, LocalBUs: len(f.BUs),
+		OnDone: func(a *engine.MapAttempt) { a.Container.Release() },
+	})}
+	l := NewLATE()
+	if !l.Idle(d, straggler, 1, 0) {
+		t.Error("not Idle while the only candidate is younger than MinAge")
+	}
+	eng.RunUntil(10)
+	if l.Idle(d, straggler, 2, 0) {
+		t.Error("Idle with a clear straggler and a free cap")
+	}
+	if !l.Idle(d, straggler, 2, 1) {
+		t.Error("not Idle with the speculation cap full")
+	}
+	if !l.Idle(d, nil, 3, 0) {
+		t.Error("not Idle with no candidates")
+	}
+}
+
+// TestSelectKthMatchesSort pins the selection against the sorted
+// reference for every k, over random rate sets with heavy duplication,
+// sorted and reversed inputs, and single values.
+func TestSelectKthMatchesSort(t *testing.T) {
+	rng := randutil.New(9)
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(60)
+		distinct := 1 + rng.Intn(n)
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(rng.Intn(distinct)) * 0.37
+		}
+		switch trial % 4 {
+		case 1:
+			sort.Float64s(xs)
+		case 2:
+			sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
+		}
+		want := append([]float64(nil), xs...)
+		sort.Float64s(want)
+		for k := range xs {
+			work := append([]float64(nil), xs...)
+			if got := selectKth(work, k); got != want[k] {
+				t.Fatalf("trial %d: selectKth(%v, %d) = %v, want %v", trial, xs, k, got, want[k])
+			}
+		}
+	}
+}
+
+// BenchmarkSelectVictim ranks 4,000 mature attempts on 2,000 nodes of
+// mixed speed: one straggler choice as LATE makes it per instant.
+func BenchmarkSelectVictim(b *testing.B) {
+	const nodes, busPerTask = 2000, 8
+	eng := sim.New()
+	specs := make([]cluster.NodeSpec, nodes)
+	for i := range specs {
+		specs[i] = cluster.NodeSpec{Name: fmt.Sprintf("n%04d", i), BaseSpeed: []float64{1, 1.5, 2.4, 2.8}[i%4], Slots: 2}
+	}
+	c := cluster.NewCluster("bench", specs)
+	store := dfs.NewStore(c, 3, randutil.New(4))
+	if _, err := store.AddFile("input", nodes*2*busPerTask*dfs.BUSize); err != nil {
+		b.Fatal(err)
+	}
+	rm := yarn.NewRM(eng, c)
+	d, err := engine.NewDriver(eng, c, store, rm, engine.DefaultCostModel(), mr.JobSpec{Name: "wc", InputFile: "input", MapCost: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, _ := store.File("input")
+	var cands []*engine.MapAttempt
+	for i, n := range c.Nodes {
+		for s := 0; s < n.Slots; s++ {
+			lo := (2*i + s) * busPerTask
+			cands = append(cands, d.LaunchMap(engine.MapLaunch{
+				Task: fmt.Sprintf("map-%05d", 2*i+s), Node: n, Container: rm.Acquire(n),
+				BUs: f.BUs[lo : lo+busPerTask], LocalBUs: busPerTask,
+				OnDone: func(a *engine.MapAttempt) { a.Container.Release() },
+			}))
+		}
+	}
+	eng.RunUntil(4) // past MinAge, before the fastest attempts finish
+	l := NewLATE()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v, _ := l.selectVictim(eng.Now(), cands); v == nil {
+			b.Fatal("no victim")
+		}
+	}
+}

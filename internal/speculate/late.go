@@ -16,6 +16,7 @@
 package speculate
 
 import (
+	"math/bits"
 	"sort"
 
 	"flexmap/internal/cluster"
@@ -96,29 +97,13 @@ func (l *LATE) defaults() {
 // Pick implements engine.SpeculationPolicy.
 func (l *LATE) Pick(d *engine.Driver, node *cluster.Node, candidates []*engine.MapAttempt, candEpoch uint64, activeSpec int) *engine.MapAttempt {
 	l.defaults()
-	if len(candidates) == 0 {
-		return nil
-	}
-	cap := int(l.SpecCapFraction * float64(d.Cluster.TotalSlots()))
-	if cap < 1 {
-		cap = 1
-	}
-	if activeSpec >= cap {
+	if len(candidates) == 0 || activeSpec >= l.cap(d) {
 		return nil
 	}
 	if l.nodeIsSlow(d.Cluster, node) {
 		return nil
 	}
-	now := d.Eng.Now()
-
-	// The straggler choice below is independent of the probing node, so
-	// it is memoized per (instant, candidate-set epoch): every idle node
-	// probed at the same instant sees the same candidate ranking.
-	if !l.pickValid || l.pickAt != now || l.pickEpoch != candEpoch {
-		l.pickVictim, l.pickWorst = l.selectVictim(now, candidates)
-		l.pickAt, l.pickEpoch, l.pickValid = now, candEpoch, true
-	}
-	victim, worst := l.pickVictim, l.pickWorst
+	victim, worst := l.victim(d.Eng.Now(), candidates, candEpoch)
 	if victim == nil {
 		return nil
 	}
@@ -130,6 +115,41 @@ func (l *LATE) Pick(d *engine.Driver, node *cluster.Node, candidates []*engine.M
 		return nil
 	}
 	return victim
+}
+
+// Idle implements engine.SpeculationPolicy: Pick declines every node
+// when there is nothing to duplicate, the cap is reached, or no mature
+// attempt ranks as a straggler at this instant. The node-dependent
+// checks (slow node, fresh copy too slow) are left to Pick.
+func (l *LATE) Idle(d *engine.Driver, candidates []*engine.MapAttempt, candEpoch uint64, activeSpec int) bool {
+	l.defaults()
+	if len(candidates) == 0 || activeSpec >= l.cap(d) {
+		return true
+	}
+	victim, _ := l.victim(d.Eng.Now(), candidates, candEpoch)
+	return victim == nil
+}
+
+// cap is the in-flight speculative copy limit: SpecCapFraction of the
+// cluster's slots, at least one.
+func (l *LATE) cap(d *engine.Driver) int {
+	c := int(l.SpecCapFraction * float64(d.Cluster.TotalSlots()))
+	if c < 1 {
+		c = 1
+	}
+	return c
+}
+
+// victim returns the straggler to duplicate and its estimated remaining
+// time. The choice is independent of the probing node, so it is memoized
+// per (instant, candidate-set epoch): every idle node probed at the same
+// instant, and Idle, see the same candidate ranking.
+func (l *LATE) victim(now sim.Time, candidates []*engine.MapAttempt, candEpoch uint64) (*engine.MapAttempt, sim.Duration) {
+	if !l.pickValid || l.pickAt != now || l.pickEpoch != candEpoch {
+		l.pickVictim, l.pickWorst = l.selectVictim(now, candidates)
+		l.pickAt, l.pickEpoch, l.pickValid = now, candEpoch, true
+	}
+	return l.pickVictim, l.pickWorst
 }
 
 // selectVictim ranks the candidate set at the given instant: progress
@@ -158,14 +178,13 @@ func (l *LATE) selectVictim(now sim.Time, candidates []*engine.MapAttempt) (*eng
 		return nil, -1
 	}
 	// Threshold rate at the slow-task percentile: the idx-th smallest
-	// rate. Only the rate value matters, so a typed float sort replaces
-	// the old full (rate, Task) ordering of the attempts themselves.
-	sort.Float64s(l.rates)
+	// rate. Only that value is read, and it is the same whichever way the
+	// rates are ordered around it, so a selection replaces a full sort.
 	idx := int(l.SlowTaskPercentile * float64(len(l.rates)))
 	if idx >= len(l.rates) {
 		idx = len(l.rates) - 1
 	}
-	threshold := l.rates[idx]
+	threshold := selectKth(l.rates, idx)
 
 	// Among below-threshold tasks, pick the longest estimated time to
 	// end, ties to the lexicographically smallest task — a unique winner,
@@ -181,6 +200,60 @@ func (l *LATE) selectVictim(now sim.Time, candidates []*engine.MapAttempt) (*eng
 		}
 	}
 	return victim, worst
+}
+
+// selectKth returns the k-th smallest value of xs (0-based), permuting xs
+// in place. It is Hoare's quickselect with the median of the first,
+// middle and last elements as pivot, so it is deterministic, and it
+// handles duplicates: equal values split evenly across the partition.
+// The values are finite progress rates, so < is a total order.
+func selectKth(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)-1
+	// Partitions that keep landing badly fall back to a sort of what is
+	// left, which bounds the worst case at O(n log n).
+	for budget := 2 * bits.Len(uint(len(xs))); lo < hi; budget-- {
+		if budget == 0 {
+			sort.Float64s(xs[lo : hi+1])
+			break
+		}
+		mid := lo + (hi-lo)/2
+		// Median of three, left at xs[mid].
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] < xs[lo] {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if xs[hi] < xs[mid] {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		pivot := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for pivot < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo..j] <= pivot <= xs[i..hi], and any gap between j
+		// and i holds values equal to pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return xs[k]
+		}
+	}
+	return xs[k]
 }
 
 // nodeIsSlow reports whether the node's speed falls in the bottom

@@ -1,0 +1,170 @@
+package yarn
+
+import (
+	"testing"
+
+	"flexmap/internal/cluster"
+	"flexmap/internal/randutil"
+	"flexmap/internal/sim"
+)
+
+// demandJob places one container per offer while it has demand, and is
+// Idle exactly when it has none: its declines do nothing.
+type demandJob struct {
+	rm     *RM
+	demand int
+	offers int
+	live   []*Container
+}
+
+func (j *demandJob) OnSlotFree(n *cluster.Node) bool {
+	j.offers++
+	if j.demand == 0 {
+		return false
+	}
+	j.demand--
+	j.live = append(j.live, j.rm.Acquire(n))
+	return true
+}
+
+func (j *demandJob) Idle() bool { return j.demand == 0 }
+
+func TestPokeSkipsIdleScheduler(t *testing.T) {
+	eng := sim.New()
+	rm := NewRM(eng, cluster.Homogeneous(4))
+	j := &demandJob{rm: rm}
+	rm.SetScheduler(j)
+	rm.Start()
+	rm.Poke()
+	if j.offers != 0 || eng.Pending() != 0 {
+		t.Fatalf("idle scheduler: %d offers made, %d events queued; want none", j.offers, eng.Pending())
+	}
+	j.demand = 3
+	rm.Poke()
+	if j.offers != 4 || len(j.live) != 3 {
+		t.Fatalf("busy scheduler: %d offers, %d grants; want 4 and 3", j.offers, len(j.live))
+	}
+}
+
+// checkPacing asserts the invariant that makes a skipped Poke a no-op:
+// an up, non-draining node with a free slot inside its pacing window
+// already has an offer armed, so offerNow's pacing branch, which a
+// skipped sweep never runs, would arm nothing.
+func checkPacing(t *testing.T, rm *RM, step int, op string) {
+	t.Helper()
+	now := rm.eng.Now()
+	for _, n := range rm.cluster.Nodes {
+		id := n.ID
+		if rm.free[id] > 0 && rm.granted[id] && !n.Down() && !rm.draining[id] &&
+			now < rm.lastGrant[id]+sim.Time(rm.AssignDelay) && !rm.offerScheduled[id] {
+			t.Fatalf("step %d (%s), t=%v: node %d has %d free slots, last grant at %v, and no offer armed",
+				step, op, now, id, rm.free[id], rm.lastGrant[id])
+		}
+	}
+}
+
+// TestPacingInvariant drives random sequences of new work, pokes,
+// releases, crashes (NodeLost), restores (NodeRestored), drains, elastic
+// releases and joins through an RM, and checks the pacing invariant
+// after every operation and every fired event.
+func TestPacingInvariant(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := randutil.New(seed)
+		eng := sim.New()
+		c := cluster.NewCluster("pacing", []cluster.NodeSpec{
+			{Slots: 1}, {Slots: 2}, {Slots: 3}, {Slots: 2}, {Slots: 1}, {Slots: 4},
+		})
+		rm := NewRM(eng, c)
+		j := &demandJob{rm: rm}
+		rm.SetScheduler(j)
+		rm.Start()
+		ops := []string{"work", "poke", "release", "crash", "restore", "drain", "elastic-release", "join"}
+		for step := 0; step < 300; step++ {
+			// Same-instant operations as often as spaced ones, and gaps
+			// on both sides of AssignDelay.
+			if rng.Intn(2) == 0 {
+				until := eng.Now() + sim.Time(rng.Float64()*1.5)
+				for eng.Step() {
+					checkPacing(t, rm, step, "event")
+					if eng.Now() > until {
+						break
+					}
+				}
+			}
+			op := ops[rng.Intn(len(ops))]
+			n := c.Node(cluster.NodeID(rng.Intn(c.Size())))
+			switch op {
+			case "work":
+				j.demand += 1 + rng.Intn(4)
+				rm.Poke()
+			case "poke":
+				rm.Poke()
+			case "release":
+				if len(j.live) > 0 {
+					i := rng.Intn(len(j.live))
+					ct := j.live[i]
+					j.live = append(j.live[:i], j.live[i+1:]...)
+					ct.Release()
+				}
+			case "crash":
+				// A crashed node's containers die with it, unreleased.
+				if !n.Down() {
+					n.SetDown(true)
+					rm.NodeLost(n.ID)
+					j.dropOn(n.ID)
+				}
+			case "restore":
+				// The watcher restores a node at its first heartbeat back.
+				if n.Down() && !n.Offline() {
+					n.SetDown(false)
+					rm.NodeRestored(n.ID)
+				}
+			case "drain":
+				if !n.Down() {
+					rm.DrainNode(n.ID)
+				}
+			case "elastic-release":
+				if rm.Draining(n.ID) {
+					rm.NodeReleased(n.ID)
+					c.ReleaseNode(n.ID)
+					j.dropOn(n.ID)
+				}
+			case "join":
+				if n.Offline() {
+					c.JoinNode(n.ID)
+					rm.NodeJoined(n.ID)
+				}
+			}
+			checkPacing(t, rm, step, op)
+		}
+	}
+}
+
+// dropOn forgets the containers on a node whose containers are gone.
+func (j *demandJob) dropOn(id cluster.NodeID) {
+	kept := j.live[:0]
+	for _, ct := range j.live {
+		if ct.Node.ID != id {
+			kept = append(kept, ct)
+		}
+	}
+	j.live = kept
+}
+
+// BenchmarkPokeIdle is one Poke on a 10k-node RM whose scheduler is
+// idle: the expired-locality-wait case that used to offer every node.
+func BenchmarkPokeIdle(b *testing.B) {
+	eng := sim.New()
+	rm := NewRM(eng, cluster.Homogeneous(10000))
+	j := &demandJob{rm: rm}
+	rm.SetScheduler(j)
+	rm.Start()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rm.Poke()
+	}
+	if j.offers != 0 {
+		b.Fatalf("%d offers reached an idle scheduler", j.offers)
+	}
+}

@@ -148,6 +148,21 @@ func (ij *InterJob) OnSlotFree(n *cluster.Node) bool {
 	return placed
 }
 
+// Idle implements Scheduler: an offer is declined with no effect when
+// every undone job's scheduler would decline it so. Skipping the offer
+// skips Policy.Order too, which changes nothing later: FairPolicy
+// re-sorts on the unique key (running, Index), so its next result does
+// not depend on where the list was left, and CapacityPolicy recomputes
+// from scratch.
+func (ij *InterJob) Idle() bool {
+	for _, h := range ij.jobs {
+		if !h.sched.Idle() {
+			return false
+		}
+	}
+	return true
+}
+
 // onGrant attributes a fresh container to the job whose scheduler is
 // being consulted. A grant with no consultation in flight means some
 // code path acquired capacity outside the offer protocol — a bug the

@@ -35,6 +35,8 @@ func (f *fakeJob) OnSlotFree(n *cluster.Node) bool {
 	return true
 }
 
+func (f *fakeJob) Idle() bool { return false }
+
 // muxFixture builds an engine, cluster, RM, and InterJob over a policy.
 func muxFixture(nodes int, p Policy) (*sim.Engine, *RM, *InterJob) {
 	eng := sim.New()

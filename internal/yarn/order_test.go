@@ -58,6 +58,8 @@ func (r *recorder) OnSlotFree(*cluster.Node) bool {
 	return false
 }
 
+func (r *recorder) Idle() bool { return false }
+
 func indices(hs []*JobHandle) []int {
 	out := make([]int, len(hs))
 	for i, h := range hs {

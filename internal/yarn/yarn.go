@@ -10,7 +10,9 @@
 // expensive. The AM either places a task on an offered slot or declines,
 // leaving the slot idle until Poke re-offers idle capacity — which AMs
 // call when new work appears (e.g. SkewTune mints repartitioned
-// subtasks).
+// subtasks) and when a wait they armed expires (the stock AM's locality
+// wait). Poke skips its sweep when the scheduler reports Idle: every
+// offer would be declined with no effect, so the sweep cannot land.
 package yarn
 
 import (
@@ -23,8 +25,16 @@ import (
 // Scheduler is the decision side of an ApplicationMaster. OnSlotFree must
 // return true if it placed work on the node (consuming one slot, to be
 // returned via Container.Release).
+//
+// Idle may return true only if OnSlotFree would, at this instant, decline
+// every node with no side effect: no grant, no scheduled event, no trace
+// emit and no RNG draw. Updating a cache that is a pure function of the
+// state it reads is not a side effect. When unsure, return false: Poke
+// then sweeps as before. A scheduler whose decline can act (arm a wait,
+// repartition) must return false whenever it might.
 type Scheduler interface {
 	OnSlotFree(node *cluster.Node) bool
+	Idle() bool
 }
 
 // RM is the ResourceManager for one simulated job run.
@@ -136,9 +146,12 @@ func (rm *RM) TotalFree() int {
 }
 
 // Poke re-offers idle capacity on every node immediately. AMs call it
-// when new schedulable work appears.
+// when new schedulable work appears. It returns without a sweep when the
+// scheduler is Idle. That skips offerNow's pacing branch too, which is a
+// no-op because every up, non-draining node with free capacity inside
+// its pacing window already has an offer armed (DESIGN.md §11).
 func (rm *RM) Poke() {
-	if !rm.started {
+	if !rm.started || rm.sched.Idle() {
 		return
 	}
 	for _, n := range rm.cluster.Nodes {

@@ -29,6 +29,8 @@ func (a *acceptN) OnSlotFree(node *cluster.Node) bool {
 	return true
 }
 
+func (a *acceptN) Idle() bool { return false }
+
 func TestStartFillsAllSlotsOverHeartbeats(t *testing.T) {
 	eng := sim.New()
 	c := cluster.Homogeneous(3) // 3 nodes × 2 slots
