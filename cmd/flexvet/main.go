@@ -13,7 +13,6 @@
 //	-json                  emit diagnostics (and -facts output) as JSON
 //	-run  a,b              run only the named analyzers
 //	-skip a,b              run all but the named analyzers
-//	-fix                   render suggested fixes as minus/plus diffs
 //	-facts                 print the cross-package facts the run exported
 //
 // Packages default to ./... and may be directories or /... patterns;
@@ -54,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list analyzers and exit")
 	runSel := fs.String("run", "", "comma-separated analyzer subset (default: all)")
 	skipSel := fs.String("skip", "", "comma-separated analyzers to disable")
-	fix := fs.Bool("fix", false, "render suggested fixes as diffs (text mode)")
 	facts := fs.Bool("facts", false, "print the facts the run exported")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -100,11 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	diags, store := analysis.RunFacts(pkgs, analyzers)
 	for i := range diags {
 		diags[i].File = relPath(diags[i].File)
-		if diags[i].Fix != nil {
-			for j := range diags[i].Fix.Edits {
-				diags[i].Fix.Edits[j].File = relPath(diags[i].Fix.Edits[j].File)
-			}
-		}
 	}
 
 	if *jsonOut {
@@ -126,14 +119,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
-			if *fix {
-				rendered, err := analysis.RenderFix(d)
-				if err != nil {
-					fmt.Fprintf(stderr, "flexvet: rendering fix: %v\n", err)
-				} else if rendered != "" {
-					fmt.Fprint(stdout, rendered)
-				}
-			}
 		}
 		if *facts {
 			for _, f := range store.All() {

@@ -81,22 +81,12 @@ func TestSkipDisablesAnalyzer(t *testing.T) {
 	}
 }
 
-func TestFixRendersDiffs(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-fix", "-run", "rangemap", dirtyPkg)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
-	}
-	if !strings.Contains(stdout, "fix:") || !strings.Contains(stdout, "maputil.SortedKeys(") {
-		t.Errorf("-fix output missing rendered diff:\n%s", stdout)
-	}
-}
-
 func TestListExitsZero(t *testing.T) {
 	code, stdout, _ := runCLI(t, "-list")
 	if code != 0 {
 		t.Fatalf("-list exit = %d, want 0", code)
 	}
-	for _, name := range []string{"detrand", "seedflow", "rangemap", "lockheld",
+	for _, name := range []string{"detrand", "seedflow", "rangemap",
 		"handlesafe", "goroexit", "floatorder", "timescope"} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing analyzer %s", name)

@@ -16,19 +16,17 @@ package analysis
 import (
 	"fmt"
 	"go/token"
-	"regexp"
 	"sort"
 )
 
-// Diagnostic is one finding: an analyzer name, a source position, a
-// human-readable message, and optionally a mechanical suggested fix.
+// Diagnostic is one finding: an analyzer name, a source position and a
+// human-readable message.
 type Diagnostic struct {
 	Analyzer string `json:"analyzer"`
 	File     string `json:"file"`
 	Line     int    `json:"line"`
 	Col      int    `json:"col"`
 	Message  string `json:"message"`
-	Fix      *Fix   `json:"fix,omitempty"`
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -72,52 +70,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Col:      position.Column,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ReportFix records a finding at pos carrying a suggested edit: replace
-// the source span [pos, end) with newText. Spans crossing a line
-// boundary drop the fix and keep the plain diagnostic (every fix this
-// suite suggests is a single-line rewrite).
-func (p *Pass) ReportFix(pos, end token.Pos, fixMsg, newText, format string, args ...any) {
-	p.Reportf(pos, format, args...)
-	start := p.Pkg.Fset.Position(pos)
-	stop := p.Pkg.Fset.Position(end)
-	if start.Filename != stop.Filename || start.Line != stop.Line {
-		return
-	}
-	d := &p.diags[len(p.diags)-1]
-	d.Fix = &Fix{
-		Message: fixMsg,
-		Edits: []Edit{{
-			File: start.Filename, Line: start.Line,
-			StartCol: start.Column, EndCol: stop.Column, New: newText,
-		}},
-	}
-}
-
-// SpanEdit builds a single-line Edit replacing [pos, end) with newText.
-// It reports false when the span crosses a line boundary.
-func (p *Pass) SpanEdit(pos, end token.Pos, newText string) (Edit, bool) {
-	start := p.Pkg.Fset.Position(pos)
-	stop := p.Pkg.Fset.Position(end)
-	if start.Filename != stop.Filename || start.Line != stop.Line {
-		return Edit{}, false
-	}
-	return Edit{
-		File: start.Filename, Line: start.Line,
-		StartCol: start.Column, EndCol: stop.Column, New: newText,
-	}, true
-}
-
-// ReportWithFix records a finding at pos with a multi-edit fix. All
-// edits must target one line of one file (use SpanEdit); passing no
-// edits records a plain diagnostic.
-func (p *Pass) ReportWithFix(pos token.Pos, fixMsg string, edits []Edit, format string, args ...any) {
-	p.Reportf(pos, format, args...)
-	if len(edits) == 0 {
-		return
-	}
-	p.diags[len(p.diags)-1].Fix = &Fix{Message: fixMsg, Edits: edits}
 }
 
 // ExportFact attaches a fact to the object named by key, visible to
@@ -202,12 +154,12 @@ func RunFacts(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *FactStore)
 	return deduped, store
 }
 
-// All returns the eight flexvet analyzers in reporting order: the four
-// determinism and locking analyzers, then the four covering sim handles,
-// goroutine exits, float accumulation order and the wall clock.
+// All returns the seven flexvet analyzers in reporting order: the three
+// determinism analyzers, then the four covering sim handles, goroutine
+// exits, float accumulation order and the wall clock.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Detrand, Seedflow, Rangemap, Lockheld,
+		Detrand, Seedflow, Rangemap,
 		Handlesafe, Goroexit, Floatorder, Timescope,
 	}
 }
@@ -240,7 +192,3 @@ func pathIn(pkgPath string, roots ...string) bool {
 	}
 	return false
 }
-
-// guardedRe matches "guarded by <name>" in a doc comment (lockheld) —
-// kept here so the comment grammar is documented next to the framework.
-var guardedRe = regexp.MustCompile(`guarded by (\w+)`)

@@ -9,19 +9,19 @@ import (
 // Fact is one named property an analyzer attaches to an exported object
 // so analyzers running later — in particular over packages that import
 // the object's package — can consult it. Facts are keyed by a stable
-// textual object path (see FuncKey / FieldKey) rather than by
+// textual object path (see FuncKey) rather than by
 // types.Object identity, because each package is type-checked in its own
 // universe: the importing package's view of an object is a different
 // *types.Object than the defining package's, but both render to the
 // same key.
 type Fact struct {
 	// Key is the object path, e.g.
-	// "flexmap/internal/parallel.Pool.OnProgress".
+	// "flexmap/internal/analysis/testdata/src/factdep/a.WallNow".
 	Key string `json:"key"`
-	// Name is the fact kind, e.g. "guarded-by", "wall-clock".
+	// Name is the fact kind, e.g. "wall-clock".
 	Name string `json:"name"`
-	// Detail is the analyzer-specific payload (mutex name, the
-	// wall-clock call the function makes, …).
+	// Detail is the analyzer-specific payload (for a wall-clock fact,
+	// the function it was derived through).
 	Detail string `json:"detail"`
 	// Analyzer is the exporting analyzer's name.
 	Analyzer string `json:"analyzer"`
@@ -92,11 +92,6 @@ func FuncKey(pkgPath, recv, name string) string {
 	return pkgPath + "." + recv + "." + name
 }
 
-// FieldKey builds the fact key of a struct field ("pkg.Type.Field").
-func FieldKey(pkgPath, typeName, fieldName string) string {
-	return pkgPath + "." + typeName + "." + fieldName
-}
-
 // funcObjKey renders a *types.Func to its fact key, or "" when the
 // function is unkeyable (no package, or a method on an unnamed type).
 func funcObjKey(fn *types.Func) string {
@@ -119,9 +114,17 @@ func funcObjKey(fn *types.Func) string {
 }
 
 // calledFunc resolves a call's callee to a *types.Func for plain and
-// selector calls ("pkg.Fn(…)", "recv.Method(…)", "Fn(…)").
+// selector calls ("pkg.Fn(…)", "recv.Method(…)", "Fn(…)"), including
+// explicitly instantiated generic ones ("pkg.Fn[T](…)").
 func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := call.Fun.(type) {
+	fun := call.Fun
+	switch x := fun.(type) {
+	case *ast.IndexExpr:
+		fun = x.X
+	case *ast.IndexListExpr:
+		fun = x.X
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		fn, _ := info.Uses[fun].(*types.Func)
 		return fn
@@ -130,24 +133,6 @@ func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// fieldSelectionKey renders a field selection to the declaring-package
-// fact key, using the receiver's named type ("" for fields reached
-// through unnamed or promoted-only receivers).
-func fieldSelectionKey(sel *types.Selection) string {
-	if sel == nil || sel.Kind() != types.FieldVal {
-		return ""
-	}
-	named, ok := derefNamed(sel.Recv())
-	if !ok {
-		return ""
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return ""
-	}
-	return FieldKey(obj.Pkg().Path(), obj.Name(), sel.Obj().Name())
 }
 
 // derefNamed peels pointers off t and returns the named type beneath.

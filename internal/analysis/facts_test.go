@@ -7,41 +7,26 @@ import (
 
 const factdepAPath = "flexmap/internal/analysis/testdata/src/factdep/a"
 
-// TestFactPropagationAcrossPackages is the fact-layer end-to-end: facts
-// exported while analyzing package a (guarded field, wall-clock reader)
-// surface as findings in dependent package b. The packages are passed
-// importer-first, so the test also proves RunFacts reorders them by
-// dependency before analyzing.
+// TestFactPropagationAcrossPackages is the fact-layer end-to-end: the
+// wall-clock fact exported while analyzing package a surfaces as a
+// finding in dependent package b. The packages are passed importer-first,
+// so the test also proves RunFacts reorders them by dependency before
+// analyzing.
 func TestFactPropagationAcrossPackages(t *testing.T) {
 	a := loadTestPkg(t, "testdata/src/factdep/a", factdepAPath)
 	b := loadTestPkg(t, "testdata/src/factdep/b", "flexmap/internal/workload/fdep")
-	diags, facts := RunFacts([]*Package{b, a}, []*Analyzer{Lockheld, Timescope})
+	diags, facts := RunFacts([]*Package{b, a}, []*Analyzer{Timescope})
 
-	for _, want := range []struct{ key, name, detail string }{
-		{FieldKey(factdepAPath, "Shared", "Count"), FactGuardedBy, "Mu"},
-		{FuncKey(factdepAPath, "", "WallNow"), FactWallClock, "via WallNow"},
-	} {
-		f, ok := facts.Lookup(want.key, want.name)
-		if !ok {
-			t.Errorf("fact %q %q not exported", want.key, want.name)
-			continue
-		}
-		if f.Detail != want.detail {
-			t.Errorf("fact %q %q: detail = %q, want %q", want.key, want.name, f.Detail, want.detail)
-		}
+	f, ok := facts.Lookup(FuncKey(factdepAPath, "", "WallNow"), FactWallClock)
+	if !ok {
+		t.Fatal("wall-clock fact for a.WallNow not exported")
+	}
+	if f.Detail != "via WallNow" {
+		t.Errorf("wall-clock fact detail = %q, want %q", f.Detail, "via WallNow")
 	}
 
-	counts := map[string]int{}
-	for _, d := range diags {
-		if !strings.Contains(d.File, "factdep/b") {
-			t.Errorf("finding outside package b: %s", d)
-		}
-		counts[d.Analyzer]++
-	}
-	for _, name := range []string{"lockheld", "timescope"} {
-		if counts[name] != 1 {
-			t.Errorf("want exactly 1 %s finding in package b, got %d", name, counts[name])
-		}
+	if len(diags) != 1 || diags[0].Analyzer != "timescope" || !strings.Contains(diags[0].File, "factdep/b") {
+		t.Errorf("want exactly 1 timescope finding, in package b; got %v", diags)
 	}
 }
 
@@ -51,7 +36,7 @@ func TestFactDepWant(t *testing.T) {
 	runWantPkgs(t, []wantPkg{
 		{"testdata/src/factdep/b", "flexmap/internal/workload/fdep"},
 		{"testdata/src/factdep/a", factdepAPath},
-	}, Lockheld, Timescope)
+	}, Timescope)
 }
 
 // TestSortByDeps pins the ordering contract directly: the imported
@@ -73,7 +58,7 @@ func TestFactStoreDedupes(t *testing.T) {
 	s := NewFactStore()
 	s.Export(Fact{Key: "p.F", Name: "wall-clock", Detail: "first", Analyzer: "timescope"})
 	s.Export(Fact{Key: "p.F", Name: "wall-clock", Detail: "second", Analyzer: "timescope"})
-	s.Export(Fact{Key: "a.B", Name: "guarded-by", Detail: "mu", Analyzer: "lockheld"})
+	s.Export(Fact{Key: "a.B", Name: "wall-clock", Detail: "via B", Analyzer: "timescope"})
 	all := s.All()
 	if len(all) != 2 {
 		t.Fatalf("All() returned %d facts, want 2", len(all))

@@ -12,19 +12,19 @@ const parallelPkgPath = "flexmap/internal/parallel"
 
 // Floatorder generalizes rangemap's float-accumulation rule beyond map
 // ranges: any closure that runs in nondeterministic order — a goroutine
-// body, a parallel.Job Run function, a parallel.Pool OnProgress hook,
-// or any callback handed to internal/parallel — must not accumulate
-// into a captured float. Floating-point addition is not associative, so
-// `sum += x` across completion-ordered callbacks yields different low
-// bits run to run even when every input is identical; the same-seed
-// byte-identity suite then fails on the formatted totals. The sanctioned
-// shape is per-result values reduced in a deterministic order after the
-// pool returns (parallel.Pool already returns results in submission
-// order for exactly this reason).
+// body, or any callback handed to internal/parallel, such as parallel.Map's
+// job and progress functions — must not accumulate into a captured
+// float. Floating-point addition is not associative, so `sum += x`
+// across completion-ordered callbacks yields different low bits run to
+// run even when every input is identical; the same-seed byte-identity
+// suite then fails on the formatted totals. The sanctioned shape is
+// per-result values reduced in a deterministic order after the pool
+// returns (parallel.Map returns results in index order for exactly this
+// reason).
 var Floatorder = &Analyzer{
 	Name: "floatorder",
 	Doc: "no float accumulation into captured variables from " +
-		"completion-ordered closures (goroutines, parallel.Job/Pool callbacks)",
+		"completion-ordered closures (goroutines, parallel callbacks)",
 	Run: runFloatorder,
 }
 
@@ -37,39 +37,10 @@ func runFloatorder(pass *Pass) {
 				if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
 					checkUnorderedLit(pass, lit, "a goroutine body")
 				}
-			case *ast.CompositeLit:
-				// parallel.Job{Run: func(…){…}} and positional equivalents.
-				if tv, ok := info.Types[n]; ok && namedInPkg(tv.Type, parallelPkgPath) {
-					for _, elt := range n.Elts {
-						v := elt
-						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							v = kv.Value
-						}
-						if lit, ok := v.(*ast.FuncLit); ok {
-							checkUnorderedLit(pass, lit, "a parallel.Job function")
-						}
-					}
-				}
-			case *ast.AssignStmt:
-				// pool.OnProgress = func(…){…} — a field of a parallel type.
-				for i, rhs := range n.Rhs {
-					lit, ok := rhs.(*ast.FuncLit)
-					if !ok || i >= len(n.Lhs) {
-						continue
-					}
-					sel, ok := n.Lhs[i].(*ast.SelectorExpr)
-					if !ok {
-						continue
-					}
-					s, ok := info.Selections[sel]
-					if ok && s.Kind() == types.FieldVal &&
-						s.Obj().Pkg() != nil && s.Obj().Pkg().Path() == parallelPkgPath {
-						checkUnorderedLit(pass, lit, "parallel."+s.Obj().Name())
-					}
-				}
 			case *ast.CallExpr:
-				// Closures handed directly to internal/parallel functions or
-				// methods run on its workers.
+				// Closures handed directly to internal/parallel run in
+				// completion order: job functions on its workers, progress
+				// callbacks as each job finishes.
 				if fn := calledFunc(info, n); fn != nil &&
 					fn.Pkg() != nil && fn.Pkg().Path() == parallelPkgPath {
 					for _, arg := range n.Args {
@@ -147,25 +118,4 @@ func mentionsObject(info *types.Info, e ast.Expr, obj types.Object) bool {
 		return !found
 	})
 	return found
-}
-
-// namedInPkg reports whether t (possibly behind pointers) is a named
-// type defined in pkgPath.
-func namedInPkg(t types.Type, pkgPath string) bool {
-	if t == nil {
-		return false
-	}
-	for {
-		p, ok := t.(*types.Pointer)
-		if !ok {
-			break
-		}
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }

@@ -18,8 +18,7 @@ const simPkgPath = "flexmap/internal/sim"
 //  1. Handles are value types. A *sim.Handle field, variable or
 //     parameter shares one handle between owners, so one owner's
 //     re-schedule invalidates another's view without the generation
-//     check noticing. Store sim.Handle by value (the suggested fix
-//     drops the pointer).
+//     check noticing. Store sim.Handle by value.
 //  2. A Handle is only meaningful to the Engine that issued it. Passing
 //     a handle scheduled on engine A to B.Cancel is a silent no-op at
 //     best (generation mismatch) and cross-simulation corruption at
@@ -50,8 +49,7 @@ func runHandlesafe(pass *Pass) {
 }
 
 // checkHandlePointerDecls flags every type expression *sim.Handle in
-// field, parameter, result and var declarations, with a fix dropping
-// the pointer.
+// field, parameter, result and var declarations.
 func checkHandlePointerDecls(pass *Pass, f *ast.File) {
 	info := pass.Pkg.TypesInfo
 	report := func(typeExpr ast.Expr) {
@@ -67,9 +65,7 @@ func checkHandlePointerDecls(pass *Pass, f *ast.File) {
 		if !ok || !isNamedType(ptr.Elem(), simPkgPath, "Handle") {
 			return
 		}
-		pass.ReportFix(star.Pos(), star.End(),
-			"drop the pointer: handles are value types",
-			types.ExprString(star.X),
+		pass.Reportf(star.Pos(),
 			"store sim.Handle by value: a *sim.Handle shared between owners defeats the generation check that makes stale Cancel a no-op")
 	}
 	ast.Inspect(f, func(n ast.Node) bool {

@@ -1,57 +1,7 @@
 package analysis
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestHandlesafe(t *testing.T) {
 	runWant(t, "testdata/src/handlesafe", "flexmap/internal/engine/hstest", Handlesafe)
-}
-
-// The *sim.Handle findings carry a mechanical fix dropping the pointer.
-func TestHandlesafeFix(t *testing.T) {
-	pkg := loadTestPkg(t, "testdata/src/handlesafe", "flexmap/internal/engine/hstest")
-	diags := Run([]*Package{pkg}, []*Analyzer{Handlesafe})
-	fixed := 0
-	for _, d := range diags {
-		if !strings.Contains(d.Message, "store sim.Handle by value") {
-			continue
-		}
-		if d.Fix == nil {
-			t.Errorf("%s: pointer-handle finding has no fix", d)
-			continue
-		}
-		fixed++
-		out, err := RenderFix(d)
-		if err != nil {
-			t.Errorf("RenderFix(%s): %v", d, err)
-			continue
-		}
-		minus, plus := diffLines(t, out)
-		if !strings.Contains(minus, "*sim.Handle") || strings.Contains(plus, "*sim.Handle") {
-			t.Errorf("fix for %s did not drop the pointer:\n%s", d, out)
-		}
-	}
-	if fixed == 0 {
-		t.Fatal("no pointer-handle findings carried fixes")
-	}
-}
-
-// diffLines extracts the -old and +new lines from a rendered fix.
-func diffLines(t *testing.T, rendered string) (minus, plus string) {
-	t.Helper()
-	for _, line := range strings.Split(rendered, "\n") {
-		trimmed := strings.TrimSpace(line)
-		switch {
-		case strings.HasPrefix(trimmed, "-"):
-			minus = trimmed
-		case strings.HasPrefix(trimmed, "+"):
-			plus = trimmed
-		}
-	}
-	if minus == "" || plus == "" {
-		t.Fatalf("rendered fix missing -/+ lines:\n%s", rendered)
-	}
-	return minus, plus
 }

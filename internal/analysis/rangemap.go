@@ -102,47 +102,7 @@ func checkMapRange(pass *Pass, fn *ast.FuncDecl, rs *ast.RangeStmt) {
 	if reason == "" {
 		return
 	}
-	const format = "map iteration order is nondeterministic and this loop %s: iterate sorted keys (e.g. maputil.SortedKeys) or sort the result"
-	if edits, ok := sortedKeysFix(pass, rs, tv.Type); ok {
-		pass.ReportWithFix(rs.Pos(),
-			"iterate maputil.SortedKeys (import flexmap/internal/maputil)",
-			edits, format, reason)
-		return
-	}
-	pass.Reportf(rs.Pos(), format, reason)
-}
-
-// sortedKeysFix builds the mechanical rewrite of a key-only map range —
-// `for k := range m` → `for _, k := range maputil.SortedKeys(m)` — when
-// the loop binds only the key to a plain identifier and the key type is
-// ordered (maputil.SortedKeys requires cmp.Ordered). Value-binding loops
-// need a lookup added in the body, which is no longer a one-line edit.
-func sortedKeysFix(pass *Pass, rs *ast.RangeStmt, mapType types.Type) ([]Edit, bool) {
-	if rs.Value != nil {
-		return nil, false
-	}
-	key, ok := rs.Key.(*ast.Ident)
-	if !ok || key.Name == "_" {
-		return nil, false
-	}
-	m, ok := mapType.Underlying().(*types.Map)
-	if !ok {
-		return nil, false
-	}
-	basic, ok := m.Key().Underlying().(*types.Basic)
-	if !ok || basic.Info()&types.IsOrdered == 0 {
-		return nil, false
-	}
-	keyEdit, ok := pass.SpanEdit(key.Pos(), key.End(), "_, "+key.Name)
-	if !ok {
-		return nil, false
-	}
-	xEdit, ok := pass.SpanEdit(rs.X.Pos(), rs.X.End(),
-		"maputil.SortedKeys("+types.ExprString(rs.X)+")")
-	if !ok || keyEdit.Line != xEdit.Line {
-		return nil, false
-	}
-	return []Edit{keyEdit, xEdit}, true
+	pass.Reportf(rs.Pos(), "map iteration order is nondeterministic and this loop %s: iterate sorted keys (e.g. maputil.SortedKeys) or sort the result", reason)
 }
 
 // sinkCall classifies a call as order-sensitive and returns the reason,

@@ -3,26 +3,23 @@
 // internal/parallel callbacks).
 package fotest
 
-import (
-	"context"
-
-	"flexmap/internal/parallel"
-	"flexmap/internal/randutil"
-)
+import "flexmap/internal/parallel"
 
 func capturedSumInJob(names []string) float64 {
 	total := 0.0
-	jobs := make([]parallel.Job, 0, len(names))
-	for _, name := range names {
-		jobs = append(jobs, parallel.Job{
-			Name: name,
-			Run: func(ctx context.Context, rng *randutil.Source) (any, error) {
-				total += 1.0 // want floatorder:"completion-order"
-				return nil, nil
-			},
-		})
-	}
-	parallel.RunAll(context.Background(), 1, jobs)
+	parallel.Map(2, names, func(i int) (int, error) {
+		total += 1.0 // want floatorder:"completion-order"
+		return i, nil
+	}, nil)
+	return total
+}
+
+func instantiatedCall(names []string) float64 {
+	total := 0.0
+	parallel.Map[float64](2, names, func(i int) (float64, error) {
+		total -= 1.0 // want floatorder:"completion-order"
+		return 0, nil
+	}, nil)
 	return total
 }
 
@@ -36,41 +33,40 @@ func goStmtAccum(xs []float64) float64 {
 	return sum
 }
 
-func onProgressAccum() parallel.Pool {
+func progressAccum(names []string) float64 {
 	rate := 0.0
-	p := parallel.Pool{Workers: 2}
-	p.OnProgress = func(done, total int) {
-		rate = rate + float64(done)/float64(total) // want floatorder:"completion-order"
-	}
-	_ = rate
-	return p
+	parallel.Map(2, names, func(i int) (int, error) { return i, nil },
+		func(done, total int) {
+			rate = rate + float64(done)/float64(total) // want floatorder:"completion-order"
+		})
+	return rate
 }
 
 // perResultReduce is the sanctioned shape: each job returns its value,
-// and the caller reduces the results slice — which RunAll returns in
-// submission order — deterministically after the pool finishes.
-func perResultReduce(ctx context.Context, jobs []parallel.Job) float64 {
-	results := parallel.RunAll(ctx, 7, jobs)
+// and the caller reduces the results — which Map returns in index
+// order — deterministically after the pool finishes.
+func perResultReduce(names []string, xs []float64) float64 {
+	results, err := parallel.Map(2, names, func(i int) (float64, error) {
+		return xs[i] * 2, nil
+	}, nil)
+	if err != nil {
+		return 0
+	}
 	total := 0.0
-	for _, r := range results {
-		if v, ok := r.Value.(float64); ok {
-			total += v
-		}
+	for _, v := range results {
+		total += v
 	}
 	return total
 }
 
 // localInsideLit accumulates into a literal-local variable, which no
 // other callback shares.
-func localInsideLit() parallel.Job {
-	return parallel.Job{
-		Name: "local",
-		Run: func(ctx context.Context, rng *randutil.Source) (any, error) {
-			local := 0.0
-			for i := 0; i < 4; i++ {
-				local += float64(i)
-			}
-			return local, nil
-		},
-	}
+func localInsideLit(names []string) ([]float64, error) {
+	return parallel.Map(2, names, func(i int) (float64, error) {
+		local := 0.0
+		for k := 0; k < i; k++ {
+			local += float64(k)
+		}
+		return local, nil
+	}, nil)
 }

@@ -7,7 +7,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -16,7 +15,6 @@ import (
 	"flexmap/internal/mr"
 	"flexmap/internal/parallel"
 	"flexmap/internal/puma"
-	"flexmap/internal/randutil"
 	"flexmap/internal/runner"
 )
 
@@ -38,9 +36,10 @@ type Config struct {
 	// all its RNG state locally from the scenario seed.
 	Parallel int
 	// Progress, when non-nil, receives (done, total) after each
-	// simulation of a harness's grid completes (see parallel.Pool
-	// .OnProgress). It must write only to side channels (stderr, a
-	// progress bar): the rendered figures must stay byte-identical.
+	// simulation of a harness's grid completes, on the goroutine that
+	// called the harness (see parallel.Map). It must write only to side
+	// channels (stderr, a progress bar): the rendered figures must stay
+	// byte-identical.
 	Progress func(done, total int)
 	// TraceDir, when non-empty, writes one event-trace JSONL file per
 	// simulation into that directory, named <scenario>-<engine>.jsonl.
@@ -152,26 +151,13 @@ type simJob struct {
 // or the first error in input order. A panicking scenario surfaces as
 // that error rather than crashing the harness.
 func runJobs(cfg Config, jobs []simJob) ([]*runner.Result, error) {
-	pjobs := make([]parallel.Job, len(jobs))
+	names := make([]string, len(jobs))
 	for i, j := range jobs {
-		j := j
-		pjobs[i] = parallel.Job{
-			Name: j.name,
-			Run: func(context.Context, *randutil.Source) (any, error) {
-				return j.run()
-			},
-		}
+		names[i] = j.name
 	}
-	batch := parallel.Pool{Workers: cfg.Parallel, BaseSeed: cfg.Seed, OnProgress: cfg.Progress}.
-		RunAll(context.Background(), pjobs)
-	if err := parallel.FirstError(batch); err != nil {
-		return nil, err
-	}
-	out := make([]*runner.Result, len(batch))
-	for i, r := range batch {
-		out[i], _ = r.Value.(*runner.Result)
-	}
-	return out, nil
+	return parallel.Map(cfg.Parallel, names, func(i int) (*runner.Result, error) {
+		return jobs[i].run()
+	}, cfg.Progress)
 }
 
 func runWith(cfg Config, def clusterDef, b puma.Benchmark, input int64, eng runner.Engine, reducers int) (*runner.Result, error) {

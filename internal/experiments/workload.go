@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -10,7 +9,6 @@ import (
 	"flexmap/internal/mr"
 	"flexmap/internal/parallel"
 	"flexmap/internal/puma"
-	"flexmap/internal/randutil"
 	"flexmap/internal/runner"
 	"flexmap/internal/workload"
 )
@@ -122,26 +120,22 @@ func workloadFigure(cfg Config, loads []float64) (*WorkloadFigureResult, error) 
 		out.Engines = append(out.Engines, eng.String())
 	}
 
-	var jobs []parallel.Job
+	var names []string
 	for _, load := range loads {
 		for _, eng := range engines {
-			load, eng := load, eng
-			jobs = append(jobs, parallel.Job{
-				Name: fmt.Sprintf("workload/%s/load-%g", eng, load),
-				Run: func(context.Context, *randutil.Source) (any, error) {
-					sc := workloadScenario(cfg, eng, load, small, large)
-					if cfg.TraceDir != "" {
-						sc.Trace.JSONLPath = filepath.Join(cfg.TraceDir,
-							sanitizeTraceName(sc.Name)+".jsonl")
-					}
-					return runner.RunWorkload(sc)
-				},
-			})
+			names = append(names, fmt.Sprintf("workload/%s/load-%g", eng, load))
 		}
 	}
-	batch := parallel.Pool{Workers: cfg.Parallel, BaseSeed: cfg.Seed, OnProgress: cfg.Progress}.
-		RunAll(context.Background(), jobs)
-	if err := parallel.FirstError(batch); err != nil {
+	batch, err := parallel.Map(cfg.Parallel, names, func(i int) (*runner.WorkloadResult, error) {
+		load, eng := loads[i/len(engines)], engines[i%len(engines)]
+		sc := workloadScenario(cfg, eng, load, small, large)
+		if cfg.TraceDir != "" {
+			sc.Trace.JSONLPath = filepath.Join(cfg.TraceDir,
+				sanitizeTraceName(sc.Name)+".jsonl")
+		}
+		return runner.RunWorkload(sc)
+	}, cfg.Progress)
+	if err != nil {
 		return nil, err
 	}
 
@@ -155,7 +149,7 @@ func workloadFigure(cfg Config, loads []float64) (*WorkloadFigureResult, error) 
 		out.QueueWait[load] = map[string]float64{}
 		out.MaxConcurrent[load] = map[string]int{}
 		for _, eng := range engines {
-			r, _ := batch[i].Value.(*runner.WorkloadResult)
+			r := batch[i]
 			i++
 			if r == nil {
 				return nil, fmt.Errorf("workload: cell %s/load-%g returned no result", eng, load)

@@ -1,192 +1,83 @@
-// Package parallel provides a bounded worker pool for fanning many
-// independent simulation runs across the machine's cores while keeping
-// every property the serial loops had:
+// Package parallel fans independent simulation runs across the
+// machine's cores while keeping every property a serial loop has:
 //
-//   - Ordering: RunAll returns one Result per Job, in input order,
-//     regardless of which worker finished which job first.
-//   - Determinism: each job receives its own RNG derived purely from
-//     (BaseSeed, job index) via randutil.DeriveSeed, so no two jobs ever
-//     share random state and output is bit-for-bit identical to a serial
-//     run of the same jobs.
-//   - Containment: a panicking job becomes an error Result (with the
-//     stack attached), not a crashed process.
-//   - Cancellation: when the context is canceled, running jobs finish
-//     but jobs not yet started are marked with the context's error.
+//   - Ordering: Map returns results in index order, and the first error
+//     in index order, regardless of which worker finished first.
+//   - Containment: a panicking job becomes that job's error, with the
+//     stack attached, not a crashed process.
+//
+// Map hands jobs no randomness: each simulation seeds itself from its
+// scenario, so a run's output does not depend on the worker count.
 //
 // The experiment harnesses in internal/experiments put every simulation
-// of their scenario grid through this pool; cmd/paperfigs exposes the
-// worker count as -parallel.
+// of their scenario grid through Map; cmd/paperfigs exposes the worker
+// count as -parallel.
 package parallel
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
-
-	"flexmap/internal/randutil"
 )
 
-// Job is one independent unit of work, typically a single simulated job
-// run. Run receives a private RNG seeded from (Pool.BaseSeed, job index);
-// jobs that carry their own seeding may ignore it.
-type Job struct {
-	// Name labels the job in error messages ("fig5/physical/wordcount").
-	Name string
-	Run  func(ctx context.Context, rng *randutil.Source) (any, error)
-}
-
-// Result is the outcome of one Job, at the same index the job was
-// submitted.
-type Result struct {
-	Name  string
-	Value any
-	Err   error
-	// Panicked reports that Err came from a recovered panic.
-	Panicked bool
-}
-
-// PanicError is the error a panicking job produces.
-type PanicError struct {
-	Job   string
-	Value any
-	Stack []byte
-}
-
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("parallel: job %q panicked: %v\n%s", e.Job, e.Value, e.Stack)
-}
-
-// Pool configures a bounded fan-out.
-type Pool struct {
-	// Workers bounds concurrency: 0 (or negative) means GOMAXPROCS,
-	// 1 means fully serial execution on the calling goroutine's schedule.
-	Workers int
-	// BaseSeed seeds the per-job RNGs (job i gets
-	// randutil.DeriveSeed(BaseSeed, i)).
-	BaseSeed int64
-	// OnProgress, when non-nil, is invoked after each job finishes with
-	// the number of completed jobs so far and the total. Invocations are
-	// serialized under the pool's internal lock and done is strictly
-	// increasing from 1 to total, so a consumer can render a progress
-	// meter without further synchronization. Completion order — and so
-	// which job produced the k-th call — is scheduling-dependent; only
-	// the counts are deterministic. Keep the callback cheap: it runs on
-	// worker goroutines and stalls the tally while it executes.
-	OnProgress func(done, total int)
-}
-
-// tally tracks cross-worker completion counts for one RunAll call. Its
-// counters are written by every worker goroutine, so all field access is
-// serialized by mu (flexvet's lockheld analyzer enforces the comments).
-type tally struct {
-	mu sync.Mutex
-	// done is the number of jobs that have finished, successfully or
-	// not. guarded by mu
-	done int
-	// panicked is the number of jobs whose error came from a recovered
-	// panic. guarded by mu
-	panicked int
-}
-
-// bump records one finished job and, under the same critical section,
-// reports progress — keeping (done, total) pairs monotone even when many
-// workers finish at once.
-func (t *tally) bump(panicked bool, report func(done, total int), total int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.done++
-	if panicked {
-		t.panicked++
-	}
-	if report != nil {
-		report(t.done, total)
-	}
-}
-
-// counts returns the tally so far.
-func (t *tally) counts() (done, panicked int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.done, t.panicked
-}
-
-// RunAll executes all jobs through the pool and returns their results in
-// input order. It blocks until every started job has finished; jobs that
-// never started because ctx was canceled carry ctx's error.
-func (p Pool) RunAll(ctx context.Context, jobs []Job) []Result {
-	results := make([]Result, len(jobs))
-	if len(jobs) == 0 {
-		return results
-	}
-	workers := p.Workers
+// Map runs fn(0) … fn(len(names)-1) on at most workers goroutines
+// (0 or negative means GOMAXPROCS) and returns the results in index
+// order. If any call fails, Map returns the error of the lowest failing
+// index, prefixed with that job's name; a panic counts as that job's
+// error. Map returns once every call has finished.
+//
+// progress, when non-nil, is called with (done, total) after each call
+// finishes, done rising from 1 to total. It runs on the goroutine that
+// called Map, so it needs no synchronization. Which job produced the
+// k-th call depends on scheduling; only the counts are deterministic.
+func Map[T any](workers int, names []string, fn func(i int) (T, error), progress func(done, total int)) ([]T, error) {
+	n := len(names)
+	out := make([]T, n)
+	errs := make([]error, n)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers = min(workers, n)
 
-	// Workers pull indices from a shared channel; each writes only its
-	// own results[i] slot, so result slots need no synchronization. The
-	// shared completion tally is mutex-guarded.
-	tl := &tally{}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = runOne(ctx, jobs[i], i, p.BaseSeed)
-				tl.bump(results[i].Panicked, p.OnProgress, len(jobs))
-			}
-		}()
-	}
-	for i := range jobs {
+	// Every index is queued up front, so the workers drain idx and exit
+	// on their own. A worker writes only its own out[i] and errs[i]
+	// before signalling on finished; receiving that signal orders the
+	// writes before the caller reads them.
+	idx := make(chan int, n)
+	for i := range n {
 		idx <- i
 	}
 	close(idx)
-	wg.Wait()
-	return results
-}
-
-// RunAll is the one-shot convenience form: GOMAXPROCS workers, the given
-// base seed.
-func RunAll(ctx context.Context, baseSeed int64, jobs []Job) []Result {
-	return Pool{BaseSeed: baseSeed}.RunAll(ctx, jobs)
-}
-
-// runOne executes a single job with panic containment and cancellation.
-func runOne(ctx context.Context, job Job, i int, baseSeed int64) (res Result) {
-	res.Name = job.Name
-	if err := ctx.Err(); err != nil {
-		res.Err = err
-		return res
+	finished := make(chan struct{})
+	for range workers {
+		go func() {
+			for i := range idx {
+				out[i], errs[i] = call(fn, i)
+				finished <- struct{}{}
+			}
+		}()
 	}
+	for done := 1; done <= n; done++ {
+		<-finished
+		if progress != nil {
+			progress(done, n)
+		}
+	}
+
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", names[i], err)
+		}
+	}
+	return out, nil
+}
+
+// call runs fn(i), turning a panic into an error that carries the stack.
+func call[T any](fn func(int) (T, error), i int) (v T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res.Err = &PanicError{Job: job.Name, Value: r, Stack: debug.Stack()}
-			res.Panicked = true
+			err = fmt.Errorf("panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
-	rng := randutil.New(randutil.DeriveSeed(baseSeed, i))
-	res.Value, res.Err = job.Run(ctx, rng)
-	return res
-}
-
-// FirstError returns the first non-nil error in input order, wrapped with
-// its job name, or nil. Harnesses use it to turn a result batch into the
-// same single-error flow their serial loops had.
-func FirstError(results []Result) error {
-	for _, r := range results {
-		if r.Err != nil {
-			if r.Name != "" {
-				return fmt.Errorf("%s: %w", r.Name, r.Err)
-			}
-			return r.Err
-		}
-	}
-	return nil
+	return fn(i)
 }

@@ -1,7 +1,7 @@
 package parallel
 
 // Race coverage for the whole concurrent-simulation stack. These tests
-// are written to run under `go test -race`: they hammer RunAll with many
+// are written to run under `go test -race`: they hammer Map with many
 // small but *real* simulation jobs so the detector sees every code path
 // a parallel experiment harness exercises — cluster construction, DFS
 // placement, the event engine, all four map engines, and randutil. Any
@@ -9,13 +9,11 @@ package parallel
 // report long before it corrupts an experiment table.
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
 	"flexmap/internal/cluster"
 	"flexmap/internal/puma"
-	"flexmap/internal/randutil"
 	"flexmap/internal/runner"
 )
 
@@ -38,38 +36,30 @@ func simRace(t *testing.T, count, workers int) []float64 {
 		},
 		func() (*cluster.Cluster, cluster.Interferer) { return cluster.MultiTenant40(0.2, 5) },
 	}
-	jobs := make([]Job, count)
-	for i := range jobs {
-		i := i
+	names := make([]string, count)
+	for i := range names {
+		names[i] = fmt.Sprintf("race-%d/%s", i, engines[i%len(engines)])
+	}
+	out, err := Map(workers, names, func(i int) (float64, error) {
 		eng := engines[i%len(engines)]
 		factory := factories[(i/len(engines))%len(factories)]
-		jobs[i] = Job{
-			Name: fmt.Sprintf("race-%d/%s", i, eng),
-			Run: func(context.Context, *randutil.Source) (any, error) {
-				spec, err := puma.Spec(puma.Grep, "input", 2)
-				if err != nil {
-					return nil, err
-				}
-				res, err := runner.Run(runner.Scenario{
-					Name:      fmt.Sprintf("race-%d", i),
-					Cluster:   factory,
-					Seed:      int64(7 + i%5), // a few jobs share seeds on purpose
-					InputSize: 16 * 8 * runner.MB,
-				}, spec, eng)
-				if err != nil {
-					return nil, err
-				}
-				return float64(res.JCT()), nil
-			},
+		spec, err := puma.Spec(puma.Grep, "input", 2)
+		if err != nil {
+			return 0, err
 		}
-	}
-	res := Pool{Workers: workers, BaseSeed: 3}.RunAll(context.Background(), jobs)
-	if err := FirstError(res); err != nil {
+		res, err := runner.Run(runner.Scenario{
+			Name:      fmt.Sprintf("race-%d", i),
+			Cluster:   factory,
+			Seed:      int64(7 + i%5), // a few jobs share seeds on purpose
+			InputSize: 16 * 8 * runner.MB,
+		}, spec, eng)
+		if err != nil {
+			return 0, err
+		}
+		return float64(res.JCT()), nil
+	}, nil)
+	if err != nil {
 		t.Fatal(err)
-	}
-	out := make([]float64, count)
-	for i, r := range res {
-		out[i] = r.Value.(float64)
 	}
 	return out
 }
@@ -105,24 +95,33 @@ func TestRaceDeterminismUnderContention(t *testing.T) {
 	}
 }
 
-// TestRacePoolInternals hammers the pool itself (no simulations) with
-// jobs that all touch their per-job RNG and a shared results pattern.
+// TestRacePoolInternals hammers Map itself (no simulations) with many
+// cheap jobs and a progress callback at several worker counts, checking
+// every result lands in its own slot.
 func TestRacePoolInternals(t *testing.T) {
 	const n = 200
-	jobs := make([]Job, n)
-	for i := range jobs {
-		jobs[i] = Job{Run: func(_ context.Context, rng *randutil.Source) (any, error) {
-			sum := 0.0
-			for k := 0; k < 100; k++ {
-				sum += rng.Float64()
-			}
-			return sum, nil
-		}}
+	work := func(i int) float64 {
+		sum := 0.0
+		for k := 0; k < 100; k++ {
+			sum += float64(i*k) / 7
+		}
+		return sum
 	}
 	for _, workers := range []int{2, 8, 32} {
-		res := Pool{Workers: workers, BaseSeed: 99}.RunAll(context.Background(), jobs)
-		if err := FirstError(res); err != nil {
+		calls := 0
+		got, err := Map(workers, jobNames(n), func(i int) (float64, error) {
+			return work(i), nil
+		}, func(int, int) { calls++ })
+		if err != nil {
 			t.Fatal(err)
+		}
+		for i, v := range got {
+			if v != work(i) {
+				t.Fatalf("workers=%d: result %d = %v, want %v", workers, i, v, work(i))
+			}
+		}
+		if calls != n {
+			t.Fatalf("workers=%d: progress called %d times, want %d", workers, calls, n)
 		}
 	}
 }

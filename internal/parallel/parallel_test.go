@@ -1,205 +1,121 @@
 package parallel
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"flexmap/internal/randutil"
 )
 
-// job returns a trivial job computing i*2.
-func job(i int) Job {
-	return Job{
-		Name: fmt.Sprintf("job-%d", i),
-		Run: func(context.Context, *randutil.Source) (any, error) {
-			return i * 2, nil
-		},
+// jobNames returns n job names "job-0" … "job-(n-1)".
+func jobNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("job-%d", i)
 	}
+	return names
 }
 
+// TestRunAllPreservesOrder: results come back in index order at any
+// worker count, including more workers than jobs.
 func TestRunAllPreservesOrder(t *testing.T) {
 	const n = 100
-	jobs := make([]Job, n)
-	for i := range jobs {
-		jobs[i] = job(i)
-	}
-	for _, workers := range []int{0, 1, 3, 16, n + 5} {
-		res := Pool{Workers: workers}.RunAll(context.Background(), jobs)
-		if len(res) != n {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(res), n)
+	for _, workers := range []int{0, 1, 2, 8, 32, n + 5} {
+		got, err := Map(workers, jobNames(n), func(i int) (int, error) {
+			return i * 2, nil
+		}, nil)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		for i, r := range res {
-			if r.Err != nil {
-				t.Fatalf("workers=%d: job %d failed: %v", workers, i, r.Err)
-			}
-			if r.Value.(int) != i*2 {
-				t.Fatalf("workers=%d: result %d = %v, want %d (order not preserved)", workers, i, r.Value, i*2)
-			}
-			if r.Name != fmt.Sprintf("job-%d", i) {
-				t.Fatalf("workers=%d: result %d named %q", workers, i, r.Name)
+		if len(got) != n {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), n)
+		}
+		for i, v := range got {
+			if v != i*2 {
+				t.Fatalf("workers=%d: result %d = %d, want %d (order not preserved)", workers, i, v, i*2)
 			}
 		}
 	}
 }
 
 func TestRunAllEmpty(t *testing.T) {
-	if res := RunAll(context.Background(), 1, nil); len(res) != 0 {
-		t.Fatalf("empty batch returned %d results", len(res))
+	calls := 0
+	got, err := Map(4, nil, func(int) (int, error) { return 0, nil },
+		func(int, int) { calls++ })
+	if err != nil || len(got) != 0 || calls != 0 {
+		t.Fatalf("empty batch: %d results, err %v, %d progress calls", len(got), err, calls)
 	}
 }
 
 func TestWorkerBound(t *testing.T) {
 	const workers = 4
 	var cur, peak atomic.Int32
-	jobs := make([]Job, 64)
-	for i := range jobs {
-		jobs[i] = Job{Run: func(context.Context, *randutil.Source) (any, error) {
-			c := cur.Add(1)
-			for {
-				p := peak.Load()
-				if c <= p || peak.CompareAndSwap(p, c) {
-					break
-				}
+	_, err := Map(workers, jobNames(64), func(int) (struct{}, error) {
+		c := cur.Add(1)
+		for {
+			p := peak.Load()
+			if c <= p || peak.CompareAndSwap(p, c) {
+				break
 			}
-			time.Sleep(time.Millisecond) // give siblings a chance to overlap
-			cur.Add(-1)
-			return nil, nil
-		}}
+		}
+		time.Sleep(time.Millisecond) // give siblings a chance to overlap
+		cur.Add(-1)
+		return struct{}{}, nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	Pool{Workers: workers}.RunAll(context.Background(), jobs)
 	if p := peak.Load(); p > workers {
 		t.Fatalf("observed %d concurrent jobs, bound is %d", p, workers)
 	}
 }
 
+// TestPanicBecomesErrorResult: a panic becomes the error of the job
+// that panicked, named by it and carrying the panic value and stack;
+// its siblings still run.
 func TestPanicBecomesErrorResult(t *testing.T) {
-	jobs := []Job{
-		job(0),
-		{Name: "boom", Run: func(context.Context, *randutil.Source) (any, error) {
+	var ran atomic.Int32
+	_, err := Map(2, []string{"ok-0", "boom", "ok-2"}, func(i int) (int, error) {
+		if i == 1 {
 			panic("kaboom")
-		}},
-		job(2),
+		}
+		ran.Add(1)
+		return i, nil
+	}, nil)
+	if err == nil {
+		t.Fatal("panicking job produced no error")
 	}
-	res := Pool{Workers: 2}.RunAll(context.Background(), jobs)
-	if res[0].Err != nil || res[2].Err != nil {
-		t.Fatalf("healthy jobs affected by panicking sibling: %v / %v", res[0].Err, res[2].Err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "boom: panicked: kaboom") {
+		t.Fatalf("panic error not named by its job: %q", msg)
 	}
-	if !res[1].Panicked {
-		t.Fatal("panic not flagged")
+	if !strings.Contains(msg, "goroutine ") {
+		t.Fatalf("panic error carries no stack: %q", msg)
 	}
-	var pe *PanicError
-	if !errors.As(res[1].Err, &pe) {
-		t.Fatalf("panic error type %T", res[1].Err)
-	}
-	if pe.Value != "kaboom" || pe.Job != "boom" || len(pe.Stack) == 0 {
-		t.Fatalf("panic error missing detail: %+v", pe)
-	}
-	if !strings.Contains(pe.Error(), "kaboom") {
-		t.Fatalf("panic message %q", pe.Error())
-	}
-	if err := FirstError(res); err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("FirstError = %v", err)
+	if ran.Load() != 2 {
+		t.Fatalf("%d healthy jobs ran, want 2", ran.Load())
 	}
 }
 
-func TestContextCancellationSkipsPendingJobs(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	var once sync.Once
-	jobs := make([]Job, 50)
-	for i := range jobs {
-		jobs[i] = Job{Run: func(context.Context, *randutil.Source) (any, error) {
-			once.Do(func() { close(started) })
-			<-ctx.Done() // simulate long work until canceled
-			return "ran", nil
-		}}
-	}
-	go func() {
-		<-started
-		cancel()
-	}()
-	res := Pool{Workers: 2}.RunAll(ctx, jobs)
-	var ran, skipped int
-	for _, r := range res {
-		switch {
-		case r.Err == nil:
-			ran++
-		case errors.Is(r.Err, context.Canceled):
-			skipped++
-		default:
-			t.Fatalf("unexpected error: %v", r.Err)
-		}
-	}
-	if ran == 0 {
-		t.Fatal("no job ran before cancellation")
-	}
-	if skipped == 0 {
-		t.Fatal("cancellation did not skip any pending job")
-	}
-	if ran+skipped != len(jobs) {
-		t.Fatalf("ran %d + skipped %d != %d", ran, skipped, len(jobs))
-	}
-}
-
-// TestDerivedRNGDeterministic proves the per-job RNG streams depend only
-// on (BaseSeed, index) — not on worker count or completion order.
-func TestDerivedRNGDeterministic(t *testing.T) {
-	const n = 32
-	draw := func(workers int) []int64 {
-		jobs := make([]Job, n)
-		for i := range jobs {
-			jobs[i] = Job{Run: func(_ context.Context, rng *randutil.Source) (any, error) {
-				return rng.Int63(), nil
-			}}
-		}
-		res := Pool{Workers: workers, BaseSeed: 7}.RunAll(context.Background(), jobs)
-		out := make([]int64, n)
-		for i, r := range res {
-			out[i] = r.Value.(int64)
-		}
-		return out
-	}
-	serial := draw(1)
-	for _, workers := range []int{0, 2, 8} {
-		got := draw(workers)
-		for i := range serial {
-			if got[i] != serial[i] {
-				t.Fatalf("workers=%d: job %d drew %d, serial drew %d", workers, i, got[i], serial[i])
-			}
-		}
-	}
-	// Distinct jobs must get distinct streams.
-	seen := map[int64]bool{}
-	for _, v := range serial {
-		if seen[v] {
-			t.Fatalf("two jobs drew the same first value %d", v)
-		}
-		seen[v] = true
-	}
-}
-
+// TestFirstErrorOrder: when several jobs fail, the lowest index wins,
+// even if a later job failed first.
 func TestFirstErrorOrder(t *testing.T) {
 	errA := errors.New("a")
-	res := []Result{
-		{Name: "ok"},
-		{Name: "second", Err: errA},
-		{Name: "third", Err: errors.New("b")},
-	}
-	err := FirstError(res)
-	if !errors.Is(err, errA) || !strings.Contains(err.Error(), "second") {
-		t.Fatalf("FirstError = %v", err)
-	}
-	if FirstError(res[:1]) != nil {
-		t.Fatal("error from clean batch")
-	}
-	// Unnamed jobs pass the error through unwrapped.
-	if err := FirstError([]Result{{Err: errA}}); err != errA {
-		t.Fatalf("unnamed FirstError = %v", err)
+	thirdFailed := make(chan struct{})
+	_, err := Map(3, []string{"ok", "second", "third"}, func(i int) (int, error) {
+		switch i {
+		case 1:
+			<-thirdFailed
+			return 0, errA
+		case 2:
+			defer close(thirdFailed)
+			return 0, errors.New("b")
+		}
+		return i, nil
+	}, nil)
+	if !errors.Is(err, errA) || !strings.HasPrefix(err.Error(), "second: ") {
+		t.Fatalf("Map error = %v, want second's", err)
 	}
 }

@@ -1,35 +1,29 @@
 package parallel
 
 import (
-	"context"
 	"errors"
 	"testing"
-
-	"flexmap/internal/randutil"
 )
 
-// TestOnProgressMonotone hammers the progress callback from many workers
-// and checks the documented contract: serialized calls, done strictly
-// increasing 1..total. Run under -race this also proves the tally's
-// locking.
+// TestOnProgressMonotone drives the progress callback from many workers
+// and checks the documented contract: done rises 1..total, one call per
+// job. The callback appends to a slice with no lock; under -race that
+// proves the calls run on the caller's goroutine, never concurrently.
 func TestOnProgressMonotone(t *testing.T) {
 	const n = 200
-	jobs := make([]Job, n)
-	for i := range jobs {
-		jobs[i] = Job{Name: "job", Run: func(context.Context, *randutil.Source) (any, error) {
-			return nil, nil
-		}}
-	}
 	var seen []int
-	p := Pool{Workers: 8, OnProgress: func(done, total int) {
-		if total != n {
-			t.Errorf("total = %d, want %d", total, n)
-		}
-		seen = append(seen, done) // safe: calls are serialized by the pool
-	}}
-	p.RunAll(context.Background(), jobs)
+	_, err := Map(8, jobNames(n), func(i int) (int, error) { return i, nil },
+		func(done, total int) {
+			if total != n {
+				t.Errorf("total = %d, want %d", total, n)
+			}
+			seen = append(seen, done)
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(seen) != n {
-		t.Fatalf("OnProgress called %d times, want %d", len(seen), n)
+		t.Fatalf("progress called %d times, want %d", len(seen), n)
 	}
 	for i, d := range seen {
 		if d != i+1 {
@@ -38,33 +32,23 @@ func TestOnProgressMonotone(t *testing.T) {
 	}
 }
 
-// TestTallyCountsPanics checks that panicking jobs are tallied.
-func TestTallyCountsPanics(t *testing.T) {
-	tl := &tally{}
-	tl.bump(false, nil, 3)
-	tl.bump(true, nil, 3)
-	tl.bump(true, nil, 3)
-	done, panicked := tl.counts()
-	if done != 3 || panicked != 2 {
-		t.Fatalf("counts() = (%d, %d), want (3, 2)", done, panicked)
-	}
-}
-
 // TestOnProgressWithErrors checks the callback still fires for failing
 // and panicking jobs — progress counts completions, not successes.
 func TestOnProgressWithErrors(t *testing.T) {
-	jobs := []Job{
-		{Name: "ok", Run: func(context.Context, *randutil.Source) (any, error) { return 1, nil }},
-		{Name: "err", Run: func(context.Context, *randutil.Source) (any, error) { return nil, errors.New("boom") }},
-		{Name: "panic", Run: func(context.Context, *randutil.Source) (any, error) { panic("bang") }},
-	}
 	calls := 0
-	p := Pool{Workers: 1, OnProgress: func(done, total int) { calls++ }}
-	results := p.RunAll(context.Background(), jobs)
-	if calls != len(jobs) {
-		t.Fatalf("OnProgress called %d times, want %d", calls, len(jobs))
+	_, err := Map(1, []string{"ok", "err", "panic"}, func(i int) (int, error) {
+		switch i {
+		case 1:
+			return 0, errors.New("boom")
+		case 2:
+			panic("bang")
+		}
+		return 1, nil
+	}, func(done, total int) { calls++ })
+	if calls != 3 {
+		t.Fatalf("progress called %d times, want 3", calls)
 	}
-	if !results[2].Panicked {
-		t.Fatalf("job 2 should be marked panicked")
+	if err == nil || err.Error() != "err: boom" {
+		t.Fatalf("Map error = %v, want the first failing job's", err)
 	}
 }

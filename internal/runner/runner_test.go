@@ -138,6 +138,51 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestBadMembershipPlanRejected: a membership plan with a negative,
+// NaN or infinite spare speed or churn rate, negative slots, or a spot
+// fraction outside [0, 1] is a scenario error from both Run and
+// RunWorkload — not a panic in AddSpares, and not a silently static
+// fleet.
+func TestBadMembershipPlanRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	plan := func(mut func(*elastic.Plan)) elastic.Plan {
+		p := elastic.Plan{Spares: 2, JoinsPerHour: 1, LeavesPerHour: 1, SpotFraction: 0.5}
+		mut(&p)
+		return p
+	}
+	cases := []struct {
+		name string
+		plan elastic.Plan
+	}{
+		{"negative speed", plan(func(p *elastic.Plan) { p.SpareSpec.BaseSpeed = -1 })},
+		{"NaN speed", plan(func(p *elastic.Plan) { p.SpareSpec.BaseSpeed = nan })},
+		{"+Inf speed", plan(func(p *elastic.Plan) { p.SpareSpec.BaseSpeed = inf })},
+		{"-Inf speed", plan(func(p *elastic.Plan) { p.SpareSpec.BaseSpeed = -inf })},
+		{"negative slots", plan(func(p *elastic.Plan) { p.SpareSpec.Slots = -1 })},
+		{"negative joins", plan(func(p *elastic.Plan) { p.JoinsPerHour = -1 })},
+		{"NaN joins", plan(func(p *elastic.Plan) { p.JoinsPerHour = nan })},
+		{"+Inf joins", plan(func(p *elastic.Plan) { p.JoinsPerHour = inf })},
+		{"NaN leaves", plan(func(p *elastic.Plan) { p.LeavesPerHour = nan })},
+		{"+Inf leaves", plan(func(p *elastic.Plan) { p.LeavesPerHour = inf })},
+		{"NaN spot fraction", plan(func(p *elastic.Plan) { p.SpotFraction = nan })},
+		{"spot fraction above 1", plan(func(p *elastic.Plan) { p.SpotFraction = 1.5 })},
+		{"negative spot fraction", plan(func(p *elastic.Plan) { p.SpotFraction = -0.1 })},
+	}
+	spec := wcSpec(t, 2)
+	for _, tc := range cases {
+		sc := smallScenario(hetFactory)
+		sc.Membership = tc.plan
+		if _, err := Run(sc, spec, Engine{Kind: Hadoop}); err == nil || !strings.Contains(err.Error(), "membership plan") {
+			t.Errorf("%s: Run error = %v, want a membership plan error", tc.name, err)
+		}
+		wl := testWorkload(1, 2)
+		wl.Membership = tc.plan
+		if _, err := RunWorkload(wl); err == nil || !strings.Contains(err.Error(), "membership plan") {
+			t.Errorf("%s: RunWorkload error = %v, want a membership plan error", tc.name, err)
+		}
+	}
+}
+
 func TestEngineString(t *testing.T) {
 	cases := map[string]Engine{
 		"hadoop-64m":        {Kind: Hadoop},

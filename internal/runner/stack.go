@@ -46,9 +46,13 @@ type stack struct {
 
 // newStack builds the stack from the scenario's shared fields: Name,
 // Cluster, Seed, Replication, Cost, NoiseSigma, Faults (validated only),
-// Membership (spares only), Trace and OnFire. It schedules no events.
+// Membership (validated, spares only), Trace and OnFire. It schedules no
+// events.
 func newStack(sc Scenario) (*stack, error) {
 	if err := validateFaults(sc.Name, sc.Faults); err != nil {
+		return nil, err
+	}
+	if err := validateMembership(sc.Name, sc.Membership); err != nil {
 		return nil, err
 	}
 	s := &stack{eng: sim.New()}
@@ -129,6 +133,31 @@ func validateFaults(name string, p faults.Plan) error {
 	}
 	if math.IsNaN(p.MinSlowFactor) || math.IsNaN(p.MaxSlowFactor) {
 		return fmt.Errorf("runner: %q: fault plan has a NaN slow factor (min %v, max %v)", name, p.MinSlowFactor, p.MaxSlowFactor)
+	}
+	return nil
+}
+
+// validateMembership rejects a membership plan whose spare spec would
+// panic in cluster.AddSpares, or whose rates or spot fraction would
+// silently disable churn or draw nonsense (a NaN rate reads as inactive).
+// It checks every plan, active or not.
+func validateMembership(name string, p elastic.Plan) error {
+	for _, f := range []struct {
+		field string
+		v     float64
+	}{
+		{"SpareSpec.BaseSpeed", p.SpareSpec.BaseSpeed},
+		{"JoinsPerHour", p.JoinsPerHour}, {"LeavesPerHour", p.LeavesPerHour},
+	} {
+		if !finiteNonNegative(f.v) {
+			return fmt.Errorf("runner: %q: membership plan %s %v is not finite and non-negative", name, f.field, f.v)
+		}
+	}
+	if p.SpareSpec.Slots < 0 {
+		return fmt.Errorf("runner: %q: membership plan SpareSpec.Slots %d is negative", name, p.SpareSpec.Slots)
+	}
+	if !(p.SpotFraction >= 0 && p.SpotFraction <= 1) {
+		return fmt.Errorf("runner: %q: membership plan SpotFraction %v is outside [0, 1]", name, p.SpotFraction)
 	}
 	return nil
 }
