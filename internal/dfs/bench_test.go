@@ -78,3 +78,17 @@ func BenchmarkTrackerTake(b *testing.B) {
 		node++
 	}
 }
+
+// BenchmarkAddFile measures placing a 1,024-BU file (64 placement groups)
+// into a fresh store on 40 nodes, the set-up every paper-sequence
+// simulation repeats.
+func BenchmarkAddFile(b *testing.B) {
+	c := cluster.Homogeneous(40)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewStore(c, 3, randutil.New(1))
+		if _, err := s.AddFile("f", 1024*BUSize); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -12,7 +12,7 @@ package dfs
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"flexmap/internal/cluster"
 	"flexmap/internal/randutil"
@@ -56,12 +56,15 @@ type Store struct {
 	files  map[string]*File
 	blocks []BU // indexed by BUID
 
-	blockToNode map[BUID][]cluster.NodeID
-	nodeToBlock map[cluster.NodeID]map[BUID]bool
+	// blockToNode is indexed by BUID. Every BU of one placement group
+	// shares the group's replica slice, so it is read-only.
+	blockToNode [][]cluster.NodeID
 	nodeLoad    []int // BUs stored per node, by dense NodeID, for balancing
 
-	content map[BUID][]byte  // optional real payloads for live execution
-	weights map[BUID]float64 // optional per-BU processing-cost weights (data skew)
+	// content and weights are indexed by BUID and stay nil until used. An
+	// ID past their end has no payload and weight 1.0.
+	content [][]byte  // optional real payloads for live execution
+	weights []float64 // optional per-BU processing-cost weights (data skew)
 }
 
 // NewStore creates an empty store over the given cluster. replication 0
@@ -79,13 +82,7 @@ func NewStore(c *cluster.Cluster, replication int, rng *randutil.Source) *Store 
 		replication: replication,
 		rng:         rng,
 		files:       make(map[string]*File),
-		blockToNode: make(map[BUID][]cluster.NodeID),
-		nodeToBlock: make(map[cluster.NodeID]map[BUID]bool),
 		nodeLoad:    make([]int, c.Size()),
-		content:     make(map[BUID][]byte),
-	}
-	for _, n := range c.Nodes {
-		s.nodeToBlock[n.ID] = make(map[BUID]bool)
 	}
 	return s
 }
@@ -118,8 +115,14 @@ func (s *Store) addFile(name string, size int64, data []byte) (*File, error) {
 	if _, ok := s.files[name]; ok {
 		return nil, fmt.Errorf("dfs: file %q already exists", name)
 	}
-	f := &File{Name: name, Size: size}
 	numBUs := int((size + BUSize - 1) / BUSize)
+	f := &File{Name: name, Size: size, BUs: make([]BUID, 0, numBUs)}
+	s.blocks = slices.Grow(s.blocks, numBUs)
+	s.blockToNode = slices.Grow(s.blockToNode, numBUs)
+	if data != nil {
+		// Modeled files added earlier read as nil payloads.
+		s.content = append(s.content, make([][]byte, len(s.blocks)-len(s.content))...)
+	}
 
 	var group []cluster.NodeID
 	for i := 0; i < numBUs; i++ {
@@ -133,17 +136,13 @@ func (s *Store) addFile(name string, size int64, data []byte) (*File, error) {
 		id := BUID(len(s.blocks))
 		s.blocks = append(s.blocks, BU{ID: id, File: name, Index: i, Size: buSize})
 		f.BUs = append(f.BUs, id)
-
-		replicas := make([]cluster.NodeID, len(group))
-		copy(replicas, group)
-		s.blockToNode[id] = replicas
-		for _, nid := range replicas {
-			s.nodeToBlock[nid][id] = true
+		s.blockToNode = append(s.blockToNode, group)
+		for _, nid := range group {
 			s.nodeLoad[nid]++
 		}
 		if data != nil {
 			lo := int64(i) * BUSize
-			s.content[id] = data[lo : lo+buSize]
+			s.content = append(s.content, data[lo:lo+buSize])
 		}
 	}
 	s.files[name] = f
@@ -213,29 +212,33 @@ func (s *Store) Block(id BUID) BU {
 }
 
 // Content returns the real payload of a BU, or nil for modeled files.
-func (s *Store) Content(id BUID) []byte { return s.content[id] }
+func (s *Store) Content(id BUID) []byte {
+	if id < 0 || int(id) >= len(s.content) {
+		return nil
+	}
+	return s.content[id]
+}
 
 // Weight returns the BU's processing-cost weight (1.0 = uniform data).
 func (s *Store) Weight(id BUID) float64 {
-	if w, ok := s.weights[id]; ok {
-		return w
+	if id < 0 || int(id) >= len(s.weights) {
+		return 1.0
 	}
-	return 1.0
+	return s.weights[id]
 }
 
 // ApplySkew assigns every stored BU a lognormal processing-cost weight
 // with the given sigma, normalized to mean 1 so total work is unchanged —
 // some records are simply much more expensive to process than others
-// (the computational skew SkewTune targets). Call after adding files.
+// (the computational skew SkewTune targets). Call after adding files:
+// BUs added later weigh 1.0.
 func (s *Store) ApplySkew(rng *randutil.Source, sigma float64) {
 	if sigma <= 0 {
 		return
 	}
-	if s.weights == nil {
-		s.weights = make(map[BUID]float64, len(s.blocks))
-	}
-	for _, bu := range s.blocks {
-		s.weights[bu.ID] = math.Exp(sigma*rng.NormFloat64() - sigma*sigma/2)
+	s.weights = make([]float64, len(s.blocks))
+	for i := range s.weights {
+		s.weights[i] = math.Exp(sigma*rng.NormFloat64() - sigma*sigma/2)
 	}
 }
 
@@ -251,14 +254,19 @@ func (s *Store) MeanWeight(bus []BUID) float64 {
 	return sum / float64(len(bus))
 }
 
-// NodesFor returns the nodes holding replicas of a BU.
+// NodesFor returns the nodes holding replicas of a BU. The slice is
+// shared with the BU's placement group: callers must not modify it.
 func (s *Store) NodesFor(id BUID) []cluster.NodeID {
+	if id < 0 || int(id) >= len(s.blockToNode) {
+		return nil
+	}
 	return s.blockToNode[id]
 }
 
-// HasReplica reports whether node holds a replica of the BU.
+// HasReplica reports whether node holds a replica of the BU. It scans the
+// BU's at most R replicas.
 func (s *Store) HasReplica(node cluster.NodeID, id BUID) bool {
-	return s.nodeToBlock[node][id]
+	return slices.Contains(s.NodesFor(id), node)
 }
 
 // BUCountOn returns the number of BUs stored on a node.
@@ -313,22 +321,26 @@ func (s *Store) Splits(name string, sizeBUs int) ([]Split, error) {
 	return out, nil
 }
 
+// replicaIntersection returns the nodes holding every BU of bus, in
+// ascending NodeID order: the first BU's replicas that every other BU
+// also has.
 func (s *Store) replicaIntersection(bus []BUID) []cluster.NodeID {
 	if len(bus) == 0 {
 		return nil
 	}
-	counts := map[cluster.NodeID]int{}
-	for _, id := range bus {
-		for _, nid := range s.blockToNode[id] {
-			counts[nid]++
-		}
-	}
 	var hosts []cluster.NodeID
-	for nid, c := range counts {
-		if c == len(bus) {
+	for _, nid := range s.blockToNode[bus[0]] {
+		all := true
+		for _, id := range bus[1:] {
+			if !s.HasReplica(nid, id) {
+				all = false
+				break
+			}
+		}
+		if all {
 			hosts = append(hosts, nid)
 		}
 	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
+	slices.Sort(hosts)
 	return hosts
 }

@@ -7,13 +7,15 @@ import (
 )
 
 // Tracker implements the paper's Late Task Binding bookkeeping: the
-// NodeToBlock and BlockToNode hash maps over a job's *unprocessed* BUs.
+// NodeToBlock and BlockToNode indices over a job's *unprocessed* BUs.
 // Take removes BUs with mutual exclusion, guaranteeing each BU is handed
 // to exactly one map task.
 //
 // The simulation is single-goroutine (event-driven), so no locking is
 // needed; exclusivity is enforced by the authoritative `remaining` set —
-// a BU leaves it the moment it is taken.
+// a BU leaves it the moment it is taken. Both indices are dense: byNode
+// by NodeID, remaining by the BU's offset from the file's first BUID (a
+// file's BUIDs are contiguous).
 //
 // # Performance
 //
@@ -27,9 +29,10 @@ import (
 // entries instead of rescanning every node per chunk. See DESIGN.md §11.
 type Tracker struct {
 	store     *Store
-	byNode    map[cluster.NodeID]*nodeSet
-	remaining map[BUID]bool
-	total     int
+	byNode    []nodeSet   // by NodeID
+	base      BUID        // the file's first BUID
+	remaining []bool      // by BUID - base
+	live      int         // true entries in remaining
 	richest   []heapEntry // lazy max-heap by (live desc, node asc)
 }
 
@@ -82,32 +85,24 @@ func NewTracker(store *Store, file string) (*Tracker, error) {
 	}
 	t := &Tracker{
 		store:     store,
-		byNode:    make(map[cluster.NodeID]*nodeSet),
-		remaining: make(map[BUID]bool, len(f.BUs)),
-		total:     len(f.BUs),
+		byNode:    make([]nodeSet, store.cluster.Size()),
+		base:      f.BUs[0], // AddFile rejects empty files
+		remaining: make([]bool, len(f.BUs)),
+		live:      len(f.BUs),
 	}
-	for _, id := range f.BUs {
-		t.remaining[id] = true
+	// A file's BUIDs ascend, so every per-node list is born sorted.
+	for i, id := range f.BUs {
+		t.remaining[i] = true
 		for _, nid := range store.NodesFor(id) {
-			ns := t.byNode[nid]
-			if ns == nil {
-				ns = &nodeSet{}
-				t.byNode[nid] = ns
-			}
+			ns := &t.byNode[nid]
 			ns.ids = append(ns.ids, id)
 			ns.live++
 		}
 	}
-	// File BUs are assigned in ascending order, but sort defensively so
-	// the cursor invariant never depends on Store layout details.
-	nids := make([]cluster.NodeID, 0, len(t.byNode))
-	for nid, ns := range t.byNode {
-		sort.Slice(ns.ids, func(i, j int) bool { return ns.ids[i] < ns.ids[j] })
-		nids = append(nids, nid)
-	}
-	sort.Slice(nids, func(i, j int) bool { return nids[i] < nids[j] })
-	for _, nid := range nids {
-		t.pushRichest(heapEntry{live: t.byNode[nid].live, node: nid})
+	for nid := range t.byNode {
+		if live := t.byNode[nid].live; live > 0 {
+			t.pushRichest(heapEntry{live: live, node: cluster.NodeID(nid)})
+		}
 	}
 	return t, nil
 }
@@ -117,23 +112,24 @@ type errNoFile string
 func (e errNoFile) Error() string { return "dfs: no such file " + string(e) }
 
 // Remaining returns the number of unprocessed BUs.
-func (t *Tracker) Remaining() int { return len(t.remaining) }
+func (t *Tracker) Remaining() int { return t.live }
 
 // Total returns the number of BUs the tracker started with.
-func (t *Tracker) Total() int { return t.total }
+func (t *Tracker) Total() int { return len(t.remaining) }
 
 // LocalCount returns the number of unprocessed BUs with a replica on node.
 func (t *Tracker) LocalCount(node cluster.NodeID) int {
-	if ns := t.byNode[node]; ns != nil {
-		return ns.live
+	if node < 0 || int(node) >= len(t.byNode) {
+		return 0
 	}
-	return 0
+	return t.byNode[node].live
 }
 
 // take removes one BU from the pool, decrementing every replica holder's
 // live count. Slice entries are left behind as lazy tombstones.
 func (t *Tracker) take(id BUID) {
-	delete(t.remaining, id)
+	t.remaining[id-t.base] = false
+	t.live--
 	for _, nid := range t.store.NodesFor(id) {
 		t.byNode[nid].live--
 	}
@@ -145,16 +141,13 @@ func (t *Tracker) take(id BUID) {
 // BU that is still in the pool panics: it would let two tasks process it.
 func (t *Tracker) Restore(bus []BUID) {
 	for _, id := range bus {
-		if t.remaining[id] {
+		if t.remaining[id-t.base] {
 			panic("dfs: Restore of a BU still in the binding maps")
 		}
-		t.remaining[id] = true
+		t.remaining[id-t.base] = true
+		t.live++
 		for _, nid := range t.store.NodesFor(id) {
-			ns := t.byNode[nid]
-			if ns == nil {
-				ns = &nodeSet{}
-				t.byNode[nid] = ns
-			}
+			ns := &t.byNode[nid]
 			ns.insert(id)
 			ns.live++
 			t.pushRichest(heapEntry{live: ns.live, node: nid})
@@ -165,8 +158,11 @@ func (t *Tracker) Restore(bus []BUID) {
 // TakeLocal removes and returns up to n unprocessed BUs that have replicas
 // on node, in deterministic (ascending BUID) order.
 func (t *Tracker) TakeLocal(node cluster.NodeID, n int) []BUID {
-	ns := t.byNode[node]
-	if ns == nil || ns.live == 0 || n <= 0 {
+	if node < 0 || int(node) >= len(t.byNode) {
+		return nil
+	}
+	ns := &t.byNode[node]
+	if ns.live == 0 || n <= 0 {
 		return nil
 	}
 	want := n
@@ -178,7 +174,7 @@ func (t *Tracker) TakeLocal(node cluster.NodeID, n int) []BUID {
 	for i < len(ns.ids) && len(out) < n {
 		id := ns.ids[i]
 		i++
-		if !t.remaining[id] {
+		if !t.remaining[id-t.base] {
 			continue // taken via another replica holder; drop the tombstone
 		}
 		out = append(out, id)
@@ -194,7 +190,7 @@ func (t *Tracker) TakeLocal(node cluster.NodeID, n int) []BUID {
 // nodes). Ties break on lowest node ID for determinism.
 func (t *Tracker) TakeRemote(n int) []BUID {
 	var out []BUID
-	for len(out) < n && len(t.remaining) > 0 {
+	for len(out) < n && t.live > 0 {
 		nid, ok := t.popRichest()
 		if !ok {
 			break

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 
 	"flexmap/internal/cluster"
 	"flexmap/internal/dfs"
@@ -660,7 +659,12 @@ func (a *MapAttempt) EstRemaining(now sim.Time) sim.Duration {
 // prefix and the unprocessed remainder as of now (SkewTune's repartition
 // unit). A partially-read BU counts as unprocessed.
 func (a *MapAttempt) SplitBUs(now sim.Time) (done, remaining []dfs.BUID) {
-	processed := a.ProcessedBytes(now)
+	return a.splitAt(a.ProcessedBytes(now))
+}
+
+// splitAt cuts the BUs before the first one whose cumulative size
+// exceeds processed.
+func (a *MapAttempt) splitAt(processed int64) (done, remaining []dfs.BUID) {
 	var cum int64
 	for i, id := range a.BUs {
 		cum += a.d.Store.Block(id).Size
@@ -670,6 +674,33 @@ func (a *MapAttempt) SplitBUs(now sim.Time) (done, remaining []dfs.BUID) {
 		return a.BUs[:i], a.BUs[i:]
 	}
 	return a.BUs, nil
+}
+
+// RemainingAtLeast reports whether SplitBUs(now) would leave at least k
+// unprocessed BUs, without walking the split: it sums only the last k-1
+// BU sizes.
+func (a *MapAttempt) RemainingAtLeast(now sim.Time, k int) bool {
+	return a.remainingAtLeast(a.ProcessedBytes(now), k)
+}
+
+// remainingAtLeast is RemainingAtLeast at a given processed byte count.
+// splitAt cuts at the first index i whose cumulative size exceeds
+// processed, leaving len(BUs)-i BUs. Cumulative sizes never decrease, so
+// i ≤ len(BUs)-k exactly when the cumulative size through BU len(BUs)-k —
+// all bytes less the last k-1 BUs — exceeds processed.
+func (a *MapAttempt) remainingAtLeast(processed int64, k int) bool {
+	n := len(a.BUs)
+	if k <= 0 {
+		return true
+	}
+	if n < k {
+		return false
+	}
+	through := a.Bytes
+	for _, id := range a.BUs[n-k+1:] {
+		through -= a.d.Store.Block(id).Size
+	}
+	return through > processed
 }
 
 // addRunning inserts a into the node's running slice, keeping it ordered
@@ -723,14 +754,15 @@ func (d *Driver) RunningMapsInto(id cluster.NodeID, buf []*MapAttempt) []*MapAtt
 	return append(buf, d.running[id]...)
 }
 
-// AllRunningMaps returns every in-flight map attempt, ordered by task ID.
-func (d *Driver) AllRunningMaps() []*MapAttempt {
-	var out []*MapAttempt
+// EachRunningMap calls fn on every in-flight map attempt, in NodeID order
+// and by task ID within a node, walking the per-node lists in place. fn
+// must not launch, kill or complete an attempt.
+func (d *Driver) EachRunningMap(fn func(*MapAttempt)) {
 	for _, s := range d.running {
-		out = append(out, s...)
+		for _, a := range s {
+			fn(a)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Task < out[j].Task })
-	return out
 }
 
 // IntermediateOn returns intermediate bytes resident on a node.

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"flexmap/internal/cluster"
+	"flexmap/internal/dfs"
 	"flexmap/internal/mr"
 	"flexmap/internal/sim"
 )
@@ -132,17 +135,84 @@ func TestSplitBUsPrefix(t *testing.T) {
 	}
 }
 
+// TestRemainingAtLeastMatchesSplit checks the O(k) remainder test
+// against the split it replaces: for random BU sequences of a file whose
+// final BU is short (placed anywhere in the sequence), at processed byte
+// counts on, just before and just after every BU boundary, and at every
+// k, remainingAtLeast(p, k) ⇔ len(splitAt(p).remaining) ≥ k.
+func TestRemainingAtLeastMatchesSplit(t *testing.T) {
+	const fileBytes = 20*dfs.BUSize - 3*dfs.BUSize/4 // 20 BUs, the last 2 MB
+	store := dfs.NewStore(cluster.Homogeneous(4), 3, testRNG())
+	f, err := store.AddFile("input", fileBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDriver(sim.New(), cluster.Homogeneous(4), store, nil, DefaultCostModel(), wcSpec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(seed int64, length uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(length)%len(f.BUs)
+		a := &MapAttempt{d: d}
+		for _, i := range rng.Perm(len(f.BUs))[:n] {
+			a.BUs = append(a.BUs, f.BUs[i])
+			a.Bytes += store.Block(f.BUs[i]).Size
+		}
+		probes := []int64{-1, 0, a.Bytes - 1, a.Bytes, a.Bytes + 1, rng.Int63n(a.Bytes)}
+		var cum int64
+		for _, id := range a.BUs {
+			cum += store.Block(id).Size
+			probes = append(probes, cum-1, cum, cum+1)
+		}
+		for _, p := range probes {
+			_, rem := a.splitAt(p)
+			for k := -1; k <= n+1; k++ {
+				if got, want := a.remainingAtLeast(p, k), len(rem) >= k; got != want {
+					t.Errorf("BUs %v processed %d k %d: remainingAtLeast %v, split leaves %d", a.BUs, p, k, got, len(rem))
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRemainingAtLeastLive compares RemainingAtLeast with SplitBUs on a
+// running attempt at every event and between events, through every phase.
+func TestRemainingAtLeastLive(t *testing.T) {
+	h := newHarness(t, cluster.Homogeneous(2), 16, wcSpec(0))
+	a := launchOne(t, h, 8, nil)
+	for now := sim.Time(0); now < 30; now += 0.25 {
+		h.eng.RunUntil(now)
+		_, rem := a.SplitBUs(now)
+		for k := 0; k <= 9; k++ {
+			if got, want := a.RemainingAtLeast(now, k), len(rem) >= k; got != want {
+				t.Fatalf("t=%v k=%d: RemainingAtLeast %v, SplitBUs leaves %d", now, k, got, len(rem))
+			}
+		}
+	}
+}
+
 func TestRunningMapsRegistry(t *testing.T) {
 	h := newHarness(t, cluster.Homogeneous(2), 32, wcSpec(0))
 	launchOne(t, h, 8, nil)
 	if got := len(h.driver.RunningMapsOn(0)); got != 1 {
 		t.Fatalf("RunningMapsOn = %d, want 1", got)
 	}
-	if got := len(h.driver.AllRunningMaps()); got != 1 {
-		t.Fatalf("AllRunningMaps = %d, want 1", got)
+	count := func() int {
+		n := 0
+		h.driver.EachRunningMap(func(*MapAttempt) { n++ })
+		return n
+	}
+	if got := count(); got != 1 {
+		t.Fatalf("EachRunningMap visited %d, want 1", got)
 	}
 	h.eng.Run()
-	if got := len(h.driver.AllRunningMaps()); got != 0 {
+	if got := count(); got != 0 {
 		t.Fatalf("registry not cleaned: %d", got)
 	}
 }

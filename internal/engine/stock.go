@@ -73,9 +73,11 @@ type StockAM struct {
 	// Crash-recovery bookkeeping: the immutable split of every task (to
 	// re-queue it whole — stock has no sub-split granularity), the task
 	// owning each BU (to map lost output back to tasks), and per-task
-	// crash counts.
+	// crash counts. taskOfBU is indexed by the BU's offset from the input
+	// file's first BUID (a file's BUIDs are contiguous).
 	splitByTask map[string]PendingSplit
-	taskOfBU    map[dfs.BUID]string
+	firstBU     dfs.BUID
+	taskOfBU    []string
 	retries     map[string]int
 }
 
@@ -86,6 +88,7 @@ func NewStockAM(d *Driver, splitBUs int, speculation SpeculationPolicy) (*StockA
 	if err != nil {
 		return nil, err
 	}
+	input, _ := d.Store.File(d.Spec.InputFile) // Splits found it
 	am := &StockAM{
 		Name:            fmt.Sprintf("hadoop-%dm", int64(splitBUs)*dfs.BUSize/MB),
 		Speculation:     speculation,
@@ -93,7 +96,8 @@ func NewStockAM(d *Driver, splitBUs int, speculation SpeculationPolicy) (*StockA
 		d:               d,
 		remoteAllowedAt: make([]sim.Time, d.Cluster.Size()),
 		splitByTask:     make(map[string]PendingSplit),
-		taskOfBU:        make(map[dfs.BUID]string),
+		firstBU:         input.BUs[0],
+		taskOfBU:        make([]string, len(input.BUs)),
 		retries:         make(map[string]int),
 	}
 	for i := range am.remoteAllowedAt {
@@ -120,7 +124,7 @@ func NewStockAM(d *Driver, splitBUs int, speculation SpeculationPolicy) (*StockA
 func (am *StockAM) indexSplit(p PendingSplit) {
 	am.splitByTask[p.Task] = p
 	for _, id := range p.BUs {
-		am.taskOfBU[id] = p.Task
+		am.taskOfBU[id-am.firstBU] = p.Task
 	}
 }
 
@@ -293,8 +297,8 @@ func (am *StockAM) ownersOf(bus []dfs.BUID) []string {
 	seen := make(map[string]bool)
 	var out []string
 	for _, id := range bus {
-		task, ok := am.taskOfBU[id]
-		if !ok {
+		task := am.taskOfBU[id-am.firstBU]
+		if task == "" {
 			panic(fmt.Sprintf("engine: lost output BU %d has no owning task", id))
 		}
 		if !seen[task] {

@@ -85,22 +85,30 @@ func (am *AM) OnSlotFree(node *cluster.Node) bool {
 // phase is over.
 func (am *AM) Idle() bool { return am.d.Finished() || am.d.MapsFinished() }
 
+// straggler returns the running attempt with the longest expected
+// remaining time among those with at least minBUs unprocessed BUs, ties
+// to the lowest task ID, and that time. The scan walks the driver's
+// per-node lists in place; ordering by (remaining desc, task asc) picks
+// the first maximum a walk in task order would. nil means no candidate.
+func (am *AM) straggler(now sim.Time) (*engine.MapAttempt, sim.Duration) {
+	var victim *engine.MapAttempt
+	var worst sim.Duration = -1
+	am.d.EachRunningMap(func(a *engine.MapAttempt) {
+		r := a.EstRemaining(now)
+		better := r > worst || r == worst && victim != nil && a.Task < victim.Task
+		if better && a.RemainingAtLeast(now, minBUs) {
+			worst, victim = r, a
+		}
+	})
+	return victim, worst
+}
+
 // repartition picks the worst straggler, stops it, and re-queues its
 // unprocessed BUs as evenly-sized subtasks — evenly because SkewTune
 // assumes homogeneous workers. It reports whether a repartition happened.
 func (am *AM) repartition(node *cluster.Node) bool {
 	now := am.d.Eng.Now()
-	var victim *engine.MapAttempt
-	var worst sim.Duration = -1
-	for _, a := range am.d.AllRunningMaps() {
-		_, rem := a.SplitBUs(now)
-		if len(rem) < minBUs {
-			continue
-		}
-		if r := a.EstRemaining(now); r > worst {
-			worst, victim = r, a
-		}
-	}
+	victim, worst := am.straggler(now)
 	if victim == nil || worst < am.minRemaining {
 		return false
 	}
