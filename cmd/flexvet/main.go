@@ -1,19 +1,14 @@
-// Command flexvet runs the repository's determinism and concurrency
-// static-analysis suite (see internal/analysis) and fails the build on
-// findings. It is stdlib-only — go/parser, go/ast and go/types, with
-// imports compiled from source — so the module stays dependency-free.
+// Command flexvet runs the repository's determinism static-analysis
+// suite (see internal/analysis) and fails the build on findings. It is
+// stdlib-only — go/parser, go/ast and go/types, with imports compiled
+// from source — so the module stays dependency-free.
 //
 // Usage:
 //
 //	flexvet [flags] [packages]
 //	flexvet -list
 //
-// Flags:
-//
-//	-json                  emit diagnostics (and -facts output) as JSON
-//	-run  a,b              run only the named analyzers
-//	-skip a,b              run all but the named analyzers
-//	-facts                 print the cross-package facts the run exported
+// -json emits the diagnostics as JSON; -list prints the analyzers.
 //
 // Packages default to ./... and may be directories or /... patterns;
 // test files are not analyzed (the determinism suite itself exercises
@@ -23,9 +18,6 @@
 //
 // Exit status is uniform across text and JSON modes: 0 clean, 1
 // findings, 2 usage, load or type-check errors.
-//
-// Findings are suppressed per-analyzer by a trailing (or directly
-// preceding) comment: //flexvet:ignore <analyzer>.
 package main
 
 import (
@@ -51,9 +43,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	runSel := fs.String("run", "", "comma-separated analyzer subset (default: all)")
-	skipSel := fs.String("skip", "", "comma-separated analyzers to disable")
-	facts := fs.Bool("facts", false, "print the facts the run exported")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -67,11 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-10s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-
-	analyzers, err := selectAnalyzers(*runSel, *skipSel)
-	if err != nil {
-		return errorf("%v", err)
 	}
 
 	loader, err := analysis.NewLoader()
@@ -95,22 +79,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	diags, store := analysis.RunFacts(pkgs, analyzers)
+	diags := analysis.Run(pkgs, analysis.All())
 	for i := range diags {
 		diags[i].File = relPath(diags[i].File)
 	}
 
 	if *jsonOut {
+		if diags == nil {
+			diags = []analysis.Diagnostic{}
+		}
 		out := struct {
 			Diagnostics []analysis.Diagnostic `json:"diagnostics"`
-			Facts       []analysis.Fact       `json:"facts,omitempty"`
-		}{Diagnostics: diags}
-		if out.Diagnostics == nil {
-			out.Diagnostics = []analysis.Diagnostic{}
-		}
-		if *facts {
-			out.Facts = store.All()
-		}
+		}{diags}
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
@@ -119,11 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
-		}
-		if *facts {
-			for _, f := range store.All() {
-				fmt.Fprintf(stdout, "fact: %s %s=%q (%s)\n", f.Key, f.Name, f.Detail, f.Analyzer)
-			}
 		}
 	}
 
@@ -137,37 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// selectAnalyzers resolves -run and -skip to the analyzer set.
-func selectAnalyzers(runSel, skipSel string) ([]*analysis.Analyzer, error) {
-	analyzers := analysis.All()
-	if runSel != "" {
-		var err error
-		analyzers, err = analysis.ByName(strings.Split(runSel, ","))
-		if err != nil {
-			return nil, err
-		}
-	}
-	if skipSel != "" {
-		names := strings.Split(skipSel, ",")
-		// Validate the names even though we only subtract them.
-		if _, err := analysis.ByName(names); err != nil {
-			return nil, err
-		}
-		skip := map[string]bool{}
-		for _, n := range names {
-			skip[n] = true
-		}
-		kept := analyzers[:0]
-		for _, a := range analyzers {
-			if !skip[a.Name] {
-				kept = append(kept, a)
-			}
-		}
-		analyzers = kept
-	}
-	return analyzers, nil
 }
 
 // relPath shortens a filename to be relative to the working directory

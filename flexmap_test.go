@@ -1,6 +1,8 @@
 package flexmap
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"flexmap/internal/datagen"
@@ -49,6 +51,22 @@ func TestClusterFactories(t *testing.T) {
 		}
 		if (inf != nil) != tc.hasInf {
 			t.Errorf("%s: interferer presence = %v, want %v", tc.name, inf != nil, tc.hasInf)
+		}
+	}
+}
+
+// TestBadSlowFractionIsError: a slow fraction outside [0,1], NaN
+// included, makes the cluster factory panic; Run reports it as an error.
+func TestBadSlowFractionIsError(t *testing.T) {
+	spec, err := PUMASpec(WordCount, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []float64{math.NaN(), -0.1, 1.5} {
+		sc := Scenario{Name: "bad", Cluster: ClusterMultiTenant40(f, 1), Seed: 1, InputSize: 1 * GB}
+		_, err := Run(sc, spec, Engine{Kind: FlexMap})
+		if err == nil || !strings.Contains(err.Error(), "cluster factory") {
+			t.Errorf("slow fraction %v: err = %v, want a cluster factory error", f, err)
 		}
 	}
 }

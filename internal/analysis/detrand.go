@@ -3,23 +3,8 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strconv"
 )
-
-// detrandScope is the set of packages whose behavior must be a pure
-// function of the scenario seed: the simulation engine, both AMs, the
-// YARN model, the trace layer, the workload generator and the experiment
-// harnesses. cmd/ (wall-clock timing of the tool itself) and
-// internal/randutil (the one sanctioned seeding point) are deliberately
-// outside this set.
-var detrandScope = []string{
-	"flexmap/internal/sim",
-	"flexmap/internal/core",
-	"flexmap/internal/engine",
-	"flexmap/internal/yarn",
-	"flexmap/internal/trace",
-	"flexmap/internal/workload",
-	"flexmap/internal/experiments",
-}
 
 // randPkgs are the math/rand package paths whose global (process-seeded)
 // functions detrand forbids and whose constructors seedflow polices.
@@ -33,44 +18,46 @@ var randConstructors = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
-// Detrand forbids wall-clock and global-RNG nondeterminism inside the
-// simulation packages: time.Now, the global math/rand functions (which
-// draw from a process-wide, potentially time-seeded source), and
-// time-seeded rand.NewSource. Simulations must take time from the
-// sim.Engine clock and randomness from seeded internal/randutil sources.
+// Detrand keeps the wall clock and the process-global RNG out of every
+// library package of the module: no non-main package imports time or
+// calls a global math/rand function. Simulations take time from the
+// sim.Engine clock and randomness from seeded internal/randutil sources,
+// so a run is a pure function of its seed. Flagging the import rather
+// than each use covers wall-clock reads, time.Time/time.Duration
+// declarations, time-seeded sources and exported helpers that hide a
+// clock read, all at their source. Package main (the CLIs timing
+// themselves) is the one place the wall clock may appear; nothing can
+// import it.
 var Detrand = &Analyzer{
 	Name: "detrand",
-	Doc: "forbid time.Now, global math/rand functions, and time-seeded " +
-		"rand.NewSource in the deterministic simulation packages",
-	Applies: func(pkgPath string) bool { return pathIn(pkgPath, detrandScope...) },
-	Run:     runDetrand,
+	Doc: "no non-main package imports time or calls a global math/rand " +
+		"function",
+	Run: runDetrand,
 }
 
 func runDetrand(pass *Pass) {
+	if pass.Pkg.Types.Name() == "main" {
+		return
+	}
 	info := pass.Pkg.TypesInfo
 	for _, f := range pass.Pkg.Files {
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); path == "time" {
+				pass.Reportf(imp.Pos(),
+					"package %s imports time: simulation time comes from the sim.Engine clock; wall-clock timing belongs in package main",
+					pass.Pkg.Path)
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
 			pkgPath, ok := selectedPackage(info, sel)
-			if !ok {
-				return true
-			}
-			name := sel.Sel.Name
-			switch {
-			case pkgPath == "time" && name == "Now":
-				pass.Reportf(sel.Pos(),
-					"time.Now in deterministic package %s: use the sim.Engine virtual clock", pass.Pkg.Path)
-			case randPkgs[pkgPath] && !randConstructors[name] && isPackageFunc(info, sel):
+			if ok && randPkgs[pkgPath] && !randConstructors[sel.Sel.Name] && isPackageFunc(info, sel) {
 				pass.Reportf(sel.Pos(),
 					"global %s.%s draws from the process-wide RNG: derive a seeded source via flexmap/internal/randutil",
-					pkgPath, name)
-			case randPkgs[pkgPath] && name == "NewSource" && inCallWithTimeArg(info, f, sel):
-				pass.Reportf(sel.Pos(),
-					"time-seeded %s.NewSource is nondeterministic: seed from the scenario via flexmap/internal/randutil",
-					pkgPath)
+					pkgPath, sel.Sel.Name)
 			}
 			return true
 		})
@@ -96,29 +83,4 @@ func selectedPackage(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
 func isPackageFunc(info *types.Info, sel *ast.SelectorExpr) bool {
 	_, ok := info.Uses[sel.Sel].(*types.Func)
 	return ok
-}
-
-// inCallWithTimeArg reports whether sel is the callee of a call whose
-// arguments mention package time (the classic
-// rand.NewSource(time.Now().UnixNano()) pattern).
-func inCallWithTimeArg(info *types.Info, f *ast.File, sel *ast.SelectorExpr) bool {
-	found := false
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Fun != sel {
-			return true
-		}
-		for _, arg := range call.Args {
-			ast.Inspect(arg, func(m ast.Node) bool {
-				if s, ok := m.(*ast.SelectorExpr); ok {
-					if p, ok := selectedPackage(info, s); ok && p == "time" {
-						found = true
-					}
-				}
-				return !found
-			})
-		}
-		return false
-	})
-	return found
 }

@@ -14,11 +14,11 @@ func TestLoadDedupesPatterns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	abs, err := filepath.Abs("testdata/src/factdep/a")
+	abs, err := filepath.Abs("testdata/src/detrand")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := loader.Load("testdata/src/factdep/a", abs)
+	pkgs, err := loader.Load("testdata/src/detrand", abs)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

@@ -17,13 +17,13 @@ var Seedflow = &Analyzer{
 	Name: "seedflow",
 	Doc: "require every *rand.Rand / rand.Source to be constructed via " +
 		"flexmap/internal/randutil, never ad hoc",
-	Applies: func(pkgPath string) bool {
-		return !pathIn(pkgPath, "flexmap/internal/randutil")
-	},
 	Run: runSeedflow,
 }
 
 func runSeedflow(pass *Pass) {
+	if pass.Pkg.Path == "flexmap/internal/randutil" {
+		return
+	}
 	info := pass.Pkg.TypesInfo
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

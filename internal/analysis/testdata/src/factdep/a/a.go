@@ -1,11 +1,10 @@
-// Package a exports a wall-clock reader; package b consumes it through
-// the fact layer. This package's own import path sits outside every
-// reporting scope, so timescope exports the fact here without reporting.
+// Package a exports a wall-clock reader; package b calls it. detrand
+// flags the helper at its source, the time import.
 package a
 
-import "time"
+import "time" // want detrand:"package .* imports time"
 
-// WallNow reads the wall clock — timescope exports a wall-clock fact.
+// WallNow reads the wall clock.
 func WallNow() int64 {
 	return time.Now().UnixNano()
 }

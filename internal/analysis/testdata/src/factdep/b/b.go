@@ -1,10 +1,10 @@
-// Package b consumes package a's facts. Tests load it under a virtual
-// import path inside the workload scope, so timescope reports here
-// purely from the fact exported while package a was analyzed.
+// Package b reads the wall clock only through package a. It does not
+// import time itself, so detrand reports nothing here: the finding
+// belongs to a.
 package b
 
 import "flexmap/internal/analysis/testdata/src/factdep/a"
 
 func callsWallClock() int64 {
-	return a.WallNow() // want timescope:"reads the wall clock"
+	return a.WallNow()
 }

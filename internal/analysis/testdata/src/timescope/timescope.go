@@ -1,24 +1,25 @@
-// Package tstest exercises timescope: wall-clock reads and
-// time.Time/time.Duration declarations in the scoped packages.
+// Package tstest holds the wall-clock shapes a simulation package must
+// not contain: wall-clock reads and time.Time/time.Duration
+// declarations. detrand reports them all through the one time import.
 package tstest
 
-import "time"
+import "time" // want detrand:"package .* imports time"
 
 type record struct {
-	stamp time.Time     // want timescope:"derive from sim\.Time"
-	span  time.Duration // want timescope:"must be sim\.Duration"
+	stamp time.Time
+	span  time.Duration
 }
 
 func nowStamp() int64 {
-	return time.Now().UnixNano() // want timescope:"reads the wall clock"
+	return time.Now().UnixNano()
 }
 
-func wait(d time.Duration) { // want timescope:"must be sim\.Duration"
-	time.Sleep(d) // want timescope:"reads the wall clock"
+func wait(d time.Duration) {
+	time.Sleep(d)
 }
 
-func sinceStart(start time.Time) time.Duration { // want timescope:"derive from sim\.Time" timescope:"must be sim\.Duration"
-	return time.Since(start) // want timescope:"reads the wall clock"
+func sinceStart(start time.Time) time.Duration {
+	return time.Since(start)
 }
 
 func useRecord(r record) (int64, float64) {

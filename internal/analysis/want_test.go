@@ -1,13 +1,12 @@
 package analysis
 
 // This file is a miniature analysistest harness: it loads a testdata
-// package under a caller-chosen virtual import path (so path-scoped
-// analyzers apply), runs analyzers through the same Run pipeline the
-// flexvet CLI uses (including //flexvet:ignore suppression), and checks
-// the diagnostics against `// want` expectation comments:
+// package under a caller-chosen virtual import path, runs analyzers
+// through the same Run pipeline the flexvet CLI uses, and checks the
+// diagnostics against `// want` expectation comments:
 //
 //	for k := range m { // want "regexp matching the message"
-//	time.Now() // want detrand:"time\.Now"
+//	_ = rand.Intn(10) // want detrand:"global math/rand"
 //
 // The comment is raw text, not a Go string literal: escape regexp
 // metacharacters with a single backslash.
@@ -40,34 +39,13 @@ type wantExp struct {
 	matched  bool
 }
 
-// wantPkg names one testdata package of a multi-package run: the
-// directory to load and the virtual import path to load it under.
-type wantPkg struct {
-	dir    string
-	asPath string
-}
-
 // runWant loads dir as package asPath and checks the analyzers'
 // diagnostics against the package's want comments.
 func runWant(t *testing.T, dir, asPath string, analyzers ...*Analyzer) {
 	t.Helper()
-	runWantPkgs(t, []wantPkg{{dir, asPath}}, analyzers...)
-}
-
-// runWantPkgs loads several testdata packages — in the order given, which
-// Run's dependency sort must make irrelevant — and checks the combined
-// diagnostics against all their want comments. Cross-package fact tests
-// list the importing package first on purpose.
-func runWantPkgs(t *testing.T, specs []wantPkg, analyzers ...*Analyzer) {
-	t.Helper()
-	var pkgs []*Package
-	var wants []*wantExp
-	for _, s := range specs {
-		pkg := loadTestPkg(t, s.dir, s.asPath)
-		pkgs = append(pkgs, pkg)
-		wants = append(wants, collectWants(t, pkg)...)
-	}
-	diags := Run(pkgs, analyzers)
+	pkg := loadTestPkg(t, dir, asPath)
+	wants := collectWants(t, pkg)
+	diags := Run([]*Package{pkg}, analyzers)
 
 outer:
 	for _, d := range diags {

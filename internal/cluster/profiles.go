@@ -80,7 +80,7 @@ func Virtual20(seed int64) (*Cluster, *RandomInterference) {
 // (Fig. 8 uses fractions 0.05, 0.10, 0.20 and 0.40). Slowed nodes run at
 // about a third of full speed for the entire job.
 func MultiTenant40(slowFraction float64, seed int64) (*Cluster, Interferer) {
-	if slowFraction < 0 || slowFraction > 1 {
+	if !(slowFraction >= 0 && slowFraction <= 1) {
 		panic(fmt.Sprintf("cluster: slow fraction %v out of [0,1]", slowFraction))
 	}
 	specs := make([]NodeSpec, 40)

@@ -12,10 +12,10 @@ import (
 )
 
 // maxAllocsPerEvent is the absolute ceiling on heap allocations per fired
-// event in the cells below, which allocate 6–12 today. The headroom
-// absorbs Go-version drift; a hot path that starts allocating per event
-// or per node several times over still trips it.
-const maxAllocsPerEvent = 35
+// event in the cells below, which allocate 4.7–8.8 today (the worst is
+// workload/hadoop). About 2× the worst cell absorbs Go-version drift; a
+// hot path that starts allocating per event or per node still trips it.
+const maxAllocsPerEvent = 18
 
 // TestAllocsPerEventCeiling runs one WordCount job, 24 BUs per node and
 // 12 reducers, on 50 heterogeneous two-slot nodes under both engines,

@@ -44,6 +44,19 @@ type stack struct {
 	ctl      *elastic.Controller
 }
 
+// buildCluster calls the scenario's caller-supplied ClusterFactory and
+// turns a panic inside it (a profile argument out of range, say) into an
+// error.
+func buildCluster(sc Scenario) (c *cluster.Cluster, inf cluster.Interferer, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("runner: %q: cluster factory: %v", sc.Name, r)
+		}
+	}()
+	c, inf = sc.Cluster()
+	return c, inf, nil
+}
+
 // newStack builds the stack from the scenario's shared fields: Name,
 // Cluster, Seed, Replication, Cost, NoiseSigma, Faults (validated only),
 // Membership (validated, spares only), Trace and OnFire. It schedules no
@@ -59,7 +72,10 @@ func newStack(sc Scenario) (*stack, error) {
 	if sc.OnFire != nil {
 		s.eng.SetFireObserver(sc.OnFire)
 	}
-	s.clus, s.interferer = sc.Cluster()
+	var err error
+	if s.clus, s.interferer, err = buildCluster(sc); err != nil {
+		return nil, err
+	}
 	if s.clus.Size() == 0 {
 		return nil, fmt.Errorf("runner: %q: cluster %q has no nodes", sc.Name, s.clus.Name)
 	}
