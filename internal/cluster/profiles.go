@@ -70,7 +70,7 @@ func Virtual20(seed int64) (*Cluster, *RandomInterference) {
 		Drift:   0.15,
 		MinMult: 0.20,
 		MaxMult: 0.50,
-		RNG:     randutil.New(seed).Split("virtual20-interference"),
+		RNG:     randutil.New(randutil.SplitSeed(seed, "virtual20-interference")),
 	}
 	return c, inf
 }
@@ -89,7 +89,7 @@ func MultiTenant40(slowFraction float64, seed int64) (*Cluster, Interferer) {
 	}
 	c := NewCluster(fmt.Sprintf("multitenant-40-%d%%", int(slowFraction*100+0.5)), specs)
 
-	rng := randutil.New(seed).Split("multitenant-slow-picks")
+	rng := randutil.New(randutil.SplitSeed(seed, "multitenant-slow-picks"))
 	numSlow := int(float64(len(specs))*slowFraction + 0.5)
 	mults := make(map[NodeID]float64, numSlow)
 	for _, idx := range rng.PickN(len(specs), numSlow) {

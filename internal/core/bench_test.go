@@ -40,10 +40,10 @@ func benchMonitor(b *testing.B, n int) *SpeedMonitor {
 	return m
 }
 
-// BenchmarkRelativeSpeeds measures the per-dispatch speed-map recompute:
+// BenchmarkRelativeSpeeds measures the per-dispatch speed-table recompute:
 // OnSlotFree consults it before sizing every elastic task. Resetting one
 // node's window each iteration bumps the monitor's epoch, so every call
-// recomputes the 200-node map instead of hitting the epoch memo.
+// recomputes the 200-node table instead of hitting the epoch memo.
 func BenchmarkRelativeSpeeds(b *testing.B) {
 	m := benchMonitor(b, 200)
 	b.ReportAllocs()
@@ -51,13 +51,13 @@ func BenchmarkRelativeSpeeds(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.ResetNode(cluster.NodeID(i % 200))
 		if rel := m.RelativeSpeeds(); len(rel) != 200 {
-			b.Fatal("short map")
+			b.Fatal("short table")
 		}
 	}
 }
 
 // BenchmarkNormalizedCapacities measures the reduce-placement capacity
-// map consulted once per reduce wave, recomputed each iteration as in
+// table consulted once per reduce wave, recomputed each iteration as in
 // BenchmarkRelativeSpeeds.
 func BenchmarkNormalizedCapacities(b *testing.B) {
 	m := benchMonitor(b, 200)
@@ -66,7 +66,7 @@ func BenchmarkNormalizedCapacities(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.ResetNode(cluster.NodeID(i % 200))
 		if caps := m.NormalizedCapacities(); len(caps) != 200 {
-			b.Fatal("short map")
+			b.Fatal("short table")
 		}
 	}
 }

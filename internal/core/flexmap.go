@@ -167,9 +167,9 @@ func (am *AM) Idle() bool {
 // remaining BUs when the job is inside its final wave — i.e. when the
 // remainder no longer fills every slot at current task sizes. Outside
 // the final wave it returns a large value (no clamp). rels is the
-// caller's current RelativeSpeeds map, passed in so the per-dispatch path
-// computes it exactly once.
-func (am *AM) fairShare(node *cluster.Node, rel float64, rels map[cluster.NodeID]float64) int {
+// caller's current RelativeSpeeds slice, passed in so the per-dispatch
+// path computes it exactly once.
+func (am *AM) fairShare(node *cluster.Node, rel float64, rels []float64) int {
 	if !am.fsValid || am.fsMonAt != am.monitor.Epoch() || am.fsSizerAt != am.sizer.Epoch() ||
 		am.fsClusterAt != am.d.Cluster.SpeedEpoch() {
 		var totalRel float64
@@ -246,7 +246,8 @@ func (am *AM) placeReducers(d *engine.Driver) []cluster.NodeID {
 			nodes = append(nodes, n)
 		}
 	}
-	assigned := make(map[cluster.NodeID]int, len(nodes))
+	// Indexed by NodeID over the whole cluster, offline spares included.
+	assigned := make([]int, d.Cluster.Size())
 	out := make([]cluster.NodeID, d.Spec.NumReducers)
 	for r := range out {
 		out[r] = am.pickBiased(r, nodes, caps, assigned)
@@ -254,7 +255,9 @@ func (am *AM) placeReducers(d *engine.Driver) []cluster.NodeID {
 	return out
 }
 
-func (am *AM) pickBiased(partition int, nodes []*cluster.Node, caps map[cluster.NodeID]float64, assigned map[cluster.NodeID]int) cluster.NodeID {
+// pickBiased places one reducer among nodes. caps and assigned are
+// indexed by NodeID; assigned holds the current wave's reducer counts.
+func (am *AM) pickBiased(partition int, nodes []*cluster.Node, caps []float64, assigned []int) cluster.NodeID {
 	// Rejection sampling terminates: at least one node has c=1 (the
 	// fastest), accepted with probability 1. A capacity guard skips
 	// nodes whose reducer count already fills their current-wave slots;
@@ -272,7 +275,7 @@ func (am *AM) pickBiased(partition int, nodes []*cluster.Node, caps map[cluster.
 	}
 	if allFull {
 		for _, n := range nodes {
-			delete(assigned, n.ID)
+			assigned[n.ID] = 0
 		}
 	}
 	for i := 0; i < 10000; i++ {

@@ -302,10 +302,10 @@ func TestPropertyBiasedPickerDistribution(t *testing.T) {
 			{BaseSpeed: 1, Slots: 100000}, {BaseSpeed: 1, Slots: 100000},
 		})
 		am := &AM{rng: randutil.New(seed), d: nil}
-		caps := map[cluster.NodeID]float64{0: 1.0, 1: 0.5}
-		assigned := map[cluster.NodeID]int{}
+		caps := []float64{1.0, 0.5}
+		assigned := make([]int, 2)
 		const draws = 2000
-		counts := map[cluster.NodeID]int{}
+		counts := make([]int, 2)
 		for i := 0; i < draws; i++ {
 			counts[am.pickBiased(i, c.Nodes, caps, assigned)]++
 		}
@@ -323,9 +323,9 @@ func TestBiasedPickerRespectsCapacityGuard(t *testing.T) {
 		{BaseSpeed: 1, Slots: 2}, {BaseSpeed: 1, Slots: 2},
 	})
 	am := &AM{rng: randutil.New(1)}
-	caps := map[cluster.NodeID]float64{0: 1.0, 1: 1.0}
-	assigned := map[cluster.NodeID]int{}
-	counts := map[cluster.NodeID]int{}
+	caps := []float64{1.0, 1.0}
+	assigned := make([]int, 2)
+	counts := make([]int, 2)
 	for i := 0; i < 4; i++ {
 		counts[am.pickBiased(i, c.Nodes, caps, assigned)]++
 	}
@@ -354,11 +354,11 @@ func TestBiasedPickerBalancedAcrossWaves(t *testing.T) {
 	})
 	// Unequal capacities: the raw-sampling bug would send ~80% of waves
 	// 2-3 to node 0.
-	caps := map[cluster.NodeID]float64{0: 1.0, 1: 0.5}
+	caps := []float64{1.0, 0.5}
 	for seed := int64(1); seed <= 5; seed++ {
 		am := &AM{rng: randutil.New(seed)}
-		assigned := map[cluster.NodeID]int{}
-		counts := map[cluster.NodeID]int{}
+		assigned := make([]int, 2)
+		counts := make([]int, 2)
 		const waves = 3
 		for i := 0; i < waves*4; i++ {
 			counts[am.pickBiased(i, c.Nodes, caps, assigned)]++
@@ -381,8 +381,8 @@ func TestBiasedPickerBailoutPicksLeastLoaded(t *testing.T) {
 		{BaseSpeed: 1, Slots: 2}, {BaseSpeed: 1, Slots: 2},
 	})
 	am := &AM{rng: randutil.New(7)}
-	caps := map[cluster.NodeID]float64{0: 0, 1: 0}
-	assigned := map[cluster.NodeID]int{0: 1}
+	caps := []float64{0, 0}
+	assigned := []int{1, 0}
 	if got := am.pickBiased(0, c.Nodes, caps, assigned); got != 1 {
 		t.Fatalf("bail-out picked node %d, want least-loaded node 1 (assigned %v)", got, assigned)
 	}

@@ -42,12 +42,11 @@ type SpeedMonitor struct {
 	relValid bool
 	capValid bool
 
-	// Reused result buffers for RelativeSpeeds/NormalizedCapacities and a
-	// scratch slice of raw speeds. Every cluster node's key is overwritten
+	// Reused result buffers for RelativeSpeeds/NormalizedCapacities,
+	// indexed by dense NodeID. Every cluster node's entry is overwritten
 	// on every recompute, so stale entries can never leak between calls.
-	relBuf  map[cluster.NodeID]float64
-	capBuf  map[cluster.NodeID]float64
-	scratch []float64
+	relBuf []float64
+	capBuf []float64
 
 	// running is the heartbeat sweep's reused attempt buffer, so a round
 	// allocates nothing.
@@ -199,81 +198,75 @@ func (m *SpeedMonitor) GetSpeed(id cluster.NodeID) float64 {
 // new IPS report has arrived.
 func (m *SpeedMonitor) Epoch() uint64 { return m.epoch }
 
-// speeds fills the scratch slice with each node's current IPS, positions
-// matching Cluster.Nodes.
-func (m *SpeedMonitor) speeds() []float64 {
+// speedsInto fills buf with each node's current IPS, indexed by NodeID
+// (Cluster.Nodes[i].ID == i), growing it to the cluster's size.
+func (m *SpeedMonitor) speedsInto(buf []float64) []float64 {
 	nodes := m.driver.Cluster.Nodes
-	if cap(m.scratch) < len(nodes) {
-		m.scratch = make([]float64, len(nodes))
+	if cap(buf) < len(nodes) {
+		buf = make([]float64, len(nodes))
 	}
-	sp := m.scratch[:len(nodes)]
-	for i, n := range nodes {
-		sp[i] = m.GetSpeed(n.ID)
+	buf = buf[:len(nodes)]
+	for i := range buf {
+		buf[i] = m.GetSpeed(cluster.NodeID(i))
 	}
-	return sp
+	return buf
 }
 
 // RelativeSpeeds returns each node's speed normalized to the slowest node
-// with a measurement (≥1 for all measured nodes). Nodes without
-// measurements report 1.0 — indistinguishable from the slowest, which is
-// exactly the paper's conservative starting assumption.
+// with a measurement (≥1 for all measured nodes), indexed by NodeID.
+// Nodes without measurements report 1.0 — indistinguishable from the
+// slowest, which is exactly the paper's conservative starting assumption.
 //
-// The returned map is owned by the monitor and reused: it is valid until
-// the next RelativeSpeeds call. Callers must not retain it.
-func (m *SpeedMonitor) RelativeSpeeds() map[cluster.NodeID]float64 {
+// The returned slice is owned by the monitor and reused: it is valid
+// until the next RelativeSpeeds call. Callers must not retain it.
+func (m *SpeedMonitor) RelativeSpeeds() []float64 {
 	if m.relValid && m.relAt == m.epoch {
 		return m.relBuf
 	}
 	m.relValid, m.relAt = true, m.epoch
-	nodes := m.driver.Cluster.Nodes
-	sp := m.speeds()
+	rel := m.speedsInto(m.relBuf)
+	m.relBuf = rel
 	slowest := 0.0
-	for _, s := range sp {
+	for _, s := range rel {
 		if s > 0 && (slowest == 0 || s < slowest) {
 			slowest = s
 		}
 	}
-	if m.relBuf == nil {
-		m.relBuf = make(map[cluster.NodeID]float64, len(nodes))
-	}
-	for i, n := range nodes {
-		if sp[i] <= 0 || slowest <= 0 {
-			m.relBuf[n.ID] = 1.0
+	for i, s := range rel {
+		if s <= 0 || slowest <= 0 {
+			rel[i] = 1.0
 			continue
 		}
-		m.relBuf[n.ID] = sp[i] / slowest
+		rel[i] = s / slowest
 	}
-	return m.relBuf
+	return rel
 }
 
 // NormalizedCapacities returns each node's capacity c_i normalized to the
-// fastest measured node (c ∈ (0,1]), the quantity the biased reduce
-// dispatcher squares. Unmeasured nodes get 1.0.
+// fastest measured node (c ∈ (0,1]), indexed by NodeID: the quantity the
+// biased reduce dispatcher squares. Unmeasured nodes get 1.0.
 //
-// Like RelativeSpeeds, the returned map is a reused buffer valid until
+// Like RelativeSpeeds, the returned slice is a reused buffer valid until
 // the next NormalizedCapacities call.
-func (m *SpeedMonitor) NormalizedCapacities() map[cluster.NodeID]float64 {
+func (m *SpeedMonitor) NormalizedCapacities() []float64 {
 	if m.capValid && m.capAt == m.epoch {
 		return m.capBuf
 	}
 	m.capValid, m.capAt = true, m.epoch
-	nodes := m.driver.Cluster.Nodes
-	sp := m.speeds()
+	caps := m.speedsInto(m.capBuf)
+	m.capBuf = caps
 	fastest := 0.0
-	for _, s := range sp {
+	for _, s := range caps {
 		if s > fastest {
 			fastest = s
 		}
 	}
-	if m.capBuf == nil {
-		m.capBuf = make(map[cluster.NodeID]float64, len(nodes))
-	}
-	for i, n := range nodes {
-		if sp[i] <= 0 || fastest <= 0 {
-			m.capBuf[n.ID] = 1.0
+	for i, s := range caps {
+		if s <= 0 || fastest <= 0 {
+			caps[i] = 1.0
 			continue
 		}
-		m.capBuf[n.ID] = sp[i] / fastest
+		caps[i] = s / fastest
 	}
-	return m.capBuf
+	return caps
 }

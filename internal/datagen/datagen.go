@@ -25,7 +25,7 @@ var vocabulary = []string{
 // Wikipedia generates about size bytes of tab-separated documents:
 // "doc-N<TAB>word word word...\n". Word choice is rank-skewed.
 func Wikipedia(size int, seed int64) []byte {
-	rng := randutil.New(seed).Split("wikipedia")
+	rng := randutil.New(randutil.SplitSeed(seed, "wikipedia"))
 	var b strings.Builder
 	b.Grow(size + 256)
 	doc := 0
@@ -54,7 +54,7 @@ func Wikipedia(size int, seed int64) []byte {
 // "movieId,userId,rating,date\n" with ratings 1–5 and a popularity skew
 // on movie IDs.
 func Netflix(size int, seed int64) []byte {
-	rng := randutil.New(seed).Split("netflix")
+	rng := randutil.New(randutil.SplitSeed(seed, "netflix"))
 	var b strings.Builder
 	b.Grow(size + 64)
 	for b.Len() < size {
@@ -74,7 +74,7 @@ const TeraRecordSize = 100
 // TeraGen generates size/100 TeraGen-style records: a 10-byte printable
 // key, a tab, and payload padding, newline-terminated.
 func TeraGen(size int, seed int64) []byte {
-	rng := randutil.New(seed).Split("teragen")
+	rng := randutil.New(randutil.SplitSeed(seed, "teragen"))
 	n := size / TeraRecordSize
 	if n < 1 {
 		n = 1

@@ -7,7 +7,8 @@
 //
 // A Plan is declarative, mirroring internal/faults: Schedule derives the
 // complete membership timeline as a pure function of (plan, seed, node
-// IDs), with per-node streams split via randutil.DeriveSeed. The same
+// IDs). Each spare draws from one stream, seeded from
+// randutil.SplitSeed(randutil.DeriveSeed(seed, id), "membership"). The same
 // plan and seed always produce the same schedule, whether generated
 // before or during a run, serially or across worker goroutines. The
 // schedule is replayable: it can be inspected, logged, or re-injected
@@ -193,7 +194,7 @@ func (p Plan) Schedule(seed int64, spares []cluster.NodeID) []Event {
 	var events []Event
 	if p.JoinsPerHour > 0 {
 		for _, id := range spares {
-			rng := randutil.New(randutil.DeriveSeed(seed, int(id))).Split("membership")
+			rng := randutil.New(randutil.SplitSeed(randutil.DeriveSeed(seed, int(id)), "membership"))
 			events = append(events, p.nodeEvents(id, rng)...)
 		}
 	}

@@ -3,8 +3,10 @@
 // container preemptions — and injects them into a running job.
 //
 // A Plan is declarative: Schedule derives the complete fault timeline as
-// a pure function of (plan, seed, cluster size), with per-node streams
-// split via randutil.DeriveSeed. The same plan and seed always produce
+// a pure function of (plan, seed, cluster size). Each node's seed comes
+// from randutil.DeriveSeed, and each fault kind draws from its own
+// stream, seeded from randutil.SplitSeed(node seed, kind label) only when
+// that kind's rate is positive. The same plan and seed always produce
 // the same schedule, whether generated before or during a run, serially
 // or across worker goroutines — the property the fault-grid determinism
 // tests pin down. The schedule is also replayable: it can be inspected,
@@ -129,8 +131,7 @@ func (p Plan) Schedule(seed int64, n int) []Event {
 	p = p.withDefaults()
 	var events []Event
 	for i := 0; i < n; i++ {
-		rng := randutil.New(randutil.DeriveSeed(seed, i))
-		events = append(events, p.nodeEvents(cluster.NodeID(i), rng)...)
+		events = p.nodeEvents(events, cluster.NodeID(i), randutil.DeriveSeed(seed, i))
 	}
 	sort.Slice(events, func(i, j int) bool {
 		a, b := events[i], events[j]
@@ -145,27 +146,28 @@ func (p Plan) Schedule(seed int64, n int) []Event {
 	return events
 }
 
-// nodeEvents draws one node's Poisson arrival streams. Each kind uses an
-// independent sub-stream split by label, so enabling one fault kind
-// never perturbs another's timeline.
-func (p Plan) nodeEvents(id cluster.NodeID, rng *randutil.Source) []Event {
-	var out []Event
-	out = append(out, p.arrivals(id, rng.Split("crash"), Crash, p.CrashRate)...)
-	out = append(out, p.arrivals(id, rng.Split("slowdown"), Slowdown, p.SlowdownRate)...)
-	out = append(out, p.arrivals(id, rng.Split("preempt"), Preempt, p.PreemptRate)...)
-	return out
+// nodeEvents appends one node's Poisson arrival streams to out. seed is
+// the node's seed; each kind draws from an independent sub-stream split
+// from it by label, so enabling one fault kind never perturbs another's
+// timeline.
+func (p Plan) nodeEvents(out []Event, id cluster.NodeID, seed int64) []Event {
+	out = p.arrivals(out, id, seed, "crash", Crash, p.CrashRate)
+	out = p.arrivals(out, id, seed, "slowdown", Slowdown, p.SlowdownRate)
+	return p.arrivals(out, id, seed, "preempt", Preempt, p.PreemptRate)
 }
 
-// arrivals draws one Poisson process of the given per-node-hour rate up
-// to the horizon, filling kind-specific payloads.
-func (p Plan) arrivals(id cluster.NodeID, rng *randutil.Source, kind Kind, perHour float64) []Event {
+// arrivals appends one Poisson process of the given per-node-hour rate up
+// to the horizon, filling kind-specific payloads. It seeds the kind's
+// stream, split from the node's seed by label, only when the rate is
+// positive: a kind that is off costs nothing.
+func (p Plan) arrivals(out []Event, id cluster.NodeID, seed int64, label string, kind Kind, perHour float64) []Event {
 	if perHour <= 0 {
-		return nil
+		return out
 	}
+	rng := randutil.New(randutil.SplitSeed(seed, label))
 	perSec := perHour / 3600
-	var out []Event
 	t := sim.Time(0)
-	for len(out) < p.MaxPerNode {
+	for n := 0; n < p.MaxPerNode; n++ {
 		t += sim.Time(rng.ExpFloat64() / perSec)
 		if t > p.Horizon {
 			break

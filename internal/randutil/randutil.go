@@ -29,16 +29,30 @@ func (s *Source) Seed() int64 { return s.seed }
 // Split derives an independent source from this source's seed and a label.
 // Splitting is a pure function of (seed, label): it does not consume state
 // from the parent, so call order is irrelevant.
-func (s *Source) Split(label string) *Source {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	derived := s.seed ^ int64(h.Sum64())
+func (s *Source) Split(label string) *Source { return New(SplitSeed(s.seed, label)) }
+
+// SplitSeed returns the seed Split derives from (seed, label), without
+// seeding a source. Seeding fills a ~5 KB table, so a caller that only
+// derives further seeds, or draws from a stream only sometimes, should
+// derive with SplitSeed and call New once it draws.
+func SplitSeed(seed int64, label string) int64 {
+	derived := seed ^ int64(fnv64a(label))
 	// Avoid the degenerate all-zero seed.
 	if derived == 0 {
 		derived = 0x9e3779b97f4a7c
-
 	}
-	return New(derived)
+	return derived
+}
+
+// fnv64a is the FNV-1a hash of hash/fnv's New64a, written out so that
+// deriving a seed allocates nothing.
+func fnv64a(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // DeriveSeed deterministically derives an independent seed from a base

@@ -1,6 +1,7 @@
 package randutil
 
 import (
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 )
@@ -118,5 +119,77 @@ func TestDeriveSeedSpreads(t *testing.T) {
 			}
 			seen[s] = true
 		}
+	}
+}
+
+// TestSplitSeedMatchesSplit pins SplitSeed to the seed Split derives, and
+// the stream seeded from it to Split's stream, including the zero-seed
+// fallback (a seed equal to the label's FNV-1a hash derives 0).
+func TestSplitSeedMatchesSplit(t *testing.T) {
+	same := func(seed int64, label string) bool {
+		split := New(seed).Split(label)
+		derived := SplitSeed(seed, label)
+		if derived != split.Seed() {
+			return false
+		}
+		a := New(derived)
+		for i := 0; i < 4; i++ {
+			if a.Int63() != split.Int63() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(same, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, label := range []string{"", "faults", "membership"} {
+		h := fnv.New64a()
+		h.Write([]byte(label))
+		if fnv64a(label) != h.Sum64() {
+			t.Fatalf("fnv64a(%q) = %x, hash/fnv gives %x", label, fnv64a(label), h.Sum64())
+		}
+		seed := int64(h.Sum64())
+		if SplitSeed(seed, label) != 0x9e3779b97f4a7c {
+			t.Fatalf("SplitSeed(%d, %q) = %d, want the zero-seed fallback", seed, label, SplitSeed(seed, label))
+		}
+		if !same(seed, label) {
+			t.Fatalf("SplitSeed and Split disagree at the zero-seed fallback for %q", label)
+		}
+	}
+}
+
+// streamLabels is every label the simulator derives a stream with (DESIGN
+// §11 names the site that owns each). A new consumer takes a new label.
+var streamLabels = []string{
+	"placement", "data-skew", "faults", "membership", "runtime-noise", "flexmap",
+	"arrivals", "class", "size", "crash", "slowdown", "preempt",
+	"virtual20-interference", "multitenant-slow-picks", "wikipedia", "netflix", "teragen",
+}
+
+// TestStreamLabelsDistinct checks that, for any seed, every pair of
+// labels derives distinct seeds and no label derives the seed unchanged.
+func TestStreamLabelsDistinct(t *testing.T) {
+	distinct := func(seed int64) bool {
+		seen := make(map[int64]string, len(streamLabels))
+		for _, label := range streamLabels {
+			d := SplitSeed(seed, label)
+			if d == seed {
+				t.Logf("seed %d: label %q derives the seed unchanged", seed, label)
+				return false
+			}
+			if other, dup := seen[d]; dup {
+				t.Logf("seed %d: labels %q and %q derive the same seed", seed, other, label)
+				return false
+			}
+			seen[d] = label
+		}
+		return true
+	}
+	if err := quick.Check(distinct, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	if !distinct(0) || !distinct(42) {
+		t.Fatal("labels collide at seed 0 or 42")
 	}
 }

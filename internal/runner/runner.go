@@ -220,10 +220,10 @@ func (e *JobFailedError) Error() string {
 }
 
 // buildAM constructs the selected engine's ApplicationMaster over the
-// driver. flexRng seeds FlexMap's placement bias (ignored by the other
-// engines). The returned *core.AM is non-nil only for FlexMap, whose
-// size trace the caller may want.
-func buildAM(driver *engine.Driver, eng Engine, flexRng *randutil.Source) (*core.AM, error) {
+// driver. flexSeed seeds FlexMap's placement bias; the other engines
+// draw nothing from it and seed no source. The returned *core.AM is
+// non-nil only for FlexMap, whose size trace the caller may want.
+func buildAM(driver *engine.Driver, eng Engine, flexSeed int64) (*core.AM, error) {
 	splitBUs := 8
 	if eng.SplitMB != 0 {
 		if int64(eng.SplitMB)*MB%dfs.BUSize != 0 {
@@ -241,7 +241,7 @@ func buildAM(driver *engine.Driver, eng Engine, flexRng *randutil.Source) (*core
 	case SkewTune:
 		_, err = skewtune.New(driver, splitBUs)
 	case FlexMap:
-		flexAM, err = core.NewAM(driver, flexRng)
+		flexAM, err = core.NewAM(driver, randutil.New(flexSeed))
 		if flexAM != nil {
 			flexAM.Speculation = speculate.NewLATE()
 			switch eng.FlexAblation {
@@ -315,7 +315,7 @@ func run(sc Scenario, spec mr.JobSpec, eng Engine, wrap func(*stack, yarn.Schedu
 		return nil, err
 	}
 	if sc.SkewSigma > 0 {
-		s.store.ApplySkew(s.rng.Split("data-skew"), sc.SkewSigma)
+		s.store.ApplySkew(randutil.New(randutil.SplitSeed(s.seed, "data-skew")), sc.SkewSigma)
 	}
 	// Interference is armed before the AM's heartbeat ticker and the
 	// liveness watcher: same-instant ticks fire in that order.
@@ -324,7 +324,7 @@ func run(sc Scenario, spec mr.JobSpec, eng Engine, wrap func(*stack, yarn.Schedu
 	if wrap != nil {
 		register = func(am yarn.Scheduler) { s.rm.SetScheduler(wrap(s, am)) }
 	}
-	driver, flexAM, err := s.newJob(spec, eng, s.rng, s.tracer, register)
+	driver, flexAM, err := s.newJob(spec, eng, s.seed, s.tracer, register)
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,10 @@ type stack struct {
 	clus       *cluster.Cluster
 	interferer cluster.Interferer
 	spares     []cluster.NodeID
-	rng        *randutil.Source
+	// seed is the scenario seed. The shared streams derive from it by
+	// label with randutil.SplitSeed ("placement", "data-skew", "faults",
+	// "membership"), and so do the streams of Run's one job.
+	seed       int64
 	store      *dfs.Store
 	cost       engine.CostModel
 	noiseSigma float64
@@ -89,8 +92,8 @@ func newStack(sc Scenario) (*stack, error) {
 	if err := validateNet(sc.Name, s.clus); err != nil {
 		return nil, err
 	}
-	s.rng = randutil.New(sc.Seed)
-	s.store = dfs.NewStore(s.clus, sc.Replication, s.rng.Split("placement"))
+	s.seed = sc.Seed
+	s.store = dfs.NewStore(s.clus, sc.Replication, randutil.New(randutil.SplitSeed(s.seed, "placement")))
 	s.cost = sc.Cost
 	if s.cost == (engine.CostModel{}) {
 		s.cost = engine.DefaultCostModel()
@@ -183,11 +186,11 @@ func finiteNonNegative(v float64) bool {
 	return v >= 0 && !math.IsInf(v, 1)
 }
 
-// newJob builds one job's driver and ApplicationMaster on the stack. rng
-// seeds the job's runtime noise and FlexMap's reduce bias; register, when
-// non-nil, receives the AM's registration instead of the RM. The returned
-// *core.AM is non-nil only for FlexMap.
-func (s *stack) newJob(spec mr.JobSpec, eng Engine, rng *randutil.Source, tracer *trace.Tracer,
+// newJob builds one job's driver and ApplicationMaster on the stack. The
+// job's runtime noise and FlexMap's reduce bias derive from seed;
+// register, when non-nil, receives the AM's registration instead of the
+// RM. The returned *core.AM is non-nil only for FlexMap.
+func (s *stack) newJob(spec mr.JobSpec, eng Engine, seed int64, tracer *trace.Tracer,
 	register func(yarn.Scheduler)) (*engine.Driver, *core.AM, error) {
 
 	driver, err := engine.NewDriver(s.eng, s.clus, s.store, s.rm, s.cost, spec)
@@ -197,9 +200,9 @@ func (s *stack) newJob(spec mr.JobSpec, eng Engine, rng *randutil.Source, tracer
 	driver.RegisterScheduler = register
 	driver.Net = s.fabric
 	driver.Trace = tracer
-	driver.Noise = rng.Split("runtime-noise")
+	driver.Noise = randutil.New(randutil.SplitSeed(seed, "runtime-noise"))
 	driver.NoiseSigma = s.noiseSigma
-	flexAM, err := buildAM(driver, eng, rng.Split("flexmap"))
+	flexAM, err := buildAM(driver, eng, randutil.SplitSeed(seed, "flexmap"))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -229,7 +232,7 @@ func (s *stack) addChurn(fp faults.Plan, mp elastic.Plan, target faults.Target) 
 		s.watcher = yarn.NewNodeWatcher(s.eng, s.clus, s.rm)
 		s.watcher.Trace = s.tracer
 		s.injector = faults.NewInjector(s.eng, s.clus,
-			fp.Schedule(s.rng.Split("faults").Seed(), s.clus.Size()), target)
+			fp.Schedule(randutil.SplitSeed(s.seed, "faults"), s.clus.Size()), target)
 		s.injector.Trace = s.tracer
 	}
 	if mp.Active() {
@@ -265,7 +268,7 @@ func (s *stack) run(maxSimTime sim.Time) sim.Time {
 		s.injector.Start()
 	}
 	if s.ctl != nil {
-		s.ctl.Start(s.rng.Split("membership").Seed())
+		s.ctl.Start(randutil.SplitSeed(s.seed, "membership"))
 	}
 	s.rm.Start()
 	deadline := maxSimTime

@@ -11,7 +11,6 @@ import (
 	"flexmap/internal/faults"
 	"flexmap/internal/metrics"
 	"flexmap/internal/mr"
-	"flexmap/internal/randutil"
 	"flexmap/internal/sim"
 	"flexmap/internal/trace"
 	"flexmap/internal/workload"
@@ -365,7 +364,7 @@ func submitJob(s *stack, sc WorkloadScenario, a workload.Arrival, mux *yarn.Inte
 	// shared RM (which the multiplexer owns). SkewTune registers twice;
 	// last one wins, as with direct SetScheduler.
 	var am yarn.Scheduler
-	driver, _, err := s.newJob(spec, class.Engine, randutil.New(a.Seed), s.tracer.ForJob(id),
+	driver, _, err := s.newJob(spec, class.Engine, a.Seed, s.tracer.ForJob(id),
 		func(sch yarn.Scheduler) { am = sch })
 	if err != nil {
 		return err

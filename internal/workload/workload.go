@@ -3,9 +3,11 @@
 // sequences with per-job input sizes drawn from a weighted class mix.
 //
 // Everything is a pure function of (seed, pattern, classes). The
-// arrival-time stream comes from one Split of the seed; each job's own
-// randomness (class pick, input size, and the per-job seed handed to the
-// runner) derives from randutil.DeriveSeed(seed, index), so job i sees
+// arrival-time stream is seeded from randutil.SplitSeed(seed,
+// "arrivals"). Each job's seed is randutil.DeriveSeed(seed, index), and
+// its class pick and input size draw from streams seeded with
+// SplitSeed(job seed, "class") and SplitSeed(job seed, "size"); the
+// runner derives the job's own streams from the same seed. So job i sees
 // the same stream no matter how many jobs precede it, how the batch is
 // parallelized, or in which order jobs complete — the replayability
 // contract every determinism test in this repository leans on.
@@ -150,24 +152,24 @@ func Generate(seed int64, p Pattern, classes []Class) ([]Arrival, error) {
 		totalW += c.Weight
 	}
 
-	times := randutil.New(seed).Split("arrivals")
+	times := randutil.New(randutil.SplitSeed(seed, "arrivals"))
 	out := make([]Arrival, p.Jobs)
 	var t float64
 	for i := range out {
 		t = nextArrival(t, p, times)
-		jr := randutil.New(randutil.DeriveSeed(seed, i))
-		ci := pickClass(jr.Split("class").Float64()*totalW, classes)
+		js := randutil.DeriveSeed(seed, i)
+		ci := pickClass(randutil.New(randutil.SplitSeed(js, "class")).Float64()*totalW, classes)
 		c := classes[ci]
 		size := c.MinBytes
 		if span := c.MaxBytes - c.MinBytes; span > 0 {
-			size += jr.Split("size").Int63n(span + 1)
+			size += randutil.New(randutil.SplitSeed(js, "size")).Int63n(span + 1)
 		}
 		out[i] = Arrival{
 			Index:      i,
 			At:         sim.Time(t),
 			Class:      ci,
 			InputBytes: size,
-			Seed:       randutil.DeriveSeed(seed, i),
+			Seed:       js,
 		}
 	}
 	return out, nil
