@@ -79,7 +79,7 @@ func TestListExitsZero(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(stdout), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	if got, want := strings.Join(names, " "), "detrand seedflow rangemap handlesafe"; got != want {
+	if got, want := strings.Join(names, " "), "detrand seedflow rangemap"; got != want {
 		t.Errorf("-list analyzers = %q, want %q", got, want)
 	}
 }

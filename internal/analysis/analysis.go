@@ -104,8 +104,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return deduped
 }
 
-// All returns the four flexvet analyzers in reporting order: the three
-// determinism analyzers, then handlesafe's sim.Handle discipline.
+// All returns the three flexvet determinism analyzers in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detrand, Seedflow, Rangemap, Handlesafe}
+	return []*Analyzer{Detrand, Seedflow, Rangemap}
 }

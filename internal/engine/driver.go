@@ -100,7 +100,6 @@ type Driver struct {
 	reduceRemaining int
 	reduceQueues    map[cluster.NodeID][]int
 	reduceQueued    int // partitions across reduceQueues
-	reduceActive    map[cluster.NodeID]int
 	runningReduce   map[cluster.NodeID][]*reduceRun
 	orphanReduces   []int
 	finished        bool
@@ -154,7 +153,6 @@ func NewDriver(eng *sim.Engine, c *cluster.Cluster, store *dfs.Store, rm *yarn.R
 		residentOutput: make(map[cluster.NodeID][]dfs.BUID),
 		residentInter:  make(map[cluster.NodeID]int64),
 		buCommits:      make(map[dfs.BUID]int),
-		reduceActive:   make(map[cluster.NodeID]int),
 		runningReduce:  make(map[cluster.NodeID][]*reduceRun),
 	}
 	if spec.NumReducers > 0 {
@@ -533,7 +531,7 @@ func (a *MapAttempt) kill(crashed bool) bool {
 	a.killed = true
 	// In phaseCompute the handle is stale (the fetch event already
 	// fired); Cancel on a stale handle is a guaranteed no-op.
-	a.d.Eng.Cancel(a.phaseEv)
+	a.phaseEv.Cancel()
 	var effective sim.Duration
 	if a.phase == phaseCompute {
 		a.d.Exec.Cancel(a.work)

@@ -54,7 +54,7 @@ func (w *Work) sync(now sim.Time) {
 // Canceling a handle whose event already fired or was never scheduled is
 // a no-op, so no pending-state bookkeeping is needed.
 func (w *Work) plan(eng *sim.Engine) {
-	eng.Cancel(w.ev)
+	w.ev.Cancel()
 	if w.finished || w.canceled {
 		return
 	}
@@ -147,7 +147,7 @@ func (x *Executor) Cancel(w *Work) {
 	}
 	w.sync(x.eng.Now())
 	w.canceled = true
-	x.eng.Cancel(w.ev)
+	w.ev.Cancel()
 	x.detach(w)
 }
 

@@ -95,7 +95,7 @@ func (d *Driver) pumpReduces(n *cluster.Node) {
 	if n.Down() || d.finished {
 		return
 	}
-	for d.reduceActive[n.ID] < n.Slots {
+	for len(d.runningReduce[n.ID]) < n.Slots {
 		p, ok := d.nextReduce(n.ID)
 		if !ok {
 			return
@@ -202,7 +202,7 @@ type reduceRun struct {
 // is logged and the partition is stashed for requeue at delivery time.
 func (rr *reduceRun) crash() {
 	d := rr.d
-	d.Eng.Cancel(rr.ev)
+	rr.ev.Cancel()
 	for _, fl := range rr.flows {
 		d.Net.Cancel(fl)
 	}
@@ -243,7 +243,6 @@ func (d *Driver) detachReduce(rr *reduceRun) {
 			break
 		}
 	}
-	d.reduceActive[rr.node.ID]--
 }
 
 // runReduce executes one reduce attempt: overhead, shuffle fetch of the
@@ -260,7 +259,6 @@ func (d *Driver) runReduce(p int, n *cluster.Node, c *yarn.Container) {
 	fetchDur := sim.Duration(float64(remote) / (d.Cluster.NetBW * float64(MB)))
 
 	rr := &reduceRun{d: d, p: p, node: n, start: start, partBytes: partBytes, container: c}
-	d.reduceActive[n.ID]++
 	d.runningReduce[n.ID] = append(d.runningReduce[n.ID], rr)
 	d.Trace.ReduceDispatch(reduceTaskName(p), n.ID, partBytes)
 

@@ -346,7 +346,7 @@ func (f *Fabric) Cancel(fl *Flow) int64 {
 	now := f.eng.Now()
 	fl.sync(now)
 	fl.canceled = true
-	f.eng.Cancel(fl.ev)
+	fl.ev.Cancel()
 	fl.ev = sim.Handle{}
 	f.remove(fl)
 	transferred := int64(fl.done + 0.5)
@@ -478,7 +478,7 @@ func (f *Fabric) recompute() {
 		if rem < 0 {
 			rem = 0
 		}
-		f.eng.Cancel(fl.ev)
+		fl.ev.Cancel()
 		fl.ev = f.eng.After(sim.Duration(rem/fl.rate), "net-flow-done", fl.complete)
 	}
 }

@@ -537,7 +537,7 @@ func runReference(geom cluster.TopologySpec, ops []churnOp, paths [][]int32) []c
 				continue
 			}
 			fl.rate = rates[i]
-			eng.Cancel(fl.ev)
+			fl.ev.Cancel()
 			fl.ev = eng.After(sim.Duration(math.Max(fl.total-fl.done, 0)/fl.rate), "net-flow-done", func() {
 				fl.done = fl.total
 				end(fl)
@@ -556,7 +556,7 @@ func runReference(geom cluster.TopologySpec, ops []churnOp, paths [][]int32) []c
 		if !fl.ended {
 			fl.done = math.Min(fl.done+fl.rate*float64(eng.Now()-fl.lastSync), fl.total)
 			fl.lastSync = eng.Now()
-			eng.Cancel(fl.ev)
+			fl.ev.Cancel()
 			moved = int64(fl.done + 0.5)
 			end(fl)
 		}

@@ -116,8 +116,6 @@ type Scenario struct {
 
 	// Replication is the HDFS replication factor (default 3).
 	Replication int
-	// Cost overrides the calibrated cost model when non-zero.
-	Cost engine.CostModel
 
 	// InputSize creates a modeled input file of this many bytes.
 	// InputData, when non-nil, creates a real file instead, enabling live

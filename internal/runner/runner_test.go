@@ -183,6 +183,30 @@ func TestBadMembershipPlanRejected(t *testing.T) {
 	}
 }
 
+// TestBadNodeSpeedRejected: a cluster factory that returns a node with a
+// NaN or +Inf BaseSpeed (NewCluster rejects only negative speeds) is a
+// scenario error from both Run and RunWorkload, not a run that completes
+// with a nonsense JCT.
+func TestBadNodeSpeedRejected(t *testing.T) {
+	for _, speed := range []float64{math.NaN(), math.Inf(1)} {
+		factory := func() (*cluster.Cluster, cluster.Interferer) {
+			return cluster.NewCluster("bad-speed", []cluster.NodeSpec{
+				{BaseSpeed: 1}, {BaseSpeed: speed}, {BaseSpeed: 0.5},
+			}), nil
+		}
+		want := `runner: "`
+		_, err := Run(smallScenario(factory), wcSpec(t, 2), Engine{Kind: FlexMap})
+		if err == nil || !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), "BaseSpeed") {
+			t.Errorf("speed %v: Run error = %v, want a %s… BaseSpeed error", speed, err, want)
+		}
+		wl := testWorkload(1, 2)
+		wl.Cluster = factory
+		if _, err := RunWorkload(wl); err == nil || !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), "BaseSpeed") {
+			t.Errorf("speed %v: RunWorkload error = %v, want a %s… BaseSpeed error", speed, err, want)
+		}
+	}
+}
+
 func TestEngineString(t *testing.T) {
 	cases := map[string]Engine{
 		"hadoop-64m":        {Kind: Hadoop},

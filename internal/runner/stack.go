@@ -34,7 +34,6 @@ type stack struct {
 	// "membership"), and so do the streams of Run's one job.
 	seed       int64
 	store      *dfs.Store
-	cost       engine.CostModel
 	noiseSigma float64
 	rm         *yarn.RM
 	tracer     *trace.Tracer
@@ -61,9 +60,11 @@ func buildCluster(sc Scenario) (c *cluster.Cluster, inf cluster.Interferer, err 
 }
 
 // newStack builds the stack from the scenario's shared fields: Name,
-// Cluster, Seed, Replication, Cost, NoiseSigma, Faults (validated only),
+// Cluster, Seed, Replication, NoiseSigma, Faults (validated only),
 // Membership (validated, spares only), Trace and OnFire. It schedules no
-// events.
+// events. Every job runs under engine.DefaultCostModel; a workload
+// leaves Replication and NoiseSigma zero, so it gets replication 3 and
+// DefaultNoiseSigma.
 func newStack(sc Scenario) (*stack, error) {
 	if err := validateFaults(sc.Name, sc.Faults); err != nil {
 		return nil, err
@@ -89,15 +90,14 @@ func newStack(sc Scenario) (*stack, error) {
 	if sc.Membership.Active() {
 		s.spares = s.clus.AddSpares(sc.Membership.Spares, sc.Membership.SpareSpec)
 	}
+	if err := validateSpeeds(sc.Name, s.clus); err != nil {
+		return nil, err
+	}
 	if err := validateNet(sc.Name, s.clus); err != nil {
 		return nil, err
 	}
 	s.seed = sc.Seed
 	s.store = dfs.NewStore(s.clus, sc.Replication, randutil.New(randutil.SplitSeed(s.seed, "placement")))
-	s.cost = sc.Cost
-	if s.cost == (engine.CostModel{}) {
-		s.cost = engine.DefaultCostModel()
-	}
 	s.noiseSigma = sc.NoiseSigma
 	if s.noiseSigma == 0 {
 		s.noiseSigma = DefaultNoiseSigma
@@ -115,6 +115,18 @@ func newStack(sc Scenario) (*stack, error) {
 		s.fabric = fabric
 	}
 	return s, nil
+}
+
+// validateSpeeds rejects a node whose BaseSpeed is not positive and
+// finite: NaN or +Inf would run to completion and report a nonsense JCT.
+func validateSpeeds(name string, c *cluster.Cluster) error {
+	for _, n := range c.Nodes {
+		if !(n.BaseSpeed > 0) || math.IsInf(n.BaseSpeed, 1) {
+			return fmt.Errorf("runner: %q: cluster %q node %s BaseSpeed %v is not positive and finite",
+				name, c.Name, n.Name, n.BaseSpeed)
+		}
+	}
+	return nil
 }
 
 // validateNet rejects network parameters that would silently produce
@@ -193,7 +205,7 @@ func finiteNonNegative(v float64) bool {
 func (s *stack) newJob(spec mr.JobSpec, eng Engine, seed int64, tracer *trace.Tracer,
 	register func(yarn.Scheduler)) (*engine.Driver, *core.AM, error) {
 
-	driver, err := engine.NewDriver(s.eng, s.clus, s.store, s.rm, s.cost, spec)
+	driver, err := engine.NewDriver(s.eng, s.clus, s.store, s.rm, engine.DefaultCostModel(), spec)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -57,13 +57,6 @@ type WorkloadScenario struct {
 	// indexes into it.
 	Queues []yarn.Queue
 
-	// Replication is the HDFS replication factor (default 3).
-	Replication int
-	// Cost overrides the calibrated cost model when non-zero.
-	Cost engine.CostModel
-	// NoiseSigma is per-task runtime noise (0 = DefaultNoiseSigma;
-	// negative disables).
-	NoiseSigma float64
 	// Faults injects seeded node crashes/slowdowns/preemptions shared
 	// by every concurrent job.
 	Faults faults.Plan
@@ -285,8 +278,8 @@ func runWorkload(sc WorkloadScenario, wrap func(*stack, yarn.Scheduler) yarn.Sch
 	}
 
 	s, err := newStack(Scenario{
-		Name: sc.Name, Cluster: sc.Cluster, Seed: sc.Seed, Replication: sc.Replication,
-		Cost: sc.Cost, NoiseSigma: sc.NoiseSigma, Faults: sc.Faults, Membership: sc.Membership, Trace: sc.Trace,
+		Name: sc.Name, Cluster: sc.Cluster, Seed: sc.Seed,
+		Faults: sc.Faults, Membership: sc.Membership, Trace: sc.Trace,
 	})
 	if err != nil {
 		return nil, err

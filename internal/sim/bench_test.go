@@ -49,7 +49,7 @@ func BenchmarkScheduleCancelFire(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.At(at(), "keep", fn)
-		e.Cancel(e.At(at(), "drop", fn))
+		e.At(at(), "drop", fn).Cancel()
 		e.Step()
 	}
 }

@@ -57,7 +57,18 @@ type event struct {
 // cancellation has been collected, the engine may recycle the storage,
 // after which the Handle is stale and every operation on it — Cancel in
 // particular — is a guaranteed no-op thanks to the generation check.
+//
+// Store a Handle by value: a *Handle shared between owners would let one
+// owner's reschedule overwrite the handle another still means to cancel,
+// and the crash-recovery tests fail when that happens. A Handle is not
+// comparable — the leading zero-size func array makes == and != on it a
+// compile error — because its identity answers nothing a caller should
+// ask: a stale handle is not the zero Handle, and a live one says nothing
+// about whether its event is still pending; ask At, Name or Canceled.
+// The func array comes first so it adds no trailing padding: a Handle
+// stays two words.
 type Handle struct {
+	_   [0]func()
 	ev  *event
 	gen uint32
 }
@@ -150,13 +161,15 @@ func (e *Engine) After(d Duration, name string, fn func()) Handle {
 	return e.At(e.now+Time(d), name, fn)
 }
 
-// Cancel marks an event so it will not fire. It is O(1): the event keeps
-// its heap slot until it surfaces and is collected. Canceling the zero
-// Handle, an already-canceled event, or an event that already fired is a
-// no-op — in particular, a fired event is never retroactively marked
+// Cancel marks the event so it will not fire. It is O(1): the event
+// keeps its heap slot until it surfaces and is collected. Canceling the
+// zero Handle, an already-canceled event, or an event that already fired
+// is a no-op — in particular, a fired event is never retroactively marked
 // canceled, and a stale Handle whose storage was recycled can never
-// cancel the storage's new occupant.
-func (e *Engine) Cancel(h Handle) {
+// cancel the storage's new occupant. Cancel is a method of the Handle,
+// not of an Engine, so there is no second engine to pass it to: the
+// event it marks is always the one its own engine queued.
+func (h Handle) Cancel() {
 	ev := h.ev
 	if ev == nil || ev.gen != h.gen || !ev.queued {
 		return

@@ -3,9 +3,11 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestZeroValueReady(t *testing.T) {
@@ -90,7 +92,7 @@ func TestCancelPreventsFiring(t *testing.T) {
 	e := New()
 	fired := false
 	ev := e.At(3, "c", func() { fired = true })
-	e.Cancel(ev)
+	ev.Cancel()
 	e.Run()
 	if fired {
 		t.Fatal("canceled event fired")
@@ -103,9 +105,9 @@ func TestCancelPreventsFiring(t *testing.T) {
 func TestCancelIsIdempotent(t *testing.T) {
 	e := New()
 	ev := e.At(3, "c", func() {})
-	e.Cancel(ev)
-	e.Cancel(ev) // must not panic
-	e.Cancel(Handle{})
+	ev.Cancel()
+	ev.Cancel() // must not panic
+	Handle{}.Cancel()
 	e.Run()
 }
 
@@ -113,7 +115,7 @@ func TestCancelDuringRun(t *testing.T) {
 	e := New()
 	var later Handle
 	fired := false
-	e.At(1, "first", func() { e.Cancel(later) })
+	e.At(1, "first", func() { later.Cancel() })
 	later = e.At(2, "second", func() { fired = true })
 	e.Run()
 	if fired {
@@ -212,6 +214,17 @@ func TestTickerZeroPeriodPanics(t *testing.T) {
 	NewTicker(New(), 0, "bad", func(Time) {})
 }
 
+// A Handle must stay non-comparable, so handle identity comparison is a
+// compile error, and two words, so the func array costs no padding.
+func TestHandleShape(t *testing.T) {
+	if reflect.TypeOf(Handle{}).Comparable() {
+		t.Error("sim.Handle is comparable; == on handles must not compile")
+	}
+	if got := unsafe.Sizeof(Handle{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(Handle{}) = %d, want 16", got)
+	}
+}
+
 // Regression: Cancel on an event that already fired must be a true no-op —
 // it must not retroactively mark the event canceled, and it must not
 // cancel a later event that happens to reuse the same storage.
@@ -219,7 +232,7 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 	e := New()
 	h := e.At(1, "fires", func() {})
 	e.Run()
-	e.Cancel(h)
+	h.Cancel()
 	if h.Canceled() {
 		t.Fatal("post-fire Cancel retroactively marked the event canceled")
 	}
@@ -228,7 +241,7 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 	// reuses it. The stale handle must not be able to cancel the new event.
 	fired := false
 	h2 := e.At(2, "reused", func() { fired = true })
-	e.Cancel(h) // stale: generation mismatch
+	h.Cancel() // stale: generation mismatch
 	e.Run()
 	if !fired {
 		t.Fatal("stale handle canceled a recycled event")
@@ -272,7 +285,7 @@ func TestRunUntilSkipsCanceledHeadWithoutOvershoot(t *testing.T) {
 	h := e.At(3, "canceled", func() { t.Error("canceled event fired") })
 	fired := false
 	e.At(10, "late", func() { fired = true })
-	e.Cancel(h)
+	h.Cancel()
 	e.RunUntil(5)
 	if fired {
 		t.Fatal("RunUntil fired an event past the deadline")
@@ -322,7 +335,7 @@ func TestPropertyOrderingAndCompleteness(t *testing.T) {
 		// Cancel a random subset up-front.
 		for i := range events {
 			if rng.Intn(4) == 0 {
-				e.Cancel(events[i])
+				events[i].Cancel()
 				canceled[i] = true
 			}
 		}

@@ -38,5 +38,5 @@ func (t *Ticker) arm() {
 // stale handle (Stop from within the tick callback) is a safe no-op.
 func (t *Ticker) Stop() {
 	t.stop = true
-	t.eng.Cancel(t.ev)
+	t.ev.Cancel()
 }

@@ -56,7 +56,7 @@ func checkPacing(t *testing.T, rm *RM, step int, op string) {
 	for _, n := range rm.cluster.Nodes {
 		id := n.ID
 		if rm.free[id] > 0 && rm.granted[id] && !n.Down() && !rm.draining[id] &&
-			now < rm.lastGrant[id]+sim.Time(rm.AssignDelay) && !rm.offerScheduled[id] {
+			now < rm.lastGrant[id]+sim.Time(AssignDelay) && !rm.offerScheduled[id] {
 			t.Fatalf("step %d (%s), t=%v: node %d has %d free slots, last grant at %v, and no offer armed",
 				step, op, now, id, rm.free[id], rm.lastGrant[id])
 		}

@@ -37,13 +37,13 @@ type Scheduler interface {
 	Idle() bool
 }
 
+// AssignDelay is the NodeManager heartbeat period: successive container
+// grants on one node are at least this far apart, and a released slot is
+// re-offered after this delay.
+const AssignDelay sim.Duration = 1
+
 // RM is the ResourceManager for one simulated job run.
 type RM struct {
-	// AssignDelay is the NodeManager heartbeat period: successive
-	// container grants on one node are at least this far apart, and a
-	// released slot is re-offered after this delay. Default 1 s.
-	AssignDelay sim.Duration
-
 	eng     *sim.Engine
 	cluster *cluster.Cluster
 	sched   Scheduler
@@ -70,7 +70,6 @@ type RM struct {
 // NewRM creates a ResourceManager over the cluster with all slots free.
 func NewRM(eng *sim.Engine, c *cluster.Cluster) *RM {
 	rm := &RM{
-		AssignDelay:    1.0,
 		eng:            eng,
 		cluster:        c,
 		free:           make([]int, c.Size()),
@@ -181,13 +180,13 @@ func (rm *RM) offerNow(n *cluster.Node) {
 	}
 	now := rm.eng.Now()
 	if rm.granted[n.ID] {
-		if wait := rm.lastGrant[n.ID] + sim.Time(rm.AssignDelay) - now; wait > 0 {
+		if wait := rm.lastGrant[n.ID] + sim.Time(AssignDelay) - now; wait > 0 {
 			rm.scheduleOffer(n.ID, sim.Duration(wait))
 			return
 		}
 	}
 	if rm.sched.OnSlotFree(n) && rm.free[n.ID] > 0 {
-		rm.scheduleOffer(n.ID, rm.AssignDelay)
+		rm.scheduleOffer(n.ID, AssignDelay)
 	}
 }
 
@@ -224,7 +223,7 @@ func (rm *RM) NodeRestored(id cluster.NodeID) {
 		fn(id)
 	}
 	if rm.started {
-		rm.scheduleOffer(id, rm.AssignDelay)
+		rm.scheduleOffer(id, AssignDelay)
 	}
 }
 
@@ -235,7 +234,7 @@ func (rm *RM) NodeJoined(id cluster.NodeID) {
 	rm.draining[id] = false
 	rm.free[id] = rm.cluster.Node(id).Slots
 	if rm.started {
-		rm.scheduleOffer(id, rm.AssignDelay)
+		rm.scheduleOffer(id, AssignDelay)
 	}
 }
 
@@ -317,7 +316,7 @@ func (c *Container) Release() {
 		return
 	}
 	c.rm.free[c.Node.ID]++
-	c.rm.scheduleOffer(c.Node.ID, c.rm.AssignDelay)
+	c.rm.scheduleOffer(c.Node.ID, AssignDelay)
 }
 
 // Released reports whether the container has been released.

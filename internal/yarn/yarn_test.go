@@ -51,8 +51,8 @@ func TestStartFillsAllSlotsOverHeartbeats(t *testing.T) {
 	}
 	// Second slot per node arrives one AssignDelay later.
 	for _, at := range s.acquiredAt[3:] {
-		if at != sim.Time(rm.AssignDelay) {
-			t.Fatalf("second-wave grant at %v, want %v", at, rm.AssignDelay)
+		if at != sim.Time(AssignDelay) {
+			t.Fatalf("second-wave grant at %v, want %v", at, AssignDelay)
 		}
 	}
 }
@@ -91,7 +91,7 @@ func TestReleaseReoffersAfterHeartbeat(t *testing.T) {
 	if len(s.containers) != 3 {
 		t.Fatal("re-offer after release did not reach scheduler")
 	}
-	if got := s.acquiredAt[2]; got != releaseAt+sim.Time(rm.AssignDelay) {
+	if got := s.acquiredAt[2]; got != releaseAt+sim.Time(AssignDelay) {
 		t.Fatalf("re-offer at %v, want one heartbeat after release %v", got, releaseAt)
 	}
 	if !s.containers[0].Released() {
@@ -186,7 +186,7 @@ func TestNoParallelOfferChains(t *testing.T) {
 	}
 	// Grants must be spaced ≥ AssignDelay apart (first is immediate).
 	for i := 1; i < len(s.acquiredAt); i++ {
-		if gap := s.acquiredAt[i] - s.acquiredAt[i-1]; gap < sim.Time(rm.AssignDelay)-1e-9 {
+		if gap := s.acquiredAt[i] - s.acquiredAt[i-1]; gap < sim.Time(AssignDelay)-1e-9 {
 			t.Fatalf("grants %d→%d only %v apart", i-1, i, gap)
 		}
 	}
