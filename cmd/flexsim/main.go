@@ -21,7 +21,9 @@
 // of one job: N arrivals of the chosen benchmark/engine (input sizes
 // drawn between half and the full -size-gb), competing for containers
 // under the chosen inter-job policy, printing per-job outcomes plus
-// cluster-level goodput, utilization and latency percentiles.
+// cluster-level goodput, utilization and latency percentiles. Of the
+// trace outputs it writes only -trace; it rejects the single-job flags
+// -input, -skew, -attempts, -json, -timeline and -perfetto.
 //
 // With -membership N the cluster gains N spare nodes under a seeded
 // join/drain/spot-reclaim churn timeline; adding -autoscale replaces the
@@ -129,6 +131,17 @@ func main() {
 		}
 		if *skew != 0 {
 			fatalf("-workload does not model data skew; drop -skew")
+		}
+		if *perfettoPath != "" {
+			fatalf("-workload cannot write a Perfetto trace: every job names its tasks map-NNNN, so spans would collide; drop -perfetto")
+		}
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"-attempts", *attempts}, {"-json", *jsonOut != ""}, {"-timeline", *timeline}} {
+			if f.set {
+				fatalf("-workload prints per-job outcomes, not one job's attempts or timeline; drop %s", f.name)
+			}
 		}
 		runWorkload(workloadArgs{
 			clusterName: *clusterName,

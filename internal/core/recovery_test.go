@@ -15,15 +15,16 @@ import (
 )
 
 // flexHarness wires a FlexMap job but leaves the engine unstarted so
-// tests can inject crash/restore events first.
+// tests can inject crash/restore events first, through target.
 type flexHarness struct {
-	eng  *sim.Engine
-	c    *cluster.Cluster
-	rm   *yarn.RM
-	d    *engine.Driver
-	am   *AM
-	BUs  int
-	spec mr.JobSpec
+	eng    *sim.Engine
+	c      *cluster.Cluster
+	rm     *yarn.RM
+	d      *engine.Driver
+	am     *AM
+	target *engine.FaultTarget
+	BUs    int
+	spec   mr.JobSpec
 }
 
 func newFlexHarness(t *testing.T, c *cluster.Cluster, fileBUs int64, spec mr.JobSpec, speculation engine.SpeculationPolicy) *flexHarness {
@@ -46,7 +47,9 @@ func newFlexHarness(t *testing.T, c *cluster.Cluster, fileBUs int64, spec mr.Job
 	w := yarn.NewNodeWatcher(eng, c, rm)
 	d.AttachWatcher(w)
 	d.OnFinished(w.Stop)
-	return &flexHarness{eng: eng, c: c, rm: rm, d: d, am: am, BUs: int(fileBUs), spec: spec}
+	target := engine.NewFaultTarget(c)
+	target.Add(d)
+	return &flexHarness{eng: eng, c: c, rm: rm, d: d, am: am, target: target, BUs: int(fileBUs), spec: spec}
 }
 
 func (h *flexHarness) run(t *testing.T) {
@@ -81,8 +84,8 @@ func TestFlexMapCrashRescuesPrefixAndRestoresRemainder(t *testing.T) {
 	h := newFlexHarness(t, cluster.Homogeneous(4), 512, flexSpec(0), nil)
 	// By t=40 vertical scaling has grown tasks to multi-BU sizes, so the
 	// crashed attempts have a non-empty processed prefix.
-	h.eng.At(40, "crash", func() { h.d.CrashNode(1) })
-	h.eng.At(80, "restore", func() { h.d.RestoreNode(1) })
+	h.eng.At(40, "crash", func() { h.target.CrashNode(1) })
+	h.eng.At(80, "restore", func() { h.target.RestoreNode(1) })
 	h.run(t)
 	h.checkExactlyOnce(t)
 	r := h.d.Result
@@ -133,9 +136,9 @@ func TestFlexMapRejoinResetsSpeedWindow(t *testing.T) {
 			t.Error("victim had no speed estimate before the crash")
 		}
 		markAt = len(h.am.SizeTrace)
-		h.d.CrashNode(victim)
+		h.target.CrashNode(victim)
 	})
-	h.eng.At(90, "restore", func() { h.d.RestoreNode(victim) })
+	h.eng.At(90, "restore", func() { h.target.RestoreNode(victim) })
 	h.run(t)
 	h.checkExactlyOnce(t)
 	if markAt < 0 {
@@ -182,8 +185,8 @@ func TestFlexMapSpeculatedStragglerCrashSurvivesOnce(t *testing.T) {
 			return
 		}
 		crashed = true
-		h.d.CrashNode(straggler)
-		h.eng.At(now+50, "restore", func() { h.d.RestoreNode(straggler) })
+		h.target.CrashNode(straggler)
+		h.eng.At(now+50, "restore", func() { h.target.RestoreNode(straggler) })
 	})
 	h.run(t)
 	if !crashed {

@@ -204,10 +204,12 @@ func TestSpeedTablesMatchReference(t *testing.T) {
 				d.AttachWatcher(w)
 				d.OnFinished(w.Stop)
 				if c.crashes {
+					target := engine.NewFaultTarget(clus)
+					target.Add(d)
 					inj := faults.NewInjector(eng, clus, []faults.Event{
 						{At: 20, Node: 0, Kind: faults.Crash, Duration: 30},
 						{At: 35, Node: 3, Kind: faults.Crash, Duration: 25},
-					}, d)
+					}, target)
 					inj.Start()
 					d.OnFinished(inj.Stop)
 				}

@@ -15,13 +15,15 @@ func testRNG() *randutil.Source { return randutil.New(11) }
 
 func newRM(eng *sim.Engine, c *cluster.Cluster) *yarn.RM { return yarn.NewRM(eng, c) }
 
-// harness wires a full single-job simulation for tests.
+// harness wires a full single-job simulation for tests. Tests inject
+// crashes, restores and preemptions through target, as the runner does.
 type harness struct {
 	eng    *sim.Engine
 	clus   *cluster.Cluster
 	store  *dfs.Store
 	rm     *yarn.RM
 	driver *Driver
+	target *FaultTarget
 }
 
 func newHarness(t *testing.T, c *cluster.Cluster, fileBUs int64, spec mr.JobSpec) *harness {
@@ -36,7 +38,9 @@ func newHarness(t *testing.T, c *cluster.Cluster, fileBUs int64, spec mr.JobSpec
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &harness{eng: eng, clus: c, store: store, rm: rm, driver: d}
+	target := NewFaultTarget(c)
+	target.Add(d)
+	return &harness{eng: eng, clus: c, store: store, rm: rm, driver: d, target: target}
 }
 
 func wcSpec(reducers int) mr.JobSpec {

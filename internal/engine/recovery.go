@@ -47,23 +47,69 @@ func (d *Driver) AttachWatcher(w *yarn.NodeWatcher) {
 	w.OnRejoin(d.nodeRejoined)
 }
 
-// CrashNode implements the fault injector's crash: the node goes silent
-// and everything running on it dies *without any notification* — the AM
-// learns at detection or rejoin. It is a no-op on an already-down node.
-func (d *Driver) CrashNode(id cluster.NodeID) {
-	n := d.Cluster.Node(id)
-	if n.Down() || d.finished {
+// FaultTarget is the fault injector's target for a run: it applies each
+// injected fault to the cluster once and fans it out to the run's
+// drivers, kept in submission order. Run has one driver, a workload one
+// per submitted job.
+type FaultTarget struct {
+	clus    *cluster.Cluster
+	drivers []*Driver
+}
+
+// NewFaultTarget returns a fault target over c with no drivers yet.
+func NewFaultTarget(c *cluster.Cluster) *FaultTarget { return &FaultTarget{clus: c} }
+
+// Add appends a driver; call it in job submission order.
+func (t *FaultTarget) Add(d *Driver) { t.drivers = append(t.drivers, d) }
+
+// CrashNode takes the node down silently: everything running on it dies
+// *without any notification*, and each AM learns at detection or rejoin.
+// The node flips down once, before any driver kills its work, so it is a
+// no-op on an already-down node.
+func (t *FaultTarget) CrashNode(id cluster.NodeID) {
+	n := t.clus.Node(id)
+	if n.Down() {
 		return
 	}
 	n.SetDown(true)
-	d.CrashResident(id)
+	for _, d := range t.drivers {
+		d.crashResident(id)
+	}
 }
 
-// CrashResident kills this driver's work on a node that just went down.
-// Split from CrashNode so a multi-job fault target can flip the node
-// once and then fan the kill out to every driver — the second driver
-// would otherwise see Down() already true and skip its own victims.
-func (d *Driver) CrashResident(id cluster.NodeID) {
+// RestoreNode powers the node back up and resumes heartbeating. The
+// watcher notices at its next tick — re-registration, like detection,
+// rides the heartbeat.
+func (t *FaultTarget) RestoreNode(id cluster.NodeID) {
+	t.clus.Node(id).SetDown(false)
+}
+
+// PreemptContainer revokes one running map container on the node — the
+// youngest, as YARN's capacity scheduler preempts youngest first. The
+// youngest is the attempt with the latest Start; among those, the
+// greatest Task; among attempts equal in both (every workload job names
+// its tasks map-NNNN), the earliest-submitted driver's. Finished drivers
+// are skipped. Unlike a crash the AM is told synchronously and pays no
+// retry penalty. It reports whether a container was preempted.
+func (t *FaultTarget) PreemptContainer(id cluster.NodeID) bool {
+	var owner *Driver
+	var victim *MapAttempt
+	for _, d := range t.drivers {
+		if d.finished {
+			continue
+		}
+		for _, a := range d.running[id] {
+			if victim == nil || a.Start > victim.Start ||
+				(a.Start == victim.Start && a.Task > victim.Task) {
+				owner, victim = d, a
+			}
+		}
+	}
+	return victim != nil && owner.preempt(victim)
+}
+
+// crashResident kills this driver's work on a node that just went down.
+func (d *Driver) crashResident(id cluster.NodeID) {
 	if d.finished {
 		return
 	}
@@ -78,38 +124,19 @@ func (d *Driver) CrashResident(id cluster.NodeID) {
 	}
 }
 
-// RestoreNode implements the fault injector's recovery end: the node
-// powers back up and resumes heartbeating. The watcher notices at its
-// next tick — re-registration, like detection, rides the heartbeat.
-func (d *Driver) RestoreNode(id cluster.NodeID) {
-	d.Cluster.Node(id).SetDown(false)
-}
-
-// PreemptContainer revokes one running map container on the node — the
-// most recently launched, as YARN's capacity scheduler preempts youngest
-// first. Unlike a crash the AM is told synchronously and pays no retry
-// penalty. It reports whether a container was preempted.
-func (d *Driver) PreemptContainer(id cluster.NodeID) bool {
-	n := d.Cluster.Node(id)
-	if n.Down() || d.finished {
-		return false
-	}
-	var victim *MapAttempt
-	for _, a := range d.RunningMapsOn(id) {
-		if victim == nil || a.Start > victim.Start ||
-			(a.Start == victim.Start && a.Task > victim.Task) {
-			victim = a
-		}
-	}
-	if victim == nil || !victim.kill(true) {
+// preempt kills a running map attempt as a preemption: the AM hears
+// synchronously and the container is released. It reports false if the
+// attempt had already finished or been killed.
+func (d *Driver) preempt(a *MapAttempt) bool {
+	if !a.kill(true) {
 		return false
 	}
 	d.Result.AttemptsCrashed++
 	d.Result.Preemptions++
 	if d.recovery != nil {
-		d.recovery.OnPreempted(victim)
+		d.recovery.OnPreempted(a)
 	}
-	victim.Container.Release()
+	a.Container.Release()
 	return true
 }
 
@@ -129,16 +156,9 @@ func (d *Driver) DrainNode(id cluster.NodeID) int {
 	}
 	preempted := 0
 	for _, a := range d.RunningMapsOn(id) {
-		if !a.kill(true) {
-			continue
+		if d.preempt(a) {
+			preempted++
 		}
-		preempted++
-		d.Result.AttemptsCrashed++
-		d.Result.Preemptions++
-		if d.recovery != nil {
-			d.recovery.OnPreempted(a)
-		}
-		a.Container.Release()
 	}
 	for _, rr := range append([]*reduceRun(nil), d.runningReduce[id]...) {
 		rr.crash()

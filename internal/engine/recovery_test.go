@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"flexmap/internal/cluster"
+	"flexmap/internal/dfs"
+	"flexmap/internal/sim"
 	"flexmap/internal/yarn"
 )
 
@@ -39,8 +42,8 @@ func TestStockCrashRequeuesWholeSplitsAndCompletes(t *testing.T) {
 	}
 	attachLiveness(h)
 	// Node 1 dies mid-first-wave and comes back before the job ends.
-	h.eng.At(4, "crash", func() { h.driver.CrashNode(1) })
-	h.eng.At(22, "restore", func() { h.driver.RestoreNode(1) })
+	h.eng.At(4, "crash", func() { h.target.CrashNode(1) })
+	h.eng.At(22, "restore", func() { h.target.RestoreNode(1) })
 	h.rm.Start()
 	h.eng.Run()
 	checkInvariants(t, h, 64)
@@ -84,8 +87,8 @@ func TestStockBriefOutageLosesNoOutput(t *testing.T) {
 	attachLiveness(h)
 	// The outage spans one watcher tick (t=15) but stays under the
 	// 3-beat timeout: observed down, never declared lost.
-	h.eng.At(12, "crash", func() { h.driver.CrashNode(1) }) // wave 1 outputs resident
-	h.eng.At(18, "restore", func() { h.driver.RestoreNode(1) })
+	h.eng.At(12, "crash", func() { h.target.CrashNode(1) }) // wave 1 outputs resident
+	h.eng.At(18, "restore", func() { h.target.RestoreNode(1) })
 	h.rm.Start()
 	h.eng.Run()
 	checkExactlyOnce(t, h, 128)
@@ -110,8 +113,8 @@ func TestStockLostOutputReexecutesCompletedTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	attachLiveness(h)
-	h.eng.At(12, "crash", func() { h.driver.CrashNode(1) })
-	h.eng.At(40, "restore", func() { h.driver.RestoreNode(1) })
+	h.eng.At(12, "crash", func() { h.target.CrashNode(1) })
+	h.eng.At(40, "restore", func() { h.target.RestoreNode(1) })
 	h.rm.Start()
 	h.eng.Run()
 	if !h.driver.Finished() || h.driver.Result.Failed {
@@ -144,10 +147,10 @@ func TestStockRetryExhaustionFailsJob(t *testing.T) {
 	// The only node crashes while its single task runs, twice. The task
 	// relaunches at t=41 (first allocation after the restore) and runs
 	// ~8.5 s, so the second crash at t=45 lands mid-attempt.
-	h.eng.At(3, "crash-1", func() { h.driver.CrashNode(0) })
-	h.eng.At(40, "restore-1", func() { h.driver.RestoreNode(0) })
-	h.eng.At(45, "crash-2", func() { h.driver.CrashNode(0) })
-	h.eng.At(120, "restore-2", func() { h.driver.RestoreNode(0) })
+	h.eng.At(3, "crash-1", func() { h.target.CrashNode(0) })
+	h.eng.At(40, "restore-1", func() { h.target.RestoreNode(0) })
+	h.eng.At(45, "crash-2", func() { h.target.CrashNode(0) })
+	h.eng.At(120, "restore-2", func() { h.target.RestoreNode(0) })
 	h.rm.Start()
 	h.eng.Run()
 	r := h.driver.Result
@@ -173,8 +176,8 @@ func TestStockRetryBackoffDoubles(t *testing.T) {
 	}
 	am.maxTaskAttempts = 4
 	attachLiveness(h)
-	h.eng.At(3, "crash-1", func() { h.driver.CrashNode(0) })
-	h.eng.At(30, "restore-1", func() { h.driver.RestoreNode(0) })
+	h.eng.At(3, "crash-1", func() { h.target.CrashNode(0) })
+	h.eng.At(30, "restore-1", func() { h.target.RestoreNode(0) })
 	h.rm.Start()
 	h.eng.Run()
 	if h.driver.Result.Failed {
@@ -192,7 +195,7 @@ func TestPreemptionRequeuesWithoutRetryCharge(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.eng.At(4, "preempt", func() {
-		if !h.driver.PreemptContainer(2) {
+		if !h.target.PreemptContainer(2) {
 			t.Error("no container preempted on a busy node")
 		}
 	})
@@ -215,8 +218,90 @@ func TestPreemptIdleNodeReportsFalse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Before Start nothing runs anywhere.
-	if h.driver.PreemptContainer(0) {
+	if h.target.PreemptContainer(0) {
 		t.Fatal("preempted a container on an idle node")
+	}
+}
+
+// TestFaultTargetPreemptOrder pins the victim order across drivers
+// sharing a node: the latest Start, then the greatest Task, then the
+// earliest-added driver. A finished driver's attempts are never chosen.
+func TestFaultTargetPreemptOrder(t *testing.T) {
+	type launch struct {
+		job  int // driver index, in the order added to the target
+		at   sim.Time
+		task string
+	}
+	cases := []struct {
+		name     string
+		launches []launch
+		failJob  int // driver failed before the preemption, or -1
+		want     int // index into launches of the expected victim
+	}{
+		{"later start beats greater task", []launch{{0, 0, "map-0002"}, {1, 1, "map-0001"}}, -1, 1},
+		{"greater task of the later driver", []launch{{0, 0, "map-0001"}, {1, 0, "map-0002"}}, -1, 1},
+		{"greater task of the earlier driver", []launch{{1, 0, "map-0001"}, {0, 0, "map-0002"}}, -1, 1},
+		{"same start and task: earlier driver", []launch{{0, 0, "map-0001"}, {1, 0, "map-0001"}}, -1, 0},
+		{"same start and task, launched later: earlier driver", []launch{{1, 0, "map-0001"}, {0, 0, "map-0001"}}, -1, 1},
+		{"finished driver skipped", []launch{{0, 0, "map-0001"}, {1, 1, "map-0002"}}, 1, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New()
+			c := cluster.NewCluster("one", []cluster.NodeSpec{{Name: "n0", BaseSpeed: 1, Slots: 4}})
+			store := dfs.NewStore(c, 1, testRNG())
+			rm := newRM(eng, c)
+			target := NewFaultTarget(c)
+			var drivers []*Driver
+			var splits [][]dfs.BUID
+			for j := 0; j < 2; j++ {
+				spec := wcSpec(0)
+				spec.Name = fmt.Sprintf("j%d", j)
+				spec.InputFile = spec.Name + "/input"
+				if _, err := store.AddFile(spec.InputFile, 2*dfs.BUSize); err != nil {
+					t.Fatal(err)
+				}
+				sp, err := store.Splits(spec.InputFile, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, err := NewDriver(eng, c, store, rm, DefaultCostModel(), spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				target.Add(d)
+				drivers = append(drivers, d)
+				splits = append(splits, sp[0].BUs)
+			}
+			n := c.Node(0)
+			attempts := make([]*MapAttempt, len(tc.launches))
+			for i, l := range tc.launches {
+				i, l := i, l
+				eng.At(l.at, "launch", func() {
+					d := drivers[l.job]
+					attempts[i] = d.LaunchMap(MapLaunch{
+						Task: l.task, Node: n, Container: rm.Acquire(n),
+						BUs: splits[l.job], LocalBUs: len(splits[l.job]),
+					})
+				})
+			}
+			eng.RunUntil(1)
+			if tc.failJob >= 0 {
+				drivers[tc.failJob].FailJob("test")
+			}
+			if !target.PreemptContainer(n.ID) {
+				t.Fatal("no container preempted")
+			}
+			for i, a := range attempts {
+				if got := a.Killed(); got != (i == tc.want) {
+					t.Errorf("launch %d (%+v) killed = %v, want %v", i, tc.launches[i], got, i == tc.want)
+				}
+			}
+			owner := drivers[tc.launches[tc.want].job]
+			if owner.Result.Preemptions != 1 {
+				t.Errorf("victim's driver counted %d preemptions, want 1", owner.Result.Preemptions)
+			}
+		})
 	}
 }
 
@@ -239,7 +324,7 @@ func TestReducePhaseCrashMigratesPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	attachLiveness(h)
-	h.eng.At(mapEnd+2, "crash", func() { h.driver.CrashNode(1) })
+	h.eng.At(mapEnd+2, "crash", func() { h.target.CrashNode(1) })
 	h.rm.Start()
 	h.eng.Run()
 	r := h.driver.Result
@@ -280,10 +365,10 @@ func TestCrashNodeIsIdempotent(t *testing.T) {
 	}
 	attachLiveness(h)
 	h.eng.At(3, "crash", func() {
-		h.driver.CrashNode(0)
-		h.driver.CrashNode(0) // double-crash must be a no-op
+		h.target.CrashNode(0)
+		h.target.CrashNode(0) // double-crash must be a no-op
 	})
-	h.eng.At(25, "restore", func() { h.driver.RestoreNode(0) })
+	h.eng.At(25, "restore", func() { h.target.RestoreNode(0) })
 	h.rm.Start()
 	h.eng.Run()
 	checkExactlyOnce(t, h, 16)

@@ -7,7 +7,8 @@ import (
 )
 
 // Target is the execution-layer surface the injector drives.
-// *engine.Driver implements it; tests substitute fakes.
+// *engine.FaultTarget implements it for every run; tests substitute
+// fakes.
 type Target interface {
 	// CrashNode takes the node down silently, killing everything on it.
 	CrashNode(id cluster.NodeID)
@@ -22,8 +23,9 @@ type Target interface {
 // Injector arms a fault schedule on a simulation engine and applies each
 // event against the target. Events against an already-down node are
 // skipped (a dead machine cannot crash or slow down again), so injection
-// is well-defined for any schedule. Stop gates all later events — wired
-// to Driver.OnFinished so a finished job stops mutating cluster state.
+// is well-defined for any schedule. Stop gates all later events — the
+// runner calls it when the run's last job finishes, so a finished run
+// stops mutating cluster state.
 type Injector struct {
 	eng      *sim.Engine
 	c        *cluster.Cluster

@@ -6,6 +6,7 @@ package runner
 
 import (
 	"fmt"
+	"math"
 
 	"flexmap/internal/cluster"
 	"flexmap/internal/core"
@@ -124,7 +125,8 @@ type Scenario struct {
 	InputData []byte
 
 	// NoiseSigma is the lognormal sigma of per-task runtime noise
-	// (0 = DefaultNoiseSigma; negative disables noise).
+	// (0 = DefaultNoiseSigma; a finite negative value disables noise;
+	// NaN or ±Inf is an error).
 	NoiseSigma float64
 
 	// SkewSigma, when positive, assigns every stored block unit a
@@ -283,6 +285,9 @@ func run(sc Scenario, spec mr.JobSpec, eng Engine, wrap func(*stack, yarn.Schedu
 	if !finiteNonNegative(sc.SkewSigma) {
 		return nil, fmt.Errorf("runner: scenario %q SkewSigma %v is not finite and non-negative", sc.Name, sc.SkewSigma)
 	}
+	if math.IsNaN(sc.NoiseSigma) || math.IsInf(sc.NoiseSigma, 0) {
+		return nil, fmt.Errorf("runner: scenario %q NoiseSigma %v is not finite", sc.Name, sc.NoiseSigma)
+	}
 	if sc.Faults.Active() {
 		if sc.InputData != nil {
 			return nil, fmt.Errorf("runner: scenario %q combines fault injection with live input data (re-execution would duplicate live mapper output)", sc.Name)
@@ -326,7 +331,9 @@ func run(sc Scenario, spec mr.JobSpec, eng Engine, wrap func(*stack, yarn.Schedu
 	if err != nil {
 		return nil, err
 	}
-	s.addChurn(sc.Faults, sc.Membership, driver)
+	target := engine.NewFaultTarget(s.clus)
+	target.Add(driver)
+	s.addChurn(sc.Faults, sc.Membership, target)
 	if s.watcher != nil {
 		driver.AttachWatcher(s.watcher)
 	}

@@ -111,6 +111,11 @@ func TestRunErrors(t *testing.T) {
 		{"negative skew", with(func(sc *Scenario) { sc.SkewSigma = -1 }), Engine{Kind: Hadoop}},
 		{"NaN skew", with(func(sc *Scenario) { sc.SkewSigma = nan }), Engine{Kind: Hadoop}},
 		{"+Inf skew", with(func(sc *Scenario) { sc.SkewSigma = inf }), Engine{Kind: Hadoop}},
+		{"NaN noise", with(func(sc *Scenario) { sc.NoiseSigma = nan }), Engine{Kind: Hadoop}},
+		{"NaN noise, FlexMap", with(func(sc *Scenario) { sc.NoiseSigma = nan }), Engine{Kind: FlexMap}},
+		{"+Inf noise", with(func(sc *Scenario) { sc.NoiseSigma = inf }), Engine{Kind: Hadoop}},
+		{"+Inf noise, FlexMap", with(func(sc *Scenario) { sc.NoiseSigma = inf }), Engine{Kind: FlexMap}},
+		{"-Inf noise", with(func(sc *Scenario) { sc.NoiseSigma = -inf }), Engine{Kind: Hadoop}},
 		{"NaN NetBW", withNet(func(c *cluster.Cluster) { c.NetBW = nan }), Engine{Kind: Hadoop}},
 		{"+Inf NetBW", withNet(func(c *cluster.Cluster) { c.NetBW = inf }), Engine{Kind: Hadoop}},
 		{"NaN oversub", withNet(func(c *cluster.Cluster) {

@@ -166,53 +166,6 @@ func (j *jobScheduler) Idle() bool {
 	return j.d.Finished() || ((j.am == nil || j.am.Idle()) && j.d.ReduceIdle())
 }
 
-// multiTarget fans fault-injector actions out across every job's
-// driver. The node flips down exactly once here — Driver.CrashNode's
-// own down-check would make the second driver skip its victims.
-type multiTarget struct {
-	clus    *cluster.Cluster
-	drivers []*engine.Driver
-}
-
-func (m *multiTarget) CrashNode(id cluster.NodeID) {
-	n := m.clus.Node(id)
-	if n.Down() {
-		return
-	}
-	n.SetDown(true)
-	for _, d := range m.drivers {
-		d.CrashResident(id)
-	}
-}
-
-func (m *multiTarget) RestoreNode(id cluster.NodeID) {
-	m.clus.Node(id).SetDown(false)
-}
-
-// PreemptContainer preempts the globally youngest map attempt on the
-// node, matching the single-job policy across job boundaries. Ties on
-// start time resolve to the earliest-submitted job, then task name —
-// all deterministic.
-func (m *multiTarget) PreemptContainer(id cluster.NodeID) bool {
-	var best *engine.Driver
-	var bestStart sim.Time
-	var bestTask string
-	for _, d := range m.drivers {
-		if d.Finished() {
-			continue
-		}
-		for _, a := range d.RunningMapsOn(id) {
-			if best == nil || a.Start > bestStart || (a.Start == bestStart && a.Task > bestTask) {
-				best, bestStart, bestTask = d, a.Start, a.Task
-			}
-		}
-	}
-	if best == nil {
-		return false
-	}
-	return best.PreemptContainer(id)
-}
-
 // workloadPolicy resolves the scenario's policy selection.
 func workloadPolicy(sc WorkloadScenario) (yarn.Policy, error) {
 	switch sc.Policy {
@@ -288,7 +241,7 @@ func runWorkload(sc WorkloadScenario, wrap func(*stack, yarn.Scheduler) yarn.Sch
 	if wrap != nil {
 		s.rm.SetScheduler(wrap(s, mux))
 	}
-	target := &multiTarget{clus: s.clus}
+	target := engine.NewFaultTarget(s.clus)
 	// Unlike Run, the watcher's ticker is armed before interference.
 	s.addChurn(sc.Faults, sc.Membership, target)
 	s.startInterference()
@@ -338,7 +291,7 @@ type workloadState struct {
 // submitJob materializes one arrival: per-job input file, driver, AM,
 // and registration with the inter-job scheduler.
 func submitJob(s *stack, sc WorkloadScenario, a workload.Arrival, mux *yarn.InterJob,
-	target *multiTarget, st *workloadState) error {
+	target *engine.FaultTarget, st *workloadState) error {
 
 	id := jobID(a.Index)
 	class := sc.Classes[a.Class]
@@ -369,7 +322,7 @@ func submitJob(s *stack, sc WorkloadScenario, a workload.Arrival, mux *yarn.Inte
 	if s.ctl != nil {
 		s.ctl.AddDrainer(driver)
 	}
-	target.drivers = append(target.drivers, driver)
+	target.Add(driver)
 
 	handle := mux.Submit(id, class.Queue, &jobScheduler{d: driver, am: am})
 	st.active++

@@ -24,22 +24,25 @@ import (
 	"flexmap/internal/sim"
 )
 
-// LATE is the policy. Zero-value fields are replaced by the canonical
-// defaults at first use.
-type LATE struct {
-	// SpecCapFraction bounds in-flight speculative copies to this
-	// fraction of total cluster slots (default 0.1).
-	SpecCapFraction float64
-	// SlowTaskPercentile: tasks with progress rates below this percentile
-	// are speculation candidates (default 0.25).
-	SlowTaskPercentile float64
-	// SlowNodePercentile: nodes with speed below this percentile never
-	// receive speculative copies (default 0.25).
-	SlowNodePercentile float64
-	// MinAge is the minimum attempt age before its progress rate is
-	// considered meaningful (default 3 s, covering startup overhead).
-	MinAge sim.Duration
+// LATE's canonical thresholds.
+const (
+	// specCapFraction bounds in-flight speculative copies to this
+	// fraction of total cluster slots.
+	specCapFraction = 0.10
+	// slowTaskPercentile: tasks with progress rates below this percentile
+	// are speculation candidates.
+	slowTaskPercentile = 0.25
+	// slowNodePercentile: nodes with speed below this percentile never
+	// receive speculative copies.
+	slowNodePercentile = 0.25
+	// minAge is the minimum attempt age before its progress rate is
+	// considered meaningful (covers startup overhead).
+	minAge sim.Duration = 3
+)
 
+// LATE is the policy. The zero value is ready to use; NewLATE is
+// equivalent.
+type LATE struct {
 	// Sorted cluster speeds, memoized on the cluster's speed epoch: node
 	// speeds only move on interference or fault transitions, while
 	// nodeIsSlow runs on every speculation probe.
@@ -69,34 +72,11 @@ type scoredAttempt struct {
 	rate float64
 }
 
-// NewLATE returns a policy with the canonical defaults.
-func NewLATE() *LATE {
-	return &LATE{
-		SpecCapFraction:    0.10,
-		SlowTaskPercentile: 0.25,
-		SlowNodePercentile: 0.25,
-		MinAge:             3,
-	}
-}
-
-func (l *LATE) defaults() {
-	if l.SpecCapFraction == 0 {
-		l.SpecCapFraction = 0.10
-	}
-	if l.SlowTaskPercentile == 0 {
-		l.SlowTaskPercentile = 0.25
-	}
-	if l.SlowNodePercentile == 0 {
-		l.SlowNodePercentile = 0.25
-	}
-	if l.MinAge == 0 {
-		l.MinAge = 3
-	}
-}
+// NewLATE returns a policy with the canonical thresholds.
+func NewLATE() *LATE { return &LATE{} }
 
 // Pick implements engine.SpeculationPolicy.
 func (l *LATE) Pick(d *engine.Driver, node *cluster.Node, candidates []*engine.MapAttempt, candEpoch uint64, activeSpec int) *engine.MapAttempt {
-	l.defaults()
 	if len(candidates) == 0 || activeSpec >= l.cap(d) {
 		return nil
 	}
@@ -122,7 +102,6 @@ func (l *LATE) Pick(d *engine.Driver, node *cluster.Node, candidates []*engine.M
 // attempt ranks as a straggler at this instant. The node-dependent
 // checks (slow node, fresh copy too slow) are left to Pick.
 func (l *LATE) Idle(d *engine.Driver, candidates []*engine.MapAttempt, candEpoch uint64, activeSpec int) bool {
-	l.defaults()
 	if len(candidates) == 0 || activeSpec >= l.cap(d) {
 		return true
 	}
@@ -130,10 +109,10 @@ func (l *LATE) Idle(d *engine.Driver, candidates []*engine.MapAttempt, candEpoch
 	return victim == nil
 }
 
-// cap is the in-flight speculative copy limit: SpecCapFraction of the
+// cap is the in-flight speculative copy limit: specCapFraction of the
 // cluster's slots, at least one.
 func (l *LATE) cap(d *engine.Driver) int {
-	c := int(l.SpecCapFraction * float64(d.Cluster.TotalSlots()))
+	c := int(specCapFraction * float64(d.Cluster.TotalSlots()))
 	if c < 1 {
 		c = 1
 	}
@@ -167,7 +146,7 @@ func (l *LATE) selectVictim(now sim.Time, candidates []*engine.MapAttempt) (*eng
 			continue
 		}
 		age := sim.Duration(now - a.Start)
-		if age < l.MinAge {
+		if age < minAge {
 			continue
 		}
 		r := a.Progress(now) / float64(age)
@@ -180,7 +159,7 @@ func (l *LATE) selectVictim(now sim.Time, candidates []*engine.MapAttempt) (*eng
 	// Threshold rate at the slow-task percentile: the idx-th smallest
 	// rate. Only that value is read, and it is the same whichever way the
 	// rates are ordered around it, so a selection replaces a full sort.
-	idx := int(l.SlowTaskPercentile * float64(len(l.rates)))
+	idx := int(slowTaskPercentile * float64(len(l.rates)))
 	if idx >= len(l.rates) {
 		idx = len(l.rates) - 1
 	}
@@ -273,7 +252,7 @@ func (l *LATE) nodeIsSlow(c *cluster.Cluster, node *cluster.Node) bool {
 		}
 		sort.Float64s(l.speedsBuf)
 		speeds := l.speedsBuf
-		idx := int(l.SlowNodePercentile * float64(len(speeds)))
+		idx := int(slowNodePercentile * float64(len(speeds)))
 		if idx >= len(speeds) {
 			idx = len(speeds) - 1
 		}

@@ -6,17 +6,18 @@ import (
 	"flexmap/internal/trace"
 )
 
-// Liveness defaults: NodeManagers heartbeat every 5 seconds and a node
+// Liveness timing: NodeManagers heartbeat every 5 seconds and a node
 // missing 3 consecutive beats is declared lost, so failure detection
-// latency is at most MissThreshold × Period (+ up to one tick of phase).
+// latency is at most DefaultMissThreshold × DefaultLivenessPeriod (+ up
+// to one tick of phase).
 const (
 	DefaultLivenessPeriod sim.Duration = 5
 	DefaultMissThreshold               = 3
 )
 
 // NodeWatcher is the RM's liveness tracker: it observes NodeManager
-// heartbeats on a fixed period and declares a node lost after
-// MissThreshold consecutive missed beats. When a lost (or briefly down)
+// heartbeats every DefaultLivenessPeriod and declares a node lost after
+// DefaultMissThreshold consecutive missed beats. When a lost (or briefly down)
 // node heartbeats again it is re-registered with the RM and rejoin
 // callbacks fire — the hook the driver uses to deliver crashed work and
 // the FlexMap AM uses to reset the node's stale speed window.
@@ -24,12 +25,6 @@ const (
 // Without fault injection no node ever goes down, so a watcher is pure
 // overhead; runner only creates one when the fault plan is active.
 type NodeWatcher struct {
-	// Period is the NodeManager heartbeat interval.
-	Period sim.Duration
-	// MissThreshold is the number of consecutive missed heartbeats after
-	// which a node is declared lost.
-	MissThreshold int
-
 	// Trace, when non-nil, records loss declarations and rejoins.
 	Trace *trace.Tracer
 
@@ -47,19 +42,17 @@ type NodeWatcher struct {
 	ticker       *sim.Ticker
 }
 
-// NewNodeWatcher starts liveness tracking over the cluster with the
-// default period and threshold. All nodes are assumed live at start.
+// NewNodeWatcher starts liveness tracking over the cluster. All nodes are
+// assumed live at start.
 func NewNodeWatcher(eng *sim.Engine, c *cluster.Cluster, rm *RM) *NodeWatcher {
 	w := &NodeWatcher{
-		Period:        DefaultLivenessPeriod,
-		MissThreshold: DefaultMissThreshold,
-		eng:           eng,
-		c:             c,
-		rm:            rm,
-		lastBeat:      make([]sim.Time, c.Size()),
-		lost:          make([]bool, c.Size()),
-		wasDown:       make([]bool, c.Size()),
-		deregistered:  make([]bool, c.Size()),
+		eng:          eng,
+		c:            c,
+		rm:           rm,
+		lastBeat:     make([]sim.Time, c.Size()),
+		lost:         make([]bool, c.Size()),
+		wasDown:      make([]bool, c.Size()),
+		deregistered: make([]bool, c.Size()),
 	}
 	for _, n := range c.Nodes {
 		w.lastBeat[n.ID] = eng.Now()
@@ -67,7 +60,7 @@ func NewNodeWatcher(eng *sim.Engine, c *cluster.Cluster, rm *RM) *NodeWatcher {
 		// and must not be "detected" as lost. Register tracks them in.
 		w.deregistered[n.ID] = n.Offline()
 	}
-	w.ticker = sim.NewTicker(eng, w.Period, "nm-liveness", w.tick)
+	w.ticker = sim.NewTicker(eng, DefaultLivenessPeriod, "nm-liveness", w.tick)
 	return w
 }
 
@@ -120,7 +113,7 @@ func (w *NodeWatcher) Deregistered(id cluster.NodeID) bool {
 // round equals the per-node loop it replaces: same-instant detections and
 // rejoins fire in cluster order.
 func (w *NodeWatcher) tick(now sim.Time) {
-	timeout := w.Period * sim.Duration(w.MissThreshold)
+	timeout := DefaultLivenessPeriod * DefaultMissThreshold
 	for _, node := range w.c.Nodes {
 		id := node.ID
 		if w.deregistered[id] {

@@ -183,8 +183,8 @@ func TestDeregisterClearsPendingLossAndRejoin(t *testing.T) {
 }
 
 // Register starts the heartbeat clock fresh: a node enrolled at time T
-// gets the full MissThreshold × Period before any loss declaration, even
-// if it was silent long before T.
+// gets the full DefaultMissThreshold × DefaultLivenessPeriod before any
+// loss declaration, even if it was silent long before T.
 func TestRegisterGrantsFullTimeout(t *testing.T) {
 	h := newLivenessHarness(2)
 	h.eng.At(6, "release", func() {
