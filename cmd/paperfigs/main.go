@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -35,28 +36,46 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, tableI, tableII, fig1, fig2, fig3, fig5, fig6, fig7, fig8, overhead, ablation, skew, faults, workload, netplace, autoscale; netplace and autoscale are opt-in and not part of all)")
-	seed := flag.Int64("seed", 42, "simulation seed")
-	scale := flag.Int64("scale", 1, "divide paper input sizes by this factor")
-	benchList := flag.String("bench", "", "comma-separated benchmark subset (short names, e.g. WC,GR)")
-	workers := flag.Int("parallel", 0, "concurrent simulations per experiment (0 = one per core, 1 = serial)")
-	progress := flag.Bool("progress", false, "report per-grid simulation progress on stderr")
-	traceDir := flag.String("trace-dir", "", "write one event-trace JSONL per simulation into this directory")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole CLI behind a testable seam: figures go to stdout,
+// progress, timing and errors to stderr, and it returns the process exit
+// code instead of calling os.Exit.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paperfigs", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment to run (all, tableI, tableII, fig1, fig2, fig3, fig5, fig6, fig7, fig8, overhead, ablation, skew, faults, workload, netplace, autoscale; netplace and autoscale are opt-in and not part of all)")
+	seed := fs.Int64("seed", 42, "simulation seed")
+	scale := fs.Int64("scale", 1, "divide paper input sizes by this factor")
+	benchList := fs.String("bench", "", "comma-separated benchmark subset (short names, e.g. WC,GR)")
+	workers := fs.Int("parallel", 0, "concurrent simulations per experiment (0 = one per core, 1 = serial)")
+	progress := fs.Bool("progress", false, "report per-grid simulation progress on stderr")
+	traceDir := fs.String("trace-dir", "", "write one event-trace JSONL per simulation into this directory")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	errorf := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "paperfigs: "+format+"\n", a...)
+		return 1
+	}
 
 	cfg := experiments.Config{Seed: *seed, Scale: *scale, Parallel: *workers, TraceDir: *traceDir}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fatalf("%v", err)
+			return errorf("%v", err)
 		}
 	}
 	if *progress {
 		// Stderr only: stdout must stay byte-identical with or without
 		// progress reporting.
 		cfg.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\rpaperfigs: %d/%d sims", done, total)
+			fmt.Fprintf(stderr, "\rpaperfigs: %d/%d sims", done, total)
 			if done == total {
-				fmt.Fprintln(os.Stderr)
+				fmt.Fprintln(stderr)
 			}
 		}
 	}
@@ -68,58 +87,25 @@ func main() {
 		for _, name := range strings.Split(*benchList, ",") {
 			b, ok := short[strings.ToUpper(strings.TrimSpace(name))]
 			if !ok {
-				fatalf("unknown benchmark %q", name)
+				return errorf("unknown benchmark %q", name)
 			}
 			cfg.Benchmarks = append(cfg.Benchmarks, b)
 		}
 	}
 
 	start := time.Now()
-	defer func() {
-		n := *workers
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		fmt.Fprintf(os.Stderr, "paperfigs: done in %v (%d workers)\n", time.Since(start).Round(time.Millisecond), n)
-	}()
-
-	run := func(name string, fn func() (string, error)) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		out, err := fn()
-		if err != nil {
-			fatalf("%s: %v", name, err)
-		}
-		fmt.Println(out)
+	type experiment struct {
+		name string
+		fn   func() (string, error)
 	}
-
-	run("tableI", func() (string, error) { return experiments.TableI(), nil })
-	run("tableII", func() (string, error) { return experiments.TableII(), nil })
-	run("fig1", func() (string, error) {
-		r, err := experiments.Fig1(cfg)
+	render := func(r interface{ Render() string }, err error) (string, error) {
 		if err != nil {
 			return "", err
 		}
 		return r.Render(), nil
-	})
-	run("fig2", func() (string, error) {
-		r, err := experiments.Fig2(cfg)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	run("fig3", func() (string, error) {
-		r, err := experiments.Fig3(cfg)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	for _, which := range []string{"fig5", "fig6"} {
-		which := which
-		run(which, func() (string, error) {
+	}
+	fig56 := func(which string) func() (string, error) {
+		return func() (string, error) {
 			var parts []string
 			for _, clusterName := range []string{"physical", "virtual"} {
 				r, err := experiments.Fig56(cfg, clusterName)
@@ -133,80 +119,47 @@ func main() {
 				}
 			}
 			return strings.Join(parts, "\n"), nil
-		})
+		}
 	}
-	run("overhead", func() (string, error) {
-		r, err := experiments.Overhead(cfg)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	run("fig7", func() (string, error) {
-		r, err := experiments.Fig7(cfg)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	run("fig8", func() (string, error) {
-		r, err := experiments.Fig8(cfg)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	run("ablation", func() (string, error) {
-		r, err := experiments.Ablation(cfg)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	run("skew", func() (string, error) {
-		r, err := experiments.Skew(cfg)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	run("faults", func() (string, error) {
-		r, err := experiments.FaultTolerance(cfg)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	run("workload", func() (string, error) {
-		r, err := experiments.WorkloadFigure(cfg)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	// netplace is opt-in only: "all" reproduces the paper's figures, which
-	// are defined on the flat network model, and its output must stay
-	// byte-identical whether or not the topology fabric exists.
-	if *exp == "netplace" {
-		r, err := experiments.NetPlace(cfg)
-		if err != nil {
-			fatalf("netplace: %v", err)
-		}
-		fmt.Println(r.Render())
+	// all runs every experiment below except netplace and autoscale, in
+	// this order. Those two are opt-in: "all" reproduces the paper's
+	// figures, which are defined on the flat network model and a static
+	// fleet, and its output must stay byte-identical whether or not the
+	// topology fabric and the elastic membership layer exist.
+	exps := []experiment{
+		{"tableI", func() (string, error) { return experiments.TableI(), nil }},
+		{"tableII", func() (string, error) { return experiments.TableII(), nil }},
+		{"fig1", func() (string, error) { return render(experiments.Fig1(cfg)) }},
+		{"fig2", func() (string, error) { return render(experiments.Fig2(cfg)) }},
+		{"fig3", func() (string, error) { return render(experiments.Fig3(cfg)) }},
+		{"fig5", fig56("fig5")},
+		{"fig6", fig56("fig6")},
+		{"overhead", func() (string, error) { return render(experiments.Overhead(cfg)) }},
+		{"fig7", func() (string, error) { return render(experiments.Fig7(cfg)) }},
+		{"fig8", func() (string, error) { return render(experiments.Fig8(cfg)) }},
+		{"ablation", func() (string, error) { return render(experiments.Ablation(cfg)) }},
+		{"skew", func() (string, error) { return render(experiments.Skew(cfg)) }},
+		{"faults", func() (string, error) { return render(experiments.FaultTolerance(cfg)) }},
+		{"workload", func() (string, error) { return render(experiments.WorkloadFigure(cfg)) }},
+		{"netplace", func() (string, error) { return render(experiments.NetPlace(cfg)) }},
+		{"autoscale", func() (string, error) { return render(experiments.Autoscale(cfg)) }},
 	}
-	// autoscale is likewise opt-in: the paper's figures are defined on a
-	// static fleet, and "all" must stay byte-identical with or without the
-	// elastic membership layer.
-	if *exp == "autoscale" {
-		r, err := experiments.Autoscale(cfg)
-		if err != nil {
-			fatalf("autoscale: %v", err)
+	for _, e := range exps {
+		optIn := e.name == "netplace" || e.name == "autoscale"
+		if *exp != e.name && (*exp != "all" || optIn) {
+			continue
 		}
-		fmt.Println(r.Render())
+		out, err := e.fn()
+		if err != nil {
+			return errorf("%s: %v", e.name, err)
+		}
+		fmt.Fprintln(stdout, out)
 	}
-}
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "paperfigs: "+format+"\n", args...)
-	os.Exit(1)
+	n := *workers
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	fmt.Fprintf(stderr, "paperfigs: done in %v (%d workers)\n", time.Since(start).Round(time.Millisecond), n)
+	return 0
 }
