@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"flexmap/internal/cluster"
 	"flexmap/internal/dfs"
 	"flexmap/internal/engine"
@@ -48,7 +46,7 @@ type AM struct {
 	sizer   *Sizer
 	rng     *randutil.Source
 
-	nextTask  int
+	nextTask  engine.TaskID
 	tasksLeft int // live (incomplete) tasks with attempts in flight
 
 	// SizeTrace records every dispatched task's size for Fig. 7.
@@ -143,7 +141,8 @@ func (am *AM) OnSlotFree(node *cluster.Node) bool {
 	if len(bus) == 0 {
 		return false
 	}
-	task := fmt.Sprintf("map-%04d", am.nextTask)
+	id := am.nextTask
+	task := engine.MapTaskName(id)
 	am.nextTask++
 	am.d.Trace.TaskBind(task, node.ID, len(bus), local)
 	am.tasksLeft++
@@ -151,7 +150,7 @@ func (am *AM) OnSlotFree(node *cluster.Node) bool {
 		Task: task, Node: node.ID, BUs: len(bus),
 		SizeUnit: am.sizer.SizeUnit(int(node.ID)), RelSpeed: rel,
 	})
-	am.book.Launch(engine.MapLaunch{Task: task, Node: node, BUs: bus, LocalBUs: local})
+	am.book.Launch(engine.MapLaunch{Task: task, TaskID: id, Node: node, BUs: bus, LocalBUs: local})
 	return true
 }
 

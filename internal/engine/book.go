@@ -5,18 +5,33 @@ import (
 	"flexmap/internal/dfs"
 )
 
+// TaskID is a map task's dense index within its job: the stock AM's
+// split index (SkewTune's subtasks take the next free IDs), FlexMap's
+// dispatch counter. The book and the AMs key per-task state by it; the
+// task name (map-0007) is kept for output and for every order that
+// sorts tasks, since name order and ID order part at map-10000 and for
+// SkewTune's .rN.i subtasks.
+type TaskID int
+
+// MapTaskName returns the name of map task id: "map-" and the ID
+// formatted as %04d.
+func MapTaskName(id TaskID) string { return itoa4("map-", int(id)) }
+
 // AttemptBook is the map-attempt lifecycle every ApplicationMaster
 // shares: which attempts of each task are live, which tasks completed,
 // per-node wave numbering, the in-flight speculative count and the
 // speculation-candidate set. The AMs differ only in what they launch on a
 // free slot; everything after LaunchMap goes through the book.
 //
+// Per-task state is a slice indexed by TaskID, grown as IDs appear, so
+// no lifecycle transition hashes a task name.
+//
 // The candidate set holds the sole running non-speculative attempt of
 // each incomplete task. It is maintained incrementally at each lifecycle
 // transition — rebuilding it by scanning attempt state per probe was
 // quadratic in job size per heartbeat under concurrent-workload load.
 // Mutations are O(1): a second live attempt disqualifies the task, so
-// membership is a task-keyed index over a swap-remove slice. The slice
+// membership is a per-task position in a swap-remove slice. The slice
 // order is mutation order, not launch order; policies must treat it as a
 // set (LATE does: its threshold is an order statistic and its victim the
 // unique longest-remaining straggler with a lexicographic tie-break).
@@ -33,15 +48,19 @@ type AttemptBook struct {
 	d      *Driver
 	onDone func(*MapAttempt)
 
-	// attempts tracks live attempts per task; completed tasks are removed.
-	attempts   map[string][]*MapAttempt
-	completed  map[string]bool
-	waveByNode []int // per-node launch count, indexed by dense NodeID
+	tasks      []taskState // indexed by TaskID
+	waveByNode []int       // per-node launch count, indexed by dense NodeID
 	activeSpec int
 	epoch      uint64
 
-	cands   []*MapAttempt
-	candPos map[string]int // Task → index in cands
+	cands []*MapAttempt
+}
+
+// taskState is one task's entry in the book.
+type taskState struct {
+	live      []*MapAttempt // live attempts; nil once the task completes
+	completed bool
+	cand      int // 1 + index in cands; 0 when the task is no candidate
 }
 
 // NewAttemptBook returns an empty book over the driver. onDone receives
@@ -50,16 +69,13 @@ func NewAttemptBook(d *Driver, onDone func(*MapAttempt)) *AttemptBook {
 	return &AttemptBook{
 		d:          d,
 		onDone:     onDone,
-		attempts:   make(map[string][]*MapAttempt),
-		completed:  make(map[string]bool),
 		waveByNode: make([]int, d.Cluster.Size()),
-		candPos:    make(map[string]int),
 	}
 }
 
 // Launch starts one attempt on l.Node. The book acquires the container
 // and fills in the wave and completion callback; the caller sets Task,
-// Node, BUs, LocalBUs, Speculative and ExtraFetchBytes.
+// TaskID, Node, BUs, LocalBUs, Speculative and ExtraFetchBytes.
 func (b *AttemptBook) Launch(l MapLaunch) *MapAttempt {
 	// A "wave" is one round of concurrent tasks on the node: the first
 	// Slots launches are wave 0, the next Slots are wave 1, and so on.
@@ -71,13 +87,17 @@ func (b *AttemptBook) Launch(l MapLaunch) *MapAttempt {
 	l.Container = b.d.RM.Acquire(l.Node)
 	l.OnDone = b.onDone
 	a := b.d.LaunchMap(l)
-	b.attempts[l.Task] = append(b.attempts[l.Task], a)
-	if len(b.attempts[l.Task]) == 1 && !l.Speculative {
+	if n := int(l.TaskID) + 1; n > len(b.tasks) {
+		b.tasks = append(b.tasks, make([]taskState, n-len(b.tasks))...)
+	}
+	t := &b.tasks[l.TaskID]
+	t.live = append(t.live, a)
+	if len(t.live) == 1 && !l.Speculative {
 		b.addCand(a)
 	} else {
 		// A second live attempt (the speculative copy) disqualifies the
 		// task: there is already a race in flight.
-		b.removeCand(l.Task)
+		b.removeCand(l.TaskID)
 	}
 	b.epoch++
 	return a
@@ -92,21 +112,23 @@ func (b *AttemptBook) Win(a *MapAttempt) bool {
 		b.activeSpec--
 	}
 	a.Container.Release()
-	if b.completed[a.Task] {
+	t := &b.tasks[a.TaskID]
+	if t.completed {
 		return false // the winner already committed
 	}
-	b.completed[a.Task] = true
-	b.removeCand(a.Task)
+	t.completed = true
+	live := t.live
+	t.live = nil
+	b.removeCand(a.TaskID)
 	b.d.CommitOutput(a)
 	if b.OnCommit != nil {
 		b.OnCommit(a)
 	}
-	for _, other := range b.attempts[a.Task] {
+	for _, other := range live {
 		if other != a && other.Kill() {
 			b.release(other)
 		}
 	}
-	delete(b.attempts, a.Task)
 	b.epoch++
 	return true
 }
@@ -120,7 +142,8 @@ func (b *AttemptBook) Drop(a *MapAttempt) bool {
 	if a.Speculative {
 		b.activeSpec--
 	}
-	list := b.attempts[a.Task]
+	t := &b.tasks[a.TaskID]
+	list := t.live
 	for i, other := range list {
 		if other == a {
 			list = append(list[:i], list[i+1:]...)
@@ -128,42 +151,47 @@ func (b *AttemptBook) Drop(a *MapAttempt) bool {
 		}
 	}
 	if len(list) == 0 {
-		delete(b.attempts, a.Task)
-	} else {
-		b.attempts[a.Task] = list
+		list = nil
 	}
-	if len(list) == 1 && !list[0].Speculative && !list[0].Killed() && !b.completed[a.Task] {
+	t.live = list
+	if len(list) == 1 && !list[0].Speculative && !list[0].Killed() && !t.completed {
 		b.addCand(list[0])
 	} else {
-		b.removeCand(a.Task)
+		b.removeCand(a.TaskID)
 	}
 	b.epoch++
-	return !b.completed[a.Task] && len(list) == 0
+	return !t.completed && len(list) == 0
 }
 
 // killTask force-kills every live attempt of a task (SkewTune's
 // repartition).
-func (b *AttemptBook) killTask(task string) {
-	for _, a := range b.attempts[task] {
+func (b *AttemptBook) killTask(id TaskID) {
+	t := &b.tasks[id]
+	for _, a := range t.live {
 		if a.Kill() {
 			b.release(a)
 		}
 	}
-	delete(b.attempts, task)
-	b.removeCand(task)
+	t.live = nil
+	b.removeCand(id)
 	b.epoch++
 }
 
 // reopen marks a completed task incomplete again because its committed
 // output was lost with a node. It reports false if the task was not
 // complete (already pending or running again).
-func (b *AttemptBook) reopen(task string) bool {
-	if !b.completed[task] {
+func (b *AttemptBook) reopen(id TaskID) bool {
+	if !b.completed(id) {
 		return false
 	}
-	b.completed[task] = false
+	b.tasks[id].completed = false
 	b.epoch++
 	return true
+}
+
+// completed reports whether task id has committed its output.
+func (b *AttemptBook) completed(id TaskID) bool {
+	return int(id) < len(b.tasks) && b.tasks[id].completed
 }
 
 // Speculate asks the policy for a straggler to duplicate on the idle node
@@ -178,7 +206,7 @@ func (b *AttemptBook) Speculate(policy SpeculationPolicy, node *cluster.Node) bo
 		return false
 	}
 	bus, local := b.localFirst(node, victim.BUs)
-	b.Launch(MapLaunch{Task: victim.Task, Node: node, BUs: bus, LocalBUs: local, Speculative: true})
+	b.Launch(MapLaunch{Task: victim.Task, TaskID: victim.TaskID, Node: node, BUs: bus, LocalBUs: local, Speculative: true})
 	return true
 }
 
@@ -212,24 +240,25 @@ func (b *AttemptBook) release(a *MapAttempt) {
 }
 
 func (b *AttemptBook) addCand(a *MapAttempt) {
-	if i, ok := b.candPos[a.Task]; ok {
-		b.cands[i] = a
+	t := &b.tasks[a.TaskID]
+	if t.cand > 0 {
+		b.cands[t.cand-1] = a
 		return
 	}
-	b.candPos[a.Task] = len(b.cands)
 	b.cands = append(b.cands, a)
+	t.cand = len(b.cands)
 }
 
-func (b *AttemptBook) removeCand(task string) {
-	i, ok := b.candPos[task]
-	if !ok {
+func (b *AttemptBook) removeCand(id TaskID) {
+	t := &b.tasks[id]
+	if t.cand == 0 {
 		return
 	}
-	last := len(b.cands) - 1
+	i, last := t.cand-1, len(b.cands)-1
 	moved := b.cands[last]
 	b.cands[i] = moved
-	b.candPos[moved.Task] = i
+	b.tasks[moved.TaskID].cand = i + 1
 	b.cands[last] = nil
 	b.cands = b.cands[:last]
-	delete(b.candPos, task)
+	t.cand = 0
 }

@@ -91,9 +91,17 @@ type Driver struct {
 	rejoinHooks    []func(cluster.NodeID)
 	crashedPending map[cluster.NodeID][]*MapAttempt
 	crashedReduces map[cluster.NodeID][]int
-	residentOutput map[cluster.NodeID][]dfs.BUID
-	residentInter  map[cluster.NodeID]int64
-	buCommits      map[dfs.BUID]int
+	// resident logs, in commit order, each winning attempt's output still
+	// resident on its node's disk; dropResidentOutput filters out a lost
+	// node's entries. It is dead once the map phase closes.
+	resident []residentCommit
+	// buCommits counts commits per input BU, indexed by the BU's offset
+	// from firstBU (a file's BUIDs are contiguous). buSeen marks every BU
+	// committed at least once, so BUCommits keeps a BU whose commits a
+	// node loss dropped back to zero.
+	firstBU   dfs.BUID
+	buCommits []int
+	buSeen    []bool
 
 	mapPhaseStarted bool
 	mapsFinished    bool
@@ -128,7 +136,8 @@ func NewDriver(eng *sim.Engine, c *cluster.Cluster, store *dfs.Store, rm *yarn.R
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if _, ok := store.File(spec.InputFile); !ok {
+	input, ok := store.File(spec.InputFile)
+	if !ok {
 		return nil, fmt.Errorf("engine: input file %q not in DFS", spec.InputFile)
 	}
 	d := &Driver{
@@ -150,9 +159,9 @@ func NewDriver(eng *sim.Engine, c *cluster.Cluster, store *dfs.Store, rm *yarn.R
 		interByNode:    make([]int64, c.Size()),
 		crashedPending: make(map[cluster.NodeID][]*MapAttempt),
 		crashedReduces: make(map[cluster.NodeID][]int),
-		residentOutput: make(map[cluster.NodeID][]dfs.BUID),
-		residentInter:  make(map[cluster.NodeID]int64),
-		buCommits:      make(map[dfs.BUID]int),
+		firstBU:        input.BUs[0],
+		buCommits:      make([]int, len(input.BUs)),
+		buSeen:         make([]bool, len(input.BUs)),
 		runningReduce:  make(map[cluster.NodeID][]*reduceRun),
 	}
 	if spec.NumReducers > 0 {
@@ -177,6 +186,7 @@ const (
 // MapAttempt is one execution attempt of a map task.
 type MapAttempt struct {
 	Task        string
+	TaskID      TaskID
 	Node        *cluster.Node
 	Container   *yarn.Container
 	BUs         []dfs.BUID
@@ -217,6 +227,7 @@ type MapAttempt struct {
 // Container, Wave and OnDone.
 type MapLaunch struct {
 	Task        string
+	TaskID      TaskID
 	Node        *cluster.Node
 	Container   *yarn.Container
 	BUs         []dfs.BUID
@@ -242,6 +253,7 @@ func (d *Driver) LaunchMap(l MapLaunch) *MapAttempt {
 	}
 	a := &MapAttempt{
 		Task:        l.Task,
+		TaskID:      l.TaskID,
 		Node:        l.Node,
 		Container:   l.Container,
 		BUs:         l.BUs,
@@ -451,8 +463,15 @@ func (a *MapAttempt) complete() {
 // through CommitOutputForBUs stay durable — see DESIGN.md §9.
 func (d *Driver) CommitOutput(a *MapAttempt) {
 	inter := d.CommitOutputForBUs(a.Node.ID, a.BUs)
-	d.residentOutput[a.Node.ID] = append(d.residentOutput[a.Node.ID], a.BUs...)
-	d.residentInter[a.Node.ID] += inter
+	d.resident = append(d.resident, residentCommit{node: a.Node.ID, bus: a.BUs, inter: inter})
+}
+
+// residentCommit is one winning attempt's output on its node's disk. bus
+// aliases the attempt's split, which nothing mutates after launch.
+type residentCommit struct {
+	node  cluster.NodeID
+	bus   []dfs.BUID
+	inter int64
 }
 
 // CommitOutputForBUs publishes intermediate output for a set of BUs
@@ -464,7 +483,8 @@ func (d *Driver) CommitOutputForBUs(node cluster.NodeID, bus []dfs.BUID) int64 {
 	var bytes int64
 	for _, id := range bus {
 		bytes += d.Store.Block(id).Size
-		d.buCommits[id]++
+		d.buCommits[id-d.firstBU]++
+		d.buSeen[id-d.firstBU] = true
 	}
 	inter := int64(float64(bytes) * d.Spec.ShuffleRatio)
 	d.interByNode[node] += inter

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -365,5 +366,18 @@ func TestNoiseDisabledByDefaultInDriver(t *testing.T) {
 	h := newHarness(t, cluster.Homogeneous(2), 16, wcSpec(0))
 	if h.driver.drawNoise() != 1.0 {
 		t.Fatal("noise should be disabled when no source is attached")
+	}
+}
+
+// TestItoa4MatchesSprintf pins task names to fmt's %04d, digits past the
+// fourth included: partition 10000 must not alias partition 0.
+func TestItoa4MatchesSprintf(t *testing.T) {
+	for _, v := range []int{0, 7, 42, 999, 9999, 10000, 12345, 123456789} {
+		if got, want := itoa4("reduce-", v), fmt.Sprintf("reduce-%04d", v); got != want {
+			t.Errorf("itoa4(%d) = %q, want %q", v, got, want)
+		}
+	}
+	if got := MapTaskName(10000); got != "map-10000" {
+		t.Errorf("MapTaskName(10000) = %q, want map-10000", got)
 	}
 }

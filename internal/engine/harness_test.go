@@ -26,7 +26,7 @@ type harness struct {
 	target *FaultTarget
 }
 
-func newHarness(t *testing.T, c *cluster.Cluster, fileBUs int64, spec mr.JobSpec) *harness {
+func newHarness(t testing.TB, c *cluster.Cluster, fileBUs int64, spec mr.JobSpec) *harness {
 	t.Helper()
 	eng := sim.New()
 	store := dfs.NewStore(c, 3, randutil.New(11))

@@ -231,16 +231,25 @@ func (d *Driver) deliverCrashed(id cluster.NodeID, lostOutput []dfs.BUID) {
 // on the node and returns them sorted. Shuffle bookkeeping is reversed
 // with the exact intermediate bytes the commits added.
 func (d *Driver) dropResidentOutput(id cluster.NodeID) []dfs.BUID {
-	bus := d.residentOutput[id]
+	var bus []dfs.BUID
+	var inter int64
+	kept := d.resident[:0]
+	for _, c := range d.resident {
+		if c.node != id {
+			kept = append(kept, c)
+			continue
+		}
+		bus = append(bus, c.bus...)
+		inter += c.inter
+	}
+	clear(d.resident[len(kept):])
+	d.resident = kept
 	if len(bus) == 0 {
 		return nil
 	}
-	delete(d.residentOutput, id)
 	for _, bu := range bus {
-		d.buCommits[bu]--
+		d.buCommits[bu-d.firstBU]--
 	}
-	inter := d.residentInter[id]
-	d.residentInter[id] = 0
 	d.interByNode[id] -= inter
 	d.totalInter -= inter
 	d.Result.OutputBUsLost += len(bus)
@@ -263,13 +272,16 @@ func (d *Driver) FailJob(reason string) {
 	}
 }
 
-// BUCommits returns a copy of the per-BU commit counts — the job's final
-// accounting. After a successful run every input BU must appear exactly
-// once, crashes or not (the exactly-once property test's invariant).
+// BUCommits returns the per-BU commit counts of every BU committed at
+// least once — the job's final accounting. After a successful run every
+// input BU must appear exactly once, crashes or not (the exactly-once
+// property test's invariant).
 func (d *Driver) BUCommits() map[dfs.BUID]int {
 	out := make(map[dfs.BUID]int, len(d.buCommits))
-	for id, n := range d.buCommits {
-		out[id] = n
+	for i, n := range d.buCommits {
+		if d.buSeen[i] {
+			out[d.firstBU+dfs.BUID(i)] = n
+		}
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sort"
+	"strconv"
 
 	"flexmap/internal/cluster"
 	"flexmap/internal/mr"
@@ -40,6 +41,7 @@ func (d *Driver) MapsDone() {
 		panic("engine: MapsDone called twice")
 	}
 	d.mapsFinished = true
+	d.resident = nil // no node loss drops output from here on
 	d.Result.MapPhaseEnd = d.Eng.Now()
 	if d.Spec.NumReducers == 0 {
 		d.finishJob()
@@ -188,6 +190,7 @@ func (d *Driver) requeueReduces(parts []int) {
 type reduceRun struct {
 	d         *Driver
 	p         int
+	name      string // reduce-NNNN, formatted once per attempt
 	node      *cluster.Node
 	start     sim.Time
 	partBytes int64
@@ -213,7 +216,7 @@ func (rr *reduceRun) crash() {
 	d.detachReduce(rr)
 	now := d.Eng.Now()
 	d.Result.Attempts = append(d.Result.Attempts, mr.AttemptRecord{
-		Task:     reduceTaskName(rr.p),
+		Task:     rr.name,
 		Type:     mr.ReduceTask,
 		Node:     rr.node.ID,
 		Start:    rr.start,
@@ -225,7 +228,7 @@ func (rr *reduceRun) crash() {
 	})
 	d.Result.AttemptsCrashed++
 	d.Result.TaskRetries++
-	d.Trace.TaskKill(reduceTaskName(rr.p), rr.node.ID, true)
+	d.Trace.TaskKill(rr.name, rr.node.ID, true)
 	d.crashedReduces[rr.node.ID] = append(d.crashedReduces[rr.node.ID], rr.p)
 	if rr.container != nil && !rr.container.Released() {
 		// The node is down, so this frees no capacity — it only retires
@@ -258,9 +261,9 @@ func (d *Driver) runReduce(p int, n *cluster.Node, c *yarn.Container) {
 	}
 	fetchDur := sim.Duration(float64(remote) / (d.Cluster.NetBW * float64(MB)))
 
-	rr := &reduceRun{d: d, p: p, node: n, start: start, partBytes: partBytes, container: c}
+	rr := &reduceRun{d: d, p: p, name: itoa4("reduce-", p), node: n, start: start, partBytes: partBytes, container: c}
 	d.runningReduce[n.ID] = append(d.runningReduce[n.ID], rr)
-	d.Trace.ReduceDispatch(reduceTaskName(p), n.ID, partBytes)
+	d.Trace.ReduceDispatch(rr.name, n.ID, partBytes)
 
 	finish := func() {
 		// Return capacity before the finished check: a job aborted by
@@ -275,7 +278,7 @@ func (d *Driver) runReduce(p int, n *cluster.Node, c *yarn.Container) {
 		d.detachReduce(rr)
 		now := d.Eng.Now()
 		d.Result.Attempts = append(d.Result.Attempts, mr.AttemptRecord{
-			Task:      reduceTaskName(p),
+			Task:      rr.name,
 			Type:      mr.ReduceTask,
 			Node:      n.ID,
 			Start:     start,
@@ -284,7 +287,7 @@ func (d *Driver) runReduce(p int, n *cluster.Node, c *yarn.Container) {
 			Effective: sim.Duration(now-start) - d.Cost.Overhead(),
 			Bytes:     partBytes,
 		})
-		d.Trace.TaskDone(reduceTaskName(p), n.ID, partBytes)
+		d.Trace.TaskDone(rr.name, n.ID, partBytes)
 		d.reduceRemaining--
 		if d.reduceRemaining == 0 {
 			d.runLiveReducers()
@@ -337,7 +340,6 @@ func (rr *reduceRun) startShuffle(compute func()) {
 	if cross < 0 {
 		cross = 0
 	}
-	task := reduceTaskName(rr.p)
 	done := func() {
 		rr.flowsLeft--
 		if rr.flowsLeft == 0 {
@@ -346,10 +348,10 @@ func (rr *reduceRun) startShuffle(compute func()) {
 		}
 	}
 	if intra > 0 {
-		rr.flows = append(rr.flows, d.Net.StartAggFlow(rack, n.ID, intra, task, done))
+		rr.flows = append(rr.flows, d.Net.StartAggFlow(rack, n.ID, intra, rr.name, done))
 	}
 	if cross > 0 {
-		rr.flows = append(rr.flows, d.Net.StartAggFlow(net.AllRemoteRacks, n.ID, cross, task, done))
+		rr.flows = append(rr.flows, d.Net.StartAggFlow(net.AllRemoteRacks, n.ID, cross, rr.name, done))
 	}
 	rr.flowsLeft = len(rr.flows)
 	if rr.flowsLeft == 0 {
@@ -369,19 +371,16 @@ func (d *Driver) rackIntermediate(rack int) int64 {
 	return sum
 }
 
-func reduceTaskName(p int) string {
-	return "reduce-" + itoa4(p)
-}
-
-// itoa4 formats small non-negative ints zero-padded to 4 digits without
-// pulling fmt into the hot path.
-func itoa4(v int) string {
-	buf := [4]byte{'0', '0', '0', '0'}
-	for i := 3; i >= 0 && v > 0; i-- {
-		buf[i] = byte('0' + v%10)
-		v /= 10
+// itoa4 returns prefix followed by the non-negative v formatted as
+// fmt's %04d: zero-padded to four digits, every digit of a larger value
+// kept. It allocates only the result.
+func itoa4(prefix string, v int) string {
+	var buf [32]byte
+	b := append(buf[:0], prefix...)
+	for pad := 1000; pad > 1 && v < pad; pad /= 10 {
+		b = append(b, '0')
 	}
-	return string(buf[:])
+	return string(strconv.AppendInt(b, int64(v), 10))
 }
 
 // runLiveReducers executes attached real reduce functions over the

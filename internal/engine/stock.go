@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"flexmap/internal/cluster"
@@ -29,9 +30,10 @@ type SpeculationPolicy interface {
 // PendingSplit is a map task waiting for dispatch. Stock splits come from
 // dfs.Splits; SkewTune mints additional ones when repartitioning.
 type PendingSplit struct {
-	Task  string
-	BUs   []dfs.BUID
-	Hosts []cluster.NodeID // nodes holding every BU (empty = no locality)
+	Task   string
+	TaskID TaskID // assigned by the stock AM when it indexes the split
+	BUs    []dfs.BUID
+	Hosts  []cluster.NodeID // nodes holding every BU (empty = no locality)
 	// ExtraFetchBytes charges additional data movement at launch
 	// (SkewTune's repartition I/O).
 	ExtraFetchBytes int64
@@ -70,15 +72,20 @@ type StockAM struct {
 	// that many times.
 	maxTaskAttempts int
 
-	// Crash-recovery bookkeeping: the immutable split of every task (to
-	// re-queue it whole — stock has no sub-split granularity), the task
-	// owning each BU (to map lost output back to tasks), and per-task
-	// crash counts. taskOfBU is indexed by the BU's offset from the input
-	// file's first BUID (a file's BUIDs are contiguous).
-	splitByTask map[string]PendingSplit
-	firstBU     dfs.BUID
-	taskOfBU    []string
-	retries     map[string]int
+	// Crash-recovery bookkeeping: every task's immutable split (to
+	// re-queue it whole — stock has no sub-split granularity) and crash
+	// count, indexed by TaskID, and the task owning each BU (to map lost
+	// output back to tasks). taskOfBU is indexed by the BU's offset from
+	// the input file's first BUID (a file's BUIDs are contiguous).
+	tasks    []stockTask
+	firstBU  dfs.BUID
+	taskOfBU []TaskID
+}
+
+// stockTask is the stock AM's crash-recovery record of one task.
+type stockTask struct {
+	split   PendingSplit
+	retries int
 }
 
 // NewStockAM builds the stock AM over fixed splits of splitBUs block
@@ -95,23 +102,20 @@ func NewStockAM(d *Driver, splitBUs int, speculation SpeculationPolicy) (*StockA
 		maxTaskAttempts: 4,
 		d:               d,
 		remoteAllowedAt: make([]sim.Time, d.Cluster.Size()),
-		splitByTask:     make(map[string]PendingSplit),
+		tasks:           make([]stockTask, 0, len(splits)),
 		firstBU:         input.BUs[0],
-		taskOfBU:        make([]string, len(input.BUs)),
-		retries:         make(map[string]int),
+		taskOfBU:        make([]TaskID, len(input.BUs)),
 	}
 	for i := range am.remoteAllowedAt {
 		am.remoteAllowedAt[i] = -1
 	}
 	am.book = NewAttemptBook(d, am.onMapDone)
 	for _, sp := range splits {
-		p := PendingSplit{
-			Task:  fmt.Sprintf("map-%04d", sp.Index),
+		am.pending.add(am.indexSplit(PendingSplit{
+			Task:  MapTaskName(TaskID(sp.Index)),
 			BUs:   sp.BUs,
 			Hosts: sp.Hosts,
-		}
-		am.pending.add(p)
-		am.indexSplit(p)
+		}))
 	}
 	am.tasksRemaining = am.pending.Len()
 	d.Result.Engine = am.Name
@@ -120,12 +124,15 @@ func NewStockAM(d *Driver, splitBUs int, speculation SpeculationPolicy) (*StockA
 	return am, nil
 }
 
-// indexSplit records a task's split for crash recovery.
-func (am *StockAM) indexSplit(p PendingSplit) {
-	am.splitByTask[p.Task] = p
+// indexSplit assigns the split the next TaskID, records it for crash
+// recovery and returns it with the ID set.
+func (am *StockAM) indexSplit(p PendingSplit) PendingSplit {
+	p.TaskID = TaskID(len(am.tasks))
+	am.tasks = append(am.tasks, stockTask{split: p})
 	for _, id := range p.BUs {
-		am.taskOfBU[id-am.firstBU] = p.Task
+		am.taskOfBU[id-am.firstBU] = p.TaskID
 	}
+	return p
 }
 
 // Driver returns the underlying driver.
@@ -137,13 +144,12 @@ func (am *StockAM) PendingCount() int { return am.pending.Len() }
 // TasksRemaining returns the number of incomplete map tasks.
 func (am *StockAM) TasksRemaining() int { return am.tasksRemaining }
 
-// AddPending enqueues an extra map task (SkewTune subtasks) and adjusts
-// the outstanding-task count by delta (subtasks add new tasks; the
-// repartitioned original never completes).
+// AddPending enqueues an extra map task (SkewTune subtasks) under the
+// next TaskID and adjusts the outstanding-task count by delta (subtasks
+// add new tasks; the repartitioned original never completes).
 func (am *StockAM) AddPending(p PendingSplit, delta int) {
-	am.pending.add(p)
+	am.pending.add(am.indexSplit(p))
 	am.tasksRemaining += delta
-	am.indexSplit(p)
 	am.d.RM.Poke()
 }
 
@@ -195,6 +201,7 @@ func (am *StockAM) launchPending(node *cluster.Node, p PendingSplit) {
 	bus, local := am.book.localFirst(node, p.BUs)
 	am.book.Launch(MapLaunch{
 		Task:            p.Task,
+		TaskID:          p.TaskID,
 		Node:            node,
 		BUs:             bus,
 		LocalBUs:        local,
@@ -214,7 +221,7 @@ func (am *StockAM) onMapDone(a *MapAttempt) {
 
 // KillTaskAttempts force-kills all live attempts of a task (SkewTune
 // repartition).
-func (am *StockAM) KillTaskAttempts(task string) { am.book.killTask(task) }
+func (am *StockAM) KillTaskAttempts(id TaskID) { am.book.killTask(id) }
 
 // OnNodeLost implements RecoveryHandler: stock Hadoop has no sub-split
 // granularity, so every crashed attempt re-queues its *whole* fixed
@@ -226,20 +233,21 @@ func (am *StockAM) OnNodeLost(id cluster.NodeID, crashed []*MapAttempt, lostOutp
 		if !am.book.Drop(a) {
 			continue // committed, or a live copy is still racing
 		}
-		am.retries[a.Task]++
-		if am.retries[a.Task] >= am.maxTaskAttempts {
+		t := &am.tasks[a.TaskID]
+		t.retries++
+		if t.retries >= am.maxTaskAttempts {
 			am.d.FailJob(fmt.Sprintf("task %s crashed %d times (max attempts %d)",
-				a.Task, am.retries[a.Task], am.maxTaskAttempts))
+				a.Task, t.retries, am.maxTaskAttempts))
 			return
 		}
-		am.requeueWithBackoff(a.Task, a.CrashProcessedBytes())
+		am.requeueWithBackoff(a.TaskID, a.CrashProcessedBytes())
 	}
-	for _, task := range am.ownersOf(lostOutput) {
-		if !am.book.reopen(task) {
+	for _, id := range am.ownersOf(lostOutput) {
+		if !am.book.reopen(id) {
 			continue // already pending or running again; it will recommit
 		}
 		am.tasksRemaining++
-		sp := am.splitByTask[task]
+		sp := am.tasks[id].split
 		am.d.Result.TaskRetries++
 		am.d.Result.ReprocessedBytes += am.splitBytes(sp)
 		am.pending.add(sp)
@@ -253,7 +261,7 @@ func (am *StockAM) OnPreempted(a *MapAttempt) {
 	if !am.book.Drop(a) {
 		return
 	}
-	sp := am.splitByTask[a.Task]
+	sp := am.tasks[a.TaskID].split
 	am.d.Result.TaskRetries++
 	am.d.Result.ReprocessedBytes += a.CrashProcessedBytes()
 	am.pending.add(sp)
@@ -265,49 +273,39 @@ func (am *StockAM) OnPreempted(a *MapAttempt) {
 // the task, capped at 60 s) — Hadoop's re-attempt pacing. waste is the
 // crashed attempt's processed-at-crash bytes, charged as re-processed
 // work (the whole-split re-run redoes exactly that much).
-func (am *StockAM) requeueWithBackoff(task string, waste int64) {
-	sp, ok := am.splitByTask[task]
-	if !ok {
-		panic(fmt.Sprintf("engine: crashed task %s has no indexed split", task))
-	}
+func (am *StockAM) requeueWithBackoff(id TaskID, waste int64) {
+	t := am.tasks[id]
 	am.d.Result.TaskRetries++
 	am.d.Result.ReprocessedBytes += waste
 	backoff := retryBackoff
-	for i := 1; i < am.retries[task]; i++ {
+	for i := 1; i < t.retries; i++ {
 		backoff *= 2
 	}
 	if backoff > 60 {
 		backoff = 60
 	}
 	am.d.Eng.After(backoff, "map-retry", func() {
-		if am.d.Finished() || am.book.completed[task] {
+		if am.d.Finished() || am.book.completed(id) {
 			return
 		}
-		am.pending.add(sp)
+		am.pending.add(t.split)
 		am.d.RM.Poke()
 	})
 }
 
 // ownersOf maps lost output BUs to their owning tasks, deduplicated and
-// sorted for deterministic re-queue order.
-func (am *StockAM) ownersOf(bus []dfs.BUID) []string {
-	if len(bus) == 0 {
-		return nil
-	}
-	seen := make(map[string]bool)
-	var out []string
-	for _, id := range bus {
-		task := am.taskOfBU[id-am.firstBU]
-		if task == "" {
-			panic(fmt.Sprintf("engine: lost output BU %d has no owning task", id))
-		}
-		if !seen[task] {
-			seen[task] = true
-			out = append(out, task)
+// sorted by task name for deterministic re-queue order.
+func (am *StockAM) ownersOf(bus []dfs.BUID) []TaskID {
+	var out []TaskID
+	for _, bu := range bus {
+		id := am.taskOfBU[bu-am.firstBU]
+		if n := len(out); n == 0 || out[n-1] != id {
+			out = append(out, id)
 		}
 	}
-	sort.Strings(out)
-	return out
+	// Names are unique per task, so equal IDs sort adjacent.
+	sort.Slice(out, func(i, j int) bool { return am.tasks[out[i]].split.Task < am.tasks[out[j]].split.Task })
+	return slices.Compact(out)
 }
 
 // splitBytes sums a split's input bytes.

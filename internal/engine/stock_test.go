@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
 	"flexmap/internal/cluster"
@@ -186,5 +187,42 @@ func TestStockDeterminism(t *testing.T) {
 	e2, a2 := run()
 	if e1 != e2 || a1 != a2 {
 		t.Fatalf("non-deterministic run: (%v,%d) vs (%v,%d)", e1, a1, e2, a2)
+	}
+}
+
+// TestLostOutputRequeuesInNameOrder pins the order in which lost output
+// re-queues its owning tasks: by task name, across the map-9999 and
+// map-10000 boundary where name order and TaskID order part, with a
+// SkewTune subtask (its TaskID is its mint order) owning two split BUs.
+func TestLostOutputRequeuesInNameOrder(t *testing.T) {
+	const splits = 10002
+	h := newHarness(t, cluster.Homogeneous(4), splits, wcSpec(0))
+	am, err := NewStockAM(h.driver, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for am.pending.Len() > 0 {
+		am.pending.takeFIFO()
+	}
+	buOf := func(id TaskID) dfs.BUID { return am.tasks[id].split.BUs[0] }
+	sub := am.indexSplit(PendingSplit{Task: "map-0001.r1.0", BUs: []dfs.BUID{buOf(1), buOf(3)}})
+	am.book.tasks = make([]taskState, len(am.tasks))
+	for _, id := range []TaskID{2, 9999, 10000, sub.TaskID} {
+		am.book.tasks[id].completed = true
+	}
+	lost := []dfs.BUID{buOf(1), buOf(2), buOf(3), buOf(9999), buOf(10000)}
+	am.OnNodeLost(0, nil, lost)
+
+	var got []string
+	for am.pending.Len() > 0 {
+		p, _ := am.pending.takeFIFO()
+		got = append(got, p.Task)
+	}
+	want := []string{"map-0001.r1.0", "map-0002", "map-10000", "map-9999"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("re-queue order %v, want %v", got, want)
+	}
+	if h.driver.Result.TaskRetries != len(want) {
+		t.Errorf("TaskRetries = %d, want %d", h.driver.Result.TaskRetries, len(want))
 	}
 }

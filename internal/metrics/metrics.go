@@ -29,13 +29,15 @@ type Summary struct {
 
 // Summarize extracts a Summary from a job result.
 func Summarize(r *mr.JobResult) Summary {
-	maps := r.MapAttempts()
-	prod := 0.0
-	for _, a := range maps {
-		prod += a.Productivity()
+	prod, maps := 0.0, 0
+	for i := range r.Attempts {
+		if a := &r.Attempts[i]; a.Type == mr.MapTask && !a.Killed {
+			prod += a.Productivity()
+			maps++
+		}
 	}
-	if len(maps) > 0 {
-		prod /= float64(len(maps))
+	if maps > 0 {
+		prod /= float64(maps)
 	}
 	return Summary{
 		Engine:           r.Engine,

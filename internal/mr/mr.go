@@ -211,8 +211,10 @@ func (r *JobResult) ReduceAttempts() []AttemptRecord {
 // successful map attempt runtimes, as §II-C of the paper does.
 func (r *JobResult) SerialRuntime() sim.Duration {
 	var sum sim.Duration
-	for _, a := range r.MapAttempts() {
-		sum += a.Runtime()
+	for i := range r.Attempts {
+		if a := &r.Attempts[i]; a.Type == MapTask && !a.Killed {
+			sum += a.Runtime()
+		}
 	}
 	return sum
 }

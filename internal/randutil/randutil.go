@@ -74,9 +74,6 @@ func DeriveSeed(seed int64, index int) int64 {
 	return derived
 }
 
-// Perm is rand.Perm on the wrapped source (re-exported for clarity).
-func (s *Source) PermN(n int) []int { return s.Rand.Perm(n) }
-
 // PickN returns k distinct indices in [0,n) in random order.
 // It panics if k > n.
 func (s *Source) PickN(n, k int) []int {

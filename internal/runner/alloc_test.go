@@ -5,8 +5,11 @@ import (
 	"runtime"
 	"testing"
 
+	"flexmap/internal/cluster"
 	"flexmap/internal/dfs"
 	"flexmap/internal/faults"
+	"flexmap/internal/metrics"
+	"flexmap/internal/puma"
 	"flexmap/internal/trace"
 	"flexmap/internal/workload"
 )
@@ -98,5 +101,53 @@ func checkAllocsPerEvent(t *testing.T, name string, run func() (events uint64, e
 	t.Logf("%s: %d events, %.1f allocs/event", name, events, perEvent)
 	if perEvent > maxAllocsPerEvent {
 		t.Errorf("%s: %.1f allocs/event, ceiling %d", name, perEvent, maxAllocsPerEvent)
+	}
+}
+
+// TestFig8CellBytesPerBU holds one Fig. 8 cell, WordCount's large input
+// at scale 8 on the multi-tenant cluster with 40% slow nodes, to a byte
+// budget per committed BU. It counts everything the paper sequence pays
+// per simulation: DFS placement, the run and its result, and
+// metrics.Summarize. hadoop-64m allocates 417 B/BU and flexmap 477 today
+// (about 600 and 660 before per-task and per-BU state became slices);
+// the ceilings leave about 10% for Go-version drift, so a per-BU or
+// per-task map on the run path trips them.
+func TestFig8CellBytesPerBU(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds its own allocations")
+	}
+	p, err := puma.GetProfile(puma.WordCount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := func() (*cluster.Cluster, cluster.Interferer) { return cluster.MultiTenant40(0.40, 42) }
+	c, _ := factory()
+	spec := wcSpec(t, c.TotalSlots())
+	sc := Scenario{Name: "fig8-cell", Cluster: factory, Seed: 42, InputSize: int64(p.LargeGB) * GB / 8}
+	for _, cell := range []struct {
+		eng     Engine
+		ceiling float64
+	}{
+		{Engine{Kind: Hadoop, SplitMB: 64}, 460},
+		{Engine{Kind: FlexMap}, 530},
+	} {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(sc, spec, cell.eng)
+		if err != nil {
+			t.Fatalf("%s: %v", cell.eng, err)
+		}
+		metrics.Summarize(res.JobResult)
+		runtime.ReadMemStats(&after)
+		bus := 0
+		for _, n := range res.BUCommits {
+			bus += n
+		}
+		perBU := float64(after.TotalAlloc-before.TotalAlloc) / float64(bus)
+		t.Logf("%s: %d BUs committed, %.0f B/BU", cell.eng, bus, perBU)
+		if perBU > cell.ceiling {
+			t.Errorf("%s: %.0f bytes allocated per committed BU, ceiling %.0f", cell.eng, perBU, cell.ceiling)
+		}
 	}
 }

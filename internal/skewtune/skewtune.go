@@ -37,7 +37,7 @@ type AM struct {
 
 	stock  *engine.StockAM
 	d      *engine.Driver
-	rounds map[string]int // task → repartition round counter
+	rounds []int // repartition round counter, indexed by TaskID
 }
 
 // New builds a SkewTune AM over fixed splits of splitBUs block units and
@@ -51,7 +51,6 @@ func New(d *engine.Driver, splitBUs int) (*AM, error) {
 		minRemaining: 4*d.Cost.Overhead() + 2,
 		stock:        stock,
 		d:            d,
-		rounds:       make(map[string]int),
 	}
 	stock.Name = fmt.Sprintf("skewtune-%dm", int64(splitBUs)*dfs.BUSize/engine.MB)
 	d.Result.Engine = stock.Name
@@ -116,7 +115,7 @@ func (am *AM) repartition(node *cluster.Node) bool {
 	task := victim.Task
 	start := victim.Start
 
-	am.stock.KillTaskAttempts(task)
+	am.stock.KillTaskAttempts(victim.TaskID)
 
 	// The fully-processed prefix is preserved: SkewTune keeps partial map
 	// output. Publish its shuffle output and record it as a successful
@@ -157,8 +156,11 @@ func (am *AM) repartition(node *cluster.Node) bool {
 	if parts < 1 {
 		parts = 1
 	}
-	am.rounds[task]++
-	round := am.rounds[task]
+	if n := int(victim.TaskID) + 1; n > len(am.rounds) {
+		am.rounds = append(am.rounds, make([]int, n-len(am.rounds))...)
+	}
+	am.rounds[victim.TaskID]++
+	round := am.rounds[victim.TaskID]
 	var moved int64
 	for i := 0; i < parts; i++ {
 		lo := i * len(rem) / parts
