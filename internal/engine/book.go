@@ -30,11 +30,14 @@ func MapTaskName(id TaskID) string { return itoa4("map-", int(id)) }
 // each incomplete task. It is maintained incrementally at each lifecycle
 // transition — rebuilding it by scanning attempt state per probe was
 // quadratic in job size per heartbeat under concurrent-workload load.
-// Mutations are O(1): a second live attempt disqualifies the task, so
-// membership is a per-task position in a swap-remove slice. The slice
-// order is mutation order, not launch order; policies must treat it as a
-// set (LATE does: its threshold is an order statistic and its victim the
-// unique longest-remaining straggler with a lexicographic tie-break).
+// The slice is in launch order: its live entries have non-decreasing
+// Start, so a policy can stop at the first attempt too young to rank
+// (LATE does). Each task records its position, so removal is O(1): it
+// leaves a nil tombstone, trailing tombstones are trimmed at once (a
+// non-empty slice ends in a live entry), and the slice is compacted once
+// tombstones pass 1/32 of it. Launch appends; only a fault (Drop
+// promoting a surviving original) inserts an older attempt, at its Start
+// position, in O(n).
 //
 // epoch versions the candidate set for the policy's Pick memoization. It
 // bumps on every launch, win, drop, task kill and reopen, including
@@ -53,7 +56,8 @@ type AttemptBook struct {
 	activeSpec int
 	epoch      uint64
 
-	cands []*MapAttempt
+	cands []*MapAttempt // launch order; nil entries are tombstones
+	holes int           // nil entries in cands
 }
 
 // taskState is one task's entry in the book.
@@ -93,7 +97,7 @@ func (b *AttemptBook) Launch(l MapLaunch) *MapAttempt {
 	t := &b.tasks[l.TaskID]
 	t.live = append(t.live, a)
 	if len(t.live) == 1 && !l.Speculative {
-		b.addCand(a)
+		b.insertCand(a)
 	} else {
 		// A second live attempt (the speculative copy) disqualifies the
 		// task: there is already a race in flight.
@@ -155,7 +159,7 @@ func (b *AttemptBook) Drop(a *MapAttempt) bool {
 	}
 	t.live = list
 	if len(list) == 1 && !list[0].Speculative && !list[0].Killed() && !t.completed {
-		b.addCand(list[0])
+		b.insertCand(list[0])
 	} else {
 		b.removeCand(a.TaskID)
 	}
@@ -239,26 +243,61 @@ func (b *AttemptBook) release(a *MapAttempt) {
 	a.Container.Release()
 }
 
-func (b *AttemptBook) addCand(a *MapAttempt) {
-	t := &b.tasks[a.TaskID]
-	if t.cand > 0 {
-		b.cands[t.cand-1] = a
-		return
+// insertCand adds a task's sole original to the candidate set at its
+// Start position, sliding younger entries (tombstones too) up one slot.
+// A launch lands at the end after one comparison. The task must not be a
+// candidate already. It is not: Launch adds a task's first live attempt,
+// and Drop promotes an original whose rival's launch removed it.
+func (b *AttemptBook) insertCand(a *MapAttempt) {
+	b.cands = append(b.cands, nil)
+	i := len(b.cands) - 1
+	for ; i > 0; i-- {
+		c := b.cands[i-1]
+		if c != nil && c.Start <= a.Start {
+			break
+		}
+		b.cands[i] = c
+		if c != nil {
+			b.tasks[c.TaskID].cand = i + 1
+		}
 	}
-	b.cands = append(b.cands, a)
-	t.cand = len(b.cands)
+	b.cands[i] = a
+	b.tasks[a.TaskID].cand = i + 1
 }
 
+// removeCand tombstones a task's candidate entry, if it has one.
 func (b *AttemptBook) removeCand(id TaskID) {
 	t := &b.tasks[id]
 	if t.cand == 0 {
 		return
 	}
-	i, last := t.cand-1, len(b.cands)-1
-	moved := b.cands[last]
-	b.cands[i] = moved
-	b.tasks[moved.TaskID].cand = i + 1
-	b.cands[last] = nil
-	b.cands = b.cands[:last]
+	b.cands[t.cand-1] = nil
 	t.cand = 0
+	b.holes++
+	n := len(b.cands)
+	for n > 0 && b.cands[n-1] == nil {
+		n--
+		b.holes--
+	}
+	b.cands = b.cands[:n]
+	// Hadoop's endgame candidates are all mature, so LATE walks the whole
+	// slice, tombstones too. At 1/32 that walk stays as short as over a
+	// set with no tombstones (TestSpeculationWalkPerEvent).
+	if 32*b.holes > n {
+		b.compact()
+	}
+}
+
+// compact drops the tombstones, keeping the live entries' order.
+func (b *AttemptBook) compact() {
+	live := b.cands[:0]
+	for _, a := range b.cands {
+		if a != nil {
+			live = append(live, a)
+			b.tasks[a.TaskID].cand = len(live)
+		}
+	}
+	clear(b.cands[len(live):])
+	b.cands = live
+	b.holes = 0
 }

@@ -7,6 +7,8 @@ import (
 
 	"flexmap/internal/cluster"
 	"flexmap/internal/dfs"
+	"flexmap/internal/randutil"
+	"flexmap/internal/sim"
 )
 
 // TestAttemptBookLifecycle drives one book through every transition an
@@ -96,9 +98,12 @@ func TestAttemptBookLifecycle(t *testing.T) {
 		if b.epoch == before {
 			t.Errorf("%s: epoch did not bump", st.name)
 		}
+		checkCands(t, b, st.name)
 		var cands []string
 		for _, a := range b.cands {
-			cands = append(cands, a.Task)
+			if a != nil {
+				cands = append(cands, a.Task)
+			}
 		}
 		sort.Strings(cands)
 		if !reflect.DeepEqual(cands, st.cands) {
@@ -113,6 +118,136 @@ func TestAttemptBookLifecycle(t *testing.T) {
 	}
 	if commits := h.driver.BUCommits(); len(commits) != 16 {
 		t.Errorf("%d BUs committed, want the 16 of tasks t and u", len(commits))
+	}
+}
+
+// checkCands checks the candidate set's invariants: live entries in
+// non-decreasing Start order, each at the position its task records, no
+// trailing tombstone, a tombstone count that matches the nil entries,
+// and membership exactly for the incomplete tasks whose one live attempt
+// is an unkilled original.
+func checkCands(t *testing.T, b *AttemptBook, step string) {
+	t.Helper()
+	holes := 0
+	var prev *MapAttempt
+	for i, a := range b.cands {
+		if a == nil {
+			holes++
+			continue
+		}
+		if prev != nil && a.Start < prev.Start {
+			t.Fatalf("%s: candidate %s at %d started at %v, before %s ahead of it at %v", step, a.Task, i, a.Start, prev.Task, prev.Start)
+		}
+		prev = a
+		if got := b.tasks[a.TaskID].cand; got != i+1 {
+			t.Fatalf("%s: candidate %s sits at %d, its task records %d", step, a.Task, i, got-1)
+		}
+	}
+	if holes != b.holes {
+		t.Fatalf("%s: %d nil entries, book counts %d", step, holes, b.holes)
+	}
+	if n := len(b.cands); n > 0 && b.cands[n-1] == nil {
+		t.Fatalf("%s: the candidate set ends in a tombstone", step)
+	}
+	for id := range b.tasks {
+		ts := &b.tasks[id]
+		want := !ts.completed && len(ts.live) == 1 && !ts.live[0].Speculative && !ts.live[0].Killed()
+		if got := ts.cand > 0; got != want {
+			t.Fatalf("%s: task %d is a candidate: %v, want %v", step, id, got, want)
+		}
+		if want && b.cands[ts.cand-1] != ts.live[0] {
+			t.Fatalf("%s: task %d's position holds another attempt", step, id)
+		}
+	}
+}
+
+// TestAttemptBookCandidateOrder drives books through random sequences of
+// original and speculative launches, wins, fault drops, task kills and
+// reopens, with the clock advancing between them, and checks the
+// candidate set's invariants after every transition. Drops that kill a
+// speculative copy promote its original back into the set among
+// younger candidates.
+func TestAttemptBookCandidateOrder(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		const tasks = 2000
+		h := newHarness(t, cluster.Homogeneous(100), tasks, wcSpec(0))
+		f, _ := h.store.File("input")
+		rng := randutil.New(seed)
+		var b *AttemptBook
+		b = NewAttemptBook(h.driver, func(a *MapAttempt) {
+			b.Win(a)
+			checkCands(t, b, "win")
+		})
+		next := TaskID(0)
+		promotions := 0 // originals re-inserted ahead of younger candidates
+		launch := func(id TaskID, speculative bool) {
+			n := h.clus.Node(cluster.NodeID(rng.Intn(h.clus.Size())))
+			if h.rm.FreeSlots(n.ID) == 0 {
+				return
+			}
+			b.Launch(MapLaunch{Task: MapTaskName(id), TaskID: id, Node: n, BUs: f.BUs[id : id+1], Speculative: speculative})
+			checkCands(t, b, "launch")
+		}
+		// pick returns a random task matching ok, or false.
+		pick := func(ok func(*taskState) bool) (TaskID, bool) {
+			var ids []TaskID
+			for id := range b.tasks {
+				if ok(&b.tasks[id]) {
+					ids = append(ids, TaskID(id))
+				}
+			}
+			if len(ids) == 0 {
+				return 0, false
+			}
+			return ids[rng.Intn(len(ids))], true
+		}
+		for step := 0; step < 6000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 3:
+				for k := 0; k < 4 && next < tasks; k++ {
+					launch(next, false)
+					if int(next) < len(b.tasks) && len(b.tasks[next].live) > 0 {
+						next++
+					}
+				}
+			case op < 5:
+				if id, ok := pick(func(ts *taskState) bool { return !ts.completed && len(ts.live) == 1 }); ok {
+					launch(id, true)
+				}
+			case op < 6:
+				h.eng.RunUntil(h.eng.Now() + sim.Time(0.2*rng.Float64()))
+			case op < 8:
+				if id, ok := pick(func(ts *taskState) bool { return len(ts.live) > 0 }); ok {
+					live := b.tasks[id].live
+					a := live[rng.Intn(len(live))]
+					promote := len(live) == 2 && a.Speculative
+					if !h.driver.preempt(a) {
+						t.Fatalf("%s not preempted", a.Task)
+					}
+					b.Drop(a)
+					checkCands(t, b, "drop")
+					if pos := b.tasks[id].cand; promote && pos > 0 && pos < len(b.cands) {
+						promotions++
+					}
+				}
+			case op < 9:
+				if id, ok := pick(func(ts *taskState) bool { return len(ts.live) > 0 }); ok {
+					b.killTask(id)
+					checkCands(t, b, "killTask")
+				}
+			default:
+				if id, ok := pick(func(ts *taskState) bool { return ts.completed }); ok {
+					b.reopen(id)
+					checkCands(t, b, "reopen")
+				} else if id, ok := pick(func(ts *taskState) bool { return !ts.completed && len(ts.live) == 0 }); ok {
+					launch(id, false)
+				}
+			}
+		}
+		t.Logf("seed %d: %d originals re-inserted ahead of younger candidates, %d tasks launched", seed, promotions, next)
+		if promotions == 0 {
+			t.Fatalf("seed %d: no drop re-inserted an original ahead of a younger candidate", seed)
+		}
 	}
 }
 

@@ -83,7 +83,7 @@ func TestPartitionOfStable(t *testing.T) {
 	}
 }
 
-// fixedPolicy speculates the first candidate unconditionally.
+// fixedPolicy speculates the oldest candidate unconditionally.
 type fixedPolicy struct{ picks int }
 
 func (p *fixedPolicy) Pick(d *Driver, node *cluster.Node, candidates []*MapAttempt, candEpoch uint64, activeSpec int) *MapAttempt {
@@ -91,7 +91,12 @@ func (p *fixedPolicy) Pick(d *Driver, node *cluster.Node, candidates []*MapAttem
 		return nil
 	}
 	p.picks++
-	return candidates[0]
+	for _, a := range candidates {
+		if a != nil {
+			return a
+		}
+	}
+	panic("candidate set ends in a tombstone")
 }
 
 func (p *fixedPolicy) Idle(d *Driver, candidates []*MapAttempt, candEpoch uint64, activeSpec int) bool {

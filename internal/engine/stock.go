@@ -16,10 +16,14 @@ import (
 type SpeculationPolicy interface {
 	// Pick returns the attempt to duplicate on node, or nil. candidates
 	// are running, non-speculative attempts whose task has no live copy
-	// yet; candEpoch identifies the candidate-set version — it changes
-	// whenever the slice's contents (or any candidate's liveness) may
-	// have, so policies can cache per (now, candEpoch). activeSpec is the
-	// number of speculative attempts in flight.
+	// yet, in launch order: the non-nil entries have non-decreasing
+	// Start. Nil entries are removed candidates and must be skipped; a
+	// non-empty slice ends in a non-nil entry. candEpoch identifies the
+	// candidate-set version — it changes whenever the slice's contents
+	// (or any candidate's liveness) may have, so policies can cache per
+	// (now, candEpoch). activeSpec is the number of speculative attempts
+	// in flight. The slice belongs to the book: read it during the call
+	// only.
 	Pick(d *Driver, node *cluster.Node, candidates []*MapAttempt, candEpoch uint64, activeSpec int) *MapAttempt
 	// Idle reports that Pick, with the same arguments, would return nil
 	// for every node at this instant. It follows the yarn.Scheduler.Idle

@@ -1,12 +1,16 @@
 package runner
 
 import (
+	"reflect"
 	"testing"
 
 	"flexmap/internal/cluster"
+	"flexmap/internal/core"
 	"flexmap/internal/dfs"
 	"flexmap/internal/elastic"
+	"flexmap/internal/engine"
 	"flexmap/internal/faults"
+	"flexmap/internal/speculate"
 	"flexmap/internal/trace"
 	"flexmap/internal/workload"
 	"flexmap/internal/yarn"
@@ -178,6 +182,50 @@ func TestOffersPerEventScaling(t *testing.T) {
 		t.Logf("%s: %.2f offers/event at n=200, %.2f at n=2000", kind, small, large)
 		if large > 2*small {
 			t.Errorf("%s: %.2f offers/event at n=2000 is more than 2× the %.2f at n=200", kind, large, small)
+		}
+	}
+}
+
+// lateWalked returns the candidate entries a LATE policy's scans have
+// visited so far, tombstones included. The count is an unexported field
+// so that no caller outside a test can read it.
+func lateWalked(l *speculate.LATE) int64 {
+	return reflect.ValueOf(l).Elem().FieldByName("walked").Int()
+}
+
+// TestSpeculationWalkPerEvent is the counted gate on LATE's victim scan:
+// the candidate entries it walks per fired event, tombstones included,
+// for one WordCount job over 2 BUs per node on n = 2000. The candidate
+// set is in launch order, so the scan stops at the first attempt younger
+// than LATE's minimum age. FlexMap's endgame is mostly such attempts:
+// a full scan walked 112 entries per event, the cut-off 1.0. Hadoop's
+// endgame candidates are all mature, so its walk stays the live set plus
+// the tombstones the book has yet to compact: 16.08, where the full scan
+// walked 16.07. Counts, not times, so the gate cannot flake.
+func TestSpeculationWalkPerEvent(t *testing.T) {
+	for _, c := range []struct {
+		kind EngineKind
+		max  float64
+	}{{Hadoop, 16.1}, {FlexMap, 10}} {
+		const n = 2000
+		sc := Scenario{Name: "walk", Cluster: equivCluster(n), Seed: 42, InputSize: int64(n*2) * dfs.BUSize}
+		var am yarn.Scheduler
+		keep := func(_ *stack, s yarn.Scheduler) yarn.Scheduler { am = s; return s }
+		res, err := run(sc, wcSpec(t, n/4), Engine{Kind: c.kind}, keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var policy engine.SpeculationPolicy
+		switch am := am.(type) {
+		case *engine.StockAM:
+			policy = am.Speculation
+		case *core.AM:
+			policy = am.Speculation
+		}
+		perEvent := float64(lateWalked(policy.(*speculate.LATE))) / float64(res.SimEvents)
+		t.Logf("%s: %.2f candidates walked per event at n=%d", c.kind, perEvent, n)
+		if perEvent > c.max {
+			t.Errorf("%s: %.2f candidates walked per event at n=%d, more than %.1f", c.kind, perEvent, n, c.max)
 		}
 	}
 }

@@ -125,18 +125,30 @@ func TestSelectKthMatchesSort(t *testing.T) {
 	}
 }
 
-// BenchmarkSelectVictim ranks 4,000 mature attempts on 2,000 nodes of
-// mixed speed: one straggler choice as LATE makes it per instant.
+// BenchmarkSelectVictim ranks the candidates of 2,000 nodes of mixed
+// speed: one straggler choice as LATE makes it per instant. "mature" is
+// 4,000 attempts past minAge. "immature-tail" is FlexMap's endgame on
+// 10,000 nodes: the same 4,000, then 36,000 launched inside minAge, in
+// launch order, which the scan cuts off at the first.
 func BenchmarkSelectVictim(b *testing.B) {
-	const nodes, busPerTask = 2000, 8
+	for _, c := range []struct {
+		name string
+		tail int // immature attempts per node
+	}{{"mature", 0}, {"immature-tail", 18}} {
+		b.Run(c.name, func(b *testing.B) { benchSelectVictim(b, c.tail) })
+	}
+}
+
+func benchSelectVictim(b *testing.B, tail int) {
+	const nodes, slots, busPerTask = 2000, 2, 8
 	eng := sim.New()
 	specs := make([]cluster.NodeSpec, nodes)
 	for i := range specs {
-		specs[i] = cluster.NodeSpec{Name: fmt.Sprintf("n%04d", i), BaseSpeed: []float64{1, 1.5, 2.4, 2.8}[i%4], Slots: 2}
+		specs[i] = cluster.NodeSpec{Name: fmt.Sprintf("n%04d", i), BaseSpeed: []float64{1, 1.5, 2.4, 2.8}[i%4], Slots: slots + tail}
 	}
 	c := cluster.NewCluster("bench", specs)
 	store := dfs.NewStore(c, 3, randutil.New(4))
-	if _, err := store.AddFile("input", nodes*2*busPerTask*dfs.BUSize); err != nil {
+	if _, err := store.AddFile("input", nodes*slots*busPerTask*dfs.BUSize); err != nil {
 		b.Fatal(err)
 	}
 	rm := yarn.NewRM(eng, c)
@@ -146,17 +158,24 @@ func BenchmarkSelectVictim(b *testing.B) {
 	}
 	f, _ := store.File("input")
 	var cands []*engine.MapAttempt
-	for i, n := range c.Nodes {
-		for s := 0; s < n.Slots; s++ {
-			lo := (2*i + s) * busPerTask
-			cands = append(cands, d.LaunchMap(engine.MapLaunch{
-				Task: fmt.Sprintf("map-%05d", 2*i+s), Node: n, Container: rm.Acquire(n),
-				BUs: f.BUs[lo : lo+busPerTask], LocalBUs: busPerTask,
-				OnDone: func(a *engine.MapAttempt) { a.Container.Release() },
-			}))
+	// launch starts per more attempts on every node. A node's s-th
+	// attempt reads the node's s%slots-th split, so the tail rereads the
+	// mature attempts' input.
+	launch := func(per int) {
+		for i, n := range c.Nodes {
+			for s := 0; s < per; s++ {
+				lo := (slots*i + s%slots) * busPerTask
+				cands = append(cands, d.LaunchMap(engine.MapLaunch{
+					Task: fmt.Sprintf("map-%05d", len(cands)), Node: n, Container: rm.Acquire(n),
+					BUs: f.BUs[lo : lo+busPerTask], LocalBUs: busPerTask,
+					OnDone: func(a *engine.MapAttempt) { a.Container.Release() },
+				}))
+			}
 		}
 	}
+	launch(slots)
 	eng.RunUntil(4) // past MinAge, before the fastest attempts finish
+	launch(tail)
 	l := NewLATE()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -56,6 +56,10 @@ type LATE struct {
 	mature []scoredAttempt
 	rates  []float64
 
+	// walked counts the candidate entries selectVictim has visited,
+	// tombstones included. Only tests read it.
+	walked int
+
 	// Victim memoized per (instant, candidate-set epoch): everything up to
 	// the final node-local freshness check depends only on the candidate
 	// set and the clock, and AMs probe every idle node at the same instant.
@@ -134,25 +138,34 @@ func (l *LATE) victim(now sim.Time, candidates []*engine.MapAttempt, candEpoch u
 // selectVictim ranks the candidate set at the given instant: progress
 // rates for mature attempts, the slow-task percentile threshold, and the
 // below-threshold attempt with the longest estimated remaining time.
+// The set is in launch order (see engine.SpeculationPolicy), so the scan
+// skips tombstones and stops at the first attempt younger than minAge:
+// every live entry after it is younger still.
 func (l *LATE) selectVictim(now sim.Time, candidates []*engine.MapAttempt) (*engine.MapAttempt, sim.Duration) {
 	// Progress rates for mature attempts (scratch reused across calls).
 	l.mature = l.mature[:0]
 	l.rates = l.rates[:0]
-	for _, a := range candidates {
+	walked := len(candidates)
+	for i, a := range candidates {
+		if a == nil {
+			continue
+		}
+		age := sim.Duration(now - a.Start)
+		if age < minAge {
+			walked = i + 1
+			break
+		}
 		// A candidate killed by a silent node crash lingers in the set
 		// until heartbeat-timeout delivery; duplicating it would race a
 		// corpse.
 		if a.Killed() {
 			continue
 		}
-		age := sim.Duration(now - a.Start)
-		if age < minAge {
-			continue
-		}
 		r := a.Progress(now) / float64(age)
 		l.mature = append(l.mature, scoredAttempt{a, r})
 		l.rates = append(l.rates, r)
 	}
+	l.walked += walked
 	if len(l.mature) == 0 {
 		return nil, -1
 	}
@@ -167,7 +180,7 @@ func (l *LATE) selectVictim(now sim.Time, candidates []*engine.MapAttempt) (*eng
 
 	// Among below-threshold tasks, pick the longest estimated time to
 	// end, ties to the lexicographically smallest task — a unique winner,
-	// so the scan needs no particular order.
+	// so this scan needs no particular order.
 	var victim *engine.MapAttempt
 	var worst sim.Duration = -1
 	for _, s := range l.mature {
