@@ -188,7 +188,10 @@ func (am *StockAM) TryDispatch(node *cluster.Node) bool {
 			am.remoteAllowedAt[node.ID] = now + sim.Time(localityWait)
 			am.d.Eng.After(localityWait, "locality-wait", func() { am.d.RM.Poke() })
 			return false
-		} else if now < allowed {
+		} else if now < allowed || am.d.RM.FreeSlots(node.ID) == 0 {
+			// A full node: SkewTune's repartition pokes the RM from
+			// inside its offer, and that nested sweep may have handed
+			// this node's last slot to another job.
 			return false
 		}
 		p, _ := am.pending.takeFIFO() // FIFO remote pick; Len()>0 guarantees ok

@@ -226,3 +226,28 @@ func TestLostOutputRequeuesInNameOrder(t *testing.T) {
 		t.Errorf("TaskRetries = %d, want %d", h.driver.Result.TaskRetries, len(want))
 	}
 }
+
+// TestRemotePickDeclinesFullNode: with its locality wait expired, the
+// remote pick declines a node that has no free slot instead of launching
+// on it. SkewTune reaches that state in a multi-job run: its repartition
+// queues hostless subtasks and pokes the RM from inside its offer, and
+// the nested sweep can hand the offered node's last slot to another job
+// before SkewTune dispatches.
+func TestRemotePickDeclinesFullNode(t *testing.T) {
+	h := newHarness(t, cluster.Homogeneous(2), 16, wcSpec(0))
+	am, err := NewStockAM(h.driver, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.rm.Start() // one local split on each node
+	node := h.clus.Node(0)
+	h.rm.Acquire(node) // another job takes the node's last slot
+	am.AddPending(PendingSplit{Task: "sub", BUs: []dfs.BUID{0}}, 1)
+	am.remoteAllowedAt[node.ID] = h.eng.Now()
+	if am.TryDispatch(node) {
+		t.Fatal("dispatched onto a node with no free slot")
+	}
+	if am.PendingCount() != 1 {
+		t.Fatalf("%d splits pending after the decline, want 1", am.PendingCount())
+	}
+}

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -72,20 +73,12 @@ func probeWith(t *testing.T, check bool, stats *probeStats) func(*stack, yarn.Sc
 	}
 }
 
-// TestIdleDeclinesEveryOffer audits the Idle contract behind RM.Poke's
-// skip. Every time a scheduler answers Idle, every node it could be
-// offered is offered anyway, and no offer may be accepted or leave a
-// trace, an event or a grant behind. The cells cover StockAM with LATE,
-// FlexMap and SkewTune solo, crashes and an elastic drain, and the
-// inter-job scheduler under the fair and capacity policies.
-func TestIdleDeclinesEveryOffer(t *testing.T) {
-	spec := wcSpec(t, 6)
-	collect := trace.Options{Collect: true}
-	cell := func(name string) Scenario {
-		return Scenario{Name: name, Cluster: equivCluster(24), Seed: 42, InputSize: 24 * 3 * dfs.BUSize, Trace: collect}
-	}
-	crashes := faults.Plan{CrashRate: 120, MeanDowntime: 20, PreemptRate: 60}
-	drain := elastic.Plan{
+// churnFaults and churnDrain are the crashes, preemptions and elastic
+// drain the Idle tests run 24-node clusters under; the spares are nodes
+// 24 and 25.
+var (
+	churnFaults = faults.Plan{CrashRate: 120, MeanDowntime: 20, PreemptRate: 60}
+	churnDrain  = elastic.Plan{
 		Spares:    2,
 		SpareSpec: cluster.NodeSpec{Class: "spare", BaseSpeed: 2.0, Slots: 2},
 		Notice:    2,
@@ -94,6 +87,23 @@ func TestIdleDeclinesEveryOffer(t *testing.T) {
 			{At: 2, Node: 25, Kind: elastic.Join},
 			{At: 6, Node: 24, Kind: elastic.Drain},
 		},
+	}
+)
+
+// TestIdleDeclinesEveryOffer audits the Idle contract behind RM.Poke's
+// skip. Every time a scheduler answers Idle, every node it could be
+// offered is offered anyway, and no offer may be accepted or leave a
+// trace, an event or a grant behind. The cells cover StockAM with LATE,
+// FlexMap and SkewTune solo, crashes and an elastic drain, and the
+// inter-job scheduler under the fair and capacity policies, with SkewTune
+// beside stock and FlexMap jobs. The audit offers nodes from inside
+// Idle, outside the Poke's loop, so each of its offers consults every
+// job, including those Idle has just marked.
+func TestIdleDeclinesEveryOffer(t *testing.T) {
+	spec := wcSpec(t, 6)
+	collect := trace.Options{Collect: true}
+	cell := func(name string) Scenario {
+		return Scenario{Name: name, Cluster: equivCluster(24), Seed: 42, InputSize: 24 * 3 * dfs.BUSize, Trace: collect}
 	}
 	// audit marks the cells whose runs must reach an Idle answer: solo
 	// FlexMap and SkewTune poke the RM only on recovery.
@@ -110,8 +120,8 @@ func TestIdleDeclinesEveryOffer(t *testing.T) {
 	}
 	for _, kind := range []EngineKind{Hadoop, FlexMap} {
 		sc := cell(string(kind) + "-churn")
-		sc.Faults = crashes
-		sc.Membership = drain
+		sc.Faults = churnFaults
+		sc.Membership = churnDrain
 		solo = append(solo, soloCell{Engine{Kind: kind}, sc, true})
 	}
 	for _, c := range solo {
@@ -141,11 +151,19 @@ func TestIdleDeclinesEveryOffer(t *testing.T) {
 		{Name: "fair-skewtune", Policy: "fair", Classes: append(mix[:1:1], WorkloadClass{
 			Name: "skew", Weight: 1, MinBytes: 8 * dfs.BUSize, MaxBytes: 24 * dfs.BUSize,
 			Engine: Engine{Kind: SkewTune}, Spec: wcSpec(t, 3)})},
-		{Name: "fair-churn", Policy: "fair", Classes: mix, Faults: crashes, Membership: drain},
+		func() WorkloadScenario { // its nested sweeps once offered a full node
+			sc := nestedScenario(t, "fair", 1, FlexMap, SkewTune)
+			sc.Name = "fair-flex-skewtune"
+			return sc
+		}(),
+		{Name: "fair-churn", Policy: "fair", Classes: mix, Faults: churnFaults, Membership: churnDrain},
 	}
 	for _, sc := range workloads {
-		sc.Cluster, sc.Seed, sc.Trace = equivCluster(24), 42, collect
-		sc.Pattern = workload.Pattern{Jobs: 10, Rate: 0.5}
+		if sc.Cluster == nil {
+			sc.Cluster, sc.Seed = equivCluster(24), 42
+			sc.Pattern = workload.Pattern{Jobs: 10, Rate: 0.5}
+		}
+		sc.Trace = collect
 		t.Run("workload-"+sc.Name, func(t *testing.T) {
 			var stats probeStats
 			if _, err := runWorkload(sc, probeWith(t, true, &stats)); err != nil {
@@ -226,6 +244,117 @@ func TestSpeculationWalkPerEvent(t *testing.T) {
 		t.Logf("%s: %.2f candidates walked per event at n=%d", c.kind, perEvent, n)
 		if perEvent > c.max {
 			t.Errorf("%s: %.2f candidates walked per event at n=%d, more than %.1f", c.kind, perEvent, n, c.max)
+		}
+	}
+}
+
+// fullWalk hides the inter-job scheduler's Idle from the RM: every Poke
+// sweeps, no job is marked idle, and every offer walks every job.
+type fullWalk struct{ yarn.Scheduler }
+
+func (fullWalk) Idle() bool { return false }
+
+// consulted returns the job schedulers an inter-job scheduler's offers
+// have consulted so far. The count is an unexported field so that no
+// caller outside a test can read it.
+func consulted(ij *yarn.InterJob) int64 {
+	return reflect.ValueOf(ij).Elem().FieldByName("consulted").Int()
+}
+
+// TestIdleMarksMatchFullWalk is the reference test for the idle marks: a
+// Poke's own offers skip the jobs its Idle answered true for. Each cell
+// runs as is and again under fullWalk, and the two runs must agree on
+// the JSONL trace, the fired-event count and every job's outcome. The
+// cells put SkewTune, whose offers nest sweeps, beside stock and FlexMap
+// jobs, and a stock and FlexMap mix under crashes, preemptions and an
+// elastic drain, under each policy.
+func TestIdleMarksMatchFullWalk(t *testing.T) {
+	churn := func(policy string, seed int64) WorkloadScenario {
+		sc := nestedScenario(t, policy, seed, Hadoop, FlexMap)
+		sc.Classes[1].Queue = 1
+		sc.Pattern = workload.Pattern{Jobs: 10, Rate: 0.5}
+		sc.Faults, sc.Membership = churnFaults, churnDrain
+		return sc
+	}
+	var events int
+	var marked, full int64
+	for _, policy := range []string{"fifo", "fair", "capacity"} {
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, sc := range []WorkloadScenario{
+				nestedScenario(t, policy, seed, Hadoop, FlexMap, SkewTune),
+				churn(policy, seed),
+			} {
+				sc.Trace = trace.Options{Collect: true}
+				run := func(hide bool) (*WorkloadResult, int64) {
+					var ij *yarn.InterJob
+					res, err := runWorkload(sc, func(_ *stack, s yarn.Scheduler) yarn.Scheduler {
+						ij = s.(*yarn.InterJob)
+						if hide {
+							return fullWalk{s}
+						}
+						return s
+					})
+					if err != nil {
+						t.Fatalf("%s seed %d: %v", sc.Name, seed, err)
+					}
+					return res, consulted(ij)
+				}
+				a, na := run(false)
+				b, nb := run(true)
+				if !bytes.Equal(traceBytes(t, a), traceBytes(t, b)) {
+					t.Fatalf("%s seed %d: traces differ with every offer walking every job", sc.Name, seed)
+				}
+				if a.SimEvents != b.SimEvents {
+					t.Fatalf("%s seed %d: %d events fired, %d with every offer walking every job", sc.Name, seed, a.SimEvents, b.SimEvents)
+				}
+				if !reflect.DeepEqual(a.Jobs, b.Jobs) {
+					t.Fatalf("%s seed %d: job outcomes differ with every offer walking every job", sc.Name, seed)
+				}
+				events += len(a.Trace.Events())
+				marked, full = marked+na, full+nb
+			}
+		}
+	}
+	t.Logf("%d trace events matched; %d job consultations with idle marks, %d without", events, marked, full)
+	if marked >= full {
+		t.Fatal("the idle marks skipped no consultation; the cells no longer exercise them")
+	}
+}
+
+// TestInterJobWalkPerOffer is the counted gate on the inter-job offer
+// walk: job schedulers consulted per offer the RM makes, for one fair mix
+// of 20 WordCount jobs on 100 nodes. Before a Poke's offers skipped the
+// jobs its Idle answered true for, an offer consulted 14.96 jobs under
+// Hadoop and 15.10 under FlexMap; with the skip, 12.06 and 4.04. Most of
+// Hadoop's remainder is jobs in their reduce phase whose partitions
+// queue for a few nodes. Counts, not times, so the gate cannot flake.
+func TestInterJobWalkPerOffer(t *testing.T) {
+	for _, c := range []struct {
+		kind EngineKind
+		max  float64
+	}{{Hadoop, 14.5}, {FlexMap, 6}} {
+		sc := WorkloadScenario{
+			Name:    "walk",
+			Cluster: equivCluster(100),
+			Seed:    42,
+			Pattern: workload.Pattern{Jobs: 20, Rate: 24},
+			Classes: []WorkloadClass{{Name: "wc", Weight: 1, MinBytes: 8 * dfs.BUSize, MaxBytes: 24 * dfs.BUSize,
+				Engine: Engine{Kind: c.kind}, Spec: wcSpec(t, 4)}},
+			Policy: "fair",
+		}
+		var ij *yarn.InterJob
+		var stats probeStats
+		probe := probeWith(t, false, &stats)
+		if _, err := runWorkload(sc, func(s *stack, mux yarn.Scheduler) yarn.Scheduler {
+			ij = mux.(*yarn.InterJob)
+			return probe(s, mux)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		perOffer := float64(consulted(ij)) / float64(stats.offers)
+		t.Logf("%s: %.2f jobs consulted per offer over %d offers", c.kind, perOffer, stats.offers)
+		if perOffer > c.max {
+			t.Errorf("%s: %.2f jobs consulted per offer, more than %.1f", c.kind, perOffer, c.max)
 		}
 	}
 }

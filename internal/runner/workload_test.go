@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -151,6 +152,67 @@ func TestWorkloadSkewTuneRepartitions(t *testing.T) {
 		}
 		if moved == 0 {
 			t.Fatalf("%s: no job repartitioned; the nested offer went untested", policy)
+		}
+	}
+}
+
+// nestedScenario is a 16-job stream on 24 nodes with one class per
+// engine kind, all in queue 0. With SkewTune among the kinds, its
+// repartitions poke the shared RM from inside offers while other jobs
+// compete for the same nodes.
+func nestedScenario(t *testing.T, policy string, seed int64, kinds ...EngineKind) WorkloadScenario {
+	sc := WorkloadScenario{
+		Name:    "nested-" + policy,
+		Cluster: equivCluster(24),
+		Seed:    seed,
+		Pattern: workload.Pattern{Jobs: 16, Rate: 2},
+		Policy:  policy,
+		Queues:  []yarn.Queue{{Name: "a", Share: 0.5, MaxShare: 0.75}, {Name: "b", Share: 0.5}},
+	}
+	for _, k := range kinds {
+		sc.Classes = append(sc.Classes, WorkloadClass{Name: string(k), Weight: 1,
+			MinBytes: 8 * dfs.BUSize, MaxBytes: 24 * dfs.BUSize, Engine: Engine{Kind: k}, Spec: wcSpec(t, 3)})
+	}
+	return sc
+}
+
+// TestWorkloadNestedSweepFillsNode: the sweep nested in a SkewTune offer
+// can grant the offered node's last slot, and the outer offer must then
+// stop walking jobs. Each cell panicked while the outer walk went on to
+// offer the full node to a FlexMap job, whose grant found no free slot.
+func TestWorkloadNestedSweepFillsNode(t *testing.T) {
+	for _, c := range []struct {
+		policy string
+		seed   int64
+		kinds  []EngineKind
+	}{
+		{"fifo", 7, []EngineKind{FlexMap, SkewTune}},
+		{"fair", 1, []EngineKind{FlexMap, SkewTune}},
+		{"capacity", 9, []EngineKind{FlexMap, SkewTune}},
+		{"fifo", 1, []EngineKind{Hadoop, FlexMap, SkewTune}},
+	} {
+		sc := nestedScenario(t, c.policy, c.seed, c.kinds...)
+		res, err := func() (res *WorkloadResult, err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("panic: %v", r)
+				}
+			}()
+			return RunWorkload(sc)
+		}()
+		if err != nil {
+			t.Errorf("%s seed %d %v: %v", c.policy, c.seed, c.kinds, err)
+			continue
+		}
+		if res.Completed != 16 {
+			t.Errorf("%s seed %d %v: completed=%d, want 16", c.policy, c.seed, c.kinds, res.Completed)
+		}
+		for _, j := range res.Jobs {
+			for bu, n := range j.BUCommits {
+				if n != 1 {
+					t.Fatalf("%s seed %d: job %d: BU %d committed %d times", c.policy, c.seed, j.Index, bu, n)
+				}
+			}
 		}
 	}
 }

@@ -10,16 +10,20 @@ import (
 )
 
 // InterJob multiplexes one ResourceManager across many concurrently
-// running jobs. It registers itself as the RM's scheduler; on every slot
-// offer it asks its Policy to rank the active jobs and consults each
-// job's own ApplicationMaster in that order until one places work. Grant
+// running jobs. It registers itself as the RM's scheduler; a slot offer
+// walks the active jobs in the order its Policy ranks them and consults
+// each job's own ApplicationMaster in turn until one places work. Grant
 // and release observers keep per-job running-container counts, which is
 // the usage signal the fair and capacity policies rank by.
 //
-// Offers are the RM's hottest path (a Poke offers every node), so the
-// job list the policy orders and the buffers an offer walks persist
-// across offers: Submit and Retire maintain the list, and an offer
-// allocates nothing.
+// Offers are the RM's hottest path (a Poke offers every node), so an
+// offer consults only jobs that can act and re-ranks only when the
+// ranking's inputs moved. Idle records each job's answer for the Poke
+// that asked, and that Poke's own offers skip the jobs that answered
+// true. The policy's order is cached across offers until a count, the
+// job list or the cluster's slot total changes. The job list and the
+// buffers an offer walks persist across offers, so an offer allocates
+// nothing.
 //
 // Determinism: job ranking is a pure function of (policy, submission
 // order, running counts), offers arrive in the RM's deterministic
@@ -33,9 +37,11 @@ type InterJob struct {
 	nextIndex int                // the next submitted job's Index
 	jobs      []*JobHandle       // undone jobs, in the order Policy.Order last left them
 	walks     [][]*JobHandle     // per nesting depth, the order that offer walks
+	ranked    int                // the total slots walks[0] was ranked with; -1 once a job or count moved
 	depth     int                // offers in flight
 	owners    map[int]ownerEntry // container ID → owning job while live
 	current   *JobHandle         // job being consulted for the innermost offer
+	consulted int64              // job schedulers consulted by offers, for tests
 }
 
 // ownerEntry remembers which job owns a container and where it runs, so
@@ -58,6 +64,7 @@ type JobHandle struct {
 
 	sched      Scheduler
 	running    int
+	idleIn     uint64 // the RM sweep whose Idle the job answered true; 0 after a false
 	done       bool
 	submitted  sim.Time
 	firstGrant sim.Time
@@ -82,7 +89,7 @@ func (h *JobHandle) QueueWait() sim.Duration {
 // NewInterJob wires the multiplexer into the RM as its scheduler and
 // grant/release/liveness observer. Call before rm.Start.
 func NewInterJob(eng *sim.Engine, rm *RM, p Policy) *InterJob {
-	ij := &InterJob{eng: eng, rm: rm, policy: p, owners: make(map[int]ownerEntry)}
+	ij := &InterJob{eng: eng, rm: rm, policy: p, ranked: -1, owners: make(map[int]ownerEntry)}
 	rm.SetScheduler(ij)
 	rm.OnGrant(ij.onGrant)
 	rm.OnRelease(ij.onRelease)
@@ -103,6 +110,7 @@ func (ij *InterJob) Submit(name string, queue int, s Scheduler) *JobHandle {
 	}
 	ij.nextIndex++
 	ij.jobs = append(ij.jobs, h)
+	ij.ranked = -1
 	ij.rm.Poke()
 	return h
 }
@@ -118,28 +126,57 @@ func (ij *InterJob) Retire(h *JobHandle) {
 	h.done = true
 	i := slices.Index(ij.jobs, h)
 	ij.jobs = slices.Delete(ij.jobs, i, i+1)
+	ij.ranked = -1
+}
+
+// move shifts a job's running-container count, the input every policy
+// ranks by, and so marks the cached order stale.
+func (ij *InterJob) move(h *JobHandle, delta int) {
+	h.running += delta
+	ij.ranked = -1
 }
 
 // OnSlotFree implements Scheduler: one offer, consulted across jobs in
 // policy order until someone takes the slot.
 //
+// An offer made by a Poke's node loop skips the jobs that answered true
+// to that Poke's Idle. No event fires inside the loop, and nothing a
+// job's Idle reads moves on another job's grant, so a job idle at the
+// Poke is idle at each of its offers. Every other offer walks every
+// job: heartbeat offers, offers inside an Idle audit, and offers after a
+// nested Poke returns, whose Idle re-recorded every job's answer.
+//
 // Offers nest: an AM that pokes the RM from its own OnSlotFree (SkewTune
 // queueing repartitioned work) runs a whole sweep of offers inside this
-// one, and each of them re-orders the job list. So every offer walks its
-// own copy of the order, in a buffer kept per nesting depth, and hands
-// the outer offer its consulted job back on return.
+// one. So every offer walks its own copy of the order, in a buffer kept
+// per nesting depth, and hands the outer offer its consulted job back on
+// return. The outermost offer reuses the order it ranked last until
+// something the policy reads changes; nested offers rank afresh. The
+// nested sweep may take the offered node's last slot, so a walk stops
+// once the node has none left.
 func (ij *InterJob) OnSlotFree(n *cluster.Node) bool {
 	if ij.depth == len(ij.walks) {
 		ij.walks = append(ij.walks, nil)
 	}
-	walk := append(ij.walks[ij.depth][:0], ij.policy.Order(ij.jobs, ij.rm.TotalSlots())...)
-	ij.walks[ij.depth] = walk
+	walk := ij.walks[ij.depth]
+	if total := ij.rm.TotalSlots(); ij.depth > 0 || total != ij.ranked {
+		walk = append(walk[:0], ij.policy.Order(ij.jobs, total)...)
+		ij.walks[ij.depth] = walk
+		if ij.depth == 0 {
+			ij.ranked = total
+		}
+	}
+	sweep := ij.rm.sweep
 	outer := ij.current
 	ij.depth++
 	placed := false
 	for _, h := range walk {
+		if sweep != 0 && h.idleIn == sweep {
+			continue
+		}
 		ij.current = h
-		if placed = h.sched.OnSlotFree(n); placed {
+		ij.consulted++
+		if placed = h.sched.OnSlotFree(n); placed || ij.rm.free[n.ID] <= 0 {
 			break
 		}
 	}
@@ -149,18 +186,22 @@ func (ij *InterJob) OnSlotFree(n *cluster.Node) bool {
 }
 
 // Idle implements Scheduler: an offer is declined with no effect when
-// every undone job's scheduler would decline it so. Skipping the offer
-// skips Policy.Order too, which changes nothing later: FairPolicy
-// re-sorts on the unique key (running, Index), so its next result does
-// not depend on where the list was left, and CapacityPolicy recomputes
-// from scratch.
+// every undone job's scheduler would decline it so. It asks every job
+// and records each answer against the RM's newest sweep stamp, the one
+// the calling Poke took, so that Poke's offers skip the idle jobs.
+// Skipping a whole sweep skips Policy.Order too, which changes nothing
+// later: the order is a pure function of the jobs, their counts and the
+// total slots.
 func (ij *InterJob) Idle() bool {
+	idle := true
 	for _, h := range ij.jobs {
-		if !h.sched.Idle() {
-			return false
+		if h.sched.Idle() {
+			h.idleIn = ij.rm.stamp
+		} else {
+			h.idleIn, idle = 0, false
 		}
 	}
-	return true
+	return idle
 }
 
 // onGrant attributes a fresh container to the job whose scheduler is
@@ -172,7 +213,7 @@ func (ij *InterJob) onGrant(c *Container) {
 		panic(fmt.Sprintf("yarn: container %d acquired outside a slot offer", c.ID))
 	}
 	ij.owners[c.ID] = ownerEntry{job: ij.current, node: c.Node.ID}
-	ij.current.running++
+	ij.move(ij.current, 1)
 	if !ij.current.granted {
 		ij.current.granted = true
 		ij.current.firstGrant = ij.eng.Now()
@@ -183,7 +224,7 @@ func (ij *InterJob) onGrant(c *Container) {
 // already written off by node loss are unknown here; that is fine.
 func (ij *InterJob) onRelease(c *Container) {
 	if e, ok := ij.owners[c.ID]; ok {
-		e.job.running--
+		ij.move(e.job, -1)
 		delete(ij.owners, c.ID)
 	}
 }
@@ -195,15 +236,16 @@ func (ij *InterJob) onRelease(c *Container) {
 func (ij *InterJob) purgeNode(id cluster.NodeID) {
 	for cid, e := range ij.owners {
 		if e.node == id {
-			e.job.running--
+			ij.move(e.job, -1)
 			delete(ij.owners, cid)
 		}
 	}
 }
 
-// Policy ranks active jobs for one slot offer. The ranking must be a
-// pure function of the active jobs and their counts: same jobs, same
-// counts, same order.
+// Policy ranks active jobs for slot offers. The ranking must be a pure
+// function of the active jobs, their counts and the total slots: same
+// inputs, same order. InterJob relies on that to reuse an order until
+// one of them changes.
 type Policy interface {
 	// Name labels the policy in scenario configs and docs.
 	Name() string
@@ -217,8 +259,8 @@ type Policy interface {
 	// So for a policy that never permutes it (FIFO, capacity) it is in
 	// submission order. A policy may permute jobs in place and return
 	// it, or return a buffer it owns; the caller copies the result
-	// before consulting any job. Order runs on every offer, so it
-	// should not allocate.
+	// before consulting any job. Order runs on an offer after any count
+	// moved, and on every nested offer, so it should not allocate.
 	Order(jobs []*JobHandle, totalSlots int) []*JobHandle
 }
 

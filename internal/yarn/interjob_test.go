@@ -305,3 +305,26 @@ func TestQueueWait(t *testing.T) {
 		t.Fatalf("waiter queue wait = %v, want ≥ 40 (blocked behind hog)", w)
 	}
 }
+
+// BenchmarkInterJobSweep is one Poke over 200 free nodes shared by 40
+// jobs, 36 of them idle: the offers skip the idle jobs and consult the
+// other 4, which decline.
+func BenchmarkInterJobSweep(b *testing.B) {
+	eng, rm, ij := muxFixture(200, FairPolicy{})
+	for i := 0; i < 40; i++ {
+		if i%10 == 0 {
+			ij.Submit("active", 0, &fakeJob{eng: eng, rm: rm})
+		} else {
+			ij.Submit("idle", 0, &demandJob{rm: rm})
+		}
+	}
+	rm.Start()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rm.Poke()
+	}
+	if rm.TotalFree() != rm.TotalSlots() {
+		b.Fatal("a declining job took a slot")
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"flexmap/internal/cluster"
 	"flexmap/internal/randutil"
+	"flexmap/internal/sim"
 )
 
 // refFairOrder is the fair ordering as first written: a fresh copy of the
@@ -69,9 +70,11 @@ func indices(hs []*JobHandle) []int {
 }
 
 // TestPolicyOrderMatchesReference drives random sequences of Submit,
-// Retire (including a second Retire) and ±1 running-count moves through an
-// InterJob, and checks that every offer consults the jobs in exactly the
-// reference order.
+// Retire (including a second Retire), ±1 running-count moves, elastic
+// joins and releases that move the slot total, and steps that move
+// nothing, through an InterJob, and checks that every offer consults the
+// jobs in exactly the reference order, whether it re-ranks them or
+// reuses the cached order.
 func TestPolicyOrderMatchesReference(t *testing.T) {
 	queues := []Queue{
 		{Name: "a", Share: 0.2, MaxShare: 0.4},
@@ -100,8 +103,12 @@ func TestPolicyOrderMatchesReference(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 25; seed++ {
 				pol, ref := c.mk()
-				_, rm, ij := muxFixture(5, pol) // 10 slots: capacity caps bind
-				node := rm.cluster.Node(0)
+				clus := cluster.Homogeneous(5) // 10 slots: capacity caps bind
+				spare := clus.AddSpares(1, cluster.NodeSpec{Slots: 4})[0]
+				eng := sim.New()
+				rm := NewRM(eng, clus)
+				ij := NewInterJob(eng, rm, pol)
+				node := clus.Node(0)
 				rng := randutil.New(seed)
 				var handles, log []*JobHandle
 				live := func() (active []*JobHandle) {
@@ -114,19 +121,29 @@ func TestPolicyOrderMatchesReference(t *testing.T) {
 				}
 				for step := 0; step < 300; step++ {
 					active := live()
-					switch r := rng.Intn(10); {
+					switch r := rng.Intn(12); {
 					case r < 2 || len(active) == 0:
 						rec := &recorder{log: &log}
 						rec.h = ij.Submit("job", rng.Intn(len(queues)), rec)
 						handles = append(handles, rec.h)
 					case r < 3:
 						ij.Retire(handles[rng.Intn(len(handles))]) // may already be retired
+					case r < 4:
+						if clus.Node(spare).Offline() {
+							clus.JoinNode(spare)
+							rm.NodeJoined(spare)
+						} else {
+							rm.NodeReleased(spare)
+							clus.ReleaseNode(spare)
+						}
+					case r < 5:
+						// Nothing moves; the next offer reuses the cached order.
 					default:
 						h := active[rng.Intn(len(active))]
 						if h.running == 0 || rng.Intn(2) == 0 {
-							h.running++
+							ij.move(h, 1)
 						} else {
-							h.running--
+							ij.move(h, -1)
 						}
 					}
 					if rng.Intn(3) == 0 {
@@ -166,7 +183,7 @@ func TestOfferAllocatesNothing(t *testing.T) {
 		k := 0
 		allocs := testing.AllocsPerRun(200, func() {
 			h := handles[(k*7)%len(handles)]
-			h.running = (h.running + 1) % 4
+			ij.move(h, (h.running+1)%4-h.running)
 			k++
 			ij.OnSlotFree(node)
 		})
@@ -234,7 +251,7 @@ func TestNestedOffer(t *testing.T) {
 		cj.h = ij.Submit("c", c.cQueue, cj)
 		hs := []*JobHandle{n.h, b.h, cj.h}
 
-		n.before = func() { hs[c.bump].running += 3 }
+		n.before = func() { ij.move(hs[c.bump], 3) }
 		n.after = func(*cluster.Node) bool { return false }
 		if ij.OnSlotFree(node) {
 			t.Fatalf("%s: an offer every job declined placed", c.pol.Name())

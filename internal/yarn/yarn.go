@@ -61,6 +61,12 @@ type RM struct {
 	nextCID        int
 	started        bool
 
+	// stamp numbers Poke's calls; sweep is the stamp of the innermost
+	// Poke whose node loop is running, 0 outside every loop. InterJob
+	// keys the Idle answers it records to the stamp, so they hold only
+	// for that loop.
+	stamp, sweep uint64
+
 	onGrant        []func(*Container)
 	onRelease      []func(*Container)
 	onNodeLost     []func(cluster.NodeID)
@@ -148,14 +154,24 @@ func (rm *RM) TotalFree() int {
 // when new schedulable work appears. It returns without a sweep when the
 // scheduler is Idle. That skips offerNow's pacing branch too, which is a
 // no-op because every up, non-draining node with free capacity inside
-// its pacing window already has an offer armed (DESIGN.md §11).
+// its pacing window already has an offer armed (DESIGN.md §11). A Poke
+// from inside an offer runs its loop inside the outer one, so the outer
+// loop's stamp is restored on return.
 func (rm *RM) Poke() {
-	if !rm.started || rm.sched.Idle() {
+	if !rm.started {
 		return
 	}
+	rm.stamp++
+	stamp := rm.stamp
+	if rm.sched.Idle() {
+		return
+	}
+	outer := rm.sweep
+	rm.sweep = stamp
 	for _, n := range rm.cluster.Nodes {
 		rm.offerNow(n)
 	}
+	rm.sweep = outer
 }
 
 // freeAt returns the free-slot count for a node, 0 for unknown IDs.
