@@ -36,6 +36,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"flexmap"
@@ -69,6 +70,9 @@ func main() {
 	spares := flag.Int("membership", 0, "provision this many spare nodes under a seeded join/drain churn timeline (0 = static fleet)")
 	autoscale := flag.Bool("autoscale", false, "drive the -membership spare pool from RM occupancy instead of seeded churn")
 	flag.Parse()
+	if err := checkFlags(*nodes, *wlJobs, *spares, *topology, *slowFraction, *sizeGB); err != nil {
+		fatalf("%v", err)
+	}
 
 	var membership flexmap.MembershipPlan
 	if *spares > 0 {
@@ -86,12 +90,6 @@ func main() {
 		fatalf("-autoscale needs a spare pool; set -membership N")
 	}
 
-	if *nodes < 1 {
-		fatalf("-nodes %d: need at least one node", *nodes)
-	}
-	if !(*slowFraction >= 0 && *slowFraction <= 1) {
-		fatalf("-slow-fraction %v: must lie in [0,1]", *slowFraction)
-	}
 	var factory flexmap.ClusterFactory
 	switch *clusterName {
 	case "physical":
@@ -396,6 +394,28 @@ func runWorkload(a workloadArgs) {
 	if a.tracePath != "" {
 		fmt.Printf("\nevent trace written to %s\n", a.tracePath)
 	}
+}
+
+// checkFlags rejects out-of-range flag values before any mode reads
+// them. A negative -workload, -membership or -topology would otherwise
+// select the single-job, static-fleet or flat-network mode as zero does,
+// and a -size-gb whose byte count overflows int64 would wrap negative.
+func checkFlags(nodes, jobs, spares, hostsPerRack int, slowFraction float64, sizeGB int64) error {
+	switch {
+	case nodes < 1:
+		return fmt.Errorf("-nodes %d: need at least one node", nodes)
+	case !(slowFraction >= 0 && slowFraction <= 1):
+		return fmt.Errorf("-slow-fraction %v: must lie in [0,1]", slowFraction)
+	case jobs < 0:
+		return fmt.Errorf("-workload %d: job count must not be negative", jobs)
+	case spares < 0:
+		return fmt.Errorf("-membership %d: spare count must not be negative", spares)
+	case hostsPerRack < 0:
+		return fmt.Errorf("-topology %d: hosts per rack must not be negative", hostsPerRack)
+	case sizeGB > math.MaxInt64/flexmap.GB || sizeGB < math.MinInt64/flexmap.GB:
+		return fmt.Errorf("-size-gb %d: byte count overflows int64", sizeGB)
+	}
+	return nil
 }
 
 func fatalf(format string, args ...any) {

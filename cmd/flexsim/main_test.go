@@ -1,0 +1,44 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+func TestCheckFlags(t *testing.T) {
+	type flags struct {
+		nodes, jobs, spares, hostsPerRack int
+		slowFraction                      float64
+		sizeGB                            int64
+	}
+	ok := flags{nodes: 6, slowFraction: 0.2, sizeGB: 20}
+	cases := []struct {
+		name string
+		edit func(*flags)
+		want string // substring of the error; "" for no error
+	}{
+		{"defaults", func(*flags) {}, ""},
+		{"largest size", func(f *flags) { f.sizeGB = 8589934591 }, ""},
+		{"zero nodes", func(f *flags) { f.nodes = 0 }, "-nodes 0"},
+		{"slow fraction above one", func(f *flags) { f.slowFraction = 1.5 }, "-slow-fraction 1.5"},
+		{"negative workload", func(f *flags) { f.jobs = -2 }, "-workload -2"},
+		{"negative membership", func(f *flags) { f.spares = -3 }, "-membership -3"},
+		{"negative topology", func(f *flags) { f.hostsPerRack = -2 }, "-topology -2"},
+		{"size overflows", func(f *flags) { f.sizeGB = 100000000000 }, "-size-gb 100000000000"},
+		{"size just overflows", func(f *flags) { f.sizeGB = 8589934592 }, "-size-gb 8589934592"},
+		{"negative size overflows", func(f *flags) { f.sizeGB = -100000000000 }, "-size-gb -100000000000"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := ok
+			tc.edit(&f)
+			err := checkFlags(f.nodes, f.jobs, f.spares, f.hostsPerRack, f.slowFraction, f.sizeGB)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("unexpected error: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("error = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}

@@ -45,10 +45,10 @@ func newFlexHarness(t *testing.T, c *cluster.Cluster, fileBUs int64, spec mr.Job
 	}
 	am.Speculation = speculation
 	w := yarn.NewNodeWatcher(eng, c, rm)
-	d.AttachWatcher(w)
 	d.OnFinished(w.Stop)
 	target := engine.NewFaultTarget(c)
 	target.Add(d)
+	target.AttachWatcher(w)
 	return &flexHarness{eng: eng, c: c, rm: rm, d: d, am: am, target: target, BUs: int(fileBUs), spec: spec}
 }
 

@@ -201,11 +201,11 @@ func TestSpeedTablesMatchReference(t *testing.T) {
 				rejoins := 0
 				d.OnNodeRejoin(func(cluster.NodeID) { rejoins++ })
 				w := yarn.NewNodeWatcher(eng, clus, rm)
-				d.AttachWatcher(w)
 				d.OnFinished(w.Stop)
+				target := engine.NewFaultTarget(clus)
+				target.Add(d)
+				target.AttachWatcher(w)
 				if c.crashes {
-					target := engine.NewFaultTarget(clus)
-					target.Add(d)
 					inj := faults.NewInjector(eng, clus, []faults.Event{
 						{At: 20, Node: 0, Kind: faults.Crash, Duration: 30},
 						{At: 35, Node: 3, Kind: faults.Crash, Duration: 25},
@@ -215,7 +215,7 @@ func TestSpeedTablesMatchReference(t *testing.T) {
 				}
 				var ctl *elastic.Controller
 				if c.spares {
-					ctl = elastic.NewController(eng, clus, rm, elastic.Plan{
+					ctl = elastic.NewController(eng, clus, rm, target, elastic.Plan{
 						Spares: len(spares),
 						Notice: 10,
 						Script: []elastic.Event{
@@ -225,7 +225,6 @@ func TestSpeedTablesMatchReference(t *testing.T) {
 						},
 					}, spares)
 					ctl.SetWatcher(w)
-					ctl.AddDrainer(d)
 					ctl.Speeds = am.RelativeSpeed
 					ctl.Start(seed)
 					d.OnFinished(ctl.Stop)

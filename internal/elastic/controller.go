@@ -22,8 +22,8 @@ type ResourceManager interface {
 }
 
 // Drainer evicts work still resident on a node at its release deadline.
-// *engine.Driver implements it (one per active job); the returned count
-// is the map attempts preempted — 0 for a fully graceful drain.
+// *engine.FaultTarget implements it over all of a run's job drivers; the
+// returned count is the map attempts preempted — 0 for a graceful drain.
 type Drainer interface {
 	DrainNode(id cluster.NodeID) int
 }
@@ -39,8 +39,8 @@ type Watcher interface {
 // Controller applies an elastic plan to a running simulation: it arms
 // the precomputed membership timeline, runs the optional autoscaler
 // policy, sequences each join and drain-then-release across the cluster
-// / RM / watcher / driver layers, and accounts node-hours so runs can
-// report cost next to makespan.
+// / RM / watcher / drainer layers (one Drainer for all of a run's jobs),
+// and accounts node-hours so runs can report cost next to makespan.
 //
 // Joining an online spare and draining an offline one are no-ops, so a
 // scheduled timeline and the autoscaler compose without coordination.
@@ -60,7 +60,7 @@ type Controller struct {
 	plan     Plan
 	spares   []cluster.NodeID
 	spareIdx map[cluster.NodeID]int
-	drainers []Drainer
+	drainer  Drainer
 	watcher  Watcher
 
 	// Per-spare membership state, indexed like spares.
@@ -92,12 +92,14 @@ type Controller struct {
 
 // NewController builds a controller over the given spare pool (the IDs
 // returned by cluster.AddSpares). Base-fleet nodes — every node not in
-// spares — are permanent members and never touched. Call Start to arm.
-func NewController(eng *sim.Engine, c *cluster.Cluster, rm ResourceManager, plan Plan, spares []cluster.NodeID) *Controller {
+// spares — are permanent members and never touched. d evicts the run's
+// work from each released node. Call Start to arm.
+func NewController(eng *sim.Engine, c *cluster.Cluster, rm ResourceManager, d Drainer, plan Plan, spares []cluster.NodeID) *Controller {
 	ctl := &Controller{
 		eng:      eng,
 		c:        c,
 		rm:       rm,
+		drainer:  d,
 		plan:     plan.withDefaults(),
 		spares:   spares,
 		spareIdx: make(map[cluster.NodeID]int, len(spares)),
@@ -117,10 +119,6 @@ func NewController(eng *sim.Engine, c *cluster.Cluster, rm ResourceManager, plan
 	}
 	return ctl
 }
-
-// AddDrainer registers a job driver to evict at release deadlines. The
-// workload layer adds one per active job.
-func (ctl *Controller) AddDrainer(d Drainer) { ctl.drainers = append(ctl.drainers, d) }
 
 // SetWatcher wires the liveness watcher, when one exists (fault plans).
 func (ctl *Controller) SetWatcher(w Watcher) { ctl.watcher = w }
@@ -204,10 +202,10 @@ func (ctl *Controller) drain(id cluster.NodeID, spot bool) {
 // release completes a drain at its deadline. Order matters: usage is
 // accrued and capacity withdrawn first, the watcher deregisters before
 // the node goes offline (offline implies Down, and a deregistered node
-// must not be declared lost), and only then do drivers evict remaining
-// work — their requeues already see the node as unavailable. Committed
-// map output survives: a decommission is not a crash, so downstream
-// reducers re-fetch nothing.
+// must not be declared lost), and only then does the drainer evict
+// remaining work — the drivers' requeues already see the node as
+// unavailable. Committed map output survives: a decommission is not a
+// crash, so downstream reducers re-fetch nothing.
 func (ctl *Controller) release(id cluster.NodeID) {
 	i, ok := ctl.spareIdx[id]
 	if ctl.stopped || !ok || !ctl.draining[i] {
@@ -221,10 +219,7 @@ func (ctl *Controller) release(id cluster.NodeID) {
 		ctl.watcher.Deregister(id)
 	}
 	ctl.c.ReleaseNode(id)
-	preempted := 0
-	for _, d := range ctl.drainers {
-		preempted += d.DrainNode(id)
-	}
+	preempted := ctl.drainer.DrainNode(id)
 	ctl.Releases++
 	ctl.Trace.NodeRelease(id, preempted)
 }

@@ -57,8 +57,7 @@ func newHarness(t *testing.T, plan Plan, spares int) *harness {
 		watcher: &fakeWatcher{},
 	}
 	h.spares = h.c.AddSpares(spares, cluster.NodeSpec{})
-	h.ctl = NewController(h.eng, h.c, h.rm, plan, h.spares)
-	h.ctl.AddDrainer(h.drainer)
+	h.ctl = NewController(h.eng, h.c, h.rm, h.drainer, plan, h.spares)
 	h.ctl.SetWatcher(h.watcher)
 	return h
 }

@@ -6,18 +6,20 @@ import "flexmap/internal/cluster"
 // former representation was a plain slice scanned linearly per offer —
 // O(pending × hosts) in findLocal, which dominated large-cluster runs
 // (188 µs/event at n=200 with 30k pending splits). The queue keeps the
-// exact same dispatch semantics in O(log n):
+// exact same dispatch semantics in amortized O(1) per pick:
 //
-//   - every enqueue gets a monotonically increasing seq, so "first match
-//     in the pending slice" (which was always insertion-ordered: removal
+//   - every enqueue gets seq = len(splits), so "first match in the
+//     pending slice" (which was always insertion-ordered: removal
 //     shifted, appends went to the tail) is exactly "live split with the
 //     minimum seq";
-//   - a global min-heap of seqs serves the FIFO remote pick, and one
-//     min-heap per host node serves the node-local pick;
-//   - pops are lazy: a split popped through one heap leaves stale seqs
-//     in the others, discarded when they surface — the same lazy-deletion
-//     discipline as dfs.Tracker's per-node indices and the sim queue's
-//     canceled events.
+//   - a global FIFO of seqs serves the remote pick, and one FIFO per
+//     host node serves the node-local pick. Seqs only grow, so each
+//     FIFO receives them in increasing order and its minimum is always
+//     its front;
+//   - pops are lazy: a split taken through one FIFO leaves its seq in
+//     the others, discarded when it reaches the front — the same
+//     lazy-deletion discipline as dfs.Tracker's per-node indices and the
+//     sim queue's canceled events.
 //
 // Determinism: every pick is "minimum live seq" under a total order, so
 // dispatch order is a pure function of the enqueue sequence.
@@ -25,8 +27,8 @@ type pendingQueue struct {
 	splits []PendingSplit // by seq; retained after pop (cleared to free BUs)
 	live   []bool         // by seq
 	count  int
-	fifo   seqHeap
-	byHost []seqHeap // indexed by dense NodeID
+	fifo   []int
+	byHost [][]int // indexed by dense NodeID
 }
 
 // Len returns the number of undispatched splits.
@@ -34,16 +36,16 @@ func (q *pendingQueue) Len() int { return q.count }
 
 // add enqueues a split behind everything currently pending.
 func (q *pendingQueue) add(p PendingSplit) {
-	seq := uint64(len(q.splits))
+	seq := len(q.splits)
 	q.splits = append(q.splits, p)
 	q.live = append(q.live, true)
 	q.count++
-	q.fifo.push(seq)
+	q.fifo = append(q.fifo, seq)
 	for _, h := range p.Hosts {
 		for int(h) >= len(q.byHost) {
 			q.byHost = append(q.byHost, nil)
 		}
-		q.byHost[h].push(seq)
+		q.byHost[h] = append(q.byHost[h], seq)
 	}
 }
 
@@ -52,85 +54,25 @@ func (q *pendingQueue) takeLocal(id cluster.NodeID) (PendingSplit, bool) {
 	if int(id) < 0 || int(id) >= len(q.byHost) {
 		return PendingSplit{}, false
 	}
-	h := &q.byHost[id]
-	for len(*h) > 0 {
-		seq := (*h)[0]
-		if !q.live[seq] {
-			h.pop()
-			continue
-		}
-		h.pop()
-		return q.take(seq), true
-	}
-	return PendingSplit{}, false
+	return q.pop(&q.byHost[id])
 }
 
 // takeFIFO dequeues the oldest pending split, if any.
-func (q *pendingQueue) takeFIFO() (PendingSplit, bool) {
-	for len(q.fifo) > 0 {
-		seq := q.fifo[0]
-		if !q.live[seq] {
-			q.fifo.pop()
-			continue
+func (q *pendingQueue) takeFIFO() (PendingSplit, bool) { return q.pop(&q.fifo) }
+
+// pop dequeues the first live seq of fifo and returns its split,
+// releasing the stored copy's slices for the garbage collector.
+func (q *pendingQueue) pop(fifo *[]int) (PendingSplit, bool) {
+	for len(*fifo) > 0 {
+		seq := (*fifo)[0]
+		*fifo = (*fifo)[1:]
+		if q.live[seq] {
+			p := q.splits[seq]
+			q.splits[seq] = PendingSplit{}
+			q.live[seq] = false
+			q.count--
+			return p, true
 		}
-		q.fifo.pop()
-		return q.take(seq), true
 	}
 	return PendingSplit{}, false
-}
-
-// take marks seq dispatched and returns its split, releasing the stored
-// copy's slices for the garbage collector.
-func (q *pendingQueue) take(seq uint64) PendingSplit {
-	p := q.splits[seq]
-	q.splits[seq] = PendingSplit{}
-	q.live[seq] = false
-	q.count--
-	return p
-}
-
-// seqHeap is a binary min-heap of enqueue sequence numbers.
-type seqHeap []uint64
-
-func (h *seqHeap) push(v uint64) {
-	s := append(*h, v)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s[p] <= v {
-			break
-		}
-		s[i] = s[p]
-		i = p
-	}
-	s[i] = v
-	*h = s
-}
-
-func (h *seqHeap) pop() uint64 {
-	s := *h
-	root := s[0]
-	n := len(s) - 1
-	v := s[n]
-	s = s[:n]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && s[c+1] < s[c] {
-			c++
-		}
-		if s[c] >= v {
-			break
-		}
-		s[i] = s[c]
-		i = c
-	}
-	if n > 0 {
-		s[i] = v
-	}
-	*h = s
-	return root
 }

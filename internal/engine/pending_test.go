@@ -10,7 +10,7 @@ import (
 
 // refPending is the original pending representation — an
 // insertion-ordered slice with linear scans — kept here as the model
-// the heap-indexed pendingQueue must match pick for pick.
+// the FIFO-indexed pendingQueue must match pick for pick.
 type refPending struct {
 	splits []PendingSplit
 }

@@ -37,19 +37,11 @@ func (d *Driver) OnNodeRejoin(fn func(cluster.NodeID)) {
 	d.rejoinHooks = append(d.rejoinHooks, fn)
 }
 
-// AttachWatcher wires heartbeat-timeout failure detection into the
-// driver: loss declarations deliver crashed work and drop resident
-// output, rejoins deliver crashed work and restore capacity. The
-// watcher's lifetime is the caller's: one watcher may serve many
-// concurrent drivers.
-func (d *Driver) AttachWatcher(w *yarn.NodeWatcher) {
-	w.OnLost(d.nodeLost)
-	w.OnRejoin(d.nodeRejoined)
-}
-
-// FaultTarget is the fault injector's target for a run: it applies each
-// injected fault to the cluster once and fans it out to the run's
-// drivers, kept in submission order. Run has one driver, a workload one
+// FaultTarget is a run's one list of drivers, kept in submission order.
+// It is the fault injector's target: it applies each injected fault to
+// the cluster once and fans it out to the drivers. It also delivers the
+// watcher's loss and rejoin declarations and the elastic controller's
+// drains to them, in the same order. Run has one driver, a workload one
 // per submitted job.
 type FaultTarget struct {
 	clus    *cluster.Cluster
@@ -61,6 +53,33 @@ func NewFaultTarget(c *cluster.Cluster) *FaultTarget { return &FaultTarget{clus:
 
 // Add appends a driver; call it in job submission order.
 func (t *FaultTarget) Add(d *Driver) { t.drivers = append(t.drivers, d) }
+
+// AttachWatcher wires heartbeat-timeout failure detection into every
+// driver, present and later added: loss declarations deliver crashed
+// work and drop resident output, rejoins deliver crashed work and
+// restore capacity.
+func (t *FaultTarget) AttachWatcher(w *yarn.NodeWatcher) {
+	w.OnLost(func(id cluster.NodeID) {
+		for _, d := range t.drivers {
+			d.nodeLost(id)
+		}
+	})
+	w.OnRejoin(func(id cluster.NodeID) {
+		for _, d := range t.drivers {
+			d.nodeRejoined(id)
+		}
+	})
+}
+
+// DrainNode evicts every driver's work still resident on a released
+// node and returns the map attempts preempted in total.
+func (t *FaultTarget) DrainNode(id cluster.NodeID) int {
+	preempted := 0
+	for _, d := range t.drivers {
+		preempted += d.drainNode(id)
+	}
+	return preempted
+}
 
 // CrashNode takes the node down silently: everything running on it dies
 // *without any notification*, and each AM learns at detection or rejoin.
@@ -140,8 +159,8 @@ func (d *Driver) preempt(a *MapAttempt) bool {
 	return true
 }
 
-// DrainNode evicts this driver's work still resident on a node whose
-// decommission notice has expired — the elastic controller calls it
+// drainNode evicts this driver's work still resident on a node whose
+// decommission notice has expired — FaultTarget.DrainNode calls it
 // right after the node leaves the cluster. Unlike a crash the AM hears
 // synchronously: running maps are preempted (FlexMap rescues each
 // attempt's processed BU prefix, stock re-queues the split with no
@@ -150,7 +169,7 @@ func (d *Driver) preempt(a *MapAttempt) bool {
 // decommission copies intermediate data out before the machine goes
 // away, so downstream reducers re-fetch nothing. It returns the number
 // of map attempts preempted (0 for a fully graceful drain).
-func (d *Driver) DrainNode(id cluster.NodeID) int {
+func (d *Driver) drainNode(id cluster.NodeID) int {
 	if d.finished {
 		return 0
 	}

@@ -15,7 +15,7 @@ import (
 // way runner does when a fault plan is active.
 func attachLiveness(h *harness) *yarn.NodeWatcher {
 	w := yarn.NewNodeWatcher(h.eng, h.clus, h.rm)
-	h.driver.AttachWatcher(w)
+	h.target.AttachWatcher(w)
 	h.driver.OnFinished(w.Stop)
 	return w
 }
@@ -247,32 +247,7 @@ func TestFaultTargetPreemptOrder(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := sim.New()
-			c := cluster.NewCluster("one", []cluster.NodeSpec{{Name: "n0", BaseSpeed: 1, Slots: 4}})
-			store := dfs.NewStore(c, 1, testRNG())
-			rm := newRM(eng, c)
-			target := NewFaultTarget(c)
-			var drivers []*Driver
-			var splits [][]dfs.BUID
-			for j := 0; j < 2; j++ {
-				spec := wcSpec(0)
-				spec.Name = fmt.Sprintf("j%d", j)
-				spec.InputFile = spec.Name + "/input"
-				if _, err := store.AddFile(spec.InputFile, 2*dfs.BUSize); err != nil {
-					t.Fatal(err)
-				}
-				sp, err := store.Splits(spec.InputFile, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d, err := NewDriver(eng, c, store, rm, DefaultCostModel(), spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				target.Add(d)
-				drivers = append(drivers, d)
-				splits = append(splits, sp[0].BUs)
-			}
+			eng, c, rm, target, drivers, splits := sharedNode(t, 2)
 			n := c.Node(0)
 			attempts := make([]*MapAttempt, len(tc.launches))
 			for i, l := range tc.launches {
@@ -302,6 +277,85 @@ func TestFaultTargetPreemptOrder(t *testing.T) {
 				t.Errorf("victim's driver counted %d preemptions, want 1", owner.Result.Preemptions)
 			}
 		})
+	}
+}
+
+// sharedNode builds jobs drivers on one 4-slot node, added to a fault
+// target in index order, with a one-split input each.
+func sharedNode(t *testing.T, jobs int) (*sim.Engine, *cluster.Cluster, *yarn.RM, *FaultTarget, []*Driver, [][]dfs.BUID) {
+	t.Helper()
+	eng := sim.New()
+	c := cluster.NewCluster("one", []cluster.NodeSpec{{Name: "n0", BaseSpeed: 1, Slots: 4}})
+	store := dfs.NewStore(c, 1, testRNG())
+	rm := newRM(eng, c)
+	target := NewFaultTarget(c)
+	var drivers []*Driver
+	var splits [][]dfs.BUID
+	for j := 0; j < jobs; j++ {
+		spec := wcSpec(0)
+		spec.Name = fmt.Sprintf("j%d", j)
+		spec.InputFile = spec.Name + "/input"
+		if _, err := store.AddFile(spec.InputFile, 2*dfs.BUSize); err != nil {
+			t.Fatal(err)
+		}
+		sp, err := store.Splits(spec.InputFile, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDriver(eng, c, store, rm, DefaultCostModel(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target.Add(d)
+		drivers = append(drivers, d)
+		splits = append(splits, sp[0].BUs)
+	}
+	return eng, c, rm, target, drivers, splits
+}
+
+// TestFaultTargetDeliversNodeEvents pins the target's own deliveries:
+// a watcher attached through it reaches every unfinished driver with a
+// loss declaration and a rejoin, and DrainNode sums the drivers'
+// preemptions. The failed driver sits between two live ones, so a walk
+// that drops either end fails.
+func TestFaultTargetDeliversNodeEvents(t *testing.T) {
+	eng, c, rm, target, drivers, splits := sharedNode(t, 3)
+	n := c.Node(0)
+	w := yarn.NewNodeWatcher(eng, c, rm)
+	target.AttachWatcher(w)
+	drivers[1].FailJob("test")
+	// Liveness ticks every 5 s: the crash at 1 is declared lost at 15,
+	// and the node restored at 27 rejoins at the tick at 30.
+	eng.At(1, "crash", func() { target.CrashNode(n.ID) })
+	eng.At(27, "restore", func() { target.RestoreNode(n.ID) })
+	eng.RunUntil(35)
+	w.Stop()
+	for j, d := range drivers {
+		want := 1
+		if j == 1 {
+			want = 0
+		}
+		if r := d.Result; r.NodesLost != want || r.NodesRejoined != want {
+			t.Errorf("driver %d: NodesLost %d, NodesRejoined %d, want %d each", j, r.NodesLost, r.NodesRejoined, want)
+		}
+	}
+	for _, j := range []int{0, 2} {
+		drivers[j].LaunchMap(MapLaunch{
+			Task: "map-0001", Node: n, Container: rm.Acquire(n),
+			BUs: splits[j], LocalBUs: len(splits[j]),
+		})
+	}
+	if got := target.DrainNode(n.ID); got != 2 {
+		t.Fatalf("DrainNode preempted %d, want 2 (one per live driver)", got)
+	}
+	for j, d := range drivers {
+		want := 1
+		if j == 1 {
+			want = 0
+		}
+		if d.Result.Preemptions != want {
+			t.Errorf("driver %d counted %d preemptions, want %d", j, d.Result.Preemptions, want)
+		}
 	}
 }
 

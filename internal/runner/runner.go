@@ -53,9 +53,9 @@ type Engine struct {
 	FlexAblation string
 	// ReducePlacement overrides the engine's reduce placement policy:
 	// "" keeps the engine default (stock even spreading; FlexMap's
-	// capacity-biased sampling), "even" forces the stock policy, and
-	// "greedy" installs the traffic-aware greedy placer — the nethint-
-	// style baseline the netplace experiment compares against.
+	// capacity-biased sampling), and "greedy" installs the traffic-aware
+	// greedy placer — the nethint-style baseline the netplace experiment
+	// compares against.
 	ReducePlacement string
 }
 
@@ -87,8 +87,6 @@ func applyReducePlacement(d *engine.Driver, eng Engine) error {
 	switch eng.ReducePlacement {
 	case "":
 		return nil
-	case "even":
-		d.ReducePlacer = engine.EvenReducePlacer
 	case "greedy":
 		d.ReducePlacer = engine.GreedyReducePlacer
 	default:
@@ -334,14 +332,8 @@ func run(sc Scenario, spec mr.JobSpec, eng Engine, wrap func(*stack, yarn.Schedu
 	target := engine.NewFaultTarget(s.clus)
 	target.Add(driver)
 	s.addChurn(sc.Faults, sc.Membership, target)
-	if s.watcher != nil {
-		driver.AttachWatcher(s.watcher)
-	}
-	if s.ctl != nil {
-		s.ctl.AddDrainer(driver)
-		if flexAM != nil {
-			s.ctl.Speeds = flexAM.RelativeSpeed
-		}
+	if s.ctl != nil && flexAM != nil {
+		s.ctl.Speeds = flexAM.RelativeSpeed
 	}
 	driver.OnFinished(s.stop)
 

@@ -238,17 +238,18 @@ func (s *stack) startInterference() {
 // addChurn builds the liveness watcher and fault injector when the fault
 // plan is active, and the membership controller when the membership plan
 // is. The watcher's ticker is armed here; the injector and controller
-// are armed by run. target receives the injected faults.
-func (s *stack) addChurn(fp faults.Plan, mp elastic.Plan, target faults.Target) {
+// are armed by run. All three reach the run's drivers through target.
+func (s *stack) addChurn(fp faults.Plan, mp elastic.Plan, target *engine.FaultTarget) {
 	if fp.Active() {
 		s.watcher = yarn.NewNodeWatcher(s.eng, s.clus, s.rm)
 		s.watcher.Trace = s.tracer
+		target.AttachWatcher(s.watcher)
 		s.injector = faults.NewInjector(s.eng, s.clus,
 			fp.Schedule(randutil.SplitSeed(s.seed, "faults"), s.clus.Size()), target)
 		s.injector.Trace = s.tracer
 	}
 	if mp.Active() {
-		s.ctl = elastic.NewController(s.eng, s.clus, s.rm, mp, s.spares)
+		s.ctl = elastic.NewController(s.eng, s.clus, s.rm, target, mp, s.spares)
 		s.ctl.Trace = s.tracer
 		if s.watcher != nil {
 			s.ctl.SetWatcher(s.watcher)

@@ -316,12 +316,6 @@ func submitJob(s *stack, sc WorkloadScenario, a workload.Arrival, mux *yarn.Inte
 		return err
 	}
 	driver.ReduceViaRM = true
-	if s.watcher != nil {
-		driver.AttachWatcher(s.watcher)
-	}
-	if s.ctl != nil {
-		s.ctl.AddDrainer(driver)
-	}
 	target.Add(driver)
 
 	handle := mux.Submit(id, class.Queue, &jobScheduler{d: driver, am: am})

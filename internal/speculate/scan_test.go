@@ -178,15 +178,15 @@ func runAudited(t *testing.T, kind string, seed int64, audit *scanAudit) {
 	}
 
 	w := yarn.NewNodeWatcher(eng, clus, rm)
-	d.AttachWatcher(w)
 	d.OnFinished(w.Stop)
 	target := engine.NewFaultTarget(clus)
 	target.Add(d)
+	target.AttachWatcher(w)
 	plan := faults.Plan{CrashRate: 90, MeanDowntime: 15, PreemptRate: 240}
 	inj := faults.NewInjector(eng, clus, plan.Schedule(seed, len(specs)), target)
 	inj.Start()
 	d.OnFinished(inj.Stop)
-	ctl := elastic.NewController(eng, clus, rm, elastic.Plan{
+	ctl := elastic.NewController(eng, clus, rm, target, elastic.Plan{
 		Spares: len(spares),
 		Notice: 5,
 		Script: []elastic.Event{
@@ -196,7 +196,6 @@ func runAudited(t *testing.T, kind string, seed int64, audit *scanAudit) {
 		},
 	}, spares)
 	ctl.SetWatcher(w)
-	ctl.AddDrainer(d)
 	ctl.Speeds = speeds
 	ctl.Start(seed)
 	d.OnFinished(ctl.Stop)

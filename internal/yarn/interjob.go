@@ -12,9 +12,10 @@ import (
 // InterJob multiplexes one ResourceManager across many concurrently
 // running jobs. It registers itself as the RM's scheduler; a slot offer
 // walks the active jobs in the order its Policy ranks them and consults
-// each job's own ApplicationMaster in turn until one places work. Grant
-// and release observers keep per-job running-container counts, which is
-// the usage signal the fair and capacity policies rank by.
+// each job's own ApplicationMaster in turn until one places work. The RM
+// tells it of every grant, release, node loss and restore directly, and
+// it keeps per-job running-container counts from those calls: the usage
+// signal the fair and capacity policies rank by.
 //
 // Offers are the RM's hottest path (a Poke offers every node), so an
 // offer consults only jobs that can act and re-ranks only when the
@@ -27,8 +28,9 @@ import (
 //
 // Determinism: job ranking is a pure function of (policy, submission
 // order, running counts), offers arrive in the RM's deterministic
-// per-node order, and the observers do no RNG draws and schedule no
-// events — so a multi-job run is as replayable as a solo one.
+// per-node order, and the RM's grant, release and node calls do no RNG
+// draws and schedule no events — so a multi-job run is as replayable as
+// a solo one.
 type InterJob struct {
 	eng    *sim.Engine
 	rm     *RM
@@ -86,15 +88,13 @@ func (h *JobHandle) QueueWait() sim.Duration {
 	return sim.Duration(h.firstGrant - h.submitted)
 }
 
-// NewInterJob wires the multiplexer into the RM as its scheduler and
-// grant/release/liveness observer. Call before rm.Start.
+// NewInterJob wires the multiplexer into the RM as its scheduler and as
+// the one party the RM tells of grants, releases, node losses and
+// restores. Call before rm.Start.
 func NewInterJob(eng *sim.Engine, rm *RM, p Policy) *InterJob {
 	ij := &InterJob{eng: eng, rm: rm, policy: p, ranked: -1, owners: make(map[int]ownerEntry)}
 	rm.SetScheduler(ij)
-	rm.OnGrant(ij.onGrant)
-	rm.OnRelease(ij.onRelease)
-	rm.OnNodeLost(ij.purgeNode)
-	rm.OnNodeRestored(ij.purgeNode)
+	rm.inter = ij
 	return ij
 }
 

@@ -19,8 +19,9 @@ const (
 // heartbeats every DefaultLivenessPeriod and declares a node lost after
 // DefaultMissThreshold consecutive missed beats. When a lost (or briefly down)
 // node heartbeats again it is re-registered with the RM and rejoin
-// callbacks fire — the hook the driver uses to deliver crashed work and
-// the FlexMap AM uses to reset the node's stale speed window.
+// callbacks fire — the hook engine.FaultTarget uses to deliver crashed
+// work to a run's drivers, and through them the FlexMap AM's reset of
+// the node's stale speed window.
 //
 // Without fault injection no node ever goes down, so a watcher is pure
 // overhead; runner only creates one when the fault plan is active.

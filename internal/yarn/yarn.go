@@ -67,10 +67,9 @@ type RM struct {
 	// for that loop.
 	stamp, sweep uint64
 
-	onGrant        []func(*Container)
-	onRelease      []func(*Container)
-	onNodeLost     []func(cluster.NodeID)
-	onNodeRestored []func(cluster.NodeID)
+	// inter, when set by NewInterJob, is told of every grant, release,
+	// node loss and restore, to attribute containers to jobs.
+	inter *InterJob
 }
 
 // NewRM creates a ResourceManager over the cluster with all slots free.
@@ -102,27 +101,6 @@ func NewRM(eng *sim.Engine, c *cluster.Cluster) *RM {
 // SetScheduler registers the ApplicationMaster. Must be called before
 // Start.
 func (rm *RM) SetScheduler(s Scheduler) { rm.sched = s }
-
-// OnGrant registers an observer fired whenever Acquire hands out a
-// container. The inter-job multiplexer uses it to attribute grants to
-// the job whose scheduler accepted the offer.
-func (rm *RM) OnGrant(fn func(*Container)) { rm.onGrant = append(rm.onGrant, fn) }
-
-// OnRelease registers an observer fired whenever a container is
-// released — including a release on a down node, which frees no
-// capacity but still retires the container.
-func (rm *RM) OnRelease(fn func(*Container)) { rm.onRelease = append(rm.onRelease, fn) }
-
-// OnNodeLost registers an observer fired when a node's capacity is
-// withdrawn by NodeLost. Containers on the node died without a Release,
-// so accounting layers must write them off here.
-func (rm *RM) OnNodeLost(fn func(cluster.NodeID)) { rm.onNodeLost = append(rm.onNodeLost, fn) }
-
-// OnNodeRestored registers an observer fired when NodeRestored
-// re-registers a node's capacity.
-func (rm *RM) OnNodeRestored(fn func(cluster.NodeID)) {
-	rm.onNodeRestored = append(rm.onNodeRestored, fn)
-}
 
 // TotalSlots returns the cluster's total container slots (free or not).
 func (rm *RM) TotalSlots() int { return rm.cluster.TotalSlots() }
@@ -222,11 +200,12 @@ func (rm *RM) scheduleOffer(id cluster.NodeID, delay sim.Duration) {
 // NodeLost removes a node's capacity from the pool: the NodeWatcher
 // declares it after the node misses enough consecutive heartbeats. Any
 // containers granted on the node died with it; their handles are simply
-// abandoned (Release on a down node is a no-op).
+// abandoned (Release on a down node is a no-op), so the inter-job
+// scheduler writes them off here.
 func (rm *RM) NodeLost(id cluster.NodeID) {
 	rm.free[id] = 0
-	for _, fn := range rm.onNodeLost {
-		fn(id)
+	if rm.inter != nil {
+		rm.inter.purgeNode(id)
 	}
 }
 
@@ -235,8 +214,8 @@ func (rm *RM) NodeLost(id cluster.NodeID) {
 // next heartbeat.
 func (rm *RM) NodeRestored(id cluster.NodeID) {
 	rm.free[id] = rm.cluster.Node(id).Slots
-	for _, fn := range rm.onNodeRestored {
-		fn(id)
+	if rm.inter != nil {
+		rm.inter.purgeNode(id)
 	}
 	if rm.started {
 		rm.scheduleOffer(id, AssignDelay)
@@ -301,8 +280,8 @@ func (rm *RM) Acquire(n *cluster.Node) *Container {
 	rm.granted[n.ID] = true
 	rm.nextCID++
 	c := &Container{ID: rm.nextCID, Node: n, rm: rm}
-	for _, fn := range rm.onGrant {
-		fn(c)
+	if rm.inter != nil {
+		rm.inter.onGrant(c)
 	}
 	return c
 }
@@ -318,15 +297,16 @@ type Container struct {
 
 // Release returns the slot to the RM; it is re-offered at the node's next
 // heartbeat. Releasing twice panics: it would double-count capacity.
-// Releasing a container on a down node is a silent no-op — the container
-// died with the node and NodeRestored reconciles capacity wholesale.
+// Releasing a container on a down node frees no capacity — the container
+// died with the node and NodeRestored reconciles capacity wholesale — but
+// still retires it from the inter-job scheduler's counts.
 func (c *Container) Release() {
 	if c.released {
 		panic(fmt.Sprintf("yarn: container %d released twice", c.ID))
 	}
 	c.released = true
-	for _, fn := range c.rm.onRelease {
-		fn(c)
+	if c.rm.inter != nil {
+		c.rm.inter.onRelease(c)
 	}
 	if c.Node.Down() {
 		return
