@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	paperfigs [-exp all|tableI|tableII|fig1|fig2|fig3|fig5|fig6|fig7|fig8|overhead|faults|workload|netplace|autoscale]
+//	paperfigs [-exp all|tableI|tableII|fig1|fig2|fig3|fig5|fig6|fig7|fig8|overhead|ablation|skew|faults|workload|netplace|autoscale]
 //	          [-seed N] [-scale N] [-bench WC,GR,...] [-parallel N]
 //	          [-trace-dir DIR]
 //
@@ -19,7 +19,8 @@
 // setting. -trace-dir writes one event-trace JSONL file per simulation
 // into DIR (also byte-identical at any -parallel setting). Each
 // experiment prints the series the corresponding paper figure plots;
-// total wall-clock goes to stderr.
+// total wall-clock goes to stderr. An unknown -exp, a -scale below 1, a
+// negative -parallel or a zero -seed exits 2, like a malformed flag.
 package main
 
 import (
@@ -28,6 +29,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -62,38 +64,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "paperfigs: "+format+"\n", a...)
 		return 1
 	}
+	// A flag value the run would silently reinterpret is a usage error,
+	// exit 2 like a parse error: Config reads scale ≤ 0 as full scale and
+	// seed 0 as seed 42, and a negative worker count as one per core.
+	badFlag := func(name string, v any, want string) int {
+		fmt.Fprintf(stderr, "paperfigs: invalid value %v for flag -%s: want %s\n", v, name, want)
+		return 2
+	}
+	switch {
+	case *scale < 1:
+		return badFlag("scale", *scale, "≥ 1")
+	case *workers < 0:
+		return badFlag("parallel", *workers, "≥ 0")
+	case *seed == 0:
+		return badFlag("seed", *seed, "a nonzero seed (0 would run the default seed 42)")
+	}
 
 	cfg := experiments.Config{Seed: *seed, Scale: *scale, Parallel: *workers, TraceDir: *traceDir}
-	if *traceDir != "" {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			return errorf("%v", err)
-		}
-	}
-	if *progress {
-		// Stderr only: stdout must stay byte-identical with or without
-		// progress reporting.
-		cfg.Progress = func(done, total int) {
-			fmt.Fprintf(stderr, "\rpaperfigs: %d/%d sims", done, total)
-			if done == total {
-				fmt.Fprintln(stderr)
-			}
-		}
-	}
-	if *benchList != "" {
-		short := map[string]puma.Benchmark{}
-		for _, b := range puma.All {
-			short[b.Short()] = b
-		}
-		for _, name := range strings.Split(*benchList, ",") {
-			b, ok := short[strings.ToUpper(strings.TrimSpace(name))]
-			if !ok {
-				return errorf("unknown benchmark %q", name)
-			}
-			cfg.Benchmarks = append(cfg.Benchmarks, b)
-		}
-	}
-
-	start := time.Now()
 	type experiment struct {
 		name string
 		fn   func() (string, error)
@@ -144,6 +131,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{"netplace", func() (string, error) { return render(experiments.NetPlace(cfg)) }},
 		{"autoscale", func() (string, error) { return render(experiments.Autoscale(cfg)) }},
 	}
+	names := []string{"all"}
+	for _, e := range exps {
+		names = append(names, e.name)
+	}
+	if !slices.Contains(names, *exp) {
+		return badFlag("exp", fmt.Sprintf("%q", *exp), "one of "+strings.Join(names, ", "))
+	}
+	if *traceDir != "" {
+		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
+			return errorf("%v", err)
+		}
+	}
+	if *progress {
+		// Stderr only: stdout must stay byte-identical with or without
+		// progress reporting.
+		cfg.Progress = func(done, total int) {
+			fmt.Fprintf(stderr, "\rpaperfigs: %d/%d sims", done, total)
+			if done == total {
+				fmt.Fprintln(stderr)
+			}
+		}
+	}
+	if *benchList != "" {
+		short := map[string]puma.Benchmark{}
+		for _, b := range puma.All {
+			short[b.Short()] = b
+		}
+		for _, name := range strings.Split(*benchList, ",") {
+			b, ok := short[strings.ToUpper(strings.TrimSpace(name))]
+			if !ok {
+				return errorf("unknown benchmark %q", name)
+			}
+			cfg.Benchmarks = append(cfg.Benchmarks, b)
+		}
+	}
+
+	start := time.Now()
 	for _, e := range exps {
 		optIn := e.name == "netplace" || e.name == "autoscale"
 		if *exp != e.name && (*exp != "all" || optIn) {
@@ -157,7 +181,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	n := *workers
-	if n <= 0 {
+	if n == 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
 	fmt.Fprintf(stderr, "paperfigs: done in %v (%d workers)\n", time.Since(start).Round(time.Millisecond), n)

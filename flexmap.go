@@ -36,7 +36,6 @@ import (
 	"flexmap/internal/core"
 	"flexmap/internal/dfs"
 	"flexmap/internal/elastic"
-	"flexmap/internal/engine"
 	"flexmap/internal/faults"
 	"flexmap/internal/mr"
 	"flexmap/internal/net"
@@ -69,8 +68,6 @@ type (
 	JobResult = mr.JobResult
 	// AttemptRecord is one task attempt in the trace.
 	AttemptRecord = mr.AttemptRecord
-	// CostModel is the calibrated execution cost model.
-	CostModel = engine.CostModel
 	// Cluster is a set of worker nodes.
 	Cluster = cluster.Cluster
 	// Interferer perturbs node speeds over time.
@@ -241,6 +238,3 @@ func PUMASpec(b Benchmark, reducers int) (JobSpec, error) {
 func Run(sc Scenario, spec JobSpec, eng Engine) (*RunResult, error) {
 	return runner.Run(sc, spec, eng)
 }
-
-// DefaultCost returns the calibrated cost model.
-func DefaultCost() CostModel { return engine.DefaultCostModel() }

@@ -103,17 +103,14 @@ func (n *Node) OnSpeedChange(fn func(*Node)) {
 // TopologySpec describes a two-level fat-tree fabric: hosts attach to
 // top-of-rack switches whose uplinks into the core can be oversubscribed.
 // Racks are contiguous NodeID blocks — rack r holds nodes
-// [r*HostsPerRack, (r+1)*HostsPerRack).
+// [r*HostsPerRack, (r+1)*HostsPerRack). Every host access link runs at
+// Cluster.NetBW in each direction.
 type TopologySpec struct {
 	// HostsPerRack is the rack width; the last rack may be partial.
 	HostsPerRack int
 
-	// HostBW is the host access-link bandwidth in MB/s in each direction.
-	// Zero means inherit Cluster.NetBW.
-	HostBW float64
-
 	// Oversub is the ToR uplink oversubscription ratio: each rack's
-	// uplink/downlink capacity is HostBW × HostsPerRack / Oversub, so 1
+	// uplink/downlink capacity is NetBW × HostsPerRack / Oversub, so 1
 	// gives full bisection bandwidth and 4 means four racks' worth of
 	// hosts contend for one rack's worth of core capacity. Zero means 1.
 	Oversub float64
@@ -126,18 +123,14 @@ func (t *TopologySpec) Validate(netBW float64) error {
 	if t.HostsPerRack < 1 {
 		return fmt.Errorf("cluster: topology HostsPerRack %d < 1", t.HostsPerRack)
 	}
-	hostBW := t.HostBW
-	if hostBW == 0 {
-		hostBW = netBW
-	}
-	if !(hostBW > 0) || math.IsInf(hostBW, 0) {
-		return fmt.Errorf("cluster: topology host bandwidth %v MB/s is not positive and finite", hostBW)
+	if !(netBW > 0) || math.IsInf(netBW, 0) {
+		return fmt.Errorf("cluster: topology host bandwidth %v MB/s is not positive and finite", netBW)
 	}
 	if !(t.Oversub >= 0) || math.IsInf(t.Oversub, 0) {
 		return fmt.Errorf("cluster: topology oversubscription %v is not finite and non-negative", t.Oversub)
 	}
 	if ov := t.Oversub; ov != 0 {
-		if rackBW := hostBW * float64(t.HostsPerRack) / ov; rackBW <= 0 {
+		if rackBW := netBW * float64(t.HostsPerRack) / ov; rackBW <= 0 {
 			return fmt.Errorf("cluster: topology rack link capacity %v MB/s is not positive", rackBW)
 		}
 	}

@@ -83,14 +83,10 @@ func TestTopologyValidate(t *testing.T) {
 		ok    bool
 	}{
 		{TopologySpec{HostsPerRack: 4}, 1250, true},
-		{TopologySpec{HostsPerRack: 4, HostBW: 100, Oversub: 4}, 1250, true},
+		{TopologySpec{HostsPerRack: 4, Oversub: 4}, 1250, true},
 		{TopologySpec{HostsPerRack: 0}, 1250, false},
 		{TopologySpec{HostsPerRack: 4}, 0, false},
 		{TopologySpec{HostsPerRack: 4}, nan, false},
-		{TopologySpec{HostsPerRack: 4, HostBW: -1}, 1250, false},
-		{TopologySpec{HostsPerRack: 4, HostBW: nan}, 1250, false},
-		{TopologySpec{HostsPerRack: 4, HostBW: inf}, 1250, false},
-		{TopologySpec{HostsPerRack: 4, HostBW: -inf}, 1250, false},
 		{TopologySpec{HostsPerRack: 4, Oversub: -1}, 1250, false},
 		{TopologySpec{HostsPerRack: 4, Oversub: nan}, 1250, false},
 		{TopologySpec{HostsPerRack: 4, Oversub: inf}, 1250, false},

@@ -25,8 +25,6 @@ import (
 // straggling elastic task — the safety net for a large task stranded on
 // a node whose speed collapsed after dispatch.
 type AM struct {
-	Name string
-
 	// Speculation, when non-nil, duplicates stragglers after all BUs are
 	// provisioned.
 	Speculation engine.SpeculationPolicy
@@ -82,7 +80,6 @@ func NewAM(d *engine.Driver, rng *randutil.Source) (*AM, error) {
 		return nil, err
 	}
 	am := &AM{
-		Name:    "flexmap",
 		d:       d,
 		tracker: tracker,
 		monitor: NewSpeedMonitor(d),
@@ -91,7 +88,6 @@ func NewAM(d *engine.Driver, rng *randutil.Source) (*AM, error) {
 	}
 	am.book = engine.NewAttemptBook(d, am.onMapDone)
 	am.book.OnCommit = am.monitor.ReportCompletion
-	d.Result.Engine = am.Name
 	d.ReducePlacer = am.placeReducers
 	d.Register(am)
 	d.SetRecovery(am)
@@ -216,7 +212,7 @@ func (am *AM) onMapDone(a *engine.MapAttempt) {
 		runtime := float64(am.d.Eng.Now() - a.Start)
 		productivity := 0.0
 		if runtime > 0 {
-			productivity = (runtime - float64(am.d.Cost.Overhead())) / runtime
+			productivity = (runtime - float64(engine.Overhead)) / runtime
 		}
 		am.sizer.ApplyFeedback(int(a.Node.ID), len(a.BUs), productivity)
 	}

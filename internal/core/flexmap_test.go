@@ -24,7 +24,7 @@ func runFlexMap(t *testing.T, c *cluster.Cluster, fileBUs int64, spec mr.JobSpec
 		t.Fatal(err)
 	}
 	rm := yarn.NewRM(eng, c)
-	d, err := engine.NewDriver(eng, c, store, rm, engine.DefaultCostModel(), spec)
+	d, err := engine.NewDriver(eng, c, store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestFlexMapSpeculationRescuesStragglers(t *testing.T) {
 			t.Fatal(err)
 		}
 		rm := yarn.NewRM(eng, c)
-		d, err := engine.NewDriver(eng, c, store, rm, engine.DefaultCostModel(), flexSpec(0))
+		d, err := engine.NewDriver(eng, c, store, rm, flexSpec(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func newIdleAM(t *testing.T, c *cluster.Cluster, fileBUs int64) *AM {
 	}
 	rm := yarn.NewRM(eng, c)
 	spec := mr.JobSpec{Name: "wc", InputFile: "input", MapCost: 1, ShuffleRatio: 0, ReduceCost: 0}
-	d, err := engine.NewDriver(eng, c, store, rm, engine.DefaultCostModel(), spec)
+	d, err := engine.NewDriver(eng, c, store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

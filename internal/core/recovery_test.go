@@ -35,7 +35,7 @@ func newFlexHarness(t *testing.T, c *cluster.Cluster, fileBUs int64, spec mr.Job
 		t.Fatal(err)
 	}
 	rm := yarn.NewRM(eng, c)
-	d, err := engine.NewDriver(eng, c, store, rm, engine.DefaultCostModel(), spec)
+	d, err := engine.NewDriver(eng, c, store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestSpeedMonitorResetNodeClearsWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	rm := yarn.NewRM(eng, c)
-	d, err := engine.NewDriver(eng, c, store, rm, engine.DefaultCostModel(), flexSpec(0))
+	d, err := engine.NewDriver(eng, c, store, rm, flexSpec(0))
 	if err != nil {
 		t.Fatal(err)
 	}

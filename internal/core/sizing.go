@@ -12,14 +12,14 @@ const (
 	LinearLimit = 0.9
 )
 
+// maxBUs caps a single task's size; the paper's largest observed task was
+// 64 BUs = 512 MB.
+const maxBUs int = 64
+
 // Sizer tracks per-node size units and applies Algorithm 1. Per-node
 // state is flat slices indexed by the dense node id (grown on demand), so
 // the sizing loops in fairShare walk contiguous memory at 10k nodes.
 type Sizer struct {
-	// MaxBUs caps a single task's size; the paper's largest observed task
-	// was 64 BUs = 512 MB.
-	MaxBUs int
-
 	units  []int // node id → s_i in BUs; 0 = default 1
 	frozen []bool
 
@@ -30,7 +30,7 @@ type Sizer struct {
 
 // NewSizer returns a sizer with every node at one BU.
 func NewSizer() *Sizer {
-	return &Sizer{MaxBUs: 64}
+	return &Sizer{}
 }
 
 // Epoch returns the sizing epoch: it increments on every vertical-scaling
@@ -87,8 +87,8 @@ func (s *Sizer) ApplyFeedback(node, taskBUs int, productivity float64) {
 		s.epoch++
 		return
 	}
-	if u > s.MaxBUs {
-		u = s.MaxBUs
+	if u > maxBUs {
+		u = maxBUs
 	}
 	s.grow(node)
 	if s.units[node] != u {
@@ -98,7 +98,7 @@ func (s *Sizer) ApplyFeedback(node, taskBUs int, productivity float64) {
 }
 
 // TaskSize performs horizontal scaling: m_i = s_i × relSpeed rounded to
-// the nearest BU, clamped to [1, MaxBUs]. relSpeed is the node's speed
+// the nearest BU, clamped to [1, maxBUs]. relSpeed is the node's speed
 // relative to the slowest node. Rounding (not flooring) matches the
 // paper's m_i: a node measured 2.9× the slowest deserves a 3-BU-per-unit
 // task, and truncation systematically under-sizes fast nodes whose
@@ -111,8 +111,8 @@ func (s *Sizer) TaskSize(node int, relSpeed float64) int {
 	if m < 1 {
 		m = 1
 	}
-	if m > s.MaxBUs {
-		m = s.MaxBUs
+	if m > maxBUs {
+		m = maxBUs
 	}
 	return m
 }

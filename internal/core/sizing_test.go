@@ -72,12 +72,11 @@ func TestStaleFeedbackIgnored(t *testing.T) {
 
 func TestMaxBUsCap(t *testing.T) {
 	s := NewSizer()
-	s.MaxBUs = 16
 	for i := 0; i < 10; i++ {
 		s.ApplyFeedback(0, s.SizeUnit(0), 0.1)
 	}
-	if s.SizeUnit(0) != 16 {
-		t.Fatalf("unit = %d, want capped 16", s.SizeUnit(0))
+	if s.SizeUnit(0) != maxBUs {
+		t.Fatalf("unit = %d, want capped %d", s.SizeUnit(0), maxBUs)
 	}
 }
 
@@ -101,14 +100,13 @@ func TestTaskSizeHorizontalScaling(t *testing.T) {
 		t.Fatalf("TaskSize(rel=0.5) = %d, want 2", got)
 	}
 	// The cap applies after scaling.
-	s.MaxBUs = 5
-	if got := s.TaskSize(0, 10); got != 5 {
-		t.Fatalf("TaskSize capped = %d, want 5", got)
+	if got := s.TaskSize(0, 40); got != maxBUs {
+		t.Fatalf("TaskSize capped = %d, want %d", got, maxBUs)
 	}
 }
 
 // Property: the size unit is non-decreasing under any feedback sequence
-// and stays within [1, MaxBUs].
+// and stays within [1, maxBUs].
 func TestPropertySizeUnitMonotone(t *testing.T) {
 	f := func(prods []uint8, sizes []uint8) bool {
 		s := NewSizer()
@@ -121,7 +119,7 @@ func TestPropertySizeUnitMonotone(t *testing.T) {
 			}
 			s.ApplyFeedback(0, taskBUs, p)
 			cur := s.SizeUnit(0)
-			if cur < prev || cur < 1 || cur > s.MaxBUs {
+			if cur < prev || cur < 1 || cur > maxBUs {
 				return false
 			}
 			prev = cur
@@ -171,8 +169,8 @@ func TestPropertyAlgorithm1Invariants(t *testing.T) {
 			if m < 1 {
 				t.Fatalf("trial %d: node %d got %d BUs, want ≥ 1", trial, i, m)
 			}
-			if m > s.MaxBUs {
-				t.Fatalf("trial %d: node %d got %d BUs above cap %d", trial, i, m, s.MaxBUs)
+			if m > maxBUs {
+				t.Fatalf("trial %d: node %d got %d BUs above cap %d", trial, i, m, maxBUs)
 			}
 			// Monotone in this node's own relative speed.
 			if faster := s.TaskSize(i, rel*(1+rng.Float64())); faster < m {
@@ -198,7 +196,7 @@ func TestPropertyAlgorithm1Invariants(t *testing.T) {
 }
 
 // Property: TaskSize is ≥ the size unit for rel ≥ 1 and never exceeds
-// MaxBUs.
+// maxBUs.
 func TestPropertyTaskSizeBounds(t *testing.T) {
 	f := func(growth uint8, relRaw uint16) bool {
 		s := NewSizer()
@@ -207,7 +205,7 @@ func TestPropertyTaskSizeBounds(t *testing.T) {
 		}
 		rel := 1 + float64(relRaw)/8192 // [1, ~9]
 		got := s.TaskSize(0, rel)
-		return got >= s.SizeUnit(0) && got <= s.MaxBUs || s.SizeUnit(0) > s.MaxBUs
+		return got >= s.SizeUnit(0) && got <= maxBUs || s.SizeUnit(0) > maxBUs
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

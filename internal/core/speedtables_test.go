@@ -180,7 +180,7 @@ func TestSpeedTablesMatchReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				rm := yarn.NewRM(eng, clus)
-				d, err := engine.NewDriver(eng, clus, store, rm, engine.DefaultCostModel(), spec)
+				d, err := engine.NewDriver(eng, clus, store, rm, spec)
 				if err != nil {
 					t.Fatal(err)
 				}

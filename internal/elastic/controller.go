@@ -234,12 +234,12 @@ func (ctl *Controller) autoscaleTick(now sim.Time) {
 		return
 	}
 	ratio := float64(busy) / float64(slots)
-	if ratio >= ctl.auto.HighWater {
+	if ratio >= highWater {
 		ctl.highStreak++
 	} else {
 		ctl.highStreak = 0
 	}
-	if ratio <= ctl.auto.LowWater {
+	if ratio <= lowWater {
 		ctl.lowStreak++
 	} else {
 		ctl.lowStreak = 0

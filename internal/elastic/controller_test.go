@@ -221,7 +221,7 @@ func autoPlan() Plan {
 		Spares:     2,
 		Notice:     10,
 		SpotNotice: 5,
-		Autoscale:  &Autoscaler{Interval: 10, HighWater: 0.8, LowWater: 0.2, Streak: 2, Cooldown: 15},
+		Autoscale:  &Autoscaler{Interval: 10, Streak: 2, Cooldown: 15},
 	}
 }
 
@@ -248,6 +248,38 @@ func TestAutoscalerScaleOutAfterStreak(t *testing.T) {
 	h.eng.RunUntil(51)
 	if h.ctl.Joins != 2 {
 		t.Fatalf("Joins after cooldown = %d, want 2", h.ctl.Joins)
+	}
+}
+
+// TestAutoscalerWatermarks: a tick counts toward scale-out at exactly
+// highWater busy slots and toward scale-in at exactly lowWater, and
+// never one busy slot inside either.
+func TestAutoscalerWatermarks(t *testing.T) {
+	const slots = 800
+	if highWater*slots != 700 || lowWater*slots != 200 {
+		t.Fatalf("watermarks %v/%v are not whole slot counts of %d", highWater, lowWater, slots)
+	}
+	h := newHarness(t, autoPlan(), 2)
+	h.rm.busy, h.rm.slots = 699, slots
+	h.ctl.Start(1)
+	h.eng.RunUntil(100)
+	if h.ctl.Joins != 0 {
+		t.Fatalf("Joins = %d one slot under highWater, want 0", h.ctl.Joins)
+	}
+	h.rm.busy = 700
+	h.eng.RunUntil(200)
+	if h.ctl.Joins != 2 {
+		t.Fatalf("Joins = %d at highWater, want 2", h.ctl.Joins)
+	}
+	h.rm.busy = 201
+	h.eng.RunUntil(300)
+	if h.ctl.Drains != 0 {
+		t.Fatalf("Drains = %d one slot over lowWater, want 0", h.ctl.Drains)
+	}
+	h.rm.busy = 200
+	h.eng.RunUntil(400)
+	if h.ctl.Drains == 0 {
+		t.Fatal("no scale-in at lowWater")
 	}
 }
 

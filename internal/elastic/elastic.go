@@ -61,18 +61,22 @@ type Event struct {
 	Kind Kind
 }
 
+// The autoscaler's fixed watermarks: a tick whose busy/slots ratio is at
+// or above highWater counts toward scale-out, one at or below lowWater
+// toward scale-in.
+const (
+	highWater float64 = 0.875
+	lowWater  float64 = 0.25
+)
+
 // Autoscaler is a reactive scale-out/scale-in policy evaluated on a
-// fixed tick against RM occupancy. The zero value of every knob picks
-// the documented default, so &Autoscaler{} is a usable policy.
+// fixed tick against RM occupancy: a streak of ticks at or above 7/8
+// busy slots scales out, one at or below 1/4 scales in. The zero value
+// of every knob picks the documented default, so &Autoscaler{} is a
+// usable policy.
 type Autoscaler struct {
 	// Interval is the evaluation period (default 60 s).
 	Interval sim.Duration
-	// HighWater is the busy/slots ratio at or above which a tick counts
-	// toward scale-out (default 0.875).
-	HighWater float64
-	// LowWater is the ratio at or below which a tick counts toward
-	// scale-in (default 0.25).
-	LowWater float64
 	// Streak is how many consecutive qualifying ticks trigger an action
 	// (default 3) — a debounce against transient wave boundaries.
 	Streak int
@@ -86,12 +90,6 @@ func (a Autoscaler) withDefaults() Autoscaler {
 	if a.Interval <= 0 {
 		a.Interval = 60
 	}
-	if a.HighWater <= 0 {
-		a.HighWater = 0.875
-	}
-	if a.LowWater <= 0 {
-		a.LowWater = 0.25
-	}
 	if a.Streak <= 0 {
 		a.Streak = 3
 	}
@@ -101,10 +99,19 @@ func (a Autoscaler) withDefaults() Autoscaler {
 	return a
 }
 
+// The seeded timeline's fixed bounds: event times stop at horizon (jobs
+// outlasting it see a static fleet afterwards), and each spare gets at
+// most maxPerNode events, a guard against degenerate rates.
+const (
+	horizon    sim.Time = 14400 // 4 h
+	maxPerNode int      = 64
+)
+
 // Plan declares an elastic-membership workload over a pool of spare
 // nodes provisioned with cluster.AddSpares. The zero value changes
 // nothing (Active reports false); rates are expected events per
-// node-hour, drawn as independent renewal processes per spare.
+// node-hour, drawn as independent renewal processes per spare up to a
+// 4 h horizon, at most 64 events per spare.
 type Plan struct {
 	// Spares is the number of spare nodes to provision (offline at start).
 	Spares int
@@ -127,13 +134,6 @@ type Plan struct {
 	// SpotNotice is the reclaim grace before a spot release (default 30 s,
 	// the cloud-provider ballpark scaled to simulation time).
 	SpotNotice sim.Duration
-
-	// Horizon bounds scheduled event times (default 14400 s = 4 h); jobs
-	// outlasting it see a static fleet afterwards.
-	Horizon sim.Time
-	// MaxPerNode caps scheduled events per spare (default 64) as a guard
-	// against degenerate rate settings.
-	MaxPerNode int
 
 	// Script is an explicit event timeline applied in addition to (or
 	// instead of) the seeded schedule — the "scheduled fleet" mode.
@@ -161,12 +161,6 @@ func (p Plan) withDefaults() Plan {
 	}
 	if p.SpotNotice <= 0 {
 		p.SpotNotice = 30
-	}
-	if p.Horizon <= 0 {
-		p.Horizon = 14400
-	}
-	if p.MaxPerNode <= 0 {
-		p.MaxPerNode = 64
 	}
 	return p
 }
@@ -220,10 +214,10 @@ func (p Plan) nodeEvents(id cluster.NodeID, rng *randutil.Source) []Event {
 	var out []Event
 	t := sim.Time(0)
 	joined := false
-	for len(out) < p.MaxPerNode {
+	for len(out) < maxPerNode {
 		if !joined {
 			t += sim.Time(rng.ExpFloat64() / joinPerSec)
-			if t > p.Horizon {
+			if t > horizon {
 				break
 			}
 			out = append(out, Event{At: t, Node: id, Kind: Join})
@@ -234,7 +228,7 @@ func (p Plan) nodeEvents(id cluster.NodeID, rng *randutil.Source) []Event {
 			break // joins forever, never leaves
 		}
 		t += sim.Time(rng.ExpFloat64() / leavePerSec)
-		if t > p.Horizon {
+		if t > horizon {
 			break
 		}
 		kind := Drain

@@ -11,6 +11,12 @@ func churnPlan(spares int) Plan {
 	return Plan{Spares: spares, JoinsPerHour: 30, LeavesPerHour: 20, SpotFraction: 0.3}
 }
 
+// slowChurnPlan cycles about ten times per spare in the 4 h horizon, so
+// the horizon, not the per-spare cap, ends each stream.
+func slowChurnPlan(spares int) Plan {
+	return Plan{Spares: spares, JoinsPerHour: 6, LeavesPerHour: 4, SpotFraction: 0.3}
+}
+
 func spareIDs(n int) []cluster.NodeID {
 	c := cluster.Homogeneous(4)
 	return c.AddSpares(n, cluster.NodeSpec{})
@@ -91,15 +97,26 @@ func TestScheduleSorted(t *testing.T) {
 }
 
 // A spare's timeline must be a legal join/leave/join/… alternation
-// starting offline, and every event must stay within the horizon.
+// starting offline, and every event must stay within the horizon, which
+// ends the streams before the per-spare cap.
 func TestScheduleAlternatesPerNode(t *testing.T) {
-	p := churnPlan(4)
-	p.Horizon = 2000
-	evs := p.Schedule(11, spareIDs(4))
+	evs := slowChurnPlan(4).Schedule(11, spareIDs(4))
+	perNode := map[cluster.NodeID]int{}
+	for _, ev := range evs {
+		perNode[ev.Node]++
+	}
+	for id, n := range perNode {
+		if n >= maxPerNode {
+			t.Fatalf("node %d reached the cap (%d events); the horizon should end its stream", id, n)
+		}
+	}
+	if last := evs[len(evs)-1].At; last < horizon/2 {
+		t.Fatalf("last event at %v, want the streams to run toward the horizon %v", last, horizon)
+	}
 	joined := map[cluster.NodeID]bool{}
 	for _, ev := range evs {
-		if ev.At > p.Horizon {
-			t.Fatalf("event at %v beyond horizon %v", ev.At, p.Horizon)
+		if ev.At > horizon {
+			t.Fatalf("event at %v beyond horizon %v", ev.At, horizon)
 		}
 		if ev.Kind == Join {
 			if joined[ev.Node] {
@@ -116,14 +133,15 @@ func TestScheduleAlternatesPerNode(t *testing.T) {
 }
 
 func TestScheduleMaxPerNodeCap(t *testing.T) {
-	p := Plan{Spares: 2, JoinsPerHour: 1e6, LeavesPerHour: 1e6, MaxPerNode: 5}
+	p := Plan{Spares: 2, JoinsPerHour: 1e6, LeavesPerHour: 1e6}
+	ids := spareIDs(2)
 	perNode := map[cluster.NodeID]int{}
-	for _, ev := range p.Schedule(1, spareIDs(2)) {
+	for _, ev := range p.Schedule(1, ids) {
 		perNode[ev.Node]++
 	}
-	for id, n := range perNode {
-		if n > 5 {
-			t.Fatalf("node %d has %d events, cap 5", id, n)
+	for _, id := range ids {
+		if perNode[id] != maxPerNode {
+			t.Fatalf("node %d has %d events at rate 1e6, want the cap %d", id, perNode[id], maxPerNode)
 		}
 	}
 }

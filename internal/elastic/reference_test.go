@@ -40,17 +40,20 @@ func referenceSchedule(p Plan, seed int64, spares []cluster.NodeID) []Event {
 }
 
 // TestScheduleMatchesReference compares Schedule with the reference
-// event for event: seeded churn with and without a Script, joins that
-// never leave, a script-only plan, three seeds and three pool sizes.
+// event for event: seeded churn with and without a Script, slow churn
+// that runs into the horizon, joins that never leave, fast spot churn
+// that runs into the per-spare cap, a script-only plan, three seeds and
+// three pool sizes.
 func TestScheduleMatchesReference(t *testing.T) {
 	plans := map[string]Plan{
 		"churn":        churnPlan(0),
+		"slow-churn":   slowChurnPlan(0),
 		"joins-only":   {JoinsPerHour: 12},
-		"spot-capped":  {JoinsPerHour: 40, LeavesPerHour: 40, SpotFraction: 0.8, MaxPerNode: 5, Horizon: 3600},
+		"spot-capped":  {JoinsPerHour: 40, LeavesPerHour: 40, SpotFraction: 0.8},
 		"script-only":  {},
 		"churn+script": churnPlan(0),
 	}
-	for _, name := range []string{"churn", "joins-only", "spot-capped", "script-only", "churn+script"} {
+	for _, name := range []string{"churn", "slow-churn", "joins-only", "spot-capped", "script-only", "churn+script"} {
 		for _, seed := range []int64{0, 42, -7} {
 			for _, n := range []int{1, 7, 64} {
 				ids := spareIDs(n)

@@ -11,59 +11,46 @@ import (
 // MB is one megabyte in bytes.
 const MB int64 = 1024 * 1024
 
-// CostModel holds the calibrated execution-cost constants. Defaults are
-// chosen so an 8 MB map task on a speed-1.0 node has productivity ≈ 0.28
-// and a 64 MB task ≈ 0.76, matching Fig. 3(b,c) of the paper.
-type CostModel struct {
-	// ContainerAlloc is the YARN container allocation latency.
-	ContainerAlloc sim.Duration
-	// JVMStartup is the task JVM spin-up time.
-	JVMStartup sim.Duration
+// The calibrated execution-cost model. The constants are chosen so an
+// 8 MB map task on a speed-1.0 node has productivity ≈ 0.28 and a 64 MB
+// task ≈ 0.76, matching Fig. 3(b,c) of the paper.
+const (
+	// containerAlloc is the YARN container allocation latency.
+	containerAlloc sim.Duration = 0.5
+	// jvmStartup is the task JVM spin-up time.
+	jvmStartup sim.Duration = 1.5
+	// Overhead is the fixed per-attempt execution overhead (the
+	// non-effective part of a task's runtime in Eq. 1).
+	Overhead = containerAlloc + jvmStartup
 	// BaseIPS is the input processing speed, in bytes/second, of a
 	// speed-1.0 node running a MapCost-1.0 job.
-	BaseIPS float64
+	BaseIPS float64 = float64(10 * MB)
 	// SpillFactor is the extra fractional map cost per GB of task input,
 	// modeling Hadoop's multi-round sort-spill-merge for inputs beyond
 	// the in-memory sort buffer (io.sort.mb): a 512 MB task costs ~15%
 	// more per byte than a tiny one. It makes task growth saturate
 	// instead of rewarding unbounded sizes.
-	SpillFactor float64
-}
-
-// DefaultCostModel returns the calibrated defaults.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		ContainerAlloc: 0.5,
-		JVMStartup:     1.5,
-		BaseIPS:        float64(10 * MB),
-		SpillFactor:    0.3,
-	}
-}
+	SpillFactor float64 = 0.3
+)
 
 // gb is one gigabyte in bytes, as a float for rate math.
 const gb = float64(1024 * MB)
 
 // SpillMultiplier returns the per-byte cost multiplier for a task of the
 // given input size.
-func (c CostModel) SpillMultiplier(bytes int64) float64 {
-	return 1 + c.SpillFactor*float64(bytes)/gb
-}
-
-// Overhead returns the fixed per-attempt execution overhead (the
-// non-effective part of a task's runtime in Eq. 1).
-func (c CostModel) Overhead() sim.Duration {
-	return c.ContainerAlloc + c.JVMStartup
+func SpillMultiplier(bytes int64) float64 {
+	return 1 + SpillFactor*float64(bytes)/gb
 }
 
 // MapEffective returns the effective (compute-only) duration for mapping
 // `bytes` input bytes at the given cost multiplier on a node running at
 // `speed`, excluding any remote-fetch time.
-func (c CostModel) MapEffective(bytes int64, mapCost, speed float64) sim.Duration {
-	return sim.Duration(float64(bytes) * mapCost * c.SpillMultiplier(bytes) / (c.BaseIPS * speed))
+func MapEffective(bytes int64, mapCost, speed float64) sim.Duration {
+	return sim.Duration(float64(bytes) * mapCost * SpillMultiplier(bytes) / (BaseIPS * speed))
 }
 
 // Productivity predicts Eq. 1 for a map of `bytes` at constant speed.
-func (c CostModel) Productivity(bytes int64, mapCost, speed float64) float64 {
-	eff := c.MapEffective(bytes, mapCost, speed)
-	return float64(eff) / float64(eff+c.Overhead())
+func Productivity(bytes int64, mapCost, speed float64) float64 {
+	eff := MapEffective(bytes, mapCost, speed)
+	return float64(eff) / float64(eff+Overhead)
 }

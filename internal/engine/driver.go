@@ -29,7 +29,6 @@ type Driver struct {
 	Cluster *cluster.Cluster
 	Store   *dfs.Store
 	RM      *yarn.RM
-	Cost    CostModel
 	Spec    mr.JobSpec
 	Exec    *Executor
 
@@ -130,9 +129,10 @@ func (d *Driver) Register(s yarn.Scheduler) {
 	d.RM.SetScheduler(s)
 }
 
-// NewDriver assembles a driver for one run. The spec must validate and
-// its input file must already exist in the store.
-func NewDriver(eng *sim.Engine, c *cluster.Cluster, store *dfs.Store, rm *yarn.RM, cost CostModel, spec mr.JobSpec) (*Driver, error) {
+// NewDriver assembles a driver for one run under the calibrated cost
+// model (Overhead, BaseIPS, SpillFactor). The spec must validate and its
+// input file must already exist in the store.
+func NewDriver(eng *sim.Engine, c *cluster.Cluster, store *dfs.Store, rm *yarn.RM, spec mr.JobSpec) (*Driver, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -145,9 +145,8 @@ func NewDriver(eng *sim.Engine, c *cluster.Cluster, store *dfs.Store, rm *yarn.R
 		Cluster:      c,
 		Store:        store,
 		RM:           rm,
-		Cost:         cost,
 		Spec:         spec,
-		Exec:         NewExecutor(eng, c, cost.BaseIPS),
+		Exec:         NewExecutor(eng, c, BaseIPS),
 		ReducePlacer: EvenReducePlacer,
 		Result: &mr.JobResult{
 			Job:                 spec.Name,
@@ -275,7 +274,7 @@ func (d *Driver) LaunchMap(l MapLaunch) *MapAttempt {
 	}
 	a.RemoteBytes = remote
 	a.extraFetch = l.ExtraFetchBytes
-	a.unit = d.Spec.MapCost * d.Cost.SpillMultiplier(a.Bytes) * a.noiseMult * d.Store.MeanWeight(a.BUs)
+	a.unit = d.Spec.MapCost * SpillMultiplier(a.Bytes) * a.noiseMult * d.Store.MeanWeight(a.BUs)
 	if l.Speculative {
 		d.Result.SpeculativeLaunches++
 	}
@@ -291,15 +290,15 @@ func (d *Driver) LaunchMap(l MapLaunch) *MapAttempt {
 	// with the actual elapsed time once the flows drain.
 	a.fetchDur = sim.Duration(float64(remote) / (d.Cluster.NetBW * float64(MB)))
 	a.phase = phaseOverhead
-	a.phaseEndsAt = d.Eng.Now() + sim.Time(d.Cost.Overhead())
+	a.phaseEndsAt = d.Eng.Now() + sim.Time(Overhead)
 	if remote == 0 {
 		// Fully-local split: nothing to move, so no fetch phase — skip
 		// straight from overhead to compute instead of scheduling a dead
 		// zero-duration "map-fetch" event.
-		a.phaseEv = d.Eng.After(d.Cost.Overhead(), "map-overhead", func() { a.beginCompute() })
+		a.phaseEv = d.Eng.After(Overhead, "map-overhead", func() { a.beginCompute() })
 		return a
 	}
-	a.phaseEv = d.Eng.After(d.Cost.Overhead(), "map-overhead", func() { a.beginFetch() })
+	a.phaseEv = d.Eng.After(Overhead, "map-overhead", func() { a.beginFetch() })
 	return a
 }
 
@@ -440,7 +439,7 @@ func (a *MapAttempt) complete() {
 		Node:        a.Node.ID,
 		Start:       a.Start,
 		End:         now,
-		Overhead:    a.d.Cost.Overhead(),
+		Overhead:    Overhead,
 		Effective:   a.fetchDur + sim.Duration(now-a.computeAt),
 		Bytes:       a.Bytes,
 		BUs:         len(a.BUs),
@@ -571,7 +570,7 @@ func (a *MapAttempt) kill(crashed bool) bool {
 		Node:        a.Node.ID,
 		Start:       a.Start,
 		End:         now,
-		Overhead:    a.d.Cost.Overhead(),
+		Overhead:    Overhead,
 		Effective:   effective,
 		Bytes:       a.Bytes,
 		BUs:         len(a.BUs),
@@ -648,7 +647,7 @@ func (a *MapAttempt) Progress(now sim.Time) float64 {
 // EstRemaining estimates time to completion assuming the node keeps its
 // current speed — the estimate LATE and SkewTune schedule from.
 func (a *MapAttempt) EstRemaining(now sim.Time) sim.Duration {
-	rate := a.d.Cost.BaseIPS * a.Node.Speed()
+	rate := BaseIPS * a.Node.Speed()
 	computeAll := sim.Duration(float64(a.Bytes) * a.unitCost() / rate)
 	switch a.phase {
 	case phaseOverhead:

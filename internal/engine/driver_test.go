@@ -148,7 +148,7 @@ func TestRemainingAtLeastMatchesSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDriver(sim.New(), cluster.Homogeneous(4), store, nil, DefaultCostModel(), wcSpec(0))
+	d, err := NewDriver(sim.New(), cluster.Homogeneous(4), store, nil, wcSpec(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,10 +351,9 @@ func TestOnFinishedHooks(t *testing.T) {
 }
 
 func TestSpillMultiplierMonotone(t *testing.T) {
-	c := DefaultCostModel()
 	prev := 0.0
 	for _, mb := range []int64{8, 64, 256, 512, 1024} {
-		m := c.SpillMultiplier(mb * MB)
+		m := SpillMultiplier(mb * MB)
 		if m <= prev || m < 1 {
 			t.Fatalf("spill multiplier not increasing at %dMB: %v", mb, m)
 		}

@@ -8,20 +8,19 @@ import (
 )
 
 func TestCostModelCalibration(t *testing.T) {
-	c := DefaultCostModel()
 	// Fig. 3(b,c): 8 MB productivity ≈ 0.28, 64 MB ≈ 0.76 on a slow node.
-	p8 := c.Productivity(8*MB, 1.0, 1.0)
+	p8 := Productivity(8*MB, 1.0, 1.0)
 	if p8 < 0.25 || p8 > 0.32 {
 		t.Errorf("8MB productivity = %.3f, want ≈0.28", p8)
 	}
-	p64 := c.Productivity(64*MB, 1.0, 1.0)
+	p64 := Productivity(64*MB, 1.0, 1.0)
 	if p64 < 0.66 || p64 > 0.80 {
 		t.Errorf("64MB productivity = %.3f, want ≈0.7", p64)
 	}
 	// Productivity is monotonically increasing in task size.
 	prev := 0.0
 	for _, mb := range []int64{8, 16, 32, 64, 128, 256} {
-		p := c.Productivity(mb*MB, 1.0, 1.0)
+		p := Productivity(mb*MB, 1.0, 1.0)
 		if p <= prev {
 			t.Fatalf("productivity not increasing at %d MB", mb)
 		}
@@ -29,7 +28,7 @@ func TestCostModelCalibration(t *testing.T) {
 	}
 	// Faster nodes have lower productivity at the same size — the effect
 	// that drives FlexMap's differentiated vertical scaling.
-	if c.Productivity(64*MB, 1.0, 2.0) >= p64 {
+	if Productivity(64*MB, 1.0, 2.0) >= p64 {
 		t.Error("faster node should have lower productivity at fixed size")
 	}
 }

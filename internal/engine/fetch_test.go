@@ -11,7 +11,7 @@ import (
 // The fetch-accounting suite pins the remote-read ledger: bytes land in
 // Result.RemoteBytesRead when (and only when) a transfer actually moves
 // them, so kills, crashes, and retries never leak or double-charge.
-// Timing baseline: Overhead() = 2.0s, NetBW = 1250 MB/s, so a 100MB
+// Timing baseline: Overhead = 2.0s, NetBW = 1250 MB/s, so a 100MB
 // fetch spans t=2.00..2.08 under the flat model.
 
 // launchFetching starts a manual attempt on node 0 with 100MB of extra

@@ -34,7 +34,7 @@ func newHarness(t testing.TB, c *cluster.Cluster, fileBUs int64, spec mr.JobSpec
 		t.Fatal(err)
 	}
 	rm := yarn.NewRM(eng, c)
-	d, err := NewDriver(eng, c, store, rm, DefaultCostModel(), spec)
+	d, err := NewDriver(eng, c, store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

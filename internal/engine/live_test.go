@@ -37,7 +37,7 @@ func newLiveHarness(t *testing.T, reducers int) *harness {
 		},
 	}
 	rm := yarn.NewRM(eng, c)
-	d, err := NewDriver(eng, c, store, rm, DefaultCostModel(), spec)
+	d, err := NewDriver(eng, c, store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestStockSpeculationRaceViaPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	rm := yarn.NewRM(eng, c)
-	d, err := NewDriver(eng, c, store, rm, DefaultCostModel(), wcSpec(0))
+	d, err := NewDriver(eng, c, store, rm, wcSpec(0))
 	if err != nil {
 		t.Fatal(err)
 	}

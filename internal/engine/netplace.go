@@ -47,13 +47,11 @@ func GreedyReducePlacer(d *Driver) []cluster.NodeID {
 		intraShare[i], crossShare[i] = float64(intra), float64(cross)
 	}
 
-	hostBW := d.Cluster.NetBW * float64(MB)
+	invHostBW := 1 / (d.Cluster.NetBW * float64(MB))
 	rackBW := 0.0 // inverse-capacity form: 0 means an uncontended core
 	if d.Net != nil {
-		hostBW = d.Net.HostBW()
 		rackBW = 1 / d.Net.RackBW()
 	}
-	invHostBW := 1 / hostBW
 
 	rackLoad := make([]float64, racks)
 	nodeLoad := make([]float64, size)

@@ -320,7 +320,7 @@ func SyntheticPrefixRecord(d *Driver, a *MapAttempt, done []dfs.BUID) mr.Attempt
 		Node:        a.Node.ID,
 		Start:       a.Start,
 		End:         d.Eng.Now(),
-		Overhead:    d.Cost.Overhead(),
+		Overhead:    Overhead,
 		Bytes:       bytes,
 		BUs:         len(done),
 		Wave:        a.Wave,

@@ -302,7 +302,7 @@ func sharedNode(t *testing.T, jobs int) (*sim.Engine, *cluster.Cluster, *yarn.RM
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := NewDriver(eng, c, store, rm, DefaultCostModel(), spec)
+		d, err := NewDriver(eng, c, store, rm, spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -221,7 +221,7 @@ func (rr *reduceRun) crash() {
 		Node:     rr.node.ID,
 		Start:    rr.start,
 		End:      now,
-		Overhead: d.Cost.Overhead(),
+		Overhead: Overhead,
 		Bytes:    rr.partBytes,
 		Killed:   true,
 		Crashed:  true,
@@ -283,8 +283,8 @@ func (d *Driver) runReduce(p int, n *cluster.Node, c *yarn.Container) {
 			Node:      n.ID,
 			Start:     start,
 			End:       now,
-			Overhead:  d.Cost.Overhead(),
-			Effective: sim.Duration(now-start) - d.Cost.Overhead(),
+			Overhead:  Overhead,
+			Effective: sim.Duration(now-start) - Overhead,
 			Bytes:     partBytes,
 		})
 		d.Trace.TaskDone(rr.name, n.ID, partBytes)
@@ -306,13 +306,13 @@ func (d *Driver) runReduce(p int, n *cluster.Node, c *yarn.Container) {
 		rr.work = d.Exec.Start(n, units, finish)
 	}
 	if d.Net == nil {
-		rr.ev = d.Eng.After(d.Cost.Overhead()+fetchDur, "reduce-fetch", func() {
+		rr.ev = d.Eng.After(Overhead+fetchDur, "reduce-fetch", func() {
 			rr.ev = sim.Handle{}
 			compute()
 		})
 		return
 	}
-	rr.ev = d.Eng.After(d.Cost.Overhead(), "reduce-fetch", func() {
+	rr.ev = d.Eng.After(Overhead, "reduce-fetch", func() {
 		rr.ev = sim.Handle{}
 		rr.startShuffle(compute)
 	})

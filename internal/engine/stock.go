@@ -56,8 +56,6 @@ const retryBackoff sim.Duration = 5
 // before falling back to remote execution, and optional LATE-style
 // speculation at the last wave.
 type StockAM struct {
-	Name string
-
 	// Speculation, when non-nil, enables speculative execution.
 	Speculation SpeculationPolicy
 
@@ -101,7 +99,6 @@ func NewStockAM(d *Driver, splitBUs int, speculation SpeculationPolicy) (*StockA
 	}
 	input, _ := d.Store.File(d.Spec.InputFile) // Splits found it
 	am := &StockAM{
-		Name:            fmt.Sprintf("hadoop-%dm", int64(splitBUs)*dfs.BUSize/MB),
 		Speculation:     speculation,
 		maxTaskAttempts: 4,
 		d:               d,
@@ -122,7 +119,6 @@ func NewStockAM(d *Driver, splitBUs int, speculation SpeculationPolicy) (*StockA
 		}))
 	}
 	am.tasksRemaining = am.pending.Len()
-	d.Result.Engine = am.Name
 	d.Register(am)
 	d.SetRecovery(am)
 	return am, nil

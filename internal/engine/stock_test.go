@@ -147,7 +147,7 @@ func TestStockRemoteExecutionAfterLocalityWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	rm := newRM(eng, c)
-	d, err := NewDriver(eng, c, store, rm, DefaultCostModel(), wcSpec(0))
+	d, err := NewDriver(eng, c, store, rm, wcSpec(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,9 +57,23 @@ type Event struct {
 	Factor float64
 }
 
+// The fixed shape of a fault timeline. Arrivals stop at horizon (jobs
+// outlasting it run fault-free afterwards) or after maxPerNode events
+// per node and kind, a guard against degenerate rates. A slowdown applies
+// an interference multiplier drawn uniformly from [minSlowFactor,
+// maxSlowFactor] for a span drawn exponentially around meanSlowdown.
+const (
+	horizon       sim.Time     = 14400 // 4 h
+	maxPerNode    int          = 64
+	meanSlowdown  sim.Duration = 300
+	minSlowFactor float64      = 0.2
+	maxSlowFactor float64      = 0.5
+)
+
 // Plan declares a fault workload. The zero value injects nothing
 // (Active reports false); rates are expected events per node-hour, drawn
-// as independent Poisson processes per node and per kind.
+// as independent Poisson processes per node and per kind up to a 4 h
+// horizon, at most 64 events per node and kind.
 type Plan struct {
 	// CrashRate is expected node crashes per node-hour. A crashed node
 	// goes silent, killing everything on it, and restores after a
@@ -70,24 +84,12 @@ type Plan struct {
 	MeanDowntime sim.Duration
 
 	// SlowdownRate is expected transient slowdowns per node-hour; each
-	// applies an interference multiplier drawn uniformly from
-	// [MinSlowFactor, MaxSlowFactor] (defaults 0.2–0.5) for a duration
-	// drawn exponentially around MeanSlowdown (default 300 s).
-	SlowdownRate  float64
-	MeanSlowdown  sim.Duration
-	MinSlowFactor float64
-	MaxSlowFactor float64
+	// applies an interference multiplier drawn uniformly from [0.2, 0.5]
+	// for a duration drawn exponentially around 300 s.
+	SlowdownRate float64
 
 	// PreemptRate is expected container preemptions per node-hour.
 	PreemptRate float64
-
-	// Horizon bounds fault arrival times (default 14400 s = 4 h); jobs
-	// outlasting it run fault-free afterwards.
-	Horizon sim.Time
-
-	// MaxPerNode caps events per node per kind (default 64) as a guard
-	// against degenerate rate settings.
-	MaxPerNode int
 }
 
 // Active reports whether the plan injects any faults. Inactive plans
@@ -97,25 +99,10 @@ func (p Plan) Active() bool {
 	return p.CrashRate > 0 || p.SlowdownRate > 0 || p.PreemptRate > 0
 }
 
-// withDefaults fills zero-valued knobs.
+// withDefaults fills a zero MeanDowntime.
 func (p Plan) withDefaults() Plan {
 	if p.MeanDowntime <= 0 {
 		p.MeanDowntime = 120
-	}
-	if p.MeanSlowdown <= 0 {
-		p.MeanSlowdown = 300
-	}
-	if p.MinSlowFactor <= 0 {
-		p.MinSlowFactor = 0.2
-	}
-	if p.MaxSlowFactor <= 0 {
-		p.MaxSlowFactor = 0.5
-	}
-	if p.Horizon <= 0 {
-		p.Horizon = 14400
-	}
-	if p.MaxPerNode <= 0 {
-		p.MaxPerNode = 64
 	}
 	return p
 }
@@ -167,9 +154,9 @@ func (p Plan) arrivals(out []Event, id cluster.NodeID, seed int64, label string,
 	rng := randutil.New(randutil.SplitSeed(seed, label))
 	perSec := perHour / 3600
 	t := sim.Time(0)
-	for n := 0; n < p.MaxPerNode; n++ {
+	for n := 0; n < maxPerNode; n++ {
 		t += sim.Time(rng.ExpFloat64() / perSec)
-		if t > p.Horizon {
+		if t > horizon {
 			break
 		}
 		ev := Event{At: t, Node: id, Kind: kind}
@@ -180,11 +167,11 @@ func (p Plan) arrivals(out []Event, id cluster.NodeID, seed int64, label string,
 				ev.Duration = 20
 			}
 		case Slowdown:
-			ev.Duration = p.MeanSlowdown * sim.Duration(rng.ExpFloat64())
+			ev.Duration = meanSlowdown * sim.Duration(rng.ExpFloat64())
 			if ev.Duration < 10 {
 				ev.Duration = 10
 			}
-			ev.Factor = p.MinSlowFactor + rng.Float64()*(p.MaxSlowFactor-p.MinSlowFactor)
+			ev.Factor = minSlowFactor + rng.Float64()*(maxSlowFactor-minSlowFactor)
 		}
 		out = append(out, ev)
 	}

@@ -61,20 +61,35 @@ func TestScheduleSorted(t *testing.T) {
 	}
 }
 
+// TestScheduleHorizonAndCap runs one plan into the per-node cap and one
+// into the horizon.
 func TestScheduleHorizonAndCap(t *testing.T) {
-	p := Plan{CrashRate: 1e6, Horizon: 100, MaxPerNode: 5}
-	evs := p.Schedule(1, 3)
-	perNode := map[cluster.NodeID]int{}
-	for _, ev := range evs {
-		if ev.At > 100 {
-			t.Fatalf("event at %v beyond horizon 100", ev.At)
+	perNode := func(evs []Event) map[cluster.NodeID]int {
+		counts := map[cluster.NodeID]int{}
+		for _, ev := range evs {
+			if ev.At > horizon {
+				t.Fatalf("event at %v beyond horizon %v", ev.At, horizon)
+			}
+			counts[ev.Node]++
 		}
-		perNode[ev.Node]++
+		return counts
 	}
-	for id, n := range perNode {
-		if n > 5 {
-			t.Fatalf("node %d has %d crash events, cap 5", id, n)
+	capped := perNode(Plan{CrashRate: 1e6}.Schedule(1, 3))
+	for id := cluster.NodeID(0); id < 3; id++ {
+		if capped[id] != maxPerNode {
+			t.Fatalf("node %d has %d crash events at rate 1e6, want the cap %d", id, capped[id], maxPerNode)
 		}
+	}
+	// At one crash per node-hour, the 4 h horizon ends every stream long
+	// before the cap.
+	evs := Plan{CrashRate: 1}.Schedule(1, 50)
+	for id, n := range perNode(evs) {
+		if n >= maxPerNode {
+			t.Fatalf("node %d reached the cap (%d events) at rate 1", id, n)
+		}
+	}
+	if last := evs[len(evs)-1].At; last < horizon/2 {
+		t.Fatalf("last event at %v, want the streams to run toward the horizon %v", last, horizon)
 	}
 }
 

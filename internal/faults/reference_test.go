@@ -48,9 +48,9 @@ func referenceArrivals(p Plan, id cluster.NodeID, rng *randutil.Source, kind Kin
 	perSec := perHour / 3600
 	var out []Event
 	t := sim.Time(0)
-	for len(out) < p.MaxPerNode {
+	for len(out) < maxPerNode {
 		t += sim.Time(rng.ExpFloat64() / perSec)
-		if t > p.Horizon {
+		if t > horizon {
 			break
 		}
 		ev := Event{At: t, Node: id, Kind: kind}
@@ -61,11 +61,11 @@ func referenceArrivals(p Plan, id cluster.NodeID, rng *randutil.Source, kind Kin
 				ev.Duration = 20
 			}
 		case Slowdown:
-			ev.Duration = p.MeanSlowdown * sim.Duration(rng.ExpFloat64())
+			ev.Duration = meanSlowdown * sim.Duration(rng.ExpFloat64())
 			if ev.Duration < 10 {
 				ev.Duration = 10
 			}
-			ev.Factor = p.MinSlowFactor + rng.Float64()*(p.MaxSlowFactor-p.MinSlowFactor)
+			ev.Factor = minSlowFactor + rng.Float64()*(maxSlowFactor-minSlowFactor)
 		}
 		out = append(out, ev)
 	}
@@ -73,24 +73,29 @@ func referenceArrivals(p Plan, id cluster.NodeID, rng *randutil.Source, kind Kin
 }
 
 // TestScheduleMatchesReference compares Schedule with the reference
-// event for event: every non-empty combination of the three kinds, under
-// default and non-default knobs, three seeds, and 1, 7 and 200 nodes.
+// event for event: every non-empty combination of the three kinds, at
+// low rates that run into the horizon with the default downtime and at
+// high rates that run into the per-node cap with a non-default one,
+// three seeds, and 1, 7 and 200 nodes.
 func TestScheduleMatchesReference(t *testing.T) {
-	shapes := []Plan{
-		{},
-		{MeanDowntime: 30, MeanSlowdown: 45, MinSlowFactor: 0.1, MaxSlowFactor: 0.9, Horizon: 3600, MaxPerNode: 3},
+	shapes := []struct {
+		scale    float64
+		downtime sim.Duration
+	}{
+		{1, 0},
+		{1000, 30},
 	}
 	for mask := 1; mask < 8; mask++ {
 		for si, shape := range shapes {
-			p := shape
+			p := Plan{MeanDowntime: shape.downtime}
 			if mask&1 != 0 {
-				p.CrashRate = 2
+				p.CrashRate = 2 * shape.scale
 			}
 			if mask&2 != 0 {
-				p.SlowdownRate = 3
+				p.SlowdownRate = 3 * shape.scale
 			}
 			if mask&4 != 0 {
-				p.PreemptRate = 4
+				p.PreemptRate = 4 * shape.scale
 			}
 			for _, seed := range []int64{0, 42, -7} {
 				for _, n := range []int{1, 7, 200} {

@@ -27,14 +27,3 @@ func SortedKeys[M ~map[K]V, K cmp.Ordered, V any](m M) []K {
 	slices.Sort(keys)
 	return keys
 }
-
-// SortedKeysFunc returns m's keys ordered by the given comparison
-// function (for key types that are not cmp.Ordered, or custom orders).
-func SortedKeysFunc[M ~map[K]V, K comparable, V any](m M, less func(a, b K) int) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, less)
-	return keys
-}

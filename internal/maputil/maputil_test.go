@@ -17,12 +17,3 @@ func TestSortedKeys(t *testing.T) {
 		t.Fatalf("SortedKeys(empty) = %v, want empty", got)
 	}
 }
-
-func TestSortedKeysFunc(t *testing.T) {
-	m := map[int]string{3: "c", 1: "a", 2: "b"}
-	want := []int{3, 2, 1}
-	got := SortedKeysFunc(m, func(a, b int) int { return b - a })
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SortedKeysFunc desc = %v, want %v", got, want)
-	}
-}

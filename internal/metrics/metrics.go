@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"flexmap/internal/mr"
-	"flexmap/internal/sim"
 )
 
 // Summary condenses one run into the numbers the paper reports.
@@ -337,6 +336,3 @@ func Sparkline(xs []float64) string {
 	}
 	return b.String()
 }
-
-// FormatSeconds renders a sim duration compactly.
-func FormatSeconds(d sim.Duration) string { return fmt.Sprintf("%.1fs", float64(d)) }

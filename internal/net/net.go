@@ -69,18 +69,6 @@ type Flow struct {
 	canceled bool
 }
 
-// Transferred returns the bytes moved by virtual time now.
-func (fl *Flow) Transferred(now sim.Time) int64 {
-	if fl.finished {
-		return int64(fl.total)
-	}
-	p := fl.done + fl.rate*float64(now-fl.lastSync)
-	if p > fl.total {
-		p = fl.total
-	}
-	return int64(p + 0.5)
-}
-
 // Rate returns the flow's current max-min fair rate in bytes/second.
 func (fl *Flow) Rate() float64 { return fl.rate }
 
@@ -167,13 +155,6 @@ func New(eng *sim.Engine, c *cluster.Cluster) (*Fabric, error) {
 	if err := spec.Validate(c.NetBW); err != nil {
 		return nil, err
 	}
-	hostBW := spec.HostBW
-	if hostBW == 0 {
-		hostBW = c.NetBW
-	}
-	if hostBW <= 0 {
-		return nil, fmt.Errorf("net: cluster %q host bandwidth %v MB/s is not positive", c.Name, hostBW)
-	}
 	oversub := spec.Oversub
 	if oversub == 0 {
 		oversub = 1
@@ -185,8 +166,8 @@ func New(eng *sim.Engine, c *cluster.Cluster) (*Fabric, error) {
 		nodes:        n,
 		hostsPerRack: spec.HostsPerRack,
 		racks:        racks,
-		hostBW:       hostBW * MB,
-		rackBW:       hostBW * MB * float64(spec.HostsPerRack) / oversub,
+		hostBW:       c.NetBW * MB,
+		rackBW:       c.NetBW * MB * float64(spec.HostsPerRack) / oversub,
 		links:        make([]link, 2*n+2*racks),
 	}
 	for i := 0; i < 2*n; i++ {
@@ -210,9 +191,6 @@ func (f *Fabric) Racks() int { return f.racks }
 // RackOf returns the rack holding a node: racks are contiguous NodeID
 // blocks of HostsPerRack nodes.
 func (f *Fabric) RackOf(id cluster.NodeID) int { return int(id) / f.hostsPerRack }
-
-// HostBW returns the host access-link capacity in bytes/second.
-func (f *Fabric) HostBW() float64 { return f.hostBW }
 
 // RackBW returns the ToR uplink/downlink capacity in bytes/second.
 func (f *Fabric) RackBW() float64 { return f.rackBW }

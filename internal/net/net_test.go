@@ -39,7 +39,7 @@ func TestEqualShareOnBottleneck(t *testing.T) {
 	eng := sim.New()
 	c := testCluster(8, &cluster.TopologySpec{HostsPerRack: 4})
 	f := mustFabric(t, eng, c)
-	hostBW := f.HostBW()
+	hostBW := f.hostBW
 
 	var fa, fb, fc *Flow
 	eng.After(0, "start", func() {
@@ -218,7 +218,6 @@ func TestValidation(t *testing.T) {
 	}{
 		{"zero-hosts-per-rack", 100, cluster.TopologySpec{HostsPerRack: 0}},
 		{"zero-host-bw", 0, cluster.TopologySpec{HostsPerRack: 4}},
-		{"negative-host-bw", 100, cluster.TopologySpec{HostsPerRack: 4, HostBW: -1}},
 		{"negative-oversub", 100, cluster.TopologySpec{HostsPerRack: 4, Oversub: -2}},
 	}
 	for _, tc := range cases {

@@ -121,14 +121,9 @@ func TestRunErrors(t *testing.T) {
 		{"NaN oversub", withNet(func(c *cluster.Cluster) {
 			c.Topology = &cluster.TopologySpec{HostsPerRack: 4, Oversub: nan}
 		}), Engine{Kind: Hadoop}},
-		{"-Inf host bandwidth", withNet(func(c *cluster.Cluster) {
-			c.Topology = &cluster.TopologySpec{HostsPerRack: 4, HostBW: -inf}
-		}), Engine{Kind: Hadoop}},
 		{"NaN downtime", crashes(faults.Plan{MeanDowntime: sim.Duration(nan)}), Engine{Kind: Hadoop}},
 		{"+Inf downtime", crashes(faults.Plan{MeanDowntime: sim.Duration(inf)}), Engine{Kind: Hadoop}},
 		{"negative downtime", crashes(faults.Plan{MeanDowntime: -5}), Engine{Kind: Hadoop}},
-		{"NaN slowdown", crashes(faults.Plan{MeanSlowdown: sim.Duration(nan)}), Engine{Kind: Hadoop}},
-		{"NaN slow factor", crashes(faults.Plan{MinSlowFactor: nan}), Engine{Kind: Hadoop}},
 	}
 	for _, tc := range cases {
 		if _, err := Run(tc.sc, spec, tc.eng); err == nil {
@@ -224,6 +219,51 @@ func TestEngineString(t *testing.T) {
 		if got := eng.String(); got != want {
 			t.Errorf("Engine%+v.String() = %q, want %q", eng, got, want)
 		}
+	}
+}
+
+// TestEngineLabels: a run's Result.Engine is its Engine.String(), one
+// source for every label the figures print and metrics.NormalizeTo keys
+// on, and each workload job's outcome carries its class's label.
+func TestEngineLabels(t *testing.T) {
+	spec := wcSpec(t, 2)
+	for want, eng := range map[string]Engine{
+		"hadoop-64m":        {Kind: Hadoop},
+		"hadoop-128m":       {Kind: Hadoop, SplitMB: 128},
+		"hadoop-nospec-64m": {Kind: HadoopNoSpec},
+		"skewtune-64m":      {Kind: SkewTune},
+		"flexmap":           {Kind: FlexMap},
+		"flexmap[no-bias]":  {Kind: FlexMap, FlexAblation: "no-bias"},
+		"flexmap+greedy":    {Kind: FlexMap, ReducePlacement: "greedy"},
+	} {
+		if got := eng.String(); got != want {
+			t.Fatalf("Engine%+v.String() = %q, want %q", eng, got, want)
+		}
+		res, err := Run(smallScenario(hetFactory), spec, eng)
+		if err != nil {
+			t.Fatalf("%s: %v", want, err)
+		}
+		if res.Engine != want {
+			t.Errorf("%s: Result.Engine = %q", want, res.Engine)
+		}
+	}
+
+	sc := testWorkload(7, 6)
+	res, err := RunWorkload(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for _, j := range res.Jobs {
+		want := sc.Classes[j.Class].Engine.String()
+		if j.Engine != want || j.Result.Engine != want {
+			t.Errorf("job %s of class %d: outcome engine %q, result engine %q, want %q",
+				j.ID, j.Class, j.Engine, j.Result.Engine, want)
+		}
+		seen[j.Class] = true
+	}
+	if len(seen) != len(sc.Classes) {
+		t.Fatalf("workload drew classes %v, want all %d", seen, len(sc.Classes))
 	}
 }
 

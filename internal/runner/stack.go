@@ -62,9 +62,8 @@ func buildCluster(sc Scenario) (c *cluster.Cluster, inf cluster.Interferer, err 
 // newStack builds the stack from the scenario's shared fields: Name,
 // Cluster, Seed, Replication, NoiseSigma, Faults (validated only),
 // Membership (validated, spares only), Trace and OnFire. It schedules no
-// events. Every job runs under engine.DefaultCostModel; a workload
-// leaves Replication and NoiseSigma zero, so it gets replication 3 and
-// DefaultNoiseSigma.
+// events. A workload leaves Replication and NoiseSigma zero, so it gets
+// replication 3 and DefaultNoiseSigma.
 func newStack(sc Scenario) (*stack, error) {
 	if err := validateFaults(sc.Name, sc.Faults); err != nil {
 		return nil, err
@@ -147,23 +146,19 @@ func validateNet(name string, c *cluster.Cluster) error {
 
 // validateFaults rejects fault rates that would silently disable
 // injection (negative or NaN) or collapse every arrival onto t=0 (+Inf),
-// and mean durations or slow factors that would schedule restores at NaN
-// or +Inf and so never end an outage. Zero durations and factors keep
-// their defaults.
+// and a mean downtime that would schedule restores at NaN or +Inf and so
+// never end an outage. A zero downtime keeps its default.
 func validateFaults(name string, p faults.Plan) error {
 	for _, f := range []struct {
 		field string
 		v     float64
 	}{
 		{"CrashRate", p.CrashRate}, {"SlowdownRate", p.SlowdownRate}, {"PreemptRate", p.PreemptRate},
-		{"MeanDowntime", float64(p.MeanDowntime)}, {"MeanSlowdown", float64(p.MeanSlowdown)},
+		{"MeanDowntime", float64(p.MeanDowntime)},
 	} {
 		if !finiteNonNegative(f.v) {
 			return fmt.Errorf("runner: %q: fault plan %s %v is not finite and non-negative", name, f.field, f.v)
 		}
-	}
-	if math.IsNaN(p.MinSlowFactor) || math.IsNaN(p.MaxSlowFactor) {
-		return fmt.Errorf("runner: %q: fault plan has a NaN slow factor (min %v, max %v)", name, p.MinSlowFactor, p.MaxSlowFactor)
 	}
 	return nil
 }
@@ -205,7 +200,7 @@ func finiteNonNegative(v float64) bool {
 func (s *stack) newJob(spec mr.JobSpec, eng Engine, seed int64, tracer *trace.Tracer,
 	register func(yarn.Scheduler)) (*engine.Driver, *core.AM, error) {
 
-	driver, err := engine.NewDriver(s.eng, s.clus, s.store, s.rm, engine.DefaultCostModel(), spec)
+	driver, err := engine.NewDriver(s.eng, s.clus, s.store, s.rm, spec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -221,9 +216,8 @@ func (s *stack) newJob(spec mr.JobSpec, eng Engine, seed int64, tracer *trace.Tr
 	if err := applyReducePlacement(driver, eng); err != nil {
 		return nil, nil, err
 	}
-	// The engine label is authoritative here: StockAM names itself
-	// "hadoop-<split>m" whether or not speculation is enabled, which
-	// would collide in comparisons that include the no-spec ablation.
+	// Result.Engine is written only here, so every label the figures
+	// print and metrics.NormalizeTo keys on is an Engine.String().
 	driver.Result.Engine = eng.String()
 	return driver, flexAM, nil
 }

@@ -535,11 +535,6 @@ func TestWorkloadValidation(t *testing.T) {
 		t.Error("NaN fault downtime accepted")
 	}
 	if err := bad(func(sc *WorkloadScenario) {
-		sc.Faults = faults.Plan{SlowdownRate: 2, MeanSlowdown: sim.Duration(math.Inf(1))}
-	}); err == nil {
-		t.Error("+Inf mean slowdown accepted")
-	}
-	if err := bad(func(sc *WorkloadScenario) {
 		factory := sc.Cluster
 		sc.Cluster = func() (*cluster.Cluster, cluster.Interferer) {
 			c, _ := factory()

@@ -98,7 +98,7 @@ func multiTenantJob(tb testing.TB, bus int64, frac float64, seed int64, sigma fl
 	rm := yarn.NewRM(eng, c)
 	spec := mr.JobSpec{Name: "wc", InputFile: "input", NumReducers: 8,
 		MapCost: 1, ShuffleRatio: 0.2, ReduceCost: 1}
-	d, err := engine.NewDriver(eng, c, store, rm, engine.DefaultCostModel(), spec)
+	d, err := engine.NewDriver(eng, c, store, rm, spec)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"flexmap/internal/cluster"
-	"flexmap/internal/dfs"
 	"flexmap/internal/engine"
 	"flexmap/internal/mr"
 	"flexmap/internal/sim"
@@ -48,12 +47,10 @@ func New(d *engine.Driver, splitBUs int) (*AM, error) {
 		return nil, err
 	}
 	am := &AM{
-		minRemaining: 4*d.Cost.Overhead() + 2,
+		minRemaining: 4*engine.Overhead + 2,
 		stock:        stock,
 		d:            d,
 	}
-	stock.Name = fmt.Sprintf("skewtune-%dm", int64(splitBUs)*dfs.BUSize/engine.MB)
-	d.Result.Engine = stock.Name
 	d.Register(am) // shadow the stock AM's registration (last Register wins)
 	return am, nil
 }
@@ -127,7 +124,7 @@ func (am *AM) repartition(node *cluster.Node) bool {
 		}
 		am.d.CommitOutputForBUs(victim.Node.ID, done)
 		runtime := sim.Duration(now - start)
-		eff := runtime - am.d.Cost.Overhead()
+		eff := runtime - engine.Overhead
 		if eff < 0 {
 			eff = 0
 		}
@@ -137,7 +134,7 @@ func (am *AM) repartition(node *cluster.Node) bool {
 			Node:      victim.Node.ID,
 			Start:     start,
 			End:       now,
-			Overhead:  am.d.Cost.Overhead(),
+			Overhead:  engine.Overhead,
 			Effective: eff,
 			Bytes:     doneBytes,
 			BUs:       len(done),

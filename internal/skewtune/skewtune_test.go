@@ -32,7 +32,7 @@ func newHarness(t *testing.T, c *cluster.Cluster, fileBUs int64, splitBUs int) *
 		t.Fatal(err)
 	}
 	rm := yarn.NewRM(eng, c)
-	d, err := engine.NewDriver(eng, c, store, rm, engine.DefaultCostModel(), spec)
+	d, err := engine.NewDriver(eng, c, store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSkewTuneBeatsNoMitigation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rm := yarn.NewRM(eng, c)
-	d, err := engine.NewDriver(eng, c, store, rm, engine.DefaultCostModel(), spec)
+	d, err := engine.NewDriver(eng, c, store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

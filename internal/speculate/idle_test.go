@@ -70,7 +70,7 @@ func TestLATEIdle(t *testing.T) {
 	}
 	spec := mr.JobSpec{Name: "wc", InputFile: "input", MapCost: 1}
 	rm := yarn.NewRM(eng, c)
-	d, err := engine.NewDriver(eng, c, store, rm, engine.DefaultCostModel(), spec)
+	d, err := engine.NewDriver(eng, c, store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func benchSelectVictim(b *testing.B, tail int) {
 		b.Fatal(err)
 	}
 	rm := yarn.NewRM(eng, c)
-	d, err := engine.NewDriver(eng, c, store, rm, engine.DefaultCostModel(), mr.JobSpec{Name: "wc", InputFile: "input", MapCost: 1})
+	d, err := engine.NewDriver(eng, c, store, rm, mr.JobSpec{Name: "wc", InputFile: "input", MapCost: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

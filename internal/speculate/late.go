@@ -94,7 +94,7 @@ func (l *LATE) Pick(d *engine.Driver, node *cluster.Node, candidates []*engine.M
 	// A copy is only worth launching if the idle node could beat the
 	// current attempt: compare estimated fresh runtime against the
 	// straggler's estimated remaining time.
-	fresh := sim.Duration(d.Cost.Overhead()) + d.Cost.MapEffective(victim.Bytes, d.Spec.MapCost, node.Speed())
+	fresh := engine.Overhead + engine.MapEffective(victim.Bytes, d.Spec.MapCost, node.Speed())
 	if fresh >= worst {
 		return nil
 	}

@@ -29,7 +29,7 @@ func runStock(t *testing.T, policy engine.SpeculationPolicy, slowSpeed float64) 
 	}
 	spec := mr.JobSpec{Name: "wc", InputFile: "input", MapCost: 1, ShuffleRatio: 0, ReduceCost: 0}
 	rm := yarn.NewRM(eng, c)
-	d, err := engine.NewDriver(eng, c, store, rm, engine.DefaultCostModel(), spec)
+	d, err := engine.NewDriver(eng, c, store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestLATEPickDeclinesOnSlowNode(t *testing.T) {
 	}
 	spec := mr.JobSpec{Name: "wc", InputFile: "input", MapCost: 1, ShuffleRatio: 0, ReduceCost: 0}
 	rm := yarn.NewRM(eng, c)
-	d, err := engine.NewDriver(eng, c, store, rm, engine.DefaultCostModel(), spec)
+	d, err := engine.NewDriver(eng, c, store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,7 +147,7 @@ func runAudited(t *testing.T, kind string, seed int64, audit *scanAudit) {
 		t.Fatal(err)
 	}
 	rm := yarn.NewRM(eng, clus)
-	d, err := engine.NewDriver(eng, clus, store, rm, engine.DefaultCostModel(), spec)
+	d, err := engine.NewDriver(eng, clus, store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func referenceGenerate(seed int64, p Pattern, classes []Class) []Arrival {
 func TestGenerateMatchesReference(t *testing.T) {
 	patterns := map[string]Pattern{
 		"poisson": {Jobs: 60, Rate: 0.5},
-		"burst":   {Jobs: 60, Rate: 0.2, Process: Burst, BurstFactor: 3, BurstDuty: 0.25, BurstPeriod: 300},
+		"burst":   {Jobs: 60, Rate: 0.2, Process: Burst},
 		"single":  {Jobs: 1, Rate: 2},
 	}
 	mixes := map[string][]Class{

@@ -29,14 +29,25 @@ const (
 	// interarrivals at the configured mean rate.
 	Poisson Process = "poisson"
 	// Burst is a piecewise-constant-rate Poisson process alternating
-	// between an on-phase at BurstFactor × the mean rate and a quiet
+	// between an on-phase at burstFactor × the mean rate and a quieter
 	// off-phase, with the off-rate solved so the long-run mean still
 	// matches Rate. The alternation is exact (memoryless restart at
 	// phase boundaries), not an approximation.
 	Burst Process = "burst"
 )
 
-// Pattern parameterizes an arrival sequence.
+// The burst process's fixed shape: each burstPeriod-second cycle spends
+// burstDuty of its length in an on-phase at burstFactor × Rate and the
+// rest in an off-phase at Rate·(1−burstDuty·burstFactor)/(1−burstDuty),
+// which is Rate/4.
+const (
+	burstFactor float64      = 4
+	burstDuty   float64      = 0.2
+	burstPeriod sim.Duration = 600
+)
+
+// Pattern parameterizes an arrival sequence. A Burst pattern spends the
+// first 120 s of every 600 s cycle at 4 × Rate and the rest at Rate/4.
 type Pattern struct {
 	// Jobs is the number of arrivals to generate.
 	Jobs int
@@ -44,32 +55,12 @@ type Pattern struct {
 	Rate float64
 	// Process defaults to Poisson.
 	Process Process
-
-	// BurstFactor is the on-phase rate multiplier (Burst only;
-	// default 4). The off-phase rate is Rate·(1−Duty·Factor)/(1−Duty),
-	// which requires Duty·Factor ≤ 1.
-	BurstFactor float64
-	// BurstDuty is the fraction of each cycle spent in the on-phase
-	// (Burst only; default 0.2, must lie in (0,1)).
-	BurstDuty float64
-	// BurstPeriod is the on+off cycle length in seconds (Burst only;
-	// default 600).
-	BurstPeriod sim.Duration
 }
 
-// withDefaults fills zero burst fields.
+// withDefaults fills a zero Process.
 func (p Pattern) withDefaults() Pattern {
 	if p.Process == "" {
 		p.Process = Poisson
-	}
-	if p.BurstFactor == 0 {
-		p.BurstFactor = 4
-	}
-	if p.BurstDuty == 0 {
-		p.BurstDuty = 0.2
-	}
-	if p.BurstPeriod == 0 {
-		p.BurstPeriod = 600
 	}
 	return p
 }
@@ -83,21 +74,7 @@ func (p Pattern) validate() error {
 		return fmt.Errorf("workload: pattern needs a positive finite Rate, got %v", p.Rate)
 	}
 	switch p.Process {
-	case Poisson:
-	case Burst:
-		if p.BurstFactor < 1 {
-			return fmt.Errorf("workload: BurstFactor must be ≥ 1, got %v", p.BurstFactor)
-		}
-		if p.BurstDuty <= 0 || p.BurstDuty >= 1 {
-			return fmt.Errorf("workload: BurstDuty must lie in (0,1), got %v", p.BurstDuty)
-		}
-		if p.BurstFactor*p.BurstDuty > 1 {
-			return fmt.Errorf("workload: BurstFactor×BurstDuty = %v exceeds 1 (off-phase rate would be negative)",
-				p.BurstFactor*p.BurstDuty)
-		}
-		if p.BurstPeriod <= 0 {
-			return fmt.Errorf("workload: BurstPeriod must be positive, got %v", p.BurstPeriod)
-		}
+	case Poisson, Burst:
 	default:
 		return fmt.Errorf("workload: unknown process %q", p.Process)
 	}
@@ -186,10 +163,10 @@ func nextArrival(t float64, p Pattern, src *randutil.Source) float64 {
 	// the memoryless property makes restarting at each phase boundary
 	// exact, not approximate.
 	w := src.ExpFloat64()
-	hi := p.Rate * p.BurstFactor
-	lo := p.Rate * (1 - p.BurstDuty*p.BurstFactor) / (1 - p.BurstDuty)
-	period := float64(p.BurstPeriod)
-	onLen := p.BurstDuty * period
+	hi := p.Rate * burstFactor
+	lo := p.Rate * (1 - burstDuty*burstFactor) / (1 - burstDuty)
+	period := float64(burstPeriod)
+	onLen := burstDuty * period
 	for {
 		phase := math.Mod(t, period)
 		var rate, phaseEnd float64
@@ -199,11 +176,6 @@ func nextArrival(t float64, p Pattern, src *randutil.Source) float64 {
 			rate, phaseEnd = lo, period
 		}
 		span := phaseEnd - phase
-		if rate <= 0 {
-			// Degenerate duty·factor = 1: the off-phase is silent, skip it.
-			t += span
-			continue
-		}
 		if spent := rate * span; w > spent {
 			w -= spent
 			t += span

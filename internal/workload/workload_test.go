@@ -21,7 +21,7 @@ func testClasses() []Class {
 func TestArrivalsSortedAndReplayable(t *testing.T) {
 	patterns := map[string]Pattern{
 		"poisson": {Jobs: 500, Rate: 0.5},
-		"burst":   {Jobs: 500, Rate: 0.5, Process: Burst, BurstFactor: 5, BurstDuty: 0.1, BurstPeriod: 300},
+		"burst":   {Jobs: 500, Rate: 0.5, Process: Burst},
 	}
 	classes := testClasses()
 	for name, p := range patterns {
@@ -95,12 +95,12 @@ func TestPoissonRateMatches(t *testing.T) {
 }
 
 // TestBurstRateMatches checks the bursty process still delivers the
-// configured long-run mean rate, and that arrivals concentrate in the
-// on-phase (the burst actually bursts).
+// configured long-run mean rate, that arrivals concentrate in the
+// on-phase (the burst actually bursts), and that the off-phase runs at
+// Rate·(1−burstDuty·burstFactor)/(1−burstDuty) = Rate/4.
 func TestBurstRateMatches(t *testing.T) {
 	const jobs, rate = 20000, 1.0
-	p := Pattern{Jobs: jobs, Rate: rate, Process: Burst, BurstFactor: 4, BurstDuty: 0.2, BurstPeriod: 200}
-	got, err := Generate(11, p, testClasses())
+	got, err := Generate(11, Pattern{Jobs: jobs, Rate: rate, Process: Burst}, testClasses())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +111,18 @@ func TestBurstRateMatches(t *testing.T) {
 	}
 	inBurst := 0
 	for _, a := range got {
-		if math.Mod(float64(a.At), float64(p.BurstPeriod)) < p.BurstDuty*float64(p.BurstPeriod) {
+		if math.Mod(float64(a.At), float64(burstPeriod)) < burstDuty*float64(burstPeriod) {
 			inBurst++
 		}
 	}
 	// Expected on-phase share = duty·factor = 0.8.
 	share := float64(inBurst) / float64(jobs)
-	if share < 0.7 {
-		t.Fatalf("only %.2f of arrivals in the on-phase; bursts are not bursting", share)
+	if math.Abs(share-burstDuty*burstFactor) > 0.02 {
+		t.Fatalf("%.3f of arrivals in the on-phase, want ≈%v", share, burstDuty*burstFactor)
+	}
+	off := float64(jobs-inBurst) / (span * (1 - burstDuty))
+	if math.Abs(off-rate/4)/(rate/4) > 0.05 {
+		t.Fatalf("empirical off-phase rate %.4f, want ≈%v", off, rate/4)
 	}
 }
 
@@ -150,8 +154,6 @@ func TestValidation(t *testing.T) {
 		{"no jobs", Pattern{Rate: 1}, classes},
 		{"no rate", Pattern{Jobs: 1}, classes},
 		{"bad process", Pattern{Jobs: 1, Rate: 1, Process: "zipf"}, classes},
-		{"bad duty", Pattern{Jobs: 1, Rate: 1, Process: Burst, BurstDuty: 1.5, BurstFactor: 2}, classes},
-		{"overdriven burst", Pattern{Jobs: 1, Rate: 1, Process: Burst, BurstFactor: 8, BurstDuty: 0.5}, classes},
 		{"no classes", Pattern{Jobs: 1, Rate: 1}, nil},
 		{"zero weight", Pattern{Jobs: 1, Rate: 1}, []Class{{Weight: 0, MinBytes: 1, MaxBytes: 2}}},
 		{"bad size range", Pattern{Jobs: 1, Rate: 1}, []Class{{Weight: 1, MinBytes: 10, MaxBytes: 5}}},
