@@ -3,19 +3,24 @@
 // may be oversubscribed) carrying discrete flows for map remote fetches,
 // speculative copies, and reduce shuffle streams.
 //
-// Bandwidth is shared max-min fairly by progressive filling: whenever a
-// flow starts, finishes, or is canceled, every active flow's progress is
-// folded in at its old rate, rates are refilled — repeatedly freezing the
-// flows crossing the most-contended link at that link's equal share — and
-// flows whose rate changed get their completion events rescheduled through
-// sim.Handle's lazy-cancel path.
+// Bandwidth is shared max-min fairly by progressive filling: repeatedly
+// freezing the unfrozen flows crossing the most-contended link at that
+// link's equal share. Max-min fair rates split across the connected
+// components of the flow–link graph, so when a flow starts, finishes or
+// is canceled, only its component is refilled: every active flow's
+// progress is folded in at its old rate, a walk from the changed flow's
+// links collects the component, its rates are refilled, and its flows
+// whose rate changed get their completion events rescheduled through
+// sim.Handle's lazy-cancel path. Flows outside keep their rate and their
+// event.
 //
-// Each link keeps the list of active flows crossing it, and an indexed
-// min-heap over the links in play, keyed on (share, link index), yields
-// each round's bottleneck. A freeze round walks only the bottleneck's
-// list and re-keys only the links its flows cross, so one change costs
-// O(F·p·log L) for F active flows of path length p ≤ 4 over L links in
-// play, not a scan of every link and every flow per round.
+// Each link keeps the list of active flows crossing it, which the walk
+// follows, and an indexed min-heap over the links in play, keyed on
+// (share, link index), yields each round's bottleneck. A freeze round
+// walks only the bottleneck's list and re-keys only the links its flows
+// cross, so one change costs O(F) to fold in progress plus
+// O(C·p·log L_C) to refill a component of C flows of path length p ≤ 4
+// over L_C links.
 //
 // # Determinism
 //
@@ -25,7 +30,10 @@
 // every frozen flow subtracts the same share from each link it crosses,
 // so a link's remaining capacity goes through the same float operations
 // whatever order its list is walked in, and the rates do not depend on
-// list order.
+// list order. A freeze changes only its own component's links, so a
+// component's fill freezes in the same (share, link index) order as a
+// fill over every active flow, and its rates come out bit for bit the
+// same.
 package net
 
 import (
@@ -55,7 +63,7 @@ type Flow struct {
 	total float64 // bytes
 	done  float64 // bytes moved as of lastSync
 	rate  float64 // bytes/second since lastSync; -1 while unfrozen in fill
-	prev  float64 // rate before the current fill
+	prev  float64 // rate before the last fill that reached the flow
 	start sim.Time
 
 	lastSync sim.Time
@@ -136,11 +144,15 @@ type Fabric struct {
 	// links is the flat edge array: hostUp[n] ++ hostDown[n] ++
 	// rackUp[racks] ++ rackDown[racks].
 	links []link
-	heap  []int32 // fill scratch: links with unfrozen flows, min (share, index) first
+	heap  []int32 // fill scratch: the walk's queue, then links with unfrozen flows, min (share, index) first
 	dirty []int32 // fill scratch: links re-keyed after the current round
 
 	active []*Flow // start order (ascending id)
 	nextID uint64
+
+	// Fill counters, read only by tests: recomputes run, active flows
+	// synced over them, and flows their component walks reached.
+	recomputes, synced, filled int64
 
 	crossRackBytes int64
 }
@@ -298,7 +310,7 @@ func (f *Fabric) admit(fl *Flow) {
 		l.flows = append(l.flows, fl)
 	}
 	f.Trace.NetFlowStart(fl.label, fl.dst, fl.src, int64(fl.total), fl.cross)
-	f.recompute()
+	f.recompute(fl)
 }
 
 // finish completes a flow at its scheduled time.
@@ -310,7 +322,7 @@ func (f *Fabric) finish(fl *Flow) {
 	f.remove(fl)
 	f.account(fl, int64(fl.total))
 	f.Trace.NetFlowEnd(fl.label, fl.dst, int64(fl.total), fl.cross, sim.Duration(f.eng.Now()-fl.start), false)
-	f.recompute()
+	f.recompute(fl)
 	fl.onDone()
 }
 
@@ -330,7 +342,7 @@ func (f *Fabric) Cancel(fl *Flow) int64 {
 	transferred := int64(fl.done + 0.5)
 	f.account(fl, transferred)
 	f.Trace.NetFlowEnd(fl.label, fl.dst, transferred, fl.cross, sim.Duration(now-fl.start), true)
-	f.recompute()
+	f.recompute(fl)
 	return transferred
 }
 
@@ -370,30 +382,43 @@ func (f *Fabric) remove(fl *Flow) {
 	}
 }
 
-// recompute reassigns every active flow's rate by progressive filling and
-// reschedules completion events for flows whose rate changed. It touches
-// only the links referenced by active flows, so cost scales with the flow
-// population, not the fabric size.
-func (f *Fabric) recompute() {
+// recompute reshares bandwidth after fl started, finished or was
+// canceled. Max-min fair rates split across the connected components of
+// the flow–link graph, so only the component fl's links reach can move:
+// it folds every active flow's progress in at its old rate, refills that
+// component by progressive filling and reschedules the completion events
+// of its flows whose rate changed. A removed flow is already off its
+// links' lists, so the walk from its links covers every piece its old
+// component split into. Flows outside keep their rate and their event.
+func (f *Fabric) recompute(fl *Flow) {
 	if len(f.active) == 0 {
 		return
 	}
 	now := f.eng.Now()
-	// Fold in progress at the old rates before they change, and put every
-	// link in play into the heap with its full capacity. The previous fill
-	// drained the heap, so hpos < 0 marks a link not yet seen in this one.
-	for _, fl := range f.active {
-		fl.sync(now)
-		fl.prev, fl.rate = fl.rate, -1
-		for i := 0; i < fl.npath; i++ {
-			li := fl.path[i]
-			l := &f.links[li]
-			if l.hpos < 0 {
-				l.capRem = l.cap
-				l.cnt = int32(len(l.flows))
-				l.share = l.capRem / float64(l.cnt)
-				l.hpos = int32(len(f.heap))
-				f.heap = append(f.heap, li)
+	// Fold in progress at the old rates for every flow, not only the
+	// component's: folding at each change fixes done's float rounding,
+	// and Cancel's byte counts with it.
+	for _, o := range f.active {
+		o.sync(now)
+	}
+	f.recomputes++
+	f.synced += int64(len(f.active))
+	// Walk the component breadth first, with the heap slice as the queue:
+	// put each reached link into play once with its full capacity, and
+	// mark each reached flow unfrozen (rate -1). The previous fill drained
+	// the heap, so hpos < 0 marks a link not yet reached in this one.
+	for i := 0; i < fl.npath; i++ {
+		f.play(fl.path[i])
+	}
+	for q := 0; q < len(f.heap); q++ {
+		for _, o := range f.links[f.heap[q]].flows {
+			if o.rate < 0 {
+				continue
+			}
+			o.prev, o.rate = o.rate, -1
+			f.filled++
+			for i := 0; i < o.npath; i++ {
+				f.play(o.path[i])
 			}
 		}
 	}
@@ -413,13 +438,13 @@ func (f *Fabric) recompute() {
 			// completion events stay finite.
 			bestShare = 1e-9
 		}
-		for _, fl := range best.flows {
-			if fl.rate >= 0 {
+		for _, o := range best.flows {
+			if o.rate >= 0 {
 				continue
 			}
-			fl.rate = bestShare
-			for i := 0; i < fl.npath; i++ {
-				li := fl.path[i]
+			o.rate = bestShare
+			for i := 0; i < o.npath; i++ {
+				li := o.path[i]
 				l := &f.links[li]
 				l.cnt--
 				l.capRem -= bestShare
@@ -448,17 +473,33 @@ func (f *Fabric) recompute() {
 	}
 	// Reschedule only flows whose rate actually changed: an unchanged rate
 	// means the previously scheduled completion instant is still exact.
-	for _, fl := range f.active {
-		if fl.rate == fl.prev {
+	// Setting prev keeps rate == prev for flows the next fills leave out.
+	for _, o := range f.active {
+		if o.rate == o.prev {
 			continue
 		}
-		rem := fl.total - fl.done
+		o.prev = o.rate
+		rem := o.total - o.done
 		if rem < 0 {
 			rem = 0
 		}
-		fl.ev.Cancel()
-		fl.ev = f.eng.After(sim.Duration(rem/fl.rate), "net-flow-done", fl.complete)
+		o.ev.Cancel()
+		o.ev = f.eng.After(sim.Duration(rem/o.rate), "net-flow-done", o.complete)
 	}
+}
+
+// play puts link li into play for the current fill, unless it already is
+// or no active flow crosses it.
+func (f *Fabric) play(li int32) {
+	l := &f.links[li]
+	if l.hpos >= 0 || len(l.flows) == 0 {
+		return
+	}
+	l.capRem = l.cap
+	l.cnt = int32(len(l.flows))
+	l.share = l.capRem / float64(l.cnt)
+	l.hpos = int32(len(f.heap))
+	f.heap = append(f.heap, li)
 }
 
 // heapLess orders links in play by (share, index): the lowest share is

@@ -1,6 +1,7 @@
 package net
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -286,17 +287,50 @@ func referenceRates(caps []float64, paths [][]int32) (rates, capRem []float64) {
 	return rates, capRem
 }
 
-// churnGeoms are the geometries a churn script may run on: racks of
-// 4/6/20 hosts behind 1:1, 4:1 and 8:1 cores. At 4 hosts and 4:1 the rack
-// links have the host links' capacity.
-var churnGeoms = []cluster.TopologySpec{
-	{HostsPerRack: 4, Oversub: 1}, {HostsPerRack: 4, Oversub: 4}, {HostsPerRack: 4, Oversub: 8},
-	{HostsPerRack: 6, Oversub: 1}, {HostsPerRack: 6, Oversub: 4}, {HostsPerRack: 6, Oversub: 8},
-	{HostsPerRack: 20, Oversub: 1}, {HostsPerRack: 20, Oversub: 4}, {HostsPerRack: 20, Oversub: 8},
+// churnGeom is one geometry a churn script may run on.
+type churnGeom struct {
+	topo  cluster.TopologySpec
+	racks int
+	pace  sim.Time // divides the script's time gaps
 }
 
-// churnRacks is the rack count of every churn geometry.
-const churnRacks = 3
+// name labels a geometry's subtests. The three-rack cells keep the names
+// they had before the rack count varied.
+func (g churnGeom) name() string {
+	name := fmt.Sprintf("hpr%d-oversub%g", g.topo.HostsPerRack, g.topo.Oversub)
+	if g.racks != 3 {
+		name = fmt.Sprintf("racks%d-%s", g.racks, name)
+	}
+	return name
+}
+
+// churnGeoms are the geometries a churn script may run on: three racks
+// of 4/6/20 hosts behind 1:1, 4:1 and 8:1 cores, then 20 racks of 20
+// behind 4:1 and 8:1, shaped like the benchmark's 2,000-node fabric. At
+// 4 hosts and 4:1 the rack links have the host links' capacity. Three
+// racks rarely split a script's flows into disjoint components. The wide
+// cells do, and their scripts run at four times the pace, which keeps
+// about 50 flows in the fabric, so a fill reaches about a third of them.
+// New geometries go at the end, so that a corpus entry's first byte keeps
+// naming the same geometry.
+var churnGeoms = []churnGeom{
+	{cluster.TopologySpec{HostsPerRack: 4, Oversub: 1}, 3, 1},
+	{cluster.TopologySpec{HostsPerRack: 4, Oversub: 4}, 3, 1},
+	{cluster.TopologySpec{HostsPerRack: 4, Oversub: 8}, 3, 1},
+	{cluster.TopologySpec{HostsPerRack: 6, Oversub: 1}, 3, 1},
+	{cluster.TopologySpec{HostsPerRack: 6, Oversub: 4}, 3, 1},
+	{cluster.TopologySpec{HostsPerRack: 6, Oversub: 8}, 3, 1},
+	{cluster.TopologySpec{HostsPerRack: 20, Oversub: 1}, 3, 1},
+	{cluster.TopologySpec{HostsPerRack: 20, Oversub: 4}, 3, 1},
+	{cluster.TopologySpec{HostsPerRack: 20, Oversub: 8}, 3, 1},
+	{cluster.TopologySpec{HostsPerRack: 20, Oversub: 4}, 20, 4},
+	{cluster.TopologySpec{HostsPerRack: 20, Oversub: 8}, 20, 4},
+}
+
+// cluster builds the geometry's cluster.
+func (g churnGeom) cluster() *cluster.Cluster {
+	return testCluster(g.racks*g.topo.HostsPerRack, &g.topo)
+}
 
 // Churn op kinds.
 const (
@@ -317,14 +351,16 @@ type churnOp struct {
 }
 
 // churnOpBytes is the encoded size of one op.
-const churnOpBytes = 5
+const churnOpBytes = 7
 
 // decodeChurn turns bytes into a geometry and a churn script. The first
-// byte picks the geometry; each following 5 bytes are one op: kind, time
-// gap since the previous op, two selectors and a size of 1–256 × 2 MB.
-// A quarter of the gaps are zero, so ops often share an instant; the rest
-// are up to 0.37 s, which keeps tens of flows in the fabric.
-func decodeChurn(data []byte) (cluster.TopologySpec, []churnOp) {
+// byte picks the geometry; each following 7 bytes are one op: kind, time
+// gap since the previous op, two little-endian 16-bit selectors, which
+// reach every node and rack of the widest geometry, and a size of
+// 1–256 × 2 MB. A quarter of the gaps are zero, so ops often share an
+// instant; the rest are up to 0.37 s over the geometry's pace, which
+// keeps tens of flows in the fabric.
+func decodeChurn(data []byte) (churnGeom, []churnOp) {
 	if len(data) == 0 {
 		return churnGeoms[0], nil
 	}
@@ -333,14 +369,14 @@ func decodeChurn(data []byte) (cluster.TopologySpec, []churnOp) {
 	var at sim.Time
 	for b := data[1:]; len(b) >= churnOpBytes; b = b[churnOpBytes:] {
 		if b[1] >= 64 {
-			at += sim.Time(b[1]-64) / 512
+			at += sim.Time(b[1]-64) / 512 / geom.pace
 		}
 		ops = append(ops, churnOp{
 			at:    at,
 			kind:  int(b[0]) % numOps,
-			x:     int(b[2]),
-			y:     int(b[3]),
-			bytes: int64(1+int(b[4])) * 2 * MB,
+			x:     int(binary.LittleEndian.Uint16(b[2:])),
+			y:     int(binary.LittleEndian.Uint16(b[4:])),
+			bytes: int64(1+int(b[6])) * 2 * MB,
 		})
 	}
 	return geom, ops
@@ -386,13 +422,13 @@ func playChurn(eng *sim.Engine, ops []churnOp, start func(k int, op churnOp), ca
 func churnLabel(k int) string { return fmt.Sprintf("flow-%03d", k) }
 
 // runFabric plays a script on the fabric, checks it against the model
-// after every start, cancel and finish, and returns what it observed and
-// each started flow's path.
-func runFabric(t testing.TB, geom cluster.TopologySpec, ops []churnOp) ([]churnEvent, [][]int32) {
+// after every start, cancel and finish, and returns what it observed,
+// each started flow's path and the fabric.
+func runFabric(t testing.TB, geom churnGeom, ops []churnOp) ([]churnEvent, [][]int32, *Fabric) {
 	t.Helper()
 	eng := sim.New()
-	n := churnRacks * geom.HostsPerRack
-	f, err := New(eng, testCluster(n, &geom))
+	n := geom.racks * geom.topo.HostsPerRack
+	f, err := New(eng, geom.cluster())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +460,7 @@ func runFabric(t testing.TB, geom cluster.TopologySpec, ops []churnOp) ([]churnE
 		case opAggOwn:
 			fl = f.StartAggFlow(f.RackOf(dst), dst, op.bytes, label, done)
 		case opAggRack:
-			fl = f.StartAggFlow(op.x%churnRacks, dst, op.bytes, label, done)
+			fl = f.StartAggFlow(op.x%geom.racks, dst, op.bytes, label, done)
 		case opAggRemote:
 			fl = f.StartAggFlow(AllRemoteRacks, dst, op.bytes, label, done)
 		}
@@ -439,7 +475,7 @@ func runFabric(t testing.TB, geom cluster.TopologySpec, ops []churnOp) ([]churnE
 	if len(f.active) != 0 {
 		t.Fatalf("%d flows still active after drain", len(f.active))
 	}
-	return log, paths
+	return log, paths, f
 }
 
 // checkAgainstReference compares the fabric's rates and per-link
@@ -504,9 +540,9 @@ type refFlow struct {
 // lists: sync every flow, refill from scratch with referenceRates, and
 // reschedule the flows whose rate changed, in start order. paths are the
 // flows' links as the fabric routed them.
-func runReference(geom cluster.TopologySpec, ops []churnOp, paths [][]int32) []churnEvent {
+func runReference(geom churnGeom, ops []churnOp, paths [][]int32) []churnEvent {
 	eng := sim.New()
-	f, err := New(eng, testCluster(churnRacks*geom.HostsPerRack, &geom))
+	f, err := New(eng, geom.cluster())
 	if err != nil {
 		panic(err)
 	}
@@ -567,11 +603,11 @@ func runReference(geom cluster.TopologySpec, ops []churnOp, paths [][]int32) []c
 
 // checkChurn runs an encoded script on the fabric and on the reference
 // and requires the same finishes and cancels, at the same instants, in
-// the same order.
-func checkChurn(t testing.TB, data []byte) {
+// the same order. It returns the fabric the script ran on.
+func checkChurn(t testing.TB, data []byte) *Fabric {
 	t.Helper()
 	geom, ops := decodeChurn(data)
-	got, paths := runFabric(t, geom, ops)
+	got, paths, f := runFabric(t, geom, ops)
 	want := runReference(geom, ops, paths)
 	for i := range min(len(got), len(want)) {
 		if got[i] != want[i] {
@@ -581,6 +617,7 @@ func checkChurn(t testing.TB, data []byte) {
 	if len(got) != len(want) {
 		t.Fatalf("fabric logged %d events, reference %d", len(got), len(want))
 	}
+	return f
 }
 
 // churnSeeds are the model test's seeds per geometry; the fuzz target
@@ -592,16 +629,28 @@ const churnScriptOps = 300
 
 // TestFabricMatchesReference drives seeded random churn — point-to-point
 // flows, aggregates from all three source kinds, cancels and natural
-// finishes — over every churn geometry, and requires the incremental fill
-// to reproduce the from-scratch reference bit for bit after every
-// mutation, and the reference's completion schedule.
+// finishes — over every churn geometry, and requires the component-scoped
+// fill to reproduce the global from-scratch reference bit for bit after
+// every mutation, and the reference's completion schedule. The wide cells
+// must keep splitting the flows: their fills reach 15.5 of 48.5 active
+// flows on average, and the test fails above half.
 func TestFabricMatchesReference(t *testing.T) {
+	var recomputes, filled, synced int64
 	for gi, geom := range churnGeoms {
 		for _, seed := range churnSeeds {
-			t.Run(fmt.Sprintf("hpr%d-oversub%g-seed%d", geom.HostsPerRack, geom.Oversub, seed), func(t *testing.T) {
-				checkChurn(t, churnBytes(gi, seed, churnScriptOps))
+			t.Run(fmt.Sprintf("%s-seed%d", geom.name(), seed), func(t *testing.T) {
+				f := checkChurn(t, churnBytes(gi, seed, churnScriptOps))
+				if geom.racks > 3 {
+					recomputes += f.recomputes
+					filled, synced = filled+f.filled, synced+f.synced
+				}
 			})
 		}
+	}
+	t.Logf("wide cells: %.1f flows filled of %.1f active per recompute",
+		float64(filled)/float64(recomputes), float64(synced)/float64(recomputes))
+	if 2*filled > synced {
+		t.Errorf("wide cells filled %d of %d synced flows, more than half: their scripts no longer split into components", filled, synced)
 	}
 }
 
@@ -642,6 +691,41 @@ func TestFabricChurnAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("StartFlow+Cancel with 100 flows resharing: %v allocs, want ≤ 2 (Flow and callback)", allocs)
+	}
+}
+
+// TestFabricDisjointComponentUntouched starts and cancels a flow in one
+// rack while about 100 flows share a receiver in another, and requires
+// that neither fill reaches a background flow: each keeps its rate bit
+// for bit and its completion event, uncanceled.
+func TestFabricDisjointComponentUntouched(t *testing.T) {
+	eng := sim.New()
+	f := mustFabric(t, eng, testCluster(256, &cluster.TopologySpec{HostsPerRack: 128}))
+	var bg []*Flow
+	for i := 1; i <= 100; i++ {
+		bg = append(bg, f.StartFlow(cluster.NodeID(i), 0, 100*MB, "bg", func() {}))
+	}
+	rates := make([]uint64, len(bg))
+	events := make([]sim.Handle, len(bg))
+	for i, fl := range bg {
+		rates[i], events[i] = math.Float64bits(fl.rate), fl.ev
+	}
+	filled := f.filled
+	fl := f.StartFlow(200, 129, 100*MB, "other-rack", func() {})
+	if got := f.filled - filled; got != 1 {
+		t.Errorf("starting a flow alone in its rack filled %d flows, want 1", got)
+	}
+	f.Cancel(fl)
+	if got := f.filled - filled; got != 1 {
+		t.Errorf("canceling a flow alone in its rack filled %d flows, want none", got-1)
+	}
+	for i, fl := range bg {
+		if math.Float64bits(fl.rate) != rates[i] {
+			t.Errorf("background flow %d: rate %v, was %v", i, fl.rate, math.Float64frombits(rates[i]))
+		}
+		if events[i].Canceled() || fl.ev.At() != events[i].At() {
+			t.Errorf("background flow %d: completion event rescheduled", i)
+		}
 	}
 }
 
