@@ -71,6 +71,38 @@ func TestBadSlowFractionIsError(t *testing.T) {
 	}
 }
 
+// TestBadScheduleIsError: a membership script event before t=0 and a
+// negative MaxSimTime are errors from Run and RunWorkload, not a panic
+// in the event queue or a report of a scheduler hang.
+func TestBadScheduleIsError(t *testing.T) {
+	spec, err := PUMASpec(WordCount, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarios := func() (Scenario, WorkloadScenario) {
+		return Scenario{Name: "bad", Cluster: ClusterHeterogeneous6, Seed: 1, InputSize: 256 * MB},
+			WorkloadScenario{Name: "bad", Cluster: ClusterHeterogeneous6, Seed: 1,
+				Pattern: ArrivalPattern{Jobs: 1, Rate: 1.0 / 60},
+				Classes: []WorkloadClass{{Name: "wc", Weight: 1, MinBytes: 256 * MB, MaxBytes: 256 * MB,
+					Engine: Engine{Kind: FlexMap}, Spec: spec}}}
+	}
+	check := func(name string, sc Scenario, wl WorkloadScenario) {
+		if _, err := Run(sc, spec, Engine{Kind: FlexMap}); err == nil {
+			t.Errorf("%s: Run succeeded, want an error", name)
+		}
+		if _, err := RunWorkload(wl); err == nil {
+			t.Errorf("%s: RunWorkload succeeded, want an error", name)
+		}
+	}
+	sc, wl := scenarios()
+	early := MembershipPlan{Spares: 1, Script: []MembershipEvent{{At: -1, Node: 6, Kind: MembershipJoin}}}
+	sc.Membership, wl.Membership = early, early
+	check("script event before t=0", sc, wl)
+	sc, wl = scenarios()
+	sc.MaxSimTime, wl.MaxSimTime = -1, -1
+	check("negative MaxSimTime", sc, wl)
+}
+
 func TestAllPUMASpecsRunnable(t *testing.T) {
 	sc := Scenario{
 		Name:      "all-puma",

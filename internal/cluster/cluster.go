@@ -5,8 +5,9 @@
 //
 // A node's effective speed is BaseSpeed × interference multiplier. The
 // multiplier is piecewise-constant in virtual time; interference processes
-// change it and registered listeners (running task attempts) are notified
-// so they can re-plan their completion events.
+// change it, and the cluster's one speed hook (the run's executor, set
+// with Cluster.OnSpeedChange) re-plans the completion events of the work
+// running on that node.
 package cluster
 
 import (
@@ -34,18 +35,10 @@ type Node struct {
 	// Slots is the number of containers the node can run concurrently.
 	Slots int
 
-	interference float64 // current multiplier in (0,1]; 1 = no interference
-	down         bool    // crashed (fault injection); no heartbeats, no work
-	offline      bool    // provisioned but not a cluster member (elastic spare)
-	listeners    []func(*Node)
-	epoch        *uint64 // cluster-wide speed epoch (nil for standalone nodes)
-}
-
-// bumpEpoch advances the owning cluster's speed epoch, if any.
-func (n *Node) bumpEpoch() {
-	if n.epoch != nil {
-		*n.epoch++
-	}
+	interference float64  // current multiplier in (0,1]; 1 = no interference
+	down         bool     // crashed (fault injection); no heartbeats, no work
+	offline      bool     // provisioned but not a cluster member (elastic spare)
+	c            *Cluster // owner: speed epoch and speed hook
 }
 
 // Down reports whether the node is unavailable for work. A down node
@@ -67,7 +60,7 @@ func (n *Node) Offline() bool { return n.offline }
 func (n *Node) SetDown(down bool) {
 	if down != n.down {
 		n.down = down
-		n.bumpEpoch()
+		n.c.speedEpoch++
 	}
 }
 
@@ -77,9 +70,9 @@ func (n *Node) Speed() float64 { return n.BaseSpeed * n.interference }
 // Interference returns the current interference multiplier in (0,1].
 func (n *Node) Interference() float64 { return n.interference }
 
-// SetInterference updates the interference multiplier and notifies
-// listeners. Values outside (0,1] panic: a multiplier above 1 would mean
-// interference speeds the node up.
+// SetInterference updates the interference multiplier and calls the
+// cluster's speed hook, if set. Values outside (0,1] panic: a multiplier
+// above 1 would mean interference speeds the node up.
 func (n *Node) SetInterference(mult float64) {
 	if mult <= 0 || mult > 1 {
 		panic(fmt.Sprintf("cluster: interference multiplier %v out of (0,1]", mult))
@@ -88,16 +81,10 @@ func (n *Node) SetInterference(mult float64) {
 		return
 	}
 	n.interference = mult
-	n.bumpEpoch()
-	for _, fn := range n.listeners {
-		fn(n)
+	n.c.speedEpoch++
+	if n.c.onSpeed != nil {
+		n.c.onSpeed(n)
 	}
-}
-
-// OnSpeedChange registers a callback invoked whenever the node's effective
-// speed changes.
-func (n *Node) OnSpeedChange(fn func(*Node)) {
-	n.listeners = append(n.listeners, fn)
 }
 
 // TopologySpec describes a two-level fat-tree fabric: hosts attach to
@@ -162,6 +149,8 @@ type Cluster struct {
 	// of any node. Consumers (e.g. the LATE slow-node percentile) key
 	// caches on it: equal epoch means every node speed is unchanged.
 	speedEpoch uint64
+	// onSpeed is called after any node's interference multiplier changes.
+	onSpeed func(*Node)
 
 	// totalSlots is the slot count over cluster *members* (online nodes).
 	// Per-node slot counts never change, but elastic membership moves
@@ -173,6 +162,16 @@ type Cluster struct {
 // any node's interference multiplier or down flag changes, so a cached
 // speed-derived value is valid exactly while the epoch stands still.
 func (c *Cluster) SpeedEpoch() uint64 { return c.speedEpoch }
+
+// OnSpeedChange sets the hook called whenever a node's interference
+// multiplier changes. A cluster has one hook — the run's executor — so a
+// second call panics: it is a wiring bug, not a runtime condition.
+func (c *Cluster) OnSpeedChange(fn func(*Node)) {
+	if c.onSpeed != nil {
+		panic("cluster: OnSpeedChange called twice")
+	}
+	c.onSpeed = fn
+}
 
 // NewCluster builds a cluster from node specs. Each spec contributes one
 // node; slots default to 2 and base speed to 1.0 when zero. Nodes are
@@ -205,7 +204,7 @@ func NewCluster(name string, specs []NodeSpec) *Cluster {
 			BaseSpeed:    speed,
 			Slots:        slots,
 			interference: 1.0,
-			epoch:        &c.speedEpoch,
+			c:            c,
 		}
 		c.slab[i].offline = s.Offline
 		c.Nodes = append(c.Nodes, &c.slab[i])
@@ -267,7 +266,7 @@ func (c *Cluster) AddSpares(n int, spec NodeSpec) []NodeID {
 			Slots:        slots,
 			interference: 1.0,
 			offline:      true,
-			epoch:        &c.speedEpoch,
+			c:            c,
 		}
 		c.Nodes = append(c.Nodes, &spares[i])
 		ids[i] = id
@@ -286,7 +285,7 @@ func (c *Cluster) JoinNode(id NodeID) {
 	}
 	n.offline = false
 	c.totalSlots += n.Slots
-	n.bumpEpoch()
+	c.speedEpoch++
 }
 
 // ReleaseNode returns a member to the offline pool (elastic scale-in or
@@ -299,7 +298,7 @@ func (c *Cluster) ReleaseNode(id NodeID) {
 	}
 	n.offline = true
 	c.totalSlots -= n.Slots
-	n.bumpEpoch()
+	c.speedEpoch++
 }
 
 // Size returns the number of provisioned worker nodes, online or not.
@@ -378,7 +377,7 @@ func NewStaticInterference(c *Cluster, mults map[NodeID]float64) Interferer {
 }
 
 func (s *staticInterferer) Start(eng *sim.Engine) {
-	// Sorted iteration: SetInterference notifies speed-change listeners,
+	// Sorted iteration: SetInterference calls the cluster's speed hook,
 	// so application order must not depend on map iteration order.
 	for _, id := range maputil.SortedKeys(s.mults) {
 		s.c.Node(id).SetInterference(s.mults[id])

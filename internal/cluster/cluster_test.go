@@ -47,7 +47,7 @@ func TestSpeedAndInterference(t *testing.T) {
 		t.Fatalf("initial speed = %v, want 2", n.Speed())
 	}
 	var notified int
-	n.OnSpeedChange(func(*Node) { notified++ })
+	c.OnSpeedChange(func(*Node) { notified++ })
 	n.SetInterference(0.5)
 	if n.Speed() != 1 {
 		t.Fatalf("speed after interference = %v, want 1", n.Speed())
@@ -57,8 +57,14 @@ func TestSpeedAndInterference(t *testing.T) {
 	}
 	n.SetInterference(0.5) // no change — no notification
 	if notified != 1 {
-		t.Fatalf("redundant SetInterference notified listeners")
+		t.Fatalf("redundant SetInterference called the speed hook")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("second OnSpeedChange did not panic")
+		}
+	}()
+	c.OnSpeedChange(func(*Node) {})
 }
 
 func TestSetInterferenceRejectsBadValues(t *testing.T) {

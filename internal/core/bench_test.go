@@ -27,7 +27,7 @@ func benchMonitor(b *testing.B, n int) *SpeedMonitor {
 		b.Fatal(err)
 	}
 	spec := mr.JobSpec{Name: "wc", InputFile: "input", MapCost: 1}
-	d, err := engine.NewDriver(eng, c, store, yarn.NewRM(eng, c), spec)
+	d, err := engine.NewDriver(engine.NewExecutor(eng, c, engine.BaseIPS), store, yarn.NewRM(eng, c), spec)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -72,8 +72,9 @@ type SizeSample struct {
 	RelSpeed float64
 }
 
-// NewAM builds the FlexMap AM over the driver and registers it with the
-// RM. The rng drives the biased reduce dispatcher's rejection sampling.
+// NewAM builds the FlexMap AM over the driver. It does not bind itself to
+// the RM; the caller does. The rng drives the biased reduce dispatcher's
+// rejection sampling.
 func NewAM(d *engine.Driver, rng *randutil.Source) (*AM, error) {
 	tracker, err := dfs.NewTracker(d.Store, d.Spec.InputFile)
 	if err != nil {
@@ -89,7 +90,6 @@ func NewAM(d *engine.Driver, rng *randutil.Source) (*AM, error) {
 	am.book = engine.NewAttemptBook(d, am.onMapDone)
 	am.book.OnCommit = am.monitor.ReportCompletion
 	d.ReducePlacer = am.placeReducers
-	d.Register(am)
 	d.SetRecovery(am)
 	// A rejoining node's pre-crash speed samples are stale (cold caches,
 	// restarted daemons): reset its window so sizing starts conservative.

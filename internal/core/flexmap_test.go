@@ -24,7 +24,7 @@ func runFlexMap(t *testing.T, c *cluster.Cluster, fileBUs int64, spec mr.JobSpec
 		t.Fatal(err)
 	}
 	rm := yarn.NewRM(eng, c)
-	d, err := engine.NewDriver(eng, c, store, rm, spec)
+	d, err := engine.NewDriver(engine.NewExecutor(eng, c, engine.BaseIPS), store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,6 +33,7 @@ func runFlexMap(t *testing.T, c *cluster.Cluster, fileBUs int64, spec mr.JobSpec
 		t.Fatal(err)
 	}
 	am.Speculation = speculation
+	rm.SetScheduler(am)
 	rm.Start()
 	eng.RunUntil(1e6)
 	if !d.Finished() {
@@ -176,7 +177,7 @@ func TestFlexMapSpeculationRescuesStragglers(t *testing.T) {
 			t.Fatal(err)
 		}
 		rm := yarn.NewRM(eng, c)
-		d, err := engine.NewDriver(eng, c, store, rm, flexSpec(0))
+		d, err := engine.NewDriver(engine.NewExecutor(eng, c, engine.BaseIPS), store, rm, flexSpec(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,6 +186,7 @@ func TestFlexMapSpeculationRescuesStragglers(t *testing.T) {
 			t.Fatal(err)
 		}
 		am.Speculation = spec
+		rm.SetScheduler(am)
 		// Collapse node 0 mid-job.
 		eng.At(20, "collapse", func() { c.Node(0).SetInterference(0.1) })
 		rm.Start()
@@ -233,7 +235,7 @@ func newIdleAM(t *testing.T, c *cluster.Cluster, fileBUs int64) *AM {
 	}
 	rm := yarn.NewRM(eng, c)
 	spec := mr.JobSpec{Name: "wc", InputFile: "input", MapCost: 1, ShuffleRatio: 0, ReduceCost: 0}
-	d, err := engine.NewDriver(eng, c, store, rm, spec)
+	d, err := engine.NewDriver(engine.NewExecutor(eng, c, engine.BaseIPS), store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func newFlexHarness(t *testing.T, c *cluster.Cluster, fileBUs int64, spec mr.Job
 		t.Fatal(err)
 	}
 	rm := yarn.NewRM(eng, c)
-	d, err := engine.NewDriver(eng, c, store, rm, spec)
+	d, err := engine.NewDriver(engine.NewExecutor(eng, c, engine.BaseIPS), store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,6 +44,7 @@ func newFlexHarness(t *testing.T, c *cluster.Cluster, fileBUs int64, spec mr.Job
 		t.Fatal(err)
 	}
 	am.Speculation = speculation
+	rm.SetScheduler(am)
 	w := yarn.NewNodeWatcher(eng, c, rm)
 	d.OnFinished(w.Stop)
 	target := engine.NewFaultTarget(c)
@@ -224,7 +225,7 @@ func TestSpeedMonitorResetNodeClearsWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	rm := yarn.NewRM(eng, c)
-	d, err := engine.NewDriver(eng, c, store, rm, flexSpec(0))
+	d, err := engine.NewDriver(engine.NewExecutor(eng, c, engine.BaseIPS), store, rm, flexSpec(0))
 	if err != nil {
 		t.Fatal(err)
 	}

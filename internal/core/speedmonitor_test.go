@@ -32,7 +32,7 @@ func newMonitorHarness(t *testing.T, specs []cluster.NodeSpec) *monitorHarness {
 	}
 	rm := yarn.NewRM(eng, c)
 	spec := mr.JobSpec{Name: "wc", InputFile: "input", MapCost: 1, ShuffleRatio: 0, ReduceCost: 0}
-	d, err := engine.NewDriver(eng, c, store, rm, spec)
+	d, err := engine.NewDriver(engine.NewExecutor(eng, c, engine.BaseIPS), store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

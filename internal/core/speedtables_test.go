@@ -180,7 +180,7 @@ func TestSpeedTablesMatchReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				rm := yarn.NewRM(eng, clus)
-				d, err := engine.NewDriver(eng, clus, store, rm, spec)
+				d, err := engine.NewDriver(engine.NewExecutor(eng, clus, engine.BaseIPS), store, rm, spec)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -42,13 +42,6 @@ type Driver struct {
 	// sees the full Cluster.NetBW, byte-identical to earlier versions.
 	Net *net.Fabric
 
-	// RegisterScheduler, when non-nil, intercepts Register: instead of
-	// binding the AM straight to the RM (the solo-run default), the
-	// workload runner points it at the inter-job multiplexer so many
-	// jobs can share one RM. AM constructors must register through
-	// Driver.Register, never yarn.RM.SetScheduler directly.
-	RegisterScheduler func(yarn.Scheduler)
-
 	// ReduceViaRM routes the reduce phase through RM container offers
 	// instead of the solo-run shortcut of self-limiting per-node slot
 	// counts. Required under multi-job sharing, where reduce capacity
@@ -118,21 +111,12 @@ type Driver struct {
 // drains.
 func (d *Driver) OnFinished(fn func()) { d.onFinished = append(d.onFinished, fn) }
 
-// Register installs the AM as the recipient of this job's slot offers.
-// When two AMs stack (SkewTune shadowing the stock AM), the last
-// registration wins, matching SetScheduler semantics.
-func (d *Driver) Register(s yarn.Scheduler) {
-	if d.RegisterScheduler != nil {
-		d.RegisterScheduler(s)
-		return
-	}
-	d.RM.SetScheduler(s)
-}
-
-// NewDriver assembles a driver for one run under the calibrated cost
-// model (Overhead, BaseIPS, SpillFactor). The spec must validate and its
-// input file must already exist in the store.
-func NewDriver(eng *sim.Engine, c *cluster.Cluster, store *dfs.Store, rm *yarn.RM, spec mr.JobSpec) (*Driver, error) {
+// NewDriver assembles a driver for one job on the run's executor, whose
+// engine and cluster it shares, under the calibrated cost model
+// (Overhead, BaseIPS, SpillFactor). The spec must validate and its input
+// file must already exist in the store. The driver does not bind an AM:
+// whoever builds the job hands its scheduler to the RM.
+func NewDriver(x *Executor, store *dfs.Store, rm *yarn.RM, spec mr.JobSpec) (*Driver, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -140,13 +124,14 @@ func NewDriver(eng *sim.Engine, c *cluster.Cluster, store *dfs.Store, rm *yarn.R
 	if !ok {
 		return nil, fmt.Errorf("engine: input file %q not in DFS", spec.InputFile)
 	}
+	eng, c := x.eng, x.clus
 	d := &Driver{
 		Eng:          eng,
 		Cluster:      c,
 		Store:        store,
 		RM:           rm,
 		Spec:         spec,
-		Exec:         NewExecutor(eng, c, BaseIPS),
+		Exec:         x,
 		ReducePlacer: EvenReducePlacer,
 		Result: &mr.JobResult{
 			Job:                 spec.Name,

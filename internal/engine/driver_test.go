@@ -148,7 +148,7 @@ func TestRemainingAtLeastMatchesSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDriver(sim.New(), cluster.Homogeneous(4), store, nil, wcSpec(0))
+	d, err := NewDriver(NewExecutor(sim.New(), cluster.Homogeneous(4), BaseIPS), store, nil, wcSpec(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,9 +240,7 @@ func TestZeroShuffleWithReducers(t *testing.T) {
 	spec := mr.JobSpec{Name: "z", InputFile: "input", NumReducers: 4,
 		MapCost: 1, ShuffleRatio: 0, ReduceCost: 1}
 	h := newHarness(t, cluster.Homogeneous(2), 16, spec)
-	if _, err := NewStockAM(h.driver, 8, nil); err != nil {
-		t.Fatal(err)
-	}
+	bindStock(t, h.driver, 8, nil)
 	h.rm.Start()
 	h.eng.Run()
 	if !h.driver.Finished() {
@@ -257,9 +255,7 @@ func TestReduceMultiWavePerNode(t *testing.T) {
 	// 1 node × 2 slots, 6 reducers → three reduce waves on that node.
 	spec := wcSpec(6)
 	h := newHarness(t, cluster.Homogeneous(1), 16, spec)
-	if _, err := NewStockAM(h.driver, 8, nil); err != nil {
-		t.Fatal(err)
-	}
+	bindStock(t, h.driver, 8, nil)
 	h.rm.Start()
 	h.eng.Run()
 	reds := h.driver.Result.ReduceAttempts()
@@ -340,9 +336,7 @@ func TestOnFinishedHooks(t *testing.T) {
 	called := 0
 	h.driver.OnFinished(func() { called++ })
 	h.driver.OnFinished(func() { called++ })
-	if _, err := NewStockAM(h.driver, 8, nil); err != nil {
-		t.Fatal(err)
-	}
+	bindStock(t, h.driver, 8, nil)
 	h.rm.Start()
 	h.eng.Run()
 	if called != 2 {

@@ -29,9 +29,6 @@ type Work struct {
 // Total returns the work size in units.
 func (w *Work) Total() float64 { return w.total }
 
-// Done reports whether the work ran to completion.
-func (w *Work) Done() bool { return w.finished }
-
 // ProcessedUnits returns the units completed by virtual time now.
 func (w *Work) ProcessedUnits(now sim.Time) float64 {
 	if w.finished {
@@ -71,9 +68,10 @@ func (w *Work) plan(eng *sim.Engine) {
 	})
 }
 
-// Executor runs Works on cluster nodes with dynamic speeds. It registers
-// one speed-change listener per node and re-plans all of that node's
-// running works when its speed changes.
+// Executor runs Works on cluster nodes with dynamic speeds. A run has one
+// executor, shared by every job's driver: it is the cluster's speed hook,
+// and re-plans all of a node's running works when that node's speed
+// changes.
 //
 // Per-node state is struct-of-arrays: running works live in flat slices
 // indexed by the dense NodeID, kept in creation (seq) order — appends go
@@ -82,31 +80,32 @@ func (w *Work) plan(eng *sim.Engine) {
 // and no allocation.
 type Executor struct {
 	eng     *sim.Engine
+	clus    *cluster.Cluster
 	baseIPS float64
 	nextSeq uint64
 	running [][]*Work // per node, ascending Work.seq
 }
 
-// NewExecutor wires an executor to every node of the cluster.
+// NewExecutor builds the executor for a run on the cluster and installs
+// it as the cluster's speed hook, so it panics if the cluster already
+// has one.
 func NewExecutor(eng *sim.Engine, c *cluster.Cluster, baseIPS float64) *Executor {
 	x := &Executor{
 		eng:     eng,
+		clus:    c,
 		baseIPS: baseIPS,
 		running: make([][]*Work, c.Size()),
 	}
-	for _, n := range c.Nodes {
-		n.OnSpeedChange(x.onSpeedChange)
-	}
+	c.OnSpeedChange(x.onSpeedChange)
 	return x
 }
 
 func (x *Executor) onSpeedChange(n *cluster.Node) {
 	now := x.eng.Now()
-	// Re-plan in creation order: plan() re-enqueues each completion
-	// event, and the sim queue breaks same-timestamp ties by insertion
-	// sequence. The per-node slice is maintained in seq order, so
-	// iterating it directly preserves the deterministic order the former
-	// map-collect-and-sort produced.
+	// Re-plan in creation order across every job's works: plan()
+	// re-enqueues each completion event, and the sim queue breaks
+	// same-timestamp ties by insertion sequence. The per-node slice is
+	// maintained in seq order, so iterating it directly is that order.
 	for _, w := range x.running[n.ID] {
 		w.sync(now)
 		w.rate = x.rateOn(n)
@@ -162,12 +161,4 @@ func (x *Executor) detach(w *Work) {
 			return
 		}
 	}
-}
-
-// RunningOn returns the number of works currently executing on a node.
-func (x *Executor) RunningOn(id cluster.NodeID) int {
-	if int(id) < 0 || int(id) >= len(x.running) {
-		return 0
-	}
-	return len(x.running[id])
 }

@@ -34,13 +34,25 @@ func newHarness(t testing.TB, c *cluster.Cluster, fileBUs int64, spec mr.JobSpec
 		t.Fatal(err)
 	}
 	rm := yarn.NewRM(eng, c)
-	d, err := NewDriver(eng, c, store, rm, spec)
+	d, err := NewDriver(NewExecutor(eng, c, BaseIPS), store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	target := NewFaultTarget(c)
 	target.Add(d)
 	return &harness{eng: eng, clus: c, store: store, rm: rm, driver: d, target: target}
+}
+
+// bindStock builds a stock AM over d and binds it to d's RM, as the
+// runner binds the scheduler it builds for a job.
+func bindStock(t testing.TB, d *Driver, splitBUs int, policy SpeculationPolicy) *StockAM {
+	t.Helper()
+	am, err := NewStockAM(d, splitBUs, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.RM.SetScheduler(am)
+	return am
 }
 
 func wcSpec(reducers int) mr.JobSpec {

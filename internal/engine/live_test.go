@@ -37,7 +37,7 @@ func newLiveHarness(t *testing.T, reducers int) *harness {
 		},
 	}
 	rm := yarn.NewRM(eng, c)
-	d, err := NewDriver(eng, c, store, rm, spec)
+	d, err := NewDriver(NewExecutor(eng, c, BaseIPS), store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +46,7 @@ func newLiveHarness(t *testing.T, reducers int) *harness {
 
 func TestLiveMapReduceThroughStockAM(t *testing.T) {
 	h := newLiveHarness(t, 2)
-	if _, err := NewStockAM(h.driver, 8, nil); err != nil {
-		t.Fatal(err)
-	}
+	bindStock(t, h.driver, 8, nil)
 	h.rm.Start()
 	h.eng.Run()
 	out := h.driver.Result.Output
@@ -61,9 +59,7 @@ func TestLiveMapOnlyCollectsOutput(t *testing.T) {
 	h := newLiveHarness(t, 0)
 	// Map-only: the emit path writes directly into Output.
 	h.driver.Spec.Reducer = nil
-	if _, err := NewStockAM(h.driver, 8, nil); err != nil {
-		t.Fatal(err)
-	}
+	bindStock(t, h.driver, 8, nil)
 	h.rm.Start()
 	h.eng.Run()
 	if len(h.driver.Result.Output) == 0 {
@@ -116,14 +112,12 @@ func TestStockSpeculationRaceViaPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	rm := yarn.NewRM(eng, c)
-	d, err := NewDriver(eng, c, store, rm, wcSpec(0))
+	d, err := NewDriver(NewExecutor(eng, c, BaseIPS), store, rm, wcSpec(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	policy := &fixedPolicy{}
-	if _, err := NewStockAM(d, 8, policy); err != nil {
-		t.Fatal(err)
-	}
+	bindStock(t, d, 8, policy)
 	rm.Start()
 	eng.RunUntil(1e5)
 	if !d.Finished() {
@@ -169,10 +163,7 @@ func TestWorkTotalAccessor(t *testing.T) {
 
 func TestStockAccessors(t *testing.T) {
 	h := newHarness(t, cluster.Homogeneous(2), 16, wcSpec(0))
-	am, err := NewStockAM(h.driver, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	am := bindStock(t, h.driver, 8, nil)
 	if am.Driver() != h.driver {
 		t.Fatal("Driver() mismatch")
 	}

@@ -37,9 +37,7 @@ func checkExactlyOnce(t *testing.T, h *harness, totalBUs int) {
 
 func TestStockCrashRequeuesWholeSplitsAndCompletes(t *testing.T) {
 	h := newHarness(t, cluster.Homogeneous(4), 64, wcSpec(0))
-	if _, err := NewStockAM(h.driver, 8, nil); err != nil {
-		t.Fatal(err)
-	}
+	bindStock(t, h.driver, 8, nil)
 	attachLiveness(h)
 	// Node 1 dies mid-first-wave and comes back before the job ends.
 	h.eng.At(4, "crash", func() { h.target.CrashNode(1) })
@@ -81,9 +79,7 @@ func TestStockCrashRequeuesWholeSplitsAndCompletes(t *testing.T) {
 // committed output is lost: the disk survived.
 func TestStockBriefOutageLosesNoOutput(t *testing.T) {
 	h := newHarness(t, cluster.Homogeneous(4), 128, wcSpec(0))
-	if _, err := NewStockAM(h.driver, 8, nil); err != nil {
-		t.Fatal(err)
-	}
+	bindStock(t, h.driver, 8, nil)
 	attachLiveness(h)
 	// The outage spans one watcher tick (t=15) but stays under the
 	// 3-beat timeout: observed down, never declared lost.
@@ -109,9 +105,7 @@ func TestStockLostOutputReexecutesCompletedTasks(t *testing.T) {
 	// wave 1 (t=12) discards its completed, resident map output; the
 	// owning tasks must re-run so unfetched reducers can still shuffle.
 	h := newHarness(t, cluster.Homogeneous(4), 128, wcSpec(4))
-	if _, err := NewStockAM(h.driver, 8, nil); err != nil {
-		t.Fatal(err)
-	}
+	bindStock(t, h.driver, 8, nil)
 	attachLiveness(h)
 	h.eng.At(12, "crash", func() { h.target.CrashNode(1) })
 	h.eng.At(40, "restore", func() { h.target.RestoreNode(1) })
@@ -138,10 +132,7 @@ func TestStockLostOutputReexecutesCompletedTasks(t *testing.T) {
 
 func TestStockRetryExhaustionFailsJob(t *testing.T) {
 	h := newHarness(t, cluster.Homogeneous(1), 8, wcSpec(0))
-	am, err := NewStockAM(h.driver, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	am := bindStock(t, h.driver, 8, nil)
 	am.maxTaskAttempts = 2
 	attachLiveness(h)
 	// The only node crashes while its single task runs, twice. The task
@@ -170,10 +161,7 @@ func TestStockRetryBackoffDoubles(t *testing.T) {
 	// second 2×retryBackoff. Observed via the relaunch times of the
 	// crashed task's attempts.
 	h := newHarness(t, cluster.Homogeneous(2), 16, wcSpec(0))
-	am, err := NewStockAM(h.driver, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	am := bindStock(t, h.driver, 8, nil)
 	am.maxTaskAttempts = 4
 	attachLiveness(h)
 	h.eng.At(3, "crash-1", func() { h.target.CrashNode(0) })
@@ -191,9 +179,7 @@ func TestStockRetryBackoffDoubles(t *testing.T) {
 
 func TestPreemptionRequeuesWithoutRetryCharge(t *testing.T) {
 	h := newHarness(t, cluster.Homogeneous(4), 64, wcSpec(0))
-	if _, err := NewStockAM(h.driver, 8, nil); err != nil {
-		t.Fatal(err)
-	}
+	bindStock(t, h.driver, 8, nil)
 	h.eng.At(4, "preempt", func() {
 		if !h.target.PreemptContainer(2) {
 			t.Error("no container preempted on a busy node")
@@ -214,9 +200,7 @@ func TestPreemptionRequeuesWithoutRetryCharge(t *testing.T) {
 
 func TestPreemptIdleNodeReportsFalse(t *testing.T) {
 	h := newHarness(t, cluster.Homogeneous(2), 16, wcSpec(0))
-	if _, err := NewStockAM(h.driver, 8, nil); err != nil {
-		t.Fatal(err)
-	}
+	bindStock(t, h.driver, 8, nil)
 	// Before Start nothing runs anywhere.
 	if h.target.PreemptContainer(0) {
 		t.Fatal("preempted a container on an idle node")
@@ -288,6 +272,7 @@ func sharedNode(t *testing.T, jobs int) (*sim.Engine, *cluster.Cluster, *yarn.RM
 	c := cluster.NewCluster("one", []cluster.NodeSpec{{Name: "n0", BaseSpeed: 1, Slots: 4}})
 	store := dfs.NewStore(c, 1, testRNG())
 	rm := newRM(eng, c)
+	x := NewExecutor(eng, c, BaseIPS)
 	target := NewFaultTarget(c)
 	var drivers []*Driver
 	var splits [][]dfs.BUID
@@ -302,7 +287,7 @@ func sharedNode(t *testing.T, jobs int) (*sim.Engine, *cluster.Cluster, *yarn.RM
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := NewDriver(eng, c, store, rm, spec)
+		d, err := NewDriver(x, store, rm, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,9 +348,7 @@ func TestReducePhaseCrashMigratesPartitions(t *testing.T) {
 	// Baseline run pins the map-phase end, then a second identical run
 	// crashes a node two seconds into the reduce phase.
 	base := newHarness(t, cluster.Homogeneous(4), 64, wcSpec(8))
-	if _, err := NewStockAM(base.driver, 8, nil); err != nil {
-		t.Fatal(err)
-	}
+	bindStock(t, base.driver, 8, nil)
 	base.rm.Start()
 	base.eng.Run()
 	mapEnd := base.driver.Result.MapPhaseEnd
@@ -374,9 +357,7 @@ func TestReducePhaseCrashMigratesPartitions(t *testing.T) {
 	}
 
 	h := newHarness(t, cluster.Homogeneous(4), 64, wcSpec(8))
-	if _, err := NewStockAM(h.driver, 8, nil); err != nil {
-		t.Fatal(err)
-	}
+	bindStock(t, h.driver, 8, nil)
 	attachLiveness(h)
 	h.eng.At(mapEnd+2, "crash", func() { h.target.CrashNode(1) })
 	h.rm.Start()
@@ -414,9 +395,7 @@ func TestReducePhaseCrashMigratesPartitions(t *testing.T) {
 
 func TestCrashNodeIsIdempotent(t *testing.T) {
 	h := newHarness(t, cluster.Homogeneous(2), 16, wcSpec(0))
-	if _, err := NewStockAM(h.driver, 8, nil); err != nil {
-		t.Fatal(err)
-	}
+	bindStock(t, h.driver, 8, nil)
 	attachLiveness(h)
 	h.eng.At(3, "crash", func() {
 		h.target.CrashNode(0)

@@ -91,7 +91,7 @@ type stockTask struct {
 }
 
 // NewStockAM builds the stock AM over fixed splits of splitBUs block
-// units and registers it with the driver's RM.
+// units. It does not bind itself to the RM; the caller does.
 func NewStockAM(d *Driver, splitBUs int, speculation SpeculationPolicy) (*StockAM, error) {
 	splits, err := d.Store.Splits(d.Spec.InputFile, splitBUs)
 	if err != nil {
@@ -119,7 +119,6 @@ func NewStockAM(d *Driver, splitBUs int, speculation SpeculationPolicy) (*StockA
 		}))
 	}
 	am.tasksRemaining = am.pending.Len()
-	d.Register(am)
 	d.SetRecovery(am)
 	return am, nil
 }

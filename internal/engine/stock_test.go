@@ -11,10 +11,7 @@ import (
 
 func TestStockMapOnlyJob(t *testing.T) {
 	h := newHarness(t, cluster.Homogeneous(4), 64, wcSpec(0))
-	am, err := NewStockAM(h.driver, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	am := bindStock(t, h.driver, 8, nil)
 	h.rm.Start()
 	h.eng.Run()
 	checkInvariants(t, h, 64)
@@ -35,9 +32,7 @@ func TestStockMapOnlyJob(t *testing.T) {
 
 func TestStockWithReducers(t *testing.T) {
 	h := newHarness(t, cluster.Homogeneous(4), 64, wcSpec(4))
-	if _, err := NewStockAM(h.driver, 8, nil); err != nil {
-		t.Fatal(err)
-	}
+	bindStock(t, h.driver, 8, nil)
 	h.rm.Start()
 	h.eng.Run()
 	checkInvariants(t, h, 64)
@@ -64,9 +59,7 @@ func TestStockHomogeneousTiming(t *testing.T) {
 	// the second slot per node is granted one NM heartbeat (1 s) later,
 	// so the wave ends ≈ 9.6 s.
 	h := newHarness(t, cluster.Homogeneous(4), 64, wcSpec(0))
-	if _, err := NewStockAM(h.driver, 8, nil); err != nil {
-		t.Fatal(err)
-	}
+	bindStock(t, h.driver, 8, nil)
 	h.rm.Start()
 	h.eng.Run()
 	r := h.driver.Result
@@ -89,9 +82,7 @@ func TestStockHeterogeneousTailEffect(t *testing.T) {
 	// equivalent-capacity expectation and show task runtime spread.
 	run := func(c *cluster.Cluster) *sim.Time {
 		h := newHarness(t, c, 128, wcSpec(0))
-		if _, err := NewStockAM(h.driver, 8, nil); err != nil {
-			t.Fatal(err)
-		}
+		bindStock(t, h.driver, 8, nil)
 		h.rm.Start()
 		h.eng.Run()
 		end := h.driver.Result.Finished
@@ -109,16 +100,12 @@ func TestStockHeterogeneousTailEffect(t *testing.T) {
 
 func TestStockLargerSplitsFewerTasks(t *testing.T) {
 	h64 := newHarness(t, cluster.Homogeneous(4), 128, wcSpec(0))
-	if _, err := NewStockAM(h64.driver, 8, nil); err != nil {
-		t.Fatal(err)
-	}
+	bindStock(t, h64.driver, 8, nil)
 	h64.rm.Start()
 	h64.eng.Run()
 
 	h128 := newHarness(t, cluster.Homogeneous(4), 128, wcSpec(0))
-	if _, err := NewStockAM(h128.driver, 16, nil); err != nil {
-		t.Fatal(err)
-	}
+	bindStock(t, h128.driver, 16, nil)
 	h128.rm.Start()
 	h128.eng.Run()
 
@@ -147,13 +134,11 @@ func TestStockRemoteExecutionAfterLocalityWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	rm := newRM(eng, c)
-	d, err := NewDriver(eng, c, store, rm, wcSpec(0))
+	d, err := NewDriver(NewExecutor(eng, c, BaseIPS), store, rm, wcSpec(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewStockAM(d, 8, nil); err != nil {
-		t.Fatal(err)
-	}
+	bindStock(t, d, 8, nil)
 	rm.Start()
 	eng.Run()
 	if !d.Finished() {
@@ -176,9 +161,7 @@ func TestStockRemoteExecutionAfterLocalityWait(t *testing.T) {
 func TestStockDeterminism(t *testing.T) {
 	run := func() (sim.Time, int) {
 		h := newHarness(t, cluster.Heterogeneous6(), 96, wcSpec(4))
-		if _, err := NewStockAM(h.driver, 8, nil); err != nil {
-			t.Fatal(err)
-		}
+		bindStock(t, h.driver, 8, nil)
 		h.rm.Start()
 		h.eng.Run()
 		return h.driver.Result.Finished, len(h.driver.Result.Attempts)
@@ -197,10 +180,7 @@ func TestStockDeterminism(t *testing.T) {
 func TestLostOutputRequeuesInNameOrder(t *testing.T) {
 	const splits = 10002
 	h := newHarness(t, cluster.Homogeneous(4), splits, wcSpec(0))
-	am, err := NewStockAM(h.driver, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	am := bindStock(t, h.driver, 1, nil)
 	for am.pending.Len() > 0 {
 		am.pending.takeFIFO()
 	}
@@ -235,10 +215,7 @@ func TestLostOutputRequeuesInNameOrder(t *testing.T) {
 // before SkewTune dispatches.
 func TestRemotePickDeclinesFullNode(t *testing.T) {
 	h := newHarness(t, cluster.Homogeneous(2), 16, wcSpec(0))
-	am, err := NewStockAM(h.driver, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	am := bindStock(t, h.driver, 8, nil)
 	h.rm.Start() // one local split on each node
 	node := h.clus.Node(0)
 	h.rm.Acquire(node) // another job takes the node's last slot

@@ -65,8 +65,7 @@ func (p *offerProbe) Idle() bool {
 }
 
 // probeWith returns a wrap for run and runWorkload that installs a probe
-// sharing stats. SkewTune registers twice; each registration gets a
-// probe of its own over the same stats.
+// sharing stats.
 func probeWith(t *testing.T, check bool, stats *probeStats) func(*stack, yarn.Scheduler) yarn.Scheduler {
 	return func(s *stack, inner yarn.Scheduler) yarn.Scheduler {
 		return &offerProbe{t: t, s: s, inner: inner, check: check, stats: stats}

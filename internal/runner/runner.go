@@ -218,10 +218,12 @@ func (e *JobFailedError) Error() string {
 }
 
 // buildAM constructs the selected engine's ApplicationMaster over the
-// driver. flexSeed seeds FlexMap's placement bias; the other engines
-// draw nothing from it and seed no source. The returned *core.AM is
-// non-nil only for FlexMap, whose size trace the caller may want.
-func buildAM(driver *engine.Driver, eng Engine, flexSeed int64) (*core.AM, error) {
+// driver and returns the scheduler the RM must offer the job's capacity
+// to: for SkewTune its own AM, not the stock AM inside it; for FlexMap a
+// *core.AM, whose size trace the caller may want. flexSeed seeds
+// FlexMap's placement bias; the other engines draw nothing from it and
+// seed no source.
+func buildAM(driver *engine.Driver, eng Engine, flexSeed int64) (yarn.Scheduler, error) {
 	splitBUs := 8
 	if eng.SplitMB != 0 {
 		if int64(eng.SplitMB)*MB%dfs.BUSize != 0 {
@@ -230,17 +232,19 @@ func buildAM(driver *engine.Driver, eng Engine, flexSeed int64) (*core.AM, error
 		splitBUs = int(int64(eng.SplitMB) * MB / dfs.BUSize)
 	}
 	var err error
-	var flexAM *core.AM
+	var sched yarn.Scheduler
 	switch eng.Kind {
 	case Hadoop:
-		_, err = engine.NewStockAM(driver, splitBUs, speculate.NewLATE())
+		sched, err = engine.NewStockAM(driver, splitBUs, speculate.NewLATE())
 	case HadoopNoSpec:
-		_, err = engine.NewStockAM(driver, splitBUs, nil)
+		sched, err = engine.NewStockAM(driver, splitBUs, nil)
 	case SkewTune:
-		_, err = skewtune.New(driver, splitBUs)
+		sched, err = skewtune.New(driver, splitBUs)
 	case FlexMap:
+		var flexAM *core.AM
 		flexAM, err = core.NewAM(driver, randutil.New(flexSeed))
 		if flexAM != nil {
+			sched = flexAM
 			flexAM.Speculation = speculate.NewLATE()
 			switch eng.FlexAblation {
 			case "":
@@ -262,7 +266,7 @@ func buildAM(driver *engine.Driver, eng Engine, flexSeed int64) (*core.AM, error
 	if err != nil {
 		return nil, err
 	}
-	return flexAM, nil
+	return sched, nil
 }
 
 // Run executes one job under one engine and returns its result.
@@ -321,14 +325,15 @@ func run(sc Scenario, spec mr.JobSpec, eng Engine, wrap func(*stack, yarn.Schedu
 	// Interference is armed before the AM's heartbeat ticker and the
 	// liveness watcher: same-instant ticks fire in that order.
 	s.startInterference()
-	var register func(yarn.Scheduler)
-	if wrap != nil {
-		register = func(am yarn.Scheduler) { s.rm.SetScheduler(wrap(s, am)) }
-	}
-	driver, flexAM, err := s.newJob(spec, eng, s.seed, s.tracer, register)
+	driver, sched, err := s.newJob(spec, eng, s.seed, s.tracer)
 	if err != nil {
 		return nil, err
 	}
+	flexAM, _ := sched.(*core.AM)
+	if wrap != nil {
+		sched = wrap(s, sched)
+	}
+	s.rm.SetScheduler(sched)
 	target := engine.NewFaultTarget(s.clus)
 	target.Add(driver)
 	s.addChurn(sc.Faults, sc.Membership, target)
@@ -337,10 +342,10 @@ func run(sc Scenario, spec mr.JobSpec, eng Engine, wrap func(*stack, yarn.Schedu
 	}
 	driver.OnFinished(s.stop)
 
-	deadline := s.run(sc.MaxSimTime)
+	s.run()
 	if !driver.Finished() {
 		return nil, fmt.Errorf("runner: job %q under %s did not finish by t=%v (scheduler hang?)",
-			spec.Name, eng, deadline)
+			spec.Name, eng, s.deadline)
 	}
 	// A failed job's trace is exported too: it is the artifact you want most.
 	if err := sc.Trace.Write(s.tracer); err != nil {

@@ -139,16 +139,21 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestBadMembershipPlanRejected: a membership plan with a negative,
-// NaN or infinite spare speed or churn rate, negative slots, or a spot
-// fraction outside [0, 1] is a scenario error from both Run and
-// RunWorkload — not a panic in AddSpares, and not a silently static
-// fleet.
+// NaN or infinite spare speed or churn rate, negative slots, a spot
+// fraction outside [0, 1], or a Script event at a negative, NaN or
+// infinite time, of an unknown kind or on a node that is not a spare is
+// a scenario error from both Run and RunWorkload — not a panic in
+// AddSpares or the event queue, not a run whose events fire out of
+// order, and not an event the controller silently drops.
 func TestBadMembershipPlanRejected(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	plan := func(mut func(*elastic.Plan)) elastic.Plan {
 		p := elastic.Plan{Spares: 2, JoinsPerHour: 1, LeavesPerHour: 1, SpotFraction: 0.5}
 		mut(&p)
 		return p
+	}
+	script := func(ev elastic.Event) elastic.Plan {
+		return plan(func(p *elastic.Plan) { p.Script = []elastic.Event{ev} })
 	}
 	cases := []struct {
 		name string
@@ -167,7 +172,18 @@ func TestBadMembershipPlanRejected(t *testing.T) {
 		{"NaN spot fraction", plan(func(p *elastic.Plan) { p.SpotFraction = nan })},
 		{"spot fraction above 1", plan(func(p *elastic.Plan) { p.SpotFraction = 1.5 })},
 		{"negative spot fraction", plan(func(p *elastic.Plan) { p.SpotFraction = -0.1 })},
+		{"negative script time", script(elastic.Event{At: -1, Node: 6, Kind: elastic.Join})},
+		{"NaN script time", script(elastic.Event{At: sim.Time(nan), Node: 6, Kind: elastic.Join})},
+		{"+Inf script time", script(elastic.Event{At: sim.Time(inf), Node: 6, Kind: elastic.Join})},
+		{"unknown script kind", script(elastic.Event{At: 10, Node: 6, Kind: 7})},
+		{"script on a base node", script(elastic.Event{At: 10, Node: 0, Kind: elastic.Join})},
+		{"script past the spares", script(elastic.Event{At: 10, Node: 100, Kind: elastic.Join})},
+		{"script without spares", plan(func(p *elastic.Plan) {
+			p.Spares = 0
+			p.Script = []elastic.Event{{At: 10, Node: 6, Kind: elastic.Join}}
+		})},
 	}
+	// Both runs use the six-node cluster, so the spares are nodes 6 and 7.
 	spec := wcSpec(t, 2)
 	for _, tc := range cases {
 		sc := smallScenario(hetFactory)
@@ -176,6 +192,7 @@ func TestBadMembershipPlanRejected(t *testing.T) {
 			t.Errorf("%s: Run error = %v, want a membership plan error", tc.name, err)
 		}
 		wl := testWorkload(1, 2)
+		wl.Cluster = hetFactory
 		wl.Membership = tc.plan
 		if _, err := RunWorkload(wl); err == nil || !strings.Contains(err.Error(), "membership plan") {
 			t.Errorf("%s: RunWorkload error = %v, want a membership plan error", tc.name, err)
@@ -620,6 +637,24 @@ func TestFlexAblationEngineNames(t *testing.T) {
 	e := Engine{Kind: FlexMap, FlexAblation: "no-bias"}
 	if e.String() != "flexmap[no-bias]" {
 		t.Fatalf("String() = %q", e.String())
+	}
+}
+
+// TestBadMaxSimTimeRejected: a negative, NaN or +Inf MaxSimTime is a
+// scenario error from both Run and RunWorkload. NaN would disable the
+// hang guard, and a negative one reported a misleading hang.
+func TestBadMaxSimTimeRejected(t *testing.T) {
+	for _, d := range []sim.Time{-1, sim.Time(math.NaN()), sim.Time(math.Inf(1))} {
+		sc := smallScenario(hetFactory)
+		sc.MaxSimTime = d
+		if _, err := Run(sc, wcSpec(t, 2), Engine{Kind: FlexMap}); err == nil || !strings.Contains(err.Error(), "MaxSimTime") {
+			t.Errorf("MaxSimTime %v: Run error = %v, want a MaxSimTime error", d, err)
+		}
+		wl := testWorkload(1, 2)
+		wl.MaxSimTime = d
+		if _, err := RunWorkload(wl); err == nil || !strings.Contains(err.Error(), "MaxSimTime") {
+			t.Errorf("MaxSimTime %v: RunWorkload error = %v, want a MaxSimTime error", d, err)
+		}
 	}
 }
 

@@ -3,9 +3,9 @@ package runner
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"flexmap/internal/cluster"
-	"flexmap/internal/core"
 	"flexmap/internal/dfs"
 	"flexmap/internal/elastic"
 	"flexmap/internal/engine"
@@ -19,11 +19,12 @@ import (
 )
 
 // stack is the simulator assembly Run and RunWorkload share: engine,
-// cluster, DFS, RM, tracer and fabric, plus the optional liveness
-// watcher, fault injector and membership controller. Both paths call the
-// same steps, each in its own order. That order is event-scheduling
-// order, which breaks ties between same-instant events: Run starts
-// interference before building its watcher, RunWorkload after.
+// cluster, executor, DFS, RM, tracer and fabric, plus the optional
+// liveness watcher, fault injector and membership controller. Both paths
+// call the same steps, each in its own order. That order is
+// event-scheduling order, which breaks ties between same-instant events:
+// Run starts interference before building its watcher, RunWorkload
+// after.
 type stack struct {
 	eng        *sim.Engine
 	clus       *cluster.Cluster
@@ -32,7 +33,12 @@ type stack struct {
 	// seed is the scenario seed. The shared streams derive from it by
 	// label with randutil.SplitSeed ("placement", "data-skew", "faults",
 	// "membership"), and so do the streams of Run's one job.
-	seed       int64
+	seed int64
+	// deadline is the virtual time run stops at: Scenario.MaxSimTime, or
+	// 30 days, a guard against scheduling bugs.
+	deadline sim.Time
+	// exec runs the work of every job: it is the cluster's one speed hook.
+	exec       *engine.Executor
 	store      *dfs.Store
 	noiseSigma float64
 	rm         *yarn.RM
@@ -61,9 +67,9 @@ func buildCluster(sc Scenario) (c *cluster.Cluster, inf cluster.Interferer, err 
 
 // newStack builds the stack from the scenario's shared fields: Name,
 // Cluster, Seed, Replication, NoiseSigma, Faults (validated only),
-// Membership (validated, spares only), Trace and OnFire. It schedules no
-// events. A workload leaves Replication and NoiseSigma zero, so it gets
-// replication 3 and DefaultNoiseSigma.
+// Membership (validated, spares only), MaxSimTime, Trace and OnFire. It
+// schedules no events. A workload leaves Replication and NoiseSigma
+// zero, so it gets replication 3 and DefaultNoiseSigma.
 func newStack(sc Scenario) (*stack, error) {
 	if err := validateFaults(sc.Name, sc.Faults); err != nil {
 		return nil, err
@@ -71,7 +77,13 @@ func newStack(sc Scenario) (*stack, error) {
 	if err := validateMembership(sc.Name, sc.Membership); err != nil {
 		return nil, err
 	}
-	s := &stack{eng: sim.New()}
+	if !finiteNonNegative(float64(sc.MaxSimTime)) {
+		return nil, fmt.Errorf("runner: %q: MaxSimTime %v is not finite and non-negative", sc.Name, sc.MaxSimTime)
+	}
+	s := &stack{eng: sim.New(), deadline: sc.MaxSimTime}
+	if s.deadline == 0 {
+		s.deadline = 30 * 24 * 3600
+	}
 	if sc.OnFire != nil {
 		s.eng.SetFireObserver(sc.OnFire)
 	}
@@ -89,6 +101,12 @@ func newStack(sc Scenario) (*stack, error) {
 	if sc.Membership.Active() {
 		s.spares = s.clus.AddSpares(sc.Membership.Spares, sc.Membership.SpareSpec)
 	}
+	for _, ev := range sc.Membership.Script {
+		if !slices.Contains(s.spares, ev.Node) {
+			return nil, fmt.Errorf("runner: %q: membership plan Script %s event at t=%v targets node %d, which is not a provisioned spare",
+				sc.Name, ev.Kind, ev.At, ev.Node)
+		}
+	}
 	if err := validateSpeeds(sc.Name, s.clus); err != nil {
 		return nil, err
 	}
@@ -101,6 +119,7 @@ func newStack(sc Scenario) (*stack, error) {
 	if s.noiseSigma == 0 {
 		s.noiseSigma = DefaultNoiseSigma
 	}
+	s.exec = engine.NewExecutor(s.eng, s.clus, engine.BaseIPS)
 	s.rm = yarn.NewRM(s.eng, s.clus)
 	if sc.Trace.Enabled() {
 		s.tracer = trace.New(s.eng)
@@ -164,9 +183,12 @@ func validateFaults(name string, p faults.Plan) error {
 }
 
 // validateMembership rejects a membership plan whose spare spec would
-// panic in cluster.AddSpares, or whose rates or spot fraction would
-// silently disable churn or draw nonsense (a NaN rate reads as inactive).
-// It checks every plan, active or not.
+// panic in cluster.AddSpares, whose rates or spot fraction would
+// silently disable churn or draw nonsense (a NaN rate reads as inactive),
+// or whose script has an event the engine cannot schedule in order (a
+// time that is negative, NaN or +Inf) or the controller would drop (an
+// unknown kind). It checks every plan, active or not; newStack checks
+// that script events target spares.
 func validateMembership(name string, p elastic.Plan) error {
 	for _, f := range []struct {
 		field string
@@ -185,6 +207,14 @@ func validateMembership(name string, p elastic.Plan) error {
 	if !(p.SpotFraction >= 0 && p.SpotFraction <= 1) {
 		return fmt.Errorf("runner: %q: membership plan SpotFraction %v is outside [0, 1]", name, p.SpotFraction)
 	}
+	for _, ev := range p.Script {
+		if !finiteNonNegative(float64(ev.At)) {
+			return fmt.Errorf("runner: %q: membership plan Script event time %v is not finite and non-negative", name, ev.At)
+		}
+		if ev.Kind != elastic.Join && ev.Kind != elastic.Drain && ev.Kind != elastic.Spot {
+			return fmt.Errorf("runner: %q: membership plan Script event at t=%v has unknown kind %s", name, ev.At, ev.Kind)
+		}
+	}
 	return nil
 }
 
@@ -193,23 +223,20 @@ func finiteNonNegative(v float64) bool {
 	return v >= 0 && !math.IsInf(v, 1)
 }
 
-// newJob builds one job's driver and ApplicationMaster on the stack. The
-// job's runtime noise and FlexMap's reduce bias derive from seed;
-// register, when non-nil, receives the AM's registration instead of the
-// RM. The returned *core.AM is non-nil only for FlexMap.
-func (s *stack) newJob(spec mr.JobSpec, eng Engine, seed int64, tracer *trace.Tracer,
-	register func(yarn.Scheduler)) (*engine.Driver, *core.AM, error) {
-
-	driver, err := engine.NewDriver(s.eng, s.clus, s.store, s.rm, spec)
+// newJob builds one job's driver and ApplicationMaster on the stack and
+// returns the driver and the scheduler (see buildAM) the caller binds to
+// receive the job's offers. The job's runtime noise and FlexMap's reduce
+// bias derive from seed.
+func (s *stack) newJob(spec mr.JobSpec, eng Engine, seed int64, tracer *trace.Tracer) (*engine.Driver, yarn.Scheduler, error) {
+	driver, err := engine.NewDriver(s.exec, s.store, s.rm, spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	driver.RegisterScheduler = register
 	driver.Net = s.fabric
 	driver.Trace = tracer
 	driver.Noise = randutil.New(randutil.SplitSeed(seed, "runtime-noise"))
 	driver.NoiseSigma = s.noiseSigma
-	flexAM, err := buildAM(driver, eng, randutil.SplitSeed(seed, "flexmap"))
+	sched, err := buildAM(driver, eng, randutil.SplitSeed(seed, "flexmap"))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -219,7 +246,7 @@ func (s *stack) newJob(spec mr.JobSpec, eng Engine, seed int64, tracer *trace.Tr
 	// Result.Engine is written only here, so every label the figures
 	// print and metrics.NormalizeTo keys on is an Engine.String().
 	driver.Result.Engine = eng.String()
-	return driver, flexAM, nil
+	return driver, sched, nil
 }
 
 // startInterference arms the cluster's interference process, if any.
@@ -268,9 +295,8 @@ func (s *stack) stop() {
 }
 
 // run arms the injector, the membership timeline and the RM, then runs
-// the engine to maxSimTime (default 30 days, a guard against scheduling
-// bugs). It returns the deadline used.
-func (s *stack) run(maxSimTime sim.Time) sim.Time {
+// the engine to the deadline.
+func (s *stack) run() {
 	if s.injector != nil {
 		s.injector.Start()
 	}
@@ -278,12 +304,7 @@ func (s *stack) run(maxSimTime sim.Time) sim.Time {
 		s.ctl.Start(randutil.SplitSeed(s.seed, "membership"))
 	}
 	s.rm.Start()
-	deadline := maxSimTime
-	if deadline == 0 {
-		deadline = 30 * 24 * 3600
-	}
-	s.eng.RunUntil(deadline)
-	return deadline
+	s.eng.RunUntil(s.deadline)
 }
 
 // nodeHours is machine-hours consumed up to until: the whole fleet on a

@@ -156,14 +156,14 @@ func (j *jobScheduler) OnSlotFree(n *cluster.Node) bool {
 	if j.d.Finished() {
 		return false
 	}
-	if j.am != nil && j.am.OnSlotFree(n) {
+	if j.am.OnSlotFree(n) {
 		return true
 	}
 	return j.d.TryReduce(n)
 }
 
 func (j *jobScheduler) Idle() bool {
-	return j.d.Finished() || ((j.am == nil || j.am.Idle()) && j.d.ReduceIdle())
+	return j.d.Finished() || (j.am.Idle() && j.d.ReduceIdle())
 }
 
 // workloadPolicy resolves the scenario's policy selection.
@@ -232,7 +232,7 @@ func runWorkload(sc WorkloadScenario, wrap func(*stack, yarn.Scheduler) yarn.Sch
 
 	s, err := newStack(Scenario{
 		Name: sc.Name, Cluster: sc.Cluster, Seed: sc.Seed,
-		Faults: sc.Faults, Membership: sc.Membership, Trace: sc.Trace,
+		Faults: sc.Faults, Membership: sc.Membership, MaxSimTime: sc.MaxSimTime, Trace: sc.Trace,
 	})
 	if err != nil {
 		return nil, err
@@ -260,13 +260,13 @@ func runWorkload(sc WorkloadScenario, wrap func(*stack, yarn.Scheduler) yarn.Sch
 		})
 	}
 
-	deadline := s.run(sc.MaxSimTime)
+	s.run()
 	if st.err != nil {
 		return nil, st.err
 	}
 	if st.done != st.total {
 		return nil, fmt.Errorf("runner: workload %q: %d of %d jobs unfinished at t=%v (scheduler hang or deadline too low)",
-			sc.Name, st.total-st.done, st.total, deadline)
+			sc.Name, st.total-st.done, st.total, s.deadline)
 	}
 	if err := sc.Trace.Write(s.tracer); err != nil {
 		return nil, err
@@ -289,7 +289,8 @@ type workloadState struct {
 }
 
 // submitJob materializes one arrival: per-job input file, driver, AM,
-// and registration with the inter-job scheduler.
+// and submission to the inter-job scheduler, which owns the shared RM's
+// offers.
 func submitJob(s *stack, sc WorkloadScenario, a workload.Arrival, mux *yarn.InterJob,
 	target *engine.FaultTarget, st *workloadState) error {
 
@@ -306,12 +307,7 @@ func submitJob(s *stack, sc WorkloadScenario, a workload.Arrival, mux *yarn.Inte
 	// per-job result doesn't pretend otherwise.
 	spec.Mapper, spec.Reducer = nil, nil
 
-	// Route the AM's registration to the job scheduler instead of the
-	// shared RM (which the multiplexer owns). SkewTune registers twice;
-	// last one wins, as with direct SetScheduler.
-	var am yarn.Scheduler
-	driver, _, err := s.newJob(spec, class.Engine, a.Seed, s.tracer.ForJob(id),
-		func(sch yarn.Scheduler) { am = sch })
+	driver, am, err := s.newJob(spec, class.Engine, a.Seed, s.tracer.ForJob(id))
 	if err != nil {
 		return err
 	}

@@ -98,7 +98,7 @@ func multiTenantJob(tb testing.TB, bus int64, frac float64, seed int64, sigma fl
 	rm := yarn.NewRM(eng, c)
 	spec := mr.JobSpec{Name: "wc", InputFile: "input", NumReducers: 8,
 		MapCost: 1, ShuffleRatio: 0.2, ReduceCost: 1}
-	d, err := engine.NewDriver(eng, c, store, rm, spec)
+	d, err := engine.NewDriver(engine.NewExecutor(eng, c, engine.BaseIPS), store, rm, spec)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func auditRun(t *testing.T, frac float64, seed int64, sigma float64, noisy bool)
 	t.Helper()
 	am := multiTenantJob(t, 300, frac, seed, sigma, noisy)
 	audit := &victimAudit{t: t, am: am}
-	am.d.Register(audit)
+	am.d.RM.SetScheduler(audit)
 	am.d.RM.Start()
 	am.d.Eng.RunUntil(1e7)
 	if !am.d.Finished() {

@@ -39,21 +39,23 @@ type AM struct {
 	rounds []int // repartition round counter, indexed by TaskID
 }
 
-// New builds a SkewTune AM over fixed splits of splitBUs block units and
-// registers it with the driver's RM.
+// New builds a SkewTune AM over fixed splits of splitBUs block units. The
+// RM must offer to the returned AM, not to the stock AM inside it; New
+// binds neither.
 func New(d *engine.Driver, splitBUs int) (*AM, error) {
 	stock, err := engine.NewStockAM(d, splitBUs, nil)
 	if err != nil {
 		return nil, err
 	}
-	am := &AM{
+	return &AM{
 		minRemaining: 4*engine.Overhead + 2,
 		stock:        stock,
 		d:            d,
-	}
-	d.Register(am) // shadow the stock AM's registration (last Register wins)
-	return am, nil
+	}, nil
 }
+
+// Stock returns the stock AM SkewTune dispatches through.
+func (am *AM) Stock() *engine.StockAM { return am.stock }
 
 // OnSlotFree implements yarn.Scheduler: normal dispatch first, then skew
 // mitigation on idle capacity.

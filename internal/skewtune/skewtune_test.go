@@ -32,7 +32,7 @@ func newHarness(t *testing.T, c *cluster.Cluster, fileBUs int64, splitBUs int) *
 		t.Fatal(err)
 	}
 	rm := yarn.NewRM(eng, c)
-	d, err := engine.NewDriver(eng, c, store, rm, spec)
+	d, err := engine.NewDriver(engine.NewExecutor(eng, c, engine.BaseIPS), store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,6 +40,7 @@ func newHarness(t *testing.T, c *cluster.Cluster, fileBUs int64, splitBUs int) *
 	if err != nil {
 		t.Fatal(err)
 	}
+	rm.SetScheduler(am)
 	return &harness{eng: eng, clus: c, store: store, rm: rm, driver: d, am: am}
 }
 
@@ -96,13 +97,15 @@ func TestSkewTuneBeatsNoMitigation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rm := yarn.NewRM(eng, c)
-	d, err := engine.NewDriver(eng, c, store, rm, spec)
+	d, err := engine.NewDriver(engine.NewExecutor(eng, c, engine.BaseIPS), store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.NewStockAM(d, 8, nil); err != nil {
+	stock, err := engine.NewStockAM(d, 8, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	rm.SetScheduler(stock)
 	rm.Start()
 	eng.RunUntil(1e6)
 	if !d.Finished() {

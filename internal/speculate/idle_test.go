@@ -70,7 +70,7 @@ func TestLATEIdle(t *testing.T) {
 	}
 	spec := mr.JobSpec{Name: "wc", InputFile: "input", MapCost: 1}
 	rm := yarn.NewRM(eng, c)
-	d, err := engine.NewDriver(eng, c, store, rm, spec)
+	d, err := engine.NewDriver(engine.NewExecutor(eng, c, engine.BaseIPS), store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func benchSelectVictim(b *testing.B, tail int) {
 		b.Fatal(err)
 	}
 	rm := yarn.NewRM(eng, c)
-	d, err := engine.NewDriver(eng, c, store, rm, mr.JobSpec{Name: "wc", InputFile: "input", MapCost: 1})
+	d, err := engine.NewDriver(engine.NewExecutor(eng, c, engine.BaseIPS), store, rm, mr.JobSpec{Name: "wc", InputFile: "input", MapCost: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

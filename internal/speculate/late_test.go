@@ -29,13 +29,15 @@ func runStock(t *testing.T, policy engine.SpeculationPolicy, slowSpeed float64) 
 	}
 	spec := mr.JobSpec{Name: "wc", InputFile: "input", MapCost: 1, ShuffleRatio: 0, ReduceCost: 0}
 	rm := yarn.NewRM(eng, c)
-	d, err := engine.NewDriver(eng, c, store, rm, spec)
+	d, err := engine.NewDriver(engine.NewExecutor(eng, c, engine.BaseIPS), store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.NewStockAM(d, 8, policy); err != nil {
+	am, err := engine.NewStockAM(d, 8, policy)
+	if err != nil {
 		t.Fatal(err)
 	}
+	rm.SetScheduler(am)
 	rm.Start()
 	eng.RunUntil(1e6)
 	if !d.Finished() {
@@ -120,7 +122,7 @@ func TestLATEPickDeclinesOnSlowNode(t *testing.T) {
 	}
 	spec := mr.JobSpec{Name: "wc", InputFile: "input", MapCost: 1, ShuffleRatio: 0, ReduceCost: 0}
 	rm := yarn.NewRM(eng, c)
-	d, err := engine.NewDriver(eng, c, store, rm, spec)
+	d, err := engine.NewDriver(engine.NewExecutor(eng, c, engine.BaseIPS), store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,24 +147,23 @@ func runAudited(t *testing.T, kind string, seed int64, audit *scanAudit) {
 		t.Fatal(err)
 	}
 	rm := yarn.NewRM(eng, clus)
-	d, err := engine.NewDriver(eng, clus, store, rm, spec)
+	d, err := engine.NewDriver(engine.NewExecutor(eng, clus, engine.BaseIPS), store, rm, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.Noise = randutil.New(seed + 1)
 	d.NoiseSigma = 0.2
-	d.RegisterScheduler = func(s yarn.Scheduler) {
-		if stock, ok := s.(*engine.StockAM); ok {
-			stock.Speculation = audit
-		}
-		rm.SetScheduler(s)
-	}
+	var sched yarn.Scheduler
 	var speeds func(cluster.NodeID) float64
 	switch kind {
 	case "stock":
-		_, err = engine.NewStockAM(d, 8, nil)
+		sched, err = engine.NewStockAM(d, 8, audit)
 	case "skewtune":
-		_, err = skewtune.New(d, 8)
+		var am *skewtune.AM
+		if am, err = skewtune.New(d, 8); am != nil {
+			am.Stock().Speculation = audit
+		}
+		sched = am
 	case "flexmap":
 		var am *core.AM
 		am, err = core.NewAM(d, randutil.New(seed+2))
@@ -172,10 +171,12 @@ func runAudited(t *testing.T, kind string, seed int64, audit *scanAudit) {
 			am.Speculation = audit
 			speeds = am.RelativeSpeed
 		}
+		sched = am
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	rm.SetScheduler(sched)
 
 	w := yarn.NewNodeWatcher(eng, clus, rm)
 	d.OnFinished(w.Stop)
