@@ -134,7 +134,7 @@ func BenchmarkFig8MultiTenantSweep(b *testing.B) {
 			Seed: 42, Scale: benchScale * 4,
 			Benchmarks: []puma.Benchmark{puma.WordCount, puma.Grep},
 		}
-		r, err := experiments.Fig8Subset(cfg, []float64{0.05, 0.40})
+		r, err := experiments.Fig8(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

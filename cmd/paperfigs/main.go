@@ -4,14 +4,15 @@
 //
 // Usage:
 //
-//	paperfigs [-exp all|tableI|tableII|fig1|fig2|fig3|fig5|fig6|fig7|fig8|overhead|ablation|skew|faults|workload|netplace|autoscale]
-//	          [-seed N] [-scale N] [-bench WC,GR,...] [-parallel N]
-//	          [-trace-dir DIR]
+//	paperfigs [-exp all|NAME] [-seed N] [-scale N] [-bench WC,GR,...]
+//	          [-parallel N] [-progress] [-trace-dir DIR]
 //
-// netplace (reduce placement × core oversubscription on the topology
-// fabric) and autoscale (fleet elasticity × engine, cost vs makespan)
-// are opt-in: they are not part of -exp all, whose output reproduces
-// the paper's static flat-network figures byte for byte.
+// The experiments are the steps of experiments.Steps, and `paperfigs -h`
+// lists their names. -exp all runs every step in order except the
+// opt-in ones, netplace (reduce placement × core oversubscription on the
+// topology fabric) and autoscale (fleet elasticity × engine, cost vs
+// makespan); its output reproduces the paper's static flat-network
+// figures byte for byte.
 //
 // -scale divides the paper's input sizes (1 = full scale). -parallel
 // bounds how many simulations run concurrently (0 = one per core,
@@ -20,7 +21,8 @@
 // into DIR (also byte-identical at any -parallel setting). Each
 // experiment prints the series the corresponding paper figure plots;
 // total wall-clock goes to stderr. An unknown -exp, a -scale below 1, a
-// negative -parallel or a zero -seed exits 2, like a malformed flag.
+// negative -parallel, a zero -seed and an unknown or repeated -bench
+// name exit 2, like a malformed flag.
 package main
 
 import (
@@ -47,7 +49,15 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("paperfigs", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "all", "experiment to run (all, tableI, tableII, fig1, fig2, fig3, fig5, fig6, fig7, fig8, overhead, ablation, skew, faults, workload, netplace, autoscale; netplace and autoscale are opt-in and not part of all)")
+	names := []string{"all"}
+	var optIn []string
+	for _, s := range experiments.Steps(experiments.Config{}) {
+		names = append(names, s.Name)
+		if s.OptIn {
+			optIn = append(optIn, s.Name)
+		}
+	}
+	exp := fs.String("exp", "all", fmt.Sprintf("experiment to run (%s; %s are opt-in and not part of all)", strings.Join(names, ", "), strings.Join(optIn, " and ")))
 	seed := fs.Int64("seed", 42, "simulation seed")
 	scale := fs.Int64("scale", 1, "divide paper input sizes by this factor")
 	benchList := fs.String("bench", "", "comma-separated benchmark subset (short names, e.g. WC,GR)")
@@ -78,66 +88,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return badFlag("parallel", *workers, "≥ 0")
 	case *seed == 0:
 		return badFlag("seed", *seed, "a nonzero seed (0 would run the default seed 42)")
-	}
-
-	cfg := experiments.Config{Seed: *seed, Scale: *scale, Parallel: *workers, TraceDir: *traceDir}
-	type experiment struct {
-		name string
-		fn   func() (string, error)
-	}
-	render := func(r interface{ Render() string }, err error) (string, error) {
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}
-	fig56 := func(which string) func() (string, error) {
-		return func() (string, error) {
-			var parts []string
-			for _, clusterName := range []string{"physical", "virtual"} {
-				r, err := experiments.Fig56(cfg, clusterName)
-				if err != nil {
-					return "", err
-				}
-				if which == "fig5" {
-					parts = append(parts, r.RenderFig5())
-				} else {
-					parts = append(parts, r.RenderFig6())
-				}
-			}
-			return strings.Join(parts, "\n"), nil
-		}
-	}
-	// all runs every experiment below except netplace and autoscale, in
-	// this order. Those two are opt-in: "all" reproduces the paper's
-	// figures, which are defined on the flat network model and a static
-	// fleet, and its output must stay byte-identical whether or not the
-	// topology fabric and the elastic membership layer exist.
-	exps := []experiment{
-		{"tableI", func() (string, error) { return experiments.TableI(), nil }},
-		{"tableII", func() (string, error) { return experiments.TableII(), nil }},
-		{"fig1", func() (string, error) { return render(experiments.Fig1(cfg)) }},
-		{"fig2", func() (string, error) { return render(experiments.Fig2(cfg)) }},
-		{"fig3", func() (string, error) { return render(experiments.Fig3(cfg)) }},
-		{"fig5", fig56("fig5")},
-		{"fig6", fig56("fig6")},
-		{"overhead", func() (string, error) { return render(experiments.Overhead(cfg)) }},
-		{"fig7", func() (string, error) { return render(experiments.Fig7(cfg)) }},
-		{"fig8", func() (string, error) { return render(experiments.Fig8(cfg)) }},
-		{"ablation", func() (string, error) { return render(experiments.Ablation(cfg)) }},
-		{"skew", func() (string, error) { return render(experiments.Skew(cfg)) }},
-		{"faults", func() (string, error) { return render(experiments.FaultTolerance(cfg)) }},
-		{"workload", func() (string, error) { return render(experiments.WorkloadFigure(cfg)) }},
-		{"netplace", func() (string, error) { return render(experiments.NetPlace(cfg)) }},
-		{"autoscale", func() (string, error) { return render(experiments.Autoscale(cfg)) }},
-	}
-	names := []string{"all"}
-	for _, e := range exps {
-		names = append(names, e.name)
-	}
-	if !slices.Contains(names, *exp) {
+	case !slices.Contains(names, *exp):
 		return badFlag("exp", fmt.Sprintf("%q", *exp), "one of "+strings.Join(names, ", "))
 	}
+	// A repeated benchmark would run its simulations twice and print its
+	// Fig. 8 row twice, so it is rejected like an unknown one.
+	var benches []puma.Benchmark
+	if *benchList != "" {
+		var shorts []string
+		for _, b := range puma.All {
+			shorts = append(shorts, b.Short())
+		}
+		for _, name := range strings.Split(*benchList, ",") {
+			i := slices.Index(shorts, strings.ToUpper(strings.TrimSpace(name)))
+			switch {
+			case i < 0:
+				return badFlag("bench", fmt.Sprintf("%q", name), "comma-separated names from "+strings.Join(shorts, ", "))
+			case slices.Contains(benches, puma.All[i]):
+				return badFlag("bench", fmt.Sprintf("%q", *benchList), "each benchmark at most once")
+			}
+			benches = append(benches, puma.All[i])
+		}
+	}
+
+	cfg := experiments.Config{Seed: *seed, Scale: *scale, Benchmarks: benches, Parallel: *workers, TraceDir: *traceDir}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			return errorf("%v", err)
@@ -153,29 +127,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	if *benchList != "" {
-		short := map[string]puma.Benchmark{}
-		for _, b := range puma.All {
-			short[b.Short()] = b
-		}
-		for _, name := range strings.Split(*benchList, ",") {
-			b, ok := short[strings.ToUpper(strings.TrimSpace(name))]
-			if !ok {
-				return errorf("unknown benchmark %q", name)
-			}
-			cfg.Benchmarks = append(cfg.Benchmarks, b)
-		}
-	}
 
 	start := time.Now()
-	for _, e := range exps {
-		optIn := e.name == "netplace" || e.name == "autoscale"
-		if *exp != e.name && (*exp != "all" || optIn) {
+	for _, s := range experiments.Steps(cfg) {
+		if *exp != s.Name && (*exp != "all" || s.OptIn) {
 			continue
 		}
-		out, err := e.fn()
+		out, err := s.Run()
 		if err != nil {
-			return errorf("%s: %v", e.name, err)
+			return errorf("%s: %v", s.Name, err)
 		}
 		fmt.Fprintln(stdout, out)
 	}

@@ -327,36 +327,6 @@ func (c *Cluster) Node(id NodeID) *Node {
 	return c.Nodes[id]
 }
 
-// SlowestSpeed returns the minimum current effective speed across
-// cluster members (offline spares are not part of the fleet).
-func (c *Cluster) SlowestSpeed() float64 {
-	min, seen := 0.0, false
-	for _, n := range c.Nodes {
-		if n.offline {
-			continue
-		}
-		if s := n.Speed(); !seen || s < min {
-			min, seen = s, true
-		}
-	}
-	return min
-}
-
-// FastestSpeed returns the maximum current effective speed across
-// cluster members.
-func (c *Cluster) FastestSpeed() float64 {
-	max, seen := 0.0, false
-	for _, n := range c.Nodes {
-		if n.offline {
-			continue
-		}
-		if s := n.Speed(); !seen || s > max {
-			max, seen = s, true
-		}
-	}
-	return max
-}
-
 // Interferer perturbs node speeds over virtual time. Start arms its
 // events on the engine; Stop disarms them.
 type Interferer interface {

@@ -269,14 +269,6 @@ func (s *Store) HasReplica(node cluster.NodeID, id BUID) bool {
 	return slices.Contains(s.NodesFor(id), node)
 }
 
-// BUCountOn returns the number of BUs stored on a node.
-func (s *Store) BUCountOn(node cluster.NodeID) int {
-	if int(node) < 0 || int(node) >= len(s.nodeLoad) {
-		return 0
-	}
-	return s.nodeLoad[node]
-}
-
 // Split is a contiguous run of BUs handed to one classic map task.
 type Split struct {
 	File  string

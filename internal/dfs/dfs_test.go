@@ -114,7 +114,7 @@ func TestPlacementBalance(t *testing.T) {
 	s.AddFile("a", int64(20*GroupBUs)*BUSize)
 	min, max := 1<<62, 0
 	for _, n := range s.Cluster().Nodes {
-		c := s.BUCountOn(n.ID)
+		c := s.nodeLoad[n.ID]
 		if c < min {
 			min = c
 		}

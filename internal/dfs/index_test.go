@@ -229,8 +229,8 @@ func checkAgainstRef(t *testing.T, s *Store, ref *refStore) {
 		}
 	}
 	for _, n := range s.cluster.Nodes {
-		if got := s.BUCountOn(n.ID); got != perNode[n.ID] {
-			t.Fatalf("BUCountOn(%d) = %d, replicas listed there %d", n.ID, got, perNode[n.ID])
+		if got := s.nodeLoad[n.ID]; got != perNode[n.ID] {
+			t.Fatalf("nodeLoad[%d] = %d, replicas listed there %d", n.ID, got, perNode[n.ID])
 		}
 	}
 	for _, id := range []BUID{-1, ref.next, ref.next + 100} {

@@ -117,14 +117,6 @@ func (t *Tracker) Remaining() int { return t.live }
 // Total returns the number of BUs the tracker started with.
 func (t *Tracker) Total() int { return len(t.remaining) }
 
-// LocalCount returns the number of unprocessed BUs with a replica on node.
-func (t *Tracker) LocalCount(node cluster.NodeID) int {
-	if node < 0 || int(node) >= len(t.byNode) {
-		return 0
-	}
-	return t.byNode[node].live
-}
-
 // take removes one BU from the pool, decrementing every replica holder's
 // live count. Slice entries are left behind as lazy tombstones.
 func (t *Tracker) take(id BUID) {

@@ -99,7 +99,7 @@ func applyOps(t *testing.T, ops []trackerOp, nodes, repl int) []BUID {
 		if got, want := tr.Remaining(), total-len(outstanding); got != want {
 			t.Fatalf("Remaining() = %d, model says %d", got, want)
 		}
-		// Spot-check LocalCount against a brute-force recount.
+		// Spot-check the live count per node against a brute-force recount.
 		probe := op.node
 		count := 0
 		for _, id := range fileBUs(t, s) {
@@ -107,8 +107,8 @@ func applyOps(t *testing.T, ops []trackerOp, nodes, repl int) []BUID {
 				count++
 			}
 		}
-		if got := tr.LocalCount(probe); got != count {
-			t.Fatalf("LocalCount(%d) = %d, brute force says %d", probe, got, count)
+		if got := tr.byNode[probe].live; got != count {
+			t.Fatalf("byNode[%d].live = %d, brute force says %d", probe, got, count)
 		}
 	}
 	return transcript
@@ -125,10 +125,10 @@ func fileBUs(t *testing.T, s *Store) []BUID {
 
 // Property: under random interleavings of Take, TakeRemote and Restore the
 // tracker hands every BU out at most once per residence in the pool, keeps
-// Remaining()/LocalCount consistent with a brute-force model, returns every
-// batch in ascending BUID order, and is fully deterministic — the same op
-// sequence replayed against a fresh tracker yields a byte-identical
-// handout transcript.
+// Remaining() and the per-node live counts consistent with a brute-force
+// model, returns every batch in ascending BUID order, and is fully
+// deterministic — the same op sequence replayed against a fresh tracker
+// yields a byte-identical handout transcript.
 func TestTrackerPropertyInterleavings(t *testing.T) {
 	f := func(seed int64) bool {
 		const nodes, repl = 9, 3

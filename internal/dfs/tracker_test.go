@@ -56,11 +56,11 @@ func TestTakeLocalOnlyReturnsLocal(t *testing.T) {
 			t.Fatalf("TakeLocal returned non-local BU %d", id)
 		}
 	}
-	if len(bus) != s.BUCountOn(node) {
-		t.Fatalf("TakeLocal returned %d, node stores %d", len(bus), s.BUCountOn(node))
+	if len(bus) != s.nodeLoad[node] {
+		t.Fatalf("TakeLocal returned %d, node stores %d", len(bus), s.nodeLoad[node])
 	}
-	if tr.LocalCount(node) != 0 {
-		t.Fatalf("LocalCount = %d after draining", tr.LocalCount(node))
+	if tr.byNode[node].live != 0 {
+		t.Fatalf("byNode[node].live = %d after draining", tr.byNode[node].live)
 	}
 }
 
@@ -69,7 +69,7 @@ func TestTakePrefersLocal(t *testing.T) {
 	s.AddFile("a", 64*BUSize)
 	tr, _ := NewTracker(s, "a")
 	node := cluster.NodeID(2)
-	localAvail := tr.LocalCount(node)
+	localAvail := tr.byNode[node].live
 	if localAvail < 2 {
 		t.Skip("placement left node with too few local BUs")
 	}
@@ -89,7 +89,7 @@ func TestTakeFallsBackRemote(t *testing.T) {
 	s.AddFile("a", 32*BUSize)
 	tr, _ := NewTracker(s, "a")
 	node := cluster.NodeID(0)
-	localAvail := tr.LocalCount(node)
+	localAvail := tr.byNode[node].live
 	bus, local := tr.Take(node, localAvail+5)
 	if local != localAvail {
 		t.Fatalf("local part = %d, want %d", local, localAvail)
@@ -108,7 +108,7 @@ func TestTakeRemoteRichestHeuristic(t *testing.T) {
 
 	richest, best := cluster.NodeID(-1), -1
 	for _, n := range s.Cluster().Nodes {
-		if c := tr.LocalCount(n.ID); c > best {
+		if c := tr.byNode[n.ID].live; c > best {
 			best, richest = c, n.ID
 		}
 	}

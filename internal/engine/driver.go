@@ -384,11 +384,6 @@ func (d *Driver) fetchSources(a *MapAttempt) []fetchSrc {
 	return out
 }
 
-// FetchedRemoteBytes returns the remote input bytes this attempt actually
-// transferred (full RemoteBytes once the fetch completed; the pro-rata
-// partial if the attempt was killed mid-fetch).
-func (a *MapAttempt) FetchedRemoteBytes() int64 { return a.fetched }
-
 func (a *MapAttempt) beginCompute() {
 	a.phase = phaseCompute
 	a.computeAt = a.d.Eng.Now()
@@ -734,17 +729,6 @@ func (d *Driver) removeRunning(id cluster.NodeID, a *MapAttempt) {
 	}
 }
 
-// RunningMapsOn returns the map attempts currently executing on a node,
-// ordered by task ID. The result is a fresh slice the caller may keep.
-func (d *Driver) RunningMapsOn(id cluster.NodeID) []*MapAttempt {
-	if int(id) < 0 || int(id) >= len(d.running) {
-		return nil
-	}
-	out := make([]*MapAttempt, len(d.running[id]))
-	copy(out, d.running[id])
-	return out
-}
-
 // RunningMapsInto appends the node's running map attempts (ordered by
 // task ID) to buf and returns the extended slice — the allocation-free
 // variant the heartbeat sweep uses. The appended pointers alias live
@@ -766,14 +750,3 @@ func (d *Driver) EachRunningMap(fn func(*MapAttempt)) {
 		}
 	}
 }
-
-// IntermediateOn returns intermediate bytes resident on a node.
-func (d *Driver) IntermediateOn(id cluster.NodeID) int64 {
-	if int(id) < 0 || int(id) >= len(d.interByNode) {
-		return 0
-	}
-	return d.interByNode[id]
-}
-
-// TotalIntermediate returns total shuffle volume produced so far.
-func (d *Driver) TotalIntermediate() int64 { return d.totalInter }

@@ -201,8 +201,8 @@ func TestRemainingAtLeastLive(t *testing.T) {
 func TestRunningMapsRegistry(t *testing.T) {
 	h := newHarness(t, cluster.Homogeneous(2), 32, wcSpec(0))
 	launchOne(t, h, 8, nil)
-	if got := len(h.driver.RunningMapsOn(0)); got != 1 {
-		t.Fatalf("RunningMapsOn = %d, want 1", got)
+	if got := len(h.driver.running[0]); got != 1 {
+		t.Fatalf("node 0 runs %d maps, want 1", got)
 	}
 	count := func() int {
 		n := 0
@@ -226,10 +226,10 @@ func TestShuffleAccounting(t *testing.T) {
 	})
 	h.eng.Run()
 	want := int64(float64(a.Bytes) * 0.3)
-	if got := h.driver.IntermediateOn(0); got != want {
+	if got := h.driver.interByNode[0]; got != want {
 		t.Fatalf("intermediate on node 0 = %d, want %d", got, want)
 	}
-	if h.driver.TotalIntermediate() != want {
+	if h.driver.totalInter != want {
 		t.Fatal("total intermediate mismatch")
 	}
 }
@@ -321,8 +321,8 @@ func TestExtraFetchBytesCharged(t *testing.T) {
 	if h.driver.Result.RemoteBytesRead != 100*MB {
 		t.Fatalf("remote read = %d after run, want %d", h.driver.Result.RemoteBytesRead, 100*MB)
 	}
-	if a.FetchedRemoteBytes() != 100*MB {
-		t.Fatalf("attempt fetched = %d, want %d", a.FetchedRemoteBytes(), 100*MB)
+	if a.fetched != 100*MB {
+		t.Fatalf("attempt fetched = %d, want %d", a.fetched, 100*MB)
 	}
 	// The fetch adds 100MB/1250MBps = 0.08s to the effective runtime.
 	rec := h.driver.Result.Attempts[0]

@@ -60,7 +60,7 @@ func TestKillDuringOverheadChargesNoRemoteBytes(t *testing.T) {
 		a.Container.Release()
 	})
 	h.eng.Run()
-	if got := a.FetchedRemoteBytes(); got != 0 {
+	if got := a.fetched; got != 0 {
 		t.Fatalf("attempt killed pre-fetch reports %d fetched bytes", got)
 	}
 	if got := h.driver.Result.RemoteBytesRead; got != 0 {
@@ -77,7 +77,7 @@ func TestKillMidFetchChargesProRata(t *testing.T) {
 		a.Container.Release()
 	})
 	h.eng.Run()
-	got := a.FetchedRemoteBytes()
+	got := a.fetched
 	if got < 49*MB || got > 51*MB {
 		t.Fatalf("pro-rata fetched = %d, want ~%d", got, 50*MB)
 	}
@@ -97,7 +97,7 @@ func TestRetryAfterFetchKillCountsBothTransfers(t *testing.T) {
 	h.eng.At(2.04, "kill", func() {
 		first.Kill()
 		first.Container.Release()
-		partial = first.FetchedRemoteBytes()
+		partial = first.fetched
 		retry := launchFetching(t, h, "fetch-0-retry")
 		if h.driver.Result.RemoteBytesRead != partial {
 			t.Errorf("retry dispatch charged bytes: %d != %d", h.driver.Result.RemoteBytesRead, partial)
@@ -132,7 +132,7 @@ func TestKillMidFetchFabricChargesTransferred(t *testing.T) {
 		a.Container.Release()
 	})
 	h.eng.Run()
-	got := a.FetchedRemoteBytes()
+	got := a.fetched
 	if got < 49*MB || got > 51*MB {
 		t.Fatalf("fabric kill fetched = %d, want ~%d", got, 50*MB)
 	}
@@ -161,7 +161,7 @@ func TestFabricFetchCompletesAndCharges(t *testing.T) {
 	if !a.Finished() {
 		t.Fatal("attempt did not finish")
 	}
-	if got := a.FetchedRemoteBytes(); got != 100*MB {
+	if got := a.fetched; got != 100*MB {
 		t.Fatalf("fetched = %d, want %d", got, 100*MB)
 	}
 	if got := h.driver.Result.RemoteBytesRead; got != 100*MB {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 
 	"flexmap/internal/cluster"
@@ -132,7 +133,7 @@ func (d *Driver) crashResident(id cluster.NodeID) {
 	if d.finished {
 		return
 	}
-	for _, a := range d.RunningMapsOn(id) {
+	for _, a := range slices.Clone(d.running[id]) {
 		if a.kill(true) {
 			d.Result.AttemptsCrashed++
 			d.crashedPending[id] = append(d.crashedPending[id], a)
@@ -174,7 +175,7 @@ func (d *Driver) drainNode(id cluster.NodeID) int {
 		return 0
 	}
 	preempted := 0
-	for _, a := range d.RunningMapsOn(id) {
+	for _, a := range slices.Clone(d.running[id]) {
 		if d.preempt(a) {
 			preempted++
 		}

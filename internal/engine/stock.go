@@ -140,9 +140,6 @@ func (am *StockAM) Driver() *Driver { return am.d }
 // PendingCount returns the number of undispatched map tasks.
 func (am *StockAM) PendingCount() int { return am.pending.Len() }
 
-// TasksRemaining returns the number of incomplete map tasks.
-func (am *StockAM) TasksRemaining() int { return am.tasksRemaining }
-
 // AddPending enqueues an extra map task (SkewTune subtasks) under the
 // next TaskID and adjusts the outstanding-task count by delta (subtasks
 // add new tasks; the repartitioned original never completes).

@@ -22,7 +22,7 @@ func TestStockMapOnlyJob(t *testing.T) {
 	if len(r.MapAttempts()) != 8 { // 64 BUs / 8 per split
 		t.Fatalf("%d map attempts, want 8", len(r.MapAttempts()))
 	}
-	if am.TasksRemaining() != 0 || am.PendingCount() != 0 {
+	if am.tasksRemaining != 0 || am.PendingCount() != 0 {
 		t.Fatal("AM left work behind")
 	}
 	if len(r.ReduceAttempts()) != 0 {
@@ -48,7 +48,7 @@ func TestStockWithReducers(t *testing.T) {
 	for _, a := range r.ReduceAttempts() {
 		reduceBytes += a.Bytes
 	}
-	if want := h.driver.TotalIntermediate(); reduceBytes > want || reduceBytes < want-int64(len(r.ReduceAttempts())) {
+	if want := h.driver.totalInter; reduceBytes > want || reduceBytes < want-int64(len(r.ReduceAttempts())) {
 		t.Fatalf("reducers processed %d bytes, total intermediate %d", reduceBytes, want)
 	}
 }

@@ -1,9 +1,9 @@
 package experiments
 
-// The regression net for the parallel runner: every experiment harness,
-// run twice with the same seed — once fully serial, once fanned across
-// many workers — must render byte-for-byte identical output. This is the
-// contract that lets cmd/paperfigs default to -parallel 0: parallelism
+// The regression net for the parallel runner: every step of the paper
+// sequence, run twice with the same seed — once fully serial, once
+// fanned across many workers — must render byte-for-byte identical
+// output and traces. This is the contract that lets cmd/paperfigs default to -parallel 0: parallelism
 // can change wall-clock time only, never a published number.
 
 import (
@@ -26,131 +26,64 @@ func detCfg(parallel int) Config {
 	}
 }
 
-// detHarnesses names every harness and how to render it under a config.
-var detHarnesses = []struct {
-	name   string
-	render func(Config) (string, error)
-}{
-	{"fig1", func(cfg Config) (string, error) {
-		r, err := Fig1(cfg)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	{"fig2", func(cfg Config) (string, error) {
-		r, err := Fig2(cfg)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	{"fig3", func(cfg Config) (string, error) {
-		r, err := Fig3(cfg)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	{"fig56-physical", func(cfg Config) (string, error) {
-		r, err := Fig56(cfg, "physical")
-		if err != nil {
-			return "", err
-		}
-		return r.RenderFig5() + r.RenderFig6(), nil
-	}},
-	{"fig56-virtual", func(cfg Config) (string, error) {
-		r, err := Fig56(cfg, "virtual")
-		if err != nil {
-			return "", err
-		}
-		return r.RenderFig5() + r.RenderFig6(), nil
-	}},
-	{"fig7", func(cfg Config) (string, error) {
-		r, err := Fig7(cfg)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	{"fig8", func(cfg Config) (string, error) {
-		r, err := Fig8Subset(cfg, []float64{0.20})
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	{"overhead", func(cfg Config) (string, error) {
-		r, err := Overhead(cfg)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	{"ablation", func(cfg Config) (string, error) {
-		r, err := Ablation(cfg)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	{"skew", func(cfg Config) (string, error) {
-		r, err := Skew(cfg)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	{"workload", func(cfg Config) (string, error) {
-		r, err := WorkloadFigureLoads(cfg, []float64{360, 720})
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-}
-
+// TestSerialVsParallelDeterminism runs every step of the paper sequence,
+// opt-in ones included, once fully serial and once across 8 workers. Each
+// step must render the same text and write the same trace tree. The
+// trace directories are emptied between steps, so each step's tree is
+// compared on its own.
 func TestSerialVsParallelDeterminism(t *testing.T) {
-	for _, h := range detHarnesses {
-		h := h
-		t.Run(h.name, func(t *testing.T) {
-			serial, err := h.render(detCfg(1))
+	serialCfg, parallelCfg := detCfg(1), detCfg(8)
+	serialCfg.TraceDir, parallelCfg.TraceDir = t.TempDir(), t.TempDir()
+	sims := 0
+	serialCfg.Progress = func(done, total int) { sims++ }
+	serial, parallel := Steps(serialCfg), Steps(parallelCfg)
+	for i, step := range serial {
+		t.Run(step.Name, func(t *testing.T) {
+			sims = 0
+			a, err := step.Run()
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
-			parallel, err := h.render(detCfg(8))
+			b, err := parallel[i].Run()
 			if err != nil {
 				t.Fatalf("parallel: %v", err)
 			}
-			if serial != parallel {
-				t.Errorf("parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
+			if a != b {
+				t.Errorf("parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", a, b)
 			}
-			if serial == "" {
-				t.Error("harness rendered nothing")
+			if a == "" {
+				t.Error("step rendered nothing")
+			}
+			files := sameTraceTrees(t, serialCfg.TraceDir, parallelCfg.TraceDir)
+			if sims > 0 && files == 0 {
+				t.Errorf("%d simulations wrote no trace file", sims)
 			}
 		})
+		for _, dir := range []string{serialCfg.TraceDir, parallelCfg.TraceDir} {
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Mkdir(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
-// TestTraceFilesSerialVsParallel pins the trace layer's determinism
-// contract end to end: the same seed must emit byte-identical per-run
-// JSONL whether the experiment grid ran serially or across 8 workers.
-func TestTraceFilesSerialVsParallel(t *testing.T) {
-	dirA, dirB := t.TempDir(), t.TempDir()
-	cfgA, cfgB := detCfg(1), detCfg(8)
-	cfgA.TraceDir, cfgB.TraceDir = dirA, dirB
-	if _, err := Fig2(cfgA); err != nil {
-		t.Fatalf("serial: %v", err)
-	}
-	if _, err := Fig2(cfgB); err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
+// sameTraceTrees requires the two directories to hold the same trace
+// files with the same bytes, and returns how many there are.
+func sameTraceTrees(t *testing.T, dirA, dirB string) int {
+	t.Helper()
 	filesA, err := os.ReadDir(dirA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(filesA) == 0 {
-		t.Fatal("no trace files written")
+	filesB, err := os.ReadDir(dirB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(filesA) != len(filesB) {
+		t.Errorf("serial wrote %d trace files, parallel wrote %d", len(filesA), len(filesB))
 	}
 	for _, f := range filesA {
 		a, err := os.ReadFile(filepath.Join(dirA, f.Name()))
@@ -159,19 +92,14 @@ func TestTraceFilesSerialVsParallel(t *testing.T) {
 		}
 		b, err := os.ReadFile(filepath.Join(dirB, f.Name()))
 		if err != nil {
-			t.Fatalf("parallel run missing trace %s: %v", f.Name(), err)
+			t.Errorf("parallel run missing trace %s: %v", f.Name(), err)
+			continue
 		}
 		if !bytes.Equal(a, b) {
 			t.Errorf("trace %s differs between serial and parallel runs", f.Name())
 		}
 	}
-	filesB, err := os.ReadDir(dirB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(filesB) != len(filesA) {
-		t.Errorf("serial wrote %d trace files, parallel wrote %d", len(filesA), len(filesB))
-	}
+	return len(filesA)
 }
 
 // TestParallelRunRepeatable pins that two parallel runs of the same

@@ -2,8 +2,8 @@
 // paper's evaluation (§II motivation and §IV). Each harness runs the
 // needed simulations through internal/runner and returns a result struct
 // with a Render method that prints the same rows/series the paper
-// reports. cmd/paperfigs exposes them on the command line;
-// EXPERIMENTS.md records paper-vs-measured values.
+// reports. Steps orders them into the evaluation sequence that
+// cmd/paperfigs runs; EXPERIMENTS.md records paper-vs-measured values.
 package experiments
 
 import (

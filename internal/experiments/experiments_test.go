@@ -202,7 +202,7 @@ func TestFig7Traces(t *testing.T) {
 
 func TestFig8SubsetTrend(t *testing.T) {
 	cfg := Config{Seed: 42, Scale: 64, Benchmarks: []puma.Benchmark{puma.WordCount, puma.Grep}}
-	r, err := Fig8Subset(cfg, []float64{0.05, 0.40})
+	r, err := fig8(cfg, []float64{0.05, 0.40})
 	if err != nil {
 		t.Fatal(err)
 	}

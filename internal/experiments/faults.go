@@ -54,14 +54,9 @@ func FaultTolerance(cfg Config) (*FaultToleranceResult, error) {
 	return faultTolerance(cfg, FaultRates)
 }
 
-// FaultToleranceRates runs the figure over a custom crash-rate grid
-// (tests use short grids with rates matched to their scaled-down job
-// lengths). The grid must start with rate 0: it is the normalization
-// baseline.
-func FaultToleranceRates(cfg Config, rates []float64) (*FaultToleranceResult, error) {
-	return faultTolerance(cfg, rates)
-}
-
+// faultTolerance runs the figure over a crash-rate grid (tests use short
+// grids with rates matched to their scaled-down job lengths). The grid
+// must start with rate 0: it is the normalization baseline.
 func faultTolerance(cfg Config, rates []float64) (*FaultToleranceResult, error) {
 	if len(rates) == 0 || rates[0] != 0 {
 		return nil, fmt.Errorf("faults: rate grid must start with the 0 baseline, got %v", rates)

@@ -13,10 +13,10 @@ import (
 )
 
 func TestFaultRateGridMustStartAtZero(t *testing.T) {
-	if _, err := FaultToleranceRates(testCfg(), []float64{2, 4}); err == nil {
+	if _, err := faultTolerance(testCfg(), []float64{2, 4}); err == nil {
 		t.Fatal("grid without the 0 baseline accepted")
 	}
-	if _, err := FaultToleranceRates(testCfg(), nil); err == nil {
+	if _, err := faultTolerance(testCfg(), nil); err == nil {
 		t.Fatal("empty grid accepted")
 	}
 }
@@ -89,7 +89,7 @@ var faultDetRates = []float64{0, 60, 120}
 
 func TestFaultSerialVsParallelDeterminism(t *testing.T) {
 	render := func(parallel int) string {
-		r, err := FaultToleranceRates(faultDetCfg(parallel), faultDetRates)
+		r, err := faultTolerance(faultDetCfg(parallel), faultDetRates)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestFaultSerialVsParallelDeterminism(t *testing.T) {
 	// The nonzero rates must actually inject faults, or this test only
 	// proves fault-free determinism.
 	injected := 0
-	r, err := FaultToleranceRates(faultDetCfg(0), faultDetRates)
+	r, err := faultTolerance(faultDetCfg(0), faultDetRates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestFaultGridRaceHammer(t *testing.T) {
 		t.Skip("hammer skipped in -short")
 	}
 	cfg := Config{Seed: 7, Scale: 16, Parallel: 12}
-	first, err := FaultToleranceRates(cfg, []float64{0, 90, 90 * 2, 90 * 3})
+	first, err := faultTolerance(cfg, []float64{0, 90, 90 * 2, 90 * 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := FaultToleranceRates(cfg, []float64{0, 90, 90 * 2, 90 * 3})
+	second, err := faultTolerance(cfg, []float64{0, 90, 90 * 2, 90 * 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,11 +31,8 @@ func Fig8(cfg Config) (*Fig8Result, error) {
 	return fig8(cfg, Fig8Fractions)
 }
 
-// Fig8Subset runs only the given fractions (tests use one).
-func Fig8Subset(cfg Config, fractions []float64) (*Fig8Result, error) {
-	return fig8(cfg, fractions)
-}
-
+// fig8 runs the sweep over the given slow-node fractions (tests use a
+// subset).
 func fig8(cfg Config, fractions []float64) (*Fig8Result, error) {
 	cfg = cfg.withDefaults()
 	out := &Fig8Result{

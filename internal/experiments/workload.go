@@ -60,12 +60,6 @@ func WorkloadFigure(cfg Config) (*WorkloadFigureResult, error) {
 	return workloadFigure(cfg, WorkloadLoads)
 }
 
-// WorkloadFigureLoads runs the figure over a custom offered-load grid
-// (tests use short grids matched to their scaled-down job lengths).
-func WorkloadFigureLoads(cfg Config, loads []float64) (*WorkloadFigureResult, error) {
-	return workloadFigure(cfg, loads)
-}
-
 // workloadScenario builds one cell: every class runs the given engine so
 // the comparison is engine-pure; sizes and arrival times are identical
 // across engines at a given seed because both derive from the scenario
@@ -90,6 +84,8 @@ func workloadScenario(cfg Config, eng runner.Engine, load float64, small, large 
 	}
 }
 
+// workloadFigure runs the figure over an offered-load grid (tests use
+// short grids matched to their scaled-down job lengths).
 func workloadFigure(cfg Config, loads []float64) (*WorkloadFigureResult, error) {
 	if len(loads) < 1 {
 		return nil, fmt.Errorf("workload: empty offered-load grid")

@@ -13,7 +13,7 @@ func wlCfg() Config {
 
 func TestWorkloadFigureStructure(t *testing.T) {
 	loads := []float64{120, 360, 720}
-	r, err := WorkloadFigureLoads(wlCfg(), loads)
+	r, err := workloadFigure(wlCfg(), loads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestWorkloadFigureStructure(t *testing.T) {
 }
 
 func TestWorkloadFigureRender(t *testing.T) {
-	r, err := WorkloadFigureLoads(wlCfg(), []float64{360})
+	r, err := workloadFigure(wlCfg(), []float64{360})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -255,9 +255,6 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // events remain queued for inspection.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // heapArity is the fan-out of the event heap. A 4-ary heap halves tree
 // depth versus binary, trading slightly more comparisons per level for
 // fewer cache-missing hops — the classic d-ary layout for hot priority

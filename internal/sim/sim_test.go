@@ -167,8 +167,8 @@ func TestStopHaltsEngine(t *testing.T) {
 	if count != 4 {
 		t.Fatalf("fired %d events after Stop, want 4", count)
 	}
-	if !e.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
+	if !e.stopped {
+		t.Fatal("stopped = false after Stop")
 	}
 }
 

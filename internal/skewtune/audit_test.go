@@ -20,9 +20,7 @@ import (
 // ties counts the other candidates that share the maximum.
 func referenceStraggler(d *engine.Driver, now sim.Time) (victim *engine.MapAttempt, worst sim.Duration, ties int) {
 	var all []*engine.MapAttempt
-	for _, n := range d.Cluster.Nodes {
-		all = append(all, d.RunningMapsOn(n.ID)...)
-	}
+	d.EachRunningMap(func(a *engine.MapAttempt) { all = append(all, a) })
 	sort.Slice(all, func(i, j int) bool { return all[i].Task < all[j].Task })
 	worst = -1
 	for _, a := range all {

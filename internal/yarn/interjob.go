@@ -73,12 +73,6 @@ type JobHandle struct {
 	granted    bool
 }
 
-// Running returns the job's current granted-container count.
-func (h *JobHandle) Running() int { return h.running }
-
-// Done reports whether the job has been retired from scheduling.
-func (h *JobHandle) Done() bool { return h.done }
-
 // QueueWait returns the delay from submission to the job's first
 // container grant, or -1 if it never received one.
 func (h *JobHandle) QueueWait() sim.Duration {

@@ -89,9 +89,9 @@ func TestFairConvergesToEqualShares(t *testing.T) {
 	// churn every 7 s so shares are continuously re-decided.
 	for _, at := range []sim.Time{50, 100, 200} {
 		eng.At(at, "check-fairness", func() {
-			min, max := handles[0].Running(), handles[0].Running()
+			min, max := handles[0].running, handles[0].running
 			for _, h := range handles[1:] {
-				if r := h.Running(); r < min {
+				if r := h.running; r < min {
 					min = r
 				} else if r > max {
 					max = r
@@ -113,16 +113,16 @@ func TestFairCountsSurviveNodeLoss(t *testing.T) {
 	h := ij.Submit("job", 0, f)
 	rm.Start()
 	eng.RunUntil(5)
-	if h.Running() != 4 {
-		t.Fatalf("running = %d, want 4", h.Running())
+	if h.running != 4 {
+		t.Fatalf("running = %d, want 4", h.running)
 	}
 	eng.At(6, "crash", func() {
 		rm.cluster.Node(0).SetDown(true)
 		rm.NodeLost(0)
 	})
 	eng.RunUntil(10)
-	if h.Running() != 2 {
-		t.Fatalf("after node loss running = %d, want 2 (node 0's containers written off)", h.Running())
+	if h.running != 2 {
+		t.Fatalf("after node loss running = %d, want 2 (node 0's containers written off)", h.running)
 	}
 	// Restoring must not double-credit: the purge already ran at loss.
 	eng.At(11, "restore", func() {
@@ -130,8 +130,8 @@ func TestFairCountsSurviveNodeLoss(t *testing.T) {
 		rm.NodeRestored(0)
 	})
 	eng.RunUntil(15)
-	if h.Running() != 2 {
-		t.Fatalf("after restore running = %d, want 2", h.Running())
+	if h.running != 2 {
+		t.Fatalf("after restore running = %d, want 2", h.running)
 	}
 }
 
@@ -156,7 +156,7 @@ func TestCapacityNeverExceedsCaps(t *testing.T) {
 	check := func() {
 		usage := [2]int{}
 		for _, h := range handles {
-			usage[h.Queue] += h.Running()
+			usage[h.Queue] += h.running
 		}
 		for q, u := range usage {
 			if cap := pol.Cap(q, rm.TotalSlots()); u > cap {
@@ -173,7 +173,7 @@ func TestCapacityNeverExceedsCaps(t *testing.T) {
 	eng.RunUntil(100)
 	usage := 0
 	for _, h := range handles[:2] {
-		usage += h.Running()
+		usage += h.running
 	}
 	if usage != 4 {
 		t.Fatalf("prod queue steady-state usage = %d, want exactly its cap 4", usage)
@@ -195,8 +195,8 @@ func TestCapacityElasticBorrow(t *testing.T) {
 	h := ij.Submit("greedy", 0, f)
 	rm.Start()
 	eng.RunUntil(30)
-	if h.Running() != 12 {
-		t.Fatalf("lone job holds %d slots, want all 12 via elastic borrow", h.Running())
+	if h.running != 12 {
+		t.Fatalf("lone job holds %d slots, want all 12 via elastic borrow", h.running)
 	}
 }
 
@@ -222,19 +222,19 @@ func TestCapacityReclaimAfterBorrow(t *testing.T) {
 		hl = ij.Submit("late", 1, late)
 	})
 	eng.At(19, "check-borrowed", func() {
-		if hb.Running() != 8 {
-			t.Errorf("t=19: borrower holds %d, want all 8", hb.Running())
+		if hb.running != 8 {
+			t.Errorf("t=19: borrower holds %d, want all 8", hb.running)
 		}
 	})
 	eng.At(60, "check-reclaimed", func() {
 		// Underserved-first ordering hands every freed slot to the late
 		// queue until it reaches its share; the borrower churns on at
 		// most the remainder (less heartbeat re-offer latency).
-		if hl.Running() != 4 {
-			t.Errorf("t=60: late queue holds %d, want its full share 4", hl.Running())
+		if hl.running != 4 {
+			t.Errorf("t=60: late queue holds %d, want its full share 4", hl.running)
 		}
-		if hb.Running() > 4 {
-			t.Errorf("t=60: borrower still holds %d > 4 after reclaim", hb.Running())
+		if hb.running > 4 {
+			t.Errorf("t=60: borrower still holds %d > 4 after reclaim", hb.running)
 		}
 		if bf := borrower.granted; bf == 0 {
 			t.Error("borrower never ran")
@@ -260,8 +260,8 @@ func TestRetiredJobGetsNoOffers(t *testing.T) {
 		if got := second.granted; got == 0 {
 			t.Error("second job never ran after first retired")
 		}
-		if h1.Running() != 0 {
-			t.Errorf("retired job still holds %d containers", h1.Running())
+		if h1.running != 0 {
+			t.Errorf("retired job still holds %d containers", h1.running)
 		}
 	})
 	eng.RunUntil(35)

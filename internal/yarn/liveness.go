@@ -72,11 +72,6 @@ func (w *NodeWatcher) OnLost(fn func(cluster.NodeID)) { w.onLost = append(w.onLo
 // after a declared loss or a brief outage shorter than the timeout.
 func (w *NodeWatcher) OnRejoin(fn func(cluster.NodeID)) { w.onRejoin = append(w.onRejoin, fn) }
 
-// Lost reports whether the node is currently declared lost.
-func (w *NodeWatcher) Lost(id cluster.NodeID) bool {
-	return int(id) >= 0 && int(id) < len(w.lost) && w.lost[id]
-}
-
 // Stop halts the liveness ticker (wired to Driver.OnFinished).
 func (w *NodeWatcher) Stop() { w.ticker.Stop() }
 
@@ -100,11 +95,6 @@ func (w *NodeWatcher) Register(id cluster.NodeID) {
 	w.lost[id] = false
 	w.wasDown[id] = false
 	w.lastBeat[id] = w.eng.Now()
-}
-
-// Deregistered reports whether the node is outside liveness tracking.
-func (w *NodeWatcher) Deregistered(id cluster.NodeID) bool {
-	return int(id) >= 0 && int(id) < len(w.deregistered) && w.deregistered[id]
 }
 
 // tick is one heartbeat round: one batched timer event sweeping every

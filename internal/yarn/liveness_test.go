@@ -40,7 +40,7 @@ func TestLossDeclaredAtThirdMissedBeat(t *testing.T) {
 	h.eng.At(6, "crash", func() { h.c.Node(0).SetDown(true) })
 
 	h.eng.RunUntil(15) // beats at 10, 15 missed — only 2
-	if h.w.Lost(0) {
+	if h.w.lost[0] {
 		t.Fatal("node declared lost after 2 missed beats (N-1)")
 	}
 	if len(h.lost) != 0 {
@@ -48,7 +48,7 @@ func TestLossDeclaredAtThirdMissedBeat(t *testing.T) {
 	}
 
 	h.eng.RunUntil(20) // third missed beat
-	if !h.w.Lost(0) {
+	if !h.w.lost[0] {
 		t.Fatal("node not declared lost after 3 missed beats")
 	}
 	if len(h.lost) != 1 || h.lost[0] != 0 {
@@ -75,11 +75,11 @@ func TestLivenessSweepDetectionBoundary(t *testing.T) {
 		w.OnLost(func(cluster.NodeID) { lostAt = append(lostAt, eng.Now()) })
 		eng.At(6, "crash", func() { c.Node(3).SetDown(true) })
 		eng.RunUntil(15)
-		if w.Lost(3) || len(lostAt) != 0 {
+		if w.lost[3] || len(lostAt) != 0 {
 			t.Fatal("node declared lost after only 2 missed beats")
 		}
 		eng.RunUntil(20)
-		if !w.Lost(3) {
+		if !w.lost[3] {
 			t.Fatal("node not declared lost at the third missed beat")
 		}
 		if len(lostAt) != 1 || lostAt[0] != 20 {
@@ -95,7 +95,7 @@ func TestRejoinRestoresCapacityAndFires(t *testing.T) {
 	h.eng.At(6, "crash", func() { h.c.Node(0).SetDown(true) })
 	h.eng.At(42, "restore", func() { h.c.Node(0).SetDown(false) })
 	h.eng.RunUntil(100)
-	if h.w.Lost(0) {
+	if h.w.lost[0] {
 		t.Fatal("node still marked lost after rejoin")
 	}
 	if len(h.rejoins) != 1 || h.rejoins[0] != 0 {
@@ -152,10 +152,10 @@ func TestDeregisteredNodeSilenceNotLost(t *testing.T) {
 	if len(h.lost) != 0 {
 		t.Fatalf("deregistered node declared lost: %v", h.lost)
 	}
-	if !h.w.Deregistered(0) {
+	if !h.w.deregistered[0] {
 		t.Fatal("node not reported deregistered")
 	}
-	if h.w.Deregistered(1) {
+	if h.w.deregistered[1] {
 		t.Fatal("untouched node reports deregistered")
 	}
 }
@@ -167,14 +167,14 @@ func TestDeregisterClearsPendingLossAndRejoin(t *testing.T) {
 	h := newLivenessHarness(2)
 	h.eng.At(6, "crash", func() { h.c.Node(0).SetDown(true) })
 	h.eng.At(25, "release", func() {
-		if !h.w.Lost(0) {
+		if !h.w.lost[0] {
 			t.Fatal("precondition: node should be lost by t=25")
 		}
 		h.w.Deregister(0)
 	})
 	h.eng.At(30, "restore", func() { h.c.Node(0).SetDown(false) })
 	h.eng.RunUntil(100)
-	if h.w.Lost(0) {
+	if h.w.lost[0] {
 		t.Fatal("Lost still true after Deregister")
 	}
 	if len(h.rejoins) != 0 {
@@ -218,7 +218,7 @@ func TestDeregisterRegisterCycleWhileUp(t *testing.T) {
 	if len(h.lost) != 0 || len(h.rejoins) != 0 {
 		t.Fatalf("cycle fired callbacks: lost=%v rejoins=%v", h.lost, h.rejoins)
 	}
-	if h.w.Deregistered(0) {
+	if h.w.deregistered[0] {
 		t.Fatal("node still deregistered after Register")
 	}
 }
@@ -237,7 +237,7 @@ func TestOfflineSparesStartDeregistered(t *testing.T) {
 	rm.Start()
 	eng.RunUntil(200)
 	for _, id := range spares {
-		if !w.Deregistered(id) {
+		if !w.deregistered[id] {
 			t.Fatalf("offline spare %d not deregistered at start", id)
 		}
 	}

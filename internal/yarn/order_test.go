@@ -113,7 +113,7 @@ func TestPolicyOrderMatchesReference(t *testing.T) {
 				var handles, log []*JobHandle
 				live := func() (active []*JobHandle) {
 					for _, h := range handles {
-						if !h.Done() {
+						if !h.done {
 							active = append(active, h)
 						}
 					}
@@ -265,11 +265,11 @@ func TestNestedOffer(t *testing.T) {
 			rm.Acquire(node)
 			return true
 		}
-		was := n.h.Running()
+		was := n.h.running
 		if !ij.OnSlotFree(node) {
 			t.Fatalf("%s: the nester's grant did not place", c.pol.Name())
 		}
-		if got := n.h.Running(); got != was+1 {
+		if got := n.h.running; got != was+1 {
 			t.Errorf("%s: nester runs %d containers after its grant, want %d", c.pol.Name(), got, was+1)
 		}
 	}
