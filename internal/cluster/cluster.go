@@ -328,10 +328,9 @@ func (c *Cluster) Node(id NodeID) *Node {
 }
 
 // Interferer perturbs node speeds over virtual time. Start arms its
-// events on the engine; Stop disarms them.
+// events on the engine; they end with the run, when the engine stops.
 type Interferer interface {
 	Start(eng *sim.Engine)
-	Stop()
 }
 
 // staticInterferer applies fixed multipliers once at start.
@@ -354,44 +353,41 @@ func (s *staticInterferer) Start(eng *sim.Engine) {
 	}
 }
 
-func (s *staticInterferer) Stop() {}
+// The shape of RandomInterference's shared-cloud model, matching the
+// paper's virtual cluster (Fig. 1(b)).
+const (
+	interferencePeriod sim.Duration = 60   // drift period
+	interferedFraction float64      = 0.20 // fraction of the fleet interfered at any instant
+	interferenceDrift  float64      = 0.15 // probability an interfered node migrates each period
+	minInterference    float64      = 0.20 // harshest slowdown multiplier (5× slower)
+	maxInterference    float64      = 0.50 // mildest slowdown multiplier (2× slower)
+)
 
-// RandomInterference models a shared cloud: a fixed fraction Prob of the
-// fleet is interfered at any instant (severity drawn from
-// [MinMult, MaxMult]), matching the paper's observation that about 20%
-// of the virtual cluster's map tasks were slowed. Interference is
-// *persistent with drift*: every Period seconds each interfered node
-// migrates to a random clear node with probability Drift, so hotspots
-// move during a job — as the paper notes for its university cloud — but
-// most co-located tenants stay put.
+// RandomInterference models a shared cloud: a fixed fraction
+// (interferedFraction) of the fleet is interfered at any instant, with
+// severity drawn from [minInterference, maxInterference], matching the
+// paper's observation that about 20% of the virtual cluster's map tasks
+// were slowed. Interference is *persistent with drift*: every
+// interferencePeriod each interfered node migrates to a random clear
+// node with probability interferenceDrift, so hotspots move during a
+// job — as the paper notes for its university cloud — but most
+// co-located tenants stay put.
 type RandomInterference struct {
 	Cluster *Cluster
-	Period  sim.Duration // drift period, e.g. 60 s
-	Prob    float64      // fraction of the fleet interfered at any instant
-	Drift   float64      // probability an interfered node migrates each period (default 1)
-	MinMult float64      // harshest slowdown multiplier, e.g. 0.2 (5× slower)
-	MaxMult float64      // mildest slowdown multiplier, e.g. 0.5 (2× slower)
 	RNG     *randutil.Source
-
-	ticker *sim.Ticker
 }
 
 // severity draws an interference multiplier.
 func (r *RandomInterference) severity() float64 {
-	return r.MinMult + r.RNG.Float64()*(r.MaxMult-r.MinMult)
+	return minInterference + r.RNG.Float64()*(maxInterference-minInterference)
 }
 
 // Start arms the interference process: an immediate roll interfering
-// exactly round(Prob × N) nodes, plus periodic drift migrating hotspots.
+// exactly round(interferedFraction × N) nodes, plus periodic drift
+// migrating hotspots.
 func (r *RandomInterference) Start(eng *sim.Engine) {
-	if r.Period <= 0 {
-		r.Period = 30
-	}
-	if r.Drift <= 0 {
-		r.Drift = 1.0
-	}
 	n := r.Cluster.Size()
-	k := int(r.Prob*float64(n) + 0.5)
+	k := int(interferedFraction*float64(n) + 0.5)
 	if k > n {
 		k = n
 	}
@@ -400,7 +396,7 @@ func (r *RandomInterference) Start(eng *sim.Engine) {
 			r.Cluster.Nodes[idx].SetInterference(r.severity())
 		}
 	})
-	r.ticker = sim.NewTicker(eng, r.Period, "interference-drift", func(sim.Time) {
+	sim.NewTicker(eng, interferencePeriod, "interference-drift", func(sim.Time) {
 		var clear []*Node
 		for _, node := range r.Cluster.Nodes {
 			if node.Interference() == 1.0 {
@@ -408,7 +404,7 @@ func (r *RandomInterference) Start(eng *sim.Engine) {
 			}
 		}
 		for _, node := range r.Cluster.Nodes {
-			if node.Interference() < 1.0 && r.RNG.Float64() < r.Drift && len(clear) > 0 {
+			if node.Interference() < 1.0 && r.RNG.Float64() < interferenceDrift && len(clear) > 0 {
 				// The co-located tenant moves: this node clears, a random
 				// clear node becomes the new hotspot.
 				i := r.RNG.Intn(len(clear))
@@ -419,11 +415,4 @@ func (r *RandomInterference) Start(eng *sim.Engine) {
 			}
 		}
 	})
-}
-
-// Stop halts future re-rolls; current multipliers remain.
-func (r *RandomInterference) Stop() {
-	if r.ticker != nil {
-		r.ticker.Stop()
-	}
 }

@@ -65,11 +65,6 @@ func Virtual20(seed int64) (*Cluster, *RandomInterference) {
 	c := NewCluster("virtual-20", specs)
 	inf := &RandomInterference{
 		Cluster: c,
-		Period:  60,
-		Prob:    0.20,
-		Drift:   0.15,
-		MinMult: 0.20,
-		MaxMult: 0.50,
 		RNG:     randutil.New(randutil.SplitSeed(seed, "virtual20-interference")),
 	}
 	return c, inf

@@ -46,7 +46,7 @@ func newFlexHarness(t *testing.T, c *cluster.Cluster, fileBUs int64, spec mr.Job
 	am.Speculation = speculation
 	rm.SetScheduler(am)
 	w := yarn.NewNodeWatcher(eng, c, rm)
-	d.OnFinished(w.Stop)
+	d.OnFinished(eng.Stop)
 	target := engine.NewFaultTarget(c)
 	target.Add(d)
 	target.AttachWatcher(w)

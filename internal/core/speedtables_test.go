@@ -201,7 +201,7 @@ func TestSpeedTablesMatchReference(t *testing.T) {
 				rejoins := 0
 				d.OnNodeRejoin(func(cluster.NodeID) { rejoins++ })
 				w := yarn.NewNodeWatcher(eng, clus, rm)
-				d.OnFinished(w.Stop)
+				d.OnFinished(eng.Stop)
 				target := engine.NewFaultTarget(clus)
 				target.Add(d)
 				target.AttachWatcher(w)
@@ -211,7 +211,6 @@ func TestSpeedTablesMatchReference(t *testing.T) {
 						{At: 35, Node: 3, Kind: faults.Crash, Duration: 25},
 					}, target)
 					inj.Start()
-					d.OnFinished(inj.Stop)
 				}
 				var ctl *elastic.Controller
 				if c.spares {
@@ -227,7 +226,6 @@ func TestSpeedTablesMatchReference(t *testing.T) {
 					ctl.SetWatcher(w)
 					ctl.Speeds = am.RelativeSpeed
 					ctl.Start(seed)
-					d.OnFinished(ctl.Stop)
 				}
 
 				rm.Start()

@@ -44,8 +44,8 @@ type Watcher interface {
 //
 // Joining an online spare and draining an offline one are no-ops, so a
 // scheduled timeline and the autoscaler compose without coordination.
-// Stop gates all later events — wired to Driver.OnFinished so a
-// finished job stops mutating cluster state.
+// Its events end with the run: the engine stop at the last job's finish
+// drops every membership event, pending release and autoscaler tick.
 type Controller struct {
 	// Trace, when non-nil, records each membership change applied.
 	Trace *trace.Tracer
@@ -74,8 +74,6 @@ type Controller struct {
 	baseSlots int
 	schedule  []Event
 	auto      Autoscaler
-	ticker    *sim.Ticker
-	stopped   bool
 
 	// Autoscaler streak/cooldown state.
 	highStreak int
@@ -133,16 +131,7 @@ func (ctl *Controller) Start(seed int64) {
 	}
 	if ctl.plan.Autoscale != nil {
 		ctl.auto = ctl.plan.Autoscale.withDefaults()
-		ctl.ticker = sim.NewTicker(ctl.eng, ctl.auto.Interval, "autoscale-tick", ctl.autoscaleTick)
-	}
-}
-
-// Stop gates all not-yet-fired membership events (including pending
-// releases) and halts the autoscaler.
-func (ctl *Controller) Stop() {
-	ctl.stopped = true
-	if ctl.ticker != nil {
-		ctl.ticker.Stop()
+		sim.NewTicker(ctl.eng, ctl.auto.Interval, "autoscale-tick", ctl.autoscaleTick)
 	}
 }
 
@@ -151,9 +140,6 @@ func (ctl *Controller) Schedule() []Event { return ctl.schedule }
 
 // apply performs one scheduled membership event.
 func (ctl *Controller) apply(ev Event) {
-	if ctl.stopped {
-		return
-	}
 	switch ev.Kind {
 	case Join:
 		ctl.join(ev.Node)
@@ -208,7 +194,7 @@ func (ctl *Controller) drain(id cluster.NodeID, spot bool) {
 // crash, so downstream reducers re-fetch nothing.
 func (ctl *Controller) release(id cluster.NodeID) {
 	i, ok := ctl.spareIdx[id]
-	if ctl.stopped || !ok || !ctl.draining[i] {
+	if !ok || !ctl.draining[i] {
 		return
 	}
 	ctl.nodeSecs[i] += float64(ctl.eng.Now() - ctl.joinedAt[i])
@@ -226,9 +212,6 @@ func (ctl *Controller) release(id cluster.NodeID) {
 
 // autoscaleTick evaluates the policy against current occupancy.
 func (ctl *Controller) autoscaleTick(now sim.Time) {
-	if ctl.stopped {
-		return
-	}
 	busy, slots := ctl.rm.Occupancy()
 	if slots <= 0 {
 		return

@@ -169,23 +169,6 @@ func TestControllerDrainNoOps(t *testing.T) {
 	}
 }
 
-func TestControllerStopGatesPendingRelease(t *testing.T) {
-	h := newHarness(t, scriptPlan(
-		Event{At: 10, Node: 4, Kind: Join},
-		Event{At: 20, Node: 4, Kind: Drain},
-	), 2)
-	h.ctl.Start(1)
-	h.eng.RunUntil(25) // drain applied, release pending at 50
-	h.ctl.Stop()
-	h.eng.RunUntil(100)
-	if h.ctl.Releases != 0 {
-		t.Fatalf("Releases after Stop = %d, want 0", h.ctl.Releases)
-	}
-	if len(h.drainer.drained) != 0 {
-		t.Fatal("drainer called after Stop")
-	}
-}
-
 func TestControllerAccounting(t *testing.T) {
 	h := newHarness(t, scriptPlan(
 		Event{At: 100, Node: 4, Kind: Join},

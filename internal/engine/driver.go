@@ -106,9 +106,9 @@ type Driver struct {
 	onFinished      []func()
 }
 
-// OnFinished registers a hook invoked when the job fully completes —
-// typically to stop heartbeat and interference tickers so the event queue
-// drains.
+// OnFinished registers a hook invoked when the job fully completes or
+// fails: the job's heartbeat stops there, and the runner stops the
+// engine there once the run's last job is done.
 func (d *Driver) OnFinished(fn func()) { d.onFinished = append(d.onFinished, fn) }
 
 // NewDriver assembles a driver for one job on the run's executor, whose

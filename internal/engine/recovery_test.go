@@ -16,7 +16,7 @@ import (
 func attachLiveness(h *harness) *yarn.NodeWatcher {
 	w := yarn.NewNodeWatcher(h.eng, h.clus, h.rm)
 	h.target.AttachWatcher(w)
-	h.driver.OnFinished(w.Stop)
+	h.driver.OnFinished(h.eng.Stop)
 	return w
 }
 
@@ -314,7 +314,6 @@ func TestFaultTargetDeliversNodeEvents(t *testing.T) {
 	eng.At(1, "crash", func() { target.CrashNode(n.ID) })
 	eng.At(27, "restore", func() { target.RestoreNode(n.ID) })
 	eng.RunUntil(35)
-	w.Stop()
 	for j, d := range drivers {
 		want := 1
 		if j == 1 {

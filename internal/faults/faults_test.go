@@ -202,26 +202,6 @@ func TestInjectorSkipsDownNode(t *testing.T) {
 	}
 }
 
-func TestInjectorStopGatesEverything(t *testing.T) {
-	eng, c, tgt, inj := newInjectorHarness([]Event{
-		{At: 10, Node: 0, Kind: Crash, Duration: 30},
-		{At: 50, Node: 1, Kind: Crash, Duration: 30},
-	})
-	inj.Start()
-	eng.RunUntil(20) // first crash applied, restore pending
-	inj.Stop()
-	eng.RunUntil(200)
-	if want := []string{"crash"}; !reflect.DeepEqual(tgt.calls, want) {
-		t.Fatalf("calls after Stop = %v, want %v", tgt.calls, want)
-	}
-	if !c.Node(0).Down() {
-		t.Fatal("gated restore should have left node 0 down")
-	}
-	if c.Node(1).Down() {
-		t.Fatal("gated crash should have left node 1 up")
-	}
-}
-
 func TestInjectorSlowdownRestoresPrevious(t *testing.T) {
 	eng, c, _, inj := newInjectorHarness([]Event{
 		{At: 10, Node: 1, Kind: Slowdown, Duration: 20, Factor: 0.25},

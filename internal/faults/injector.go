@@ -23,15 +23,14 @@ type Target interface {
 // Injector arms a fault schedule on a simulation engine and applies each
 // event against the target. Events against an already-down node are
 // skipped (a dead machine cannot crash or slow down again), so injection
-// is well-defined for any schedule. Stop gates all later events — the
-// runner calls it when the run's last job finishes, so a finished run
-// stops mutating cluster state.
+// is well-defined for any schedule. Its events end with the run: the
+// engine stop at the last job's finish drops every fault, restore and
+// recovery still pending.
 type Injector struct {
 	eng      *sim.Engine
 	c        *cluster.Cluster
 	target   Target
 	schedule []Event
-	stopped  bool
 
 	// Trace, when non-nil, records each fault actually applied.
 	Trace *trace.Tracer
@@ -53,13 +52,7 @@ func (in *Injector) Start() {
 	}
 }
 
-// Stop gates all not-yet-fired events (including pending restores).
-func (in *Injector) Stop() { in.stopped = true }
-
 func (in *Injector) apply(ev Event) {
-	if in.stopped {
-		return
-	}
 	n := in.c.Node(ev.Node)
 	switch ev.Kind {
 	case Crash:
@@ -69,11 +62,7 @@ func (in *Injector) apply(ev Event) {
 		in.Injected++
 		in.Trace.FaultInject(ev.Kind.String(), ev.Node, ev.Duration, 0)
 		in.target.CrashNode(ev.Node)
-		in.eng.After(ev.Duration, "fault-restore", func() {
-			if !in.stopped {
-				in.target.RestoreNode(ev.Node)
-			}
-		})
+		in.eng.After(ev.Duration, "fault-restore", func() { in.target.RestoreNode(ev.Node) })
 	case Slowdown:
 		if n.Down() {
 			return
@@ -88,7 +77,7 @@ func (in *Injector) apply(ev Event) {
 		in.eng.After(ev.Duration, "fault-recover", func() {
 			// Restore the pre-fault multiplier only if nothing else (an
 			// interference process, another fault) changed it meanwhile.
-			if !in.stopped && !n.Down() && n.Interference() == ev.Factor {
+			if !n.Down() && n.Interference() == ev.Factor {
 				n.SetInterference(prev)
 			}
 		})

@@ -568,12 +568,11 @@ func (f *Fabric) heapRemove(li int32) {
 }
 
 // LinkStats summarizes every link: bytes carried by ended flows and mean
-// utilization over the given horizon (typically the job's finish time —
-// the engine clock is unusable here, since draining lazily-canceled
-// far-future flow events advances it past the last real event). Host
-// links come first (up then down), then rack uplinks and downlinks.
-func (f *Fabric) LinkStats(until sim.Time) []LinkStat {
-	now := float64(until)
+// utilization from t=0 to the engine's clock, which a finished run stops
+// at its last job's finish. Host links come first (up then down), then
+// rack uplinks and downlinks.
+func (f *Fabric) LinkStats() []LinkStat {
+	now := float64(f.eng.Now())
 	out := make([]LinkStat, 0, len(f.links))
 	stat := func(name string, l *link) LinkStat {
 		util := 0.0

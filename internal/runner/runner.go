@@ -340,7 +340,7 @@ func run(sc Scenario, spec mr.JobSpec, eng Engine, wrap func(*stack, yarn.Schedu
 	if s.ctl != nil && flexAM != nil {
 		s.ctl.Speeds = flexAM.RelativeSpeed
 	}
-	driver.OnFinished(s.stop)
+	driver.OnFinished(s.eng.Stop)
 
 	s.run()
 	if !driver.Finished() {
@@ -365,7 +365,7 @@ func run(sc Scenario, spec mr.JobSpec, eng Engine, wrap func(*stack, yarn.Schedu
 	}
 	if s.fabric != nil {
 		out.CrossRackBytes = s.fabric.CrossRackBytes()
-		out.NetLinks = s.fabric.LinkStats(driver.Result.Finished)
+		out.NetLinks = s.fabric.LinkStats()
 	}
 	if driver.Result.Failed {
 		return nil, &JobFailedError{

@@ -172,6 +172,17 @@ func TestBadMembershipPlanRejected(t *testing.T) {
 		{"NaN spot fraction", plan(func(p *elastic.Plan) { p.SpotFraction = nan })},
 		{"spot fraction above 1", plan(func(p *elastic.Plan) { p.SpotFraction = 1.5 })},
 		{"negative spot fraction", plan(func(p *elastic.Plan) { p.SpotFraction = -0.1 })},
+		{"NaN notice", plan(func(p *elastic.Plan) { p.Notice = sim.Duration(nan) })},
+		{"+Inf notice", plan(func(p *elastic.Plan) { p.Notice = sim.Duration(inf) })},
+		{"negative notice", plan(func(p *elastic.Plan) { p.Notice = -1 })},
+		{"NaN spot notice", plan(func(p *elastic.Plan) { p.SpotNotice = sim.Duration(nan) })},
+		{"-Inf spot notice", plan(func(p *elastic.Plan) { p.SpotNotice = sim.Duration(-inf) })},
+		{"NaN autoscale interval", plan(func(p *elastic.Plan) { p.Autoscale = &elastic.Autoscaler{Interval: sim.Duration(nan)} })},
+		{"+Inf autoscale interval", plan(func(p *elastic.Plan) { p.Autoscale = &elastic.Autoscaler{Interval: sim.Duration(inf)} })},
+		{"negative autoscale interval", plan(func(p *elastic.Plan) { p.Autoscale = &elastic.Autoscaler{Interval: -60} })},
+		{"NaN autoscale cooldown", plan(func(p *elastic.Plan) { p.Autoscale = &elastic.Autoscaler{Cooldown: sim.Duration(nan)} })},
+		{"negative autoscale cooldown", plan(func(p *elastic.Plan) { p.Autoscale = &elastic.Autoscaler{Cooldown: -1} })},
+		{"negative autoscale streak", plan(func(p *elastic.Plan) { p.Autoscale = &elastic.Autoscaler{Streak: -1} })},
 		{"negative script time", script(elastic.Event{At: -1, Node: 6, Kind: elastic.Join})},
 		{"NaN script time", script(elastic.Event{At: sim.Time(nan), Node: 6, Kind: elastic.Join})},
 		{"+Inf script time", script(elastic.Event{At: sim.Time(inf), Node: 6, Kind: elastic.Join})},
@@ -579,24 +590,40 @@ func TestFlexMapSizeTracePopulated(t *testing.T) {
 	}
 }
 
+// TestVirtualClusterInterferenceStops: a run ends at the event that
+// finishes its job. Virtual20's drift ticker, the crash, slowdown and
+// membership timelines and the liveness watcher all have events queued
+// past that instant, and none of them may fire.
 func TestVirtualClusterInterferenceStops(t *testing.T) {
-	// The interference ticker must stop with the job or the run would hit
-	// the scheduler-hang deadline.
-	sc := Scenario{
-		Name: "virt",
-		Cluster: func() (*cluster.Cluster, cluster.Interferer) {
-			c, inf := cluster.Virtual20(5)
-			return c, inf
-		},
-		Seed:      5,
-		InputSize: 128 * dfs.BUSize,
-	}
-	res, err := Run(sc, wcSpec(t, 8), Engine{Kind: FlexMap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.JCT() <= 0 {
-		t.Fatal("bad JCT")
+	for _, kind := range []EngineKind{Hadoop, FlexMap} {
+		var last sim.Time
+		sc := Scenario{
+			Name: "virt",
+			Cluster: func() (*cluster.Cluster, cluster.Interferer) {
+				return cluster.Virtual20(5)
+			},
+			Seed:      5,
+			InputSize: 128 * dfs.BUSize,
+			Faults:    faults.Plan{CrashRate: 60, SlowdownRate: 60, MeanDowntime: 20},
+			Membership: elastic.Plan{
+				Spares:        4,
+				SpareSpec:     cluster.NodeSpec{Class: "spare", BaseSpeed: 1, Slots: 4},
+				JoinsPerHour:  600,
+				LeavesPerHour: 300,
+				SpotFraction:  0.5,
+			},
+			OnFire: func(at sim.Time, _ string) { last = at },
+		}
+		res, err := Run(sc, wcSpec(t, 8), Engine{Kind: kind})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if res.NodesLost == 0 {
+			t.Fatalf("%s: run lost no node; the cell no longer covers crashes", kind)
+		}
+		if last != res.Finished {
+			t.Errorf("%s: last event fired at %v, job finished at %v", kind, last, res.Finished)
+		}
 	}
 }
 
@@ -689,7 +716,6 @@ type midJobCollapse struct{ c *cluster.Cluster }
 func (m *midJobCollapse) Start(eng *sim.Engine) {
 	eng.At(30, "collapse", func() { m.c.Node(0).SetInterference(0.1) })
 }
-func (m *midJobCollapse) Stop() {}
 
 func TestReplicationOneStillExactlyOnce(t *testing.T) {
 	sc := smallScenario(hetFactory)

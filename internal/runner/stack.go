@@ -19,12 +19,11 @@ import (
 )
 
 // stack is the simulator assembly Run and RunWorkload share: engine,
-// cluster, executor, DFS, RM, tracer and fabric, plus the optional
-// liveness watcher, fault injector and membership controller. Both paths
-// call the same steps, each in its own order. That order is
-// event-scheduling order, which breaks ties between same-instant events:
-// Run starts interference before building its watcher, RunWorkload
-// after.
+// cluster, executor, DFS, RM, tracer and fabric, plus the optional fault
+// injector and membership controller. Both paths call the same steps,
+// each in its own order. That order is event-scheduling order, which
+// breaks ties between same-instant events: Run starts interference before
+// building its watcher, RunWorkload after.
 type stack struct {
 	eng        *sim.Engine
 	clus       *cluster.Cluster
@@ -47,7 +46,6 @@ type stack struct {
 	// flows of concurrent jobs contend for the same links.
 	fabric *net.Fabric
 
-	watcher  *yarn.NodeWatcher
 	injector *faults.Injector
 	ctl      *elastic.Controller
 }
@@ -185,17 +183,25 @@ func validateFaults(name string, p faults.Plan) error {
 // validateMembership rejects a membership plan whose spare spec would
 // panic in cluster.AddSpares, whose rates or spot fraction would
 // silently disable churn or draw nonsense (a NaN rate reads as inactive),
-// or whose script has an event the engine cannot schedule in order (a
-// time that is negative, NaN or +Inf) or the controller would drop (an
-// unknown kind). It checks every plan, active or not; newStack checks
-// that script events target spares.
+// whose notices or autoscaler timings would schedule releases or ticks
+// at NaN or +Inf, or whose script has an event the engine cannot
+// schedule in order (a time that is negative, NaN or +Inf) or the
+// controller would drop (an unknown kind). A zero timing keeps its
+// default. It checks every plan, active or not; newStack checks that
+// script events target spares.
 func validateMembership(name string, p elastic.Plan) error {
+	var auto elastic.Autoscaler
+	if p.Autoscale != nil {
+		auto = *p.Autoscale
+	}
 	for _, f := range []struct {
 		field string
 		v     float64
 	}{
 		{"SpareSpec.BaseSpeed", p.SpareSpec.BaseSpeed},
 		{"JoinsPerHour", p.JoinsPerHour}, {"LeavesPerHour", p.LeavesPerHour},
+		{"Notice", float64(p.Notice)}, {"SpotNotice", float64(p.SpotNotice)},
+		{"Autoscale.Interval", float64(auto.Interval)}, {"Autoscale.Cooldown", float64(auto.Cooldown)},
 	} {
 		if !finiteNonNegative(f.v) {
 			return fmt.Errorf("runner: %q: membership plan %s %v is not finite and non-negative", name, f.field, f.v)
@@ -203,6 +209,9 @@ func validateMembership(name string, p elastic.Plan) error {
 	}
 	if p.SpareSpec.Slots < 0 {
 		return fmt.Errorf("runner: %q: membership plan SpareSpec.Slots %d is negative", name, p.SpareSpec.Slots)
+	}
+	if auto.Streak < 0 {
+		return fmt.Errorf("runner: %q: membership plan Autoscale.Streak %d is negative", name, auto.Streak)
 	}
 	if !(p.SpotFraction >= 0 && p.SpotFraction <= 1) {
 		return fmt.Errorf("runner: %q: membership plan SpotFraction %v is outside [0, 1]", name, p.SpotFraction)
@@ -261,10 +270,11 @@ func (s *stack) startInterference() {
 // is. The watcher's ticker is armed here; the injector and controller
 // are armed by run. All three reach the run's drivers through target.
 func (s *stack) addChurn(fp faults.Plan, mp elastic.Plan, target *engine.FaultTarget) {
+	var watcher *yarn.NodeWatcher
 	if fp.Active() {
-		s.watcher = yarn.NewNodeWatcher(s.eng, s.clus, s.rm)
-		s.watcher.Trace = s.tracer
-		target.AttachWatcher(s.watcher)
+		watcher = yarn.NewNodeWatcher(s.eng, s.clus, s.rm)
+		watcher.Trace = s.tracer
+		target.AttachWatcher(watcher)
 		s.injector = faults.NewInjector(s.eng, s.clus,
 			fp.Schedule(randutil.SplitSeed(s.seed, "faults"), s.clus.Size()), target)
 		s.injector.Trace = s.tracer
@@ -272,30 +282,15 @@ func (s *stack) addChurn(fp faults.Plan, mp elastic.Plan, target *engine.FaultTa
 	if mp.Active() {
 		s.ctl = elastic.NewController(s.eng, s.clus, s.rm, target, mp, s.spares)
 		s.ctl.Trace = s.tracer
-		if s.watcher != nil {
-			s.ctl.SetWatcher(s.watcher)
+		if watcher != nil {
+			s.ctl.SetWatcher(watcher)
 		}
 	}
 }
 
-// stop halts every ticker and timeline so the event queue drains.
-func (s *stack) stop() {
-	if s.interferer != nil {
-		s.interferer.Stop()
-	}
-	if s.watcher != nil {
-		s.watcher.Stop()
-	}
-	if s.injector != nil {
-		s.injector.Stop()
-	}
-	if s.ctl != nil {
-		s.ctl.Stop()
-	}
-}
-
 // run arms the injector, the membership timeline and the RM, then runs
-// the engine to the deadline.
+// the engine until the caller stops it at its last job's finish, or to
+// the deadline.
 func (s *stack) run() {
 	if s.injector != nil {
 		s.injector.Start()

@@ -250,12 +250,9 @@ func runWorkload(sc WorkloadScenario, wrap func(*stack, yarn.Scheduler) yarn.Sch
 	for _, a := range arrivals {
 		a := a
 		s.eng.At(a.At, "job-arrival", func() {
-			if st.err != nil {
-				return
-			}
 			if err := submitJob(s, sc, a, mux, target, st); err != nil {
 				st.err = err
-				s.stop()
+				s.eng.Stop()
 			}
 		})
 	}
@@ -340,7 +337,7 @@ func submitJob(s *stack, sc WorkloadScenario, a workload.Arrival, mux *yarn.Inte
 			BUCommits:  driver.BUCommits(),
 		}
 		if st.done == st.total {
-			s.stop()
+			s.eng.Stop()
 		}
 	})
 	return nil

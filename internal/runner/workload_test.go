@@ -336,7 +336,6 @@ type fireCounter struct{ n *uint64 }
 func (f fireCounter) Start(eng *sim.Engine) {
 	eng.SetFireObserver(func(sim.Time, string) { *f.n++ })
 }
-func (f fireCounter) Stop() {}
 
 // TestWorkloadSimEventsNotDoubleCounted: the engine is shared, so the
 // workload result reports its event count exactly once — equal to what
@@ -357,6 +356,28 @@ func TestWorkloadSimEventsNotDoubleCounted(t *testing.T) {
 	}
 	if fired == 0 || res.SimEvents != fired {
 		t.Fatalf("Result.SimEvents = %d, observer saw %d events fire", res.SimEvents, fired)
+	}
+}
+
+// TestWorkloadEndsAtLastFinish: a workload run ends at the event that
+// finishes its last job, though fault timelines run to a 4 h horizon.
+func TestWorkloadEndsAtLastFinish(t *testing.T) {
+	sc := testWorkload(21, 8)
+	sc.Faults = faults.Plan{CrashRate: 2, SlowdownRate: 2, PreemptRate: 2, MeanDowntime: 45}
+	var last sim.Time
+	res, err := runWorkload(sc, func(s *stack, mux yarn.Scheduler) yarn.Scheduler {
+		s.eng.SetFireObserver(func(at sim.Time, _ string) { last = at })
+		return mux
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var end sim.Time
+	for _, j := range res.Jobs {
+		end = max(end, j.Finished)
+	}
+	if last != end {
+		t.Fatalf("last event fired at %v, last job finished at %v", last, end)
 	}
 }
 

@@ -132,11 +132,12 @@ func (e *Engine) Pending() int { return len(e.queue) }
 func (e *Engine) SetFireObserver(fn func(t Time, name string)) { e.onFire = fn }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
-// past panics: it would violate causality and always indicates a bug in
+// past or at NaN panics: it would violate causality (a NaN time orders
+// before and after nothing in the heap) and always indicates a bug in
 // the caller. The returned Handle may be used to Cancel the event until
 // it fires.
 func (e *Engine) At(t Time, name string, fn func()) Handle {
-	if t < e.now {
+	if !(t >= e.now) {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", name, t, e.now))
 	}
 	ev := e.free
@@ -153,9 +154,10 @@ func (e *Engine) At(t Time, name string, fn func()) Handle {
 	return Handle{ev: ev, gen: ev.gen}
 }
 
-// After schedules fn to run d seconds from now. Negative d panics.
+// After schedules fn to run d seconds from now. A negative or NaN d
+// panics.
 func (e *Engine) After(d Duration, name string, fn func()) Handle {
-	if d < 0 {
+	if !(d >= 0) {
 		panic(fmt.Sprintf("sim: negative delay %v for %q", d, name))
 	}
 	return e.At(e.now+Time(d), name, fn)
@@ -236,7 +238,8 @@ func (e *Engine) Run() Time {
 // the deadline if it is later than the last event fired. If Stop is called
 // (before or during the run) the clock freezes at the last fired event —
 // a stopped simulation never reports a Now() later than the work it
-// actually performed.
+// actually performed, so a run stopped by its last job's finish reads
+// that finish on the clock.
 func (e *Engine) RunUntil(deadline Time) Time {
 	for !e.stopped {
 		e.dropCanceledHead()
@@ -251,9 +254,17 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// Stop halts the engine: subsequent Step/Run calls fire nothing. Pending
-// events remain queued for inspection.
-func (e *Engine) Stop() { e.stopped = true }
+// Stop halts the engine: subsequent Step/Run calls fire nothing. It drops
+// every pending event, collecting each so its closure is released and its
+// Handle goes stale, and lets go of the event storage; Pending reads 0.
+// A run ends here, at its last job's finish.
+func (e *Engine) Stop() {
+	e.stopped = true
+	for _, ev := range e.queue {
+		e.collect(ev)
+	}
+	e.queue, e.free = nil, nil
+}
 
 // heapArity is the fan-out of the event heap. A 4-ary heap halves tree
 // depth versus binary, trading slightly more comparisons per level for

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -88,6 +89,25 @@ func TestNegativeAfterPanics(t *testing.T) {
 	e.After(-1, "neg", func() {})
 }
 
+// A NaN time compares false against everything, so a `t < now` guard
+// would let it into the heap, where it orders before and after nothing.
+func TestNaNTimePanics(t *testing.T) {
+	nan := math.NaN()
+	for name, schedule := range map[string]func(e *Engine){
+		"At":    func(e *Engine) { e.At(Time(nan), "nan", func() {}) },
+		"After": func(e *Engine) { e.After(Duration(nan), "nan", func() {}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with a NaN time did not panic", name)
+				}
+			}()
+			schedule(New())
+		}()
+	}
+}
+
 func TestCancelPreventsFiring(t *testing.T) {
 	e := New()
 	fired := false
@@ -163,12 +183,23 @@ func TestStopHaltsEngine(t *testing.T) {
 			}
 		})
 	}
+	late := e.At(20, "late", func() { t.Error("dropped event fired") })
 	e.Run()
 	if count != 4 {
 		t.Fatalf("fired %d events after Stop, want 4", count)
 	}
 	if !e.stopped {
 		t.Fatal("stopped = false after Stop")
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending() = %d after Stop, want 0 (queue dropped)", e.Pending())
+	}
+	late.Cancel()
+	if late.Canceled() {
+		t.Fatal("Cancel on a dropped event's handle marked it canceled")
+	}
+	if e.Step() || e.Fired() != 4 {
+		t.Fatalf("Step after Stop fired an event (Fired() = %d)", e.Fired())
 	}
 }
 

@@ -109,7 +109,7 @@ func multiTenantJob(tb testing.TB, bus int64, frac float64, seed int64, sigma fl
 		tb.Fatal(err)
 	}
 	inter.Start(eng)
-	d.OnFinished(inter.Stop)
+	d.OnFinished(eng.Stop)
 	return am
 }
 

@@ -179,14 +179,13 @@ func runAudited(t *testing.T, kind string, seed int64, audit *scanAudit) {
 	rm.SetScheduler(sched)
 
 	w := yarn.NewNodeWatcher(eng, clus, rm)
-	d.OnFinished(w.Stop)
+	d.OnFinished(eng.Stop)
 	target := engine.NewFaultTarget(clus)
 	target.Add(d)
 	target.AttachWatcher(w)
 	plan := faults.Plan{CrashRate: 90, MeanDowntime: 15, PreemptRate: 240}
 	inj := faults.NewInjector(eng, clus, plan.Schedule(seed, len(specs)), target)
 	inj.Start()
-	d.OnFinished(inj.Stop)
 	ctl := elastic.NewController(eng, clus, rm, target, elastic.Plan{
 		Spares: len(spares),
 		Notice: 5,
@@ -199,7 +198,6 @@ func runAudited(t *testing.T, kind string, seed int64, audit *scanAudit) {
 	ctl.SetWatcher(w)
 	ctl.Speeds = speeds
 	ctl.Start(seed)
-	d.OnFinished(ctl.Stop)
 
 	rm.Start()
 	eng.RunUntil(1e6)

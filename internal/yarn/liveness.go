@@ -24,7 +24,8 @@ const (
 // the node's stale speed window.
 //
 // Without fault injection no node ever goes down, so a watcher is pure
-// overhead; runner only creates one when the fault plan is active.
+// overhead; runner only creates one when the fault plan is active. Its
+// ticker runs until the engine stops, at the run's last job's finish.
 type NodeWatcher struct {
 	// Trace, when non-nil, records loss declarations and rejoins.
 	Trace *trace.Tracer
@@ -40,7 +41,6 @@ type NodeWatcher struct {
 	deregistered []bool
 	onLost       []func(cluster.NodeID)
 	onRejoin     []func(cluster.NodeID)
-	ticker       *sim.Ticker
 }
 
 // NewNodeWatcher starts liveness tracking over the cluster. All nodes are
@@ -61,7 +61,7 @@ func NewNodeWatcher(eng *sim.Engine, c *cluster.Cluster, rm *RM) *NodeWatcher {
 		// and must not be "detected" as lost. Register tracks them in.
 		w.deregistered[n.ID] = n.Offline()
 	}
-	w.ticker = sim.NewTicker(eng, DefaultLivenessPeriod, "nm-liveness", w.tick)
+	sim.NewTicker(eng, DefaultLivenessPeriod, "nm-liveness", w.tick)
 	return w
 }
 
@@ -71,9 +71,6 @@ func (w *NodeWatcher) OnLost(fn func(cluster.NodeID)) { w.onLost = append(w.onLo
 // OnRejoin registers a callback fired when a down node heartbeats again —
 // after a declared loss or a brief outage shorter than the timeout.
 func (w *NodeWatcher) OnRejoin(fn func(cluster.NodeID)) { w.onRejoin = append(w.onRejoin, fn) }
-
-// Stop halts the liveness ticker (wired to Driver.OnFinished).
-func (w *NodeWatcher) Stop() { w.ticker.Stop() }
 
 // Deregister removes a node from liveness tracking: an elastic release
 // is a planned departure, so the missing heartbeats that follow must not
