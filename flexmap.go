@@ -44,7 +44,6 @@ import (
 	"flexmap/internal/sim"
 	"flexmap/internal/trace"
 	"flexmap/internal/workload"
-	"flexmap/internal/yarn"
 )
 
 // Re-exported size units.
@@ -133,8 +132,6 @@ type (
 	JobOutcome = runner.JobOutcome
 	// ArrivalPattern shapes workload job arrivals (Poisson or burst).
 	ArrivalPattern = workload.Pattern
-	// SchedulerQueue is one capacity-policy queue (WorkloadScenario.Queues).
-	SchedulerQueue = yarn.Queue
 )
 
 // Workload arrival processes, re-exported.

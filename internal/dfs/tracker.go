@@ -114,9 +114,6 @@ func (e errNoFile) Error() string { return "dfs: no such file " + string(e) }
 // Remaining returns the number of unprocessed BUs.
 func (t *Tracker) Remaining() int { return t.live }
 
-// Total returns the number of BUs the tracker started with.
-func (t *Tracker) Total() int { return len(t.remaining) }
-
 // take removes one BU from the pool, decrementing every replica holder's
 // live count. Slice entries are left behind as lazy tombstones.
 func (t *Tracker) take(id BUID) {

@@ -42,7 +42,7 @@ func applyOps(t *testing.T, ops []trackerOp, nodes, repl int) []BUID {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := tr.Total()
+	total := len(tr.remaining)
 	outstanding := map[BUID]bool{}
 	var restorable []BUID
 	var transcript []BUID

@@ -15,8 +15,8 @@ func TestTrackerExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Total() != 40 || tr.Remaining() != 40 {
-		t.Fatalf("total=%d remaining=%d, want 40/40", tr.Total(), tr.Remaining())
+	if len(tr.remaining) != 40 || tr.Remaining() != 40 {
+		t.Fatalf("total=%d remaining=%d, want 40/40", len(tr.remaining), tr.Remaining())
 	}
 	seen := map[BUID]bool{}
 	node := cluster.NodeID(0)

@@ -28,12 +28,11 @@ type Drainer interface {
 	DrainNode(id cluster.NodeID) int
 }
 
-// Watcher is the liveness-membership surface: released nodes must leave
-// heartbeat tracking so the silence that follows is not "detected" as a
-// loss. *yarn.NodeWatcher implements it.
+// Watcher is the liveness-membership surface: a joining node restarts
+// its heartbeat clock. A released node needs no call, since the watcher
+// skips offline nodes. *yarn.NodeWatcher implements it.
 type Watcher interface {
 	Register(id cluster.NodeID)
-	Deregister(id cluster.NodeID)
 }
 
 // Controller applies an elastic plan to a running simulation: it arms
@@ -135,9 +134,6 @@ func (ctl *Controller) Start(seed int64) {
 	}
 }
 
-// Schedule returns the armed timeline (for logging and tests).
-func (ctl *Controller) Schedule() []Event { return ctl.schedule }
-
 // apply performs one scheduled membership event.
 func (ctl *Controller) apply(ev Event) {
 	switch ev.Kind {
@@ -186,12 +182,11 @@ func (ctl *Controller) drain(id cluster.NodeID, spot bool) {
 }
 
 // release completes a drain at its deadline. Order matters: usage is
-// accrued and capacity withdrawn first, the watcher deregisters before
-// the node goes offline (offline implies Down, and a deregistered node
-// must not be declared lost), and only then does the drainer evict
-// remaining work — the drivers' requeues already see the node as
-// unavailable. Committed map output survives: a decommission is not a
-// crash, so downstream reducers re-fetch nothing.
+// accrued and capacity withdrawn first, the node goes offline (which
+// also drops it from the liveness watcher's sweep), and only then does
+// the drainer evict remaining work — the drivers' requeues already see
+// the node as unavailable. Committed map output survives: a
+// decommission is not a crash, so downstream reducers re-fetch nothing.
 func (ctl *Controller) release(id cluster.NodeID) {
 	i, ok := ctl.spareIdx[id]
 	if !ok || !ctl.draining[i] {
@@ -201,9 +196,6 @@ func (ctl *Controller) release(id cluster.NodeID) {
 	ctl.joined[i] = false
 	ctl.draining[i] = false
 	ctl.rm.NodeReleased(id)
-	if ctl.watcher != nil {
-		ctl.watcher.Deregister(id)
-	}
 	ctl.c.ReleaseNode(id)
 	preempted := ctl.drainer.DrainNode(id)
 	ctl.Releases++

@@ -31,11 +31,10 @@ func (f *fakeDrainer) DrainNode(id cluster.NodeID) int {
 	return f.preempted
 }
 
-// fakeWatcher records liveness registration flips.
+// fakeWatcher records liveness registrations.
 type fakeWatcher struct{ calls []string }
 
-func (f *fakeWatcher) Register(id cluster.NodeID)   { f.calls = append(f.calls, "register") }
-func (f *fakeWatcher) Deregister(id cluster.NodeID) { f.calls = append(f.calls, "deregister") }
+func (f *fakeWatcher) Register(id cluster.NodeID) { f.calls = append(f.calls, "register") }
 
 type harness struct {
 	eng     *sim.Engine
@@ -69,8 +68,8 @@ func scriptPlan(script ...Event) Plan {
 func TestControllerJoin(t *testing.T) {
 	h := newHarness(t, Plan{Spares: 2, Script: []Event{{At: 10, Node: 4, Kind: Join}}}, 2)
 	h.ctl.Start(1)
-	if len(h.ctl.Schedule()) != 1 {
-		t.Fatalf("armed %d events, want 1", len(h.ctl.Schedule()))
+	if len(h.ctl.schedule) != 1 {
+		t.Fatalf("armed %d events, want 1", len(h.ctl.schedule))
 	}
 	h.eng.RunUntil(5)
 	if !h.c.Node(h.spares[0]).Offline() {
@@ -125,7 +124,7 @@ func TestControllerDrainThenRelease(t *testing.T) {
 	if want := []string{"joined", "drain", "released"}; !reflect.DeepEqual(h.rm.calls, want) {
 		t.Fatalf("rm calls = %v, want %v", h.rm.calls, want)
 	}
-	if want := []string{"register", "deregister"}; !reflect.DeepEqual(h.watcher.calls, want) {
+	if want := []string{"register"}; !reflect.DeepEqual(h.watcher.calls, want) {
 		t.Fatalf("watcher calls = %v, want %v", h.watcher.calls, want)
 	}
 	if want := []cluster.NodeID{4}; !reflect.DeepEqual(h.drainer.drained, want) {

@@ -26,9 +26,6 @@ type Work struct {
 	canceled bool
 }
 
-// Total returns the work size in units.
-func (w *Work) Total() float64 { return w.total }
-
 // ProcessedUnits returns the units completed by virtual time now.
 func (w *Work) ProcessedUnits(now sim.Time) float64 {
 	if w.finished {

@@ -155,8 +155,8 @@ func TestWorkTotalAccessor(t *testing.T) {
 	c := cluster.Homogeneous(1)
 	x := NewExecutor(eng, c, 10)
 	w := x.Start(c.Node(0), 42, func() {})
-	if w.Total() != 42 {
-		t.Fatalf("Total = %v", w.Total())
+	if w.total != 42 {
+		t.Fatalf("total = %v", w.total)
 	}
 	eng.Run()
 }
@@ -164,8 +164,8 @@ func TestWorkTotalAccessor(t *testing.T) {
 func TestStockAccessors(t *testing.T) {
 	h := newHarness(t, cluster.Homogeneous(2), 16, wcSpec(0))
 	am := bindStock(t, h.driver, 8, nil)
-	if am.Driver() != h.driver {
-		t.Fatal("Driver() mismatch")
+	if am.d != h.driver {
+		t.Fatal("stock AM bound to the wrong driver")
 	}
 	h.rm.Start()
 	h.eng.Run()

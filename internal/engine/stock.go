@@ -134,9 +134,6 @@ func (am *StockAM) indexSplit(p PendingSplit) PendingSplit {
 	return p
 }
 
-// Driver returns the underlying driver.
-func (am *StockAM) Driver() *Driver { return am.d }
-
 // PendingCount returns the number of undispatched map tasks.
 func (am *StockAM) PendingCount() int { return am.pending.Len() }
 

@@ -77,9 +77,6 @@ type Flow struct {
 	canceled bool
 }
 
-// Rate returns the flow's current max-min fair rate in bytes/second.
-func (fl *Flow) Rate() float64 { return fl.rate }
-
 // EstRemaining estimates the time to completion at the current rate.
 func (fl *Flow) EstRemaining(now sim.Time) sim.Duration {
 	if fl.finished || fl.canceled {

@@ -49,13 +49,13 @@ func TestEqualShareOnBottleneck(t *testing.T) {
 		fc = f.StartFlow(3, 4, 100*MB, "c", func() {}) // cross-rack, uncontended
 	})
 	eng.RunUntil(0)
-	if got, want := fa.Rate(), hostBW/2; math.Abs(got-want) > 1 {
+	if got, want := fa.rate, hostBW/2; math.Abs(got-want) > 1 {
 		t.Errorf("flow a rate = %v, want %v (half the shared downlink)", got, want)
 	}
-	if got, want := fb.Rate(), hostBW/2; math.Abs(got-want) > 1 {
+	if got, want := fb.rate, hostBW/2; math.Abs(got-want) > 1 {
 		t.Errorf("flow b rate = %v, want %v", got, want)
 	}
-	if got, want := fc.Rate(), hostBW; math.Abs(got-want) > 1 {
+	if got, want := fc.rate, hostBW; math.Abs(got-want) > 1 {
 		t.Errorf("flow c rate = %v, want %v (uncontended)", got, want)
 	}
 	if !fc.cross {
@@ -88,7 +88,7 @@ func TestOversubscribedRackDownlink(t *testing.T) {
 	})
 	eng.RunUntil(0)
 	for i, fl := range flows {
-		if got, want := fl.Rate(), f.RackBW()/4; math.Abs(got-want) > 1 {
+		if got, want := fl.rate, f.RackBW()/4; math.Abs(got-want) > 1 {
 			t.Errorf("flow %d rate = %v, want %v (rack downlink share)", i, got, want)
 		}
 	}

@@ -94,7 +94,7 @@ var (
 // offered is offered anyway, and no offer may be accepted or leave a
 // trace, an event or a grant behind. The cells cover StockAM with LATE,
 // FlexMap and SkewTune solo, crashes and an elastic drain, and the
-// inter-job scheduler under the fair and capacity policies, with SkewTune
+// inter-job scheduler under the fair policy, with SkewTune
 // beside stock and FlexMap jobs. The audit offers nodes from inside
 // Idle, outside the Poke's loop, so each of its offers consults every
 // job, including those Idle has just marked.
@@ -138,15 +138,12 @@ func TestIdleDeclinesEveryOffer(t *testing.T) {
 
 	mix := []WorkloadClass{
 		{Name: "stock", Weight: 2, MinBytes: 8 * dfs.BUSize, MaxBytes: 24 * dfs.BUSize,
-			Engine: Engine{Kind: Hadoop}, Spec: wcSpec(t, 3), Queue: 0},
+			Engine: Engine{Kind: Hadoop}, Spec: wcSpec(t, 3)},
 		{Name: "flex", Weight: 2, MinBytes: 8 * dfs.BUSize, MaxBytes: 24 * dfs.BUSize,
-			Engine: Engine{Kind: FlexMap}, Spec: wcSpec(t, 3), Queue: 1},
+			Engine: Engine{Kind: FlexMap}, Spec: wcSpec(t, 3)},
 	}
 	workloads := []WorkloadScenario{
 		{Name: "fair", Policy: "fair", Classes: mix},
-		{Name: "capacity", Policy: "capacity", Classes: mix, Queues: []yarn.Queue{
-			{Name: "a", Share: 0.5, MaxShare: 0.75}, {Name: "b", Share: 0.5},
-		}},
 		{Name: "fair-skewtune", Policy: "fair", Classes: append(mix[:1:1], WorkloadClass{
 			Name: "skew", Weight: 1, MinBytes: 8 * dfs.BUSize, MaxBytes: 24 * dfs.BUSize,
 			Engine: Engine{Kind: SkewTune}, Spec: wcSpec(t, 3)})},
@@ -270,14 +267,13 @@ func consulted(ij *yarn.InterJob) int64 {
 func TestIdleMarksMatchFullWalk(t *testing.T) {
 	churn := func(policy string, seed int64) WorkloadScenario {
 		sc := nestedScenario(t, policy, seed, Hadoop, FlexMap)
-		sc.Classes[1].Queue = 1
 		sc.Pattern = workload.Pattern{Jobs: 10, Rate: 0.5}
 		sc.Faults, sc.Membership = churnFaults, churnDrain
 		return sc
 	}
 	var events int
 	var marked, full int64
-	for _, policy := range []string{"fifo", "fair", "capacity"} {
+	for _, policy := range []string{"fifo", "fair"} {
 		for seed := int64(1); seed <= 4; seed++ {
 			for _, sc := range []WorkloadScenario{
 				nestedScenario(t, policy, seed, Hadoop, FlexMap, SkewTune),

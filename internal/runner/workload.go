@@ -32,9 +32,6 @@ type WorkloadClass struct {
 	// Spec is the job template; Name and InputFile are overridden per
 	// job ("j0042", "j0042/input").
 	Spec mr.JobSpec
-	// Queue is the class's capacity-policy queue (ignored by FIFO/fair);
-	// under the capacity policy it must index WorkloadScenario.Queues.
-	Queue int
 }
 
 // WorkloadScenario describes an open multi-job run: one cluster, one
@@ -50,12 +47,8 @@ type WorkloadScenario struct {
 	// Classes is the job mix; at least one is required.
 	Classes []WorkloadClass
 
-	// Policy selects inter-job arbitration: "fifo" (default), "fair",
-	// or "capacity" (which requires Queues).
+	// Policy selects inter-job arbitration: "fifo" (default) or "fair".
 	Policy string
-	// Queues configures the capacity policy; WorkloadClass.Queue
-	// indexes into it.
-	Queues []yarn.Queue
 
 	// Faults injects seeded node crashes/slowdowns/preemptions shared
 	// by every concurrent job.
@@ -166,17 +159,16 @@ func (j *jobScheduler) Idle() bool {
 	return j.d.Finished() || (j.am.Idle() && j.d.ReduceIdle())
 }
 
-// workloadPolicy resolves the scenario's policy selection.
-func workloadPolicy(sc WorkloadScenario) (yarn.Policy, error) {
+// workloadPolicy resolves the scenario's policy selection to its name
+// and whether it is fair.
+func workloadPolicy(sc WorkloadScenario) (name string, fair bool, err error) {
 	switch sc.Policy {
 	case "", "fifo":
-		return yarn.FIFOPolicy{}, nil
+		return "fifo", false, nil
 	case "fair":
-		return yarn.FairPolicy{}, nil
-	case "capacity":
-		return yarn.NewCapacityPolicy(sc.Queues)
+		return "fair", true, nil
 	default:
-		return nil, fmt.Errorf("runner: unknown inter-job policy %q", sc.Policy)
+		return "", false, fmt.Errorf("runner: unknown inter-job policy %q", sc.Policy)
 	}
 }
 
@@ -202,7 +194,7 @@ func runWorkload(sc WorkloadScenario, wrap func(*stack, yarn.Scheduler) yarn.Sch
 	if len(sc.Classes) == 0 {
 		return nil, fmt.Errorf("runner: workload %q has no job classes", sc.Name)
 	}
-	policy, err := workloadPolicy(sc)
+	policy, fair, err := workloadPolicy(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -220,10 +212,6 @@ func runWorkload(sc WorkloadScenario, wrap func(*stack, yarn.Scheduler) yarn.Sch
 		if sc.Membership.Active() && c.Engine.Kind == SkewTune {
 			return nil, fmt.Errorf("runner: elastic membership is not supported for %s (class %d)", c.Engine, i)
 		}
-		if sc.Policy == "capacity" && (c.Queue < 0 || c.Queue >= len(sc.Queues)) {
-			return nil, fmt.Errorf("runner: workload class %d (%s) is in queue %d; the capacity policy has %d queues",
-				i, c.Name, c.Queue, len(sc.Queues))
-		}
 	}
 	arrivals, err := workload.Generate(sc.Seed, sc.Pattern, genClasses)
 	if err != nil {
@@ -237,7 +225,7 @@ func runWorkload(sc WorkloadScenario, wrap func(*stack, yarn.Scheduler) yarn.Sch
 	if err != nil {
 		return nil, err
 	}
-	mux := yarn.NewInterJob(s.eng, s.rm, policy)
+	mux := yarn.NewInterJob(s.eng, s.rm, fair)
 	if wrap != nil {
 		s.rm.SetScheduler(wrap(s, mux))
 	}
@@ -311,7 +299,7 @@ func submitJob(s *stack, sc WorkloadScenario, a workload.Arrival, mux *yarn.Inte
 	driver.ReduceViaRM = true
 	target.Add(driver)
 
-	handle := mux.Submit(id, class.Queue, &jobScheduler{d: driver, am: am})
+	handle := mux.Submit(id, &jobScheduler{d: driver, am: am})
 	st.active++
 	if st.active > st.maxConcurrent {
 		st.maxConcurrent = st.active
@@ -344,10 +332,10 @@ func submitJob(s *stack, sc WorkloadScenario, a workload.Arrival, mux *yarn.Inte
 }
 
 // summarize computes the workload's cluster-level metrics.
-func summarize(sc WorkloadScenario, policy yarn.Policy, s *stack, st *workloadState) *WorkloadResult {
+func summarize(sc WorkloadScenario, policy string, s *stack, st *workloadState) *WorkloadResult {
 	out := &WorkloadResult{
 		Scenario:      sc.Name,
-		Policy:        policy.Name(),
+		Policy:        policy,
 		Jobs:          st.outcomes,
 		MaxConcurrent: st.maxConcurrent,
 		Cluster:       s.clus,

@@ -104,23 +104,6 @@ func TestWorkloadPoliciesDiffer(t *testing.T) {
 	}
 }
 
-func TestWorkloadCapacityPolicy(t *testing.T) {
-	sc := testWorkload(13, 10)
-	sc.Policy = "capacity"
-	sc.Queues = []yarn.Queue{
-		{Name: "small", Share: 0.5, MaxShare: 0.75},
-		{Name: "big", Share: 0.5, MaxShare: 1.0},
-	}
-	sc.Classes[1].Queue = 1
-	res, err := RunWorkload(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != 10 {
-		t.Fatalf("completed=%d, want 10", res.Completed)
-	}
-}
-
 // TestWorkloadSkewTuneRepartitions: SkewTune queues repartitioned work
 // from inside a slot offer and pokes the shared RM, which nests a sweep
 // of offers inside the multiplexer's own. The workload must still finish
@@ -157,7 +140,7 @@ func TestWorkloadSkewTuneRepartitions(t *testing.T) {
 }
 
 // nestedScenario is a 16-job stream on 24 nodes with one class per
-// engine kind, all in queue 0. With SkewTune among the kinds, its
+// engine kind. With SkewTune among the kinds, its
 // repartitions poke the shared RM from inside offers while other jobs
 // compete for the same nodes.
 func nestedScenario(t *testing.T, policy string, seed int64, kinds ...EngineKind) WorkloadScenario {
@@ -167,7 +150,6 @@ func nestedScenario(t *testing.T, policy string, seed int64, kinds ...EngineKind
 		Seed:    seed,
 		Pattern: workload.Pattern{Jobs: 16, Rate: 2},
 		Policy:  policy,
-		Queues:  []yarn.Queue{{Name: "a", Share: 0.5, MaxShare: 0.75}, {Name: "b", Share: 0.5}},
 	}
 	for _, k := range kinds {
 		sc.Classes = append(sc.Classes, WorkloadClass{Name: string(k), Weight: 1,
@@ -188,7 +170,6 @@ func TestWorkloadNestedSweepFillsNode(t *testing.T) {
 	}{
 		{"fifo", 7, []EngineKind{FlexMap, SkewTune}},
 		{"fair", 1, []EngineKind{FlexMap, SkewTune}},
-		{"capacity", 9, []EngineKind{FlexMap, SkewTune}},
 		{"fifo", 1, []EngineKind{Hadoop, FlexMap, SkewTune}},
 	} {
 		sc := nestedScenario(t, c.policy, c.seed, c.kinds...)
@@ -508,29 +489,15 @@ func TestWorkloadValidation(t *testing.T) {
 	if err := bad(func(sc *WorkloadScenario) { sc.Policy = "lottery" }); err == nil {
 		t.Error("unknown policy accepted")
 	}
+	// The retired capacity policy is rejected like any unknown name.
 	if err := bad(func(sc *WorkloadScenario) { sc.Policy = "capacity" }); err == nil {
-		t.Error("capacity policy without queues accepted")
+		t.Error("retired capacity policy accepted")
 	}
-	if err := bad(func(sc *WorkloadScenario) {
-		sc.Policy = "capacity"
-		sc.Queues = []yarn.Queue{{Name: "only", Share: 1}}
-		for i := range sc.Classes {
-			sc.Classes[i].Queue = 1
-		}
-	}); err == nil {
-		t.Error("class in a queue the capacity policy does not have accepted")
+	if err := bad(func(sc *WorkloadScenario) { sc.Classes[0].Weight = math.NaN() }); err == nil {
+		t.Error("NaN class weight accepted")
 	}
-	if err := bad(func(sc *WorkloadScenario) {
-		sc.Policy = "capacity"
-		sc.Queues = []yarn.Queue{{Name: "nan", Share: math.NaN()}}
-	}); err == nil {
-		t.Error("NaN queue share accepted")
-	}
-	if err := bad(func(sc *WorkloadScenario) {
-		sc.Policy = "capacity"
-		sc.Queues = []yarn.Queue{{Name: "inf", Share: 0.5, MaxShare: math.Inf(1)}}
-	}); err == nil {
-		t.Error("infinite queue MaxShare accepted")
+	if err := bad(func(sc *WorkloadScenario) { sc.Classes[1].Weight = math.Inf(1) }); err == nil {
+		t.Error("infinite class weight accepted")
 	}
 	if err := bad(func(sc *WorkloadScenario) { sc.Pattern.Rate = -1 }); err == nil {
 		t.Error("negative rate accepted")

@@ -85,7 +85,8 @@ func (p Pattern) validate() error {
 // range. The runner layers engine/spec parameters on top; this package
 // only needs what arrival generation draws.
 type Class struct {
-	// Weight is the relative selection probability (must be positive).
+	// Weight is the relative selection probability (must be positive
+	// and finite).
 	Weight float64
 	// MinBytes and MaxBytes bound the uniform input-size draw.
 	MinBytes, MaxBytes int64
@@ -120,8 +121,8 @@ func Generate(seed int64, p Pattern, classes []Class) ([]Arrival, error) {
 	}
 	var totalW float64
 	for i, c := range classes {
-		if c.Weight <= 0 {
-			return nil, fmt.Errorf("workload: class %d has non-positive weight %v", i, c.Weight)
+		if !(c.Weight > 0) || math.IsInf(c.Weight, 1) { // NaN fails c.Weight > 0
+			return nil, fmt.Errorf("workload: class %d has weight %v; want positive and finite", i, c.Weight)
 		}
 		if c.MinBytes <= 0 || c.MaxBytes < c.MinBytes {
 			return nil, fmt.Errorf("workload: class %d has invalid size range [%d, %d]", i, c.MinBytes, c.MaxBytes)

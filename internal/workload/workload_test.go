@@ -156,6 +156,8 @@ func TestValidation(t *testing.T) {
 		{"bad process", Pattern{Jobs: 1, Rate: 1, Process: "zipf"}, classes},
 		{"no classes", Pattern{Jobs: 1, Rate: 1}, nil},
 		{"zero weight", Pattern{Jobs: 1, Rate: 1}, []Class{{Weight: 0, MinBytes: 1, MaxBytes: 2}}},
+		{"NaN weight", Pattern{Jobs: 1, Rate: 1}, []Class{{Weight: 1, MinBytes: 1, MaxBytes: 2}, {Weight: math.NaN(), MinBytes: 1, MaxBytes: 2}}},
+		{"infinite weight", Pattern{Jobs: 1, Rate: 1}, []Class{{Weight: math.Inf(1), MinBytes: 1, MaxBytes: 2}, {Weight: 1, MinBytes: 1, MaxBytes: 2}}},
 		{"bad size range", Pattern{Jobs: 1, Rate: 1}, []Class{{Weight: 1, MinBytes: 10, MaxBytes: 5}}},
 	}
 	for _, tc := range cases {

@@ -26,6 +26,11 @@ const (
 // Without fault injection no node ever goes down, so a watcher is pure
 // overhead; runner only creates one when the fault plan is active. Its
 // ticker runs until the engine stops, at the run's last job's finish.
+//
+// Membership is read from the cluster: an offline node (an elastic spare
+// not yet joined, or a released member) is skipped by the sweep, so its
+// silence is never "detected" as a loss and an outage it suffers while
+// offline fires no rejoin. Register re-enrolls a node at its join.
 type NodeWatcher struct {
 	// Trace, when non-nil, records loss declarations and rejoins.
 	Trace *trace.Tracer
@@ -35,31 +40,26 @@ type NodeWatcher struct {
 	rm  *RM
 	// Per-node liveness state is struct-of-arrays: flat slices indexed
 	// by the dense NodeID, walked contiguously by the batched sweep.
-	lastBeat     []sim.Time
-	lost         []bool
-	wasDown      []bool
-	deregistered []bool
-	onLost       []func(cluster.NodeID)
-	onRejoin     []func(cluster.NodeID)
+	lastBeat []sim.Time
+	lost     []bool
+	wasDown  []bool
+	onLost   []func(cluster.NodeID)
+	onRejoin []func(cluster.NodeID)
 }
 
 // NewNodeWatcher starts liveness tracking over the cluster. All nodes are
 // assumed live at start.
 func NewNodeWatcher(eng *sim.Engine, c *cluster.Cluster, rm *RM) *NodeWatcher {
 	w := &NodeWatcher{
-		eng:          eng,
-		c:            c,
-		rm:           rm,
-		lastBeat:     make([]sim.Time, c.Size()),
-		lost:         make([]bool, c.Size()),
-		wasDown:      make([]bool, c.Size()),
-		deregistered: make([]bool, c.Size()),
+		eng:      eng,
+		c:        c,
+		rm:       rm,
+		lastBeat: make([]sim.Time, c.Size()),
+		lost:     make([]bool, c.Size()),
+		wasDown:  make([]bool, c.Size()),
 	}
 	for _, n := range c.Nodes {
 		w.lastBeat[n.ID] = eng.Now()
-		// Offline elastic spares are not members: they heartbeat nothing
-		// and must not be "detected" as lost. Register tracks them in.
-		w.deregistered[n.ID] = n.Offline()
 	}
 	sim.NewTicker(eng, DefaultLivenessPeriod, "nm-liveness", w.tick)
 	return w
@@ -72,23 +72,12 @@ func (w *NodeWatcher) OnLost(fn func(cluster.NodeID)) { w.onLost = append(w.onLo
 // after a declared loss or a brief outage shorter than the timeout.
 func (w *NodeWatcher) OnRejoin(fn func(cluster.NodeID)) { w.onRejoin = append(w.onRejoin, fn) }
 
-// Deregister removes a node from liveness tracking: an elastic release
-// is a planned departure, so the missing heartbeats that follow must not
-// be "detected" as a loss, and a later re-provisioning of the same
-// NodeID must not fire stale rejoin callbacks. Pending loss/rejoin state
-// is cleared with the membership.
-func (w *NodeWatcher) Deregister(id cluster.NodeID) {
-	w.deregistered[id] = true
-	w.lost[id] = false
-	w.wasDown[id] = false
-}
-
 // Register (re-)enrolls a node in liveness tracking at an elastic join:
 // the heartbeat clock starts fresh at now, so the node gets the full
 // timeout before any loss declaration, and no rejoin fires for outages
-// that predate its membership.
+// that predate its membership, a loss declared before its release
+// included.
 func (w *NodeWatcher) Register(id cluster.NodeID) {
-	w.deregistered[id] = false
 	w.lost[id] = false
 	w.wasDown[id] = false
 	w.lastBeat[id] = w.eng.Now()
@@ -103,10 +92,10 @@ func (w *NodeWatcher) Register(id cluster.NodeID) {
 func (w *NodeWatcher) tick(now sim.Time) {
 	timeout := DefaultLivenessPeriod * DefaultMissThreshold
 	for _, node := range w.c.Nodes {
-		id := node.ID
-		if w.deregistered[id] {
+		if node.Offline() {
 			continue
 		}
+		id := node.ID
 		if !node.Down() {
 			declared := w.lost[id]
 			rejoin := declared || w.wasDown[id]

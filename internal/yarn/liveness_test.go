@@ -138,29 +138,24 @@ func TestRepeatedCrashRejoinCycles(t *testing.T) {
 	}
 }
 
-// A deregistered node is a planned departure: the silence that follows
-// must never be declared a loss, however long it lasts.
+// A deregistered node, one released from membership, is a planned
+// departure: the silence that follows
+// must never be declared a loss, however long it lasts, and the members
+// left are tracked as before.
 func TestDeregisteredNodeSilenceNotLost(t *testing.T) {
 	h := newLivenessHarness(2)
-	h.eng.At(6, "release", func() {
-		h.w.Deregister(0)
-		h.c.ReleaseNode(0)
-	})
+	h.eng.At(6, "release", func() { h.c.ReleaseNode(0) })
+	h.eng.At(51, "crash", func() { h.c.Node(1).SetDown(true) })
 	h.eng.RunUntil(200)
-	if len(h.lost) != 0 {
-		t.Fatalf("deregistered node declared lost: %v", h.lost)
-	}
-	if !h.w.deregistered[0] {
-		t.Fatal("node not reported deregistered")
-	}
-	if h.w.deregistered[1] {
-		t.Fatal("untouched node reports deregistered")
+	if len(h.lost) != 1 || h.lost[0] != 1 {
+		t.Fatalf("lost callbacks = %v, want only the crashed member [1]", h.lost)
 	}
 }
 
-// Deregistering a node that was already declared lost clears the pending
-// state: no stale rejoin fires if the same NodeID is later provisioned
-// back up, and Lost() reverts immediately.
+// Deregistering (releasing) a node already declared lost clears its
+// pending state: powering up while offline fires no rejoin, since the
+// outage belongs to a membership that ended, and neither does its next
+// join, since Register clears the loss.
 func TestDeregisterClearsPendingLossAndRejoin(t *testing.T) {
 	h := newLivenessHarness(2)
 	h.eng.At(6, "crash", func() { h.c.Node(0).SetDown(true) })
@@ -168,15 +163,22 @@ func TestDeregisterClearsPendingLossAndRejoin(t *testing.T) {
 		if !h.w.lost[0] {
 			t.Fatal("precondition: node should be lost by t=25")
 		}
-		h.w.Deregister(0)
+		h.c.ReleaseNode(0)
 	})
-	h.eng.At(30, "restore", func() { h.c.Node(0).SetDown(false) })
-	h.eng.RunUntil(100)
-	if h.w.lost[0] {
-		t.Fatal("Lost still true after Deregister")
-	}
+	h.eng.At(30, "power-up", func() { h.c.Node(0).SetDown(false) })
+	h.eng.At(100, "join", func() {
+		h.c.JoinNode(0)
+		h.w.Register(0)
+	})
+	h.eng.RunUntil(200)
 	if len(h.rejoins) != 0 {
-		t.Fatalf("stale rejoin fired for deregistered node: %v", h.rejoins)
+		t.Fatalf("stale rejoin fired for a released node: %v", h.rejoins)
+	}
+	if len(h.lost) != 1 {
+		t.Fatalf("lost callbacks = %v, want the one declaration before release", h.lost)
+	}
+	if h.w.lost[0] {
+		t.Fatal("node still marked lost after its join")
 	}
 }
 
@@ -185,10 +187,7 @@ func TestDeregisterClearsPendingLossAndRejoin(t *testing.T) {
 // loss declaration, even if it was silent long before T.
 func TestRegisterGrantsFullTimeout(t *testing.T) {
 	h := newLivenessHarness(2)
-	h.eng.At(6, "release", func() {
-		h.w.Deregister(0)
-		h.c.ReleaseNode(0)
-	})
+	h.eng.At(6, "release", func() { h.c.ReleaseNode(0) })
 	// Rejoin at t=60 but immediately dead: loss needs beats at 65, 70,
 	// 75 all missed — declared at the t=75 tick, not before.
 	h.eng.At(60, "rejoin", func() {
@@ -206,27 +205,38 @@ func TestRegisterGrantsFullTimeout(t *testing.T) {
 	}
 }
 
-// A deregister/register cycle while the node stays up is invisible: no
-// loss, no rejoin, and tracking continues as if uninterrupted.
+// A deregister/register (release/join) cycle while the node stays up
+// fires nothing, and tracking resumes after Register: a crash after the
+// join is declared at the third missed beat.
 func TestDeregisterRegisterCycleWhileUp(t *testing.T) {
 	h := newLivenessHarness(1)
-	h.eng.At(10, "out", func() { h.w.Deregister(0) })
-	h.eng.At(40, "in", func() { h.w.Register(0) })
+	h.eng.At(10, "release", func() { h.c.ReleaseNode(0) })
+	h.eng.At(40, "join", func() {
+		h.c.JoinNode(0)
+		h.w.Register(0)
+	})
 	h.eng.RunUntil(100)
 	if len(h.lost) != 0 || len(h.rejoins) != 0 {
 		t.Fatalf("cycle fired callbacks: lost=%v rejoins=%v", h.lost, h.rejoins)
 	}
-	if h.w.deregistered[0] {
-		t.Fatal("node still deregistered after Register")
+	// Last beat at 100; beats at 105, 110 and 115 are missed.
+	h.eng.At(101, "crash", func() { h.c.Node(0).SetDown(true) })
+	h.eng.RunUntil(110)
+	if len(h.lost) != 0 {
+		t.Fatalf("lost before the third missed beat: %v", h.lost)
+	}
+	h.eng.RunUntil(115)
+	if len(h.lost) != 1 || h.lost[0] != 0 {
+		t.Fatalf("lost callbacks = %v, want [0] at t=115", h.lost)
 	}
 }
 
-// Offline spares provisioned before the watcher starts are not members:
-// they begin deregistered and their silence is never a loss.
+// Offline spares provisioned before the watcher starts are not members,
+// so they start deregistered: their silence is never a loss.
 func TestOfflineSparesStartDeregistered(t *testing.T) {
 	eng := sim.New()
 	c := cluster.Homogeneous(2)
-	spares := c.AddSpares(2, cluster.NodeSpec{})
+	c.AddSpares(2, cluster.NodeSpec{})
 	rm := NewRM(eng, c)
 	rm.SetScheduler(&acceptN{rm: rm, n: 0})
 	w := NewNodeWatcher(eng, c, rm)
@@ -234,11 +244,6 @@ func TestOfflineSparesStartDeregistered(t *testing.T) {
 	w.OnLost(func(id cluster.NodeID) { lost = append(lost, id) })
 	rm.Start()
 	eng.RunUntil(200)
-	for _, id := range spares {
-		if !w.deregistered[id] {
-			t.Fatalf("offline spare %d not deregistered at start", id)
-		}
-	}
 	if len(lost) != 0 {
 		t.Fatalf("offline spares declared lost: %v", lost)
 	}

@@ -18,35 +18,6 @@ func refFairOrder(active []*JobHandle) []*JobHandle {
 	return out
 }
 
-// refCapacityOrder is the capacity ordering as first written, with fresh
-// usage, queue-rank and output slices on every call.
-func refCapacityOrder(p *CapacityPolicy, active []*JobHandle, totalSlots int) []*JobHandle {
-	usage := make([]int, len(p.Queues))
-	for _, h := range active {
-		usage[h.Queue] += h.running
-	}
-	order := make([]int, len(p.Queues))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		qa, qb := order[a], order[b]
-		return float64(usage[qa])/p.Queues[qa].Share < float64(usage[qb])/p.Queues[qb].Share
-	})
-	out := make([]*JobHandle, 0, len(active))
-	for _, q := range order {
-		if usage[q] >= p.Cap(q, totalSlots) {
-			continue
-		}
-		for _, h := range active {
-			if h.Queue == q {
-				out = append(out, h)
-			}
-		}
-	}
-	return out
-}
-
 // recorder is an AM that declines every offer and logs that it was
 // consulted, so one offer over recorders reveals the policy's full order.
 type recorder struct {
@@ -76,38 +47,22 @@ func indices(hs []*JobHandle) []int {
 // jobs in exactly the reference order, whether it re-ranks them or
 // reuses the cached order.
 func TestPolicyOrderMatchesReference(t *testing.T) {
-	queues := []Queue{
-		{Name: "a", Share: 0.2, MaxShare: 0.4},
-		{Name: "b", Share: 0.3},
-		{Name: "c", Share: 0.5, MaxShare: 0.6},
-	}
 	cases := []struct {
 		name string
-		mk   func() (Policy, func(active []*JobHandle, totalSlots int) []*JobHandle)
+		fair bool
+		ref  func(active []*JobHandle) []*JobHandle
 	}{
-		{"fifo", func() (Policy, func([]*JobHandle, int) []*JobHandle) {
-			return FIFOPolicy{}, func(active []*JobHandle, _ int) []*JobHandle { return active }
-		}},
-		{"fair", func() (Policy, func([]*JobHandle, int) []*JobHandle) {
-			return FairPolicy{}, func(active []*JobHandle, _ int) []*JobHandle { return refFairOrder(active) }
-		}},
-		{"capacity", func() (Policy, func([]*JobHandle, int) []*JobHandle) {
-			p, err := NewCapacityPolicy(queues)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p, func(active []*JobHandle, total int) []*JobHandle { return refCapacityOrder(p, active, total) }
-		}},
+		{"fifo", false, func(active []*JobHandle) []*JobHandle { return active }},
+		{"fair", true, refFairOrder},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 25; seed++ {
-				pol, ref := c.mk()
-				clus := cluster.Homogeneous(5) // 10 slots: capacity caps bind
+				clus := cluster.Homogeneous(5)
 				spare := clus.AddSpares(1, cluster.NodeSpec{Slots: 4})[0]
 				eng := sim.New()
 				rm := NewRM(eng, clus)
-				ij := NewInterJob(eng, rm, pol)
+				ij := NewInterJob(eng, rm, c.fair)
 				node := clus.Node(0)
 				rng := randutil.New(seed)
 				var handles, log []*JobHandle
@@ -124,7 +79,7 @@ func TestPolicyOrderMatchesReference(t *testing.T) {
 					switch r := rng.Intn(12); {
 					case r < 2 || len(active) == 0:
 						rec := &recorder{log: &log}
-						rec.h = ij.Submit("job", rng.Intn(len(queues)), rec)
+						rec.h = ij.Submit("job", rec)
 						handles = append(handles, rec.h)
 					case r < 3:
 						ij.Retire(handles[rng.Intn(len(handles))]) // may already be retired
@@ -149,7 +104,7 @@ func TestPolicyOrderMatchesReference(t *testing.T) {
 					if rng.Intn(3) == 0 {
 						continue // let several moves land between offers
 					}
-					want := indices(ref(live(), rm.TotalSlots()))
+					want := indices(c.ref(live()))
 					log = log[:0]
 					ij.OnSlotFree(node)
 					if got := indices(log); !slices.Equal(got, want) {
@@ -165,19 +120,11 @@ func TestPolicyOrderMatchesReference(t *testing.T) {
 // nothing under any policy, with one running count moving per offer as a
 // grant or release between offers moves it.
 func TestOfferAllocatesNothing(t *testing.T) {
-	capacity, err := NewCapacityPolicy([]Queue{
-		{Name: "a", Share: 0.25, MaxShare: 0.5},
-		{Name: "b", Share: 0.25},
-		{Name: "c", Share: 0.5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pol := range []Policy{FIFOPolicy{}, FairPolicy{}, capacity} {
-		_, rm, ij := muxFixture(100, pol)
+	for _, fair := range []bool{false, true} {
+		_, rm, ij := muxFixture(100, fair)
 		var handles []*JobHandle
 		for i := 0; i < 40; i++ {
-			handles = append(handles, ij.Submit("job", i%3, &fakeJob{demand: 0}))
+			handles = append(handles, ij.Submit("job", &fakeJob{demand: 0}))
 		}
 		node := rm.cluster.Node(0)
 		k := 0
@@ -188,7 +135,7 @@ func TestOfferAllocatesNothing(t *testing.T) {
 			ij.OnSlotFree(node)
 		})
 		if allocs != 0 {
-			t.Errorf("%s: %.1f allocs per declined offer, want 0", pol.Name(), allocs)
+			t.Errorf("fair=%v: %.1f allocs per declined offer, want 0", fair, allocs)
 		}
 	}
 }
@@ -222,42 +169,36 @@ func (n *nester) OnSlotFree(node *cluster.Node) bool {
 // grant made after the nested offer returns is charged to the outer
 // offer's job.
 func TestNestedOffer(t *testing.T) {
-	capacity, err := NewCapacityPolicy([]Queue{{Name: "a", Share: 0.5}, {Name: "b", Share: 0.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
-		pol    Policy
-		cQueue int   // job c's queue; jobs n and b are in queue 0
-		bump   int   // the job whose running count the nester raises by 3
-		want   []int // jobs consulted by the first offer
+		name string
+		fair bool
+		want []int // jobs consulted by the first offer
 	}{
+		// The outer offer walks n b c, and so does the nested one: FIFO
+		// ignores b's new count.
+		{"fifo", false, []int{0, 0, 1, 2, 1, 2}},
 		// All idle: the outer offer walks n b c. With b busy the nested
 		// one walks n c b.
-		{FairPolicy{}, 0, 1, []int{0, 0, 2, 1, 1, 2}},
-		// Both queues idle: the outer offer walks n b c. With n busy,
-		// queue 0 is the more loaded and the nested one walks c n b.
-		{capacity, 1, 0, []int{0, 2, 0, 1, 1, 2}},
+		{"fair", true, []int{0, 0, 2, 1, 1, 2}},
 	}
 	for _, c := range cases {
-		_, rm, ij := muxFixture(5, c.pol) // 10 slots: no capacity cap binds
+		_, rm, ij := muxFixture(5, c.fair)
 		node := rm.cluster.Node(0)
 		var log []*JobHandle
 		n := &nester{recorder: recorder{log: &log}, ij: ij}
-		n.h = ij.Submit("n", 0, n)
+		n.h = ij.Submit("n", n)
 		b := &recorder{log: &log}
-		b.h = ij.Submit("b", 0, b)
+		b.h = ij.Submit("b", b)
 		cj := &recorder{log: &log}
-		cj.h = ij.Submit("c", c.cQueue, cj)
-		hs := []*JobHandle{n.h, b.h, cj.h}
+		cj.h = ij.Submit("c", cj)
 
-		n.before = func() { ij.move(hs[c.bump], 3) }
+		n.before = func() { ij.move(b.h, 3) }
 		n.after = func(*cluster.Node) bool { return false }
 		if ij.OnSlotFree(node) {
-			t.Fatalf("%s: an offer every job declined placed", c.pol.Name())
+			t.Fatalf("%s: an offer every job declined placed", c.name)
 		}
 		if got := indices(log); !slices.Equal(got, c.want) {
-			t.Errorf("%s: consulted %v, want %v", c.pol.Name(), got, c.want)
+			t.Errorf("%s: consulted %v, want %v", c.name, got, c.want)
 		}
 
 		n.before = func() {}
@@ -267,10 +208,10 @@ func TestNestedOffer(t *testing.T) {
 		}
 		was := n.h.running
 		if !ij.OnSlotFree(node) {
-			t.Fatalf("%s: the nester's grant did not place", c.pol.Name())
+			t.Fatalf("%s: the nester's grant did not place", c.name)
 		}
 		if got := n.h.running; got != was+1 {
-			t.Errorf("%s: nester runs %d containers after its grant, want %d", c.pol.Name(), got, was+1)
+			t.Errorf("%s: nester runs %d containers after its grant, want %d", c.name, got, was+1)
 		}
 	}
 }

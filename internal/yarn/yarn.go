@@ -102,9 +102,6 @@ func NewRM(eng *sim.Engine, c *cluster.Cluster) *RM {
 // Start.
 func (rm *RM) SetScheduler(s Scheduler) { rm.sched = s }
 
-// TotalSlots returns the cluster's total container slots (free or not).
-func (rm *RM) TotalSlots() int { return rm.cluster.TotalSlots() }
-
 // Start begins offering capacity: one immediate offer per node, with
 // subsequent grants paced by AssignDelay. It panics if no scheduler is
 // registered.
