@@ -1,6 +1,7 @@
 package flexmap
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -71,9 +72,10 @@ func TestBadSlowFractionIsError(t *testing.T) {
 	}
 }
 
-// TestBadScheduleIsError: a membership script event before t=0 and a
-// negative MaxSimTime are errors from Run and RunWorkload, not a panic
-// in the event queue or a report of a scheduler hang.
+// TestBadScheduleIsError: a membership script event before t=0, a
+// negative MaxSimTime and an input size past the largest storable file
+// are errors from Run and RunWorkload, not a panic in the event queue or
+// the block store, or a report of a scheduler hang.
 func TestBadScheduleIsError(t *testing.T) {
 	spec, err := PUMASpec(WordCount, 8)
 	if err != nil {
@@ -101,6 +103,12 @@ func TestBadScheduleIsError(t *testing.T) {
 	sc, wl = scenarios()
 	sc.MaxSimTime, wl.MaxSimTime = -1, -1
 	check("negative MaxSimTime", sc, wl)
+	for _, size := range []int64{math.MaxInt64, math.MaxInt64 - 4*MB} {
+		sc, wl = scenarios()
+		sc.InputSize = size
+		wl.Classes[0].MinBytes, wl.Classes[0].MaxBytes = size, size
+		check(fmt.Sprintf("input size %d", size), sc, wl)
+	}
 }
 
 func TestAllPUMASpecsRunnable(t *testing.T) {

@@ -79,16 +79,28 @@ func BenchmarkTrackerTake(b *testing.B) {
 	}
 }
 
-// BenchmarkAddFile measures placing a 1,024-BU file (64 placement groups)
-// into a fresh store on 40 nodes, the set-up every paper-sequence
-// simulation repeats.
+// BenchmarkAddFile measures placing a file into a fresh store: 1,024
+// BUs (64 placement groups) on 40 nodes, the set-up every paper-sequence
+// simulation repeats, and 2 BUs per node on 10,000 nodes, the fleet-10k
+// benchmark workload's input, where every group draws a tie per member.
 func BenchmarkAddFile(b *testing.B) {
-	c := cluster.Homogeneous(40)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := NewStore(c, 3, randutil.New(1))
-		if _, err := s.AddFile("f", 1024*BUSize); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name  string
+		nodes int
+		bus   int64
+	}{
+		{"40-nodes", 40, 1024},
+		{"10000-nodes", 10000, 2 * 10000},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := cluster.Homogeneous(bc.nodes)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := NewStore(c, 3, randutil.New(1))
+				if _, err := s.AddFile("f", bc.bus*BUSize); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

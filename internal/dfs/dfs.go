@@ -12,6 +12,7 @@ package dfs
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"flexmap/internal/cluster"
@@ -28,6 +29,11 @@ const DefaultReplication = 3
 // GroupBUs is the number of consecutive BUs placed on the same replica
 // set (16 BUs = 128 MB, so both 64 MB and 128 MB splits are co-located).
 const GroupBUs = 16
+
+// maxFileSize is the largest storable file size: the largest whole
+// number of BUs whose bytes fit in an int64, so a file's BU count and
+// every BU offset are computed without overflow.
+const maxFileSize = math.MaxInt64 - BUSize + 1
 
 // BUID identifies one block unit globally within a Store.
 type BUID int
@@ -60,6 +66,11 @@ type Store struct {
 	// shares the group's replica slice, so it is read-only.
 	blockToNode [][]cluster.NodeID
 	nodeLoad    []int // BUs stored per node, by dense NodeID, for balancing
+
+	// members and ties are placement scratch, reused across files: the
+	// online members of the file being placed, and one tie draw each.
+	members []cluster.NodeID
+	ties    []int64
 
 	// content and weights are indexed by BUID and stay nil until used. An
 	// ID past their end has no payload and weight 1.0.
@@ -99,6 +110,9 @@ func (s *Store) AddFile(name string, size int64) (*File, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("dfs: file %q has non-positive size %d", name, size)
 	}
+	if size > maxFileSize {
+		return nil, fmt.Errorf("dfs: file %q size %d exceeds the largest storable size %d", name, size, maxFileSize)
+	}
 	return s.addFile(name, size, nil)
 }
 
@@ -124,10 +138,19 @@ func (s *Store) addFile(name string, size int64, data []byte) (*File, error) {
 		s.content = append(s.content, make([][]byte, len(s.blocks)-len(s.content))...)
 	}
 
+	// Membership cannot change while a file is placed: list it once.
+	members := slices.Grow(s.members[:0], len(s.cluster.Nodes))
+	for _, n := range s.cluster.Nodes {
+		if !n.Offline() {
+			members = append(members, n.ID)
+		}
+	}
+	s.members = members
+
 	var group []cluster.NodeID
 	for i := 0; i < numBUs; i++ {
 		if i%GroupBUs == 0 {
-			group = s.pickReplicaNodes()
+			group = s.pickReplicaNodes(members)
 		}
 		buSize := BUSize
 		if rem := size - int64(i)*BUSize; rem < buSize {
@@ -149,10 +172,10 @@ func (s *Store) addFile(name string, size int64, data []byte) (*File, error) {
 	return f, nil
 }
 
-// pickReplicaNodes chooses `replication` distinct nodes, preferring nodes
-// storing the fewest BUs (ties broken pseudo-randomly) so placement stays
-// balanced, as HDFS's balancer would keep it.
-func (s *Store) pickReplicaNodes() []cluster.NodeID {
+// pickReplicaNodes chooses `replication` distinct nodes among members,
+// preferring nodes storing the fewest BUs (ties broken pseudo-randomly) so
+// placement stays balanced, as HDFS's balancer would keep it.
+func (s *Store) pickReplicaNodes(members []cluster.NodeID) []cluster.NodeID {
 	type cand struct {
 		id   cluster.NodeID
 		load int
@@ -160,22 +183,29 @@ func (s *Store) pickReplicaNodes() []cluster.NodeID {
 	}
 	// One scan keeping the `replication` best (load, tie) pairs — a full
 	// sort of the fleet per BU is O(n log n) and dominated 10k-node setup.
-	// Every member node still draws a tie value, so the random stream (and
-	// with it every downstream placement) matches the old sorted version.
-	// Offline spares neither draw nor qualify: base-fleet placement is
+	// Every member node still draws a tie value, in member order and in
+	// one batch, so the random stream (and with it every downstream
+	// placement) matches the old sorted version. Offline spares are not
+	// members: they neither draw nor qualify, so base-fleet placement is
 	// identical whether or not a run provisions spares, and a spare that
 	// has joined by the time a file is added receives replicas normally.
+	ties := slices.Grow(s.ties[:0], len(members))[:len(members)]
+	s.ties = ties
+	s.rng.Int63s(ties)
+	load := s.nodeLoad
 	best := make([]cand, 0, s.replication)
-	for _, n := range s.cluster.Nodes {
-		if n.Offline() {
+	// (wLoad, wTie) is the R-th best pair so far; until R members are
+	// seen it ranks below every member. A member qualifies if its pair
+	// is smaller: the borrow out of the 128-bit difference load:tie −
+	// wLoad:wTie, which does not branch on which nodes already hold data.
+	wLoad, wTie := math.MaxInt, int64(0)
+	for j, id := range members {
+		c := cand{id, load[id], ties[j]}
+		_, borrow := bits.Sub64(uint64(c.tie), uint64(wTie), 0)
+		if _, borrow = bits.Sub64(uint64(c.load), uint64(wLoad), borrow); borrow == 0 {
 			continue
 		}
-		c := cand{n.ID, s.nodeLoad[n.ID], s.rng.Int63()}
 		if len(best) == s.replication {
-			w := best[len(best)-1]
-			if c.load > w.load || (c.load == w.load && c.tie >= w.tie) {
-				continue
-			}
 			best = best[:len(best)-1]
 		}
 		i := len(best)
@@ -185,6 +215,9 @@ func (s *Store) pickReplicaNodes() []cluster.NodeID {
 		best = append(best, cand{})
 		copy(best[i+1:], best[i:])
 		best[i] = c
+		if len(best) == s.replication {
+			wLoad, wTie = best[len(best)-1].load, best[len(best)-1].tie
+		}
 	}
 	// Fewer members than the replication factor (elastic scale-in below
 	// the store's initial member count) degrades gracefully to the

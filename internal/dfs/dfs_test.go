@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -53,6 +54,13 @@ func TestAddFileErrors(t *testing.T) {
 	}
 	if _, err := s.AddFileWithData("empty", nil); err == nil {
 		t.Error("empty data file accepted")
+	}
+	// A size whose whole-BU span overflows int64 is rejected, not
+	// wrapped into a negative BU count.
+	for _, size := range []int64{math.MaxInt64, math.MaxInt64 - 4<<20, maxFileSize + 1} {
+		if _, err := s.AddFile("huge", size); err == nil {
+			t.Errorf("size %d accepted", size)
+		}
 	}
 }
 

@@ -1,0 +1,159 @@
+package randutil
+
+import "math/rand"
+
+// lfg is math/rand's seeded generator, reproduced draw for draw: the
+// additive lagged Fibonacci generator of Mitchell and Reeds over a
+// 607-word register with tap 273, seeded exactly as rand.NewSource seeds
+// it. The Go 1 compatibility promise fixes that stream as a function of
+// the seed, so every rand.Rand method over an lfg returns what it returns
+// over rand.NewSource.
+//
+// Two things differ, neither visible in the stream. Seeding is lazy: slot
+// i's initial word is chain(x0, i) ^ cooked[i], and chain reaches any
+// point of the seed's Lehmer chain in O(1) (lehmerPow), so a slot is
+// seeded when a draw first reads it rather than all 607 up front. And
+// int63s draws a batch without an interface call per draw.
+type lfg struct {
+	tap, feed int
+	// x0 is the reduced seed, the Lehmer chain's start, while some slot
+	// is still unseeded; it is 0 once the register is full.
+	x0  uint64
+	vec [lfgLen]int64
+}
+
+const (
+	lfgLen  = 607
+	lfgTap  = 273
+	lfgFill = lfgLen - lfgTap // draws after which every slot is seeded
+	lfgMask = 1<<63 - 1
+
+	lehmerA = 48271
+	lehmerM = 1<<31 - 1
+	// zeroSeed is what math/rand seeds in place of a seed ≡ 0 mod lehmerM.
+	zeroSeed = 89482311
+)
+
+var (
+	// lehmerPow[n] is 48271ⁿ mod 2³¹−1, for every chain step a full
+	// seeding takes: 20 discarded, then 3 per slot.
+	lehmerPow [21 + 3*lfgLen]uint32
+	// cooked is math/rand's rngCooked table, the per-slot constant XORed
+	// into each seeded word.
+	cooked [lfgLen]int64
+)
+
+// init builds lehmerPow and recovers cooked from a real math/rand
+// source, so math/rand stays the one definition of the stream. For draws
+// k ≤ 334 of a fresh register v, draw k adds tap slot 607−k into feed
+// slot 334−k. A tap slot is unseeded for k ≤ 273 and holds draw k−273
+// after; from draw 335 the feed slot 941−k is an unseeded word. So the
+// first 607 draws o[1..607] of seed 1 give v[607−k] = o[k+334] − o[k+61]
+// for k ≤ 273, then v[334−k] = o[k] − (v[607−k] or o[k−273]), and
+// cooked[i] = v[i] ^ chain(1, i).
+func init() {
+	lehmerPow[0] = 1
+	for n := 1; n < len(lehmerPow); n++ {
+		lehmerPow[n] = uint32(uint64(lehmerPow[n-1]) * lehmerA % lehmerM)
+	}
+	ref := rand.NewSource(1).(rand.Source64)
+	var o [lfgLen + 1]int64 // o[k] is the k-th draw, counting from 1
+	for k := 1; k <= lfgLen; k++ {
+		o[k] = int64(ref.Uint64())
+	}
+	v := &cooked
+	for k := 1; k <= lfgTap; k++ {
+		v[lfgLen-k] = o[k+lfgFill] - o[k+lfgFill-lfgTap]
+	}
+	for k := 1; k <= lfgFill; k++ {
+		if k <= lfgTap {
+			v[lfgFill-k] = o[k] - v[lfgLen-k]
+		} else {
+			v[lfgFill-k] = o[k] - o[k-lfgTap]
+		}
+	}
+	for i := range v {
+		v[i] ^= chain(1, i)
+	}
+}
+
+// chain returns the Lehmer bits math/rand's seeding XORs into slot i:
+// x₂₁₊₃ᵢ<<40 ^ x₂₂₊₃ᵢ<<20 ^ x₂₃₊₃ᵢ, where xₙ = x0·48271ⁿ mod 2³¹−1.
+func chain(x0 uint64, i int) int64 {
+	n := 21 + 3*i
+	x1 := int64(x0 * uint64(lehmerPow[n]) % lehmerM)
+	x2 := int64(x0 * uint64(lehmerPow[n+1]) % lehmerM)
+	x3 := int64(x0 * uint64(lehmerPow[n+2]) % lehmerM)
+	return x1<<40 ^ x2<<20 ^ x3
+}
+
+// Seed resets the generator to the stream rand.NewSource(seed) yields.
+func (g *lfg) Seed(seed int64) {
+	seed %= lehmerM
+	if seed < 0 {
+		seed += lehmerM
+	}
+	if seed == 0 {
+		seed = zeroSeed
+	}
+	g.tap, g.feed, g.x0 = 0, lfgFill, uint64(seed)
+}
+
+// Int63 returns the next draw's low 63 bits.
+func (g *lfg) Int63() int64 { return int64(g.Uint64() & lfgMask) }
+
+// Uint64 returns the next draw.
+func (g *lfg) Uint64() uint64 {
+	g.tap--
+	if g.tap < 0 {
+		g.tap += lfgLen
+	}
+	g.feed--
+	if g.feed < 0 {
+		g.feed += lfgLen
+	}
+	if g.x0 != 0 {
+		g.seedSlots()
+	}
+	x := g.vec[g.feed] + g.vec[g.tap]
+	g.vec[g.feed] = x
+	return uint64(x)
+}
+
+// seedSlots writes the initial words of the slots the current draw reads
+// first: draw k ≤ 334 reads feed slot 334−k for the first time, and draw
+// k ≤ 273 tap slot 607−k (later tap slots were feed slots 273 draws
+// earlier). Draw 334 fills slot 0, the last one.
+func (g *lfg) seedSlots() {
+	g.vec[g.feed] = chain(g.x0, g.feed) ^ cooked[g.feed]
+	if g.tap >= lfgFill {
+		g.vec[g.tap] = chain(g.x0, g.tap) ^ cooked[g.tap]
+	}
+	if g.feed == 0 {
+		g.x0 = 0
+	}
+}
+
+// int63s fills dst with the next len(dst) Int63 draws. Past the seeding
+// draws it keeps tap, feed and the register in locals.
+func (g *lfg) int63s(dst []int64) {
+	for len(dst) > 0 && g.x0 != 0 {
+		dst[0] = g.Int63()
+		dst = dst[1:]
+	}
+	tap, feed, vec := g.tap, g.feed, &g.vec
+	for i := range dst {
+		tap--
+		if tap < 0 {
+			tap += lfgLen
+		}
+		feed--
+		if feed < 0 {
+			feed += lfgLen
+		}
+		x := vec[feed] + vec[tap]
+		vec[feed] = x
+		dst[i] = x & lfgMask
+	}
+	g.tap, g.feed = tap, feed
+}

@@ -13,15 +13,25 @@ import (
 // Source is a convenience wrapper over math/rand with deterministic
 // splitting: derived sources are seeded from the parent seed and a label,
 // so adding a new consumer of randomness does not perturb existing ones.
+// Its *rand.Rand runs over lfg, which yields exactly rand.NewSource(seed)'s
+// stream but seeds register slots as draws first read them.
 type Source struct {
 	seed int64
 	*rand.Rand
+	gen lfg
 }
 
 // New returns a deterministic source for the given seed.
 func New(seed int64) *Source {
-	return &Source{seed: seed, Rand: rand.New(rand.NewSource(seed))}
+	s := &Source{seed: seed}
+	s.gen.Seed(seed)
+	s.Rand = rand.New(&s.gen)
+	return s
 }
+
+// Int63s fills dst with the next len(dst) Int63 draws, the values that
+// many Int63 calls would return, without an interface call per draw.
+func (s *Source) Int63s(dst []int64) { s.gen.int63s(dst) }
 
 // Seed returns the seed the source was created with.
 func (s *Source) Seed() int64 { return s.seed }
@@ -32,9 +42,9 @@ func (s *Source) Seed() int64 { return s.seed }
 func (s *Source) Split(label string) *Source { return New(SplitSeed(s.seed, label)) }
 
 // SplitSeed returns the seed Split derives from (seed, label), without
-// seeding a source. Seeding fills a ~5 KB table, so a caller that only
-// derives further seeds, or draws from a stream only sometimes, should
-// derive with SplitSeed and call New once it draws.
+// seeding a source. A source allocates a ~4.9 KB register, so a caller
+// that only derives further seeds, or draws from a stream only sometimes,
+// should derive with SplitSeed and call New once it draws.
 func SplitSeed(seed int64, label string) int64 {
 	derived := seed ^ int64(fnv64a(label))
 	// Avoid the degenerate all-zero seed.

@@ -104,6 +104,8 @@ func TestRunErrors(t *testing.T) {
 	}{
 		{"no cluster", Scenario{InputSize: 1}, Engine{Kind: Hadoop}},
 		{"no input", Scenario{Cluster: hetFactory}, Engine{Kind: Hadoop}},
+		{"MaxInt64 input", with(func(sc *Scenario) { sc.InputSize = math.MaxInt64 }), Engine{Kind: Hadoop}},
+		{"input a half BU below MaxInt64", with(func(sc *Scenario) { sc.InputSize = math.MaxInt64 - 4<<20 }), Engine{Kind: FlexMap}},
 		{"bad split", smallScenario(hetFactory), Engine{Kind: Hadoop, SplitMB: 12}},
 		{"unknown engine", smallScenario(hetFactory), Engine{Kind: "mystery"}},
 		{"zero nodes", smallScenario(homoFactory(0)), Engine{Kind: Hadoop}},

@@ -502,6 +502,12 @@ func TestWorkloadValidation(t *testing.T) {
 	if err := bad(func(sc *WorkloadScenario) { sc.Pattern.Rate = -1 }); err == nil {
 		t.Error("negative rate accepted")
 	}
+	if err := bad(func(sc *WorkloadScenario) {
+		sc.Classes[0].MinBytes, sc.Classes[0].MaxBytes = math.MaxInt64, math.MaxInt64
+		sc.Classes[1].MinBytes, sc.Classes[1].MaxBytes = math.MaxInt64, math.MaxInt64
+	}); err == nil {
+		t.Error("MaxInt64 input size accepted")
+	}
 	if err := bad(func(sc *WorkloadScenario) { sc.Classes[0].Spec.MapCost = -3 }); err == nil {
 		t.Error("invalid class spec accepted")
 	}
