@@ -12,7 +12,7 @@ import (
 )
 
 // The goldens pin the simulator's output bytes: the paper text of
-// `paperfigs -exp all -scale 8`, and the trace trees of the four
+// `paperfigs -exp all -scale 8`, and the trace trees of the five
 // serial-vs-parallel determinism runs in CI. Speedups and refactors must
 // leave every digest unchanged. A change that means to move one says so
 // and records the old and new digest.
@@ -38,6 +38,8 @@ var traceGoldens = []struct {
 		"e00405fe19694f64216f4d7509333e5a266d05a78e1a55afa04af833a0dbae9c"},
 	{"autoscale", []string{"-exp", "autoscale", "-scale", "8"},
 		"7e8d13ab7891f62698526a3e1623037b3696fd688090aaa5042a8668efe36cb8"},
+	{"faults", []string{"-exp", "faults", "-scale", "8"},
+		"51f15396e53dddc214fca71ff2e443e3cabf6514ca5da559fea90845e0efeada"},
 }
 
 func runPaperfigs(t *testing.T, args ...string) []byte {
