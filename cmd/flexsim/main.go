@@ -213,14 +213,14 @@ func main() {
 			res.CrossRackBytes/flexmap.MB, peak, *topology, *oversub)
 	}
 	if sc.Faults.Active() {
-		fmt.Printf("faults     %d nodes lost (%d rejoined), %d attempts crashed, %d preemptions\n",
-			res.NodesLost, res.NodesRejoined, res.AttemptsCrashed, res.Preemptions)
+		fmt.Printf("faults     %d nodes lost (%d rejoined), %d attempts crashed\n",
+			res.NodesLost, res.NodesRejoined, res.AttemptsCrashed)
 		fmt.Printf("recovery   %d task retries, %d MB re-processed, %d output BUs lost, goodput %.3f\n",
 			res.TaskRetries, res.ReprocessedBytes/flexmap.MB, res.OutputBUsLost, res.Goodput(res.InputBytes))
 	}
 	if sc.Membership.Active() {
-		fmt.Printf("elastic    %d spares provisioned, %.2f node-hours consumed\n",
-			sc.Membership.Spares, res.NodeHours)
+		fmt.Printf("elastic    %d spares provisioned, %.2f node-hours consumed, %d preemptions\n",
+			sc.Membership.Spares, res.NodeHours, res.Preemptions)
 	}
 	if len(res.Output) > 0 {
 		fmt.Printf("live output: %d distinct keys\n", len(res.Output))

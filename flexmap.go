@@ -91,10 +91,10 @@ type (
 	Scenario = runner.Scenario
 	// RunResult bundles a JobResult with engine-specific traces.
 	RunResult = runner.Result
-	// FaultPlan parameterizes seeded fault injection (crashes, slowdowns,
-	// container preemptions). The zero value injects nothing.
+	// FaultPlan parameterizes seeded node-crash injection. The zero value
+	// injects nothing.
 	FaultPlan = faults.Plan
-	// FaultEvent is one scheduled fault.
+	// FaultEvent is one scheduled node crash.
 	FaultEvent = faults.Event
 	// MembershipPlan parameterizes elastic cluster membership: spare
 	// nodes joining, draining out gracefully, or being reclaimed as spot

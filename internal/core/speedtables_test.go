@@ -207,8 +207,8 @@ func TestSpeedTablesMatchReference(t *testing.T) {
 				target.AttachWatcher(w)
 				if c.crashes {
 					inj := faults.NewInjector(eng, clus, []faults.Event{
-						{At: 20, Node: 0, Kind: faults.Crash, Duration: 30},
-						{At: 35, Node: 3, Kind: faults.Crash, Duration: 25},
+						{At: 20, Node: 0, Duration: 30},
+						{At: 35, Node: 3, Duration: 25},
 					}, target)
 					inj.Start()
 				}

@@ -43,7 +43,7 @@ func TestAttemptBookLifecycle(t *testing.T) {
 		{"launch", func() { orig = launch(taskT, n0, splits[0].BUs, false) }, []string{"t"}, 0, total - 1},
 		{"speculative launch", func() { rival = launch(taskT, n1, splits[0].BUs, true) }, nil, 1, total - 2},
 		{"rival dies", func() {
-			if !h.target.PreemptContainer(n1.ID) || !rival.Killed() {
+			if !h.driver.preempt(rival) || !rival.Killed() {
 				t.Fatal("rival not preempted")
 			}
 			if b.Drop(rival) {

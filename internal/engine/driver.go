@@ -516,7 +516,7 @@ func partitionOf(key string, r int) int {
 func (a *MapAttempt) Kill() bool { return a.kill(false) }
 
 // kill implements Kill; crashed marks fault-induced termination (node
-// crash or container preemption) and snapshots the BU split for recovery.
+// crash or drain preemption) and snapshots the BU split for recovery.
 func (a *MapAttempt) kill(crashed bool) bool {
 	if a.phase == phaseDone || a.killed {
 		return false

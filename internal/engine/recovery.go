@@ -23,8 +23,9 @@ import (
 // maps.
 type RecoveryHandler interface {
 	OnNodeLost(id cluster.NodeID, crashed []*MapAttempt, lostOutput []dfs.BUID)
-	// OnPreempted is delivered immediately: container preemption is a
-	// scheduler decision the AM hears about synchronously.
+	// OnPreempted is delivered immediately: an elastic drain preempting a
+	// map attempt is a scheduler decision the AM hears about
+	// synchronously.
 	OnPreempted(a *MapAttempt)
 }
 
@@ -102,30 +103,6 @@ func (t *FaultTarget) CrashNode(id cluster.NodeID) {
 // rides the heartbeat.
 func (t *FaultTarget) RestoreNode(id cluster.NodeID) {
 	t.clus.Node(id).SetDown(false)
-}
-
-// PreemptContainer revokes one running map container on the node — the
-// youngest, as YARN's capacity scheduler preempts youngest first. The
-// youngest is the attempt with the latest Start; among those, the
-// greatest Task; among attempts equal in both (every workload job names
-// its tasks map-NNNN), the earliest-submitted driver's. Finished drivers
-// are skipped. Unlike a crash the AM is told synchronously and pays no
-// retry penalty. It reports whether a container was preempted.
-func (t *FaultTarget) PreemptContainer(id cluster.NodeID) bool {
-	var owner *Driver
-	var victim *MapAttempt
-	for _, d := range t.drivers {
-		if d.finished {
-			continue
-		}
-		for _, a := range d.running[id] {
-			if victim == nil || a.Start > victim.Start ||
-				(a.Start == victim.Start && a.Task > victim.Task) {
-				owner, victim = d, a
-			}
-		}
-	}
-	return victim != nil && owner.preempt(victim)
 }
 
 // crashResident kills this driver's work on a node that just went down.

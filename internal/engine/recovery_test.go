@@ -181,7 +181,8 @@ func TestPreemptionRequeuesWithoutRetryCharge(t *testing.T) {
 	h := newHarness(t, cluster.Homogeneous(4), 64, wcSpec(0))
 	bindStock(t, h.driver, 8, nil)
 	h.eng.At(4, "preempt", func() {
-		if !h.target.PreemptContainer(2) {
+		running := h.driver.running[2]
+		if len(running) == 0 || !h.driver.preempt(running[len(running)-1]) {
 			t.Error("no container preempted on a busy node")
 		}
 	})
@@ -195,72 +196,6 @@ func TestPreemptionRequeuesWithoutRetryCharge(t *testing.T) {
 	}
 	if r.NodesLost != 0 {
 		t.Fatalf("NodesLost = %d, want 0: preemption is not a node failure", r.NodesLost)
-	}
-}
-
-func TestPreemptIdleNodeReportsFalse(t *testing.T) {
-	h := newHarness(t, cluster.Homogeneous(2), 16, wcSpec(0))
-	bindStock(t, h.driver, 8, nil)
-	// Before Start nothing runs anywhere.
-	if h.target.PreemptContainer(0) {
-		t.Fatal("preempted a container on an idle node")
-	}
-}
-
-// TestFaultTargetPreemptOrder pins the victim order across drivers
-// sharing a node: the latest Start, then the greatest Task, then the
-// earliest-added driver. A finished driver's attempts are never chosen.
-func TestFaultTargetPreemptOrder(t *testing.T) {
-	type launch struct {
-		job  int // driver index, in the order added to the target
-		at   sim.Time
-		task string
-	}
-	cases := []struct {
-		name     string
-		launches []launch
-		failJob  int // driver failed before the preemption, or -1
-		want     int // index into launches of the expected victim
-	}{
-		{"later start beats greater task", []launch{{0, 0, "map-0002"}, {1, 1, "map-0001"}}, -1, 1},
-		{"greater task of the later driver", []launch{{0, 0, "map-0001"}, {1, 0, "map-0002"}}, -1, 1},
-		{"greater task of the earlier driver", []launch{{1, 0, "map-0001"}, {0, 0, "map-0002"}}, -1, 1},
-		{"same start and task: earlier driver", []launch{{0, 0, "map-0001"}, {1, 0, "map-0001"}}, -1, 0},
-		{"same start and task, launched later: earlier driver", []launch{{1, 0, "map-0001"}, {0, 0, "map-0001"}}, -1, 1},
-		{"finished driver skipped", []launch{{0, 0, "map-0001"}, {1, 1, "map-0002"}}, 1, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			eng, c, rm, target, drivers, splits := sharedNode(t, 2)
-			n := c.Node(0)
-			attempts := make([]*MapAttempt, len(tc.launches))
-			for i, l := range tc.launches {
-				i, l := i, l
-				eng.At(l.at, "launch", func() {
-					d := drivers[l.job]
-					attempts[i] = d.LaunchMap(MapLaunch{
-						Task: l.task, Node: n, Container: rm.Acquire(n),
-						BUs: splits[l.job], LocalBUs: len(splits[l.job]),
-					})
-				})
-			}
-			eng.RunUntil(1)
-			if tc.failJob >= 0 {
-				drivers[tc.failJob].FailJob("test")
-			}
-			if !target.PreemptContainer(n.ID) {
-				t.Fatal("no container preempted")
-			}
-			for i, a := range attempts {
-				if got := a.Killed(); got != (i == tc.want) {
-					t.Errorf("launch %d (%+v) killed = %v, want %v", i, tc.launches[i], got, i == tc.want)
-				}
-			}
-			owner := drivers[tc.launches[tc.want].job]
-			if owner.Result.Preemptions != 1 {
-				t.Errorf("victim's driver counted %d preemptions, want 1", owner.Result.Preemptions)
-			}
-		})
 	}
 }
 

@@ -1,20 +1,18 @@
-// Package faults generates seeded, deterministic fault schedules for the
-// simulator — node crashes with downtime, transient slowdowns, and
-// container preemptions — and injects them into a running job.
+// Package faults generates seeded, deterministic node-crash schedules
+// for the simulator and injects them into a running job.
 //
-// A Plan is declarative: Schedule derives the complete fault timeline as
+// A Plan is declarative: Schedule derives the complete crash timeline as
 // a pure function of (plan, seed, cluster size). Each node's seed comes
-// from randutil.DeriveSeed, and each fault kind draws from its own
-// stream, seeded from randutil.SplitSeed(node seed, kind label) only when
-// that kind's rate is positive. The same plan and seed always produce
-// the same schedule, whether generated before or during a run, serially
-// or across worker goroutines — the property the fault-grid determinism
-// tests pin down. The schedule is also replayable: it can be inspected,
-// logged, or re-injected into another run unchanged.
+// from randutil.DeriveSeed, and its crash stream is seeded from
+// randutil.SplitSeed(node seed, "crash") only when the rate is positive.
+// The same plan and seed always produce the same schedule, whether
+// generated before or during a run, serially or across worker goroutines
+// — the property the fault-grid determinism tests pin down. The schedule
+// is also replayable: it can be inspected, logged, or re-injected into
+// another run unchanged.
 package faults
 
 import (
-	"fmt"
 	"sort"
 
 	"flexmap/internal/cluster"
@@ -22,58 +20,26 @@ import (
 	"flexmap/internal/sim"
 )
 
-// Kind is a fault event type.
-type Kind int
-
-// Fault kinds, in injection-priority order for same-instant ties.
-const (
-	Crash Kind = iota
-	Slowdown
-	Preempt
-)
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case Crash:
-		return "crash"
-	case Slowdown:
-		return "slowdown"
-	case Preempt:
-		return "preempt"
-	}
-	return fmt.Sprintf("kind-%d", int(k))
-}
-
-// Event is one scheduled fault.
+// Event is one scheduled node crash.
 type Event struct {
 	At   sim.Time
 	Node cluster.NodeID
-	Kind Kind
-	// Duration is the node's downtime (Crash) or the slowdown span
-	// (Slowdown); unused for Preempt.
+	// Duration is the node's downtime.
 	Duration sim.Duration
-	// Factor is the interference multiplier applied during a Slowdown.
-	Factor float64
 }
 
-// The fixed shape of a fault timeline. Arrivals stop at horizon (jobs
-// outlasting it run fault-free afterwards) or after maxPerNode events
-// per node and kind, a guard against degenerate rates. A slowdown applies
-// an interference multiplier drawn uniformly from [minSlowFactor,
-// maxSlowFactor] for a span drawn exponentially around meanSlowdown.
+// The fixed shape of a crash timeline. Arrivals stop at horizon (jobs
+// outlasting it run fault-free afterwards) or after maxPerNode crashes
+// per node, a guard against degenerate rates.
 const (
-	horizon       sim.Time     = 14400 // 4 h
-	maxPerNode    int          = 64
-	meanSlowdown  sim.Duration = 300
-	minSlowFactor float64      = 0.2
-	maxSlowFactor float64      = 0.5
+	horizon    sim.Time = 14400 // 4 h
+	maxPerNode int      = 64
 )
 
-// Plan declares a fault workload. The zero value injects nothing
-// (Active reports false); rates are expected events per node-hour, drawn
-// as independent Poisson processes per node and per kind up to a 4 h
-// horizon, at most 64 events per node and kind.
+// Plan declares a crash workload. The zero value injects nothing
+// (Active reports false); CrashRate is expected crashes per node-hour,
+// drawn as an independent Poisson process per node up to a 4 h horizon,
+// at most 64 crashes per node.
 type Plan struct {
 	// CrashRate is expected node crashes per node-hour. A crashed node
 	// goes silent, killing everything on it, and restores after a
@@ -82,21 +48,13 @@ type Plan struct {
 	// MeanDowntime is the mean crash downtime in virtual seconds
 	// (default 120; floored at 20 so restores stay observable).
 	MeanDowntime sim.Duration
-
-	// SlowdownRate is expected transient slowdowns per node-hour; each
-	// applies an interference multiplier drawn uniformly from [0.2, 0.5]
-	// for a duration drawn exponentially around 300 s.
-	SlowdownRate float64
-
-	// PreemptRate is expected container preemptions per node-hour.
-	PreemptRate float64
 }
 
 // Active reports whether the plan injects any faults. Inactive plans
 // cost nothing: runner skips the watcher and injector entirely, keeping
 // fault-free runs byte-identical to a build without this package.
 func (p Plan) Active() bool {
-	return p.CrashRate > 0 || p.SlowdownRate > 0 || p.PreemptRate > 0
+	return p.CrashRate > 0
 }
 
 // withDefaults fills a zero MeanDowntime.
@@ -107,10 +65,10 @@ func (p Plan) withDefaults() Plan {
 	return p
 }
 
-// Schedule derives the full fault timeline for an n-node cluster — a
-// pure function of (plan, seed, n). Events are sorted by (At, Node,
-// Kind) so injection order is deterministic even for same-instant
-// arrivals on different nodes.
+// Schedule derives the full crash timeline for an n-node cluster — a
+// pure function of (plan, seed, n). Events are sorted by (At, Node) so
+// injection order is deterministic even for same-instant arrivals on
+// different nodes.
 func (p Plan) Schedule(seed int64, n int) []Event {
 	if !p.Active() {
 		return nil
@@ -118,62 +76,35 @@ func (p Plan) Schedule(seed int64, n int) []Event {
 	p = p.withDefaults()
 	var events []Event
 	for i := 0; i < n; i++ {
-		events = p.nodeEvents(events, cluster.NodeID(i), randutil.DeriveSeed(seed, i))
+		events = p.crashes(events, cluster.NodeID(i), randutil.DeriveSeed(seed, i))
 	}
 	sort.Slice(events, func(i, j int) bool {
 		a, b := events[i], events[j]
 		if a.At != b.At {
 			return a.At < b.At
 		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.Kind < b.Kind
+		return a.Node < b.Node
 	})
 	return events
 }
 
-// nodeEvents appends one node's Poisson arrival streams to out. seed is
-// the node's seed; each kind draws from an independent sub-stream split
-// from it by label, so enabling one fault kind never perturbs another's
-// timeline.
-func (p Plan) nodeEvents(out []Event, id cluster.NodeID, seed int64) []Event {
-	out = p.arrivals(out, id, seed, "crash", Crash, p.CrashRate)
-	out = p.arrivals(out, id, seed, "slowdown", Slowdown, p.SlowdownRate)
-	return p.arrivals(out, id, seed, "preempt", Preempt, p.PreemptRate)
-}
-
-// arrivals appends one Poisson process of the given per-node-hour rate up
-// to the horizon, filling kind-specific payloads. It seeds the kind's
-// stream, split from the node's seed by label, only when the rate is
-// positive: a kind that is off costs nothing.
-func (p Plan) arrivals(out []Event, id cluster.NodeID, seed int64, label string, kind Kind, perHour float64) []Event {
-	if perHour <= 0 {
-		return out
-	}
-	rng := randutil.New(randutil.SplitSeed(seed, label))
-	perSec := perHour / 3600
+// crashes appends one node's Poisson crash arrivals up to the horizon to
+// out. seed is the node's seed; the stream is split from it by the label
+// "crash".
+func (p Plan) crashes(out []Event, id cluster.NodeID, seed int64) []Event {
+	rng := randutil.New(randutil.SplitSeed(seed, "crash"))
+	perSec := p.CrashRate / 3600
 	t := sim.Time(0)
 	for n := 0; n < maxPerNode; n++ {
 		t += sim.Time(rng.ExpFloat64() / perSec)
 		if t > horizon {
 			break
 		}
-		ev := Event{At: t, Node: id, Kind: kind}
-		switch kind {
-		case Crash:
-			ev.Duration = p.MeanDowntime * sim.Duration(rng.ExpFloat64())
-			if ev.Duration < 20 {
-				ev.Duration = 20
-			}
-		case Slowdown:
-			ev.Duration = meanSlowdown * sim.Duration(rng.ExpFloat64())
-			if ev.Duration < 10 {
-				ev.Duration = 10
-			}
-			ev.Factor = minSlowFactor + rng.Float64()*(maxSlowFactor-minSlowFactor)
+		d := p.MeanDowntime * sim.Duration(rng.ExpFloat64())
+		if d < 20 {
+			d = 20
 		}
-		out = append(out, ev)
+		out = append(out, Event{At: t, Node: id, Duration: d})
 	}
 	return out
 }

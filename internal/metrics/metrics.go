@@ -56,7 +56,6 @@ type FaultSummary struct {
 	NodesLost        int
 	NodesRejoined    int
 	AttemptsCrashed  int
-	Preemptions      int
 	TaskRetries      int
 	ReprocessedBytes int64
 	OutputBUsLost    int
@@ -69,7 +68,6 @@ func SummarizeFaults(r *mr.JobResult) FaultSummary {
 		NodesLost:        r.NodesLost,
 		NodesRejoined:    r.NodesRejoined,
 		AttemptsCrashed:  r.AttemptsCrashed,
-		Preemptions:      r.Preemptions,
 		TaskRetries:      r.TaskRetries,
 		ReprocessedBytes: r.ReprocessedBytes,
 		OutputBUsLost:    r.OutputBUsLost,

@@ -96,7 +96,7 @@ type AttemptRecord struct {
 	Wave        int          // execution wave on the node (map only)
 	Speculative bool         // speculative copy
 	Killed      bool         // stopped before completion (lost the race, or repartitioned)
-	Crashed     bool         // terminated by a fault (node crash or container preemption)
+	Crashed     bool         // terminated by a node crash or a drain preemption
 }
 
 // Runtime returns the attempt's total runtime.
@@ -148,9 +148,9 @@ type JobResult struct {
 	NodesLost     int
 	NodesRejoined int
 	// AttemptsCrashed counts task attempts terminated by node crashes or
-	// container preemptions.
+	// drain preemptions.
 	AttemptsCrashed int
-	// Preemptions counts containers revoked by the fault injector.
+	// Preemptions counts map attempts preempted by elastic drains.
 	Preemptions int
 	// TaskRetries counts recovery re-queues: whole fixed splits for stock
 	// Hadoop, BU batches returned to the binding maps for FlexMap.

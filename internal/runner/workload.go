@@ -50,8 +50,7 @@ type WorkloadScenario struct {
 	// Policy selects inter-job arbitration: "fifo" (default) or "fair".
 	Policy string
 
-	// Faults injects seeded node crashes/slowdowns/preemptions shared
-	// by every concurrent job.
+	// Faults injects seeded node crashes shared by every concurrent job.
 	Faults faults.Plan
 	// Membership provisions spare nodes and applies a seeded elastic
 	// join/drain timeline or autoscaler shared by every concurrent job

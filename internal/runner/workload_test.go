@@ -344,7 +344,7 @@ func TestWorkloadSimEventsNotDoubleCounted(t *testing.T) {
 // finishes its last job, though fault timelines run to a 4 h horizon.
 func TestWorkloadEndsAtLastFinish(t *testing.T) {
 	sc := testWorkload(21, 8)
-	sc.Faults = faults.Plan{CrashRate: 2, SlowdownRate: 2, PreemptRate: 2, MeanDowntime: 45}
+	sc.Faults = faults.Plan{CrashRate: 2, MeanDowntime: 45}
 	var last sim.Time
 	res, err := runWorkload(sc, func(s *stack, mux yarn.Scheduler) yarn.Scheduler {
 		s.eng.SetFireObserver(func(at sim.Time, _ string) { last = at })
@@ -371,12 +371,7 @@ func TestWorkloadFaultsGrid(t *testing.T) {
 		rate := rate
 		t.Run("", func(t *testing.T) {
 			sc := testWorkload(21, 20)
-			sc.Faults = faults.Plan{
-				CrashRate:    rate,
-				MeanDowntime: 45,
-				SlowdownRate: rate,
-				PreemptRate:  rate,
-			}
+			sc.Faults = faults.Plan{CrashRate: rate, MeanDowntime: 45}
 			res, err := RunWorkload(sc)
 			if err != nil {
 				t.Fatal(err)

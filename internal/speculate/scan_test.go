@@ -63,10 +63,12 @@ func refSelectVictim(now sim.Time, candidates []*engine.MapAttempt) (*engine.Map
 // victim and remaining time of the cut-off scan to equal the full scan's.
 // It also counts the probes where the cut-off skipped a live candidate,
 // and the candidates that left the set and came back (Drop promoting a
-// surviving original).
+// surviving original). onCopy, when set, hears the node of every
+// speculative copy a Pick launches.
 type scanAudit struct {
-	t *testing.T
-	l *LATE
+	t      *testing.T
+	l      *LATE
+	onCopy func(*cluster.Node)
 
 	probes, cut, promoted int
 	prev, gone            map[*engine.MapAttempt]bool
@@ -79,6 +81,9 @@ func newScanAudit(t *testing.T) *scanAudit {
 func (a *scanAudit) Pick(d *engine.Driver, node *cluster.Node, cands []*engine.MapAttempt, epoch uint64, active int) *engine.MapAttempt {
 	v := a.l.Pick(d, node, cands, epoch, active)
 	a.check(d.Eng.Now(), cands, epoch)
+	if v != nil && a.onCopy != nil {
+		a.onCopy(node)
+	}
 	return v
 }
 
@@ -128,8 +133,9 @@ func taskOf(a *engine.MapAttempt) string {
 }
 
 // runAudited runs one job under the engine with the audit as its
-// speculation policy, through random crashes with restores and
-// preemptions, and two elastic spares that join, one of which drains.
+// speculation policy, through random crashes with restores, preemptions
+// of speculative copies, and two elastic spares that join, one of which
+// drains.
 // SkewTune's stock AM runs with no policy in production; here the audit
 // is installed on it so LATE reads a book that SkewTune's repartitions
 // kill tasks in.
@@ -183,9 +189,18 @@ func runAudited(t *testing.T, kind string, seed int64, audit *scanAudit) {
 	target := engine.NewFaultTarget(clus)
 	target.Add(d)
 	target.AttachWatcher(w)
-	plan := faults.Plan{CrashRate: 90, MeanDowntime: 15, PreemptRate: 240}
+	plan := faults.Plan{CrashRate: 90, MeanDowntime: 15}
 	inj := faults.NewInjector(eng, clus, plan.Schedule(seed, len(specs)), target)
 	inj.Start()
+	// A second after every other speculative launch, the copy's node
+	// has its map attempts preempted: the copy dies while its original
+	// runs on, and Drop promotes the original.
+	copies := 0
+	audit.onCopy = func(n *cluster.Node) {
+		if copies++; copies%2 == 0 {
+			eng.After(1, "preempt-copy", func() { target.DrainNode(n.ID) })
+		}
+	}
 	ctl := elastic.NewController(eng, clus, rm, target, elastic.Plan{
 		Spares: len(spares),
 		Notice: 5,

@@ -20,7 +20,7 @@ func emitSample(t *testing.T) *Tracer {
 	tr.MapDispatch("map-0000", 0, 0, 3, 3, 3<<23, 0, false)
 	eng.At(5, "hb", func() {
 		tr.Heartbeat(0, 10<<20, 9<<20, false)
-		tr.FaultInject("slowdown", 1, 30, 0.5)
+		tr.FaultInject(1, 30)
 		tr.FaultDetect(1)
 	})
 	eng.At(8, "done", func() {
@@ -52,7 +52,7 @@ func TestNilTracerIsSafeAndFree(t *testing.T) {
 	tr.Commit(0, 1, 1)
 	tr.Heartbeat(0, 1, 1, false)
 	tr.ReducePlace(0, 0, 1, 1, false)
-	tr.FaultInject("crash", 0, 1, 0)
+	tr.FaultInject(0, 1)
 	tr.FaultDetect(0)
 	tr.FaultRecover(0, false)
 	if tr.Events() != nil || tr.ForJob("j0000") != nil {
