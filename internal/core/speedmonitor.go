@@ -32,21 +32,18 @@ type SpeedMonitor struct {
 	ticker  *sim.Ticker
 
 	// epoch increments whenever any node's window changes (push or
-	// reset). RelativeSpeeds/NormalizedCapacities are pure functions of
-	// the windows, so their results are memoized on it: per-offer callers
-	// between heartbeats hit the cache and the hot path costs one
-	// comparison instead of an O(n) recompute.
+	// reset). RelativeSpeeds is a pure function of the windows, so its
+	// result is memoized on it: per-offer callers between heartbeats hit
+	// the cache and the hot path costs one comparison instead of an O(n)
+	// recompute.
 	epoch    uint64
 	relAt    uint64 // epoch the relBuf cache was computed at
-	capAt    uint64 // epoch the capBuf cache was computed at
 	relValid bool
-	capValid bool
 
-	// Reused result buffers for RelativeSpeeds/NormalizedCapacities,
-	// indexed by dense NodeID. Every cluster node's entry is overwritten
-	// on every recompute, so stale entries can never leak between calls.
+	// relBuf is RelativeSpeeds' reused result buffer, indexed by dense
+	// NodeID. Every cluster node's entry is overwritten on every
+	// recompute, so stale entries can never leak between calls.
 	relBuf []float64
-	capBuf []float64
 
 	// running is the heartbeat sweep's reused attempt buffer, so a round
 	// allocates nothing.
@@ -244,17 +241,11 @@ func (m *SpeedMonitor) RelativeSpeeds() []float64 {
 
 // NormalizedCapacities returns each node's capacity c_i normalized to the
 // fastest measured node (c ∈ (0,1]), indexed by NodeID: the quantity the
-// biased reduce dispatcher squares. Unmeasured nodes get 1.0.
-//
-// Like RelativeSpeeds, the returned slice is a reused buffer valid until
-// the next NormalizedCapacities call.
+// biased reduce dispatcher squares. Unmeasured nodes get 1.0. The biased
+// dispatcher reads it once per job, so it computes a fresh slice on
+// every call.
 func (m *SpeedMonitor) NormalizedCapacities() []float64 {
-	if m.capValid && m.capAt == m.epoch {
-		return m.capBuf
-	}
-	m.capValid, m.capAt = true, m.epoch
-	caps := m.speedsInto(m.capBuf)
-	m.capBuf = caps
+	caps := m.speedsInto(nil)
 	fastest := 0.0
 	for _, s := range caps {
 		if s > fastest {
