@@ -163,7 +163,7 @@ func TestSplitSeedMatchesSplit(t *testing.T) {
 // §11 names the site that owns each). A new consumer takes a new label.
 var streamLabels = []string{
 	"placement", "data-skew", "faults", "membership", "runtime-noise", "flexmap",
-	"arrivals", "class", "size", "crash", "slowdown", "preempt",
+	"arrivals", "class", "size", "crash",
 	"virtual20-interference", "multitenant-slow-picks", "wikipedia", "netflix", "teragen",
 }
 
