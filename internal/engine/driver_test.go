@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -372,5 +373,33 @@ func TestItoa4MatchesSprintf(t *testing.T) {
 	}
 	if got := MapTaskName(10000); got != "map-10000" {
 		t.Errorf("MapTaskName(10000) = %q, want map-10000", got)
+	}
+}
+
+// TestReduceNodes pins the nodes TryReduce can act on: none while
+// ReduceIdle, the nodes holding a queued partition in ascending order
+// (a drained queue drops out), and no bound while a partition is
+// orphaned, since TryReduce then takes any node.
+func TestReduceNodes(t *testing.T) {
+	d := newHarness(t, cluster.Homogeneous(8), 16, wcSpec(4)).driver
+	d.ReduceViaRM = true
+	if nodes, ok := d.ReduceNodes(nil); !ok || len(nodes) != 0 {
+		t.Fatalf("map phase: ReduceNodes = %v, %v; want none, true", nodes, ok)
+	}
+	d.mapsFinished = true
+	d.reduceQueues = make(map[cluster.NodeID][]int)
+	for p, id := range []cluster.NodeID{5, 1, 5, 3} {
+		d.queueReduce(id, p)
+	}
+	if _, ok := d.nextReduce(3); !ok {
+		t.Fatal("node 3's partition did not dequeue")
+	}
+	nodes, ok := d.ReduceNodes(nil)
+	if want := []cluster.NodeID{1, 5}; !ok || !slices.Equal(nodes, want) {
+		t.Fatalf("queued on nodes 1 and 5: ReduceNodes = %v, %v; want %v, true", nodes, ok, want)
+	}
+	d.orphanReduces = []int{3}
+	if _, ok := d.ReduceNodes(nodes); ok {
+		t.Fatal("an orphaned partition left ReduceNodes bounded")
 	}
 }

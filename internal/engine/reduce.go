@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 
@@ -128,6 +129,27 @@ func (d *Driver) TryReduce(n *cluster.Node) bool {
 func (d *Driver) ReduceIdle() bool {
 	return !d.ReduceViaRM || !d.mapsFinished || d.finished ||
 		d.reduceQueued+len(d.orphanReduces) == 0
+}
+
+// ReduceNodes appends to dst[:0], in ascending ID order, the nodes
+// TryReduce can take a slot on: those with a queued partition, none when
+// ReduceIdle. It reports false when an orphaned partition lets
+// TryReduce take any node.
+func (d *Driver) ReduceNodes(dst []cluster.NodeID) ([]cluster.NodeID, bool) {
+	dst = dst[:0]
+	if d.ReduceIdle() {
+		return dst, true
+	}
+	if len(d.orphanReduces) > 0 {
+		return dst, false
+	}
+	for id, q := range d.reduceQueues {
+		if len(q) > 0 {
+			dst = append(dst, id)
+		}
+	}
+	slices.Sort(dst)
+	return dst, true
 }
 
 // queueReduce appends partition p to the node's reduce queue.

@@ -2,7 +2,9 @@ package runner
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"flexmap/internal/cluster"
@@ -18,10 +20,11 @@ import (
 )
 
 // offerProbe stands between the RM and the scheduler under test. It
-// counts the offers that reach the scheduler, and with check set it
-// audits every Idle answer of true: it offers each free, up,
-// non-draining node anyway and fails if an offer is accepted or changes
-// the free slots, the event queue or the trace.
+// counts the offers that reach the scheduler and forwards Bound, and
+// with check set it audits every Idle answer of true and every bound:
+// it offers each free, up, non-draining node the answer rules out
+// anyway and fails if an offer is accepted or changes the free slots,
+// the event queue or the trace.
 type offerProbe struct {
 	t     *testing.T
 	s     *stack
@@ -33,6 +36,7 @@ type offerProbe struct {
 type probeStats struct {
 	offers  int // OnSlotFree calls that reached the scheduler
 	audited int // Idle answers of true that were audited
+	bounds  int // bounded Bound answers that were audited
 }
 
 func (p *offerProbe) OnSlotFree(n *cluster.Node) bool {
@@ -44,24 +48,43 @@ func (p *offerProbe) Idle() bool {
 	if !p.inner.Idle() {
 		return false
 	}
-	if !p.check {
-		return true
+	if p.check {
+		p.stats.audited++
+		p.audit("reported Idle", nil)
 	}
-	p.stats.audited++
+	return true
+}
+
+// Bound forwards the inner scheduler's bound, if it has one.
+func (p *offerProbe) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) {
+	b, ok := p.inner.(yarn.Bounded)
+	if !ok {
+		return dst[:0], false
+	}
+	nodes, bounded := b.Bound(dst)
+	if bounded && p.check {
+		p.stats.bounds++
+		p.audit(fmt.Sprintf("bound itself to nodes %v", nodes), nodes)
+	}
+	return nodes, bounded
+}
+
+// audit offers every free, up, non-draining node outside skip to the
+// inner scheduler and fails if one is accepted or the offers act.
+func (p *offerProbe) audit(claim string, skip []cluster.NodeID) {
 	free, queued, traced := p.s.rm.TotalFree(), p.s.eng.Pending(), len(p.s.tracer.Events())
 	for _, n := range p.s.clus.Nodes {
-		if p.s.rm.FreeSlots(n.ID) <= 0 || n.Down() || p.s.rm.Draining(n.ID) {
+		if p.s.rm.FreeSlots(n.ID) <= 0 || n.Down() || p.s.rm.Draining(n.ID) || slices.Contains(skip, n.ID) {
 			continue
 		}
 		if p.inner.OnSlotFree(n) {
-			p.t.Fatalf("t=%v: scheduler reported Idle, then accepted an offer on node %d", p.s.eng.Now(), n.ID)
+			p.t.Fatalf("t=%v: scheduler %s, then accepted an offer on node %d", p.s.eng.Now(), claim, n.ID)
 		}
 	}
 	if p.s.rm.TotalFree() != free || p.s.eng.Pending() != queued || len(p.s.tracer.Events()) != traced {
-		p.t.Fatalf("t=%v: scheduler reported Idle, then its declines acted: free %d→%d, queued events %d→%d, trace events %d→%d",
-			p.s.eng.Now(), free, p.s.rm.TotalFree(), queued, p.s.eng.Pending(), traced, len(p.s.tracer.Events()))
+		p.t.Fatalf("t=%v: scheduler %s, then its declines acted: free %d→%d, queued events %d→%d, trace events %d→%d",
+			p.s.eng.Now(), claim, free, p.s.rm.TotalFree(), queued, p.s.eng.Pending(), traced, len(p.s.tracer.Events()))
 	}
-	return true
 }
 
 // probeWith returns a wrap for run and runWorkload that installs a probe
@@ -167,9 +190,9 @@ func TestIdleDeclinesEveryOffer(t *testing.T) {
 			if _, err := runWorkload(sc, probeWith(t, true, &stats)); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%d offers, %d Idle answers audited", stats.offers, stats.audited)
-			if stats.audited == 0 {
-				t.Fatal("no Idle answer was audited; the cell no longer exercises the skip")
+			t.Logf("%d offers, %d Idle answers and %d bounds audited", stats.offers, stats.audited, stats.bounds)
+			if stats.audited == 0 || stats.bounds == 0 {
+				t.Fatal("no Idle answer or no bound was audited; the cell no longer exercises both skips")
 			}
 		})
 	}
@@ -246,8 +269,10 @@ func TestSpeculationWalkPerEvent(t *testing.T) {
 	}
 }
 
-// fullWalk hides the inter-job scheduler's Idle from the RM: every Poke
-// sweeps, no job is marked idle, and every offer walks every job.
+// fullWalk hides the inter-job scheduler's Idle and Bound from the RM:
+// every Poke sweeps every node, no job is marked idle or bound, and
+// every offer walks every job. Embedding the interface promotes only
+// its two methods, so fullWalk is not yarn.Bounded.
 type fullWalk struct{ yarn.Scheduler }
 
 func (fullWalk) Idle() bool { return false }
@@ -330,18 +355,20 @@ func TestIdleMarksMatchFullWalk(t *testing.T) {
 	}
 }
 
-// TestInterJobWalkPerOffer is the counted gate on the inter-job offer
-// walk: job schedulers consulted per offer the RM makes, for one fair mix
-// of 20 WordCount jobs on 100 nodes. Before a Poke's offers skipped the
-// jobs its Idle answered true for, an offer consulted 14.96 jobs under
-// Hadoop and 15.10 under FlexMap; with the skip, 12.06 and 4.04. Most of
-// Hadoop's remainder is jobs in their reduce phase whose partitions
-// queue for a few nodes. Counts, not times, so the gate cannot flake.
-func TestInterJobWalkPerOffer(t *testing.T) {
+// TestInterJobWalkPerEvent is the counted gate on the inter-job offer
+// walk: job schedulers consulted per fired event, for one fair mix of 20
+// WordCount jobs on 100 nodes. With only the idle marks, Hadoop's walk
+// consulted 94.45 jobs per event and FlexMap's 11.14: jobs in their
+// reduce phase, whose partitions queue for a few nodes, were offered
+// every node, and LATE stayed busy when no node could win. With node
+// bounds and LATE's fastest-node test they read 3.20 and 2.75. The gate
+// is per event, not per offer, because the bounds cut the offers too.
+// Counts, not times, so the gate cannot flake.
+func TestInterJobWalkPerEvent(t *testing.T) {
 	for _, c := range []struct {
 		kind EngineKind
 		max  float64
-	}{{Hadoop, 14.5}, {FlexMap, 6}} {
+	}{{Hadoop, 4}, {FlexMap, 3.5}} {
 		sc := WorkloadScenario{
 			Name:    "walk",
 			Cluster: equivCluster(100),
@@ -352,18 +379,17 @@ func TestInterJobWalkPerOffer(t *testing.T) {
 			Policy: "fair",
 		}
 		var ij *yarn.InterJob
-		var stats probeStats
-		probe := probeWith(t, false, &stats)
-		if _, err := runWorkload(sc, func(s *stack, mux yarn.Scheduler) yarn.Scheduler {
+		res, err := runWorkload(sc, func(_ *stack, mux yarn.Scheduler) yarn.Scheduler {
 			ij = mux.(*yarn.InterJob)
-			return probe(s, mux)
-		}); err != nil {
+			return mux
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		perOffer := float64(consulted(ij)) / float64(stats.offers)
-		t.Logf("%s: %.2f jobs consulted per offer over %d offers", c.kind, perOffer, stats.offers)
-		if perOffer > c.max {
-			t.Errorf("%s: %.2f jobs consulted per offer, more than %.1f", c.kind, perOffer, c.max)
+		perEvent := float64(consulted(ij)) / float64(res.SimEvents)
+		t.Logf("%s: %.3f jobs consulted per event over %d events", c.kind, perEvent, res.SimEvents)
+		if perEvent > c.max {
+			t.Errorf("%s: %.3f jobs consulted per event, more than %.2f", c.kind, perEvent, c.max)
 		}
 	}
 }

@@ -109,6 +109,9 @@ func TestRunErrors(t *testing.T) {
 		{"bad split", smallScenario(hetFactory), Engine{Kind: Hadoop, SplitMB: 12}},
 		{"unknown engine", smallScenario(hetFactory), Engine{Kind: "mystery"}},
 		{"zero nodes", smallScenario(homoFactory(0)), Engine{Kind: Hadoop}},
+		{"nil cluster", with(func(sc *Scenario) {
+			sc.Cluster = func() (*cluster.Cluster, cluster.Interferer) { return nil, nil }
+		}), Engine{Kind: Hadoop}},
 		{"negative crash rate", with(func(sc *Scenario) { sc.Faults = faults.Plan{CrashRate: -1} }), Engine{Kind: Hadoop}},
 		{"negative replication", with(func(sc *Scenario) { sc.Replication = -1 }), Engine{Kind: Hadoop}},
 		{"negative skew", with(func(sc *Scenario) { sc.SkewSigma = -1 }), Engine{Kind: Hadoop}},

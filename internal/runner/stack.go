@@ -51,15 +51,17 @@ type stack struct {
 }
 
 // buildCluster calls the scenario's caller-supplied ClusterFactory and
-// turns a panic inside it (a profile argument out of range, say) into an
-// error.
+// turns a panic inside it (a profile argument out of range, say) or a
+// nil cluster into an error.
 func buildCluster(sc Scenario) (c *cluster.Cluster, inf cluster.Interferer, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("runner: %q: cluster factory: %v", sc.Name, r)
 		}
 	}()
-	c, inf = sc.Cluster()
+	if c, inf = sc.Cluster(); c == nil {
+		return nil, nil, fmt.Errorf("runner: %q: cluster factory returned no cluster", sc.Name)
+	}
 	return c, inf, nil
 }
 

@@ -158,6 +158,16 @@ func (j *jobScheduler) Idle() bool {
 	return j.d.Finished() || (j.am.Idle() && j.d.ReduceIdle())
 }
 
+// Bound implements yarn.Bounded: with the AM Idle (as every AM is once
+// its maps finish), only TryReduce can act, and only on the nodes where
+// a partition queues.
+func (j *jobScheduler) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) {
+	if !j.am.Idle() {
+		return dst[:0], false
+	}
+	return j.d.ReduceNodes(dst)
+}
+
 // workloadPolicy resolves the scenario's policy selection to its name
 // and whether it is fair.
 func workloadPolicy(sc WorkloadScenario) (name string, fair bool, err error) {

@@ -515,6 +515,11 @@ func TestWorkloadValidation(t *testing.T) {
 	if err := bad(func(sc *WorkloadScenario) { sc.Cluster = homoFactory(0) }); err == nil {
 		t.Error("zero-node cluster accepted")
 	}
+	if err := bad(func(sc *WorkloadScenario) {
+		sc.Cluster = func() (*cluster.Cluster, cluster.Interferer) { return nil, nil }
+	}); err == nil {
+		t.Error("nil cluster from the factory accepted")
+	}
 	if err := bad(func(sc *WorkloadScenario) { sc.Faults = faults.Plan{CrashRate: -1} }); err == nil {
 		t.Error("negative crash rate accepted")
 	}

@@ -96,6 +96,72 @@ func TestLATEIdle(t *testing.T) {
 	}
 }
 
+// TestLATEIdleWhenNoNodeCanWin: with a straggler to duplicate and a free
+// cap, Idle still answers true, and Pick declines every member, when no
+// member's fresh copy would beat the straggler. Idle turns false once a
+// speed change or a join brings a node fast enough.
+func TestLATEIdleWhenNoNodeCanWin(t *testing.T) {
+	eng := sim.New()
+	c := cluster.NewCluster("nowin", []cluster.NodeSpec{
+		{Name: "a", BaseSpeed: 1, Slots: 2},
+		{Name: "b", BaseSpeed: 1, Slots: 2},
+		{Name: "slow", BaseSpeed: 0.5, Slots: 2},
+	})
+	spare := c.AddSpares(1, cluster.NodeSpec{Class: "spare", BaseSpeed: 4, Slots: 2})[0]
+	store := dfs.NewStore(c, 3, randutil.New(4))
+	if _, err := store.AddFile("input", 8*dfs.BUSize); err != nil {
+		t.Fatal(err)
+	}
+	spec := mr.JobSpec{Name: "wc", InputFile: "input", MapCost: 1}
+	rm := yarn.NewRM(eng, c)
+	d, err := engine.NewDriver(engine.NewExecutor(eng, c, engine.BaseIPS), store, rm, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every member runs at the straggler's speed, so a fresh copy, which
+	// pays the overhead again, is always behind it.
+	a := c.Node(0)
+	a.SetInterference(0.5)
+	c.Node(1).SetInterference(0.5)
+	f, _ := store.File("input")
+	slow := c.Node(2)
+	straggler := []*engine.MapAttempt{d.LaunchMap(engine.MapLaunch{
+		Task: "map-0000", Node: slow, Container: rm.Acquire(slow), BUs: f.BUs, LocalBUs: len(f.BUs),
+		OnDone: func(a *engine.MapAttempt) { a.Container.Release() },
+	})}
+	eng.RunUntil(4)
+	l := NewLATE()
+	if v, _ := l.victim(eng.Now(), straggler, 1); v == nil {
+		t.Fatal("no straggler ranked; the case no longer reaches the fastest-node test")
+	}
+	check := func(when string, wantIdle bool, fast *cluster.Node) {
+		t.Helper()
+		if got := l.Idle(d, straggler, 1, 0); got != wantIdle {
+			t.Fatalf("%s: Idle = %v, want %v", when, got, wantIdle)
+		}
+		for _, n := range c.Nodes {
+			if n.Offline() {
+				continue
+			}
+			if v := l.Pick(d, n, straggler, 1, 0); v != nil && wantIdle {
+				t.Fatalf("%s: Idle, but Pick chose %s on node %d", when, v.Task, n.ID)
+			}
+		}
+		if fast != nil && l.Pick(d, fast, straggler, 1, 0) == nil {
+			t.Fatalf("%s: Pick declined node %d", when, fast.ID)
+		}
+	}
+	check("every member as slow as the straggler", true, nil)
+	a.SetInterference(1)
+	check("interference on node a lifted", false, a)
+	a.SetInterference(0.5)
+	check("interference on node a back", true, nil)
+	c.JoinNode(spare)
+	check("a fast spare joined", false, c.Node(spare))
+	c.ReleaseNode(spare)
+	check("the spare released", true, nil)
+}
+
 // TestSelectKthMatchesSort pins the selection against the sorted
 // reference for every k, over random rate sets with heavy duplication,
 // sorted and reversed inputs, and single values.

@@ -51,6 +51,7 @@ type LATE struct {
 	speedsValid bool
 	threshold   float64
 	uniform     bool
+	fastest     float64
 
 	// Per-Pick scratch, reused across calls (one policy serves one AM).
 	mature []scoredAttempt
@@ -102,15 +103,21 @@ func (l *LATE) Pick(d *engine.Driver, node *cluster.Node, candidates []*engine.M
 }
 
 // Idle implements engine.SpeculationPolicy: Pick declines every node
-// when there is nothing to duplicate, the cap is reached, or no mature
-// attempt ranks as a straggler at this instant. The node-dependent
-// checks (slow node, fresh copy too slow) are left to Pick.
+// when there is nothing to duplicate, the cap is reached, no mature
+// attempt ranks as a straggler at this instant, or even the fastest
+// member's fresh copy would not beat the straggler. MapEffective only
+// falls as speed rises, so no slower node's copy could either. The
+// slow-node check is left to Pick.
 func (l *LATE) Idle(d *engine.Driver, candidates []*engine.MapAttempt, candEpoch uint64, activeSpec int) bool {
 	if len(candidates) == 0 || activeSpec >= l.cap(d) {
 		return true
 	}
-	victim, _ := l.victim(d.Eng.Now(), candidates, candEpoch)
-	return victim == nil
+	victim, worst := l.victim(d.Eng.Now(), candidates, candEpoch)
+	if victim == nil {
+		return true
+	}
+	l.refreshSpeeds(d.Cluster)
+	return engine.Overhead+engine.MapEffective(victim.Bytes, d.Spec.MapCost, l.fastest) >= worst
 }
 
 // cap is the in-flight speculative copy limit: specCapFraction of the
@@ -253,27 +260,38 @@ func selectKth(xs []float64, k int) float64 {
 // progress; the simulation uses the node's current effective speed as
 // that estimate.)
 func (l *LATE) nodeIsSlow(c *cluster.Cluster, node *cluster.Node) bool {
-	if epoch := c.SpeedEpoch(); !l.speedsValid || l.speedsAt != epoch {
-		l.speedsBuf = l.speedsBuf[:0]
-		for _, n := range c.Nodes {
-			// Offline spares are not part of the fleet: including them
-			// would shift the slow-node percentile of the members.
-			if n.Offline() {
-				continue
-			}
-			l.speedsBuf = append(l.speedsBuf, n.Speed())
-		}
-		sort.Float64s(l.speedsBuf)
-		speeds := l.speedsBuf
-		idx := int(slowNodePercentile * float64(len(speeds)))
-		if idx >= len(speeds) {
-			idx = len(speeds) - 1
-		}
-		l.threshold = speeds[idx]
-		l.uniform = speeds[0] == speeds[len(speeds)-1]
-		l.speedsValid, l.speedsAt = true, epoch
-	}
+	l.refreshSpeeds(c)
 	// Strict comparison: nodes AT the percentile speed (e.g. the healthy
 	// majority of a mostly-uniform cluster) are not slow.
 	return !l.uniform && node.Speed() < l.threshold
+}
+
+// refreshSpeeds re-derives the slow-node threshold and the fastest
+// member's speed from the sorted member speeds when the cluster's speed
+// epoch has moved: joins, releases, crashes and speed changes all bump
+// it.
+func (l *LATE) refreshSpeeds(c *cluster.Cluster) {
+	epoch := c.SpeedEpoch()
+	if l.speedsValid && l.speedsAt == epoch {
+		return
+	}
+	l.speedsBuf = l.speedsBuf[:0]
+	for _, n := range c.Nodes {
+		// Offline spares are not part of the fleet: including them
+		// would shift the slow-node percentile of the members.
+		if n.Offline() {
+			continue
+		}
+		l.speedsBuf = append(l.speedsBuf, n.Speed())
+	}
+	sort.Float64s(l.speedsBuf)
+	speeds := l.speedsBuf
+	idx := int(slowNodePercentile * float64(len(speeds)))
+	if idx >= len(speeds) {
+		idx = len(speeds) - 1
+	}
+	l.threshold = speeds[idx]
+	l.fastest = speeds[len(speeds)-1]
+	l.uniform = speeds[0] == l.fastest
+	l.speedsValid, l.speedsAt = true, epoch
 }

@@ -1,6 +1,7 @@
 package yarn
 
 import (
+	"slices"
 	"testing"
 
 	"flexmap/internal/cluster"
@@ -43,6 +44,66 @@ func TestPokeSkipsIdleScheduler(t *testing.T) {
 	rm.Poke()
 	if j.offers != 4 || len(j.live) != 3 {
 		t.Fatalf("busy scheduler: %d offers, %d grants; want 4 and 3", j.offers, len(j.live))
+	}
+}
+
+// boundJob is never Idle and declines every offer. It is Bounded to
+// nodes unless unbound is set, and with log set it records the nodes it
+// is offered.
+type boundJob struct {
+	nodes   []cluster.NodeID
+	unbound bool
+	log     bool
+	seen    []cluster.NodeID
+}
+
+func (j *boundJob) OnSlotFree(n *cluster.Node) bool {
+	if j.log {
+		j.seen = append(j.seen, n.ID)
+	}
+	return false
+}
+
+func (j *boundJob) Idle() bool { return false }
+
+func (j *boundJob) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) {
+	if j.unbound {
+		return dst[:0], false
+	}
+	return append(dst[:0], j.nodes...), true
+}
+
+// TestPokeOffersOnlyBoundNodes: a Bounded scheduler's Poke offers its
+// nodes in ascending order, and under InterJob a Poke's offers skip a
+// bound job on nodes outside its bound. A Poke offers only the union of
+// the bounds while every busy job is bound, and every node once one is
+// not.
+func TestPokeOffersOnlyBoundNodes(t *testing.T) {
+	eng := sim.New()
+	rm := NewRM(eng, cluster.Homogeneous(8))
+	j := &boundJob{nodes: []cluster.NodeID{2, 5}, log: true}
+	rm.SetScheduler(j)
+	rm.Start()
+	if !slices.Equal(j.seen, j.nodes) {
+		t.Fatalf("bounded scheduler offered nodes %v, want %v", j.seen, j.nodes)
+	}
+
+	_, rm, ij := muxFixture(8, true)
+	a := &boundJob{nodes: []cluster.NodeID{1, 6}, log: true}
+	b := &boundJob{nodes: []cluster.NodeID{3, 6}, log: true}
+	ij.Submit("a", a)
+	ij.Submit("b", b)
+	ij.Submit("idle", &demandJob{rm: rm})
+	rm.Start()
+	unbound := &boundJob{unbound: true, log: true}
+	ij.Submit("unbound", unbound)
+	for _, j := range []*boundJob{a, b} {
+		if want := append(slices.Clone(j.nodes), j.nodes...); !slices.Equal(j.seen, want) {
+			t.Errorf("bound job was offered nodes %v over two Pokes, want %v", j.seen, want)
+		}
+	}
+	if len(unbound.seen) != 8 {
+		t.Errorf("unbound job was offered nodes %v, want all 8", unbound.seen)
 	}
 }
 

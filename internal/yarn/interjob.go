@@ -22,9 +22,12 @@ import (
 // offer consults only jobs that can act and re-ranks only when the
 // ranking's inputs moved. Idle records each job's answer for the Poke
 // that asked, and that Poke's own offers skip the jobs that answered
-// true. The order is cached across offers until a count or the job list
-// changes. The job list and the buffers an offer walks persist across
-// offers, so an offer allocates nothing.
+// true. A job that is not idle but Bounded has its bound recorded too:
+// the Poke's offers skip it on nodes outside the bound, and when every
+// busy job is bound, the Poke offers only the union of their bounds
+// (Bound). The order is cached across offers until a count or the job
+// list changes. The job list and the buffers an offer walks persist
+// across offers, so an offer allocates nothing.
 //
 // Determinism: job ranking is a pure function of (policy, submission
 // order, running counts), offers arrive in the RM's deterministic
@@ -62,12 +65,33 @@ type JobHandle struct {
 	Name string
 
 	sched      Scheduler
+	bounded    Bounded // sched's Bounded side, nil if it has none
 	running    int
-	idleIn     uint64 // the RM sweep whose Idle the job answered true; 0 after a false
+	boundIn    uint64           // the RM sweep whose Idle bound the job; 0 when unbound
+	bound      []cluster.NodeID // the only nodes the job can act on in sweep boundIn, sorted; none if idle
 	done       bool
 	submitted  sim.Time
 	firstGrant sim.Time
 	granted    bool
+}
+
+// nextConsult returns the index of the first job from walk[i] on that
+// an offer of node id must consult in the given sweep: one that is not
+// bound in the sweep, or whose bound holds the node. It returns
+// len(walk) when there is none. A separate loop with no calls keeps
+// the skip cheap, and since a bound is sorted, most nodes fall outside
+// its ends.
+func nextConsult(walk []*JobHandle, i int, sweep uint64, id cluster.NodeID) int {
+	if sweep == 0 {
+		return i
+	}
+	for ; i < len(walk); i++ {
+		h := walk[i]
+		if b := h.bound; h.boundIn != sweep || len(b) > 0 && id >= b[0] && id <= b[len(b)-1] && slices.Contains(b, id) {
+			return i
+		}
+	}
+	return i
 }
 
 // QueueWait returns the delay from submission to the job's first
@@ -99,6 +123,7 @@ func (ij *InterJob) Submit(name string, s Scheduler) *JobHandle {
 		sched:     s,
 		submitted: ij.eng.Now(),
 	}
+	h.bounded, _ = s.(Bounded)
 	ij.nextIndex++
 	ij.jobs = append(ij.jobs, h)
 	ij.stale = true
@@ -131,11 +156,14 @@ func (ij *InterJob) move(h *JobHandle, delta int) {
 // policy order until someone takes the slot.
 //
 // An offer made by a Poke's node loop skips the jobs that answered true
-// to that Poke's Idle. No event fires inside the loop, and nothing a
-// job's Idle reads moves on another job's grant, so a job idle at the
-// Poke is idle at each of its offers. Every other offer walks every
-// job: heartbeat offers, offers inside an Idle audit, and offers after a
-// nested Poke returns, whose Idle re-recorded every job's answer.
+// to that Poke's Idle, and the jobs whose bound recorded there excludes
+// the node. No event fires inside the loop, and nothing a job's Idle or
+// Bound reads moves on another job's grant, so a job idle at the Poke is
+// idle at each of its offers, and a bound job's bound only shrinks as
+// its own grants drain its queues. Every other offer walks every job:
+// heartbeat offers, offers inside an Idle or Bound audit, and offers
+// after a nested Poke returns, whose Idle re-recorded every job's
+// answer.
 //
 // Offers nest: an AM that pokes the RM from its own OnSlotFree (SkewTune
 // queueing repartitioned work) runs a whole sweep of offers inside this
@@ -164,10 +192,8 @@ func (ij *InterJob) OnSlotFree(n *cluster.Node) bool {
 	outer := ij.current
 	ij.depth++
 	placed := false
-	for _, h := range walk {
-		if sweep != 0 && h.idleIn == sweep {
-			continue
-		}
+	for i := nextConsult(walk, 0, sweep, n.ID); i < len(walk); i = nextConsult(walk, i+1, sweep, n.ID) {
+		h := walk[i]
 		ij.current = h
 		ij.consulted++
 		if placed = h.sched.OnSlotFree(n); placed || ij.rm.free[n.ID] <= 0 {
@@ -182,19 +208,47 @@ func (ij *InterJob) OnSlotFree(n *cluster.Node) bool {
 // Idle implements Scheduler: an offer is declined with no effect when
 // every undone job's scheduler would decline it so. It asks every job
 // and records each answer against the RM's newest sweep stamp, the one
-// the calling Poke took, so that Poke's offers skip the idle jobs.
-// Skipping a whole sweep skips the ranking too, which changes nothing
-// later: the order is a pure function of the jobs and their counts.
+// the calling Poke took, so that Poke's offers skip the idle jobs. An
+// idle job is recorded as bound to no node, a busy Bounded one to its
+// Bound, and any other job as unbound. Skipping a whole sweep skips the ranking too, which changes
+// nothing later: the order is a pure function of the jobs and their
+// counts.
 func (ij *InterJob) Idle() bool {
 	idle := true
+	stamp := ij.rm.stamp
 	for _, h := range ij.jobs {
+		h.boundIn = stamp
 		if h.sched.Idle() {
-			h.idleIn = ij.rm.stamp
-		} else {
-			h.idleIn, idle = 0, false
+			h.bound = h.bound[:0]
+			continue
+		}
+		idle = false
+		ok := false
+		if h.bounded != nil {
+			h.bound, ok = h.bounded.Bound(h.bound)
+		}
+		if !ok {
+			h.boundIn = 0
 		}
 	}
 	return idle
+}
+
+// Bound implements Bounded for the Poke whose Idle just answered false:
+// when every job that is not idle is bound, an offer on a node outside
+// the union of their bounds consults nobody, so the union is the
+// Poke's bound.
+func (ij *InterJob) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) {
+	dst = dst[:0]
+	stamp := ij.rm.stamp
+	for _, h := range ij.jobs {
+		if h.boundIn != stamp {
+			return dst, false
+		}
+		dst = append(dst, h.bound...)
+	}
+	slices.Sort(dst)
+	return slices.Compact(dst), true
 }
 
 // onGrant attributes a fresh container to the job whose scheduler is

@@ -199,24 +199,36 @@ func TestQueueWait(t *testing.T) {
 }
 
 // BenchmarkInterJobSweep is one Poke over 200 free nodes shared by 40
-// jobs, 36 of them idle: the offers skip the idle jobs and consult the
-// other 4, which decline.
+// jobs. In "idle", 36 of them are idle: the offers skip them and consult
+// the other 4, which decline. In "bound", the 36 are reduce-bound to
+// nodes 0-3 instead: offers on the other nodes skip them.
 func BenchmarkInterJobSweep(b *testing.B) {
-	eng, rm, ij := muxFixture(200, true)
-	for i := 0; i < 40; i++ {
-		if i%10 == 0 {
-			ij.Submit("active", &fakeJob{eng: eng, rm: rm})
-		} else {
-			ij.Submit("idle", &demandJob{rm: rm})
+	for _, bound := range []bool{false, true} {
+		name := "idle"
+		if bound {
+			name = "bound"
 		}
-	}
-	rm.Start()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rm.Poke()
-	}
-	if rm.TotalFree() != rm.cluster.TotalSlots() {
-		b.Fatal("a declining job took a slot")
+		b.Run(name, func(b *testing.B) {
+			eng, rm, ij := muxFixture(200, true)
+			for i := 0; i < 40; i++ {
+				switch {
+				case i%10 == 0:
+					ij.Submit("active", &fakeJob{eng: eng, rm: rm})
+				case bound:
+					ij.Submit("bound", &boundJob{nodes: []cluster.NodeID{0, 1, 2, 3}})
+				default:
+					ij.Submit("idle", &demandJob{rm: rm})
+				}
+			}
+			rm.Start()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rm.Poke()
+			}
+			if rm.TotalFree() != rm.cluster.TotalSlots() {
+				b.Fatal("a declining job took a slot")
+			}
+		})
 	}
 }

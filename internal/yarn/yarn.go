@@ -12,7 +12,9 @@
 // call when new work appears (e.g. SkewTune mints repartitioned
 // subtasks) and when a wait they armed expires (the stock AM's locality
 // wait). Poke skips its sweep when the scheduler reports Idle: every
-// offer would be declined with no effect, so the sweep cannot land.
+// offer would be declined with no effect, so the sweep cannot land. A
+// scheduler that is not Idle may still name the only nodes it can act
+// on (Bounded); Poke then offers just those.
 package yarn
 
 import (
@@ -31,10 +33,21 @@ import (
 // emit and no RNG draw. Updating a cache that is a pure function of the
 // state it reads is not a side effect. When unsure, return false: Poke
 // then sweeps as before. A scheduler whose decline can act (arm a wait,
-// repartition) must return false whenever it might.
+// repartition) must return false whenever it might. A scheduler that is
+// not Idle but can act only on a few nodes also implements Bounded.
 type Scheduler interface {
 	OnSlotFree(node *cluster.Node) bool
 	Idle() bool
+}
+
+// Bounded is an optional Scheduler extension, asked only right after
+// Idle answered false and before any offer. Bound returns true with the
+// nodes, in ascending ID order, that OnSlotFree can act on at this
+// instant: every other node it would decline with no side effect, in
+// Idle's sense. It returns false when it cannot name such a set. The
+// result is appended to dst[:0].
+type Bounded interface {
+	Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool)
 }
 
 // AssignDelay is the NodeManager heartbeat period: successive container
@@ -66,6 +79,12 @@ type RM struct {
 	// keys the Idle answers it records to the stamp, so they hold only
 	// for that loop.
 	stamp, sweep uint64
+
+	// bounded is sched's Bounded side, nil if it has none. bounds holds
+	// one node buffer per Poke nesting depth, pokes is that depth.
+	bounded Bounded
+	bounds  [][]cluster.NodeID
+	pokes   int
 
 	// inter, when set by NewInterJob, is told of every grant, release,
 	// node loss and restore, to attribute containers to jobs.
@@ -100,7 +119,10 @@ func NewRM(eng *sim.Engine, c *cluster.Cluster) *RM {
 
 // SetScheduler registers the ApplicationMaster. Must be called before
 // Start.
-func (rm *RM) SetScheduler(s Scheduler) { rm.sched = s }
+func (rm *RM) SetScheduler(s Scheduler) {
+	rm.sched = s
+	rm.bounded, _ = s.(Bounded)
+}
 
 // Start begins offering capacity: one immediate offer per node, with
 // subsequent grants paced by AssignDelay. It panics if no scheduler is
@@ -127,11 +149,15 @@ func (rm *RM) TotalFree() int {
 
 // Poke re-offers idle capacity on every node immediately. AMs call it
 // when new schedulable work appears. It returns without a sweep when the
-// scheduler is Idle. That skips offerNow's pacing branch too, which is a
-// no-op because every up, non-draining node with free capacity inside
-// its pacing window already has an offer armed (DESIGN.md §11). A Poke
-// from inside an offer runs its loop inside the outer one, so the outer
-// loop's stamp is restored on return.
+// scheduler is Idle, and offers only the bound's nodes, in ascending ID
+// order, when the scheduler is Bounded. Either skip also skips
+// offerNow's pacing branch, which is a no-op because every up,
+// non-draining node with free capacity inside its pacing window already
+// has an offer armed (DESIGN.md §11). A Poke from inside an offer runs
+// its loop inside the outer one, so the outer loop's stamp is restored
+// on return, and each nesting depth keeps its own bound buffer. Bound is
+// asked before the stamp becomes the sweep, so offers made from inside
+// Bound (an audit) are not sweep offers.
 func (rm *RM) Poke() {
 	if !rm.started {
 		return
@@ -141,11 +167,28 @@ func (rm *RM) Poke() {
 	if rm.sched.Idle() {
 		return
 	}
+	var nodes []cluster.NodeID
+	bounded := false
+	if rm.bounded != nil {
+		if rm.pokes == len(rm.bounds) {
+			rm.bounds = append(rm.bounds, nil)
+		}
+		nodes, bounded = rm.bounded.Bound(rm.bounds[rm.pokes])
+		rm.bounds[rm.pokes] = nodes
+	}
 	outer := rm.sweep
 	rm.sweep = stamp
-	for _, n := range rm.cluster.Nodes {
-		rm.offerNow(n)
+	rm.pokes++
+	if bounded {
+		for _, id := range nodes {
+			rm.offerNow(rm.cluster.Node(id))
+		}
+	} else {
+		for _, n := range rm.cluster.Nodes {
+			rm.offerNow(n)
+		}
 	}
+	rm.pokes--
 	rm.sweep = outer
 }
 
