@@ -111,6 +111,44 @@ func TestBadScheduleIsError(t *testing.T) {
 	}
 }
 
+// checkNonFiniteSpecIsError sets one cost field of a valid spec to NaN
+// and to +Inf and requires an error from Run and from RunWorkload with
+// the spec as a job class — not a panic in the event queue, and not a
+// month of simulated time ending in a reported scheduler hang.
+func checkNonFiniteSpecIsError(t *testing.T, field string, set func(*JobSpec, float64)) {
+	t.Helper()
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		spec, err := PUMASpec(WordCount, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set(&spec, v)
+		sc := Scenario{Name: "bad", Cluster: ClusterHeterogeneous6, Seed: 1, InputSize: 256 * MB}
+		if _, err := Run(sc, spec, Engine{Kind: FlexMap}); err == nil {
+			t.Errorf("%s %v: Run succeeded, want an error", field, v)
+		}
+		wl := WorkloadScenario{Name: "bad", Cluster: ClusterHeterogeneous6, Seed: 1,
+			Pattern: ArrivalPattern{Jobs: 1, Rate: 1.0 / 60},
+			Classes: []WorkloadClass{{Name: "wc", Weight: 1, MinBytes: 256 * MB, MaxBytes: 256 * MB,
+				Engine: Engine{Kind: FlexMap}, Spec: spec}}}
+		if _, err := RunWorkload(wl); err == nil {
+			t.Errorf("%s %v: RunWorkload succeeded, want an error", field, v)
+		}
+	}
+}
+
+func TestNonFiniteMapCostIsError(t *testing.T) {
+	checkNonFiniteSpecIsError(t, "MapCost", func(s *JobSpec, v float64) { s.MapCost = v })
+}
+
+func TestNonFiniteReduceCostIsError(t *testing.T) {
+	checkNonFiniteSpecIsError(t, "ReduceCost", func(s *JobSpec, v float64) { s.ReduceCost = v })
+}
+
+func TestNonFiniteShuffleRatioIsError(t *testing.T) {
+	checkNonFiniteSpecIsError(t, "ShuffleRatio", func(s *JobSpec, v float64) { s.ShuffleRatio = v })
+}
+
 func TestAllPUMASpecsRunnable(t *testing.T) {
 	sc := Scenario{
 		Name:      "all-puma",

@@ -48,12 +48,11 @@ func (h *monitorHarness) launchManual(t *testing.T, node cluster.NodeID, bus int
 		onDone = func(a *engine.MapAttempt) { a.Container.Release() }
 	}
 	h.driver.LaunchMap(engine.MapLaunch{
-		Task:      "manual",
-		Node:      n,
-		Container: h.rm.Acquire(n),
-		BUs:       f.BUs[:bus],
-		LocalBUs:  bus,
-		OnDone:    onDone,
+		Task:     "manual",
+		Node:     n,
+		BUs:      f.BUs[:bus],
+		LocalBUs: bus,
+		OnDone:   onDone,
 	})
 }
 
@@ -152,7 +151,6 @@ func TestMonitorIgnoresRemoteHeavySpeculation(t *testing.T) {
 	h.driver.LaunchMap(engine.MapLaunch{
 		Task:        "spec",
 		Node:        n,
-		Container:   h.rm.Acquire(n),
 		BUs:         f.BUs[8:16],
 		LocalBUs:    0,
 		Speculative: true,

@@ -67,10 +67,12 @@ type Store struct {
 	blockToNode [][]cluster.NodeID
 	nodeLoad    []int // BUs stored per node, by dense NodeID, for balancing
 
-	// members and ties are placement scratch, reused across files: the
-	// online members of the file being placed, and one tie draw each.
+	// members, ties and best are placement scratch, reused across files:
+	// the online members of the file being placed, one tie draw each, and
+	// the best candidates of the group being placed.
 	members []cluster.NodeID
 	ties    []int64
+	best    []replicaCand
 
 	// content and weights are indexed by BUID and stay nil until used. An
 	// ID past their end has no payload and weight 1.0.
@@ -147,10 +149,14 @@ func (s *Store) addFile(name string, size int64, data []byte) (*File, error) {
 	}
 	s.members = members
 
+	// The groups' replica sets are cut from one array.
+	replicas := make([]cluster.NodeID, 0, (numBUs+GroupBUs-1)/GroupBUs*s.replication)
 	var group []cluster.NodeID
 	for i := 0; i < numBUs; i++ {
 		if i%GroupBUs == 0 {
-			group = s.pickReplicaNodes(members)
+			n := len(replicas)
+			replicas = s.appendReplicaNodes(replicas, members)
+			group = replicas[n:len(replicas):len(replicas)]
 		}
 		buSize := BUSize
 		if rem := size - int64(i)*BUSize; rem < buSize {
@@ -172,15 +178,18 @@ func (s *Store) addFile(name string, size int64, data []byte) (*File, error) {
 	return f, nil
 }
 
-// pickReplicaNodes chooses `replication` distinct nodes among members,
+// replicaCand is a member node in the running for a group's replicas.
+type replicaCand struct {
+	id   cluster.NodeID
+	load int
+	tie  int64
+}
+
+// appendReplicaNodes chooses `replication` distinct nodes among members,
 // preferring nodes storing the fewest BUs (ties broken pseudo-randomly) so
-// placement stays balanced, as HDFS's balancer would keep it.
-func (s *Store) pickReplicaNodes(members []cluster.NodeID) []cluster.NodeID {
-	type cand struct {
-		id   cluster.NodeID
-		load int
-		tie  int64
-	}
+// placement stays balanced, as HDFS's balancer would keep it, and appends
+// them to dst.
+func (s *Store) appendReplicaNodes(dst, members []cluster.NodeID) []cluster.NodeID {
 	// One scan keeping the `replication` best (load, tie) pairs — a full
 	// sort of the fleet per BU is O(n log n) and dominated 10k-node setup.
 	// Every member node still draws a tie value, in member order and in
@@ -193,14 +202,14 @@ func (s *Store) pickReplicaNodes(members []cluster.NodeID) []cluster.NodeID {
 	s.ties = ties
 	s.rng.Int63s(ties)
 	load := s.nodeLoad
-	best := make([]cand, 0, s.replication)
+	best := slices.Grow(s.best[:0], s.replication)
 	// (wLoad, wTie) is the R-th best pair so far; until R members are
 	// seen it ranks below every member. A member qualifies if its pair
 	// is smaller: the borrow out of the 128-bit difference load:tie −
 	// wLoad:wTie, which does not branch on which nodes already hold data.
 	wLoad, wTie := math.MaxInt, int64(0)
 	for j, id := range members {
-		c := cand{id, load[id], ties[j]}
+		c := replicaCand{id, load[id], ties[j]}
 		_, borrow := bits.Sub64(uint64(c.tie), uint64(wTie), 0)
 		if _, borrow = bits.Sub64(uint64(c.load), uint64(wLoad), borrow); borrow == 0 {
 			continue
@@ -212,21 +221,21 @@ func (s *Store) pickReplicaNodes(members []cluster.NodeID) []cluster.NodeID {
 		for i > 0 && (c.load < best[i-1].load || (c.load == best[i-1].load && c.tie < best[i-1].tie)) {
 			i--
 		}
-		best = append(best, cand{})
+		best = append(best, replicaCand{})
 		copy(best[i+1:], best[i:])
 		best[i] = c
 		if len(best) == s.replication {
 			wLoad, wTie = best[len(best)-1].load, best[len(best)-1].tie
 		}
 	}
+	s.best = best
 	// Fewer members than the replication factor (elastic scale-in below
 	// the store's initial member count) degrades gracefully to the
 	// members available, like HDFS under-replication.
-	out := make([]cluster.NodeID, len(best))
-	for i := range out {
-		out[i] = best[i].id
+	for _, c := range best {
+		dst = append(dst, c.id)
 	}
-	return out
+	return dst
 }
 
 // File returns a stored file by name.
@@ -308,7 +317,9 @@ type Split struct {
 	Index int // split index within the file
 	BUs   []BUID
 	Size  int64
-	// Hosts are nodes holding all BUs of the split (replica intersection).
+	// Hosts are nodes holding all BUs of the split (replica intersection),
+	// in ascending order. Splits of one placement group share the slice,
+	// so it is read-only.
 	Hosts []cluster.NodeID
 }
 
@@ -330,7 +341,10 @@ func (s *Store) Splits(name string, sizeBUs int) ([]Split, error) {
 	if sizeBUs > GroupBUs && sizeBUs%GroupBUs != 0 {
 		return nil, fmt.Errorf("dfs: split size %d BUs is not a multiple of placement group %d", sizeBUs, GroupBUs)
 	}
-	var out []Split
+	out := make([]Split, 0, (len(f.BUs)+sizeBUs-1)/sizeBUs)
+	// The host sets are cut from one array; each is at most a replica set.
+	all := make([]cluster.NodeID, 0, cap(out)*s.replication)
+	var hosts []cluster.NodeID
 	for lo := 0; lo < len(f.BUs); lo += sizeBUs {
 		hi := lo + sizeBUs
 		if hi > len(f.BUs) {
@@ -340,20 +354,27 @@ func (s *Store) Splits(name string, sizeBUs int) ([]Split, error) {
 		for _, id := range sp.BUs {
 			sp.Size += s.blocks[id].Size
 		}
-		sp.Hosts = s.replicaIntersection(sp.BUs)
+		// A split no larger than a placement group lies inside one, so
+		// the group's splits share its hosts.
+		if sizeBUs > GroupBUs || lo%GroupBUs == 0 {
+			n := len(all)
+			all = s.appendReplicaIntersection(all, sp.BUs)
+			hosts = all[n:len(all):len(all)]
+		}
+		sp.Hosts = hosts
 		out = append(out, sp)
 	}
 	return out, nil
 }
 
-// replicaIntersection returns the nodes holding every BU of bus, in
-// ascending NodeID order: the first BU's replicas that every other BU
-// also has.
-func (s *Store) replicaIntersection(bus []BUID) []cluster.NodeID {
+// appendReplicaIntersection appends to dst the nodes holding every BU of
+// bus, in ascending NodeID order: the first BU's replicas that every
+// other BU also has.
+func (s *Store) appendReplicaIntersection(dst []cluster.NodeID, bus []BUID) []cluster.NodeID {
 	if len(bus) == 0 {
-		return nil
+		return dst
 	}
-	var hosts []cluster.NodeID
+	n := len(dst)
 	for _, nid := range s.blockToNode[bus[0]] {
 		all := true
 		for _, id := range bus[1:] {
@@ -363,9 +384,9 @@ func (s *Store) replicaIntersection(bus []BUID) []cluster.NodeID {
 			}
 		}
 		if all {
-			hosts = append(hosts, nid)
+			dst = append(dst, nid)
 		}
 	}
-	slices.Sort(hosts)
-	return hosts
+	slices.Sort(dst[n:])
+	return dst
 }

@@ -77,9 +77,9 @@ func NewAttemptBook(d *Driver, onDone func(*MapAttempt)) *AttemptBook {
 	}
 }
 
-// Launch starts one attempt on l.Node. The book acquires the container
-// and fills in the wave and completion callback; the caller sets Task,
-// TaskID, Node, BUs, LocalBUs, Speculative and ExtraFetchBytes.
+// Launch starts one attempt on l.Node. The book fills in the wave and
+// completion callback; the caller sets Task, TaskID, Node, BUs,
+// LocalBUs, Speculative and ExtraFetchBytes.
 func (b *AttemptBook) Launch(l MapLaunch) *MapAttempt {
 	// A "wave" is one round of concurrent tasks on the node: the first
 	// Slots launches are wave 0, the next Slots are wave 1, and so on.
@@ -88,13 +88,16 @@ func (b *AttemptBook) Launch(l MapLaunch) *MapAttempt {
 	if l.Speculative {
 		b.activeSpec++
 	}
-	l.Container = b.d.RM.Acquire(l.Node)
 	l.OnDone = b.onDone
 	a := b.d.LaunchMap(l)
 	if n := int(l.TaskID) + 1; n > len(b.tasks) {
 		b.tasks = append(b.tasks, make([]taskState, n-len(b.tasks))...)
 	}
 	t := &b.tasks[l.TaskID]
+	if t.live == nil {
+		// The task's first live copy lends the list its storage.
+		t.live = a.liveBuf[:0]
+	}
 	t.live = append(t.live, a)
 	if len(t.live) == 1 && !l.Speculative {
 		b.insertCand(a)
@@ -221,18 +224,30 @@ func (b *AttemptBook) SpeculationIdle(policy SpeculationPolicy) bool {
 }
 
 // localFirst reorders BUs so the node's local replicas come first — the
-// fetch accounting charges only the tail past the local count.
+// fetch accounting charges only the tail past the local count. A split
+// that is all local or all remote is already in order and is returned
+// as is; attempts never modify their BUs.
 func (b *AttemptBook) localFirst(node *cluster.Node, bus []dfs.BUID) ([]dfs.BUID, int) {
-	ordered := make([]dfs.BUID, 0, len(bus))
-	var remote []dfs.BUID
+	local := 0
 	for _, id := range bus {
 		if b.d.Store.HasReplica(node.ID, id) {
-			ordered = append(ordered, id)
-		} else {
-			remote = append(remote, id)
+			local++
 		}
 	}
-	return append(ordered, remote...), len(ordered)
+	if local == 0 || local == len(bus) {
+		return bus, local
+	}
+	ordered := make([]dfs.BUID, local, len(bus))
+	i := 0
+	for _, id := range bus {
+		if b.d.Store.HasReplica(node.ID, id) {
+			ordered[i] = id
+			i++
+		} else {
+			ordered = append(ordered, id)
+		}
+	}
+	return ordered, local
 }
 
 // release frees a killed attempt's container and its speculative slot.

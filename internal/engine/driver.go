@@ -74,7 +74,7 @@ type Driver struct {
 	running     [][]*MapAttempt
 	interByNode []int64
 	totalInter  int64
-	partitions  []map[string][]string // live intermediate data per reducer
+	partitions  []map[string][]string // live intermediate data per reducer, made on first emit
 
 	// Fault-recovery state. All of it is inert without fault injection:
 	// nodes never go down, so nothing is ever crashed, dropped or
@@ -104,6 +104,19 @@ type Driver struct {
 	orphanReduces   []int
 	finished        bool
 	onFinished      []func()
+
+	// Attempt storage comes in chunks (see newAttempt and newReduceRun):
+	// attempts and reduceRuns are the unused tails of the current chunks,
+	// launched counts the map attempts handed out, and expectedMaps is how
+	// many the job is known to launch — the stock AM's split count, 0 when
+	// unknown.
+	attempts     []MapAttempt
+	reduceRuns   []reduceRun
+	reduceNames  []string // by partition
+	launched     int
+	expectedMaps int
+	// emit is the live mapper's partitioning emit function, built once.
+	emit func(k, v string)
 }
 
 // OnFinished registers a hook invoked when the job fully completes or
@@ -150,15 +163,15 @@ func NewDriver(x *Executor, store *dfs.Store, rm *yarn.RM, spec mr.JobSpec) (*Dr
 	}
 	if spec.NumReducers > 0 {
 		d.partitions = make([]map[string][]string, spec.NumReducers)
-		for i := range d.partitions {
-			d.partitions[i] = make(map[string][]string)
-		}
+	}
+	if spec.Mapper != nil {
+		d.emit = d.liveEmit()
 	}
 	return d, nil
 }
 
 // attemptPhase tracks where a map attempt is in its lifecycle.
-type attemptPhase int
+type attemptPhase uint8
 
 const (
 	phaseOverhead attemptPhase = iota
@@ -172,22 +185,23 @@ type MapAttempt struct {
 	Task        string
 	TaskID      TaskID
 	Node        *cluster.Node
-	Container   *yarn.Container
+	Container   yarn.Container // the slot the attempt holds, granted at launch
 	BUs         []dfs.BUID
 	LocalBUs    int
 	Bytes       int64
 	RemoteBytes int64
 	Wave        int
-	Speculative bool
 	Start       sim.Time
+	Speculative bool
 
-	d           *Driver
-	noiseMult   float64
-	unit        float64 // unitCost: every factor is fixed at launch
 	phase       attemptPhase
+	killed      bool
+	d           *Driver
+	step        func()  // advance, bound once at launch
+	unit        float64 // unitCost: every factor is fixed at launch
 	phaseEndsAt sim.Time
 	phaseEv     sim.Handle
-	work        *Work
+	work        Work // the compute phase
 	fetchDur    sim.Duration
 	fetchStart  sim.Time
 	extraFetch  int64
@@ -195,25 +209,27 @@ type MapAttempt struct {
 	flowsLeft   int
 	fetched     int64 // remote bytes actually transferred (see finishFetch)
 	computeAt   sim.Time
-	killed      bool
-	crashed     bool
-	// crashDone/crashRemaining/crashProcessed snapshot SplitBUs and
-	// ProcessedBytes at the instant of the crash — taken before the work
-	// is canceled, because a canceled Work's progress is meaningless
-	// afterwards.
-	crashDone      []dfs.BUID
-	crashRemaining []dfs.BUID
-	crashProcessed int64
-	onDone         func(*MapAttempt)
+	crash       *crashSnapshot // nil unless a fault terminated the attempt
+	onDone      func(*MapAttempt)
+	// liveBuf backs the book's live list of the attempt's task when this
+	// attempt is the task's first live copy.
+	liveBuf [2]*MapAttempt
+}
+
+// crashSnapshot is SplitBUs and ProcessedBytes at the instant an attempt
+// crashed, taken before the work is canceled, because a canceled Work's
+// progress is meaningless afterwards.
+type crashSnapshot struct {
+	done, remaining []dfs.BUID
+	processed       int64
 }
 
 // MapLaunch parameterizes Driver.LaunchMap. AttemptBook.Launch fills in
-// Container, Wave and OnDone.
+// Wave and OnDone.
 type MapLaunch struct {
 	Task        string
 	TaskID      TaskID
 	Node        *cluster.Node
-	Container   *yarn.Container
 	BUs         []dfs.BUID
 	LocalBUs    int
 	Wave        int
@@ -226,8 +242,8 @@ type MapLaunch struct {
 	OnDone func(*MapAttempt)
 }
 
-// LaunchMap starts a map attempt: fixed overhead, then remote fetch, then
-// speed-dependent compute.
+// LaunchMap acquires a container on l.Node and starts a map attempt in
+// it: fixed overhead, then remote fetch, then speed-dependent compute.
 func (d *Driver) LaunchMap(l MapLaunch) *MapAttempt {
 	if len(l.BUs) == 0 {
 		panic("engine: LaunchMap with empty split")
@@ -235,20 +251,15 @@ func (d *Driver) LaunchMap(l MapLaunch) *MapAttempt {
 	if l.Node.Down() {
 		panic("engine: LaunchMap on a down node — the RM must not offer crashed capacity")
 	}
-	a := &MapAttempt{
-		Task:        l.Task,
-		TaskID:      l.TaskID,
-		Node:        l.Node,
-		Container:   l.Container,
-		BUs:         l.BUs,
-		LocalBUs:    l.LocalBUs,
-		Wave:        l.Wave,
-		Speculative: l.Speculative,
-		Start:       d.Eng.Now(),
-		d:           d,
-		noiseMult:   d.drawNoise(),
-		onDone:      l.OnDone,
-	}
+	a := d.newAttempt()
+	// Fill the zeroed slot field by field: assigning a composite literal
+	// would move the whole struct through the write barrier.
+	a.Task, a.TaskID, a.Node = l.Task, l.TaskID, l.Node
+	a.BUs, a.LocalBUs, a.Wave, a.Speculative = l.BUs, l.LocalBUs, l.Wave, l.Speculative
+	a.Start, a.d, a.onDone = d.Eng.Now(), d, l.OnDone
+	d.RM.Acquire(l.Node, &a.Container)
+	noise := d.drawNoise()
+	a.step = a.advance
 	remote := l.ExtraFetchBytes
 	for i, id := range l.BUs {
 		size := d.Store.Block(id).Size
@@ -259,7 +270,7 @@ func (d *Driver) LaunchMap(l MapLaunch) *MapAttempt {
 	}
 	a.RemoteBytes = remote
 	a.extraFetch = l.ExtraFetchBytes
-	a.unit = d.Spec.MapCost * SpillMultiplier(a.Bytes) * a.noiseMult * d.Store.MeanWeight(a.BUs)
+	a.unit = d.Spec.MapCost * SpillMultiplier(a.Bytes) * noise * d.Store.MeanWeight(a.BUs)
 	if l.Speculative {
 		d.Result.SpeculativeLaunches++
 	}
@@ -276,15 +287,65 @@ func (d *Driver) LaunchMap(l MapLaunch) *MapAttempt {
 	a.fetchDur = sim.Duration(float64(remote) / (d.Cluster.NetBW * float64(MB)))
 	a.phase = phaseOverhead
 	a.phaseEndsAt = d.Eng.Now() + sim.Time(Overhead)
-	if remote == 0 {
-		// Fully-local split: nothing to move, so no fetch phase — skip
-		// straight from overhead to compute instead of scheduling a dead
-		// zero-duration "map-fetch" event.
-		a.phaseEv = d.Eng.After(Overhead, "map-overhead", func() { a.beginCompute() })
-		return a
-	}
-	a.phaseEv = d.Eng.After(Overhead, "map-overhead", func() { a.beginFetch() })
+	a.phaseEv = d.Eng.After(Overhead, "map-overhead", a.step)
 	return a
+}
+
+// newAttempt hands out zeroed storage for one map attempt from the
+// driver's current chunk, so a launch allocates no attempt of its own. A
+// new chunk holds the attempts the job is still known to launch (the
+// stock AM's splits). Past those it grows geometrically, by an eighth of
+// the attempts launched beyond them and at least minChunk, so the unused
+// tail of the last chunk stays small. maxChunk bounds the storage one
+// live attempt keeps reachable. Slots are never reused: a chunk is freed
+// once no attempt in it is reachable.
+func (d *Driver) newAttempt() *MapAttempt {
+	if len(d.attempts) == 0 {
+		n := d.expectedMaps - d.launched
+		if n <= 0 {
+			n = max(minChunk, (d.launched-d.expectedMaps)/8)
+		}
+		d.attempts = make([]MapAttempt, min(n, maxChunk))
+	}
+	a := &d.attempts[0]
+	d.attempts = d.attempts[1:]
+	d.launched++
+	return a
+}
+
+// minChunk and maxChunk bound an attempt chunk: 8 attempts are under
+// 4 KB, 1024 under half a megabyte.
+const (
+	minChunk = 8
+	maxChunk = 1024
+)
+
+// advance is the attempt's one event callback, bound once at launch as
+// step. It runs when the overhead ends, when a flat-model fetch ends or
+// a fabric fetch flow drains, and at work-done.
+func (a *MapAttempt) advance() {
+	switch a.phase {
+	case phaseOverhead:
+		if a.RemoteBytes == 0 {
+			// Fully-local split: nothing to move, so no fetch phase — go
+			// straight to compute instead of scheduling a dead
+			// zero-duration "map-fetch" event.
+			a.beginCompute()
+			return
+		}
+		a.beginFetch()
+	case phaseFetch:
+		if a.d.Net != nil {
+			// One of the attempt's fetch streams drained.
+			if a.flowsLeft--; a.flowsLeft > 0 {
+				return
+			}
+		}
+		a.finishFetch()
+	case phaseCompute:
+		a.d.Exec.finish(&a.work)
+		a.complete()
+	}
 }
 
 func (a *MapAttempt) beginFetch() {
@@ -292,7 +353,7 @@ func (a *MapAttempt) beginFetch() {
 	d := a.d
 	if d.Net == nil {
 		a.phaseEndsAt = d.Eng.Now() + sim.Time(a.fetchDur)
-		a.phaseEv = d.Eng.After(a.fetchDur, "map-fetch", func() { a.finishFetch() })
+		a.phaseEv = d.Eng.After(a.fetchDur, "map-fetch", a.step)
 		return
 	}
 	// Topology model: one flow per distinct source node for replica
@@ -300,22 +361,14 @@ func (a *MapAttempt) beginFetch() {
 	// (SkewTune-style repartition traffic has no single source).
 	a.fetchStart = d.Eng.Now()
 	for _, src := range d.fetchSources(a) {
-		a.flows = append(a.flows, d.Net.StartFlow(src.node, a.Node.ID, src.bytes, a.Task, a.flowDone))
+		a.flows = append(a.flows, d.Net.StartFlow(src.node, a.Node.ID, src.bytes, a.Task, a.step))
 	}
 	if a.extraFetch > 0 {
-		a.flows = append(a.flows, d.Net.StartAggFlow(net.AllRemoteRacks, a.Node.ID, a.extraFetch, a.Task, a.flowDone))
+		a.flows = append(a.flows, d.Net.StartAggFlow(net.AllRemoteRacks, a.Node.ID, a.extraFetch, a.Task, a.step))
 	}
 	a.flowsLeft = len(a.flows)
 	if a.flowsLeft == 0 {
 		// Remote bytes with no live replica source are modeled as free.
-		a.finishFetch()
-	}
-}
-
-// flowDone counts down the attempt's in-flight fetch streams.
-func (a *MapAttempt) flowDone() {
-	a.flowsLeft--
-	if a.flowsLeft == 0 {
 		a.finishFetch()
 	}
 }
@@ -388,7 +441,7 @@ func (a *MapAttempt) beginCompute() {
 	a.phase = phaseCompute
 	a.computeAt = a.d.Eng.Now()
 	units := float64(a.Bytes) * a.unitCost()
-	a.work = a.d.Exec.Start(a.Node, units, func() { a.complete() })
+	a.d.Exec.Start(&a.work, a.Node, units, a.step)
 }
 
 // unitCost is the work units charged per input byte for this attempt:
@@ -472,10 +525,9 @@ func (d *Driver) CommitOutputForBUs(node cluster.NodeID, bus []dfs.BUID) int64 {
 	if d.Spec.Mapper == nil {
 		return inter
 	}
-	emit := d.liveEmit()
 	for _, id := range bus {
 		if content := d.Store.Content(id); content != nil {
-			d.Spec.Mapper(content, emit)
+			d.Spec.Mapper(content, d.emit)
 		}
 	}
 	return inter
@@ -499,6 +551,9 @@ func (d *Driver) liveEmit() func(k, v string) {
 			return
 		}
 		p := partitionOf(k, d.Spec.NumReducers)
+		if d.partitions[p] == nil {
+			d.partitions[p] = make(map[string][]string)
+		}
 		d.partitions[p][k] = append(d.partitions[p][k], v)
 	}
 }
@@ -523,9 +578,9 @@ func (a *MapAttempt) kill(crashed bool) bool {
 	}
 	now := a.d.Eng.Now()
 	if crashed {
-		a.crashed = true
-		a.crashDone, a.crashRemaining = a.SplitBUs(now)
-		a.crashProcessed = a.ProcessedBytes(now)
+		processed := a.ProcessedBytes(now)
+		done, remaining := a.splitAt(processed)
+		a.crash = &crashSnapshot{done: done, remaining: remaining, processed: processed}
 	}
 	a.killed = true
 	// In phaseCompute the handle is stale (the fetch event already
@@ -533,7 +588,7 @@ func (a *MapAttempt) kill(crashed bool) bool {
 	a.phaseEv.Cancel()
 	var effective sim.Duration
 	if a.phase == phaseCompute {
-		a.d.Exec.Cancel(a.work)
+		a.d.Exec.Cancel(&a.work)
 		effective = a.fetchDur + sim.Duration(now-a.computeAt)
 	} else if a.phase == phaseFetch {
 		if a.d.Net != nil {
@@ -591,18 +646,27 @@ func (a *MapAttempt) cancelFetch(now sim.Time, elapsed sim.Duration) {
 func (a *MapAttempt) Killed() bool { return a.killed }
 
 // Crashed reports whether the attempt was terminated by a fault.
-func (a *MapAttempt) Crashed() bool { return a.crashed }
+func (a *MapAttempt) Crashed() bool { return a.crash != nil }
 
 // CrashSplit returns the BU split snapshotted at the instant the attempt
 // crashed: the fully-processed prefix and the unprocessed remainder. It
-// is only meaningful for crashed attempts.
+// returns nil, nil for an attempt that did not crash.
 func (a *MapAttempt) CrashSplit() (done, remaining []dfs.BUID) {
-	return a.crashDone, a.crashRemaining
+	if a.crash == nil {
+		return nil, nil
+	}
+	return a.crash.done, a.crash.remaining
 }
 
 // CrashProcessedBytes returns the input bytes the attempt had processed
 // at the instant it crashed — the work a whole-split re-execution wastes.
-func (a *MapAttempt) CrashProcessedBytes() int64 { return a.crashProcessed }
+// It is 0 for an attempt that did not crash.
+func (a *MapAttempt) CrashProcessedBytes() int64 {
+	if a.crash == nil {
+		return 0
+	}
+	return a.crash.processed
+}
 
 // Finished reports whether the attempt completed successfully.
 func (a *MapAttempt) Finished() bool { return a.phase == phaseDone && !a.killed }

@@ -22,12 +22,11 @@ func launchOne(t *testing.T, h *harness, bus int, onDone func(*MapAttempt)) *Map
 		onDone = func(a *MapAttempt) { a.Container.Release() }
 	}
 	return h.driver.LaunchMap(MapLaunch{
-		Task:      "manual-0",
-		Node:      node,
-		Container: h.rm.Acquire(node),
-		BUs:       f.BUs[:bus],
-		LocalBUs:  bus,
-		OnDone:    onDone,
+		Task:     "manual-0",
+		Node:     node,
+		BUs:      f.BUs[:bus],
+		LocalBUs: bus,
+		OnDone:   onDone,
 	})
 }
 
@@ -297,7 +296,7 @@ func TestLaunchEmptySplitPanics(t *testing.T) {
 			t.Error("empty split did not panic")
 		}
 	}()
-	h.driver.LaunchMap(MapLaunch{Task: "x", Node: node, Container: h.rm.Acquire(node)})
+	h.driver.LaunchMap(MapLaunch{Task: "x", Node: node})
 }
 
 func TestExtraFetchBytesCharged(t *testing.T) {
@@ -305,7 +304,7 @@ func TestExtraFetchBytesCharged(t *testing.T) {
 	f, _ := h.store.File("input")
 	node := h.clus.Node(0)
 	a := h.driver.LaunchMap(MapLaunch{
-		Task: "x", Node: node, Container: h.rm.Acquire(node),
+		Task: "x", Node: node,
 		BUs: f.BUs[:2], LocalBUs: 2,
 		ExtraFetchBytes: 100 * MB,
 		OnDone:          func(x *MapAttempt) { x.Container.Release() },
@@ -364,7 +363,8 @@ func TestNoiseDisabledByDefaultInDriver(t *testing.T) {
 }
 
 // TestItoa4MatchesSprintf pins task names to fmt's %04d, digits past the
-// fourth included: partition 10000 must not alias partition 0.
+// fourth included: partition 10000 must not alias partition 0. A job's
+// names made at once by itoa4s match itoa4's one by one.
 func TestItoa4MatchesSprintf(t *testing.T) {
 	for _, v := range []int{0, 7, 42, 999, 9999, 10000, 12345, 123456789} {
 		if got, want := itoa4("reduce-", v), fmt.Sprintf("reduce-%04d", v); got != want {
@@ -373,6 +373,17 @@ func TestItoa4MatchesSprintf(t *testing.T) {
 	}
 	if got := MapTaskName(10000); got != "map-10000" {
 		t.Errorf("MapTaskName(10000) = %q, want map-10000", got)
+	}
+	for _, n := range []int{0, 1, 10, 10001} {
+		names := itoa4s("map-", n)
+		if len(names) != n {
+			t.Fatalf("itoa4s(%d) made %d names", n, len(names))
+		}
+		for i, got := range names {
+			if want := itoa4("map-", i); got != want {
+				t.Fatalf("itoa4s(%d)[%d] = %q, want %q", n, i, got, want)
+			}
+		}
 	}
 }
 

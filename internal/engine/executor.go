@@ -11,6 +11,10 @@ import (
 // mid-flight. The executor re-plans its completion event whenever the
 // node's effective speed changes, so completion times integrate the
 // piecewise-constant speed curve exactly.
+//
+// A Work lives in its owner's storage — a map attempt or reduce run
+// embeds one — and its completion event calls the owner's own callback,
+// so starting and re-planning work allocates nothing.
 type Work struct {
 	node  *cluster.Node
 	seq   uint64  // creation order, for deterministic re-planning
@@ -20,8 +24,7 @@ type Work struct {
 
 	lastSync sim.Time
 	ev       sim.Handle
-	onDone   func()
-	exec     *Executor
+	fire     func() // the owner's work-done callback; it calls finish first
 	finished bool
 	canceled bool
 }
@@ -56,13 +59,7 @@ func (w *Work) plan(eng *sim.Engine) {
 	if w.rate <= 0 {
 		panic(fmt.Sprintf("engine: work on node %d has non-positive rate %v", w.node.ID, w.rate))
 	}
-	d := sim.Duration(remaining / w.rate)
-	w.ev = eng.After(d, "work-done", func() {
-		w.sync(eng.Now())
-		w.finished = true
-		w.exec.detach(w)
-		w.onDone()
-	})
+	w.ev = eng.After(sim.Duration(remaining/w.rate), "work-done", w.fire)
 }
 
 // Executor runs Works on cluster nodes with dynamic speeds. A run has one
@@ -93,6 +90,16 @@ func NewExecutor(eng *sim.Engine, c *cluster.Cluster, baseIPS float64) *Executor
 		baseIPS: baseIPS,
 		running: make([][]*Work, c.Size()),
 	}
+	// A node runs at most one work per slot: cut each node's list from
+	// one array. A list that outgrows its slots moves out on append.
+	slots := 0
+	for _, n := range c.Nodes {
+		slots += n.Slots
+	}
+	all := make([]*Work, slots)
+	for _, n := range c.Nodes {
+		x.running[n.ID], all = all[:0:n.Slots], all[n.Slots:]
+	}
 	c.OnSpeedChange(x.onSpeedChange)
 	return x
 }
@@ -115,28 +122,36 @@ func (x *Executor) rateOn(n *cluster.Node) float64 {
 	return x.baseIPS * n.Speed()
 }
 
-// Start begins `units` of work on a node, invoking onDone at completion.
-func (x *Executor) Start(n *cluster.Node, units float64, onDone func()) *Work {
+// Start begins `units` of work on a node in the caller-owned w, and
+// schedules fire as its "work-done" event, re-planned at every speed
+// change of the node. fire must call finish(w) before anything else.
+func (x *Executor) Start(w *Work, n *cluster.Node, units float64, fire func()) {
 	if units <= 0 {
 		panic("engine: work units must be positive")
 	}
 	x.nextSeq++
-	w := &Work{
+	*w = Work{
 		node:     n,
 		seq:      x.nextSeq,
 		total:    units,
 		rate:     x.rateOn(n),
 		lastSync: x.eng.Now(),
-		onDone:   onDone,
-		exec:     x,
+		fire:     fire,
 	}
 	x.running[n.ID] = append(x.running[n.ID], w)
 	w.plan(x.eng)
-	return w
 }
 
-// Cancel stops a running work; onDone is never called. Canceling finished
-// or already-canceled work is a no-op.
+// finish settles w at its work-done event: progress is complete and the
+// node no longer re-plans it.
+func (x *Executor) finish(w *Work) {
+	w.sync(x.eng.Now())
+	w.finished = true
+	x.detach(w)
+}
+
+// Cancel stops a running work; its callback never fires. Canceling
+// finished or already-canceled work is a no-op.
 func (x *Executor) Cancel(w *Work) {
 	if w == nil || w.finished || w.canceled {
 		return

@@ -40,7 +40,7 @@ func TestWorkConstantSpeed(t *testing.T) {
 	c := cluster.Homogeneous(1)
 	x := NewExecutor(eng, c, 10) // 10 units/s at speed 1
 	done := false
-	x.Start(c.Node(0), 100, func() { done = true })
+	startWork(x, c.Node(0), 100, func() { done = true })
 	end := eng.Run()
 	if !done {
 		t.Fatal("work never completed")
@@ -56,7 +56,7 @@ func TestWorkSpeedChangeMidFlight(t *testing.T) {
 	n := c.Node(0)
 	x := NewExecutor(eng, c, 10)
 	var doneAt sim.Time
-	x.Start(n, 100, func() { doneAt = eng.Now() })
+	startWork(x, n, 100, func() { doneAt = eng.Now() })
 	// At t=5, halve the speed: 50 units remain at 5 units/s → +10 s.
 	eng.At(5, "slow", func() { n.SetInterference(0.5) })
 	eng.Run()
@@ -71,7 +71,7 @@ func TestWorkSpeedRecovery(t *testing.T) {
 	n := c.Node(0)
 	x := NewExecutor(eng, c, 10)
 	var doneAt sim.Time
-	x.Start(n, 100, func() { doneAt = eng.Now() })
+	startWork(x, n, 100, func() { doneAt = eng.Now() })
 	eng.At(2, "slow", func() { n.SetInterference(0.25) }) // 80 left at 2.5/s
 	eng.At(6, "fast", func() { n.SetInterference(1.0) })  // 70 left at 10/s
 	eng.Run()
@@ -85,7 +85,7 @@ func TestProcessedUnits(t *testing.T) {
 	eng := sim.New()
 	c := cluster.Homogeneous(1)
 	x := NewExecutor(eng, c, 10)
-	w := x.Start(c.Node(0), 100, func() {})
+	w := startWork(x, c.Node(0), 100, func() {})
 	eng.At(3, "check", func() {
 		if got := w.ProcessedUnits(eng.Now()); got < 30-1e-9 || got > 30+1e-9 {
 			t.Errorf("ProcessedUnits at t=3 = %v, want 30", got)
@@ -105,7 +105,7 @@ func TestCancelWork(t *testing.T) {
 	c := cluster.Homogeneous(1)
 	x := NewExecutor(eng, c, 10)
 	fired := false
-	w := x.Start(c.Node(0), 100, func() { fired = true })
+	w := startWork(x, c.Node(0), 100, func() { fired = true })
 	eng.At(4, "cancel", func() { x.Cancel(w) })
 	eng.Run()
 	if fired {
@@ -125,8 +125,8 @@ func TestMultipleWorksPerNode(t *testing.T) {
 	n := c.Node(0)
 	x := NewExecutor(eng, c, 10)
 	var ends []sim.Time
-	x.Start(n, 50, func() { ends = append(ends, eng.Now()) })
-	x.Start(n, 100, func() { ends = append(ends, eng.Now()) })
+	startWork(x, n, 50, func() { ends = append(ends, eng.Now()) })
+	startWork(x, n, 100, func() { ends = append(ends, eng.Now()) })
 	eng.At(1, "slow", func() { n.SetInterference(0.5) })
 	eng.Run()
 	// Work A: 10 units by t=1, 40 left at 5/s → t=9.
@@ -172,7 +172,7 @@ func TestSharedExecutorTiesFireInStartOrder(t *testing.T) {
 		name string
 	}{{b, "b1"}, {a, "a1"}, {b, "b2"}} {
 		name := w.name
-		w.d.Exec.Start(n, 100, func() { order = append(order, name) })
+		startWork(w.d.Exec, n, 100, func() { order = append(order, name) })
 	}
 	eng.At(1, "slow", func() { n.SetInterference(0.5) })
 	eng.Run()
@@ -216,5 +216,16 @@ func TestZeroUnitsPanics(t *testing.T) {
 			t.Error("zero-unit work did not panic")
 		}
 	}()
-	x.Start(c.Node(0), 0, func() {})
+	startWork(x, c.Node(0), 0, func() {})
+}
+
+// startWork runs units of work on n in a fresh Work whose completion
+// calls done.
+func startWork(x *Executor, n *cluster.Node, units float64, done func()) *Work {
+	w := new(Work)
+	x.Start(w, n, units, func() {
+		x.finish(w)
+		done()
+	})
+	return w
 }

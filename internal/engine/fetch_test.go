@@ -21,7 +21,7 @@ func launchFetching(t *testing.T, h *harness, task string) *MapAttempt {
 	f, _ := h.store.File("input")
 	node := h.clus.Node(0)
 	return h.driver.LaunchMap(MapLaunch{
-		Task: task, Node: node, Container: h.rm.Acquire(node),
+		Task: task, Node: node,
 		BUs: f.BUs[:2], LocalBUs: 2,
 		ExtraFetchBytes: 100 * MB,
 		OnDone:          func(x *MapAttempt) { x.Container.Release() },

@@ -154,7 +154,7 @@ func TestWorkTotalAccessor(t *testing.T) {
 	eng := sim.New()
 	c := cluster.Homogeneous(1)
 	x := NewExecutor(eng, c, 10)
-	w := x.Start(c.Node(0), 42, func() {})
+	w := startWork(x, c.Node(0), 42, func() {})
 	if w.total != 42 {
 		t.Fatalf("total = %v", w.total)
 	}

@@ -1,6 +1,9 @@
 package engine
 
-import "flexmap/internal/cluster"
+import (
+	"flexmap/internal/cluster"
+	"flexmap/internal/dfs"
+)
 
 // pendingQueue indexes undispatched map splits for the stock AM. The
 // former representation was a plain slice scanned linearly per offer —
@@ -33,6 +36,28 @@ type pendingQueue struct {
 
 // Len returns the number of undispatched splits.
 func (q *pendingQueue) Len() int { return q.count }
+
+// reserve sizes an empty queue for splits about to be enqueued on a
+// cluster of the given size: the per-host FIFOs are cut from one array,
+// each with room for its host's splits. Later adds grow them as usual.
+func (q *pendingQueue) reserve(splits []dfs.Split, nodes int) {
+	q.splits = make([]PendingSplit, 0, len(splits))
+	q.live = make([]bool, 0, len(splits))
+	q.fifo = make([]int, 0, len(splits))
+	q.byHost = make([][]int, nodes)
+	count := make([]int, nodes)
+	total := 0
+	for _, sp := range splits {
+		for _, h := range sp.Hosts {
+			count[h]++
+			total++
+		}
+	}
+	all := make([]int, total)
+	for h, n := range count {
+		q.byHost[h], all = all[:0:n], all[n:]
+	}
+}
 
 // add enqueues a split behind everything currently pending.
 func (q *pendingQueue) add(p PendingSplit) {

@@ -260,7 +260,7 @@ func TestFaultTargetDeliversNodeEvents(t *testing.T) {
 	}
 	for _, j := range []int{0, 2} {
 		drivers[j].LaunchMap(MapLaunch{
-			Task: "map-0001", Node: n, Container: rm.Acquire(n),
+			Task: "map-0001", Node: n,
 			BUs: splits[j], LocalBUs: len(splits[j]),
 		})
 	}

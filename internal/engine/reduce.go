@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"flexmap/internal/cluster"
 	"flexmap/internal/mr"
@@ -60,6 +61,8 @@ func (d *Driver) beginReducePhase() {
 		panic("engine: reduce placer returned wrong assignment length")
 	}
 	d.reduceRemaining = d.Spec.NumReducers
+	d.reduceRuns = make([]reduceRun, d.Spec.NumReducers)
+	d.reduceNames = itoa4s("reduce-", d.Spec.NumReducers)
 	d.reduceQueues = make(map[cluster.NodeID][]int)
 	var displaced []int
 	for p, nid := range assign {
@@ -103,7 +106,7 @@ func (d *Driver) pumpReduces(n *cluster.Node) {
 		if !ok {
 			return
 		}
-		d.runReduce(p, n, nil)
+		d.runReduce(p, n)
 	}
 }
 
@@ -119,7 +122,7 @@ func (d *Driver) TryReduce(n *cluster.Node) bool {
 	if !ok {
 		return false
 	}
-	d.runReduce(p, n, d.RM.Acquire(n))
+	d.runReduce(p, n)
 	return true
 }
 
@@ -209,18 +212,35 @@ func (d *Driver) requeueReduces(parts []int) {
 }
 
 // reduceRun is one in-flight reduce attempt, cancelable on node crash.
+// Its phases are those of a map attempt: the overhead (which includes
+// the fetch under the flat model), the shuffle under the fabric, and
+// compute.
 type reduceRun struct {
 	d         *Driver
+	step      func() // advance, bound once at launch
 	p         int
 	name      string // reduce-NNNN, formatted once per attempt
 	node      *cluster.Node
 	start     sim.Time
 	partBytes int64
-	ev        sim.Handle      // pending overhead+fetch event
-	work      *Work           // compute work once fetching is done
-	container *yarn.Container // held slot in ReduceViaRM mode; nil solo
-	flows     []*net.Flow     // in-flight shuffle streams (topology model)
+	phase     attemptPhase
+	ev        sim.Handle     // the pending reduce-fetch event
+	work      Work           // the compute phase
+	container yarn.Container // the slot it holds in ReduceViaRM mode
+	flows     []*net.Flow    // in-flight shuffle streams (topology model)
 	flowsLeft int
+}
+
+// newReduceRun hands out zeroed storage for one reduce attempt. The
+// reduce phase starts with a chunk of one attempt per partition; crash
+// retries take later chunks of a quarter of that.
+func (d *Driver) newReduceRun() *reduceRun {
+	if len(d.reduceRuns) == 0 {
+		d.reduceRuns = make([]reduceRun, max(1, d.Spec.NumReducers/4))
+	}
+	rr := &d.reduceRuns[0]
+	d.reduceRuns = d.reduceRuns[1:]
+	return rr
 }
 
 // crash cancels the attempt when its node dies: a crashed AttemptRecord
@@ -232,8 +252,8 @@ func (rr *reduceRun) crash() {
 		d.Net.Cancel(fl)
 	}
 	rr.flows = nil
-	if rr.work != nil {
-		d.Exec.Cancel(rr.work)
+	if rr.phase == phaseCompute {
+		d.Exec.Cancel(&rr.work)
 	}
 	d.detachReduce(rr)
 	now := d.Eng.Now()
@@ -252,7 +272,7 @@ func (rr *reduceRun) crash() {
 	d.Result.TaskRetries++
 	d.Trace.TaskKill(rr.name, rr.node.ID, true)
 	d.crashedReduces[rr.node.ID] = append(d.crashedReduces[rr.node.ID], rr.p)
-	if rr.container != nil && !rr.container.Released() {
+	if d.ReduceViaRM && !rr.container.Released() {
 		// The node is down, so this frees no capacity — it only retires
 		// the container so inter-job accounting writes it off.
 		rr.container.Release()
@@ -271,73 +291,97 @@ func (d *Driver) detachReduce(rr *reduceRun) {
 }
 
 // runReduce executes one reduce attempt: overhead, shuffle fetch of the
-// remote share of its partition, then merge+reduce compute. c is the
-// held RM container in ReduceViaRM mode (nil on the solo path).
-func (d *Driver) runReduce(p int, n *cluster.Node, c *yarn.Container) {
-	start := d.Eng.Now()
+// remote share of its partition, then merge+reduce compute. In
+// ReduceViaRM mode the attempt holds an RM container for its lifetime.
+func (d *Driver) runReduce(p int, n *cluster.Node) {
 	partBytes := d.totalInter / int64(d.Spec.NumReducers)
-	localShare := d.interByNode[n.ID] / int64(d.Spec.NumReducers)
-	remote := partBytes - localShare
-	if remote < 0 {
-		remote = 0
+	rr := d.newReduceRun()
+	*rr = reduceRun{d: d, p: p, name: d.reduceNames[p], node: n, start: d.Eng.Now(), partBytes: partBytes}
+	if d.ReduceViaRM {
+		d.RM.Acquire(n, &rr.container)
 	}
-	fetchDur := sim.Duration(float64(remote) / (d.Cluster.NetBW * float64(MB)))
-
-	rr := &reduceRun{d: d, p: p, name: itoa4("reduce-", p), node: n, start: start, partBytes: partBytes, container: c}
+	rr.step = rr.advance
 	d.runningReduce[n.ID] = append(d.runningReduce[n.ID], rr)
 	d.Trace.ReduceDispatch(rr.name, n.ID, partBytes)
 
-	finish := func() {
-		// Return capacity before the finished check: a job aborted by
-		// FailJob must not strand slots its reducers were holding, or a
-		// shared cluster slowly wedges.
-		if rr.container != nil && !rr.container.Released() {
-			rr.container.Release()
-		}
-		if d.finished {
-			return
-		}
-		d.detachReduce(rr)
-		now := d.Eng.Now()
-		d.Result.Attempts = append(d.Result.Attempts, mr.AttemptRecord{
-			Task:      rr.name,
-			Type:      mr.ReduceTask,
-			Node:      n.ID,
-			Start:     start,
-			End:       now,
-			Overhead:  Overhead,
-			Effective: sim.Duration(now-start) - Overhead,
-			Bytes:     partBytes,
-		})
-		d.Trace.TaskDone(rr.name, n.ID, partBytes)
-		d.reduceRemaining--
-		if d.reduceRemaining == 0 {
-			d.runLiveReducers()
-			d.finishJob()
-			return
-		}
-		d.pumpReduces(n)
-	}
-
-	compute := func() {
-		units := float64(partBytes) * d.Spec.ReduceCost
-		if units <= 0 {
-			finish()
-			return
-		}
-		rr.work = d.Exec.Start(n, units, finish)
-	}
+	// Under the fabric the shuffle starts when the overhead ends; the
+	// flat model folds the fetch of the remote share into that event.
+	delay := Overhead
 	if d.Net == nil {
-		rr.ev = d.Eng.After(Overhead+fetchDur, "reduce-fetch", func() {
-			rr.ev = sim.Handle{}
-			compute()
-		})
+		remote := max(partBytes-d.interByNode[n.ID]/int64(d.Spec.NumReducers), 0)
+		delay += sim.Duration(float64(remote) / (d.Cluster.NetBW * float64(MB)))
+	}
+	rr.ev = d.Eng.After(delay, "reduce-fetch", rr.step)
+}
+
+// advance is the reduce attempt's one event callback, bound once at
+// launch as step. It runs at the reduce-fetch event, as each fabric
+// shuffle stream drains, and at work-done.
+func (rr *reduceRun) advance() {
+	switch rr.phase {
+	case phaseOverhead:
+		if rr.d.Net == nil {
+			rr.compute()
+			return
+		}
+		rr.startShuffle()
+	case phaseFetch:
+		if rr.flowsLeft--; rr.flowsLeft > 0 {
+			return
+		}
+		rr.flows = nil
+		rr.compute()
+	case phaseCompute:
+		rr.d.Exec.finish(&rr.work)
+		rr.finish()
+	}
+}
+
+// compute starts the merge+reduce work, or finishes at once when the
+// partition costs nothing.
+func (rr *reduceRun) compute() {
+	units := float64(rr.partBytes) * rr.d.Spec.ReduceCost
+	if units <= 0 {
+		rr.finish()
 		return
 	}
-	rr.ev = d.Eng.After(Overhead, "reduce-fetch", func() {
-		rr.ev = sim.Handle{}
-		rr.startShuffle(compute)
+	rr.phase = phaseCompute
+	rr.d.Exec.Start(&rr.work, rr.node, units, rr.step)
+}
+
+// finish records the completed attempt and pumps the node's next reduce.
+func (rr *reduceRun) finish() {
+	d := rr.d
+	rr.phase = phaseDone
+	// Return capacity before the finished check: a job aborted by
+	// FailJob must not strand slots its reducers were holding, or a
+	// shared cluster slowly wedges.
+	if d.ReduceViaRM && !rr.container.Released() {
+		rr.container.Release()
+	}
+	if d.finished {
+		return
+	}
+	d.detachReduce(rr)
+	now := d.Eng.Now()
+	d.Result.Attempts = append(d.Result.Attempts, mr.AttemptRecord{
+		Task:      rr.name,
+		Type:      mr.ReduceTask,
+		Node:      rr.node.ID,
+		Start:     rr.start,
+		End:       now,
+		Overhead:  Overhead,
+		Effective: sim.Duration(now-rr.start) - Overhead,
+		Bytes:     rr.partBytes,
 	})
+	d.Trace.TaskDone(rr.name, rr.node.ID, rr.partBytes)
+	d.reduceRemaining--
+	if d.reduceRemaining == 0 {
+		d.runLiveReducers()
+		d.finishJob()
+		return
+	}
+	d.pumpReduces(rr.node)
 }
 
 // startShuffle moves the partition's remote share through the topology
@@ -347,7 +391,7 @@ func (d *Driver) runReduce(p int, n *cluster.Node, c *yarn.Container) {
 // flow population at ≤2 per reducer while still loading exactly the links
 // a placement policy controls (the destination's access link and its
 // rack's core downlink).
-func (rr *reduceRun) startShuffle(compute func()) {
+func (rr *reduceRun) startShuffle() {
 	d := rr.d
 	n := rr.node
 	R := int64(d.Spec.NumReducers)
@@ -362,22 +406,16 @@ func (rr *reduceRun) startShuffle(compute func()) {
 	if cross < 0 {
 		cross = 0
 	}
-	done := func() {
-		rr.flowsLeft--
-		if rr.flowsLeft == 0 {
-			rr.flows = nil
-			compute()
-		}
-	}
+	rr.phase = phaseFetch
 	if intra > 0 {
-		rr.flows = append(rr.flows, d.Net.StartAggFlow(rack, n.ID, intra, rr.name, done))
+		rr.flows = append(rr.flows, d.Net.StartAggFlow(rack, n.ID, intra, rr.name, rr.step))
 	}
 	if cross > 0 {
-		rr.flows = append(rr.flows, d.Net.StartAggFlow(net.AllRemoteRacks, n.ID, cross, rr.name, done))
+		rr.flows = append(rr.flows, d.Net.StartAggFlow(net.AllRemoteRacks, n.ID, cross, rr.name, rr.step))
 	}
 	rr.flowsLeft = len(rr.flows)
 	if rr.flowsLeft == 0 {
-		compute()
+		rr.compute()
 	}
 }
 
@@ -398,11 +436,39 @@ func (d *Driver) rackIntermediate(rack int) int64 {
 // kept. It allocates only the result.
 func itoa4(prefix string, v int) string {
 	var buf [32]byte
-	b := append(buf[:0], prefix...)
+	return string(appendItoa4(buf[:0], prefix, v))
+}
+
+// appendItoa4 appends itoa4(prefix, v) to b.
+func appendItoa4(b []byte, prefix string, v int) []byte {
+	b = append(b, prefix...)
 	for pad := 1000; pad > 1 && v < pad; pad /= 10 {
 		b = append(b, '0')
 	}
-	return string(strconv.AppendInt(b, int64(v), 10))
+	return strconv.AppendInt(b, int64(v), 10)
+}
+
+// itoa4s returns itoa4(prefix, i) for every i in [0, n). The names are
+// substrings of one string, so naming a job's n tasks takes two
+// allocations, not n.
+func itoa4s(prefix string, n int) []string {
+	var buf [32]byte
+	width := func(v int) int { return len(appendItoa4(buf[:0], prefix, v)) }
+	total := 0
+	for i := range n {
+		total += width(i)
+	}
+	var b strings.Builder
+	b.Grow(total)
+	for i := range n {
+		b.Write(appendItoa4(buf[:0], prefix, i))
+	}
+	all := b.String()
+	names := make([]string, n)
+	for i := range names {
+		names[i], all = all[:width(i)], all[width(i):]
+	}
+	return names
 }
 
 // runLiveReducers executes attached real reduce functions over the

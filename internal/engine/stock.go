@@ -7,6 +7,7 @@ import (
 
 	"flexmap/internal/cluster"
 	"flexmap/internal/dfs"
+	"flexmap/internal/mr"
 	"flexmap/internal/sim"
 )
 
@@ -111,9 +112,16 @@ func NewStockAM(d *Driver, splitBUs int, speculation SpeculationPolicy) (*StockA
 		am.remoteAllowedAt[i] = -1
 	}
 	am.book = NewAttemptBook(d, am.onMapDone)
+	// Every split launches at least once and records an attempt, and
+	// every partition records a reduce attempt.
+	d.expectedMaps = len(splits)
+	d.Result.Attempts = make([]mr.AttemptRecord, 0, len(splits)+d.Spec.NumReducers)
+	am.pending.reserve(splits, d.Cluster.Size())
+	am.book.tasks = make([]taskState, 0, len(splits))
+	names := itoa4s("map-", len(splits)) // MapTaskName of every split index
 	for _, sp := range splits {
 		am.pending.add(am.indexSplit(PendingSplit{
-			Task:  MapTaskName(TaskID(sp.Index)),
+			Task:  names[sp.Index],
 			BUs:   sp.BUs,
 			Hosts: sp.Hosts,
 		}))

@@ -7,6 +7,7 @@ import (
 	"flexmap/internal/cluster"
 	"flexmap/internal/dfs"
 	"flexmap/internal/sim"
+	"flexmap/internal/yarn"
 )
 
 func TestStockMapOnlyJob(t *testing.T) {
@@ -218,7 +219,7 @@ func TestRemotePickDeclinesFullNode(t *testing.T) {
 	am := bindStock(t, h.driver, 8, nil)
 	h.rm.Start() // one local split on each node
 	node := h.clus.Node(0)
-	h.rm.Acquire(node) // another job takes the node's last slot
+	h.rm.Acquire(node, new(yarn.Container)) // another job takes the node's last slot
 	am.AddPending(PendingSplit{Task: "sub", BUs: []dfs.BUID{0}}, 1)
 	am.remoteAllowedAt[node.ID] = h.eng.Now()
 	if am.TryDispatch(node) {

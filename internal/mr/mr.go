@@ -6,6 +6,7 @@ package mr
 
 import (
 	"fmt"
+	"math"
 
 	"flexmap/internal/cluster"
 	"flexmap/internal/sim"
@@ -54,12 +55,12 @@ func (s *JobSpec) Validate() error {
 		return fmt.Errorf("mr: job %q has no input file", s.Name)
 	case s.NumReducers < 0:
 		return fmt.Errorf("mr: job %q has negative reducer count", s.Name)
-	case s.MapCost <= 0:
-		return fmt.Errorf("mr: job %q has non-positive map cost", s.Name)
-	case s.ShuffleRatio < 0:
-		return fmt.Errorf("mr: job %q has negative shuffle ratio", s.Name)
-	case s.ReduceCost < 0:
-		return fmt.Errorf("mr: job %q has negative reduce cost", s.Name)
+	case !(s.MapCost > 0) || math.IsInf(s.MapCost, 1):
+		return fmt.Errorf("mr: job %q has map cost %v, want positive and finite", s.Name, s.MapCost)
+	case !(s.ShuffleRatio >= 0) || math.IsInf(s.ShuffleRatio, 1):
+		return fmt.Errorf("mr: job %q has shuffle ratio %v, want non-negative and finite", s.Name, s.ShuffleRatio)
+	case !(s.ReduceCost >= 0) || math.IsInf(s.ReduceCost, 1):
+		return fmt.Errorf("mr: job %q has reduce cost %v, want non-negative and finite", s.Name, s.ReduceCost)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -32,6 +33,12 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"zero map cost", func(s *JobSpec) { s.MapCost = 0 }},
 		{"negative shuffle", func(s *JobSpec) { s.ShuffleRatio = -0.1 }},
 		{"negative reduce cost", func(s *JobSpec) { s.ReduceCost = -1 }},
+		{"NaN map cost", func(s *JobSpec) { s.MapCost = math.NaN() }},
+		{"infinite map cost", func(s *JobSpec) { s.MapCost = math.Inf(1) }},
+		{"NaN shuffle", func(s *JobSpec) { s.ShuffleRatio = math.NaN() }},
+		{"infinite shuffle", func(s *JobSpec) { s.ShuffleRatio = math.Inf(1) }},
+		{"NaN reduce cost", func(s *JobSpec) { s.ReduceCost = math.NaN() }},
+		{"infinite reduce cost", func(s *JobSpec) { s.ReduceCost = math.Inf(1) }},
 	}
 	for _, tc := range cases {
 		s := validSpec()

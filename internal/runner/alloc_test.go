@@ -9,16 +9,19 @@ import (
 	"flexmap/internal/dfs"
 	"flexmap/internal/faults"
 	"flexmap/internal/metrics"
+	"flexmap/internal/mr"
 	"flexmap/internal/puma"
 	"flexmap/internal/trace"
 	"flexmap/internal/workload"
 )
 
 // maxAllocsPerEvent is the absolute ceiling on heap allocations per fired
-// event in the cells below, which allocate 4.7–8.8 today (the worst is
-// workload/hadoop). About 2× the worst cell absorbs Go-version drift; a
-// hot path that starts allocating per event or per node still trips it.
-const maxAllocsPerEvent = 18
+// event in the cells below, which allocate 1.2–4.2 today (the worst is
+// flexmap with crashes and tracing; 7.3 before map and reduce attempts
+// took one struct and one callback each). About 2× the worst cell
+// absorbs Go-version drift; a hot path that starts allocating per event
+// or per node still trips it.
+const maxAllocsPerEvent = 9
 
 // TestAllocsPerEventCeiling runs one WordCount job, 24 BUs per node and
 // 12 reducers, on 50 heterogeneous two-slot nodes under both engines,
@@ -104,14 +107,67 @@ func checkAllocsPerEvent(t *testing.T, name string, run func() (events uint64, e
 	}
 }
 
+// TestAllocsPerMapAttempt runs one Fig. 8 cell, WordCount's large input
+// at scale 8 on the multi-tenant cluster with 40% slow nodes, under stock
+// Hadoop with 64 MB splits and under FlexMap, and counts every heap
+// allocation of the run, DFS placement and set-up included, per map
+// attempt the run launched. hadoop-64m allocates 2.8 per attempt and
+// flexmap 5.1 today (18.8 and 14.5 when an attempt's work, container and
+// callbacks were allocated one by one): an attempt is one struct from a
+// chunk and one bound callback, and FlexMap adds its bound split and task
+// name. The ceilings leave about 40% for Go-version drift, so one more
+// allocation per attempt trips them.
+func TestAllocsPerMapAttempt(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds its own allocations")
+	}
+	p, err := puma.GetProfile(puma.WordCount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := func() (*cluster.Cluster, cluster.Interferer) { return cluster.MultiTenant40(0.40, 42) }
+	c, _ := factory()
+	spec := wcSpec(t, c.TotalSlots())
+	sc := Scenario{Name: "fig8-cell", Cluster: factory, Seed: 42, InputSize: int64(p.LargeGB) * GB / 8}
+	for _, cell := range []struct {
+		eng     Engine
+		ceiling float64
+	}{
+		{Engine{Kind: Hadoop, SplitMB: 64}, 4},
+		{Engine{Kind: FlexMap}, 7},
+	} {
+		eng := cell.eng
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(sc, spec, eng)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", eng, err)
+		}
+		attempts := 0
+		for _, a := range res.JobResult.Attempts {
+			if a.Type == mr.MapTask {
+				attempts++
+			}
+		}
+		perAttempt := float64(after.Mallocs-before.Mallocs) / float64(attempts)
+		t.Logf("%s: %d map attempts, %.2f allocs/attempt", eng, attempts, perAttempt)
+		if perAttempt > cell.ceiling {
+			t.Errorf("%s: %.2f allocations per map attempt, ceiling %.1f", eng, perAttempt, cell.ceiling)
+		}
+	}
+}
+
 // TestFig8CellBytesPerBU holds one Fig. 8 cell, WordCount's large input
 // at scale 8 on the multi-tenant cluster with 40% slow nodes, to a byte
 // budget per committed BU. It counts everything the paper sequence pays
 // per simulation: DFS placement, the run and its result, and
-// metrics.Summarize. hadoop-64m allocates 417 B/BU and flexmap 477 today
-// (about 600 and 660 before per-task and per-BU state became slices);
-// the ceilings leave about 10% for Go-version drift, so a per-BU or
-// per-task map on the run path trips them.
+// metrics.Summarize. hadoop-64m allocates 312 B/BU and flexmap 447 today
+// (415 and 477 before attempts came from chunks, and about 600 and 660
+// before per-task and per-BU state became slices); the ceilings leave
+// about 10% for Go-version drift, so a per-BU or per-task map on the run
+// path trips them.
 func TestFig8CellBytesPerBU(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds its own allocations")
@@ -128,8 +184,8 @@ func TestFig8CellBytesPerBU(t *testing.T) {
 		eng     Engine
 		ceiling float64
 	}{
-		{Engine{Kind: Hadoop, SplitMB: 64}, 460},
-		{Engine{Kind: FlexMap}, 530},
+		{Engine{Kind: Hadoop, SplitMB: 64}, 345},
+		{Engine{Kind: FlexMap}, 495},
 	} {
 		runtime.GC()
 		var before, after runtime.MemStats

@@ -77,7 +77,7 @@ func TestLATEIdle(t *testing.T) {
 	f, _ := store.File("input")
 	slow := c.Node(2)
 	straggler := []*engine.MapAttempt{d.LaunchMap(engine.MapLaunch{
-		Task: "map-0000", Node: slow, Container: rm.Acquire(slow), BUs: f.BUs, LocalBUs: len(f.BUs),
+		Task: "map-0000", Node: slow, BUs: f.BUs, LocalBUs: len(f.BUs),
 		OnDone: func(a *engine.MapAttempt) { a.Container.Release() },
 	})}
 	l := NewLATE()
@@ -126,7 +126,7 @@ func TestLATEIdleWhenNoNodeCanWin(t *testing.T) {
 	f, _ := store.File("input")
 	slow := c.Node(2)
 	straggler := []*engine.MapAttempt{d.LaunchMap(engine.MapLaunch{
-		Task: "map-0000", Node: slow, Container: rm.Acquire(slow), BUs: f.BUs, LocalBUs: len(f.BUs),
+		Task: "map-0000", Node: slow, BUs: f.BUs, LocalBUs: len(f.BUs),
 		OnDone: func(a *engine.MapAttempt) { a.Container.Release() },
 	})}
 	eng.RunUntil(4)
@@ -232,7 +232,7 @@ func benchSelectVictim(b *testing.B, tail int) {
 			for s := 0; s < per; s++ {
 				lo := (slots*i + s%slots) * busPerTask
 				cands = append(cands, d.LaunchMap(engine.MapLaunch{
-					Task: fmt.Sprintf("map-%05d", len(cands)), Node: n, Container: rm.Acquire(n),
+					Task: fmt.Sprintf("map-%05d", len(cands)), Node: n,
 					BUs: f.BUs[lo : lo+busPerTask], LocalBUs: busPerTask,
 					OnDone: func(a *engine.MapAttempt) { a.Container.Release() },
 				}))

@@ -129,7 +129,7 @@ func TestLATEPickDeclinesOnSlowNode(t *testing.T) {
 	f, _ := store.File("input")
 	slowNode := c.Node(3)
 	attempt := d.LaunchMap(engine.MapLaunch{
-		Task: "map-0000", Node: slowNode, Container: rm.Acquire(slowNode),
+		Task: "map-0000", Node: slowNode,
 		BUs: f.BUs[:8], LocalBUs: 8,
 		OnDone: func(a *engine.MapAttempt) { a.Container.Release() },
 	})

@@ -24,7 +24,9 @@ func (j *demandJob) OnSlotFree(n *cluster.Node) bool {
 		return false
 	}
 	j.demand--
-	j.live = append(j.live, j.rm.Acquire(n))
+	c := new(Container)
+	j.rm.Acquire(n, c)
+	j.live = append(j.live, c)
 	return true
 }
 

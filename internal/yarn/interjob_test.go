@@ -26,7 +26,8 @@ func (f *fakeJob) OnSlotFree(n *cluster.Node) bool {
 	if f.demand > 0 {
 		f.demand--
 	}
-	c := f.rm.Acquire(n)
+	c := new(Container)
+	f.rm.Acquire(n, c)
 	f.granted++
 	if f.onGrant != nil {
 		f.onGrant()
@@ -172,7 +173,7 @@ func TestGrantOutsideOfferPanics(t *testing.T) {
 			t.Fatal("rogue Acquire did not panic")
 		}
 	}()
-	rm.Acquire(rm.cluster.Node(0))
+	rm.Acquire(rm.cluster.Node(0), new(Container))
 }
 
 // TestQueueWait measures submission-to-first-grant delay on a saturated

@@ -203,7 +203,7 @@ func TestNestedOffer(t *testing.T) {
 
 		n.before = func() {}
 		n.after = func(node *cluster.Node) bool {
-			rm.Acquire(node)
+			rm.Acquire(node, new(Container))
 			return true
 		}
 		was := n.h.running

@@ -307,11 +307,12 @@ func (rm *RM) Occupancy() (busy, slots int) {
 	return busy, slots
 }
 
-// Acquire consumes one slot on the node and returns its container handle.
-// Schedulers call it from inside OnSlotFree after deciding to place work.
-// It panics if the node has no free slot — the offer protocol guarantees
-// one exists.
-func (rm *RM) Acquire(n *cluster.Node) *Container {
+// Acquire consumes one slot on the node and grants it into c. The caller
+// owns c's storage (an attempt embeds its container), so a grant
+// allocates nothing. Schedulers call it from inside OnSlotFree after
+// deciding to place work. It panics if the node has no free slot — the
+// offer protocol guarantees one exists.
+func (rm *RM) Acquire(n *cluster.Node, c *Container) {
 	if rm.free[n.ID] <= 0 {
 		panic(fmt.Sprintf("yarn: Acquire on node %d with no free slots", n.ID))
 	}
@@ -319,11 +320,10 @@ func (rm *RM) Acquire(n *cluster.Node) *Container {
 	rm.lastGrant[n.ID] = rm.eng.Now()
 	rm.granted[n.ID] = true
 	rm.nextCID++
-	c := &Container{ID: rm.nextCID, Node: n, rm: rm}
+	*c = Container{ID: rm.nextCID, Node: n, rm: rm}
 	if rm.inter != nil {
 		rm.inter.onGrant(c)
 	}
-	return c
 }
 
 // Container is a granted slot on a node.

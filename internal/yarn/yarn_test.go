@@ -22,7 +22,9 @@ func (a *acceptN) OnSlotFree(node *cluster.Node) bool {
 	if len(a.containers) >= a.n {
 		return false
 	}
-	a.containers = append(a.containers, a.rm.Acquire(node))
+	c := new(Container)
+	a.rm.Acquire(node, c)
+	a.containers = append(a.containers, c)
 	if a.eng != nil {
 		a.acquiredAt = append(a.acquiredAt, a.eng.Now())
 	}
@@ -128,7 +130,7 @@ func TestAcquireWithoutCapacityPanics(t *testing.T) {
 			t.Error("Acquire on full node did not panic")
 		}
 	}()
-	rm.Acquire(c.Node(0))
+	rm.Acquire(c.Node(0), new(Container))
 }
 
 func TestStartWithoutSchedulerPanics(t *testing.T) {
