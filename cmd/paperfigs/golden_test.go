@@ -11,9 +11,10 @@ import (
 	"testing"
 )
 
-// The goldens pin the simulator's output bytes: the paper text of
-// `paperfigs -exp all -scale 8`, and the trace trees of the five
-// serial-vs-parallel determinism runs in CI. Speedups and refactors must
+// The goldens pin the simulator's output bytes: the stdout of
+// `paperfigs -exp all -scale 8` and of the two opt-in steps at scale 8,
+// and the trace trees of the five serial-vs-parallel determinism runs in
+// CI. Speedups and refactors must
 // leave every digest unchanged. A change that means to move one says so
 // and records the old and new digest.
 //
@@ -22,8 +23,20 @@ import (
 //
 //	cd DIR && find . -type f -printf '%P\n' | LC_ALL=C sort | xargs sha256sum | sha256sum
 
-// paperDigest is the sha256 of `paperfigs -exp all -scale 8` stdout.
-const paperDigest = "0e9e3e398d10533fba021f1f60b87ab2a5a23ced1e8e3d27d38771e43f64e926"
+// stdoutGoldens are sha256 digests of paperfigs stdout. The opt-in steps
+// are not part of -exp all, so each has its own.
+var stdoutGoldens = []struct {
+	name string
+	args []string
+	want string
+}{
+	{"all", []string{"-exp", "all", "-scale", "8"},
+		"0e9e3e398d10533fba021f1f60b87ab2a5a23ced1e8e3d27d38771e43f64e926"},
+	{"netplace", []string{"-exp", "netplace", "-scale", "8"},
+		"bd7355fb3f4e1d746f7a8ccfe98d1d9a340dc08c3cecb9e458a65b480f1988fb"},
+	{"autoscale", []string{"-exp", "autoscale", "-scale", "8"},
+		"0781d2775680b0d7c1ba5ceddbb816546129050b9c4a940f0915203b8b64f576"},
+}
 
 var traceGoldens = []struct {
 	name string
@@ -52,9 +65,13 @@ func runPaperfigs(t *testing.T, args ...string) []byte {
 }
 
 func TestGoldenPaperText(t *testing.T) {
-	out := runPaperfigs(t, "-exp", "all", "-scale", "8")
-	if got := fmt.Sprintf("%x", sha256.Sum256(out)); got != paperDigest {
-		t.Errorf("paperfigs -exp all -scale 8 stdout sha256 = %s, want %s", got, paperDigest)
+	for _, g := range stdoutGoldens {
+		t.Run(g.name, func(t *testing.T) {
+			out := runPaperfigs(t, g.args...)
+			if got := fmt.Sprintf("%x", sha256.Sum256(out)); got != g.want {
+				t.Errorf("paperfigs %v stdout sha256 = %s, want %s", g.args, got, g.want)
+			}
+		})
 	}
 }
 
