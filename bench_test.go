@@ -21,6 +21,17 @@ func benchCfg(benches ...puma.Benchmark) experiments.Config {
 	return experiments.Config{Seed: 42, Scale: benchScale, Benchmarks: benches}
 }
 
+// cell reads a table cell's value and fails the benchmark when a name
+// matches nothing, so a misspelled name cannot report 0.
+func cell(b *testing.B, t *experiments.Table, panel, row, column string) float64 {
+	b.Helper()
+	c, ok := t.Lookup(panel, row, column)
+	if !ok {
+		b.Fatalf("%q has no cell (panel %q, row %q, column %q)", t.Title, panel, row, column)
+	}
+	return c.Value
+}
+
 func BenchmarkTableI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if out := experiments.TableI(); len(out) == 0 {
@@ -44,7 +55,7 @@ func BenchmarkFig1MapRuntimeDistributions(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		spread = r.VirtualSpread
+		spread = cell(b, r, "", "virtual", "max/min")
 	}
 	b.ReportMetric(spread, "virt-max/min")
 }
@@ -56,9 +67,9 @@ func BenchmarkFig2StaticBindingDemo(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		share = r.FastShare["flexmap"]
+		share = cell(b, r, "", "flexmap", "fast share")
 	}
-	b.ReportMetric(share*100, "flex-fast-share-%")
+	b.ReportMetric(share, "flex-fast-share-%")
 }
 
 func BenchmarkFig3TaskSizeStudy(b *testing.B) {
@@ -68,40 +79,44 @@ func BenchmarkFig3TaskSizeStudy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, pt := range r.Homogeneous {
-			if pt.SplitMB == 64 {
-				prod64 = pt.Productivity
-			}
-		}
+		prod64 = cell(b, r, "b,c", "64MB", "productivity")
 	}
 	b.ReportMetric(prod64, "prod@64MB")
 }
 
-func benchmarkFig56(b *testing.B, clusterName string, fig6 bool) {
+// benchmarkFig5 reports FlexMap's JCT gain in percent over hadoop-64m on
+// wordcount: one minus its normalized JCT.
+func benchmarkFig5(b *testing.B, clusterName string) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Fig56(benchCfg(puma.WordCount, puma.Grep, puma.HistogramRatings), clusterName)
 		if err != nil {
 			b.Fatal(err)
 		}
-		g, err := r.FlexMapGain(puma.WordCount, experiments.Baseline64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gain = g
-		if fig6 {
-			_ = r.RenderFig6()
-		} else {
-			_ = r.RenderFig5()
-		}
+		gain = (1 - cell(b, r.Fig5, clusterName, puma.WordCount.Short(), "flexmap")) * 100
+		_ = r.RenderFig5()
 	}
 	b.ReportMetric(gain, "flex-gain-%")
 }
 
-func BenchmarkFig5PhysicalJCT(b *testing.B) { benchmarkFig56(b, "physical", false) }
-func BenchmarkFig5VirtualJCT(b *testing.B)  { benchmarkFig56(b, "virtual", false) }
-func BenchmarkFig6PhysicalEff(b *testing.B) { benchmarkFig56(b, "physical", true) }
-func BenchmarkFig6VirtualEff(b *testing.B)  { benchmarkFig56(b, "virtual", true) }
+// benchmarkFig6 reports FlexMap's job efficiency on wordcount.
+func benchmarkFig6(b *testing.B, clusterName string) {
+	var eff float64
+	for i := 0; i < b.N; i++ {
+		r, err := experiments.Fig56(benchCfg(puma.WordCount, puma.Grep, puma.HistogramRatings), clusterName)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eff = cell(b, r.Fig6, clusterName, puma.WordCount.Short(), "flexmap")
+		_ = r.RenderFig6()
+	}
+	b.ReportMetric(eff, "flex-eff")
+}
+
+func BenchmarkFig5PhysicalJCT(b *testing.B) { benchmarkFig5(b, "physical") }
+func BenchmarkFig5VirtualJCT(b *testing.B)  { benchmarkFig5(b, "virtual") }
+func BenchmarkFig6PhysicalEff(b *testing.B) { benchmarkFig6(b, "physical") }
+func BenchmarkFig6VirtualEff(b *testing.B)  { benchmarkFig6(b, "virtual") }
 
 func BenchmarkOverheadHomogeneous(b *testing.B) {
 	var penalty float64
@@ -110,7 +125,7 @@ func BenchmarkOverheadHomogeneous(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		penalty = r.PenaltyPercent
+		penalty = cell(b, r, "", "", "penalty")
 	}
 	b.ReportMetric(penalty, "flex-penalty-%")
 }
@@ -122,7 +137,7 @@ func BenchmarkFig7SizingTrace(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fastPeak = float64(r.Clusters["physical"].Fast.FinalBUs)
+		fastPeak = cell(b, r, "physical", "", "fast peak BUs")
 	}
 	b.ReportMetric(fastPeak, "fast-peak-BUs")
 }
@@ -138,7 +153,12 @@ func BenchmarkFig8MultiTenantSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		norm40 = r.MeanFlexMapNorm(0.40)
+		// FlexMap's mean normalized JCT over the benchmarks.
+		sum := 0.0
+		for _, bench := range cfg.Benchmarks {
+			sum += cell(b, r, "40%", bench.Short(), "flexmap")
+		}
+		norm40 = sum / float64(len(cfg.Benchmarks))
 	}
 	b.ReportMetric(norm40, "flex-norm@40%")
 }
@@ -173,7 +193,7 @@ func BenchmarkAblation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		verticalLoss = r.LossPercent["mt20-fine"]["no-vertical"]
+		verticalLoss = cell(b, r, "mt20-fine", "flexmap[no-vertical]", "vs full")
 	}
 	b.ReportMetric(verticalLoss, "no-vertical-loss-%")
 }
@@ -186,7 +206,7 @@ func BenchmarkSkew(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		skewtuneNorm = r.Norm["skewtune-64m"]
+		skewtuneNorm = cell(b, r, "", "skewtune-64m", "norm")
 	}
 	b.ReportMetric(skewtuneNorm, "skewtune-norm")
 }

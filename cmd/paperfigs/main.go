@@ -133,11 +133,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *exp != s.Name && (*exp != "all" || s.OptIn) {
 			continue
 		}
-		out, err := s.Run()
+		t, err := s.Run()
 		if err != nil {
 			return errorf("%s: %v", s.Name, err)
 		}
-		fmt.Fprintln(stdout, out)
+		fmt.Fprintln(stdout, t.Render())
 	}
 
 	n := *workers

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"flexmap/internal/cluster"
-	"flexmap/internal/metrics"
 	"flexmap/internal/puma"
 	"flexmap/internal/runner"
 )
@@ -21,9 +19,8 @@ type ablationScenario struct {
 	reducers func(c *cluster.Cluster) int
 }
 
-// AblationResult quantifies how much each FlexMap design choice
-// contributes, under two conditions chosen to expose different
-// mechanisms:
+// Ablation quantifies how much each FlexMap design choice contributes,
+// under two conditions chosen to expose different mechanisms:
 //
 //   - "mt20-fine": 20% slow nodes, one reducer per slot. Long map phase —
 //     vertical/horizontal sizing dominate.
@@ -38,18 +35,10 @@ type ablationScenario struct {
 // in mt5-coarse) inflates every healthy node's task size by 3x — past
 // the efficiency optimum and into long-tail territory. Disabling
 // horizontal scaling is a significant *win* in that regime.
-type AblationResult struct {
-	Scenarios []string
-	// JCT[scenario][variant]; variants per AblationVariants plus
-	// "hadoop-64m".
-	JCT map[string]map[string]float64
-	// LossPercent[scenario][variant] is the JCT increase over full
-	// FlexMap when the mechanism is disabled (positive = it helps).
-	LossPercent map[string]map[string]float64
-}
-
-// Ablation runs the study.
-func Ablation(cfg Config) (*AblationResult, error) {
+//
+// Each scenario is a panel; its "vs full" column is the JCT increase over
+// full FlexMap when the mechanism is disabled (positive = it helps).
+func Ablation(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	scenarios := []ablationScenario{
 		{
@@ -73,10 +62,6 @@ func Ablation(cfg Config) (*AblationResult, error) {
 	}
 	input := largeInput(p, cfg.Scale)
 
-	out := &AblationResult{
-		JCT:         map[string]map[string]float64{},
-		LossPercent: map[string]map[string]float64{},
-	}
 	var jobs []simJob
 	for _, scen := range scenarios {
 		def := clusterDef{name: scen.name, factory: scen.factory}
@@ -98,52 +83,30 @@ func Ablation(cfg Config) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	out := &Table{
+		Title:   "Ablation — FlexMap design choices (wordcount, 40-node multi-tenant cluster)",
+		Caption: []Line{{}},
+		Notes: []Line{{}, {label("(positive 'vs full' = disabling the mechanism slows the job down.")},
+			{label(" mt20-fine exposes the sizing mechanisms; mt5-coarse shows horizontal")},
+			{label(" scaling BACKFIRING when one extreme outlier inflates every node's")},
+			{label(" relative speed — a limitation of Algorithm 1 the paper does not discuss)")}},
+	}
 	perScenario := len(AblationVariants) + 1
 	for si, scen := range scenarios {
-		out.Scenarios = append(out.Scenarios, scen.name)
-		out.JCT[scen.name] = map[string]float64{}
-		out.LossPercent[scen.name] = map[string]float64{}
+		panel := Panel{Name: scen.name, Caption: []Line{{label("[" + scen.name + "]")}},
+			Columns: []string{"variant", "JCT(s)", "vs full"}}
+		full := float64(results[si*perScenario].JCT())
 		for vi, variant := range AblationVariants {
-			out.JCT[scen.name][variant] = float64(results[si*perScenario+vi].JCT())
+			jct := float64(results[si*perScenario+vi].JCT())
+			name, loss := "flexmap (full)", label("-")
+			if variant != "" {
+				name, loss = "flexmap["+variant+"]", num("%+.1f%%", (jct-full)/full*100)
+			}
+			panel.Rows = append(panel.Rows, []Cell{label(name), num("%.1f", jct), loss})
 		}
-		out.JCT[scen.name]["hadoop-64m"] = float64(results[si*perScenario+len(AblationVariants)].JCT())
-
-		full := out.JCT[scen.name][""]
-		for _, variant := range AblationVariants[1:] {
-			out.LossPercent[scen.name][variant] = (out.JCT[scen.name][variant] - full) / full * 100
-		}
+		panel.Rows = append(panel.Rows, []Cell{label("hadoop-64m"),
+			num("%.1f", float64(results[si*perScenario+len(AblationVariants)].JCT())), label("-")})
+		out.Panels = append(out.Panels, panel)
 	}
 	return out, nil
-}
-
-// Render prints the study.
-func (r *AblationResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Ablation — FlexMap design choices (wordcount, 40-node multi-tenant cluster)\n")
-	label := func(v string) string {
-		if v == "" {
-			return "flexmap (full)"
-		}
-		return "flexmap[" + v + "]"
-	}
-	for _, scen := range r.Scenarios {
-		fmt.Fprintf(&b, "\n[%s]\n", scen)
-		var rows [][]string
-		for _, v := range AblationVariants {
-			row := []string{label(v), fmt.Sprintf("%.1f", r.JCT[scen][v])}
-			if v == "" {
-				row = append(row, "-")
-			} else {
-				row = append(row, fmt.Sprintf("%+.1f%%", r.LossPercent[scen][v]))
-			}
-			rows = append(rows, row)
-		}
-		rows = append(rows, []string{"hadoop-64m", fmt.Sprintf("%.1f", r.JCT[scen]["hadoop-64m"]), "-"})
-		b.WriteString(metrics.Table([]string{"variant", "JCT(s)", "vs full"}, rows))
-	}
-	b.WriteString("\n(positive 'vs full' = disabling the mechanism slows the job down.\n")
-	b.WriteString(" mt20-fine exposes the sizing mechanisms; mt5-coarse shows horizontal\n")
-	b.WriteString(" scaling BACKFIRING when one extreme outlier inflates every node's\n")
-	b.WriteString(" relative speed — a limitation of Algorithm 1 the paper does not discuss)\n")
-	return b.String()
 }

@@ -2,39 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"flexmap/internal/cluster"
 	"flexmap/internal/elastic"
-	"flexmap/internal/metrics"
 	"flexmap/internal/mr"
 	"flexmap/internal/runner"
 	"flexmap/internal/sim"
 )
-
-// Autoscale is an extension experiment (not part of the paper, so not
-// part of -exp all): it crosses fleet elasticity with the map engines to
-// chart cost (node-hours) against makespan. Three fleets run the same
-// job: a static base fleet, a scheduled fleet where fast spare capacity
-// joins mid-wave, and an autoscaled fleet where an occupancy-driven
-// policy rents spares only while the job can use them. The engine axis
-// is where elasticity bites: stock Hadoop's splits were sized before the
-// capacity existed, while FlexMap's late task binding sizes work for the
-// nodes that actually show up — Late Task Binding alone (the
-// no-vertical ablation) already captures most of that.
-type AutoscaleResult struct {
-	Rows []AutoscaleRow
-}
-
-// AutoscaleRow is one fleet × engine cell of the frontier.
-type AutoscaleRow struct {
-	Fleet  string // "static", "scheduled", "autoscaled"
-	Engine string
-	// JCT is the job makespan in seconds; NodeHours the machine-hours
-	// consumed — together one point of the cost/performance frontier.
-	JCT       float64
-	NodeHours float64
-}
 
 // The testbed: a modest heterogeneous base fleet plus a pool of fast
 // spares, so joining capacity is worth re-planning for.
@@ -123,9 +97,22 @@ func autoscaleEngines() []runner.Engine {
 	}
 }
 
-// Autoscale runs the fleet × engine grid on a map-heavy job and returns
-// the cost/performance frontier.
-func Autoscale(cfg Config) (*AutoscaleResult, error) {
+// Autoscale is an extension experiment (not part of the paper, so not
+// part of -exp all): it crosses fleet elasticity with the map engines to
+// chart cost (node-hours) against makespan. Three fleets run the same
+// job: a static base fleet, a scheduled fleet where fast spare capacity
+// joins mid-wave, and an autoscaled fleet where an occupancy-driven
+// policy rents spares only while the job can use them. The engine axis
+// is where elasticity bites: stock Hadoop's splits were sized before the
+// capacity existed, while FlexMap's late task binding sizes work for the
+// nodes that actually show up — Late Task Binding alone (the
+// no-vertical ablation) already captures most of that.
+//
+// It runs the fleet × engine grid on a map-heavy job and returns the
+// cost/performance frontier. A row is named "<fleet>/<engine>", fleet
+// "static", "scheduled" or "autoscaled"; its JCT (makespan in seconds)
+// and node-hours (machine-hours consumed) are one point of the frontier.
+func Autoscale(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	// Map-heavy and long enough that the scheduled joins land mid-wave at
 	// every scale the harness runs at.
@@ -142,10 +129,10 @@ func Autoscale(cfg Config) (*AutoscaleResult, error) {
 	}
 	input := 24 * runner.GB / cfg.Scale
 
+	fleets, engines := autoscaleFleets(cfg), autoscaleEngines()
 	var jobs []simJob
-	var labels []AutoscaleRow
-	for _, f := range autoscaleFleets(cfg) {
-		for _, eng := range autoscaleEngines() {
+	for _, f := range fleets {
+		for _, eng := range engines {
 			f, eng := f, eng
 			sc := runner.Scenario{
 				Name:       "autoscale-" + f.name,
@@ -154,7 +141,6 @@ func Autoscale(cfg Config) (*AutoscaleResult, error) {
 				InputSize:  input,
 				Membership: f.plan,
 			}
-			labels = append(labels, AutoscaleRow{Fleet: f.name, Engine: eng.String()})
 			jobs = append(jobs, simJob{sc.Name + "/" + eng.String(), func() (*runner.Result, error) {
 				sc := sc
 				traceInto(cfg, &sc, eng)
@@ -166,44 +152,21 @@ func Autoscale(cfg Config) (*AutoscaleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &AutoscaleResult{}
+	panel := Panel{
+		Caption: []Line{{label(fmt.Sprintf("%d-node heterogeneous base fleet + %d fast spares (joins at t=120s on the scheduled fleet)",
+			autoscaleBaseNodes, autoscaleSpares))}},
+		Columns: []string{"fleet", "engine", "JCT(s)", "node-hours"},
+		Notes: []Line{{label("(static: the baseline; scheduled: capacity arrives after stock already sized its splits,")},
+			{label(" so late binding converts more of it into makespan; autoscaled: spares are paid for only")},
+			{label(" while occupancy justifies them)")}},
+	}
 	for i, res := range results {
-		row := labels[i]
-		row.JCT = float64(res.JCT())
-		row.NodeHours = res.NodeHours
-		out.Rows = append(out.Rows, row)
+		f, eng := fleets[i/len(engines)], engines[i%len(engines)]
+		panel.Rows = append(panel.Rows, []Cell{label(f.name), label(eng.String()),
+			num("%.1f", float64(res.JCT())), num("%.2f", res.NodeHours)})
 	}
-	return out, nil
-}
-
-// Row returns the cell for a fleet × engine pair (nil if absent).
-func (r *AutoscaleResult) Row(fleet, engine string) *AutoscaleRow {
-	for i := range r.Rows {
-		if r.Rows[i].Fleet == fleet && r.Rows[i].Engine == engine {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
-// Render prints the frontier.
-func (r *AutoscaleResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Autoscale (extension) — fleet elasticity × engine, cost vs makespan frontier\n")
-	fmt.Fprintf(&b, "%d-node heterogeneous base fleet + %d fast spares (joins at t=120s on the scheduled fleet)\n",
-		autoscaleBaseNodes, autoscaleSpares)
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Fleet,
-			row.Engine,
-			fmt.Sprintf("%.1f", row.JCT),
-			fmt.Sprintf("%.2f", row.NodeHours),
-		})
-	}
-	b.WriteString(metrics.Table([]string{"fleet", "engine", "JCT(s)", "node-hours"}, rows))
-	b.WriteString("(static: the baseline; scheduled: capacity arrives after stock already sized its splits,\n" +
-		" so late binding converts more of it into makespan; autoscaled: spares are paid for only\n" +
-		" while occupancy justifies them)\n")
-	return b.String()
+	return &Table{
+		Title:  "Autoscale (extension) — fleet elasticity × engine, cost vs makespan frontier",
+		Panels: []Panel{panel},
+	}, nil
 }

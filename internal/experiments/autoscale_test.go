@@ -15,14 +15,12 @@ func TestAutoscaleGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 9 {
-		t.Fatalf("grid has %d rows, want 3 fleets × 3 engines", len(r.Rows))
+	if rows := len(panel(t, r, "").Rows); rows != 9 {
+		t.Fatalf("grid has %d rows, want 3 fleets × 3 engines", rows)
 	}
-	cell := func(fleet, engine string) *AutoscaleRow {
-		c := r.Row(fleet, engine)
-		if c == nil {
-			t.Fatalf("missing cell %s/%s", fleet, engine)
-		}
+	type row struct{ JCT, NodeHours float64 }
+	cell := func(fleet, engine string) row {
+		c := row{value(t, r, "", fleet+"/"+engine, "JCT(s)"), value(t, r, "", fleet+"/"+engine, "node-hours")}
 		if c.JCT <= 0 || c.NodeHours <= 0 {
 			t.Fatalf("degenerate cell %s/%s: %+v", fleet, engine, c)
 		}

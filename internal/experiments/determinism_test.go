@@ -40,14 +40,15 @@ func TestSerialVsParallelDeterminism(t *testing.T) {
 	for i, step := range serial {
 		t.Run(step.Name, func(t *testing.T) {
 			sims = 0
-			a, err := step.Run()
+			ta, err := step.Run()
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
-			b, err := parallel[i].Run()
+			tb, err := parallel[i].Run()
 			if err != nil {
 				t.Fatalf("parallel: %v", err)
 			}
+			a, b := ta.Render(), tb.Render()
 			if a != b {
 				t.Errorf("parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", a, b)
 			}

@@ -1,9 +1,10 @@
 // Package experiments contains one harness per table and figure of the
 // paper's evaluation (§II motivation and §IV). Each harness runs the
-// needed simulations through internal/runner and returns a result struct
-// with a Render method that prints the same rows/series the paper
-// reports. Steps orders them into the evaluation sequence that
-// cmd/paperfigs runs; EXPERIMENTS.md records paper-vs-measured values.
+// needed simulations through internal/runner and returns a Table: the
+// rows and series the paper reports as typed cells that Render prints and
+// Lookup reads by panel, row and column name. Steps orders them into the
+// evaluation sequence that cmd/paperfigs runs; EXPERIMENTS.md records
+// paper-vs-measured values.
 package experiments
 
 import (

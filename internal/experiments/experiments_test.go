@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,6 +11,55 @@ import (
 // testCfg shrinks inputs so the full suite runs in seconds.
 func testCfg(benches ...puma.Benchmark) Config {
 	return Config{Seed: 42, Scale: 32, Benchmarks: benches}
+}
+
+// value reads a cell's value through Lookup and fails the test when a
+// name matches nothing, so a misspelled name cannot read as 0.
+func value(t testing.TB, tab *Table, panel, row, column string) float64 {
+	t.Helper()
+	c, ok := tab.Lookup(panel, row, column)
+	if !ok {
+		t.Fatalf("%q has no cell (panel %q, row %q, column %q)", tab.Title, panel, row, column)
+	}
+	return c.Value
+}
+
+// panel returns the named panel of tab or fails the test.
+func panel(t testing.TB, tab *Table, name string) Panel {
+	t.Helper()
+	for _, p := range tab.Panels {
+		if p.Name == name {
+			return p
+		}
+	}
+	t.Fatalf("%q has no panel %q", tab.Title, name)
+	return Panel{}
+}
+
+func TestTableLookupUnknownName(t *testing.T) {
+	tab := &Table{Panels: []Panel{{
+		Name:    "p",
+		Caption: []Line{{label("x = "), named("x", "%.1f", 1.5)}},
+		Columns: []string{"fabric", "placement", "JCT(s)"},
+		Rows:    [][]Cell{{label("4:1"), label("biased"), num("%.1f", 2)}},
+	}}}
+	for _, q := range [][3]string{{"p", "4:1/biased", "JCT(s)"}, {"p", "", "x"}} {
+		if _, ok := tab.Lookup(q[0], q[1], q[2]); !ok {
+			t.Errorf("Lookup%q: ok = false, want true", q)
+		}
+	}
+	for _, q := range [][3]string{
+		{"q", "4:1/biased", "JCT(s)"}, // unknown panel
+		{"p", "4:1", "JCT(s)"},        // partial row name
+		{"p", "4:1/greedy", "JCT(s)"}, // unknown row
+		{"p", "4:1/biased", "jct"},    // unknown column
+		{"p", "", "y"},                // unknown caption cell
+		{"p", "", ""},                 // unnamed caption cells
+	} {
+		if c, ok := tab.Lookup(q[0], q[1], q[2]); ok {
+			t.Errorf("Lookup%q = %+v, want ok = false", q, c)
+		}
+	}
 }
 
 func TestTableIContent(t *testing.T) {
@@ -41,11 +91,12 @@ func TestFig1Spreads(t *testing.T) {
 	}
 	// Heterogeneity must show: physical spread well above 1, virtual
 	// spread larger than physical (5x stragglers vs 2x hardware).
-	if r.PhysicalSpread < 1.5 {
-		t.Errorf("physical spread = %.2f, want ≥ 1.5", r.PhysicalSpread)
+	phys, virt := value(t, r, "", "physical", "max/min"), value(t, r, "", "virtual", "max/min")
+	if phys < 1.5 {
+		t.Errorf("physical spread = %.2f, want ≥ 1.5", phys)
 	}
-	if r.VirtualSpread <= r.PhysicalSpread {
-		t.Errorf("virtual spread %.2f not above physical %.2f", r.VirtualSpread, r.PhysicalSpread)
+	if virt <= phys {
+		t.Errorf("virtual spread %.2f not above physical %.2f", virt, phys)
 	}
 	if !strings.Contains(r.Render(), "Fig. 1") {
 		t.Error("render missing title")
@@ -57,10 +108,10 @@ func TestFig2FastShareImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stock := r.FastShare["hadoop-nospec-64m"]
-	flex := r.FastShare["flexmap"]
+	stock := value(t, r, "", "hadoop-nospec-64m", "fast share")
+	flex := value(t, r, "", "flexmap", "fast share")
 	if flex <= stock {
-		t.Fatalf("FlexMap fast-node share %.2f not above stock %.2f", flex, stock)
+		t.Fatalf("FlexMap fast-node share %.0f%% not above stock %.0f%%", flex, stock)
 	}
 	if !strings.Contains(r.Render(), "fast share") {
 		t.Error("render missing share column")
@@ -73,24 +124,24 @@ func TestFig3Shapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// (a) Small tasks are more uniform: lower normalized-runtime stddev.
-	if r.Var8 >= r.Var64 {
-		t.Errorf("8MB stddev %.3f not below 64MB %.3f", r.Var8, r.Var64)
+	if v8, v64 := value(t, r, "a", "", "8MB stddev"), value(t, r, "a", "", "64MB stddev"); v8 >= v64 {
+		t.Errorf("8MB stddev %.3f not below 64MB %.3f", v8, v64)
 	}
 	// (b,c) Productivity increases with split size; 8MB JCT is the worst
 	// of the small sizes on the homogeneous cluster.
-	for i := 1; i < len(r.Homogeneous); i++ {
-		if r.Homogeneous[i].Productivity <= r.Homogeneous[i-1].Productivity {
-			t.Errorf("homogeneous productivity not increasing at %dMB", r.Homogeneous[i].SplitMB)
+	for i := 1; i < len(fig3Sizes); i++ {
+		prev := value(t, r, "b,c", fmt.Sprintf("%dMB", fig3Sizes[i-1]), "productivity")
+		if value(t, r, "b,c", fmt.Sprintf("%dMB", fig3Sizes[i]), "productivity") <= prev {
+			t.Errorf("homogeneous productivity not increasing at %dMB", fig3Sizes[i])
 		}
 	}
-	if r.Homogeneous[0].JCT <= r.Homogeneous[2].JCT {
-		t.Errorf("8MB (%.1f) should be slower than 32MB (%.1f) on homogeneous",
-			r.Homogeneous[0].JCT, r.Homogeneous[2].JCT)
+	if j8, j32 := value(t, r, "b,c", "8MB", "JCT(s)"), value(t, r, "b,c", "32MB", "JCT(s)"); j8 <= j32 {
+		t.Errorf("8MB (%.1f) should be slower than 32MB (%.1f) on homogeneous", j8, j32)
 	}
 	// (d) Heterogeneous run carries efficiency values in (0,1].
-	for _, pt := range r.Heterogen {
-		if pt.Efficiency <= 0 || pt.Efficiency > 1 {
-			t.Errorf("efficiency %v out of range at %dMB", pt.Efficiency, pt.SplitMB)
+	for _, size := range fig3Sizes {
+		if eff := value(t, r, "d", fmt.Sprintf("%dMB", size), "efficiency"); eff <= 0 || eff > 1 {
+			t.Errorf("efficiency %v out of range at %dMB", eff, size)
 		}
 	}
 	if !strings.Contains(r.Render(), "Fig. 3(a)") {
@@ -104,23 +155,24 @@ func TestFig56MatrixComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Cells) != 2*4 {
-		t.Fatalf("matrix has %d cells, want 8", len(r.Cells))
+	engines := comparedEngines()
+	if p := panel(t, r.Fig5, "physical"); len(p.Rows)*(len(p.Columns)-1) != 2*4 {
+		t.Fatalf("matrix has %d × %d cells, want 8", len(p.Rows), len(p.Columns)-1)
 	}
-	// Baseline normalizes to exactly 1.
-	for _, c := range r.Cells {
-		if c.Engine == Baseline64 && c.NormJCT != 1.0 {
-			t.Errorf("baseline norm = %v", c.NormJCT)
+	for _, bench := range cfg.Benchmarks {
+		for _, eng := range engines {
+			// Baseline normalizes to exactly 1.
+			norm := value(t, r.Fig5, "physical", bench.Short(), eng.String())
+			if eng.String() == Baseline64 && norm != 1.0 {
+				t.Errorf("baseline norm = %v", norm)
+			}
+			if norm <= 0 {
+				t.Errorf("cell %s/%s has non-positive norm", bench, eng)
+			}
+			if eff := value(t, r.Fig6, "physical", bench.Short(), eng.String()); eff <= 0 || eff > 1 {
+				t.Errorf("cell %s/%s efficiency %v out of range", bench, eng, eff)
+			}
 		}
-		if c.NormJCT <= 0 {
-			t.Errorf("cell %s/%s has non-positive norm", c.Bench, c.Engine)
-		}
-		if c.Summary.Efficiency <= 0 || c.Summary.Efficiency > 1 {
-			t.Errorf("cell %s/%s efficiency %v out of range", c.Bench, c.Engine, c.Summary.Efficiency)
-		}
-	}
-	if _, err := r.FlexMapGain(puma.WordCount, Baseline64); err != nil {
-		t.Fatal(err)
 	}
 	if !strings.Contains(r.RenderFig5(), "Fig. 5") || !strings.Contains(r.RenderFig6(), "Fig. 6") {
 		t.Error("renders missing titles")
@@ -148,10 +200,8 @@ func TestFlexMapWinsOnVirtualWordCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gain, err := r.FlexMapGain(puma.WordCount, Baseline64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// FlexMap's JCT gain over stock, in percent, from its normalized JCT.
+	gain := (1 - value(t, r.Fig5, "virtual", puma.WordCount.Short(), "flexmap")) * 100
 	// At this reduced input the sizing ramp spans most of the job, so the
 	// gain is small but must not be negative; the large-input magnitude is
 	// asserted by TestFig8SubsetTrend.
@@ -167,8 +217,8 @@ func TestOverheadSmall(t *testing.T) {
 	}
 	// On a homogeneous cluster FlexMap must stay within a modest band of
 	// stock (the paper reports ≈5% penalty; sign may vary with scale).
-	if r.PenaltyPercent > 20 || r.PenaltyPercent < -20 {
-		t.Fatalf("homogeneous penalty %.1f%% out of band", r.PenaltyPercent)
+	if penalty := value(t, r, "", "", "penalty"); penalty > 20 || penalty < -20 {
+		t.Fatalf("homogeneous penalty %.1f%% out of band", penalty)
 	}
 	if !strings.Contains(r.Render(), "overhead") {
 		t.Error("render missing title")
@@ -181,23 +231,32 @@ func TestFig7Traces(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"physical", "virtual"} {
-		entry, ok := r.Clusters[name]
-		if !ok {
-			t.Fatalf("missing %s traces", name)
+		fastSpeed, slowSpeed := value(t, r, name, "", "fast speed"), value(t, r, name, "", "slow speed")
+		if fastSpeed <= slowSpeed {
+			t.Errorf("%s: fast node %.2f not above slow %.2f", name, fastSpeed, slowSpeed)
 		}
-		if entry.Fast.Speed <= entry.Slow.Speed {
-			t.Errorf("%s: fast node %.2f not above slow %.2f", name, entry.Fast.Speed, entry.Slow.Speed)
+		fastPeak, slowPeak := value(t, r, name, "", "fast peak BUs"), value(t, r, name, "", "slow peak BUs")
+		if fastPeak < slowPeak {
+			t.Errorf("%s: fast peak %.0f BUs below slow peak %.0f", name, fastPeak, slowPeak)
 		}
-		if entry.Fast.FinalBUs < entry.Slow.FinalBUs {
-			t.Errorf("%s: fast peak %d BUs below slow peak %d", name, entry.Fast.FinalBUs, entry.Slow.FinalBUs)
-		}
-		if entry.Fast.FinalBUs < 2 {
-			t.Errorf("%s: fast node never grew (peak %d BUs)", name, entry.Fast.FinalBUs)
+		if fastPeak < 2 {
+			t.Errorf("%s: fast node never grew (peak %.0f BUs)", name, fastPeak)
 		}
 	}
 	if !strings.Contains(r.Render(), "Fig. 7") {
 		t.Error("render missing title")
 	}
+}
+
+// meanFlexMapNorm is FlexMap's mean normalized JCT over a Fig. 8 panel's
+// benchmarks: the figure's trend statistic.
+func meanFlexMapNorm(t testing.TB, r *Table, frac string) float64 {
+	t.Helper()
+	sum, rows := 0.0, panel(t, r, frac).Rows
+	for _, row := range rows {
+		sum += value(t, r, frac, rowName(row), "flexmap")
+	}
+	return sum / float64(len(rows))
 }
 
 func TestFig8SubsetTrend(t *testing.T) {
@@ -206,21 +265,18 @@ func TestFig8SubsetTrend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, frac := range r.Fractions {
-		for _, bench := range r.Benches {
-			norm := r.Norm[frac][bench]
-			if norm[Baseline64] != 1.0 {
-				t.Errorf("%.0f%%/%s baseline norm %v", frac*100, bench, norm[Baseline64])
-			}
-			if len(norm) != 4 {
-				t.Errorf("%.0f%%/%s has %d engines", frac*100, bench, len(norm))
+	for _, frac := range []string{"5%", "40%"} {
+		if n := len(panel(t, r, frac).Columns) - 1; n != 4 {
+			t.Errorf("%s has %d engines", frac, n)
+		}
+		for _, bench := range cfg.Benchmarks {
+			if norm := value(t, r, frac, bench.Short(), Baseline64); norm != 1.0 {
+				t.Errorf("%s/%s baseline norm %v", frac, bench, norm)
 			}
 		}
-	}
-	// FlexMap should not lose badly anywhere in the sweep.
-	for _, frac := range r.Fractions {
-		if m := r.MeanFlexMapNorm(frac); m > 1.15 {
-			t.Errorf("FlexMap mean norm %.2f at %.0f%% slow", m, frac*100)
+		// FlexMap should not lose badly anywhere in the sweep.
+		if m := meanFlexMapNorm(t, r, frac); m > 1.15 {
+			t.Errorf("FlexMap mean norm %.2f at %s slow", m, frac)
 		}
 	}
 	if !strings.Contains(r.Render(), "Fig. 8") {
@@ -233,22 +289,26 @@ func TestAblationStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Scenarios) != 2 {
-		t.Fatalf("scenarios = %v", r.Scenarios)
+	if len(r.Panels) != 2 {
+		t.Fatalf("scenarios = %d, want 2", len(r.Panels))
 	}
-	for _, scen := range r.Scenarios {
+	for _, scen := range []string{"mt20-fine", "mt5-coarse"} {
 		for _, v := range AblationVariants {
-			if r.JCT[scen][v] <= 0 {
+			row := "flexmap[" + v + "]"
+			if v == "" {
+				row = "flexmap (full)"
+			}
+			if value(t, r, scen, row, "JCT(s)") <= 0 {
 				t.Errorf("%s/%s: non-positive JCT", scen, v)
 			}
 		}
-		if r.JCT[scen]["hadoop-64m"] <= 0 {
+		if value(t, r, scen, "hadoop-64m", "JCT(s)") <= 0 {
 			t.Errorf("%s: missing stock baseline", scen)
 		}
 		// Vertical scaling is FlexMap's dominant mechanism: disabling it
 		// must hurt in both scenarios.
-		if r.LossPercent[scen]["no-vertical"] <= 0 {
-			t.Errorf("%s: no-vertical loss %.1f%%, want positive", scen, r.LossPercent[scen]["no-vertical"])
+		if loss := value(t, r, scen, "flexmap[no-vertical]", "vs full"); loss <= 0 {
+			t.Errorf("%s: no-vertical loss %.1f%%, want positive", scen, loss)
 		}
 	}
 	if !strings.Contains(r.Render(), "Ablation") {
@@ -261,13 +321,13 @@ func TestSkewExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Norm[Baseline64] != 1.0 {
-		t.Fatalf("baseline norm = %v", r.Norm[Baseline64])
+	if norm := value(t, r, "", Baseline64, "norm"); norm != 1.0 {
+		t.Fatalf("baseline norm = %v", norm)
 	}
 	// SkewTune is built for this: it must not lose to stock under pure
 	// data skew on a homogeneous cluster.
-	if r.Norm["skewtune-64m"] > 1.02 {
-		t.Fatalf("SkewTune norm %.2f under pure skew", r.Norm["skewtune-64m"])
+	if norm := value(t, r, "", "skewtune-64m", "norm"); norm > 1.02 {
+		t.Fatalf("SkewTune norm %.2f under pure skew", norm)
 	}
 	if !strings.Contains(r.Render(), "Skew") {
 		t.Error("render missing title")

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 
 	"flexmap/internal/faults"
 	"flexmap/internal/metrics"
@@ -30,34 +29,21 @@ func faultEngines() []runner.Engine {
 	}
 }
 
-// FaultToleranceResult holds makespan, degradation and goodput per
-// crash rate × engine.
-type FaultToleranceResult struct {
-	Bench   puma.Benchmark
-	Rates   []float64
-	Engines []string
-	// JCT[rate][engine] is the raw makespan in seconds.
-	JCT map[float64]map[string]float64
-	// Norm[rate][engine] = JCT / JCT(same engine, rate 0): each engine's
-	// degradation relative to its own fault-free run.
-	Norm map[float64]map[string]float64
-	// Goodput[rate][engine] = input bytes / (input + re-processed bytes).
-	Goodput map[float64]map[string]float64
-	// Faults[rate][engine] holds the failure/recovery counters.
-	Faults map[float64]map[string]metrics.FaultSummary
-}
-
 // FaultTolerance runs the fault-tolerance figure: wordcount (small
 // input) on the physical 12-node cluster under seeded crash injection,
-// stock Hadoop vs FlexMap across the default crash-rate grid.
-func FaultTolerance(cfg Config) (*FaultToleranceResult, error) {
+// stock Hadoop vs FlexMap across the default crash-rate grid. A row is
+// named "<rate>/<engine>". Its x(no-fault) column is the makespan over
+// the same engine's fault-free makespan, its goodput input bytes over
+// input plus re-processed bytes; a run that gave up prints "failed" and
+// "inf" over an infinite makespan and degradation.
+func FaultTolerance(cfg Config) (*Table, error) {
 	return faultTolerance(cfg, FaultRates)
 }
 
 // faultTolerance runs the figure over a crash-rate grid (tests use short
 // grids with rates matched to their scaled-down job lengths). The grid
 // must start with rate 0: it is the normalization baseline.
-func faultTolerance(cfg Config, rates []float64) (*FaultToleranceResult, error) {
+func faultTolerance(cfg Config, rates []float64) (*Table, error) {
 	if len(rates) == 0 || rates[0] != 0 {
 		return nil, fmt.Errorf("faults: rate grid must start with the 0 baseline, got %v", rates)
 	}
@@ -73,18 +59,6 @@ func faultTolerance(cfg Config, rates []float64) (*FaultToleranceResult, error) 
 	// downtime — nodes crash, rejoin, and crash again within one run.
 	input := largeInput(p, cfg.Scale)
 	engines := faultEngines()
-
-	out := &FaultToleranceResult{
-		Bench:   bench,
-		Rates:   rates,
-		JCT:     map[float64]map[string]float64{},
-		Norm:    map[float64]map[string]float64{},
-		Goodput: map[float64]map[string]float64{},
-		Faults:  map[float64]map[string]metrics.FaultSummary{},
-	}
-	for _, eng := range engines {
-		out.Engines = append(out.Engines, eng.String())
-	}
 
 	var jobs []simJob
 	for _, rate := range rates {
@@ -122,74 +96,37 @@ func faultTolerance(cfg Config, rates []float64) (*FaultToleranceResult, error) 
 		return nil, err
 	}
 
-	i := 0
-	for _, rate := range rates {
-		out.JCT[rate] = map[string]float64{}
-		out.Norm[rate] = map[string]float64{}
-		out.Goodput[rate] = map[string]float64{}
-		out.Faults[rate] = map[string]metrics.FaultSummary{}
-		for _, eng := range engines {
-			r := results[i]
-			i++
-			name := eng.String()
-			jct := float64(r.JCT())
-			if r.Failed {
-				// An infinite makespan orders failed runs after every
-				// finished one in Degradation comparisons.
-				jct = math.Inf(1)
-			}
-			out.JCT[rate][name] = jct
-			out.Goodput[rate][name] = r.Goodput(r.InputBytes)
-			out.Faults[rate][name] = metrics.SummarizeFaults(r.JobResult)
+	jcts := make([]float64, len(results))
+	for i, r := range results {
+		jcts[i] = float64(r.JCT())
+		if r.Failed {
+			// An infinite makespan orders a failed run after every
+			// finished one when degradations are compared.
+			jcts[i] = math.Inf(1)
+		}
+		if i < len(engines) && jcts[i] <= 0 {
+			return nil, fmt.Errorf("faults: zero fault-free makespan for %s", engines[i].String())
 		}
 	}
-	for _, rate := range rates {
-		for _, name := range out.Engines {
-			base := out.JCT[0][name]
-			if base <= 0 {
-				return nil, fmt.Errorf("faults: zero fault-free makespan for %s", name)
-			}
-			out.Norm[rate][name] = out.JCT[rate][name] / base
+	panel := Panel{Columns: []string{"crash/node-hr", "engine", "jct", "x(no-fault)", "goodput",
+		"lost", "rejoined", "crashed", "retries", "reproc-MB"}}
+	for i, r := range results {
+		rate, eng := rates[i/len(engines)], engines[i%len(engines)]
+		jct, norm := num("%.1fs", jcts[i]), num("%.2f", jcts[i]/jcts[i%len(engines)])
+		if math.IsInf(jcts[i], 1) {
+			jct.Text, norm.Text = "failed", "inf"
 		}
+		f := metrics.SummarizeFaults(r.JobResult)
+		panel.Rows = append(panel.Rows, []Cell{label(fmt.Sprintf("%g", rate)), label(eng.String()), jct, norm,
+			num("%.3f", r.Goodput(r.InputBytes)), num("%.0f", float64(f.NodesLost)), num("%.0f", float64(f.NodesRejoined)),
+			num("%.0f", float64(f.AttemptsCrashed)), num("%.0f", float64(f.TaskRetries)),
+			num("%.0f", float64(f.ReprocessedBytes/runner.MB))})
 	}
-	return out, nil
-}
-
-// Degradation returns an engine's makespan at a rate normalized to its
-// own fault-free makespan (the figure's headline statistic).
-func (r *FaultToleranceResult) Degradation(engine string, rate float64) float64 {
-	return r.Norm[rate][engine]
-}
-
-// Render prints the fault-tolerance table.
-func (r *FaultToleranceResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fault tolerance — makespan & goodput vs crash rate (%s large, physical 12-node cluster)\n\n", r.Bench.Short())
-	header := []string{"crash/node-hr", "engine", "jct", "x(no-fault)", "goodput",
-		"lost", "rejoined", "crashed", "retries", "reproc-MB"}
-	var rows [][]string
-	for _, rate := range r.Rates {
-		for _, name := range r.Engines {
-			f := r.Faults[rate][name]
-			jct, norm := fmt.Sprintf("%.1fs", r.JCT[rate][name]), fmt.Sprintf("%.2f", r.Norm[rate][name])
-			if math.IsInf(r.JCT[rate][name], 1) {
-				jct, norm = "failed", "inf"
-			}
-			rows = append(rows, []string{
-				fmt.Sprintf("%g", rate),
-				name,
-				jct,
-				norm,
-				fmt.Sprintf("%.3f", r.Goodput[rate][name]),
-				fmt.Sprintf("%d", f.NodesLost),
-				fmt.Sprintf("%d", f.NodesRejoined),
-				fmt.Sprintf("%d", f.AttemptsCrashed),
-				fmt.Sprintf("%d", f.TaskRetries),
-				fmt.Sprintf("%d", f.ReprocessedBytes/runner.MB),
-			})
-		}
-	}
-	b.WriteString(metrics.Table(header, rows))
-	b.WriteString("\n(stock re-runs whole fixed splits after a crash; FlexMap returns only unprocessed BUs\n to the binding maps and rescues the processed prefix, so it degrades less at every rate)\n")
-	return b.String()
+	return &Table{
+		Title:   fmt.Sprintf("Fault tolerance — makespan & goodput vs crash rate (%s large, physical 12-node cluster)", bench.Short()),
+		Caption: []Line{{}},
+		Panels:  []Panel{panel},
+		Notes: []Line{{}, {label("(stock re-runs whole fixed splits after a crash; FlexMap returns only unprocessed BUs")},
+			{label(" to the binding maps and rescues the processed prefix, so it degrades less at every rate)")}},
+	}, nil
 }

@@ -2,32 +2,18 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"flexmap/internal/metrics"
 	"flexmap/internal/puma"
 	"flexmap/internal/runner"
 )
 
-// Fig1Result holds the map-runtime distributions of wordcount under
-// stock Hadoop (64 MB splits) on the physical and virtual clusters —
-// the paper's Fig. 1 evidence that heterogeneity imbalances map tasks.
-type Fig1Result struct {
-	Physical metrics.Stats
-	Virtual  metrics.Stats
-	// Spread is max/min map runtime per cluster; the tail-robust
-	// P90/P10 ratio is the paper-comparable figure (paper: ≈2× physical,
-	// ≈5× virtual).
-	PhysicalSpread   float64
-	VirtualSpread    float64
-	PhysicalSpread90 float64
-	VirtualSpread90  float64
-	physHist         *metrics.Histogram
-	virtHist         *metrics.Histogram
-}
-
-// Fig1 runs the experiment.
-func Fig1(cfg Config) (*Fig1Result, error) {
+// Fig1 runs wordcount under stock Hadoop (64 MB splits) on the physical
+// and virtual clusters and tabulates the map-runtime distributions: the
+// paper's Fig. 1 evidence that heterogeneity imbalances map tasks. Besides
+// max/min, the tail-robust p90/p10 ratio is the paper-comparable spread
+// (paper: ≈2× physical, ≈5× virtual).
+func Fig1(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	p, err := puma.GetProfile(puma.WordCount)
 	if err != nil {
@@ -47,47 +33,27 @@ func Fig1(cfg Config) (*Fig1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	physRes, virtRes := res[0], res[1]
 
-	out := &Fig1Result{}
-	phys := metrics.MapRuntimes(physRes.JobResult)
-	virt := metrics.MapRuntimes(virtRes.JobResult)
-	out.Physical = metrics.Describe(phys)
-	out.Virtual = metrics.Describe(virt)
-	if out.Physical.Min > 0 {
-		out.PhysicalSpread = out.Physical.Max / out.Physical.Min
+	panel := Panel{Columns: []string{"cluster", "min(s)", "p50(s)", "max(s)", "max/min", "p90/p10"}}
+	var notes []Line
+	for i, name := range []string{"physical", "virtual"} {
+		runtimes := metrics.MapRuntimes(res[i].JobResult)
+		st := metrics.Describe(runtimes)
+		spread, spread90 := 0.0, 0.0
+		if st.Min > 0 {
+			spread = st.Max / st.Min
+		}
+		if st.P10 > 0 {
+			spread90 = st.P90 / st.P10
+		}
+		panel.Rows = append(panel.Rows, []Cell{label(name), num("%.1f", st.Min), num("%.1f", st.P50),
+			num("%.1f", st.Max), num("%.1fx", spread), num("%.1fx", spread90)})
+		hist := metrics.NewHistogram(runtimes, 0, st.Max, 20)
+		notes = append(notes, Line{label(fmt.Sprintf("%-8s runtime histogram: %s", name, metrics.Sparkline(hist.PDF())))})
 	}
-	if out.Virtual.Min > 0 {
-		out.VirtualSpread = out.Virtual.Max / out.Virtual.Min
-	}
-	if out.Physical.P10 > 0 {
-		out.PhysicalSpread90 = out.Physical.P90 / out.Physical.P10
-	}
-	if out.Virtual.P10 > 0 {
-		out.VirtualSpread90 = out.Virtual.P90 / out.Virtual.P10
-	}
-	out.physHist = metrics.NewHistogram(phys, 0, out.Physical.Max, 20)
-	out.virtHist = metrics.NewHistogram(virt, 0, out.Virtual.Max, 20)
-	return out, nil
+	panel.Notes = append(notes, Line{label("(paper: slowest physical map ≈2x the fastest; ≈20% of virtual maps up to 5x slower)")})
+	return &Table{
+		Title:  "Fig. 1 — wordcount map runtimes in heterogeneous clusters (hadoop-64m)",
+		Panels: []Panel{panel},
+	}, nil
 }
-
-// Render prints the paper-style summary.
-func (r *Fig1Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Fig. 1 — wordcount map runtimes in heterogeneous clusters (hadoop-64m)\n")
-	rows := [][]string{
-		{"physical", f1(r.Physical.Min), f1(r.Physical.P50), f1(r.Physical.Max),
-			fmt.Sprintf("%.1fx", r.PhysicalSpread), fmt.Sprintf("%.1fx", r.PhysicalSpread90)},
-		{"virtual", f1(r.Virtual.Min), f1(r.Virtual.P50), f1(r.Virtual.Max),
-			fmt.Sprintf("%.1fx", r.VirtualSpread), fmt.Sprintf("%.1fx", r.VirtualSpread90)},
-	}
-	b.WriteString(metrics.Table([]string{"cluster", "min(s)", "p50(s)", "max(s)", "max/min", "p90/p10"}, rows))
-	fmt.Fprintf(&b, "physical runtime histogram: %s\n", metrics.Sparkline(toF(r.physHist.PDF())))
-	fmt.Fprintf(&b, "virtual  runtime histogram: %s\n", metrics.Sparkline(toF(r.virtHist.PDF())))
-	b.WriteString("(paper: slowest physical map ≈2x the fastest; ≈20% of virtual maps up to 5x slower)\n")
-	return b.String()
-}
-
-func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
-
-func toF(xs []float64) []float64 { return xs }

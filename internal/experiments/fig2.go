@@ -1,39 +1,22 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"flexmap/internal/cluster"
-	"flexmap/internal/metrics"
 	"flexmap/internal/puma"
 	"flexmap/internal/runner"
 )
 
-// Fig2Result demonstrates the paper's motivating example (Fig. 2): on a
-// 3-node cluster with 1:1:3 capacities and full replication, stock
-// Hadoop's uniform, statically-bound tasks cannot give the fast node a
-// capacity-proportional share of the data, while FlexMap can.
-type Fig2Result struct {
-	// BytesPerNode[engine][node] is input bytes mapped per node.
-	BytesPerNode map[string][3]int64
-	// FastShare[engine] is the fast node's fraction of mapped bytes
-	// (ideal = 3/5 = 0.6 for a 1:1:3 capacity split).
-	FastShare map[string]float64
-	JCT       map[string]float64
-}
-
-// Fig2 runs the demonstration.
-func Fig2(cfg Config) (*Fig2Result, error) {
+// Fig2 demonstrates the paper's motivating example (Fig. 2): on a 3-node
+// cluster with 1:1:3 capacities and full replication, stock Hadoop's
+// uniform, statically-bound tasks cannot give the fast node a
+// capacity-proportional share of the data (ideal 3/5), while FlexMap
+// can. Each row is an engine's input mapped per node, the fast node's
+// share of it and the JCT.
+func Fig2(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	def := clusterDef{"motivating", func() (*cluster.Cluster, cluster.Interferer) {
 		return cluster.Motivating3(), nil
 	}}
-	out := &Fig2Result{
-		BytesPerNode: map[string][3]int64{},
-		FastShare:    map[string]float64{},
-		JCT:          map[string]float64{},
-	}
 	// A few waves of 64 MB tasks on 3 single-slot nodes exposes the
 	// static-binding limit directly while giving FlexMap room to grow.
 	input := 24 * 64 * runner.MB
@@ -52,6 +35,7 @@ func Fig2(cfg Config) (*Fig2Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	panel := Panel{Columns: []string{"engine", "slow-0", "slow-1", "fast", "fast share", "JCT"}}
 	for i, res := range results {
 		var per [3]int64
 		var total int64
@@ -59,34 +43,17 @@ func Fig2(cfg Config) (*Fig2Result, error) {
 			per[a.Node] += a.Bytes
 			total += a.Bytes
 		}
-		name := engines[i].String()
-		out.BytesPerNode[name] = per
+		share := 0.0
 		if total > 0 {
-			out.FastShare[name] = float64(per[2]) / float64(total)
+			share = float64(per[2]) / float64(total)
 		}
-		out.JCT[name] = float64(res.JCT())
+		panel.Rows = append(panel.Rows, []Cell{label(engines[i].String()),
+			num("%.0fMB", float64(per[0]/runner.MB)), num("%.0fMB", float64(per[1]/runner.MB)),
+			num("%.0fMB", float64(per[2]/runner.MB)), num("%.0f%%", share*100), num("%.1fs", float64(res.JCT()))})
 	}
-	return out, nil
-}
-
-// Render prints the demonstration.
-func (r *Fig2Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Fig. 2 — static binding vs elastic tasks on a 1:1:3 capacity cluster\n")
-	var rows [][]string
-	for _, name := range []string{"hadoop-nospec-64m", "flexmap"} {
-		per := r.BytesPerNode[name]
-		rows = append(rows, []string{
-			name,
-			fmt.Sprintf("%dMB", per[0]/runner.MB),
-			fmt.Sprintf("%dMB", per[1]/runner.MB),
-			fmt.Sprintf("%dMB", per[2]/runner.MB),
-			fmt.Sprintf("%.0f%%", r.FastShare[name]*100),
-			fmt.Sprintf("%.1fs", r.JCT[name]),
-		})
-	}
-	b.WriteString(metrics.Table(
-		[]string{"engine", "slow-0", "slow-1", "fast", "fast share", "JCT"}, rows))
-	b.WriteString("(ideal fast-node share = 60%; the paper's Fig. 2 shows stock stuck at ~50%)\n")
-	return b.String()
+	panel.Notes = []Line{{label("(ideal fast-node share = 60%; the paper's Fig. 2 shows stock stuck at ~50%)")}}
+	return &Table{
+		Title:  "Fig. 2 — static binding vs elastic tasks on a 1:1:3 capacity cluster",
+		Panels: []Panel{panel},
+	}, nil
 }

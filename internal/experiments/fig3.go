@@ -10,40 +10,21 @@ import (
 	"flexmap/internal/runner"
 )
 
-// Fig3SizePoint is one task-size sample of Fig. 3(b-d).
-type Fig3SizePoint struct {
-	SplitMB      int
-	JCT          float64
-	Productivity float64 // mean Eq. 1 over map attempts
-	Efficiency   float64 // Eq. 2
-}
-
-// Fig3Result reproduces the task-size implications study:
-// (a) PDF of normalized map runtimes at 8 MB vs 64 MB on the virtual
-// cluster; (b,c) JCT and productivity vs split size on a homogeneous
-// 6-node cluster; (d) JCT and efficiency vs split size on the
-// heterogeneous 6-node cluster.
-type Fig3Result struct {
-	// PDF8 and PDF64 are 10-bin PDFs of normalized runtime (Fig. 3a).
-	PDF8, PDF64 []float64
-	// Var8 and Var64 are runtime standard deviations (normalized).
-	Var8, Var64 float64
-	Homogeneous []Fig3SizePoint // Fig. 3(b,c)
-	Heterogen   []Fig3SizePoint // Fig. 3(d)
-}
-
 // fig3Sizes are the split sizes swept (in MB).
 var fig3Sizes = []int{8, 16, 32, 64, 128, 256}
 
-// Fig3 runs all three sub-experiments.
-func Fig3(cfg Config) (*Fig3Result, error) {
+// Fig3 runs the task-size implications study: (a) the PDF of normalized
+// map runtimes at 8 MB vs 64 MB on the virtual cluster, with their
+// standard deviations; (b,c) JCT and productivity (mean Eq. 1 over map
+// attempts) vs split size on a homogeneous 6-node cluster; (d) JCT and
+// efficiency (Eq. 2) vs split size on the heterogeneous 6-node cluster.
+func Fig3(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	p, err := puma.GetProfile(puma.WordCount)
 	if err != nil {
 		return nil, err
 	}
 	input := smallInput(p, cfg.Scale)
-	out := &Fig3Result{}
 
 	// The full grid: (a)'s two virtual-cluster runs, then (b,c)/(d)'s
 	// split-size sweep over the homogeneous and heterogeneous clusters.
@@ -77,63 +58,33 @@ func Fig3(cfg Config) (*Fig3Result, error) {
 	}
 
 	// (a) PDFs on the virtual cluster.
-	for i, sizeMB := range []int{8, 64} {
+	a := Panel{Name: "a"}
+	for i, size := range []string{"8MB ", "64MB"} {
 		normed := metrics.Normalize(metrics.MapRuntimes(results[i].JobResult))
 		hist := metrics.NewHistogram(normed, 0, 1, 10)
-		stats := metrics.Describe(normed)
-		if sizeMB == 8 {
-			out.PDF8 = hist.PDF()
-			out.Var8 = stats.StdDev
-		} else {
-			out.PDF64 = hist.PDF()
-			out.Var64 = stats.StdDev
-		}
+		a.Caption = append(a.Caption, Line{label("  " + size + " (stddev "),
+			named(strings.TrimSpace(size)+" stddev", "%.3f", metrics.Describe(normed).StdDev),
+			label("): " + metrics.Sparkline(hist.PDF()))})
 	}
+	a.Caption = append(a.Caption, Line{label("(paper: 8MB runtimes cluster tightly; 64MB shows heavy tails)")})
 
 	// (b,c) homogeneous sweep; (d) heterogeneous sweep.
-	dests := []*[]Fig3SizePoint{&out.Homogeneous, &out.Heterogen}
+	sweeps := []Panel{
+		{Name: "b,c", Caption: []Line{{label("Fig. 3(b,c) — task size vs JCT and productivity, homogeneous 6-node")}},
+			Columns: []string{"split", "JCT(s)", "productivity"}},
+		{Name: "d", Caption: []Line{{label("Fig. 3(d) — task size vs JCT and efficiency, heterogeneous 6-node")}},
+			Columns: []string{"split", "JCT(s)", "productivity", "efficiency"}},
+	}
 	for i, res := range results[2:] {
 		sum := metrics.Summarize(res.JobResult)
-		*dests[i%len(sweepDefs)] = append(*dests[i%len(sweepDefs)], Fig3SizePoint{
-			SplitMB:      fig3Sizes[i/len(sweepDefs)],
-			JCT:          sum.JCT,
-			Productivity: sum.MeanProductivity,
-			Efficiency:   sum.Efficiency,
-		})
+		sw := &sweeps[i%len(sweepDefs)]
+		row := []Cell{label(fmt.Sprintf("%dMB", fig3Sizes[i/len(sweepDefs)])),
+			num("%.1f", sum.JCT), num("%.2f", sum.MeanProductivity), num("%.2f", sum.Efficiency)}
+		sw.Rows = append(sw.Rows, row[:len(sw.Columns)])
 	}
-	return out, nil
-}
-
-// Render prints the three panels.
-func (r *Fig3Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Fig. 3(a) — PDF of normalized map runtime, virtual cluster\n")
-	fmt.Fprintf(&b, "  8MB  (stddev %.3f): %s\n", r.Var8, metrics.Sparkline(r.PDF8))
-	fmt.Fprintf(&b, "  64MB (stddev %.3f): %s\n", r.Var64, metrics.Sparkline(r.PDF64))
-	b.WriteString("(paper: 8MB runtimes cluster tightly; 64MB shows heavy tails)\n\n")
-
-	render := func(title string, pts []Fig3SizePoint, withEff bool) {
-		b.WriteString(title + "\n")
-		var rows [][]string
-		for _, pt := range pts {
-			row := []string{
-				fmt.Sprintf("%dMB", pt.SplitMB),
-				fmt.Sprintf("%.1f", pt.JCT),
-				fmt.Sprintf("%.2f", pt.Productivity),
-			}
-			if withEff {
-				row = append(row, fmt.Sprintf("%.2f", pt.Efficiency))
-			}
-			rows = append(rows, row)
-		}
-		header := []string{"split", "JCT(s)", "productivity"}
-		if withEff {
-			header = append(header, "efficiency")
-		}
-		b.WriteString(metrics.Table(header, rows))
-		b.WriteByte('\n')
-	}
-	render("Fig. 3(b,c) — task size vs JCT and productivity, homogeneous 6-node", r.Homogeneous, false)
-	render("Fig. 3(d) — task size vs JCT and efficiency, heterogeneous 6-node", r.Heterogen, true)
-	return b.String()
+	return &Table{
+		Title:  "Fig. 3(a) — PDF of normalized map runtime, virtual cluster",
+		Panels: append([]Panel{a}, sweeps...),
+		Notes:  []Line{{}},
+	}, nil
 }

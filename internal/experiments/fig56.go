@@ -2,30 +2,26 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"flexmap/internal/metrics"
 	"flexmap/internal/puma"
 	"flexmap/internal/runner"
 )
 
-// Cell is one benchmark × engine measurement of the Fig. 5/6 matrix.
-type Cell struct {
-	Bench   puma.Benchmark
-	Engine  string
-	Summary metrics.Summary
-	// NormJCT is JCT normalized to hadoop-64m on the same benchmark and
-	// cluster (the y-axis of Fig. 5).
-	NormJCT float64
+// Fig56Result is the evaluation matrix of one cluster, every PUMA
+// benchmark under every compared engine, as the two figures that read
+// it: Fig. 5's JCT normalized to hadoop-64m and Fig. 6's job efficiency.
+// The benchmark module's paper sequence prints each cluster through
+// RenderFig5 and RenderFig6.
+type Fig56Result struct {
+	Fig5, Fig6 *Table
 }
 
-// Fig56Result holds the full evaluation matrix for one cluster: every
-// PUMA benchmark under every compared engine. Fig. 5 reads the
-// normalized JCT; Fig. 6 reads the efficiency.
-type Fig56Result struct {
-	Cluster string
-	Cells   []Cell
-}
+// RenderFig5 prints the normalized-JCT table.
+func (r *Fig56Result) RenderFig5() string { return r.Fig5.Render() }
+
+// RenderFig6 prints the efficiency table.
+func (r *Fig56Result) RenderFig6() string { return r.Fig6.Render() }
 
 // Fig56 runs the matrix on the named testbed ("physical" or "virtual"),
 // the two environments of Fig. 5/6.
@@ -41,7 +37,6 @@ func Fig56(cfg Config, clusterName string) (*Fig56Result, error) {
 		return nil, fmt.Errorf("experiments: unknown Fig.5 cluster %q (want physical or virtual)", clusterName)
 	}
 
-	out := &Fig56Result{Cluster: clusterName}
 	engines := comparedEngines()
 	var jobs []simJob
 	for _, bench := range cfg.Benchmarks {
@@ -61,104 +56,34 @@ func Fig56(cfg Config, clusterName string) (*Fig56Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	columns := []string{"benchmark"}
+	for _, eng := range engines {
+		columns = append(columns, eng.String())
+	}
+	fig5 := Panel{Name: clusterName, Columns: columns, Caption: []Line{{label(fmt.Sprintf(
+		"Fig. 5 — normalized JCT, %s cluster (baseline %s = 1.00)", clusterName, Baseline64))}}}
+	// The Fig. 6 header keeps "(baseline hadoop-64m = 1.00)" over raw
+	// efficiencies although nothing there is normalized: dropping it
+	// moves paperfigs bytes, so it waits for the one golden reset that
+	// also brings the Hadoop-fidelity changes.
+	fig6 := Panel{Name: clusterName, Columns: columns, Caption: []Line{{label(fmt.Sprintf(
+		"Fig. 6 — job efficiency, %s cluster (baseline %s = 1.00)", clusterName, Baseline64))}}}
 	for bi, bench := range cfg.Benchmarks {
-		var sums []metrics.Summary
-		var cells []Cell
+		sums := make([]metrics.Summary, len(engines))
 		for ei := range engines {
-			sum := metrics.Summarize(results[bi*len(engines)+ei].JobResult)
-			sums = append(sums, sum)
-			cells = append(cells, Cell{Bench: bench, Engine: sum.Engine, Summary: sum})
+			sums[ei] = metrics.Summarize(results[bi*len(engines)+ei].JobResult)
 		}
 		norm, err := metrics.NormalizeTo(Baseline64, sums)
 		if err != nil {
 			return nil, err
 		}
-		for i := range cells {
-			cells[i].NormJCT = norm[cells[i].Engine]
+		row5, row6 := []Cell{label(bench.Short())}, []Cell{label(bench.Short())}
+		for _, sum := range sums {
+			row5 = append(row5, num("%.2f", norm[sum.Engine]))
+			row6 = append(row6, num("%.2f", sum.Efficiency))
 		}
-		out.Cells = append(out.Cells, cells...)
+		fig5.Rows = append(fig5.Rows, row5)
+		fig6.Rows = append(fig6.Rows, row6)
 	}
-	return out, nil
-}
-
-// engineOrder lists the engines in legend order for rendering.
-func (r *Fig56Result) engineOrder() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, c := range r.Cells {
-		if !seen[c.Engine] {
-			seen[c.Engine] = true
-			out = append(out, c.Engine)
-		}
-	}
-	return out
-}
-
-// cell returns the cell for (bench, engine).
-func (r *Fig56Result) cell(b puma.Benchmark, engine string) (Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Bench == b && c.Engine == engine {
-			return c, true
-		}
-	}
-	return Cell{}, false
-}
-
-// benches lists benchmarks in matrix order.
-func (r *Fig56Result) benches() []puma.Benchmark {
-	seen := map[puma.Benchmark]bool{}
-	var out []puma.Benchmark
-	for _, c := range r.Cells {
-		if !seen[c.Bench] {
-			seen[c.Bench] = true
-			out = append(out, c.Bench)
-		}
-	}
-	return out
-}
-
-// RenderFig5 prints normalized JCT per benchmark × engine.
-func (r *Fig56Result) RenderFig5() string {
-	return r.render("Fig. 5 — normalized JCT", func(c Cell) string {
-		return fmt.Sprintf("%.2f", c.NormJCT)
-	})
-}
-
-// RenderFig6 prints job efficiency per benchmark × engine.
-func (r *Fig56Result) RenderFig6() string {
-	return r.render("Fig. 6 — job efficiency", func(c Cell) string {
-		return fmt.Sprintf("%.2f", c.Summary.Efficiency)
-	})
-}
-
-func (r *Fig56Result) render(title string, value func(Cell) string) string {
-	engines := r.engineOrder()
-	header := append([]string{"benchmark"}, engines...)
-	var rows [][]string
-	for _, bench := range r.benches() {
-		row := []string{bench.Short()}
-		for _, engine := range engines {
-			if c, ok := r.cell(bench, engine); ok {
-				row = append(row, value(c))
-			} else {
-				row = append(row, "-")
-			}
-		}
-		rows = append(rows, row)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s, %s cluster (baseline %s = 1.00)\n", title, r.Cluster, Baseline64)
-	b.WriteString(metrics.Table(header, rows))
-	return b.String()
-}
-
-// FlexMapGain returns FlexMap's JCT improvement in percent over the
-// given engine for one benchmark (positive = FlexMap faster).
-func (r *Fig56Result) FlexMapGain(b puma.Benchmark, over string) (float64, error) {
-	fm, ok1 := r.cell(b, "flexmap")
-	other, ok2 := r.cell(b, over)
-	if !ok1 || !ok2 {
-		return 0, fmt.Errorf("experiments: missing cells for %s", b)
-	}
-	return metrics.SpeedupPercent(fm.Summary.JCT, other.Summary.JCT), nil
+	return &Fig56Result{Fig5: &Table{Panels: []Panel{fig5}}, Fig6: &Table{Panels: []Panel{fig6}}}, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"flexmap/internal/cluster"
 	"flexmap/internal/metrics"
@@ -10,39 +9,17 @@ import (
 	"flexmap/internal/runner"
 )
 
-// Fig7Trace is the task-size and productivity trajectory of one node
-// (the fastest or slowest) across map-phase progress.
-type Fig7Trace struct {
-	Node    cluster.NodeID
-	Speed   float64
-	Buckets []metrics.TraceBucket
-	// FinalBUs is the last dispatched task size before the endgame.
-	FinalBUs int
-}
-
-// Fig7Result reproduces Fig. 7: how FlexMap grows task sizes and
-// productivity on the fastest vs slowest node while running
-// histogram-ratings on the physical and virtual clusters.
-type Fig7Result struct {
-	Clusters map[string]struct {
-		Fast Fig7Trace
-		Slow Fig7Trace
-	}
-}
-
-// Fig7 runs histogram-ratings under FlexMap on both clusters and
-// extracts the per-node traces.
-func Fig7(cfg Config) (*Fig7Result, error) {
+// Fig7 reproduces Fig. 7: it runs histogram-ratings under FlexMap on the
+// physical and virtual clusters and tabulates how FlexMap grows task
+// sizes and productivity on the fastest vs slowest node across map-phase
+// progress, one panel per cluster.
+func Fig7(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	p, err := puma.GetProfile(puma.HistogramRatings)
 	if err != nil {
 		return nil, err
 	}
 	input := smallInput(p, cfg.Scale)
-	out := &Fig7Result{Clusters: map[string]struct {
-		Fast Fig7Trace
-		Slow Fig7Trace
-	}{}}
 
 	defs := []clusterDef{physicalDef(), virtualDef(cfg.Seed)}
 	jobs := make([]simJob, len(defs))
@@ -56,19 +33,46 @@ func Fig7(cfg Config) (*Fig7Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	out := &Table{
+		Title:   "Fig. 7 — FlexMap task size and productivity vs map-phase progress (histogram-ratings)",
+		Caption: []Line{{}},
+		Notes:   []Line{{}, {label("(paper: physical peaked at 32 BUs fast / 8 BUs slow; virtual at 64 / 2)")}},
+	}
 	for i, def := range defs {
 		res := results[i]
 		fast, slow := extremeNodes(res.Cluster)
-		entry := struct {
-			Fast Fig7Trace
-			Slow Fig7Trace
-		}{
-			Fast: traceFor(res, fast),
-			Slow: traceFor(res, slow),
+		fastBuckets, fastPeak := traceFor(res, fast)
+		slowBuckets, slowPeak := traceFor(res, slow)
+		panel := Panel{
+			Name: def.name,
+			Caption: []Line{{label("[" + def.name + " cluster] fast node "), named("fast node", "%.0f", float64(fast)),
+				label(" (speed "), named("fast speed", "%.1fx", res.Cluster.Node(fast).Speed()),
+				label("), slow node "), named("slow node", "%.0f", float64(slow)),
+				label(" (speed "), named("slow speed", "%.1fx", res.Cluster.Node(slow).Speed()), label(")")}},
+			Columns: []string{"progress", "fast BUs", "fast prod", "slow BUs", "slow prod"},
+			Notes: []Line{{label("peak task size: fast "), named("fast peak BUs", "%.0f", float64(fastPeak)),
+				label(" BUs ("), named("fast peak MB", "%.0f", float64(fastPeak*8)),
+				label(" MB), slow "), named("slow peak BUs", "%.0f", float64(slowPeak)),
+				label(" BUs ("), named("slow peak MB", "%.0f", float64(slowPeak*8)), label(" MB)")}},
 		}
-		out.Clusters[def.name] = entry
+		for j, fb := range fastBuckets {
+			sb := slowBuckets[j]
+			panel.Rows = append(panel.Rows, []Cell{label(fmt.Sprintf("%.0f%%", fb.Progress*100)),
+				bucketCell(fb.Count, fb.MeanBUs, "%.1f"), bucketCell(fb.Count, fb.MeanProd, "%.2f"),
+				bucketCell(sb.Count, sb.MeanBUs, "%.1f"), bucketCell(sb.Count, sb.MeanProd, "%.2f")})
+		}
+		out.Panels = append(out.Panels, panel)
 	}
 	return out, nil
+}
+
+// bucketCell prints "-" over a progress bucket with no attempts.
+func bucketCell(count int, v float64, format string) Cell {
+	c := num(format, v)
+	if count == 0 {
+		c.Text = "-"
+	}
+	return c
 }
 
 // extremeNodes identifies the fastest and slowest worker by final
@@ -87,16 +91,15 @@ func extremeNodes(c *cluster.Cluster) (fast, slow cluster.NodeID) {
 	return fast, slow
 }
 
-// traceFor builds a node's size/productivity trajectory over map-phase
-// progress from the run's size trace and attempt records.
-func traceFor(res *runner.Result, node cluster.NodeID) Fig7Trace {
-	t := Fig7Trace{Node: node, Speed: res.Cluster.Node(node).Speed()}
+// traceFor buckets a node's task sizes and productivity over map-phase
+// progress from the run's attempt records, and returns the largest task
+// it ran.
+func traceFor(res *runner.Result, node cluster.NodeID) (buckets []metrics.TraceBucket, peakBUs int) {
 	phase := float64(res.MapPhaseRuntime())
 	if phase <= 0 {
-		return t
+		return nil, 0
 	}
 	var progress, bus, prod []float64
-	maxBUs := 0
 	for _, a := range res.MapAttempts() {
 		if a.Node != node {
 			continue
@@ -104,49 +107,7 @@ func traceFor(res *runner.Result, node cluster.NodeID) Fig7Trace {
 		progress = append(progress, (float64(a.Start)-float64(res.MapPhaseStart))/phase)
 		bus = append(bus, float64(a.BUs))
 		prod = append(prod, a.Productivity())
-		if a.BUs > maxBUs {
-			maxBUs = a.BUs
-		}
+		peakBUs = max(peakBUs, a.BUs)
 	}
-	t.Buckets = metrics.BucketTrace(progress, bus, prod, 10)
-	t.FinalBUs = maxBUs
-	return t
-}
-
-// Render prints the four panels of Fig. 7.
-func (r *Fig7Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Fig. 7 — FlexMap task size and productivity vs map-phase progress (histogram-ratings)\n")
-	for _, name := range []string{"physical", "virtual"} {
-		entry, ok := r.Clusters[name]
-		if !ok {
-			continue
-		}
-		fmt.Fprintf(&b, "\n[%s cluster] fast node %d (speed %.1fx), slow node %d (speed %.1fx)\n",
-			name, entry.Fast.Node, entry.Fast.Speed, entry.Slow.Node, entry.Slow.Speed)
-		var rows [][]string
-		for i := range entry.Fast.Buckets {
-			fb, sb := entry.Fast.Buckets[i], entry.Slow.Buckets[i]
-			rows = append(rows, []string{
-				fmt.Sprintf("%.0f%%", fb.Progress*100),
-				cellOrDash(fb.Count, fb.MeanBUs, "%.1f"),
-				cellOrDash(fb.Count, fb.MeanProd, "%.2f"),
-				cellOrDash(sb.Count, sb.MeanBUs, "%.1f"),
-				cellOrDash(sb.Count, sb.MeanProd, "%.2f"),
-			})
-		}
-		b.WriteString(metrics.Table(
-			[]string{"progress", "fast BUs", "fast prod", "slow BUs", "slow prod"}, rows))
-		fmt.Fprintf(&b, "peak task size: fast %d BUs (%d MB), slow %d BUs (%d MB)\n",
-			entry.Fast.FinalBUs, entry.Fast.FinalBUs*8, entry.Slow.FinalBUs, entry.Slow.FinalBUs*8)
-	}
-	b.WriteString("\n(paper: physical peaked at 32 BUs fast / 8 BUs slow; virtual at 64 / 2)\n")
-	return b.String()
-}
-
-func cellOrDash(count int, v float64, format string) string {
-	if count == 0 {
-		return "-"
-	}
-	return fmt.Sprintf(format, v)
+	return metrics.BucketTrace(progress, bus, prod, 10), peakBUs
 }

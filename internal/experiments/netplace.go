@@ -2,36 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"flexmap/internal/cluster"
-	"flexmap/internal/metrics"
 	"flexmap/internal/mr"
 	"flexmap/internal/runner"
 )
-
-// NetPlace is an extension experiment (not part of the paper, so not part
-// of -exp all): it crosses the network fabric's oversubscription ratio
-// with FlexMap's reduce placement policy. The paper's placement biases
-// reducers toward fast nodes — the right call on an uncontended network.
-// On a rack-structured cluster whose fast machines are concentrated in a
-// few racks, that bias funnels nearly the whole shuffle through those
-// racks' downlinks; a greedy traffic-aware placer spreads the load. The
-// grid shows where each policy wins as the core gets scarcer.
-type NetPlaceResult struct {
-	Rows []NetPlaceRow
-}
-
-// NetPlaceRow is one fabric × placement cell.
-type NetPlaceRow struct {
-	Fabric    string // "flat", "1:1", "4:1", "8:1"
-	Placement string // "biased" (paper default) or "greedy"
-	JCT       float64
-	// ShuffleSpan is the post-map tail (reduce shuffle + compute): the
-	// window where placement-induced network contention shows up.
-	ShuffleSpan float64
-	CrossRackGB float64
-}
 
 // netPlaceRacks×netPlaceHosts is the testbed: generations concentrated
 // rack-by-rack (the worst case for compute-biased placement), fastest
@@ -62,9 +37,22 @@ func netPlaceCluster(oversub float64) runner.ClusterFactory {
 	}
 }
 
-// NetPlace runs the oversubscription × placement grid on a shuffle-heavy
-// job (shuffle ratio 1: every input byte crosses the network again).
-func NetPlace(cfg Config) (*NetPlaceResult, error) {
+// NetPlace is an extension experiment (not part of the paper, so not part
+// of -exp all): it crosses the network fabric's oversubscription ratio
+// with FlexMap's reduce placement policy. The paper's placement biases
+// reducers toward fast nodes — the right call on an uncontended network.
+// On a rack-structured cluster whose fast machines are concentrated in a
+// few racks, that bias funnels nearly the whole shuffle through those
+// racks' downlinks; a greedy traffic-aware placer spreads the load. The
+// grid shows where each policy wins as the core gets scarcer.
+//
+// It runs the oversubscription × placement grid on a shuffle-heavy job
+// (shuffle ratio 1: every input byte crosses the network again). A row is
+// named "<fabric>/<placement>": fabric "flat", "1:1", "4:1" or "8:1",
+// placement "biased" (the paper's) or "greedy". Its shuffle column is the
+// post-map tail (reduce shuffle + compute), the window where
+// placement-induced network contention shows up.
+func NetPlace(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	// A quarter as many reducers as nodes, so placement has real freedom
 	// (with one reducer per node every policy degenerates to
@@ -103,7 +91,6 @@ func NetPlace(cfg Config) (*NetPlaceResult, error) {
 	}
 
 	var jobs []simJob
-	var labels []NetPlaceRow
 	for _, f := range fabrics {
 		for _, p := range placements {
 			f, p := f, p
@@ -114,7 +101,6 @@ func NetPlace(cfg Config) (*NetPlaceResult, error) {
 				Seed:      cfg.Seed,
 				InputSize: input,
 			}
-			labels = append(labels, NetPlaceRow{Fabric: f.name, Placement: p.name})
 			jobs = append(jobs, simJob{sc.Name + "/" + eng.String(), func() (*runner.Result, error) {
 				sc := sc
 				traceInto(cfg, &sc, eng)
@@ -126,47 +112,22 @@ func NetPlace(cfg Config) (*NetPlaceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &NetPlaceResult{}
+	panel := Panel{
+		Caption: []Line{{label("8 racks × 6 hosts, machine generations concentrated per rack (2.8→1.0)")}},
+		Columns: []string{"fabric", "placement", "JCT(s)", "shuffle(s)", "x-rack(GB)"},
+		Notes:   []Line{{label("(flat/1:1: compute bias wins an uncontended network; oversubscribed: traffic-aware placement pays)")}},
+	}
 	for i, res := range results {
-		row := labels[i]
-		row.JCT = float64(res.JCT())
-		row.ShuffleSpan = float64(res.Finished - res.MapPhaseEnd)
-		row.CrossRackGB = float64(res.CrossRackBytes) / float64(runner.GB)
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
-
-// Row returns the cell for a fabric × placement pair (nil if absent).
-func (r *NetPlaceResult) Row(fabric, placement string) *NetPlaceRow {
-	for i := range r.Rows {
-		if r.Rows[i].Fabric == fabric && r.Rows[i].Placement == placement {
-			return &r.Rows[i]
+		f, p := fabrics[i/len(placements)], placements[i%len(placements)]
+		cross := num("%.2f", float64(res.CrossRackBytes)/float64(runner.GB))
+		if f.name == "flat" {
+			cross.Text = "-"
 		}
+		panel.Rows = append(panel.Rows, []Cell{label(f.name), label(p.name), num("%.1f", float64(res.JCT())),
+			num("%.1f", float64(res.Finished-res.MapPhaseEnd)), cross})
 	}
-	return nil
-}
-
-// Render prints the grid.
-func (r *NetPlaceResult) Render() string {
-	var b strings.Builder
-	b.WriteString("NetPlace (extension) — reduce placement × core oversubscription, shuffle-heavy job\n")
-	b.WriteString("8 racks × 6 hosts, machine generations concentrated per rack (2.8→1.0)\n")
-	var rows [][]string
-	for _, row := range r.Rows {
-		cross := "-"
-		if row.Fabric != "flat" {
-			cross = fmt.Sprintf("%.2f", row.CrossRackGB)
-		}
-		rows = append(rows, []string{
-			row.Fabric,
-			row.Placement,
-			fmt.Sprintf("%.1f", row.JCT),
-			fmt.Sprintf("%.1f", row.ShuffleSpan),
-			cross,
-		})
-	}
-	b.WriteString(metrics.Table([]string{"fabric", "placement", "JCT(s)", "shuffle(s)", "x-rack(GB)"}, rows))
-	b.WriteString("(flat/1:1: compute bias wins an uncontended network; oversubscribed: traffic-aware placement pays)\n")
-	return b.String()
+	return &Table{
+		Title:  "NetPlace (extension) — reduce placement × core oversubscription, shuffle-heavy job",
+		Panels: []Panel{panel},
+	}, nil
 }

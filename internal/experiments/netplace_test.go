@@ -15,24 +15,25 @@ func TestNetPlaceGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 8 {
-		t.Fatalf("grid has %d rows, want 8", len(r.Rows))
+	if rows := len(panel(t, r, "").Rows); rows != 8 {
+		t.Fatalf("grid has %d rows, want 8", rows)
 	}
-	cell := func(fabric, placement string) *NetPlaceRow {
-		c := r.Row(fabric, placement)
-		if c == nil {
-			t.Fatalf("missing cell %s/%s", fabric, placement)
-		}
-		return c
+	type cell struct{ JCT, ShuffleSpan, CrossRackGB float64 }
+	row := func(fabric, placement string) cell {
+		name := fabric + "/" + placement
+		return cell{value(t, r, "", name, "JCT(s)"), value(t, r, "", name, "shuffle(s)"), value(t, r, "", name, "x-rack(GB)")}
 	}
 
 	// Flat rows carry no fabric, topology rows must move cross-rack bytes.
-	for _, row := range r.Rows {
-		if row.Fabric == "flat" && row.CrossRackGB != 0 {
-			t.Errorf("flat/%s reports %v cross-rack GB", row.Placement, row.CrossRackGB)
-		}
-		if row.Fabric != "flat" && row.CrossRackGB <= 0 {
-			t.Errorf("%s/%s moved no cross-rack bytes", row.Fabric, row.Placement)
+	for _, fabric := range []string{"flat", "1:1", "4:1", "8:1"} {
+		for _, placement := range []string{"biased", "greedy"} {
+			gb := row(fabric, placement).CrossRackGB
+			if fabric == "flat" && gb != 0 {
+				t.Errorf("flat/%s reports %v cross-rack GB", placement, gb)
+			}
+			if fabric != "flat" && gb <= 0 {
+				t.Errorf("%s/%s moved no cross-rack bytes", fabric, placement)
+			}
 		}
 	}
 
@@ -40,7 +41,7 @@ func TestNetPlaceGrid(t *testing.T) {
 	// shuffle through the fast racks' downlinks and greedy must win the
 	// post-map tail.
 	for _, fabric := range []string{"4:1", "8:1"} {
-		b, g := cell(fabric, "biased"), cell(fabric, "greedy")
+		b, g := row(fabric, "biased"), row(fabric, "greedy")
 		if g.ShuffleSpan >= b.ShuffleSpan {
 			t.Errorf("%s: greedy shuffle %.2fs does not beat biased %.2fs",
 				fabric, g.ShuffleSpan, b.ShuffleSpan)
@@ -49,17 +50,17 @@ func TestNetPlaceGrid(t *testing.T) {
 
 	// Oversubscription must actually bite the biased placement: its
 	// shuffle tail grows monotonically from 1:1 to 8:1.
-	if !(cell("1:1", "biased").ShuffleSpan <= cell("4:1", "biased").ShuffleSpan &&
-		cell("4:1", "biased").ShuffleSpan < cell("8:1", "biased").ShuffleSpan) {
+	if !(row("1:1", "biased").ShuffleSpan <= row("4:1", "biased").ShuffleSpan &&
+		row("4:1", "biased").ShuffleSpan < row("8:1", "biased").ShuffleSpan) {
 		t.Errorf("biased shuffle tail not increasing with oversubscription: %.2f, %.2f, %.2f",
-			cell("1:1", "biased").ShuffleSpan, cell("4:1", "biased").ShuffleSpan,
-			cell("8:1", "biased").ShuffleSpan)
+			row("1:1", "biased").ShuffleSpan, row("4:1", "biased").ShuffleSpan,
+			row("8:1", "biased").ShuffleSpan)
 	}
 
 	// A 1:1 fabric is an uncontended network: it must reproduce the flat
 	// model's ranking between the two placements.
-	flatSign := sign(cell("flat", "biased").JCT - cell("flat", "greedy").JCT)
-	oneSign := sign(cell("1:1", "biased").JCT - cell("1:1", "greedy").JCT)
+	flatSign := sign(row("flat", "biased").JCT - row("flat", "greedy").JCT)
+	oneSign := sign(row("1:1", "biased").JCT - row("1:1", "greedy").JCT)
 	if flatSign != oneSign {
 		t.Errorf("1:1 ranking (sign %d) does not reproduce flat ranking (sign %d)", oneSign, flatSign)
 	}

@@ -1,28 +1,17 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"flexmap/internal/cluster"
 	"flexmap/internal/metrics"
 	"flexmap/internal/puma"
 	"flexmap/internal/runner"
 )
 
-// OverheadResult reproduces §IV-D: wordcount on a 6-node homogeneous
-// cluster, where horizontal scaling is effectively disabled and any
-// FlexMap/stock difference is pure elastic-sizing overhead (the paper
-// measured ≈5% penalty).
-type OverheadResult struct {
-	StockJCT   float64
-	FlexMapJCT float64
-	// PenaltyPercent is positive when FlexMap is slower than stock.
-	PenaltyPercent float64
-}
-
-// Overhead runs the experiment.
-func Overhead(cfg Config) (*OverheadResult, error) {
+// Overhead reproduces §IV-D: wordcount on a 6-node homogeneous cluster,
+// where horizontal scaling is effectively disabled and any FlexMap/stock
+// difference is pure elastic-sizing overhead (the paper measured ≈5%
+// penalty). The "penalty" note cell is positive when FlexMap is slower.
+func Overhead(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	p, err := puma.GetProfile(puma.WordCount)
 	if err != nil {
@@ -44,24 +33,14 @@ func Overhead(cfg Config) (*OverheadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	stock, flex := results[0], results[1]
-	out := &OverheadResult{
-		StockJCT:   float64(stock.JCT()),
-		FlexMapJCT: float64(flex.JCT()),
-	}
-	out.PenaltyPercent = -metrics.SpeedupPercent(out.FlexMapJCT, out.StockJCT)
-	return out, nil
-}
-
-// Render prints the comparison.
-func (r *OverheadResult) Render() string {
-	var b strings.Builder
-	b.WriteString("§IV-D — FlexMap overhead on a homogeneous 6-node cluster (wordcount)\n")
-	rows := [][]string{
-		{"hadoop-64m", fmt.Sprintf("%.1f", r.StockJCT)},
-		{"flexmap", fmt.Sprintf("%.1f", r.FlexMapJCT)},
-	}
-	b.WriteString(metrics.Table([]string{"engine", "JCT(s)"}, rows))
-	fmt.Fprintf(&b, "FlexMap penalty: %+.1f%% (paper: ≈5%% penalty)\n", r.PenaltyPercent)
-	return b.String()
+	stock, flex := float64(results[0].JCT()), float64(results[1].JCT())
+	return &Table{
+		Title: "§IV-D — FlexMap overhead on a homogeneous 6-node cluster (wordcount)",
+		Panels: []Panel{{
+			Columns: []string{"engine", "JCT(s)"},
+			Rows:    [][]Cell{{label("hadoop-64m"), num("%.1f", stock)}, {label("flexmap"), num("%.1f", flex)}},
+			Notes: []Line{{label("FlexMap penalty: "), named("penalty", "%+.1f%%", -metrics.SpeedupPercent(flex, stock)),
+				label(" (paper: ≈5% penalty)")}},
+		}},
+	}, nil
 }

@@ -22,10 +22,11 @@ func TestFig56GridShared(t *testing.T) {
 		t.Fatalf("fig5 ran %d simulations, want %d (two clusters)", sims, want)
 	}
 	sims = 0
-	out, err := steps["fig6"].Run()
+	tab, err := steps["fig6"].Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := tab.Render()
 	if sims != 0 {
 		t.Errorf("fig6 after fig5 ran %d simulations, want 0", sims)
 	}

@@ -3,18 +3,22 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"flexmap/internal/cluster"
-	"flexmap/internal/metrics"
 	"flexmap/internal/puma"
 )
 
 // TableI renders the heterogeneous physical cluster's hardware
-// configuration (paper Table I) from the live profile, including the
+// configuration (paper Table I).
+func TableI() string { return tableI().Render() }
+
+// TableII renders the PUMA benchmark configuration (paper Table II).
+func TableII() string { return tableII().Render() }
+
+// tableI tabulates Table I from the live profile, including the
 // calibrated relative speeds and container slots this reproduction
 // assigns to each machine class.
-func TableI() string {
+func tableI() *Table {
 	c := cluster.Physical12()
 	type class struct {
 		count int
@@ -38,45 +42,33 @@ func TableI() string {
 	}
 	sort.Strings(names)
 
-	rows := make([][]string, 0, len(names))
+	panel := Panel{Columns: []string{"Machine model", "Number", "Rel. speed", "Container slots"}}
 	for _, name := range names {
 		cl := classes[name]
-		rows = append(rows, []string{
-			name,
-			fmt.Sprintf("%d", cl.count),
-			fmt.Sprintf("%.1fx", cl.speed),
-			fmt.Sprintf("%d", cl.slots),
-		})
+		panel.Rows = append(panel.Rows, []Cell{label(name),
+			num("%.0f", float64(cl.count)), num("%.1fx", cl.speed), num("%.0f", float64(cl.slots))})
 	}
-	var b strings.Builder
-	b.WriteString("Table I — heterogeneous physical cluster (12 nodes)\n")
-	b.WriteString(metrics.Table(
-		[]string{"Machine model", "Number", "Rel. speed", "Container slots"}, rows))
-	return b.String()
+	return &Table{Title: "Table I — heterogeneous physical cluster (12 nodes)", Panels: []Panel{panel}}
 }
 
-// TableII renders the PUMA benchmark configuration (paper Table II) plus
-// the calibrated cost profile this reproduction uses for each benchmark.
-func TableII() string {
-	rows := make([][]string, 0, len(puma.All))
+// tableII tabulates Table II plus the calibrated cost profile this
+// reproduction uses for each benchmark.
+func tableII() *Table {
+	panel := Panel{Columns: []string{"Benchmark", "Input (S/L)", "Data", "MapCost", "Shuffle", "ReduceCost", "Map-heavy"}}
 	for _, bench := range puma.All {
 		p, err := puma.GetProfile(bench)
 		if err != nil {
 			continue
 		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%s (%s)", bench, bench.Short()),
-			fmt.Sprintf("%dGB / %dGB", p.SmallGB, p.LargeGB),
-			p.Dataset,
-			fmt.Sprintf("%.2f", p.MapCost),
-			fmt.Sprintf("%.2f", p.ShuffleRatio),
-			fmt.Sprintf("%.2f", p.ReduceCost),
-			fmt.Sprintf("%v", p.MapHeavy),
+		panel.Rows = append(panel.Rows, []Cell{
+			label(fmt.Sprintf("%s (%s)", bench, bench.Short())),
+			label(fmt.Sprintf("%dGB / %dGB", p.SmallGB, p.LargeGB)),
+			label(p.Dataset),
+			num("%.2f", p.MapCost),
+			num("%.2f", p.ShuffleRatio),
+			num("%.2f", p.ReduceCost),
+			label(fmt.Sprintf("%v", p.MapHeavy)),
 		})
 	}
-	var b strings.Builder
-	b.WriteString("Table II — PUMA benchmark details (small/large inputs)\n")
-	b.WriteString(metrics.Table(
-		[]string{"Benchmark", "Input (S/L)", "Data", "MapCost", "Shuffle", "ReduceCost", "Map-heavy"}, rows))
-	return b.String()
+	return &Table{Title: "Table II — PUMA benchmark details (small/large inputs)", Panels: []Panel{panel}}
 }

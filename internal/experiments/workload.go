@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 	"path/filepath"
-	"strings"
 
-	"flexmap/internal/metrics"
 	"flexmap/internal/mr"
 	"flexmap/internal/parallel"
 	"flexmap/internal/puma"
@@ -33,30 +31,15 @@ func workloadEngines() []runner.Engine {
 	}
 }
 
-// WorkloadFigureResult holds cluster-level metrics per offered load ×
-// engine.
-type WorkloadFigureResult struct {
-	Loads   []float64
-	Engines []string
-	Jobs    int
-	// P50/P95/P99[load][engine] are job-latency percentiles in seconds.
-	P50, P95, P99 map[float64]map[string]float64
-	// Goodput[load][engine] is successfully processed input in MB per
-	// second of workload span.
-	Goodput map[float64]map[string]float64
-	// Util[load][engine] is busy slot-seconds over available slot-seconds.
-	Util map[float64]map[string]float64
-	// QueueWait[load][engine] is the mean submission→first-container wait.
-	QueueWait map[float64]map[string]float64
-	// MaxConcurrent[load][engine] is the peak number of jobs in flight.
-	MaxConcurrent map[float64]map[string]int
-}
-
 // WorkloadFigure runs the workload figure: an open stream of mixed-size
 // wordcount jobs arriving Poisson at each offered load on the virtual
 // 20-node cluster, the whole stream under stock Hadoop then under
-// FlexMap, fair-share arbitration between concurrent jobs.
-func WorkloadFigure(cfg Config) (*WorkloadFigureResult, error) {
+// FlexMap, fair-share arbitration between concurrent jobs. A row is named
+// "<load>/<engine>": job-latency percentiles in seconds, goodput
+// (successfully processed input in MB per second of workload span),
+// utilization (busy over available slot-seconds), the mean
+// submission→first-container wait and the peak number of jobs in flight.
+func WorkloadFigure(cfg Config) (*Table, error) {
 	return workloadFigure(cfg, WorkloadLoads)
 }
 
@@ -86,7 +69,7 @@ func workloadScenario(cfg Config, eng runner.Engine, load float64, small, large 
 
 // workloadFigure runs the figure over an offered-load grid (tests use
 // short grids matched to their scaled-down job lengths).
-func workloadFigure(cfg Config, loads []float64) (*WorkloadFigureResult, error) {
+func workloadFigure(cfg Config, loads []float64) (*Table, error) {
 	if len(loads) < 1 {
 		return nil, fmt.Errorf("workload: empty offered-load grid")
 	}
@@ -99,21 +82,6 @@ func workloadFigure(cfg Config, loads []float64) (*WorkloadFigureResult, error) 
 	large, err := puma.Spec(puma.WordCount, "input", 8)
 	if err != nil {
 		return nil, err
-	}
-
-	out := &WorkloadFigureResult{
-		Loads:         loads,
-		Jobs:          WorkloadJobCount,
-		P50:           map[float64]map[string]float64{},
-		P95:           map[float64]map[string]float64{},
-		P99:           map[float64]map[string]float64{},
-		Goodput:       map[float64]map[string]float64{},
-		Util:          map[float64]map[string]float64{},
-		QueueWait:     map[float64]map[string]float64{},
-		MaxConcurrent: map[float64]map[string]int{},
-	}
-	for _, eng := range engines {
-		out.Engines = append(out.Engines, eng.String())
 	}
 
 	var names []string
@@ -135,56 +103,23 @@ func workloadFigure(cfg Config, loads []float64) (*WorkloadFigureResult, error) 
 		return nil, err
 	}
 
-	i := 0
-	for _, load := range loads {
-		out.P50[load] = map[string]float64{}
-		out.P95[load] = map[string]float64{}
-		out.P99[load] = map[string]float64{}
-		out.Goodput[load] = map[string]float64{}
-		out.Util[load] = map[string]float64{}
-		out.QueueWait[load] = map[string]float64{}
-		out.MaxConcurrent[load] = map[string]int{}
-		for _, eng := range engines {
-			r := batch[i]
-			i++
-			if r == nil {
-				return nil, fmt.Errorf("workload: cell %s/load-%g returned no result", eng, load)
-			}
-			name := eng.String()
-			out.P50[load][name] = float64(r.LatencyP50)
-			out.P95[load][name] = float64(r.LatencyP95)
-			out.P99[load][name] = float64(r.LatencyP99)
-			out.Goodput[load][name] = r.GoodputBytesPerSec / float64(runner.MB)
-			out.Util[load][name] = r.Utilization
-			out.QueueWait[load][name] = float64(r.MeanQueueWait)
-			out.MaxConcurrent[load][name] = r.MaxConcurrent
+	panel := Panel{Columns: []string{"jobs/hr", "engine", "p50", "p95", "p99", "goodput-MB/s", "util", "q-wait", "max-conc"}}
+	for i, r := range batch {
+		load, eng := loads[i/len(engines)], engines[i%len(engines)]
+		if r == nil {
+			return nil, fmt.Errorf("workload: cell %s/load-%g returned no result", eng, load)
 		}
+		panel.Rows = append(panel.Rows, []Cell{label(fmt.Sprintf("%g", load)), label(eng.String()),
+			num("%.1fs", float64(r.LatencyP50)), num("%.1fs", float64(r.LatencyP95)), num("%.1fs", float64(r.LatencyP99)),
+			num("%.2f", r.GoodputBytesPerSec/float64(runner.MB)), num("%.3f", r.Utilization),
+			num("%.1fs", float64(r.MeanQueueWait)), num("%.0f", float64(r.MaxConcurrent))})
 	}
-	return out, nil
-}
-
-// Render prints the workload figure's table.
-func (r *WorkloadFigureResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Workload — job latency & goodput vs offered load (%d mixed wordcount jobs, virtual 20-node cluster, fair policy)\n\n", r.Jobs)
-	header := []string{"jobs/hr", "engine", "p50", "p95", "p99", "goodput-MB/s", "util", "q-wait", "max-conc"}
-	var rows [][]string
-	for _, load := range r.Loads {
-		for _, name := range r.Engines {
-			rows = append(rows, []string{
-				fmt.Sprintf("%g", load),
-				name,
-				fmt.Sprintf("%.1fs", r.P50[load][name]),
-				fmt.Sprintf("%.1fs", r.P95[load][name]),
-				fmt.Sprintf("%.1fs", r.P99[load][name]),
-				fmt.Sprintf("%.2f", r.Goodput[load][name]),
-				fmt.Sprintf("%.3f", r.Util[load][name]),
-				fmt.Sprintf("%.1fs", r.QueueWait[load][name]),
-				fmt.Sprintf("%d", r.MaxConcurrent[load][name]),
-			})
-		}
-	}
-	b.WriteString(metrics.Table(header, rows))
-	b.WriteString("\n(same arrivals and sizes per seed; under contention FlexMap's elastic tasks absorb slow\n containers instead of straggling, so its tail latency grows later on the load axis)\n")
-	return b.String()
+	return &Table{
+		Title: fmt.Sprintf("Workload — job latency & goodput vs offered load (%d mixed wordcount jobs, virtual 20-node cluster, fair policy)",
+			WorkloadJobCount),
+		Caption: []Line{{}},
+		Panels:  []Panel{panel},
+		Notes: []Line{{}, {label("(same arrivals and sizes per seed; under contention FlexMap's elastic tasks absorb slow")},
+			{label(" containers instead of straggling, so its tail latency grows later on the load axis)")}},
+	}, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -17,33 +18,35 @@ func TestWorkloadFigureStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Loads) != 3 || len(r.Engines) != 2 {
-		t.Fatalf("grid %v × %v, want 3 loads × 2 engines", r.Loads, r.Engines)
+	if rows := len(panel(t, r, "").Rows); rows != 3*2 {
+		t.Fatalf("grid has %d rows, want 3 loads × 2 engines", rows)
 	}
 	for _, load := range loads {
-		for _, name := range r.Engines {
-			if r.P50[load][name] <= 0 || r.P99[load][name] < r.P50[load][name] {
-				t.Errorf("load %g %s: latency percentiles out of order (p50=%g p99=%g)",
-					load, name, r.P50[load][name], r.P99[load][name])
+		for _, eng := range workloadEngines() {
+			row := fmt.Sprintf("%g/%s", load, eng)
+			p50, p99 := value(t, r, "", row, "p50"), value(t, r, "", row, "p99")
+			if p50 <= 0 || p99 < p50 {
+				t.Errorf("load %g %s: latency percentiles out of order (p50=%g p99=%g)", load, eng, p50, p99)
 			}
-			if r.Goodput[load][name] <= 0 {
-				t.Errorf("load %g %s: no goodput", load, name)
+			if value(t, r, "", row, "goodput-MB/s") <= 0 {
+				t.Errorf("load %g %s: no goodput", load, eng)
 			}
-			if r.Util[load][name] <= 0 || r.Util[load][name] > 1 {
-				t.Errorf("load %g %s: utilization %g outside (0,1]", load, name, r.Util[load][name])
+			if util := value(t, r, "", row, "util"); util <= 0 || util > 1 {
+				t.Errorf("load %g %s: utilization %g outside (0,1]", load, eng, util)
 			}
-			if r.MaxConcurrent[load][name] < 1 {
-				t.Errorf("load %g %s: no concurrency recorded", load, name)
+			if value(t, r, "", row, "max-conc") < 1 {
+				t.Errorf("load %g %s: no concurrency recorded", load, eng)
 			}
 		}
 	}
 	// Offered load must actually move the cluster: goodput at the top of
 	// the grid is a multiple of goodput at the bottom (same 40 jobs
 	// pushed through in a fraction of the span).
-	for _, name := range r.Engines {
-		if r.Goodput[720][name] <= r.Goodput[120][name] {
-			t.Errorf("%s: goodput did not grow with offered load (%g -> %g)",
-				name, r.Goodput[120][name], r.Goodput[720][name])
+	for _, eng := range workloadEngines() {
+		low := value(t, r, "", "120/"+eng.String(), "goodput-MB/s")
+		high := value(t, r, "", "720/"+eng.String(), "goodput-MB/s")
+		if high <= low {
+			t.Errorf("%s: goodput did not grow with offered load (%g -> %g)", eng, low, high)
 		}
 	}
 }
