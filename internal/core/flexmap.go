@@ -150,11 +150,12 @@ func (am *AM) OnSlotFree(node *cluster.Node) bool {
 	return true
 }
 
-// Idle implements yarn.Scheduler. Once every BU is bound, every offer is
-// a speculation probe; before that an offer sizes a task and traces the
-// decision, so the AM is not idle.
-func (am *AM) Idle() bool {
-	return am.d.Finished() || am.d.MapsFinished() ||
+// Bound implements yarn.Scheduler: no node while every offer would be
+// declined with no effect, otherwise unbound. Once every BU is bound,
+// every offer is a speculation probe; before that an offer sizes a task
+// and traces the decision, so the AM is unbound.
+func (am *AM) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) {
+	return dst[:0], am.d.Finished() || am.d.MapsFinished() ||
 		(am.tracker.Remaining() == 0 && am.book.SpeculationIdle(am.Speculation))
 }
 

@@ -107,7 +107,9 @@ func (p *speedProbe) OnSlotFree(n *cluster.Node) bool {
 	return p.am.OnSlotFree(n)
 }
 
-func (p *speedProbe) Idle() bool { return p.am.Idle() }
+func (p *speedProbe) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) {
+	return p.am.Bound(dst)
+}
 
 func (p *speedProbe) check(node *cluster.Node) {
 	p.offers++

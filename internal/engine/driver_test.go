@@ -387,8 +387,8 @@ func TestItoa4MatchesSprintf(t *testing.T) {
 	}
 }
 
-// TestReduceNodes pins the nodes TryReduce can act on: none while
-// ReduceIdle, the nodes holding a queued partition in ascending order
+// TestReduceNodes pins the nodes TryReduce can act on: none while the
+// map phase is open, the nodes holding a queued partition in ascending order
 // (a drained queue drops out), and no bound while a partition is
 // orphaned, since TryReduce then takes any node.
 func TestReduceNodes(t *testing.T) {

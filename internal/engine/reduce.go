@@ -126,21 +126,14 @@ func (d *Driver) TryReduce(n *cluster.Node) bool {
 	return true
 }
 
-// ReduceIdle reports that TryReduce would decline every node: reduces
-// are not routed through the RM, the map phase is open, the job is done,
-// or no partition is queued or orphaned. It is O(1).
-func (d *Driver) ReduceIdle() bool {
-	return !d.ReduceViaRM || !d.mapsFinished || d.finished ||
-		d.reduceQueued+len(d.orphanReduces) == 0
-}
-
 // ReduceNodes appends to dst[:0], in ascending ID order, the nodes
-// TryReduce can take a slot on: those with a queued partition, none when
-// ReduceIdle. It reports false when an orphaned partition lets
-// TryReduce take any node.
+// TryReduce can take a slot on: those with a queued partition. There are
+// none when reduces are not routed through the RM, the map phase is
+// open, the job is done, or no partition is queued or orphaned. It
+// reports false when an orphaned partition lets TryReduce take any node.
 func (d *Driver) ReduceNodes(dst []cluster.NodeID) ([]cluster.NodeID, bool) {
 	dst = dst[:0]
-	if d.ReduceIdle() {
+	if !d.ReduceViaRM || !d.mapsFinished || d.finished || d.reduceQueued+len(d.orphanReduces) == 0 {
 		return dst, true
 	}
 	if len(d.orphanReduces) > 0 {

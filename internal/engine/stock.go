@@ -27,8 +27,8 @@ type SpeculationPolicy interface {
 	// only.
 	Pick(d *Driver, node *cluster.Node, candidates []*MapAttempt, candEpoch uint64, activeSpec int) *MapAttempt
 	// Idle reports that Pick, with the same arguments, would return nil
-	// for every node at this instant. It follows the yarn.Scheduler.Idle
-	// contract: false is always safe.
+	// for every node at this instant. It follows the contract of an empty
+	// yarn.Scheduler.Bound: false is always safe.
 	Idle(d *Driver, candidates []*MapAttempt, candEpoch uint64, activeSpec int) bool
 }
 
@@ -162,11 +162,12 @@ func (am *StockAM) OnSlotFree(node *cluster.Node) bool {
 	return am.TryDispatch(node)
 }
 
-// Idle implements yarn.Scheduler. With nothing pending, every offer is
-// a speculation probe: takeLocal only pops stale seqs left by lazy
-// deletion, and no locality wait is armed.
-func (am *StockAM) Idle() bool {
-	return am.d.Finished() || am.d.MapsFinished() ||
+// Bound implements yarn.Scheduler: no node while every offer would be
+// declined with no effect, otherwise unbound. With nothing pending,
+// every offer is a speculation probe: takeLocal only pops stale seqs
+// left by lazy deletion, and no locality wait is armed.
+func (am *StockAM) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) {
+	return dst[:0], am.d.Finished() || am.d.MapsFinished() ||
 		(am.pending.Len() == 0 && am.book.SpeculationIdle(am.Speculation))
 }
 

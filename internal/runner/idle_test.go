@@ -21,10 +21,10 @@ import (
 
 // offerProbe stands between the RM and the scheduler under test. It
 // counts the offers that reach the scheduler and forwards Bound, and
-// with check set it audits every Idle answer of true and every bound:
-// it offers each free, up, non-draining node the answer rules out
-// anyway and fails if an offer is accepted or changes the free slots,
-// the event queue or the trace.
+// with check set it audits every bound, empty (idle) or not: it offers
+// each free, up, non-draining node the bound rules out anyway and fails
+// if an offer is accepted or changes the free slots, the event queue or
+// the trace.
 type offerProbe struct {
 	t     *testing.T
 	s     *stack
@@ -35,8 +35,8 @@ type offerProbe struct {
 
 type probeStats struct {
 	offers  int // OnSlotFree calls that reached the scheduler
-	audited int // Idle answers of true that were audited
-	bounds  int // bounded Bound answers that were audited
+	audited int // empty bounds (idle answers) that were audited
+	bounds  int // non-empty bounds that were audited
 }
 
 func (p *offerProbe) OnSlotFree(n *cluster.Node) bool {
@@ -44,25 +44,15 @@ func (p *offerProbe) OnSlotFree(n *cluster.Node) bool {
 	return p.inner.OnSlotFree(n)
 }
 
-func (p *offerProbe) Idle() bool {
-	if !p.inner.Idle() {
-		return false
-	}
-	if p.check {
-		p.stats.audited++
-		p.audit("reported Idle", nil)
-	}
-	return true
-}
-
-// Bound forwards the inner scheduler's bound, if it has one.
+// Bound forwards the inner scheduler's bound.
 func (p *offerProbe) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) {
-	b, ok := p.inner.(yarn.Bounded)
-	if !ok {
-		return dst[:0], false
-	}
-	nodes, bounded := b.Bound(dst)
-	if bounded && p.check {
+	nodes, bounded := p.inner.Bound(dst)
+	switch {
+	case !bounded || !p.check:
+	case len(nodes) == 0:
+		p.stats.audited++
+		p.audit("reported idle", nil)
+	default:
 		p.stats.bounds++
 		p.audit(fmt.Sprintf("bound itself to nodes %v", nodes), nodes)
 	}
@@ -96,7 +86,7 @@ func probeWith(t *testing.T, check bool, stats *probeStats) func(*stack, yarn.Sc
 }
 
 // churnFaults and churnDrain are the crashes and the elastic drains the
-// Idle tests run 24-node clusters under; the spares are nodes 24 and 25.
+// idle tests run 24-node clusters under; the spares are nodes 24 and 25.
 // The half-second notice leaves map attempts running at each release,
 // so the drains preempt them.
 var (
@@ -114,22 +104,22 @@ var (
 	}
 )
 
-// TestIdleDeclinesEveryOffer audits the Idle contract behind RM.Poke's
-// skip. Every time a scheduler answers Idle, every node it could be
-// offered is offered anyway, and no offer may be accepted or leave a
-// trace, an event or a grant behind. The cells cover StockAM with LATE,
-// FlexMap and SkewTune solo, crashes and an elastic drain, and the
-// inter-job scheduler under the fair policy, with SkewTune
-// beside stock and FlexMap jobs. The audit offers nodes from inside
-// Idle, outside the Poke's loop, so each of its offers consults every
-// job, including those Idle has just marked.
+// TestIdleDeclinesEveryOffer audits the Bound contract behind RM.Poke's
+// skips. Every time a scheduler names a bound, empty (idle) or not,
+// every node outside it that it could be offered is offered anyway, and
+// no offer may be accepted or leave a trace, an event or a grant behind.
+// The cells cover StockAM with LATE, FlexMap and SkewTune solo, crashes
+// and an elastic drain, and the inter-job scheduler under the fair
+// policy, with SkewTune beside stock and FlexMap jobs. The audit offers
+// nodes from inside Bound, outside the Poke's loop, so each of its
+// offers consults every job, including those Bound has just marked.
 func TestIdleDeclinesEveryOffer(t *testing.T) {
 	spec := wcSpec(t, 6)
 	collect := trace.Options{Collect: true}
 	cell := func(name string) Scenario {
 		return Scenario{Name: name, Cluster: equivCluster(24), Seed: 42, InputSize: 24 * 3 * dfs.BUSize, Trace: collect}
 	}
-	// audit marks the cells whose runs must reach an Idle answer: solo
+	// audit marks the cells whose runs must reach an idle answer: solo
 	// FlexMap and SkewTune poke the RM only on recovery.
 	type soloCell struct {
 		eng   Engine
@@ -154,9 +144,9 @@ func TestIdleDeclinesEveryOffer(t *testing.T) {
 			if _, err := run(c.sc, spec, c.eng, probeWith(t, true, &stats)); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%d offers, %d Idle answers audited", stats.offers, stats.audited)
+			t.Logf("%d offers, %d idle answers audited", stats.offers, stats.audited)
 			if c.audit && stats.audited == 0 {
-				t.Fatal("no Idle answer was audited; the cell no longer exercises the skip")
+				t.Fatal("no idle answer was audited; the cell no longer exercises the skip")
 			}
 		})
 	}
@@ -190,9 +180,9 @@ func TestIdleDeclinesEveryOffer(t *testing.T) {
 			if _, err := runWorkload(sc, probeWith(t, true, &stats)); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%d offers, %d Idle answers and %d bounds audited", stats.offers, stats.audited, stats.bounds)
+			t.Logf("%d offers, %d idle answers and %d bounds audited", stats.offers, stats.audited, stats.bounds)
 			if stats.audited == 0 || stats.bounds == 0 {
-				t.Fatal("no Idle answer or no bound was audited; the cell no longer exercises both skips")
+				t.Fatal("no idle answer or no bound was audited; the cell no longer exercises both skips")
 			}
 		})
 	}
@@ -269,13 +259,12 @@ func TestSpeculationWalkPerEvent(t *testing.T) {
 	}
 }
 
-// fullWalk hides the inter-job scheduler's Idle and Bound from the RM:
-// every Poke sweeps every node, no job is marked idle or bound, and
-// every offer walks every job. Embedding the interface promotes only
-// its two methods, so fullWalk is not yarn.Bounded.
+// fullWalk hides the inter-job scheduler's Bound from the RM: every
+// Poke sweeps every node, no job is marked idle or bound, and every
+// offer walks every job.
 type fullWalk struct{ yarn.Scheduler }
 
-func (fullWalk) Idle() bool { return false }
+func (fullWalk) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) { return dst[:0], false }
 
 // consulted returns the job schedulers an inter-job scheduler's offers
 // have consulted so far. The count is an unexported field so that no
@@ -285,7 +274,7 @@ func consulted(ij *yarn.InterJob) int64 {
 }
 
 // TestIdleMarksMatchFullWalk is the reference test for the idle marks: a
-// Poke's own offers skip the jobs its Idle answered true for. Each cell
+// Poke's own offers skip the jobs its Bound bound elsewhere. Each cell
 // runs as is and again under fullWalk, and the two runs must agree on
 // the JSONL trace, the fired-event count and every job's outcome. The
 // cells put SkewTune, whose offers nest sweeps, beside stock and FlexMap

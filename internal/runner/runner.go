@@ -104,6 +104,14 @@ type ClusterFactory func() (*cluster.Cluster, cluster.Interferer)
 // paper's Fig. 1(a) histogram.
 const DefaultNoiseSigma = 0.25
 
+// MaxSigma is the largest NoiseSigma and SkewSigma a scenario accepts.
+// Both draw lognormal factors exp(σz − σ²/2) with z from NormFloat64,
+// which stays within |z| < 13 unless two of its uniform draws are
+// exactly 0. So up to MaxSigma a factor is above e^-456, about 1e-198,
+// and the costs it scales stay positive. At σ = 40 most factors
+// underflow to 0.
+const MaxSigma = 20.0
+
 // Scenario describes the fixed conditions of a comparison: cluster, data
 // placement seed, input. Running the same scenario under different
 // engines is an apples-to-apples comparison — placement, interference,
@@ -125,13 +133,13 @@ type Scenario struct {
 
 	// NoiseSigma is the lognormal sigma of per-task runtime noise
 	// (0 = DefaultNoiseSigma; a finite negative value disables noise;
-	// NaN or ±Inf is an error).
+	// NaN, ±Inf or a value above MaxSigma is an error).
 	NoiseSigma float64
 
 	// SkewSigma, when positive, assigns every stored block unit a
 	// lognormal processing-cost weight (mean 1) — computational data
 	// skew, the phenomenon SkewTune targets. Negative or non-finite
-	// values are rejected.
+	// values and values above MaxSigma are rejected.
 	SkewSigma float64
 
 	// Faults injects seeded node crashes (see internal/faults). The zero
@@ -284,11 +292,11 @@ func run(sc Scenario, spec mr.JobSpec, eng Engine, wrap func(*stack, yarn.Schedu
 	if sc.InputSize <= 0 && sc.InputData == nil {
 		return nil, fmt.Errorf("runner: scenario %q has no input", sc.Name)
 	}
-	if !finiteNonNegative(sc.SkewSigma) {
-		return nil, fmt.Errorf("runner: scenario %q SkewSigma %v is not finite and non-negative", sc.Name, sc.SkewSigma)
+	if !finiteNonNegative(sc.SkewSigma) || sc.SkewSigma > MaxSigma {
+		return nil, fmt.Errorf("runner: scenario %q SkewSigma %v is not in [0, %v]", sc.Name, sc.SkewSigma, MaxSigma)
 	}
-	if math.IsNaN(sc.NoiseSigma) || math.IsInf(sc.NoiseSigma, 0) {
-		return nil, fmt.Errorf("runner: scenario %q NoiseSigma %v is not finite", sc.Name, sc.NoiseSigma)
+	if math.IsNaN(sc.NoiseSigma) || math.IsInf(sc.NoiseSigma, -1) || sc.NoiseSigma > MaxSigma {
+		return nil, fmt.Errorf("runner: scenario %q NoiseSigma %v is not finite or is above %v", sc.Name, sc.NoiseSigma, MaxSigma)
 	}
 	if sc.Faults.Active() {
 		if sc.InputData != nil {

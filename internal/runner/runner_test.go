@@ -122,6 +122,10 @@ func TestRunErrors(t *testing.T) {
 		{"+Inf noise", with(func(sc *Scenario) { sc.NoiseSigma = inf }), Engine{Kind: Hadoop}},
 		{"+Inf noise, FlexMap", with(func(sc *Scenario) { sc.NoiseSigma = inf }), Engine{Kind: FlexMap}},
 		{"-Inf noise", with(func(sc *Scenario) { sc.NoiseSigma = -inf }), Engine{Kind: Hadoop}},
+		// exp(σz − σ²/2) underflows to 0 at σ = 40: zero work panicked.
+		{"noise above MaxSigma", with(func(sc *Scenario) { sc.NoiseSigma = 40 }), Engine{Kind: Hadoop}},
+		{"noise above MaxSigma, FlexMap", with(func(sc *Scenario) { sc.NoiseSigma = 40 }), Engine{Kind: FlexMap}},
+		{"skew above MaxSigma", with(func(sc *Scenario) { sc.SkewSigma = 40 }), Engine{Kind: Hadoop}},
 		{"NaN NetBW", withNet(func(c *cluster.Cluster) { c.NetBW = nan }), Engine{Kind: Hadoop}},
 		{"+Inf NetBW", withNet(func(c *cluster.Cluster) { c.NetBW = inf }), Engine{Kind: Hadoop}},
 		{"NaN oversub", withNet(func(c *cluster.Cluster) {

@@ -154,16 +154,13 @@ func (j *jobScheduler) OnSlotFree(n *cluster.Node) bool {
 	return j.d.TryReduce(n)
 }
 
-func (j *jobScheduler) Idle() bool {
-	return j.d.Finished() || (j.am.Idle() && j.d.ReduceIdle())
-}
-
-// Bound implements yarn.Bounded: with the AM Idle (as every AM is once
-// its maps finish), only TryReduce can act, and only on the nodes where
-// a partition queues.
+// Bound implements yarn.Scheduler: with the AM bound to no node (as
+// every AM is once its maps finish), only TryReduce can act, and only on
+// the nodes where a partition queues. An AM bound to some nodes counts
+// as unbound; no AM names any.
 func (j *jobScheduler) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) {
-	if !j.am.Idle() {
-		return dst[:0], false
+	if nodes, ok := j.am.Bound(dst); !ok || len(nodes) > 0 {
+		return nodes, false
 	}
 	return j.d.ReduceNodes(dst)
 }

@@ -50,7 +50,7 @@ type victimAudit struct {
 }
 
 func (v *victimAudit) OnSlotFree(n *cluster.Node) bool {
-	if !v.am.Idle() && v.am.stock.PendingCount() == 0 {
+	if _, idle := v.am.Bound(nil); !idle && v.am.stock.PendingCount() == 0 {
 		now := v.am.d.Eng.Now()
 		got, gotR := v.am.straggler(now)
 		want, wantR, ties := referenceStraggler(v.am.d, now)
@@ -68,7 +68,9 @@ func (v *victimAudit) OnSlotFree(n *cluster.Node) bool {
 	return v.am.OnSlotFree(n)
 }
 
-func (v *victimAudit) Idle() bool { return v.am.Idle() }
+func (v *victimAudit) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) {
+	return v.am.Bound(dst)
+}
 
 func taskOf(a *engine.MapAttempt) string {
 	if a == nil {

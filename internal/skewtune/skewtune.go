@@ -78,10 +78,12 @@ func (am *AM) OnSlotFree(node *cluster.Node) bool {
 	return am.stock.TryDispatch(node)
 }
 
-// Idle implements yarn.Scheduler. A declined offer with nothing pending
-// may repartition a straggler, so SkewTune is idle only once its map
-// phase is over.
-func (am *AM) Idle() bool { return am.d.Finished() || am.d.MapsFinished() }
+// Bound implements yarn.Scheduler. A declined offer with nothing pending
+// may repartition a straggler, so SkewTune is bound to no node once its
+// map phase is over and unbound before.
+func (am *AM) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) {
+	return dst[:0], am.d.Finished() || am.d.MapsFinished()
+}
 
 // straggler returns the running attempt with the longest expected
 // remaining time among those with at least minBUs unprocessed BUs, ties

@@ -10,7 +10,7 @@ import (
 )
 
 // demandJob places one container per offer while it has demand, and is
-// Idle exactly when it has none: its declines do nothing.
+// bound to no node exactly when it has none: its declines do nothing.
 type demandJob struct {
 	rm     *RM
 	demand int
@@ -30,7 +30,9 @@ func (j *demandJob) OnSlotFree(n *cluster.Node) bool {
 	return true
 }
 
-func (j *demandJob) Idle() bool { return j.demand == 0 }
+func (j *demandJob) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) {
+	return dst[:0], j.demand == 0
+}
 
 func TestPokeSkipsIdleScheduler(t *testing.T) {
 	eng := sim.New()
@@ -49,9 +51,8 @@ func TestPokeSkipsIdleScheduler(t *testing.T) {
 	}
 }
 
-// boundJob is never Idle and declines every offer. It is Bounded to
-// nodes unless unbound is set, and with log set it records the nodes it
-// is offered.
+// boundJob declines every offer. It is bound to nodes unless unbound is
+// set, and with log set it records the nodes it is offered.
 type boundJob struct {
 	nodes   []cluster.NodeID
 	unbound bool
@@ -66,8 +67,6 @@ func (j *boundJob) OnSlotFree(n *cluster.Node) bool {
 	return false
 }
 
-func (j *boundJob) Idle() bool { return false }
-
 func (j *boundJob) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) {
 	if j.unbound {
 		return dst[:0], false
@@ -75,7 +74,7 @@ func (j *boundJob) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) {
 	return append(dst[:0], j.nodes...), true
 }
 
-// TestPokeOffersOnlyBoundNodes: a Bounded scheduler's Poke offers its
+// TestPokeOffersOnlyBoundNodes: a bound scheduler's Poke offers its
 // nodes in ascending order, and under InterJob a Poke's offers skip a
 // bound job on nodes outside its bound. A Poke offers only the union of
 // the bounds while every busy job is bound, and every node once one is
@@ -106,6 +105,42 @@ func TestPokeOffersOnlyBoundNodes(t *testing.T) {
 	}
 	if len(unbound.seen) != 8 {
 		t.Errorf("unbound job was offered nodes %v, want all 8", unbound.seen)
+	}
+}
+
+// TestPokeAllocatesNothing pins a warm Poke at zero allocations: Poke
+// takes its bound buffer before it knows the answer, so an idle Poke
+// must reuse it too. The cases are an idle scheduler, an InterJob whose
+// jobs are all bound (one idle), and an unbound scheduler that is
+// offered every node.
+func TestPokeAllocatesNothing(t *testing.T) {
+	idle, unbound := &demandJob{}, &acceptN{}
+	_, boundRM, ij := muxFixture(8, true)
+	ij.Submit("a", &boundJob{nodes: []cluster.NodeID{1, 6}})
+	ij.Submit("b", &boundJob{nodes: []cluster.NodeID{3, 6}})
+	ij.Submit("idle", &demandJob{})
+	for _, c := range []struct {
+		name   string
+		rm     *RM
+		sched  Scheduler // nil when the InterJob is already set
+		offers func() int64
+		offer  bool // whether the Pokes reach the scheduler
+	}{
+		{"idle", NewRM(sim.New(), cluster.Homogeneous(8)), idle, func() int64 { return int64(idle.offers) }, false},
+		{"interjob-bound", boundRM, nil, func() int64 { return ij.consulted }, true},
+		{"unbound", NewRM(sim.New(), cluster.Homogeneous(8)), unbound, func() int64 { return int64(unbound.offers) }, true},
+	} {
+		if c.sched != nil {
+			c.rm.SetScheduler(c.sched)
+		}
+		c.rm.Start()
+		before := c.offers()
+		if allocs := testing.AllocsPerRun(100, c.rm.Poke); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per Poke, want 0", c.name, allocs)
+		}
+		if offered := c.offers() > before; offered != c.offer {
+			t.Errorf("%s: Pokes reached the scheduler: %v, want %v", c.name, offered, c.offer)
+		}
 	}
 }
 

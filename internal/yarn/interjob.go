@@ -20,14 +20,13 @@ import (
 //
 // Offers are the RM's hottest path (a Poke offers every node), so an
 // offer consults only jobs that can act and re-ranks only when the
-// ranking's inputs moved. Idle records each job's answer for the Poke
-// that asked, and that Poke's own offers skip the jobs that answered
-// true. A job that is not idle but Bounded has its bound recorded too:
-// the Poke's offers skip it on nodes outside the bound, and when every
-// busy job is bound, the Poke offers only the union of their bounds
-// (Bound). The order is cached across offers until a count or the job
-// list changes. The job list and the buffers an offer walks persist
-// across offers, so an offer allocates nothing.
+// ranking's inputs moved. Bound records each job's bound for the Poke
+// that asked, and that Poke's own offers skip a bound job on nodes
+// outside its bound, so a job bound to no node (idle) is skipped on
+// every node. When every job is bound, the Poke offers only the union
+// of their bounds. The order is cached across offers until a count or
+// the job list changes. The job list and the buffers an offer walks
+// persist across offers, so an offer allocates nothing.
 //
 // Determinism: job ranking is a pure function of (policy, submission
 // order, running counts), offers arrive in the RM's deterministic
@@ -65,9 +64,8 @@ type JobHandle struct {
 	Name string
 
 	sched      Scheduler
-	bounded    Bounded // sched's Bounded side, nil if it has none
 	running    int
-	boundIn    uint64           // the RM sweep whose Idle bound the job; 0 when unbound
+	boundIn    uint64           // the RM sweep whose Bound bound the job; 0 when unbound
 	bound      []cluster.NodeID // the only nodes the job can act on in sweep boundIn, sorted; none if idle
 	done       bool
 	submitted  sim.Time
@@ -123,7 +121,6 @@ func (ij *InterJob) Submit(name string, s Scheduler) *JobHandle {
 		sched:     s,
 		submitted: ij.eng.Now(),
 	}
-	h.bounded, _ = s.(Bounded)
 	ij.nextIndex++
 	ij.jobs = append(ij.jobs, h)
 	ij.stale = true
@@ -155,15 +152,14 @@ func (ij *InterJob) move(h *JobHandle, delta int) {
 // OnSlotFree implements Scheduler: one offer, consulted across jobs in
 // policy order until someone takes the slot.
 //
-// An offer made by a Poke's node loop skips the jobs that answered true
-// to that Poke's Idle, and the jobs whose bound recorded there excludes
-// the node. No event fires inside the loop, and nothing a job's Idle or
-// Bound reads moves on another job's grant, so a job idle at the Poke is
-// idle at each of its offers, and a bound job's bound only shrinks as
-// its own grants drain its queues. Every other offer walks every job:
-// heartbeat offers, offers inside an Idle or Bound audit, and offers
-// after a nested Poke returns, whose Idle re-recorded every job's
-// answer.
+// An offer made by a Poke's node loop skips the jobs whose bound
+// recorded by that Poke's Bound excludes the node. No event fires inside
+// the loop, and nothing a job's Bound reads moves on another job's
+// grant, so a job idle at the Poke is idle at each of its offers, and a
+// bound job's bound only shrinks as its own grants drain its queues.
+// Every other offer walks every job: heartbeat offers, offers inside a
+// Bound audit, and offers after a nested Poke returns, whose Bound
+// re-recorded every job's answer.
 //
 // Offers nest: an AM that pokes the RM from its own OnSlotFree (SkewTune
 // queueing repartitioned work) runs a whole sweep of offers inside this
@@ -205,47 +201,33 @@ func (ij *InterJob) OnSlotFree(n *cluster.Node) bool {
 	return placed
 }
 
-// Idle implements Scheduler: an offer is declined with no effect when
-// every undone job's scheduler would decline it so. It asks every job
-// and records each answer against the RM's newest sweep stamp, the one
-// the calling Poke took, so that Poke's offers skip the idle jobs. An
-// idle job is recorded as bound to no node, a busy Bounded one to its
-// Bound, and any other job as unbound. Skipping a whole sweep skips the ranking too, which changes
-// nothing later: the order is a pure function of the jobs and their
-// counts.
-func (ij *InterJob) Idle() bool {
-	idle := true
-	stamp := ij.rm.stamp
-	for _, h := range ij.jobs {
-		h.boundIn = stamp
-		if h.sched.Idle() {
-			h.bound = h.bound[:0]
-			continue
-		}
-		idle = false
-		ok := false
-		if h.bounded != nil {
-			h.bound, ok = h.bounded.Bound(h.bound)
-		}
-		if !ok {
-			h.boundIn = 0
-		}
-	}
-	return idle
-}
-
-// Bound implements Bounded for the Poke whose Idle just answered false:
-// when every job that is not idle is bound, an offer on a node outside
-// the union of their bounds consults nobody, so the union is the
-// Poke's bound.
+// Bound implements Scheduler: an offer on a node is declined with no
+// effect when every undone job's scheduler would decline it so. It asks
+// every job and records each answer against the RM's newest sweep stamp,
+// the one the calling Poke took, so that Poke's offers skip each bound
+// job outside its bound; an unbound job is recorded as such. When every
+// job is bound, an offer on a node outside the union of their bounds
+// consults nobody, so the union is the Poke's bound, empty when every
+// job is idle. Skipping a whole sweep skips the ranking too, which
+// changes nothing later: the order is a pure function of the jobs and
+// their counts.
 func (ij *InterJob) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) {
 	dst = dst[:0]
 	stamp := ij.rm.stamp
+	all := true
 	for _, h := range ij.jobs {
-		if h.boundIn != stamp {
-			return dst, false
+		var ok bool
+		if h.bound, ok = h.sched.Bound(h.bound); !ok {
+			h.boundIn, all = 0, false
+			continue
 		}
-		dst = append(dst, h.bound...)
+		h.boundIn = stamp
+		if all {
+			dst = append(dst, h.bound...)
+		}
+	}
+	if !all {
+		return dst[:0], false
 	}
 	slices.Sort(dst)
 	return slices.Compact(dst), true

@@ -36,7 +36,7 @@ func (f *fakeJob) OnSlotFree(n *cluster.Node) bool {
 	return true
 }
 
-func (f *fakeJob) Idle() bool { return false }
+func (*fakeJob) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) { return dst[:0], false }
 
 // muxFixture builds an engine, cluster, RM, and InterJob, fair or FIFO.
 func muxFixture(nodes int, fair bool) (*sim.Engine, *RM, *InterJob) {

@@ -30,7 +30,7 @@ func (r *recorder) OnSlotFree(*cluster.Node) bool {
 	return false
 }
 
-func (r *recorder) Idle() bool { return false }
+func (*recorder) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) { return dst[:0], false }
 
 func indices(hs []*JobHandle) []int {
 	out := make([]int, len(hs))

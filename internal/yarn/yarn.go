@@ -11,10 +11,9 @@
 // leaving the slot idle until Poke re-offers idle capacity — which AMs
 // call when new work appears (e.g. SkewTune mints repartitioned
 // subtasks) and when a wait they armed expires (the stock AM's locality
-// wait). Poke skips its sweep when the scheduler reports Idle: every
-// offer would be declined with no effect, so the sweep cannot land. A
-// scheduler that is not Idle may still name the only nodes it can act
-// on (Bounded); Poke then offers just those.
+// wait). A scheduler names the only nodes it can act on (Bound), and
+// Poke offers just those, or skips its sweep when there are none: every
+// offer would be declined with no effect, so the sweep cannot land.
 package yarn
 
 import (
@@ -28,25 +27,18 @@ import (
 // return true if it placed work on the node (consuming one slot, to be
 // returned via Container.Release).
 //
-// Idle may return true only if OnSlotFree would, at this instant, decline
-// every node with no side effect: no grant, no scheduled event, no trace
-// emit and no RNG draw. Updating a cache that is a pure function of the
-// state it reads is not a side effect. When unsure, return false: Poke
-// then sweeps as before. A scheduler whose decline can act (arm a wait,
-// repartition) must return false whenever it might. A scheduler that is
-// not Idle but can act only on a few nodes also implements Bounded.
+// Bound returns true with the nodes, in ascending ID order, that
+// OnSlotFree can act on at this instant: every other node it would
+// decline with no side effect, meaning no grant, no scheduled event, no
+// trace emit and no RNG draw. Updating a cache that is a pure function of
+// the state it reads is not a side effect. An empty set means it would
+// decline every node so; Poke then skips its sweep. Bound returns false
+// when it cannot name such a set, and false is always safe: Poke then
+// sweeps every node. A scheduler whose decline can act (arm a wait,
+// repartition) must return false whenever it might. The result is
+// appended to dst[:0].
 type Scheduler interface {
 	OnSlotFree(node *cluster.Node) bool
-	Idle() bool
-}
-
-// Bounded is an optional Scheduler extension, asked only right after
-// Idle answered false and before any offer. Bound returns true with the
-// nodes, in ascending ID order, that OnSlotFree can act on at this
-// instant: every other node it would decline with no side effect, in
-// Idle's sense. It returns false when it cannot name such a set. The
-// result is appended to dst[:0].
-type Bounded interface {
 	Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool)
 }
 
@@ -76,15 +68,14 @@ type RM struct {
 
 	// stamp numbers Poke's calls; sweep is the stamp of the innermost
 	// Poke whose node loop is running, 0 outside every loop. InterJob
-	// keys the Idle answers it records to the stamp, so they hold only
+	// keys the Bound answers it records to the stamp, so they hold only
 	// for that loop.
 	stamp, sweep uint64
 
-	// bounded is sched's Bounded side, nil if it has none. bounds holds
-	// one node buffer per Poke nesting depth, pokes is that depth.
-	bounded Bounded
-	bounds  [][]cluster.NodeID
-	pokes   int
+	// bounds holds one node buffer per Poke nesting depth, pokes is that
+	// depth.
+	bounds [][]cluster.NodeID
+	pokes  int
 
 	// inter, when set by NewInterJob, is told of every grant, release,
 	// node loss and restore, to attribute containers to jobs.
@@ -121,7 +112,6 @@ func NewRM(eng *sim.Engine, c *cluster.Cluster) *RM {
 // Start.
 func (rm *RM) SetScheduler(s Scheduler) {
 	rm.sched = s
-	rm.bounded, _ = s.(Bounded)
 }
 
 // Start begins offering capacity: one immediate offer per node, with
@@ -148,9 +138,9 @@ func (rm *RM) TotalFree() int {
 }
 
 // Poke re-offers idle capacity on every node immediately. AMs call it
-// when new schedulable work appears. It returns without a sweep when the
-// scheduler is Idle, and offers only the bound's nodes, in ascending ID
-// order, when the scheduler is Bounded. Either skip also skips
+// when new schedulable work appears. When the scheduler names its bound,
+// Poke offers only those nodes, in ascending ID order, and returns
+// without a sweep when the bound is empty. Either skip also skips
 // offerNow's pacing branch, which is a no-op because every up,
 // non-draining node with free capacity inside its pacing window already
 // has an offer armed (DESIGN.md §11). A Poke from inside an offer runs
@@ -164,17 +154,13 @@ func (rm *RM) Poke() {
 	}
 	rm.stamp++
 	stamp := rm.stamp
-	if rm.sched.Idle() {
-		return
+	if rm.pokes == len(rm.bounds) {
+		rm.bounds = append(rm.bounds, nil)
 	}
-	var nodes []cluster.NodeID
-	bounded := false
-	if rm.bounded != nil {
-		if rm.pokes == len(rm.bounds) {
-			rm.bounds = append(rm.bounds, nil)
-		}
-		nodes, bounded = rm.bounded.Bound(rm.bounds[rm.pokes])
-		rm.bounds[rm.pokes] = nodes
+	nodes, bounded := rm.sched.Bound(rm.bounds[rm.pokes])
+	rm.bounds[rm.pokes] = nodes
+	if bounded && len(nodes) == 0 {
+		return
 	}
 	outer := rm.sweep
 	rm.sweep = stamp

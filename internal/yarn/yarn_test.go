@@ -31,7 +31,7 @@ func (a *acceptN) OnSlotFree(node *cluster.Node) bool {
 	return true
 }
 
-func (a *acceptN) Idle() bool { return false }
+func (*acceptN) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) { return dst[:0], false }
 
 func TestStartFillsAllSlotsOverHeartbeats(t *testing.T) {
 	eng := sim.New()
