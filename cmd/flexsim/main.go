@@ -209,8 +209,7 @@ func main() {
 				peak = ls.Util
 			}
 		}
-		fmt.Printf("network    %d MB cross-rack, peak link utilization %.3f (topology %d hosts/rack, %g:1 oversub)\n",
-			res.CrossRackBytes/flexmap.MB, peak, *topology, *oversub)
+		fmt.Println(networkLine(res.CrossRackBytes/flexmap.MB, peak, *topology, *oversub))
 	}
 	if sc.Faults.Active() {
 		fmt.Printf("faults     %d nodes lost (%d rejoined), %d attempts crashed\n",
@@ -394,6 +393,14 @@ func runWorkload(a workloadArgs) {
 	if a.tracePath != "" {
 		fmt.Printf("\nevent trace written to %s\n", a.tracePath)
 	}
+}
+
+// networkLine reports the fabric of a topology run. It prints the
+// oversubscription ratio the fabric runs at, so -oversub 0 reads 1:1.
+func networkLine(crossRackMB int64, peak float64, hostsPerRack int, oversub float64) string {
+	ratio := (&flexmap.TopologySpec{HostsPerRack: hostsPerRack, Oversub: oversub}).Ratio()
+	return fmt.Sprintf("network    %d MB cross-rack, peak link utilization %.3f (topology %d hosts/rack, %g:1 oversub)",
+		crossRackMB, peak, hostsPerRack, ratio)
 }
 
 // checkFlags rejects out-of-range flag values before any mode reads

@@ -42,3 +42,20 @@ func TestCheckFlags(t *testing.T) {
 		})
 	}
 }
+
+// TestNetworkLineEffectiveRatio checks that the network line prints the
+// oversubscription the fabric runs at: a zero -oversub means 1:1.
+func TestNetworkLineEffectiveRatio(t *testing.T) {
+	for _, tc := range []struct {
+		oversub float64
+		want    string
+	}{
+		{0, "(topology 4 hosts/rack, 1:1 oversub)"},
+		{1, "(topology 4 hosts/rack, 1:1 oversub)"},
+		{2.5, "(topology 4 hosts/rack, 2.5:1 oversub)"},
+	} {
+		if got := networkLine(93, 0.5, 4, tc.oversub); !strings.HasSuffix(got, tc.want) {
+			t.Errorf("networkLine(-oversub %v) = %q, want it to end %q", tc.oversub, got, tc.want)
+		}
+	}
+}

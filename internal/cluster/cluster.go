@@ -13,6 +13,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"flexmap/internal/maputil"
 	"flexmap/internal/randutil"
@@ -103,23 +104,43 @@ type TopologySpec struct {
 	Oversub float64
 }
 
+// bytesPerMB converts the MB/s bandwidths of the cluster model into the
+// bytes/s capacities of the fabric.
+const bytesPerMB = 1 << 20
+
+// Ratio returns the effective oversubscription ratio: Oversub, or 1 when
+// it is zero.
+func (t *TopologySpec) Ratio() float64 {
+	if t.Oversub == 0 {
+		return 1
+	}
+	return t.Oversub
+}
+
+// LinkCapacities returns the capacities in bytes/s of the fabric's links
+// for hosts of netBW MB/s: each host link runs at netBW, each rack link
+// at netBW × HostsPerRack / Ratio().
+func (t *TopologySpec) LinkCapacities(netBW float64) (host, rack float64) {
+	host = netBW * bytesPerMB
+	return host, host * float64(t.HostsPerRack) / t.Ratio()
+}
+
 // Validate rejects geometries that would produce empty racks or links
-// whose capacity is zero, negative or not finite (which turn transfer
-// times into +Inf/NaN).
+// whose capacity, as the fabric builds it in bytes/s, is zero, negative
+// or not finite (which turn transfer times into +Inf/NaN).
 func (t *TopologySpec) Validate(netBW float64) error {
 	if t.HostsPerRack < 1 {
 		return fmt.Errorf("cluster: topology HostsPerRack %d < 1", t.HostsPerRack)
 	}
-	if !(netBW > 0) || math.IsInf(netBW, 0) {
-		return fmt.Errorf("cluster: topology host bandwidth %v MB/s is not positive and finite", netBW)
-	}
 	if !(t.Oversub >= 0) || math.IsInf(t.Oversub, 0) {
 		return fmt.Errorf("cluster: topology oversubscription %v is not finite and non-negative", t.Oversub)
 	}
-	if ov := t.Oversub; ov != 0 {
-		if rackBW := netBW * float64(t.HostsPerRack) / ov; rackBW <= 0 {
-			return fmt.Errorf("cluster: topology rack link capacity %v MB/s is not positive", rackBW)
-		}
+	host, rack := t.LinkCapacities(netBW)
+	if !(host > 0) || math.IsInf(host, 0) {
+		return fmt.Errorf("cluster: topology host link capacity %v bytes/s (%v MB/s) is not positive and finite", host, netBW)
+	}
+	if !(rack > 0) || math.IsInf(rack, 0) {
+		return fmt.Errorf("cluster: topology rack link capacity %v bytes/s is not positive and finite", rack)
 	}
 	return nil
 }
@@ -149,6 +170,15 @@ type Cluster struct {
 	// of any node. Consumers (e.g. the LATE slow-node percentile) key
 	// caches on it: equal epoch means every node speed is unchanged.
 	speedEpoch uint64
+	// speeds is SortedSpeeds' table, valid while speedsValid and the
+	// epoch still reads speedsAt.
+	speeds      []float64
+	speedsAt    uint64
+	speedsValid bool
+	// members lists the online nodes in NodeID order. JoinNode and
+	// ReleaseNode replace it rather than edit it in place, so a slice
+	// Members returned never changes under its holder.
+	members []*Node
 	// onSpeed is called after any node's interference multiplier changes.
 	onSpeed func(*Node)
 
@@ -212,7 +242,19 @@ func NewCluster(name string, specs []NodeSpec) *Cluster {
 			c.totalSlots += slots
 		}
 	}
+	c.members = c.online()
 	return c
+}
+
+// online lists the nodes that are members now.
+func (c *Cluster) online() []*Node {
+	members := make([]*Node, 0, len(c.Nodes))
+	for _, n := range c.Nodes {
+		if !n.offline {
+			members = append(members, n)
+		}
+	}
+	return members
 }
 
 // NodeSpec describes one node to NewCluster.
@@ -286,6 +328,7 @@ func (c *Cluster) JoinNode(id NodeID) {
 	n.offline = false
 	c.totalSlots += n.Slots
 	c.speedEpoch++
+	c.members = c.online()
 }
 
 // ReleaseNode returns a member to the offline pool (elastic scale-in or
@@ -299,20 +342,38 @@ func (c *Cluster) ReleaseNode(id NodeID) {
 	n.offline = true
 	c.totalSlots -= n.Slots
 	c.speedEpoch++
+	c.members = c.online()
 }
 
 // Size returns the number of provisioned worker nodes, online or not.
 func (c *Cluster) Size() int { return len(c.Nodes) }
 
 // LiveSize returns the number of cluster members (online nodes).
-func (c *Cluster) LiveSize() int {
-	live := 0
-	for _, n := range c.Nodes {
-		if !n.offline {
-			live++
-		}
+func (c *Cluster) LiveSize() int { return len(c.members) }
+
+// Members returns the cluster's members (online nodes, down ones
+// included) in NodeID order. The slice belongs to the cluster: callers
+// must not modify it. A membership change replaces it, so one already
+// returned stays as it was.
+func (c *Cluster) Members() []*Node { return c.members }
+
+// SortedSpeeds returns the effective speeds of the cluster's members in
+// ascending order: offline spares are not part of the fleet, while down
+// members count. The table is rebuilt only when SpeedEpoch has moved, so
+// every consumer of a run shares one sort per speed change. The slice
+// belongs to the cluster and is rewritten in place on the next rebuild:
+// read it, do not keep or modify it.
+func (c *Cluster) SortedSpeeds() []float64 {
+	if c.speedsValid && c.speedsAt == c.speedEpoch {
+		return c.speeds
 	}
-	return live
+	c.speeds = slices.Grow(c.speeds[:0], len(c.members))
+	for _, n := range c.members {
+		c.speeds = append(c.speeds, n.Speed())
+	}
+	slices.Sort(c.speeds)
+	c.speedsValid, c.speedsAt = true, c.speedEpoch
+	return c.speeds
 }
 
 // TotalSlots returns the number of container slots over cluster members.

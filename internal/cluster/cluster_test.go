@@ -96,6 +96,13 @@ func TestTopologyValidate(t *testing.T) {
 		{TopologySpec{HostsPerRack: 4, Oversub: -1}, 1250, false},
 		{TopologySpec{HostsPerRack: 4, Oversub: nan}, 1250, false},
 		{TopologySpec{HostsPerRack: 4, Oversub: inf}, 1250, false},
+		{TopologySpec{HostsPerRack: 4, Oversub: 1e-6}, 1250, true},
+		// A subnormal ratio makes the rack link infinite in MB/s already;
+		// 1e-303 is finite in MB/s and overflows only in bytes/s.
+		{TopologySpec{HostsPerRack: 4, Oversub: 1e-320}, 1250, false},
+		{TopologySpec{HostsPerRack: 4, Oversub: 1e-303}, 1250, false},
+		// A host link finite in MB/s that overflows in bytes/s.
+		{TopologySpec{HostsPerRack: 4}, 1e305, false},
 	} {
 		if err := tc.spec.Validate(tc.netBW); (err == nil) != tc.ok {
 			t.Errorf("%+v.Validate(%v) = %v, want ok=%v", tc.spec, tc.netBW, err, tc.ok)

@@ -40,32 +40,35 @@ func benchMonitor(b *testing.B, n int) *SpeedMonitor {
 	return m
 }
 
-// BenchmarkRelativeSpeeds measures the per-dispatch speed-table recompute:
-// OnSlotFree consults it before sizing every elastic task. Resetting one
-// node's window each iteration bumps the monitor's epoch, so every call
-// recomputes the 200-node table instead of hitting the epoch memo.
-func BenchmarkRelativeSpeeds(b *testing.B) {
+// BenchmarkRelativeSpeed measures what fairShare reads after a window
+// changes: every node's relative speed. Resetting one node's window each
+// iteration bumps the monitor's epoch, so the first read recomputes the
+// slowest speed instead of hitting the epoch memo.
+func BenchmarkRelativeSpeed(b *testing.B) {
 	m := benchMonitor(b, 200)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.ResetNode(cluster.NodeID(i % 200))
-		if rel := m.RelativeSpeeds(); len(rel) != 200 {
-			b.Fatal("short table")
+		for id := cluster.NodeID(0); id < 200; id++ {
+			if m.RelativeSpeed(id) < 1 {
+				b.Fatal("relative speed below 1")
+			}
 		}
 	}
 }
 
-// BenchmarkNormalizedCapacities measures the reduce-placement capacity
-// table the biased dispatcher reads once per job, at the start of the
-// reduce phase.
-func BenchmarkNormalizedCapacities(b *testing.B) {
+// BenchmarkCapacity measures the capacities the biased dispatcher reads
+// once per job, at the start of the reduce phase.
+func BenchmarkCapacity(b *testing.B) {
 	m := benchMonitor(b, 200)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if caps := m.NormalizedCapacities(); len(caps) != 200 {
-			b.Fatal("short table")
+		for id := cluster.NodeID(0); id < 200; id++ {
+			if c := m.Capacity(id); c <= 0 || c > 1 {
+				b.Fatal("capacity out of (0,1]")
+			}
 		}
 	}
 }

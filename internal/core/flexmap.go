@@ -101,7 +101,7 @@ func NewAM(d *engine.Driver, rng *randutil.Source) (*AM, error) {
 // slowest measured node (1.0 when unmeasured) — the signal the elastic
 // autoscaler uses to release the slowest joined spare first.
 func (am *AM) RelativeSpeed(id cluster.NodeID) float64 {
-	return am.monitor.RelativeSpeeds()[id]
+	return am.monitor.RelativeSpeed(id)
 }
 
 // OnSlotFree implements yarn.Scheduler: late task binding, then — once
@@ -113,8 +113,7 @@ func (am *AM) OnSlotFree(node *cluster.Node) bool {
 	if am.tracker.Remaining() == 0 {
 		return am.book.Speculate(am.Speculation, node)
 	}
-	rels := am.monitor.RelativeSpeeds()
-	rel := rels[node.ID]
+	rel := am.monitor.RelativeSpeed(node.ID)
 	if am.NoHorizontal {
 		rel = 1
 	}
@@ -124,7 +123,7 @@ func (am *AM) OnSlotFree(node *cluster.Node) bool {
 	// nodes finish together — DataProvision's ideal of data proportional
 	// to capacity — instead of stranding one full-size task on a slow
 	// node after the pool empties.
-	fair := am.fairShare(node, rel, rels)
+	fair := am.fairShare(node, rel)
 	if size > fair {
 		size = fair
 	}
@@ -162,22 +161,19 @@ func (am *AM) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) {
 // fairShare returns this node's capacity-proportional share of the
 // remaining BUs when the job is inside its final wave — i.e. when the
 // remainder no longer fills every slot at current task sizes. Outside
-// the final wave it returns a large value (no clamp). rels is the
-// caller's current RelativeSpeeds slice, passed in so the per-dispatch
-// path computes it exactly once.
-func (am *AM) fairShare(node *cluster.Node, rel float64, rels []float64) int {
+// the final wave it returns a large value (no clamp). rel is the node's
+// RelativeSpeed.
+func (am *AM) fairShare(node *cluster.Node, rel float64) int {
 	if !am.fsValid || am.fsMonAt != am.monitor.Epoch() || am.fsSizerAt != am.sizer.Epoch() ||
 		am.fsClusterAt != am.d.Cluster.SpeedEpoch() {
 		var totalRel float64
 		oneWave := 0
-		for _, n := range am.d.Cluster.Nodes {
-			// Offline spares are not capacity: counting them would shrink
-			// every member's endgame share toward nodes that bind nothing.
-			if n.Offline() {
-				continue
-			}
-			totalRel += rels[n.ID] * float64(n.Slots)
-			oneWave += n.Slots * am.sizer.TaskSize(int(n.ID), rels[n.ID])
+		// Offline spares are not capacity: counting them would shrink
+		// every member's endgame share toward nodes that bind nothing.
+		for _, n := range am.d.Cluster.Members() {
+			r := am.monitor.RelativeSpeed(n.ID)
+			totalRel += r * float64(n.Slots)
+			oneWave += n.Slots * am.sizer.TaskSize(int(n.ID), r)
 		}
 		am.fsValid, am.fsMonAt, am.fsSizerAt = true, am.monitor.Epoch(), am.sizer.Epoch()
 		am.fsClusterAt = am.d.Cluster.SpeedEpoch()
@@ -232,28 +228,22 @@ func (am *AM) placeReducers(d *engine.Driver) []cluster.NodeID {
 	if am.NoReduceBias {
 		return engine.EvenReducePlacer(d)
 	}
-	caps := am.monitor.NormalizedCapacities()
 	// Sample over members only: an offline spare must neither receive a
 	// reducer nor consume rejection-sampling draws. On a static fleet the
 	// member list is the whole fleet, so the draw sequence is unchanged.
-	nodes := make([]*cluster.Node, 0, d.Cluster.Size())
-	for _, n := range d.Cluster.Nodes {
-		if !n.Offline() {
-			nodes = append(nodes, n)
-		}
-	}
-	// Indexed by NodeID over the whole cluster, offline spares included.
-	assigned := make([]int, d.Cluster.Size())
+	nodes := d.Cluster.Members()
+	assigned := make(map[cluster.NodeID]int, d.Spec.NumReducers)
 	out := make([]cluster.NodeID, d.Spec.NumReducers)
 	for r := range out {
-		out[r] = am.pickBiased(r, nodes, caps, assigned)
+		out[r] = am.pickBiased(r, nodes, am.monitor.Capacity, assigned)
 	}
 	return out
 }
 
-// pickBiased places one reducer among nodes. caps and assigned are
-// indexed by NodeID; assigned holds the current wave's reducer counts.
-func (am *AM) pickBiased(partition int, nodes []*cluster.Node, caps []float64, assigned []int) cluster.NodeID {
+// pickBiased places one reducer among nodes. caps gives a node's
+// normalized capacity; assigned holds the current wave's reducer counts
+// of the nodes given one.
+func (am *AM) pickBiased(partition int, nodes []*cluster.Node, caps func(cluster.NodeID) float64, assigned map[cluster.NodeID]int) cluster.NodeID {
 	// Rejection sampling terminates: at least one node has c=1 (the
 	// fastest), accepted with probability 1. A capacity guard skips
 	// nodes whose reducer count already fills their current-wave slots;
@@ -270,16 +260,14 @@ func (am *AM) pickBiased(partition int, nodes []*cluster.Node, caps []float64, a
 		}
 	}
 	if allFull {
-		for _, n := range nodes {
-			assigned[n.ID] = 0
-		}
+		clear(assigned)
 	}
 	for i := 0; i < 10000; i++ {
 		n := nodes[am.rng.Intn(len(nodes))]
 		if full(n) {
 			continue
 		}
-		c := caps[n.ID]
+		c := caps(n.ID)
 		if am.rng.Float64() <= c*c {
 			assigned[n.ID]++
 			if am.d != nil {
@@ -305,7 +293,8 @@ func (am *AM) pickBiased(partition int, nodes []*cluster.Node, caps []float64, a
 	}
 	assigned[best.ID]++
 	if am.d != nil {
-		am.d.Trace.ReducePlace(partition, best.ID, caps[best.ID]*caps[best.ID], 10000, true)
+		c := caps(best.ID)
+		am.d.Trace.ReducePlace(partition, best.ID, c*c, 10000, true)
 	}
 	return best.ID
 }

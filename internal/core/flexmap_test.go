@@ -255,7 +255,7 @@ func TestFairShareRemainderBelowFloor(t *testing.T) {
 	}
 	// remaining = 3 < the 4-BU floor: the clamp to Remaining must win over
 	// the floor, not hand out BUs that no longer exist.
-	if got := am.fairShare(c.Nodes[0], 1.0, am.monitor.RelativeSpeeds()); got != 3 {
+	if got := am.fairShare(c.Nodes[0], 1.0); got != 3 {
 		t.Fatalf("fairShare with 3 BUs left = %d, want 3", got)
 	}
 }
@@ -268,7 +268,7 @@ func TestFairShareZeroCapacityCluster(t *testing.T) {
 	for _, n := range c.Nodes {
 		n.Slots = 0
 	}
-	if got := am.fairShare(c.Nodes[0], 1.0, am.monitor.RelativeSpeeds()); got != 64 {
+	if got := am.fairShare(c.Nodes[0], 1.0); got != 64 {
 		t.Fatalf("fairShare on zero-capacity cluster = %d, want remaining (64)", got)
 	}
 }
@@ -287,13 +287,18 @@ func TestFairShareEndgameProportional(t *testing.T) {
 	// remaining = 17 < oneWave: endgame. Fast node's share is
 	// capacity-proportional (⌊17×8/18⌋+1 = 8); slow node's proportional
 	// share (1) is lifted to the 4-BU floor.
-	rels := am.monitor.RelativeSpeeds()
-	if got := am.fairShare(c.Nodes[0], rels[0], rels); got != 8 {
+	if got := am.fairShare(c.Nodes[0], am.monitor.RelativeSpeed(0)); got != 8 {
 		t.Fatalf("fast node fairShare = %d, want 8", got)
 	}
-	if got := am.fairShare(c.Nodes[1], rels[1], rels); got != 4 {
+	if got := am.fairShare(c.Nodes[1], am.monitor.RelativeSpeed(1)); got != 4 {
 		t.Fatalf("slow node fairShare = %d, want 4 (the floor)", got)
 	}
+}
+
+// capsOf returns the capacity function of nodes 0, 1, … with the given
+// capacities.
+func capsOf(caps ...float64) func(cluster.NodeID) float64 {
+	return func(id cluster.NodeID) float64 { return caps[id] }
 }
 
 // Property: the biased picker's acceptance frequencies track c² within
@@ -304,8 +309,8 @@ func TestPropertyBiasedPickerDistribution(t *testing.T) {
 			{BaseSpeed: 1, Slots: 100000}, {BaseSpeed: 1, Slots: 100000},
 		})
 		am := &AM{rng: randutil.New(seed), d: nil}
-		caps := []float64{1.0, 0.5}
-		assigned := make([]int, 2)
+		caps := capsOf(1.0, 0.5)
+		assigned := map[cluster.NodeID]int{}
 		const draws = 2000
 		counts := make([]int, 2)
 		for i := 0; i < draws; i++ {
@@ -325,8 +330,8 @@ func TestBiasedPickerRespectsCapacityGuard(t *testing.T) {
 		{BaseSpeed: 1, Slots: 2}, {BaseSpeed: 1, Slots: 2},
 	})
 	am := &AM{rng: randutil.New(1)}
-	caps := []float64{1.0, 1.0}
-	assigned := make([]int, 2)
+	caps := capsOf(1.0, 1.0)
+	assigned := map[cluster.NodeID]int{}
 	counts := make([]int, 2)
 	for i := 0; i < 4; i++ {
 		counts[am.pickBiased(i, c.Nodes, caps, assigned)]++
@@ -356,10 +361,10 @@ func TestBiasedPickerBalancedAcrossWaves(t *testing.T) {
 	})
 	// Unequal capacities: the raw-sampling bug would send ~80% of waves
 	// 2-3 to node 0.
-	caps := []float64{1.0, 0.5}
+	caps := capsOf(1.0, 0.5)
 	for seed := int64(1); seed <= 5; seed++ {
 		am := &AM{rng: randutil.New(seed)}
-		assigned := make([]int, 2)
+		assigned := map[cluster.NodeID]int{}
 		counts := make([]int, 2)
 		const waves = 3
 		for i := 0; i < waves*4; i++ {
@@ -383,8 +388,8 @@ func TestBiasedPickerBailoutPicksLeastLoaded(t *testing.T) {
 		{BaseSpeed: 1, Slots: 2}, {BaseSpeed: 1, Slots: 2},
 	})
 	am := &AM{rng: randutil.New(7)}
-	caps := []float64{0, 0}
-	assigned := []int{1, 0}
+	caps := capsOf(0, 0)
+	assigned := map[cluster.NodeID]int{0: 1}
 	if got := am.pickBiased(0, c.Nodes, caps, assigned); got != 1 {
 		t.Fatalf("bail-out picked node %d, want least-loaded node 1 (assigned %v)", got, assigned)
 	}

@@ -245,7 +245,7 @@ func TestSpeedMonitorResetNodeClearsWindow(t *testing.T) {
 	}
 	// An unmeasured node is indistinguishable from the slowest: the
 	// conservative assumption the sizing algorithm restarts from.
-	if rel := m.RelativeSpeeds()[0]; rel != 1.0 {
+	if rel := m.RelativeSpeed(0); rel != 1.0 {
 		t.Fatalf("relative speed after reset = %v, want the conservative 1.0", rel)
 	}
 }

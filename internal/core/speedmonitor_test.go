@@ -62,12 +62,10 @@ func TestMonitorNoReportsMeansUnknown(t *testing.T) {
 	if m.GetSpeed(0) != 0 {
 		t.Fatal("speed should be 0 before any report")
 	}
-	rel := m.RelativeSpeeds()
-	if rel[0] != 1.0 || rel[1] != 1.0 {
+	if m.RelativeSpeed(0) != 1.0 || m.RelativeSpeed(1) != 1.0 {
 		t.Fatal("unmeasured nodes should be relative speed 1.0")
 	}
-	caps := m.NormalizedCapacities()
-	if caps[0] != 1.0 {
+	if m.Capacity(0) != 1.0 {
 		t.Fatal("unmeasured nodes should have capacity 1.0")
 	}
 	m.Stop()
@@ -114,13 +112,11 @@ func TestMonitorCompletionReports(t *testing.T) {
 	if fast <= slow {
 		t.Fatalf("fast node IPS %.1f ≤ slow node %.1f", fast, slow)
 	}
-	rel := m.RelativeSpeeds()
-	if rel[0] <= 1.0 || rel[1] != 1.0 {
-		t.Fatalf("relative speeds wrong: %v", rel)
+	if rel0, rel1 := m.RelativeSpeed(0), m.RelativeSpeed(1); rel0 <= 1.0 || rel1 != 1.0 {
+		t.Fatalf("relative speeds wrong: %v, %v", rel0, rel1)
 	}
-	caps := m.NormalizedCapacities()
-	if caps[0] != 1.0 || caps[1] >= 1.0 {
-		t.Fatalf("normalized capacities wrong: %v", caps)
+	if cap0, cap1 := m.Capacity(0), m.Capacity(1); cap0 != 1.0 || cap1 >= 1.0 {
+		t.Fatalf("normalized capacities wrong: %v, %v", cap0, cap1)
 	}
 }
 

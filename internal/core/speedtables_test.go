@@ -16,8 +16,9 @@ import (
 	"flexmap/internal/yarn"
 )
 
-// refRelativeSpeeds is the map-keyed RelativeSpeeds the NodeID-indexed
-// slice replaced, recomputed from the windows with no memo.
+// refRelativeSpeeds is the map-keyed table of relative speeds that the
+// NodeID-indexed slice, and then the per-node RelativeSpeed, replaced,
+// recomputed from the windows with no memo.
 func refRelativeSpeeds(m *SpeedMonitor) map[cluster.NodeID]float64 {
 	nodes := m.driver.Cluster.Nodes
 	sp := make([]float64, len(nodes))
@@ -41,7 +42,8 @@ func refRelativeSpeeds(m *SpeedMonitor) map[cluster.NodeID]float64 {
 	return out
 }
 
-// refNormalizedCapacities is the map-keyed NormalizedCapacities.
+// refNormalizedCapacities is the map-keyed table of capacities that
+// Capacity replaced.
 func refNormalizedCapacities(m *SpeedMonitor) map[cluster.NodeID]float64 {
 	nodes := m.driver.Cluster.Nodes
 	sp := make([]float64, len(nodes))
@@ -118,30 +120,26 @@ func (p *speedProbe) check(node *cluster.Node) {
 	}
 	am, nodes := p.am, p.am.d.Cluster.Nodes
 	now := am.d.Eng.Now()
-	rels, refRels := am.monitor.RelativeSpeeds(), refRelativeSpeeds(am.monitor)
-	caps, refCaps := am.monitor.NormalizedCapacities(), refNormalizedCapacities(am.monitor)
-	if len(rels) != len(nodes) || len(caps) != len(nodes) {
-		p.t.Fatalf("t=%v: tables cover %d/%d nodes, cluster has %d", now, len(rels), len(caps), len(nodes))
-	}
+	refRels, refCaps := refRelativeSpeeds(am.monitor), refNormalizedCapacities(am.monitor)
 	for _, n := range nodes {
-		if math.Float64bits(rels[n.ID]) != math.Float64bits(refRels[n.ID]) {
-			p.t.Fatalf("t=%v: RelativeSpeeds[%d] = %v, reference %v", now, n.ID, rels[n.ID], refRels[n.ID])
+		if got := am.monitor.RelativeSpeed(n.ID); math.Float64bits(got) != math.Float64bits(refRels[n.ID]) {
+			p.t.Fatalf("t=%v: monitor RelativeSpeed(%d) = %v, reference %v", now, n.ID, got, refRels[n.ID])
 		}
 		if got := am.RelativeSpeed(n.ID); math.Float64bits(got) != math.Float64bits(refRels[n.ID]) {
 			p.t.Fatalf("t=%v: RelativeSpeed(%d) = %v, reference %v", now, n.ID, got, refRels[n.ID])
 		}
-		if math.Float64bits(caps[n.ID]) != math.Float64bits(refCaps[n.ID]) {
-			p.t.Fatalf("t=%v: NormalizedCapacities[%d] = %v, reference %v", now, n.ID, caps[n.ID], refCaps[n.ID])
+		if got := am.monitor.Capacity(n.ID); math.Float64bits(got) != math.Float64bits(refCaps[n.ID]) {
+			p.t.Fatalf("t=%v: Capacity(%d) = %v, reference %v", now, n.ID, got, refCaps[n.ID])
 		}
 	}
 	if am.d.Finished() || am.d.MapsFinished() || am.tracker.Remaining() == 0 {
 		return
 	}
-	rel, refRel := rels[node.ID], refRels[node.ID]
+	rel, refRel := am.monitor.RelativeSpeed(node.ID), refRels[node.ID]
 	if am.NoHorizontal {
 		rel, refRel = 1, 1
 	}
-	got, want := am.fairShare(node, rel, rels), refFairShare(am, refRel, refRels)
+	got, want := am.fairShare(node, rel), refFairShare(am, refRel, refRels)
 	if got != want {
 		p.t.Fatalf("t=%v: fairShare(node %d) = %d, reference %d", now, node.ID, got, want)
 	}

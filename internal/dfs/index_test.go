@@ -242,12 +242,23 @@ func checkAgainstRef(t *testing.T, s *Store, ref *refStore) {
 
 // TestAddFileAllocs pins that placement allocates per placement group,
 // not per BU: a one-group file costs the same whether it holds 1 BU or
-// GroupBUs, and each further group adds a small constant.
+// GroupBUs, and each further group adds a small constant. The sources
+// are built outside the measured closure with their registers already
+// allocated (drawn past the lazy prefix, then reseeded), so a large
+// file's draws do not count the register against placement.
 func TestAddFileAllocs(t *testing.T) {
 	c := cluster.Homogeneous(64)
+	const runs = 20
 	allocs := func(bus int64) float64 {
-		return testing.AllocsPerRun(20, func() {
-			s := NewStore(c, 3, randutil.New(1))
+		srcs := make([]*randutil.Source, runs+1) // AllocsPerRun adds a warm-up run
+		for i := range srcs {
+			srcs[i] = randutil.New(1)
+			srcs[i].Int63s(make([]int64, 1000))
+			srcs[i].Rand.Seed(1)
+		}
+		return testing.AllocsPerRun(runs, func() {
+			s := NewStore(c, 3, srcs[0])
+			srcs = srcs[1:]
 			if _, err := s.AddFile("f", bus*BUSize); err != nil {
 				t.Fatal(err)
 			}

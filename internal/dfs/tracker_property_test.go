@@ -107,7 +107,7 @@ func applyOps(t *testing.T, ops []trackerOp, nodes, repl int) []BUID {
 				count++
 			}
 		}
-		if got := tr.byNode[probe].live; got != count {
+		if got := liveOn(tr, probe); got != count {
 			t.Fatalf("byNode[%d].live = %d, brute force says %d", probe, got, count)
 		}
 	}

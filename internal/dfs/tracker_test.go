@@ -59,8 +59,8 @@ func TestTakeLocalOnlyReturnsLocal(t *testing.T) {
 	if len(bus) != s.nodeLoad[node] {
 		t.Fatalf("TakeLocal returned %d, node stores %d", len(bus), s.nodeLoad[node])
 	}
-	if tr.byNode[node].live != 0 {
-		t.Fatalf("byNode[node].live = %d after draining", tr.byNode[node].live)
+	if liveOn(tr, node) != 0 {
+		t.Fatalf("byNode[node].live = %d after draining", liveOn(tr, node))
 	}
 }
 
@@ -69,7 +69,7 @@ func TestTakePrefersLocal(t *testing.T) {
 	s.AddFile("a", 64*BUSize)
 	tr, _ := NewTracker(s, "a")
 	node := cluster.NodeID(2)
-	localAvail := tr.byNode[node].live
+	localAvail := liveOn(tr, node)
 	if localAvail < 2 {
 		t.Skip("placement left node with too few local BUs")
 	}
@@ -89,7 +89,7 @@ func TestTakeFallsBackRemote(t *testing.T) {
 	s.AddFile("a", 32*BUSize)
 	tr, _ := NewTracker(s, "a")
 	node := cluster.NodeID(0)
-	localAvail := tr.byNode[node].live
+	localAvail := liveOn(tr, node)
 	bus, local := tr.Take(node, localAvail+5)
 	if local != localAvail {
 		t.Fatalf("local part = %d, want %d", local, localAvail)
@@ -108,7 +108,7 @@ func TestTakeRemoteRichestHeuristic(t *testing.T) {
 
 	richest, best := cluster.NodeID(-1), -1
 	for _, n := range s.Cluster().Nodes {
-		if c := tr.byNode[n.ID].live; c > best {
+		if c := liveOn(tr, n.ID); c > best {
 			best, richest = c, n.ID
 		}
 	}
@@ -180,4 +180,13 @@ func TestPropertyTrackerExactlyOnce(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// liveOn returns the tracker's live count for a node, 0 for a node that
+// holds no replica of the file.
+func liveOn(tr *Tracker, id cluster.NodeID) int {
+	if ns := tr.byNode.Get(id); ns != nil {
+		return ns.live
+	}
+	return 0
 }

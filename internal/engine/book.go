@@ -52,7 +52,6 @@ type AttemptBook struct {
 	onDone func(*MapAttempt)
 
 	tasks      []taskState // indexed by TaskID
-	waveByNode []int       // per-node launch count, indexed by dense NodeID
 	activeSpec int
 	epoch      uint64
 
@@ -70,11 +69,7 @@ type taskState struct {
 // NewAttemptBook returns an empty book over the driver. onDone receives
 // every attempt that finishes; it should settle the race with Win first.
 func NewAttemptBook(d *Driver, onDone func(*MapAttempt)) *AttemptBook {
-	return &AttemptBook{
-		d:          d,
-		onDone:     onDone,
-		waveByNode: make([]int, d.Cluster.Size()),
-	}
+	return &AttemptBook{d: d, onDone: onDone}
 }
 
 // Launch starts one attempt on l.Node. The book fills in the wave and
@@ -83,8 +78,9 @@ func NewAttemptBook(d *Driver, onDone func(*MapAttempt)) *AttemptBook {
 func (b *AttemptBook) Launch(l MapLaunch) *MapAttempt {
 	// A "wave" is one round of concurrent tasks on the node: the first
 	// Slots launches are wave 0, the next Slots are wave 1, and so on.
-	l.Wave = b.waveByNode[l.Node.ID] / l.Node.Slots
-	b.waveByNode[l.Node.ID]++
+	n := b.d.nodes.Put(l.Node.ID)
+	l.Wave = n.launches / l.Node.Slots
+	n.launches++
 	if l.Speculative {
 		b.activeSpec++
 	}

@@ -282,7 +282,7 @@ func TestBUCommitsKeepsDroppedBUs(t *testing.T) {
 	if got := h.driver.BUCommits(); !reflect.DeepEqual(got, want) {
 		t.Errorf("BUCommits after the loss = %v, want %v", got, want)
 	}
-	if got := h.driver.interByNode[0]; got != prefix {
+	if got := h.driver.interOn(0); got != prefix {
 		t.Errorf("node 0 holds %d intermediate bytes, want the durable prefix's %d", got, prefix)
 	}
 	if h.driver.Result.OutputBUsLost != 8 {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -182,12 +183,16 @@ func TestSharedExecutorTiesFireInStartOrder(t *testing.T) {
 }
 
 // TestNewDriverAllocsIndependentOfFleet is the counted gate on job
-// assembly: every driver of a run shares its executor, so building one
-// allocates as many objects on 2,000 nodes as on 200. (An executor per
-// driver, appending a speed listener to every node, took 261
-// allocations a driver at 200 nodes and 2,511 at 2,000.)
+// assembly: every driver of a run shares its executor, and a driver's
+// per-node state is sized by its input, so building one allocates as
+// many objects, and as many bytes, on 2,000 nodes as on 200. (An
+// executor per driver, appending a speed listener to every node, took
+// 261 allocations a driver at 200 nodes and 2,511 at 2,000; per-node
+// arrays over the fleet took 7.8 KB a driver at 200 nodes and 67 KB at
+// 2,000, where it now reads 1.6 KB on both.)
 func TestNewDriverAllocsIndependentOfFleet(t *testing.T) {
-	perDriver := func(nodes int) float64 {
+	const runs = 20
+	perDriver := func(nodes int) (allocs, bytes float64) {
 		eng := sim.New()
 		c := cluster.Homogeneous(nodes)
 		store := dfs.NewStore(c, 3, testRNG())
@@ -196,14 +201,27 @@ func TestNewDriverAllocsIndependentOfFleet(t *testing.T) {
 		}
 		x := NewExecutor(eng, c, BaseIPS)
 		rm := newRM(eng, c)
-		return testing.AllocsPerRun(20, func() {
+		build := func() {
 			if _, err := NewDriver(x, store, rm, wcSpec(0)); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		allocs = testing.AllocsPerRun(runs, build)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			build()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
-	if small, large := perDriver(200), perDriver(2000); small != large {
-		t.Errorf("NewDriver allocates %v objects on 200 nodes and %v on 2,000; want equal", small, large)
+	smallAllocs, smallBytes := perDriver(200)
+	largeAllocs, largeBytes := perDriver(2000)
+	if smallAllocs != largeAllocs {
+		t.Errorf("NewDriver allocates %v objects on 200 nodes and %v on 2,000; want equal", smallAllocs, largeAllocs)
+	}
+	if smallBytes != largeBytes {
+		t.Errorf("NewDriver allocates %v bytes on 200 nodes and %v on 2,000; want equal", smallBytes, largeBytes)
 	}
 }
 

@@ -26,9 +26,7 @@ func GreedyReducePlacer(d *Driver) []cluster.NodeID {
 		}
 	}
 	rackSum := make([]int64, racks)
-	for i, b := range d.interByNode {
-		rackSum[rackOf[i]] += b
-	}
+	d.nodes.Each(func(id cluster.NodeID, n *jobNode) { rackSum[rackOf[id]] += n.inter })
 	partBytes := d.totalInter / R
 
 	// Per-partition shares depend only on the destination node, so the
@@ -36,7 +34,7 @@ func GreedyReducePlacer(d *Driver) []cluster.NodeID {
 	intraShare := make([]float64, size)
 	crossShare := make([]float64, size)
 	for i := 0; i < size; i++ {
-		intra := rackSum[rackOf[i]]/R - d.interByNode[i]/R
+		intra := rackSum[rackOf[i]]/R - d.interOn(cluster.NodeID(i))/R
 		cross := partBytes - rackSum[rackOf[i]]/R
 		if intra < 0 {
 			intra = 0

@@ -31,32 +31,42 @@ type pendingQueue struct {
 	live   []bool         // by seq
 	count  int
 	fifo   []int
-	byHost [][]int // indexed by dense NodeID
+	byHost cluster.NodeTable[hostFIFO] // the split hosts only
+}
+
+// hostFIFO is one host's seqs. reserve counts the host's splits in
+// reserved, then cuts seqs from one shared array.
+type hostFIFO struct {
+	seqs     []int
+	reserved int
 }
 
 // Len returns the number of undispatched splits.
 func (q *pendingQueue) Len() int { return q.count }
 
-// reserve sizes an empty queue for splits about to be enqueued on a
-// cluster of the given size: the per-host FIFOs are cut from one array,
-// each with room for its host's splits. Later adds grow them as usual.
+// reserve sizes an empty queue for splits about to be enqueued: the
+// per-host FIFOs are cut from one array, each with room for its host's
+// splits, and the host table learns the fleet size. Later adds grow them
+// as usual.
 func (q *pendingQueue) reserve(splits []dfs.Split, nodes int) {
+	q.byHost.SetFleet(nodes)
 	q.splits = make([]PendingSplit, 0, len(splits))
 	q.live = make([]bool, 0, len(splits))
 	q.fifo = make([]int, 0, len(splits))
-	q.byHost = make([][]int, nodes)
-	count := make([]int, nodes)
 	total := 0
 	for _, sp := range splits {
+		total += len(sp.Hosts)
+	}
+	q.byHost.Reserve(min(nodes, total))
+	for _, sp := range splits {
 		for _, h := range sp.Hosts {
-			count[h]++
-			total++
+			q.byHost.Put(h).reserved++
 		}
 	}
 	all := make([]int, total)
-	for h, n := range count {
-		q.byHost[h], all = all[:0:n], all[n:]
-	}
+	q.byHost.Each(func(_ cluster.NodeID, f *hostFIFO) {
+		f.seqs, all = all[:0:f.reserved], all[f.reserved:]
+	})
 }
 
 // add enqueues a split behind everything currently pending.
@@ -67,19 +77,18 @@ func (q *pendingQueue) add(p PendingSplit) {
 	q.count++
 	q.fifo = append(q.fifo, seq)
 	for _, h := range p.Hosts {
-		for int(h) >= len(q.byHost) {
-			q.byHost = append(q.byHost, nil)
-		}
-		q.byHost[h] = append(q.byHost[h], seq)
+		f := q.byHost.Put(h)
+		f.seqs = append(f.seqs, seq)
 	}
 }
 
 // takeLocal dequeues the oldest pending split hosting node id, if any.
 func (q *pendingQueue) takeLocal(id cluster.NodeID) (PendingSplit, bool) {
-	if int(id) < 0 || int(id) >= len(q.byHost) {
+	f := q.byHost.Get(id)
+	if f == nil {
 		return PendingSplit{}, false
 	}
-	return q.pop(&q.byHost[id])
+	return q.pop(&f.seqs)
 }
 
 // takeFIFO dequeues the oldest pending split, if any.

@@ -110,7 +110,7 @@ func (d *Driver) crashResident(id cluster.NodeID) {
 	if d.finished {
 		return
 	}
-	for _, a := range slices.Clone(d.running[id]) {
+	for _, a := range slices.Clone(d.runningOn(id)) {
 		if a.kill(true) {
 			d.Result.AttemptsCrashed++
 			d.crashedPending[id] = append(d.crashedPending[id], a)
@@ -152,7 +152,7 @@ func (d *Driver) drainNode(id cluster.NodeID) int {
 		return 0
 	}
 	preempted := 0
-	for _, a := range slices.Clone(d.running[id]) {
+	for _, a := range slices.Clone(d.runningOn(id)) {
 		if d.preempt(a) {
 			preempted++
 		}
@@ -247,7 +247,7 @@ func (d *Driver) dropResidentOutput(id cluster.NodeID) []dfs.BUID {
 	for _, bu := range bus {
 		d.buCommits[bu-d.firstBU]--
 	}
-	d.interByNode[id] -= inter
+	d.nodes.Get(id).inter -= inter
 	d.totalInter -= inter
 	d.Result.OutputBUsLost += len(bus)
 	sort.Slice(bus, func(i, j int) bool { return bus[i] < bus[j] })

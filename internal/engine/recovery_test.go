@@ -181,7 +181,7 @@ func TestPreemptionRequeuesWithoutRetryCharge(t *testing.T) {
 	h := newHarness(t, cluster.Homogeneous(4), 64, wcSpec(0))
 	bindStock(t, h.driver, 8, nil)
 	h.eng.At(4, "preempt", func() {
-		running := h.driver.running[2]
+		running := h.driver.runningOn(2)
 		if len(running) == 0 || !h.driver.preempt(running[len(running)-1]) {
 			t.Error("no container preempted on a busy node")
 		}

@@ -19,15 +19,10 @@ import (
 // static fleet the member list is the whole fleet, byte-identical to the
 // pre-elastic round-robin.
 func EvenReducePlacer(d *Driver) []cluster.NodeID {
-	members := make([]cluster.NodeID, 0, d.Cluster.Size())
-	for _, n := range d.Cluster.Nodes {
-		if !n.Offline() {
-			members = append(members, n.ID)
-		}
-	}
+	members := d.Cluster.Members()
 	out := make([]cluster.NodeID, d.Spec.NumReducers)
 	for i := range out {
-		out[i] = members[i%len(members)]
+		out[i] = members[i%len(members)].ID
 	}
 	return out
 }
@@ -301,7 +296,7 @@ func (d *Driver) runReduce(p int, n *cluster.Node) {
 	// flat model folds the fetch of the remote share into that event.
 	delay := Overhead
 	if d.Net == nil {
-		remote := max(partBytes-d.interByNode[n.ID]/int64(d.Spec.NumReducers), 0)
+		remote := max(partBytes-d.interOn(n.ID)/int64(d.Spec.NumReducers), 0)
 		delay += sim.Duration(float64(remote) / (d.Cluster.NetBW * float64(MB)))
 	}
 	rr.ev = d.Eng.After(delay, "reduce-fetch", rr.step)
@@ -390,7 +385,7 @@ func (rr *reduceRun) startShuffle() {
 	R := int64(d.Spec.NumReducers)
 	rack := d.Net.RackOf(n.ID)
 	rackShare := d.rackIntermediate(rack) / R
-	localShare := d.interByNode[n.ID] / R
+	localShare := d.interOn(n.ID) / R
 	intra := rackShare - localShare
 	cross := rr.partBytes - rackShare
 	if intra < 0 {
@@ -416,11 +411,11 @@ func (rr *reduceRun) startShuffle() {
 // rack's nodes.
 func (d *Driver) rackIntermediate(rack int) int64 {
 	var sum int64
-	for id, b := range d.interByNode {
-		if b != 0 && d.Net.RackOf(cluster.NodeID(id)) == rack {
-			sum += b
+	d.nodes.Each(func(id cluster.NodeID, n *jobNode) {
+		if n.inter != 0 && d.Net.RackOf(id) == rack {
+			sum += n.inter
 		}
-	}
+	})
 	return sum
 }
 

@@ -66,9 +66,13 @@ type StockAM struct {
 	// tasksRemaining counts tasks not yet completed (grows when SkewTune
 	// splits a task into subtasks).
 	tasksRemaining int
-	// remoteAllowedAt is indexed by the dense NodeID; < 0 means no
-	// locality-wait timer is armed for the node.
-	remoteAllowedAt []sim.Time
+	// waits holds, for each node whose locality wait was ever armed, when
+	// the wait expires; negative once a launch on the node reset it. Every
+	// node offered while splits are pending arms one, so on a large idle
+	// fleet this table goes dense.
+	waits cluster.NodeTable[sim.Time]
+	// poke is the RM's Poke, bound once: every armed wait schedules it.
+	poke func()
 
 	// maxTaskAttempts bounds executions of one task (Hadoop's
 	// mapreduce.map.maxattempts, 4): the job fails when a task crashes
@@ -103,14 +107,12 @@ func NewStockAM(d *Driver, splitBUs int, speculation SpeculationPolicy) (*StockA
 		Speculation:     speculation,
 		maxTaskAttempts: 4,
 		d:               d,
-		remoteAllowedAt: make([]sim.Time, d.Cluster.Size()),
 		tasks:           make([]stockTask, 0, len(splits)),
 		firstBU:         input.BUs[0],
 		taskOfBU:        make([]TaskID, len(input.BUs)),
 	}
-	for i := range am.remoteAllowedAt {
-		am.remoteAllowedAt[i] = -1
-	}
+	am.waits.SetFleet(d.Cluster.Size())
+	am.poke = d.RM.Poke
 	am.book = NewAttemptBook(d, am.onMapDone)
 	// Every split launches at least once and records an attempt, and
 	// every partition records a reduce attempt.
@@ -181,12 +183,12 @@ func (am *StockAM) TryDispatch(node *cluster.Node) bool {
 	}
 	if am.pending.Len() > 0 {
 		now := am.d.Eng.Now()
-		if allowed := am.remoteAllowedAt[node.ID]; allowed < 0 {
+		if wait := am.waits.Get(node.ID); wait == nil || *wait < 0 {
 			// First miss: start the locality-wait timer and re-offer later.
-			am.remoteAllowedAt[node.ID] = now + sim.Time(localityWait)
-			am.d.Eng.After(localityWait, "locality-wait", func() { am.d.RM.Poke() })
+			*am.waits.Put(node.ID) = now + sim.Time(localityWait)
+			am.d.Eng.After(localityWait, "locality-wait", am.poke)
 			return false
-		} else if now < allowed || am.d.RM.FreeSlots(node.ID) == 0 {
+		} else if now < *wait || am.d.RM.FreeSlots(node.ID) == 0 {
 			// A full node: SkewTune's repartition pokes the RM from
 			// inside its offer, and that nested sweep may have handed
 			// this node's last slot to another job.
@@ -202,7 +204,9 @@ func (am *StockAM) TryDispatch(node *cluster.Node) bool {
 func (am *StockAM) launchPending(node *cluster.Node, p PendingSplit) {
 	// Reset the node's locality wait: delay scheduling re-waits per task
 	// assignment, whether this launch was local or (timed-out) remote.
-	am.remoteAllowedAt[node.ID] = -1
+	if wait := am.waits.Get(node.ID); wait != nil {
+		*wait = -1
+	}
 	bus, local := am.book.localFirst(node, p.BUs)
 	am.book.Launch(MapLaunch{
 		Task:            p.Task,

@@ -221,7 +221,7 @@ func TestRemotePickDeclinesFullNode(t *testing.T) {
 	node := h.clus.Node(0)
 	h.rm.Acquire(node, new(yarn.Container)) // another job takes the node's last slot
 	am.AddPending(PendingSplit{Task: "sub", BUs: []dfs.BUID{0}}, 1)
-	am.remoteAllowedAt[node.ID] = h.eng.Now()
+	*am.waits.Put(node.ID) = h.eng.Now()
 	if am.TryDispatch(node) {
 		t.Fatal("dispatched onto a node with no free slot")
 	}

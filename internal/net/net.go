@@ -164,10 +164,7 @@ func New(eng *sim.Engine, c *cluster.Cluster) (*Fabric, error) {
 	if err := spec.Validate(c.NetBW); err != nil {
 		return nil, err
 	}
-	oversub := spec.Oversub
-	if oversub == 0 {
-		oversub = 1
-	}
+	hostBW, rackBW := spec.LinkCapacities(c.NetBW)
 	n := c.Size()
 	racks := (n + spec.HostsPerRack - 1) / spec.HostsPerRack
 	f := &Fabric{
@@ -175,8 +172,8 @@ func New(eng *sim.Engine, c *cluster.Cluster) (*Fabric, error) {
 		nodes:        n,
 		hostsPerRack: spec.HostsPerRack,
 		racks:        racks,
-		hostBW:       c.NetBW * MB,
-		rackBW:       c.NetBW * MB * float64(spec.HostsPerRack) / oversub,
+		hostBW:       hostBW,
+		rackBW:       rackBW,
 		links:        make([]link, 2*n+2*racks),
 	}
 	for i := 0; i < 2*n; i++ {
@@ -186,9 +183,6 @@ func New(eng *sim.Engine, c *cluster.Cluster) (*Fabric, error) {
 		f.links[i].cap = f.rackBW
 	}
 	for i := range f.links {
-		if f.links[i].cap <= 0 {
-			return nil, fmt.Errorf("net: cluster %q link %d has non-positive capacity", c.Name, i)
-		}
 		f.links[i].hpos = -1
 	}
 	return f, nil

@@ -9,17 +9,23 @@ import "math/rand"
 // the seed, so every rand.Rand method over an lfg returns what it returns
 // over rand.NewSource.
 //
-// Two things differ, neither visible in the stream. Seeding is lazy: slot
+// Three things differ, none visible in the stream. Seeding is lazy: slot
 // i's initial word is chain(x0, i) ^ cooked[i], and chain reaches any
 // point of the seed's Lehmer chain in O(1) (lehmerPow), so a slot is
-// seeded when a draw first reads it rather than all 607 up front. And
-// int63s draws a batch without an interface call per draw.
+// seeded when a draw first reads it rather than all 607 up front. The
+// register itself is lazy: draws 1–273 read only seed words (feed slot
+// 334−k and tap slot 607−k, which no earlier draw wrote), so they are
+// computed from the seed alone, and the register is allocated at draw 274
+// by replaying them. A stream that draws a handful of values never pays
+// for it. And int63s draws a batch without an interface call per draw.
 type lfg struct {
 	tap, feed int
 	// x0 is the reduced seed, the Lehmer chain's start, while some slot
 	// is still unseeded; it is 0 once the register is full.
-	x0  uint64
-	vec [lfgLen]int64
+	x0 uint64
+	// vec is the register, nil until the first draw that reads a slot an
+	// earlier draw wrote.
+	vec *[lfgLen]int64
 }
 
 const (
@@ -112,6 +118,14 @@ func (g *lfg) Uint64() uint64 {
 	if g.feed < 0 {
 		g.feed += lfgLen
 	}
+	if g.vec == nil {
+		if g.tap >= lfgFill {
+			// Draw 607−tap ≤ 273 reads two seed words and writes a slot
+			// no draw before 274 reads.
+			return uint64(g.seedWord(g.feed) + g.seedWord(g.tap))
+		}
+		g.grow()
+	}
 	if g.x0 != 0 {
 		g.seedSlots()
 	}
@@ -120,14 +134,30 @@ func (g *lfg) Uint64() uint64 {
 	return uint64(x)
 }
 
+// grow allocates the register at draw 274, whose tap slot draw 1 wrote,
+// and replays draws 1–273 into it. Tap and feed already point at draw
+// 274's slots; the replay leaves them there.
+func (g *lfg) grow() {
+	tap, feed := g.tap, g.feed
+	g.vec = new([lfgLen]int64)
+	g.tap, g.feed = 0, lfgFill
+	for range lfgTap {
+		g.Uint64()
+	}
+	g.tap, g.feed = tap, feed
+}
+
+// seedWord returns slot i's initial word.
+func (g *lfg) seedWord(i int) int64 { return chain(g.x0, i) ^ cooked[i] }
+
 // seedSlots writes the initial words of the slots the current draw reads
 // first: draw k ≤ 334 reads feed slot 334−k for the first time, and draw
 // k ≤ 273 tap slot 607−k (later tap slots were feed slots 273 draws
 // earlier). Draw 334 fills slot 0, the last one.
 func (g *lfg) seedSlots() {
-	g.vec[g.feed] = chain(g.x0, g.feed) ^ cooked[g.feed]
+	g.vec[g.feed] = g.seedWord(g.feed)
 	if g.tap >= lfgFill {
-		g.vec[g.tap] = chain(g.x0, g.tap) ^ cooked[g.tap]
+		g.vec[g.tap] = g.seedWord(g.tap)
 	}
 	if g.feed == 0 {
 		g.x0 = 0
@@ -141,7 +171,7 @@ func (g *lfg) int63s(dst []int64) {
 		dst[0] = g.Int63()
 		dst = dst[1:]
 	}
-	tap, feed, vec := g.tap, g.feed, &g.vec
+	tap, feed, vec := g.tap, g.feed, g.vec
 	for i := range dst {
 		tap--
 		if tap < 0 {

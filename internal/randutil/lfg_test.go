@@ -142,6 +142,37 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 	})
 }
 
+// TestShortStreamAllocatesNoRegister checks that the register is lazy: a
+// source that draws at most 273 values allocates only itself and its
+// rand.Rand, and draw 274 allocates the register, once.
+func TestShortStreamAllocatesNoRegister(t *testing.T) {
+	var s *Source
+	draws := func(n int) func() {
+		return func() {
+			s = New(42)
+			for range n {
+				s.Int63()
+			}
+		}
+	}
+	base := testing.AllocsPerRun(20, draws(0))
+	if got := testing.AllocsPerRun(20, draws(lfgTap)); got != base {
+		t.Fatalf("New plus %d draws: %v allocations, want New's %v", lfgTap, got, base)
+	}
+	if s.gen.vec != nil {
+		t.Fatalf("register allocated after %d draws", lfgTap)
+	}
+	if got := testing.AllocsPerRun(20, draws(lfgTap+1)); got != base+1 {
+		t.Fatalf("New plus %d draws: %v allocations, want %v", lfgTap+1, got, base+1)
+	}
+	if s.gen.vec == nil {
+		t.Fatalf("no register after %d draws", lfgTap+1)
+	}
+	if got := testing.AllocsPerRun(20, draws(lfgLen+1)); got != base+1 {
+		t.Fatalf("New plus %d draws: %v allocations, want %v", lfgLen+1, got, base+1)
+	}
+}
+
 // BenchmarkNewOneDraw measures a stream that draws once, like
 // workload.Generate's class and size streams or a node's crash stream.
 func BenchmarkNewOneDraw(b *testing.B) {

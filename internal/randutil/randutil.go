@@ -14,7 +14,8 @@ import (
 // splitting: derived sources are seeded from the parent seed and a label,
 // so adding a new consumer of randomness does not perturb existing ones.
 // Its *rand.Rand runs over lfg, which yields exactly rand.NewSource(seed)'s
-// stream but seeds register slots as draws first read them.
+// stream but seeds register slots as draws first read them and allocates
+// the register only at the 274th draw.
 type Source struct {
 	seed int64
 	*rand.Rand
@@ -42,9 +43,9 @@ func (s *Source) Seed() int64 { return s.seed }
 func (s *Source) Split(label string) *Source { return New(SplitSeed(s.seed, label)) }
 
 // SplitSeed returns the seed Split derives from (seed, label), without
-// seeding a source. A source allocates a ~4.9 KB register, so a caller
-// that only derives further seeds, or draws from a stream only sometimes,
-// should derive with SplitSeed and call New once it draws.
+// seeding a source. A caller that only derives further seeds should
+// derive with SplitSeed: a source is about 100 bytes until its 274th
+// draw, when it allocates math/rand's ~4.9 KB register.
 func SplitSeed(seed int64, label string) int64 {
 	derived := seed ^ int64(fnv64a(label))
 	// Avoid the degenerate all-zero seed.

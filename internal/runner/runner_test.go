@@ -131,6 +131,10 @@ func TestRunErrors(t *testing.T) {
 		{"NaN oversub", withNet(func(c *cluster.Cluster) {
 			c.Topology = &cluster.TopologySpec{HostsPerRack: 4, Oversub: nan}
 		}), Engine{Kind: Hadoop}},
+		// The rack link overflows to +Inf in bytes/s.
+		{"subnormal oversub", withNet(func(c *cluster.Cluster) {
+			c.Topology = &cluster.TopologySpec{HostsPerRack: 4, Oversub: 1e-320}
+		}), Engine{Kind: Hadoop}},
 		{"NaN downtime", crashes(faults.Plan{MeanDowntime: sim.Duration(nan)}), Engine{Kind: Hadoop}},
 		{"+Inf downtime", crashes(faults.Plan{MeanDowntime: sim.Duration(inf)}), Engine{Kind: Hadoop}},
 		{"negative downtime", crashes(faults.Plan{MeanDowntime: -5}), Engine{Kind: Hadoop}},

@@ -43,16 +43,6 @@ const (
 // LATE is the policy. The zero value is ready to use; NewLATE is
 // equivalent.
 type LATE struct {
-	// Sorted cluster speeds, memoized on the cluster's speed epoch: node
-	// speeds only move on interference or fault transitions, while
-	// nodeIsSlow runs on every speculation probe.
-	speedsBuf   []float64
-	speedsAt    uint64
-	speedsValid bool
-	threshold   float64
-	uniform     bool
-	fastest     float64
-
 	// Per-Pick scratch, reused across calls (one policy serves one AM).
 	mature []scoredAttempt
 	rates  []float64
@@ -116,8 +106,9 @@ func (l *LATE) Idle(d *engine.Driver, candidates []*engine.MapAttempt, candEpoch
 	if victim == nil {
 		return true
 	}
-	l.refreshSpeeds(d.Cluster)
-	return engine.Overhead+engine.MapEffective(victim.Bytes, d.Spec.MapCost, l.fastest) >= worst
+	speeds := d.Cluster.SortedSpeeds()
+	fastest := speeds[len(speeds)-1]
+	return engine.Overhead+engine.MapEffective(victim.Bytes, d.Spec.MapCost, fastest) >= worst
 }
 
 // cap is the in-flight speculative copy limit: specCapFraction of the
@@ -256,42 +247,18 @@ func selectKth(xs []float64, k int) float64 {
 }
 
 // nodeIsSlow reports whether the node's speed falls in the bottom
-// percentile of cluster speeds. (LATE estimates node speed from observed
+// percentile of member speeds. (LATE estimates node speed from observed
 // progress; the simulation uses the node's current effective speed as
-// that estimate.)
+// that estimate.) The cluster's sorted table follows its speed epoch:
+// joins, releases, crashes and speed changes all bump it.
 func (l *LATE) nodeIsSlow(c *cluster.Cluster, node *cluster.Node) bool {
-	l.refreshSpeeds(c)
-	// Strict comparison: nodes AT the percentile speed (e.g. the healthy
-	// majority of a mostly-uniform cluster) are not slow.
-	return !l.uniform && node.Speed() < l.threshold
-}
-
-// refreshSpeeds re-derives the slow-node threshold and the fastest
-// member's speed from the sorted member speeds when the cluster's speed
-// epoch has moved: joins, releases, crashes and speed changes all bump
-// it.
-func (l *LATE) refreshSpeeds(c *cluster.Cluster) {
-	epoch := c.SpeedEpoch()
-	if l.speedsValid && l.speedsAt == epoch {
-		return
-	}
-	l.speedsBuf = l.speedsBuf[:0]
-	for _, n := range c.Nodes {
-		// Offline spares are not part of the fleet: including them
-		// would shift the slow-node percentile of the members.
-		if n.Offline() {
-			continue
-		}
-		l.speedsBuf = append(l.speedsBuf, n.Speed())
-	}
-	sort.Float64s(l.speedsBuf)
-	speeds := l.speedsBuf
+	speeds := c.SortedSpeeds()
 	idx := int(slowNodePercentile * float64(len(speeds)))
 	if idx >= len(speeds) {
 		idx = len(speeds) - 1
 	}
-	l.threshold = speeds[idx]
-	l.fastest = speeds[len(speeds)-1]
-	l.uniform = speeds[0] == l.fastest
-	l.speedsValid, l.speedsAt = true, epoch
+	// Strict comparison: nodes AT the percentile speed (e.g. the healthy
+	// majority of a mostly-uniform cluster) are not slow, and a uniform
+	// fleet has no slow node.
+	return speeds[0] != speeds[len(speeds)-1] && node.Speed() < speeds[idx]
 }
