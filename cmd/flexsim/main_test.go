@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"flexmap"
 )
 
 func TestCheckFlags(t *testing.T) {
@@ -56,6 +58,37 @@ func TestNetworkLineEffectiveRatio(t *testing.T) {
 	} {
 		if got := networkLine(93, 0.5, 4, tc.oversub); !strings.HasSuffix(got, tc.want) {
 			t.Errorf("networkLine(-oversub %v) = %q, want it to end %q", tc.oversub, got, tc.want)
+		}
+	}
+}
+
+// TestSplitFlag runs the single job flexsim builds from its -split flag:
+// a size that is negative, not a multiple of the 8 MB block unit, or too
+// large to count in bytes is an error naming the split, never a run
+// under another split size.
+func TestSplitFlag(t *testing.T) {
+	spec, err := flexmap.PUMASpec(flexmap.WordCount, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := flexmap.Scenario{Cluster: flexmap.ClusterHomogeneous(2), Seed: 42, InputSize: flexmap.GB / 4}
+	for _, tc := range []struct {
+		splitMB int
+		want    string // substring of the error; "" for no error
+	}{
+		{64, ""},
+		{1 << 40, ""},
+		{1<<44 + 8, "split size 17592186044424 MB"},
+		{1 << 44, "split size 17592186044416 MB"},
+		{-8, "split size -8 MB"},
+		{12, "split size 12 MB"},
+	} {
+		_, err := flexmap.Run(sc, spec, flexmap.Engine{Kind: flexmap.Hadoop, SplitMB: tc.splitMB})
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("-split %d: unexpected error: %v", tc.splitMB, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("-split %d: error = %v, want one naming %q", tc.splitMB, err, tc.want)
 		}
 	}
 }

@@ -45,7 +45,7 @@ func (am *AM) rescueAndRestore(a *engine.MapAttempt) {
 	done, remaining := a.CrashSplit()
 	var doneBytes int64
 	for _, id := range done {
-		doneBytes += am.d.Store.Block(id).Size
+		doneBytes += am.d.Store.Size(id)
 	}
 	if len(done) > 0 {
 		am.d.CommitOutputForBUs(a.Node.ID, done)
@@ -70,7 +70,7 @@ func (am *AM) restore(bus []dfs.BUID) {
 	am.tracker.Restore(bus)
 	var bytes int64
 	for _, id := range bus {
-		bytes += am.d.Store.Block(id).Size
+		bytes += am.d.Store.Size(id)
 	}
 	am.d.Result.TaskRetries++
 	am.d.Result.ReprocessedBytes += bytes

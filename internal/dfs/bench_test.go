@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"fmt"
 	"testing"
 
 	"flexmap/internal/cluster"
@@ -100,6 +101,33 @@ func BenchmarkAddFile(b *testing.B) {
 				if _, err := s.AddFile("f", bc.bus*BUSize); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkNodesFor measures one replica lookup, cycling over every BU
+// of the store: a single 1,024-BU file, where every lookup hits the
+// newest file, and 40 such files, the shape of a multi-job workload's
+// shared store, where most lookups search the files.
+func BenchmarkNodesFor(b *testing.B) {
+	for _, files := range []int{1, 40} {
+		b.Run(fmt.Sprintf("%d-files", files), func(b *testing.B) {
+			s := NewStore(cluster.Homogeneous(40), 3, randutil.New(1))
+			for i := 0; i < files; i++ {
+				if _, err := s.AddFile(fmt.Sprint(i), 1024*BUSize); err != nil {
+					b.Fatal(err)
+				}
+			}
+			n := s.next()
+			b.ReportAllocs()
+			b.ResetTimer()
+			replicas := 0
+			for i := 0; i < b.N; i++ {
+				replicas += len(s.NodesFor(BUID(i) % n))
+			}
+			if replicas != 3*b.N {
+				b.Fatalf("%d replicas over %d lookups", replicas, b.N)
 			}
 		})
 	}

@@ -4,6 +4,10 @@
 // in co-located groups so that classic 64 MB / 128 MB Hadoop splits remain
 // node-local, while FlexMap can still compose splits BU by BU.
 //
+// A BU is the unit of binding, but not of metadata: the store keeps one
+// record per file and one replica set per 16-BU placement group, and
+// derives a BU's size and replicas from its file's record.
+//
 // The package also provides the NodeToBlock / BlockToNode locality indices
 // the paper's Late Task Binding maintains, as a Tracker that hands out
 // unprocessed BUs with mutual exclusion.
@@ -38,19 +42,36 @@ const maxFileSize = math.MaxInt64 - BUSize + 1
 // BUID identifies one block unit globally within a Store.
 type BUID int
 
-// BU is one stored block unit.
-type BU struct {
-	ID    BUID
-	File  string
-	Index int   // position within the file
-	Size  int64 // ≤ BUSize; the final BU of a file may be short
-}
-
 // File is a stored file: an ordered list of BUs.
 type File struct {
 	Name string
 	Size int64
 	BUs  []BUID
+}
+
+// placement is one stored file's BUs and replica sets. A file's BUIDs
+// are contiguous, base to base+n-1, and placement group g's replica set
+// is replicas[g*width:(g+1)*width]. Every group of a file has the same
+// width: membership cannot change while a file is placed, but the width
+// falls below the replication factor if fewer members are online.
+type placement struct {
+	base     BUID
+	n        int   // BUs in the file
+	size     int64 // file bytes
+	width    int
+	replicas []cluster.NodeID
+}
+
+// group returns group g's replica set, capacity-capped so that an append
+// to it cannot write into the next group's set.
+func (p *placement) group(g int) []cluster.NodeID {
+	lo := g * p.width
+	return p.replicas[lo : lo+p.width : lo+p.width]
+}
+
+// replicasOf returns the replica set of the file's BU id.
+func (p *placement) replicasOf(id BUID) []cluster.NodeID {
+	return p.group(int(id-p.base) / GroupBUs)
 }
 
 // Store is the cluster-wide block store.
@@ -59,13 +80,13 @@ type Store struct {
 	replication int
 	rng         *randutil.Source
 
-	files  map[string]*File
-	blocks []BU // indexed by BUID
-
-	// blockToNode is indexed by BUID. Every BU of one placement group
-	// shares the group's replica slice, so it is read-only.
-	blockToNode [][]cluster.NodeID
-	nodeLoad    []int // BUs stored per node, by dense NodeID, for balancing
+	files map[string]*File
+	// placed holds one placement per file, in the order the files were
+	// added and so by ascending base BUID. No per-BU record is kept: a
+	// BU's size and replicas follow from its file's placement and its
+	// offset in the file.
+	placed   []placement
+	nodeLoad []int // BUs stored per node, by dense NodeID, for balancing
 
 	// members, ties and best are placement scratch, reused across files:
 	// the online members of the file being placed, one tie draw each, and
@@ -131,13 +152,18 @@ func (s *Store) addFile(name string, size int64, data []byte) (*File, error) {
 	if _, ok := s.files[name]; ok {
 		return nil, fmt.Errorf("dfs: file %q already exists", name)
 	}
+	base := s.next()
 	numBUs := int((size + BUSize - 1) / BUSize)
-	f := &File{Name: name, Size: size, BUs: make([]BUID, 0, numBUs)}
-	s.blocks = slices.Grow(s.blocks, numBUs)
-	s.blockToNode = slices.Grow(s.blockToNode, numBUs)
+	f := &File{Name: name, Size: size, BUs: make([]BUID, numBUs)}
+	for i := range f.BUs {
+		f.BUs[i] = base + BUID(i)
+	}
 	if data != nil {
 		// Modeled files added earlier read as nil payloads.
-		s.content = append(s.content, make([][]byte, len(s.blocks)-len(s.content))...)
+		s.content = append(s.content, make([][]byte, int(base)-len(s.content))...)
+		for lo := int64(0); lo < size; lo += BUSize {
+			s.content = append(s.content, data[lo:min(lo+BUSize, size)])
+		}
 	}
 
 	// Membership cannot change while a file is placed: list it once.
@@ -149,33 +175,61 @@ func (s *Store) addFile(name string, size int64, data []byte) (*File, error) {
 	}
 	s.members = members
 
-	// The groups' replica sets are cut from one array.
-	replicas := make([]cluster.NodeID, 0, (numBUs+GroupBUs-1)/GroupBUs*s.replication)
-	var group []cluster.NodeID
-	for i := 0; i < numBUs; i++ {
-		if i%GroupBUs == 0 {
-			n := len(replicas)
-			replicas = s.appendReplicaNodes(replicas, members)
-			group = replicas[n:len(replicas):len(replicas)]
-		}
-		buSize := BUSize
-		if rem := size - int64(i)*BUSize; rem < buSize {
-			buSize = rem
-		}
-		id := BUID(len(s.blocks))
-		s.blocks = append(s.blocks, BU{ID: id, File: name, Index: i, Size: buSize})
-		f.BUs = append(f.BUs, id)
-		s.blockToNode = append(s.blockToNode, group)
-		for _, nid := range group {
-			s.nodeLoad[nid]++
-		}
-		if data != nil {
-			lo := int64(i) * BUSize
-			s.content = append(s.content, data[lo:lo+buSize])
+	// Each group's BUs count toward its nodes' load before the next group
+	// is placed. The groups' replica sets are cut from one array.
+	groups := (numBUs + GroupBUs - 1) / GroupBUs
+	p := placement{base: base, n: numBUs, size: size, width: min(s.replication, len(members))}
+	p.replicas = make([]cluster.NodeID, 0, groups*p.width)
+	for g := 0; g < groups; g++ {
+		n := len(p.replicas)
+		p.replicas = s.appendReplicaNodes(p.replicas, members)
+		bus := min(GroupBUs, numBUs-g*GroupBUs)
+		for _, nid := range p.replicas[n:] {
+			s.nodeLoad[nid] += bus
 		}
 	}
+	s.placed = append(s.placed, p)
 	s.files[name] = f
 	return f, nil
+}
+
+// next returns the BUID the next stored BU receives.
+func (s *Store) next() BUID {
+	if len(s.placed) == 0 {
+		return 0
+	}
+	p := &s.placed[len(s.placed)-1]
+	return p.base + BUID(p.n)
+}
+
+// placementOf returns the placement of the file holding BU id, or nil if
+// this store issued no such ID. The newest file answers in O(1), with no
+// search; an older one is found by binary search over the files' bases.
+func (s *Store) placementOf(id BUID) *placement {
+	hi := len(s.placed) - 1
+	if hi < 0 || id < 0 {
+		return nil
+	}
+	i := hi
+	if id < s.placed[hi].base {
+		// The first file's base is 0. Keep placed[i].base ≤ id <
+		// placed[hi].base until i is the last file starting at or
+		// before id.
+		i = 0
+		for hi-i > 1 {
+			m := int(uint(i+hi) >> 1)
+			if s.placed[m].base <= id {
+				i = m
+			} else {
+				hi = m
+			}
+		}
+	}
+	p := &s.placed[i]
+	if int(id-p.base) >= p.n {
+		return nil
+	}
+	return p
 }
 
 // replicaCand is a member node in the running for a group's replicas.
@@ -244,13 +298,15 @@ func (s *Store) File(name string) (*File, bool) {
 	return f, ok
 }
 
-// Block returns BU metadata. Unknown IDs panic — BUIDs are dense indices
-// issued by this store.
-func (s *Store) Block(id BUID) BU {
-	if int(id) < 0 || int(id) >= len(s.blocks) {
+// Size returns a BU's size in bytes: BUSize, or less for the short final
+// BU of a file. Unknown IDs panic — BUIDs are dense indices issued by
+// this store.
+func (s *Store) Size(id BUID) int64 {
+	p := s.placementOf(id)
+	if p == nil {
 		panic(fmt.Sprintf("dfs: unknown BU %d", id))
 	}
-	return s.blocks[id]
+	return min(p.size-int64(id-p.base)*BUSize, BUSize)
 }
 
 // Content returns the real payload of a BU, or nil for modeled files.
@@ -278,7 +334,7 @@ func (s *Store) ApplySkew(rng *randutil.Source, sigma float64) {
 	if sigma <= 0 {
 		return
 	}
-	s.weights = make([]float64, len(s.blocks))
+	s.weights = make([]float64, s.next())
 	for i := range s.weights {
 		s.weights[i] = math.Exp(sigma*rng.NormFloat64() - sigma*sigma/2)
 	}
@@ -296,13 +352,15 @@ func (s *Store) MeanWeight(bus []BUID) float64 {
 	return sum / float64(len(bus))
 }
 
-// NodesFor returns the nodes holding replicas of a BU. The slice is
-// shared with the BU's placement group: callers must not modify it.
+// NodesFor returns the nodes holding replicas of a BU: its placement
+// group's set, shared by the group's BUs, so callers must not modify it.
+// An append to it copies rather than writes into the next group's set.
 func (s *Store) NodesFor(id BUID) []cluster.NodeID {
-	if id < 0 || int(id) >= len(s.blockToNode) {
+	p := s.placementOf(id)
+	if p == nil {
 		return nil
 	}
-	return s.blockToNode[id]
+	return p.replicasOf(id)
 }
 
 // HasReplica reports whether node holds a replica of the BU. It scans the
@@ -341,47 +399,40 @@ func (s *Store) Splits(name string, sizeBUs int) ([]Split, error) {
 	if sizeBUs > GroupBUs && sizeBUs%GroupBUs != 0 {
 		return nil, fmt.Errorf("dfs: split size %d BUs is not a multiple of placement group %d", sizeBUs, GroupBUs)
 	}
-	out := make([]Split, 0, (len(f.BUs)+sizeBUs-1)/sizeBUs)
+	p := s.placementOf(f.BUs[0])
+	out := make([]Split, 0, (p.n+sizeBUs-1)/sizeBUs)
 	// The host sets are cut from one array; each is at most a replica set.
-	all := make([]cluster.NodeID, 0, cap(out)*s.replication)
+	all := make([]cluster.NodeID, 0, cap(out)*p.width)
 	var hosts []cluster.NodeID
-	for lo := 0; lo < len(f.BUs); lo += sizeBUs {
-		hi := lo + sizeBUs
-		if hi > len(f.BUs) {
-			hi = len(f.BUs)
-		}
-		sp := Split{File: name, Index: len(out), BUs: f.BUs[lo:hi]}
-		for _, id := range sp.BUs {
-			sp.Size += s.blocks[id].Size
-		}
+	for lo := 0; lo < p.n; lo += sizeBUs {
+		hi := min(lo+sizeBUs, p.n)
+		out = append(out, Split{
+			File:  name,
+			Index: len(out),
+			BUs:   f.BUs[lo:hi],
+			Size:  min(int64(hi)*BUSize, p.size) - int64(lo)*BUSize,
+		})
 		// A split no larger than a placement group lies inside one, so
 		// the group's splits share its hosts.
 		if sizeBUs > GroupBUs || lo%GroupBUs == 0 {
 			n := len(all)
-			all = s.appendReplicaIntersection(all, sp.BUs)
+			all = p.appendHosts(all, lo/GroupBUs, (hi-1)/GroupBUs)
 			hosts = all[n:len(all):len(all)]
 		}
-		sp.Hosts = hosts
-		out = append(out, sp)
+		out[len(out)-1].Hosts = hosts
 	}
 	return out, nil
 }
 
-// appendReplicaIntersection appends to dst the nodes holding every BU of
-// bus, in ascending NodeID order: the first BU's replicas that every
-// other BU also has.
-func (s *Store) appendReplicaIntersection(dst []cluster.NodeID, bus []BUID) []cluster.NodeID {
-	if len(bus) == 0 {
-		return dst
-	}
+// appendHosts appends to dst the nodes holding a replica in every group
+// from first to last, in ascending NodeID order: the first group's
+// replicas that every later group also has.
+func (p *placement) appendHosts(dst []cluster.NodeID, first, last int) []cluster.NodeID {
 	n := len(dst)
-	for _, nid := range s.blockToNode[bus[0]] {
+	for _, nid := range p.group(first) {
 		all := true
-		for _, id := range bus[1:] {
-			if !s.HasReplica(nid, id) {
-				all = false
-				break
-			}
+		for g := first + 1; all && g <= last; g++ {
+			all = slices.Contains(p.group(g), nid)
 		}
 		if all {
 			dst = append(dst, nid)

@@ -27,14 +27,14 @@ func TestAddFileBUAccounting(t *testing.T) {
 	}
 	var total int64
 	for i, id := range f.BUs {
-		bu := s.Block(id)
-		if bu.File != "a" || bu.Index != i {
-			t.Fatalf("BU %d metadata wrong: %+v", id, bu)
+		if id != BUID(i) {
+			t.Fatalf("BU %d has ID %d, want contiguous IDs from 0", i, id)
 		}
-		if bu.Size > BUSize || bu.Size <= 0 {
-			t.Fatalf("BU %d size %d out of range", id, bu.Size)
+		size := s.Size(id)
+		if size > BUSize || size <= 0 {
+			t.Fatalf("BU %d size %d out of range", id, size)
 		}
-		total += bu.Size
+		total += size
 	}
 	if total != size {
 		t.Fatalf("BU sizes sum to %d, want %d", total, size)
@@ -210,12 +210,17 @@ func TestModeledFileHasNoContent(t *testing.T) {
 
 func TestUnknownBlockPanics(t *testing.T) {
 	s := newTestStore(t, 2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Error("Block(99) did not panic")
-		}
-	}()
-	s.Block(99)
+	s.AddFile("a", 2*BUSize)
+	for _, id := range []BUID{-1, 2, 99} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Size(%d) did not panic", id)
+				}
+			}()
+			s.Size(id)
+		}()
+	}
 }
 
 // Property: for random cluster/replication/file sizes, every BU has

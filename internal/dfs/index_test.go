@@ -2,10 +2,14 @@ package dfs
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"flexmap/internal/cluster"
 	"flexmap/internal/randutil"
@@ -23,6 +27,8 @@ type refStore struct {
 	load        map[cluster.NodeID]int
 	blockToNode map[BUID][]cluster.NodeID
 	nodeToBlock map[cluster.NodeID]map[BUID]bool
+	size        map[BUID]int64
+	online      map[BUID]int // members when the BU was placed
 	content     map[BUID][]byte
 	weights     map[BUID]float64
 }
@@ -33,6 +39,8 @@ func newRefStore(c *cluster.Cluster, repl int, seed int64) *refStore {
 		load:        map[cluster.NodeID]int{},
 		blockToNode: map[BUID][]cluster.NodeID{},
 		nodeToBlock: map[cluster.NodeID]map[BUID]bool{},
+		size:        map[BUID]int64{},
+		online:      map[BUID]int{},
 		content:     map[BUID][]byte{},
 	}
 	for _, n := range c.Nodes {
@@ -43,6 +51,7 @@ func newRefStore(c *cluster.Cluster, repl int, seed int64) *refStore {
 
 func (r *refStore) addFile(size int64, data []byte) {
 	var group []cluster.NodeID
+	online := 0
 	for i := 0; int64(i)*BUSize < size; i++ {
 		if i%GroupBUs == 0 {
 			type cand struct {
@@ -56,6 +65,7 @@ func (r *refStore) addFile(size int64, data []byte) {
 					cands = append(cands, cand{n.ID, r.load[n.ID], r.rng.Int63()})
 				}
 			}
+			online = len(cands)
 			sort.Slice(cands, func(a, b int) bool {
 				if cands[a].load != cands[b].load {
 					return cands[a].load < cands[b].load
@@ -74,8 +84,10 @@ func (r *refStore) addFile(size int64, data []byte) {
 			r.nodeToBlock[nid][id] = true
 			r.load[nid]++
 		}
+		lo := int64(i) * BUSize
+		r.size[id] = min(lo+BUSize, size) - lo
+		r.online[id] = online
 		if data != nil {
-			lo := int64(i) * BUSize
 			r.content[id] = data[lo:min(lo+BUSize, size)]
 		}
 	}
@@ -114,118 +126,249 @@ func (r *refStore) weight(id BUID) float64 {
 	return 1.0
 }
 
-// TestStoreIndicesMatchReference drives the dense store and the map
-// reference through the same modeled and real-payload files, several per
-// store, with ApplySkew before and after AddFile, and compares every
-// (node, BU) query, including out-of-range IDs, and the hosts of every
-// split at every legal split size.
-func TestStoreIndicesMatchReference(t *testing.T) {
-	payload := func(n int64, seed byte) []byte {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = seed + byte(i%251)
+// storeOp is one step of a store scenario: a modeled file, a real one,
+// ApplySkew, or a membership change between files.
+type storeOp struct {
+	size   int64   // > 0: AddFile of this size
+	data   []byte  // non-nil: AddFileWithData
+	sigma  float64 // > 0: ApplySkew
+	toggle bool    // release node if it is a member, else join it
+	node   cluster.NodeID
+}
+
+// storeCase is a store scenario: a fleet, its offline spares, the
+// replication factor asked for, and the steps to run.
+type storeCase struct {
+	name   string
+	nodes  int
+	spares int
+	repl   int
+	ops    []storeOp
+}
+
+func payload(n int64, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = seed + byte(i%251)
+	}
+	return b
+}
+
+// storeCases are TestStoreIndicesMatchReference's scenarios and
+// FuzzStoreMatchesReference's seed corpus.
+func storeCases() []storeCase {
+	return []storeCase{
+		{"modeled", 10, 0, 3, []storeOp{{size: 100*BUSize + 5}, {size: 3 * BUSize}, {size: BUSize / 2}}},
+		{"real", 6, 0, 3, []storeOp{{data: payload(3*BUSize+17, 1)}, {size: 40 * BUSize}, {data: payload(BUSize, 2)}}},
+		{"skew-before-add", 8, 0, 2, []storeOp{{size: 33 * BUSize}, {sigma: 0.8}, {size: 20*BUSize - 1}, {data: payload(BUSize+1, 3)}}},
+		{"skew-after-add", 5, 0, 3, []storeOp{{data: payload(2*BUSize, 4)}, {size: 17 * BUSize}, {sigma: 0.5}}},
+		{"skew-twice", 7, 0, 3, []storeOp{{size: 18 * BUSize}, {sigma: 0.5}, {size: 5 * BUSize}, {sigma: 1.2}, {size: 2 * BUSize}}},
+		{"repl-capped", 2, 0, 3, []storeOp{{size: 35 * BUSize}, {data: payload(3, 5)}}},
+		{"offline-spares", 5, 3, 3, []storeOp{{size: 50 * BUSize}, {sigma: 0.3}, {size: 7 * BUSize}}},
+		{"scale-in-below-repl", 3, 1, 3, []storeOp{{size: 20 * BUSize}, {toggle: true, node: 1}, {size: 40*BUSize - 3}, {toggle: true, node: 3}, {size: 9 * BUSize}}},
+	}
+}
+
+// run drives a store and the reference through the case's steps and
+// returns both with the names of the files added.
+func (tc storeCase) run(t *testing.T) (*Store, *refStore, []string) {
+	t.Helper()
+	c := cluster.Homogeneous(tc.nodes)
+	c.AddSpares(tc.spares, cluster.NodeSpec{BaseSpeed: 1, Slots: 2})
+	s := NewStore(c, tc.repl, randutil.New(7))
+	ref := newRefStore(c, s.Replication(), 7)
+	skewSeed := int64(100)
+	var files []string
+	for i, o := range tc.ops {
+		name := fmt.Sprint("f", i)
+		switch {
+		case o.sigma > 0:
+			skewSeed++
+			s.ApplySkew(randutil.New(skewSeed), o.sigma)
+			ref.applySkew(randutil.New(skewSeed), o.sigma)
+		case o.toggle:
+			if c.Node(o.node).Offline() {
+				c.JoinNode(o.node)
+			} else {
+				c.ReleaseNode(o.node)
+			}
+		case o.data != nil:
+			if _, err := s.AddFileWithData(name, o.data); err != nil {
+				t.Fatal(err)
+			}
+			ref.addFile(int64(len(o.data)), o.data)
+			files = append(files, name)
+		default:
+			if _, err := s.AddFile(name, o.size); err != nil {
+				t.Fatal(err)
+			}
+			ref.addFile(o.size, nil)
+			files = append(files, name)
 		}
-		return b
 	}
-	type op struct {
-		size  int64 // modeled file of this size
-		data  []byte
-		sigma float64 // > 0: ApplySkew instead of a file
-	}
-	cases := []struct {
-		name   string
-		nodes  int
-		spares int
-		repl   int
-		ops    []op
-	}{
-		{"modeled", 10, 0, 3, []op{{size: 100*BUSize + 5}, {size: 3 * BUSize}, {size: BUSize / 2}}},
-		{"real", 6, 0, 3, []op{{data: payload(3*BUSize+17, 1)}, {size: 40 * BUSize}, {data: payload(BUSize, 2)}}},
-		{"skew-before-add", 8, 0, 2, []op{{size: 33 * BUSize}, {sigma: 0.8}, {size: 20*BUSize - 1}, {data: payload(BUSize+1, 3)}}},
-		{"skew-after-add", 5, 0, 3, []op{{data: payload(2*BUSize, 4)}, {size: 17 * BUSize}, {sigma: 0.5}}},
-		{"skew-twice", 7, 0, 3, []op{{size: 18 * BUSize}, {sigma: 0.5}, {size: 5 * BUSize}, {sigma: 1.2}, {size: 2 * BUSize}}},
-		{"repl-capped", 2, 0, 3, []op{{size: 35 * BUSize}, {data: payload(3, 5)}}},
-		{"offline-spares", 5, 3, 3, []op{{size: 50 * BUSize}, {sigma: 0.3}, {size: 7 * BUSize}}},
-	}
-	for _, tc := range cases {
+	return s, ref, files
+}
+
+// TestStoreIndicesMatchReference drives the store and the map reference
+// through the same modeled and real-payload files, several per store,
+// with ApplySkew before and after AddFile and members released below
+// the replication factor, and compares every (node, BU) query, including
+// out-of-range IDs, and every split at every legal split size.
+func TestStoreIndicesMatchReference(t *testing.T) {
+	for _, tc := range storeCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			c := cluster.Homogeneous(tc.nodes)
-			c.AddSpares(tc.spares, cluster.NodeSpec{BaseSpeed: 1, Slots: 2})
-			s := NewStore(c, tc.repl, randutil.New(7))
-			ref := newRefStore(c, s.Replication(), 7)
-			skewSeed := int64(100)
-			var files []string
-			for i, o := range tc.ops {
-				switch {
-				case o.sigma > 0:
-					skewSeed++
-					s.ApplySkew(randutil.New(skewSeed), o.sigma)
-					ref.applySkew(randutil.New(skewSeed), o.sigma)
-				case o.data != nil:
-					files = append(files, string(rune('a'+i)))
-					if _, err := s.AddFileWithData(files[len(files)-1], o.data); err != nil {
-						t.Fatal(err)
-					}
-					ref.addFile(int64(len(o.data)), o.data)
-				default:
-					files = append(files, string(rune('a'+i)))
-					if _, err := s.AddFile(files[len(files)-1], o.size); err != nil {
-						t.Fatal(err)
-					}
-					ref.addFile(o.size, nil)
-				}
-			}
+			s, ref, files := tc.run(t)
 			checkAgainstRef(t, s, ref)
-			for _, name := range files {
-				for _, size := range []int{1, 2, 4, 8, 16, 32} {
-					splits, err := s.Splits(name, size)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, sp := range splits {
-						if want := ref.hosts(sp.BUs); !slices.Equal(sp.Hosts, want) {
-							t.Fatalf("file %s split %d of %d BUs: hosts %v, reference %v", name, sp.Index, size, sp.Hosts, want)
-						}
-					}
-				}
-			}
+			checkSplits(t, s, ref, files)
 		})
+	}
+}
+
+// Fuzz scenario encoding: a header of node count, spares and
+// replication, then up to maxFuzzOps steps. A step is a kind byte and,
+// for a file, a little-endian uint32 size (up to maxFuzzBUs BUs modeled,
+// maxFuzzDataBUs real); for ApplySkew, a sigma byte in tenths; for a
+// membership change, a node byte.
+const (
+	maxFuzzOps     = 8
+	maxFuzzBUs     = 160
+	maxFuzzDataBUs = 4
+)
+
+var fuzzPayload []byte // shared by every real file a fuzz input adds
+
+func (tc storeCase) encode() []byte {
+	b := []byte{byte(tc.nodes - 1), byte(tc.spares), byte(tc.repl)}
+	for _, o := range tc.ops {
+		switch {
+		case o.sigma > 0:
+			b = append(b, 2, byte(math.Round(o.sigma*10))-1)
+		case o.toggle:
+			b = append(b, 3, byte(o.node))
+		case o.data != nil:
+			b = binary.LittleEndian.AppendUint32(append(b, 1), uint32(len(o.data)-1))
+		default:
+			b = binary.LittleEndian.AppendUint32(append(b, 0), uint32(o.size-1))
+		}
+	}
+	return b
+}
+
+func decodeStoreCase(b []byte) (storeCase, bool) {
+	if len(b) < 3 {
+		return storeCase{}, false
+	}
+	tc := storeCase{name: "fuzz", nodes: 1 + int(b[0]%16), spares: int(b[1] % 4), repl: int(b[2] % 5)}
+	b = b[3:]
+	for len(b) > 0 && len(tc.ops) < maxFuzzOps {
+		kind := b[0] % 4
+		b = b[1:]
+		var o storeOp
+		switch {
+		case kind >= 2 && len(b) >= 1:
+			if kind == 2 {
+				o.sigma = float64(1+b[0]%30) / 10
+			} else {
+				o = storeOp{toggle: true, node: cluster.NodeID(int(b[0]) % (tc.nodes + tc.spares))}
+			}
+			b = b[1:]
+		case kind < 2 && len(b) >= 4:
+			n := int64(binary.LittleEndian.Uint32(b))
+			b = b[4:]
+			if kind == 0 {
+				o.size = 1 + n%(maxFuzzBUs*BUSize)
+			} else {
+				if fuzzPayload == nil {
+					fuzzPayload = payload(maxFuzzDataBUs*BUSize, 0)
+				}
+				o.data = fuzzPayload[:1+n%(maxFuzzDataBUs*BUSize)]
+			}
+		default:
+			return storeCase{}, false
+		}
+		tc.ops = append(tc.ops, o)
+	}
+	return tc, true
+}
+
+// FuzzStoreMatchesReference decodes bytes into a store scenario — fleet,
+// spares, replication, and a sequence of modeled and real files, skew
+// and membership changes — and checks the store against the per-BU
+// reference on every query and every split at every legal split size.
+func FuzzStoreMatchesReference(f *testing.F) {
+	for _, tc := range storeCases() {
+		f.Add(tc.encode())
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tc, ok := decodeStoreCase(b)
+		if !ok {
+			return
+		}
+		s, ref, files := tc.run(t)
+		checkAgainstRef(t, s, ref)
+		checkSplits(t, s, ref, files)
+	})
+}
+
+// TestStoreCasesRoundTrip checks that the fuzz seed corpus encodes
+// TestStoreIndicesMatchReference's cases exactly.
+func TestStoreCasesRoundTrip(t *testing.T) {
+	for _, tc := range storeCases() {
+		got, ok := decodeStoreCase(tc.encode())
+		if !ok || got.nodes != tc.nodes || got.spares != tc.spares || got.repl != tc.repl || len(got.ops) != len(tc.ops) {
+			t.Fatalf("%s: decoded %+v", tc.name, got)
+		}
+		for i, o := range tc.ops {
+			g := got.ops[i]
+			if g.size != o.size || len(g.data) != len(o.data) || g.sigma != o.sigma || g.toggle != o.toggle || g.node != o.node {
+				t.Fatalf("%s step %d: decoded %+v", tc.name, i, g)
+			}
+		}
+	}
+}
+
+// checkSplits compares every split of every file, at every split size
+// that divides a placement group and at the first multiples of one,
+// with the reference: BUs, byte size and replica-intersection hosts.
+func checkSplits(t *testing.T, s *Store, ref *refStore, files []string) {
+	t.Helper()
+	for _, name := range files {
+		f, _ := s.File(name)
+		for _, size := range []int{1, 2, 4, 8, 16, 32, 48} {
+			splits, err := s.Splits(name, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bus []BUID
+			for i, sp := range splits {
+				var bytes int64
+				for _, id := range sp.BUs {
+					bytes += ref.size[id]
+				}
+				if sp.File != name || sp.Index != i || len(sp.BUs) == 0 || len(sp.BUs) > size || sp.Size != bytes {
+					t.Fatalf("file %s split %d of %d BUs: %d BUs of %d bytes, index %d; reference %d bytes", name, i, size, len(sp.BUs), sp.Size, sp.Index, bytes)
+				}
+				if want := ref.hosts(sp.BUs); !slices.Equal(sp.Hosts, want) {
+					t.Fatalf("file %s split %d of %d BUs: hosts %v, reference %v", name, sp.Index, size, sp.Hosts, want)
+				}
+				bus = append(bus, sp.BUs...)
+			}
+			if !slices.Equal(bus, f.BUs) {
+				t.Fatalf("file %s splits of %d BUs cover %v, want %v", name, size, bus, f.BUs)
+			}
+		}
 	}
 }
 
 func checkAgainstRef(t *testing.T, s *Store, ref *refStore) {
 	t.Helper()
-	if BUID(len(s.blocks)) != ref.next {
-		t.Fatalf("store has %d BUs, reference %d", len(s.blocks), ref.next)
+	if s.next() != ref.next {
+		t.Fatalf("store has %d BUs, reference %d", s.next(), ref.next)
 	}
 	perNode := map[cluster.NodeID]int{}
 	for id := BUID(0); id < ref.next; id++ {
-		reps := s.NodesFor(id)
-		if !slices.Equal(reps, ref.blockToNode[id]) {
-			t.Fatalf("BU %d replicas %v, reference %v", id, reps, ref.blockToNode[id])
-		}
-		if len(reps) != s.Replication() {
-			t.Fatalf("BU %d has %d replicas, want %d", id, len(reps), s.Replication())
-		}
-		distinct := slices.Clone(reps)
-		slices.Sort(distinct)
-		if len(slices.Compact(distinct)) != len(reps) {
-			t.Fatalf("BU %d replicas %v are not distinct", id, reps)
-		}
-		for _, n := range s.cluster.Nodes {
-			in := slices.Contains(reps, n.ID)
-			if got := s.HasReplica(n.ID, id); got != in || got != ref.nodeToBlock[n.ID][id] {
-				t.Fatalf("HasReplica(%d, %d) = %v; in NodesFor %v, reference %v", n.ID, id, got, in, ref.nodeToBlock[n.ID][id])
-			}
-			if in {
-				perNode[n.ID]++
-			}
-		}
-		if got, want := s.Weight(id), ref.weight(id); got != want {
-			t.Fatalf("Weight(%d) = %v, reference %v", id, got, want)
-		}
-		if got, want := s.Content(id), ref.content[id]; (got == nil) != (want == nil) || !bytes.Equal(got, want) {
-			t.Fatalf("Content(%d) has %d bytes, reference %d", id, len(got), len(want))
+		for _, nid := range checkBU(t, s, ref, id) {
+			perNode[nid]++
 		}
 	}
 	for _, n := range s.cluster.Nodes {
@@ -240,40 +383,136 @@ func checkAgainstRef(t *testing.T, s *Store, ref *refStore) {
 	}
 }
 
-// TestAddFileAllocs pins that placement allocates per placement group,
-// not per BU: a one-group file costs the same whether it holds 1 BU or
-// GroupBUs, and each further group adds a small constant. The sources
-// are built outside the measured closure with their registers already
-// allocated (drawn past the lazy prefix, then reseeded), so a large
-// file's draws do not count the register against placement.
+// TestManyFileStoreLookups builds a 40-file store, the shape of a
+// multi-job workload's shared store, and checks every query against the
+// reference at the first BU of every file and across its final group,
+// short in most files: once while the file is the newest, when the
+// lookup takes no search, and again once all 40 are stored.
+func TestManyFileStoreLookups(t *testing.T) {
+	c := cluster.Homogeneous(20)
+	s := NewStore(c, 3, randutil.New(3))
+	ref := newRefStore(c, s.Replication(), 3)
+	var edges []BUID
+	for i := 0; i < 40; i++ {
+		// 1 to 79 BUs; a third of the files end in a short BU.
+		size := int64(1+2*i)*BUSize - int64(i%3)*BUSize/3
+		f, err := s.AddFile(fmt.Sprint(i), size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.addFile(size, nil)
+		n := len(f.BUs)
+		ids := append([]BUID{f.BUs[0]}, f.BUs[(n-1)/GroupBUs*GroupBUs:]...)
+		for _, id := range ids {
+			checkBU(t, s, ref, id)
+		}
+		if past := f.BUs[n-1] + 1; s.NodesFor(past) != nil || s.HasReplica(0, past) {
+			t.Fatalf("file %d: BU %d past the last one has replicas %v", i, past, s.NodesFor(past))
+		}
+		edges = append(edges, ids...)
+	}
+	for _, id := range edges {
+		checkBU(t, s, ref, id)
+	}
+	checkAgainstRef(t, s, ref)
+}
+
+// TestNodesForAppendCopies: a BU's replica set is capacity-capped, so an
+// append to it copies instead of writing into the next group's set.
+func TestNodesForAppendCopies(t *testing.T) {
+	s := NewStore(cluster.Homogeneous(8), 3, randutil.New(1))
+	f, _ := s.AddFile("a", 2*GroupBUs*BUSize)
+	next := slices.Clone(s.NodesFor(f.BUs[GroupBUs]))
+	if grown := append(s.NodesFor(f.BUs[GroupBUs-1]), 99); len(grown) != 4 {
+		t.Fatalf("append gave %v", grown)
+	}
+	if got := s.NodesFor(f.BUs[GroupBUs]); !slices.Equal(got, next) {
+		t.Fatalf("next group's replicas %v after an append to the previous group's, want %v", got, next)
+	}
+}
+
+// checkBU compares every query about one BU with the reference and
+// returns its replicas.
+func checkBU(t *testing.T, s *Store, ref *refStore, id BUID) []cluster.NodeID {
+	t.Helper()
+	reps := s.NodesFor(id)
+	if !slices.Equal(reps, ref.blockToNode[id]) {
+		t.Fatalf("BU %d replicas %v, reference %v", id, reps, ref.blockToNode[id])
+	}
+	if want := min(s.Replication(), ref.online[id]); len(reps) != want || cap(reps) != want {
+		t.Fatalf("BU %d has %d replicas (cap %d), want %d", id, len(reps), cap(reps), want)
+	}
+	distinct := slices.Clone(reps)
+	slices.Sort(distinct)
+	if len(slices.Compact(distinct)) != len(reps) {
+		t.Fatalf("BU %d replicas %v are not distinct", id, reps)
+	}
+	for _, n := range s.cluster.Nodes {
+		in := slices.Contains(reps, n.ID)
+		if got := s.HasReplica(n.ID, id); got != in || got != ref.nodeToBlock[n.ID][id] {
+			t.Fatalf("HasReplica(%d, %d) = %v; in NodesFor %v, reference %v", n.ID, id, got, in, ref.nodeToBlock[n.ID][id])
+		}
+	}
+	if got, want := s.Size(id), ref.size[id]; got != want {
+		t.Fatalf("Size(%d) = %d, reference %d", id, got, want)
+	}
+	if got, want := s.Weight(id), ref.weight(id); got != want {
+		t.Fatalf("Weight(%d) = %v, reference %v", id, got, want)
+	}
+	if got, want := s.Content(id), ref.content[id]; (got == nil) != (want == nil) || !bytes.Equal(got, want) {
+		t.Fatalf("Content(%d) has %d bytes, reference %d", id, len(got), len(want))
+	}
+	return reps
+}
+
+// TestAddFileAllocs pins that placement keeps no per-BU metadata but
+// File.BUs: a file allocates as often whatever its size, and its bytes
+// grow by at most File.BUs' 8 B per BU plus one replica set per
+// placement group. The sources are built outside the measured runs with
+// their registers already allocated (drawn past the lazy prefix, then
+// reseeded), so a large file's draws do not count the register against
+// placement.
 func TestAddFileAllocs(t *testing.T) {
 	c := cluster.Homogeneous(64)
-	const runs = 20
-	allocs := func(bus int64) float64 {
-		srcs := make([]*randutil.Source, runs+1) // AllocsPerRun adds a warm-up run
+	const runs, repl = 20, 3
+	// measure returns the allocations and bytes of one AddFile of the
+	// given BU count into a fresh store, after one warm-up run.
+	measure := func(bus int64) (allocs, bytes uint64) {
+		srcs := make([]*randutil.Source, runs+1)
 		for i := range srcs {
 			srcs[i] = randutil.New(1)
 			srcs[i].Int63s(make([]int64, 1000))
 			srcs[i].Rand.Seed(1)
 		}
-		return testing.AllocsPerRun(runs, func() {
-			s := NewStore(c, 3, srcs[0])
-			srcs = srcs[1:]
+		add := func(src *randutil.Source) {
+			s := NewStore(c, repl, src)
 			if _, err := s.AddFile("f", bus*BUSize); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		add(srcs[runs])
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, src := range srcs[:runs] {
+			add(src)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
 	}
-	one, group := allocs(1), allocs(GroupBUs)
-	if one != group {
-		t.Fatalf("AddFile allocs: 1 BU %v, %d BUs (one group) %v; want equal", one, GroupBUs, group)
-	}
-	perGroup := allocs(2*GroupBUs) - group
-	if perGroup > 2 {
-		t.Fatalf("each placement group allocates %v times, want ≤ 2", perGroup)
-	}
-	const groups = 64
-	if got, max := allocs(groups*GroupBUs), group+(groups-1)*perGroup; got > max {
-		t.Fatalf("%d-group file allocates %v times, want ≤ %v (%v per group)", groups, got, max, perGroup)
+	buBytes := uint64(unsafe.Sizeof(BUID(0)))
+	setBytes := repl * uint64(unsafe.Sizeof(cluster.NodeID(0)))
+	oneAllocs, oneBytes := measure(1)
+	for _, groups := range []uint64{1, 2, 64} {
+		bus := groups * GroupBUs
+		allocs, bytes := measure(int64(bus))
+		t.Logf("%d-group file: %d allocs, %d B (1-BU file: %d allocs, %d B)", groups, allocs, bytes, oneAllocs, oneBytes)
+		if allocs != oneAllocs {
+			t.Errorf("%d-group file allocates %d times, a 1-BU file %d; want equal", groups, allocs, oneAllocs)
+		}
+		if max := oneBytes + (bus-1)*buBytes + (groups-1)*setBytes; bytes > max {
+			t.Errorf("%d-group file allocates %d B, want ≤ %d (1-BU file %d B, %d B per further BU, %d B per further group)",
+				groups, bytes, max, oneBytes, buBytes, setBytes)
+		}
 	}
 }

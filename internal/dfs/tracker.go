@@ -1,7 +1,6 @@
 package dfs
 
 import (
-	"slices"
 	"sort"
 
 	"flexmap/internal/cluster"
@@ -17,7 +16,8 @@ import (
 // a BU leaves it the moment it is taken. byNode holds the file's replica
 // hosts only, so the tracker's size follows the file, not the fleet;
 // remaining is dense by the BU's offset from the file's first BUID (a
-// file's BUIDs are contiguous).
+// file's BUIDs are contiguous). A BU's replica holders come from the
+// tracker's copy of the file's placement record, with no store lookup.
 //
 // # Performance
 //
@@ -30,10 +30,9 @@ import (
 // amortized O(1). TakeRemote keeps a lazy max-heap of (live count, node)
 // entries instead of rescanning every node per chunk. See DESIGN.md §11.
 type Tracker struct {
-	store     *Store
+	file      placement // a copy of the file's record
 	byNode    cluster.NodeTable[nodeSet]
-	base      BUID        // the file's first BUID
-	remaining []bool      // by BUID - base
+	remaining []bool      // by BUID - file.base
 	live      int         // true entries in remaining
 	richest   []heapEntry // lazy max-heap by (live desc, node asc)
 }
@@ -86,8 +85,7 @@ func NewTracker(store *Store, file string) (*Tracker, error) {
 		return nil, errNoFile(file)
 	}
 	t := &Tracker{
-		store:     store,
-		base:      f.BUs[0], // AddFile rejects empty files
+		file:      *store.placementOf(f.BUs[0]), // AddFile rejects empty files
 		remaining: make([]bool, len(f.BUs)),
 		live:      len(f.BUs),
 	}
@@ -95,43 +93,38 @@ func NewTracker(store *Store, file string) (*Tracker, error) {
 		t.remaining[i] = true
 	}
 	// A placement group's BUs share one replica set, so the per-node
-	// lists are built run by run: count each host's BUs, cut every list
-	// from one array, then fill them. A file's BUIDs ascend, so every
+	// lists are built group by group: count each host's BUs, cut every
+	// list from one array, then fill them. A file's BUIDs ascend, so every
 	// list is born sorted.
 	t.byNode.SetFleet(store.cluster.Size())
 	groups := (len(f.BUs) + GroupBUs - 1) / GroupBUs
 	t.byNode.Reserve(min(store.cluster.Size(), groups*store.replication))
 	total := 0
-	eachReplicaRun(store, f.BUs, func(hosts []cluster.NodeID, run []BUID) {
+	t.file.eachGroup(f.BUs, func(hosts []cluster.NodeID, bus []BUID) {
 		for _, nid := range hosts {
-			t.byNode.Put(nid).live += len(run)
+			t.byNode.Put(nid).live += len(bus)
 		}
-		total += len(hosts) * len(run)
+		total += len(hosts) * len(bus)
 	})
 	all := make([]BUID, total)
 	t.byNode.Each(func(nid cluster.NodeID, ns *nodeSet) {
 		ns.ids, all = all[:0:ns.live], all[ns.live:]
 		t.pushRichest(heapEntry{live: ns.live, node: nid})
 	})
-	eachReplicaRun(store, f.BUs, func(hosts []cluster.NodeID, run []BUID) {
+	t.file.eachGroup(f.BUs, func(hosts []cluster.NodeID, bus []BUID) {
 		for _, nid := range hosts {
 			ns := t.byNode.Get(nid)
-			ns.ids = append(ns.ids, run...)
+			ns.ids = append(ns.ids, bus...)
 		}
 	})
 	return t, nil
 }
 
-// eachReplicaRun calls fn on every run of consecutive BUs that share one
-// replica set, with that set.
-func eachReplicaRun(s *Store, bus []BUID, fn func(hosts []cluster.NodeID, run []BUID)) {
-	for start := 0; start < len(bus); {
-		hosts, end := s.NodesFor(bus[start]), start+1
-		for end < len(bus) && slices.Equal(s.NodesFor(bus[end]), hosts) {
-			end++
-		}
-		fn(hosts, bus[start:end])
-		start = end
+// eachGroup calls fn on every placement group of the file, whose BUs
+// are bus, with the group's replica set and BUs.
+func (p *placement) eachGroup(bus []BUID, fn func(hosts []cluster.NodeID, bus []BUID)) {
+	for g, lo := 0, 0; lo < len(bus); g, lo = g+1, lo+GroupBUs {
+		fn(p.group(g), bus[lo:min(lo+GroupBUs, len(bus))])
 	}
 }
 
@@ -145,9 +138,9 @@ func (t *Tracker) Remaining() int { return t.live }
 // take removes one BU from the pool, decrementing every replica holder's
 // live count. Slice entries are left behind as lazy tombstones.
 func (t *Tracker) take(id BUID) {
-	t.remaining[id-t.base] = false
+	t.remaining[id-t.file.base] = false
 	t.live--
-	for _, nid := range t.store.NodesFor(id) {
+	for _, nid := range t.file.replicasOf(id) {
 		t.byNode.Get(nid).live--
 	}
 }
@@ -158,12 +151,12 @@ func (t *Tracker) take(id BUID) {
 // BU that is still in the pool panics: it would let two tasks process it.
 func (t *Tracker) Restore(bus []BUID) {
 	for _, id := range bus {
-		if t.remaining[id-t.base] {
+		if t.remaining[id-t.file.base] {
 			panic("dfs: Restore of a BU still in the binding maps")
 		}
-		t.remaining[id-t.base] = true
+		t.remaining[id-t.file.base] = true
 		t.live++
-		for _, nid := range t.store.NodesFor(id) {
+		for _, nid := range t.file.replicasOf(id) {
 			ns := t.byNode.Get(nid)
 			ns.insert(id)
 			ns.live++
@@ -188,7 +181,7 @@ func (t *Tracker) TakeLocal(node cluster.NodeID, n int) []BUID {
 	for i < len(ns.ids) && len(out) < n {
 		id := ns.ids[i]
 		i++
-		if !t.remaining[id-t.base] {
+		if !t.remaining[id-t.file.base] {
 			continue // taken via another replica holder; drop the tombstone
 		}
 		out = append(out, id)

@@ -294,7 +294,7 @@ func (d *Driver) LaunchMap(l MapLaunch) *MapAttempt {
 	a.step = a.advance
 	remote := l.ExtraFetchBytes
 	for i, id := range l.BUs {
-		size := d.Store.Block(id).Size
+		size := d.Store.Size(id)
 		a.Bytes += size
 		if i >= l.LocalBUs {
 			remote += size
@@ -433,7 +433,7 @@ func (d *Driver) fetchSources(a *MapAttempt) []fetchSrc {
 	var out []fetchSrc
 	dstRack := d.Net.RackOf(a.Node.ID)
 	for _, id := range a.BUs[a.LocalBUs:] {
-		size := d.Store.Block(id).Size
+		size := d.Store.Size(id)
 		if size <= 0 {
 			continue
 		}
@@ -546,7 +546,7 @@ type residentCommit struct {
 func (d *Driver) CommitOutputForBUs(node cluster.NodeID, bus []dfs.BUID) int64 {
 	var bytes int64
 	for _, id := range bus {
-		bytes += d.Store.Block(id).Size
+		bytes += d.Store.Size(id)
 		d.buCommits[id-d.firstBU]++
 		d.buSeen[id-d.firstBU] = true
 	}
@@ -760,7 +760,7 @@ func (a *MapAttempt) SplitBUs(now sim.Time) (done, remaining []dfs.BUID) {
 func (a *MapAttempt) splitAt(processed int64) (done, remaining []dfs.BUID) {
 	var cum int64
 	for i, id := range a.BUs {
-		cum += a.d.Store.Block(id).Size
+		cum += a.d.Store.Size(id)
 		if cum <= processed {
 			continue
 		}
@@ -791,7 +791,7 @@ func (a *MapAttempt) remainingAtLeast(processed int64, k int) bool {
 	}
 	through := a.Bytes
 	for _, id := range a.BUs[n-k+1:] {
-		through -= a.d.Store.Block(id).Size
+		through -= a.d.Store.Size(id)
 	}
 	return through > processed
 }

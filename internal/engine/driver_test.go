@@ -158,12 +158,12 @@ func TestRemainingAtLeastMatchesSplit(t *testing.T) {
 		a := &MapAttempt{d: d}
 		for _, i := range rng.Perm(len(f.BUs))[:n] {
 			a.BUs = append(a.BUs, f.BUs[i])
-			a.Bytes += store.Block(f.BUs[i]).Size
+			a.Bytes += store.Size(f.BUs[i])
 		}
 		probes := []int64{-1, 0, a.Bytes - 1, a.Bytes, a.Bytes + 1, rng.Int63n(a.Bytes)}
 		var cum int64
 		for _, id := range a.BUs {
-			cum += store.Block(id).Size
+			cum += store.Size(id)
 			probes = append(probes, cum-1, cum, cum+1)
 		}
 		for _, p := range probes {

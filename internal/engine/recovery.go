@@ -290,7 +290,7 @@ func (d *Driver) BUCommits() map[dfs.BUID]int {
 func SyntheticPrefixRecord(d *Driver, a *MapAttempt, done []dfs.BUID) mr.AttemptRecord {
 	var bytes int64
 	for _, id := range done {
-		bytes += d.Store.Block(id).Size
+		bytes += d.Store.Size(id)
 	}
 	return mr.AttemptRecord{
 		Task:        a.Task + ".rescued",

@@ -321,7 +321,7 @@ func (am *StockAM) ownersOf(bus []dfs.BUID) []TaskID {
 func (am *StockAM) splitBytes(p PendingSplit) int64 {
 	var b int64
 	for _, id := range p.BUs {
-		b += am.d.Store.Block(id).Size
+		b += am.d.Store.Size(id)
 	}
 	return b
 }

@@ -232,12 +232,17 @@ func (e *JobFailedError) Error() string {
 // FlexMap's placement bias; the other engines draw nothing from it and
 // seed no source.
 func buildAM(driver *engine.Driver, eng Engine, flexSeed int64) (yarn.Scheduler, error) {
+	// The split size is checked in MB: its byte count may not fit an int64.
 	splitBUs := 8
 	if eng.SplitMB != 0 {
-		if int64(eng.SplitMB)*MB%dfs.BUSize != 0 {
-			return nil, fmt.Errorf("runner: split size %d MB is not a multiple of the 8 MB block unit", eng.SplitMB)
+		const buMB = int(dfs.BUSize / MB)
+		switch {
+		case eng.SplitMB < 0 || eng.SplitMB%buMB != 0:
+			return nil, fmt.Errorf("runner: split size %d MB is not a positive multiple of the %d MB block unit", eng.SplitMB, buMB)
+		case int64(eng.SplitMB) > math.MaxInt64/MB:
+			return nil, fmt.Errorf("runner: split size %d MB overflows int64 bytes", eng.SplitMB)
 		}
-		splitBUs = int(int64(eng.SplitMB) * MB / dfs.BUSize)
+		splitBUs = eng.SplitMB / buMB
 	}
 	var err error
 	var sched yarn.Scheduler

@@ -144,6 +144,15 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("%s: Run succeeded, want error", tc.name)
 		}
 	}
+	// A split size is checked in MB, before dfs sees it. Converted to
+	// bytes it wrapped: 2^44+8 MB ran with 8 MB splits, 2^44 MB failed in
+	// dfs as a 0-BU split, and -8 MB reached dfs.
+	for _, mb := range []int{1<<44 + 8, 1 << 44, -8} {
+		_, err := Run(smallScenario(hetFactory), spec, Engine{Kind: Hadoop, SplitMB: mb})
+		if err == nil || !strings.HasPrefix(err.Error(), "runner: split size") {
+			t.Errorf("split %d MB: error %v, want a runner split-size error", mb, err)
+		}
+	}
 	// Invalid job spec.
 	bad := spec
 	bad.MapCost = 0

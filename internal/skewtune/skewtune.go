@@ -125,7 +125,7 @@ func (am *AM) repartition(node *cluster.Node) bool {
 	if len(done) > 0 {
 		var doneBytes int64
 		for _, id := range done {
-			doneBytes += am.d.Store.Block(id).Size
+			doneBytes += am.d.Store.Size(id)
 		}
 		am.d.CommitOutputForBUs(victim.Node.ID, done)
 		runtime := sim.Duration(now - start)
@@ -170,7 +170,7 @@ func (am *AM) repartition(node *cluster.Node) bool {
 		chunk := rem[lo:hi]
 		var bytes int64
 		for _, id := range chunk {
-			bytes += am.d.Store.Block(id).Size
+			bytes += am.d.Store.Size(id)
 		}
 		moved += bytes
 		delta := 1
