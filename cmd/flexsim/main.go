@@ -58,7 +58,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write the typed event trace as JSON Lines to this file")
 	perfettoPath := flag.String("perfetto", "", "write a Chrome trace-event file (chrome://tracing, ui.perfetto.dev)")
 	timeline := flag.Bool("timeline", false, "print the event timeline after the run")
-	jsonOut := flag.String("json", "", "write the attempt trace as JSON Lines to this file")
+	jsonOut := flag.String("json", "", "write the attempt records as JSON Lines to this file (sizing decisions are in -trace)")
 	inputFile := flag.String("input", "", "run LIVE over this real input file (map/reduce functions execute; overrides -size-gb)")
 	skew := flag.Float64("skew", 0, "lognormal sigma of per-block data-skew weights (0 = uniform; single-job runs only)")
 	crashRate := flag.Float64("faults", 0, "node crash rate in crashes per node-hour (0 = no fault injection)")
@@ -276,8 +276,8 @@ func main() {
 	}
 }
 
-// writeJSONTrace dumps every attempt record (and FlexMap size samples, if
-// present) as JSON Lines for downstream analysis.
+// writeJSONTrace dumps every attempt record as JSON Lines for downstream
+// analysis. FlexMap's sizing decisions are in the -trace event log.
 func writeJSONTrace(path string, res *flexmap.RunResult) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -292,15 +292,6 @@ func writeJSONTrace(path string, res *flexmap.RunResult) error {
 			"end": float64(a.End), "bytes": a.Bytes, "bus": a.BUs,
 			"localBUs": a.LocalBUs, "speculative": a.Speculative,
 			"killed": a.Killed, "crashed": a.Crashed, "productivity": a.Productivity(),
-		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	for _, sample := range res.SizeTrace {
-		rec := map[string]any{
-			"kind": "size", "task": sample.Task, "node": sample.Node,
-			"bus": sample.BUs, "sizeUnit": sample.SizeUnit, "relSpeed": sample.RelSpeed,
 		}
 		if err := enc.Encode(rec); err != nil {
 			return err

@@ -1,8 +1,8 @@
 // Elastictrace: watch FlexMap's dynamic map sizing at work (the paper's
-// Fig. 7). Runs histogram-ratings on the physical cluster and prints
-// every task dispatched on the fastest and slowest node: the size unit's
-// vertical growth, the horizontal speed multiplier, and the resulting
-// elastic task sizes.
+// Fig. 7). Runs histogram-ratings on the physical cluster with the event
+// trace collected and prints every sizing decision on the fastest and
+// slowest node: the size unit's vertical growth, the horizontal speed
+// multiplier, the requested size and the BUs the task bound.
 //
 //	go run ./examples/elastictrace
 package main
@@ -26,6 +26,7 @@ func main() {
 		Cluster:   factory,
 		Seed:      42,
 		InputSize: 10 * flexmap.GB, // Table II small input for HR
+		Trace:     flexmap.TraceOptions{Collect: true},
 	}
 	res, err := flexmap.Run(sc, spec, flexmap.Engine{Kind: flexmap.FlexMap})
 	if err != nil {
@@ -46,20 +47,17 @@ func main() {
 	fmt.Printf("fastest node: %s (%.1fx)   slowest node: %s (%.1fx)\n\n",
 		fast.Name, fast.Speed(), slow.Name, slow.Speed())
 
-	fmt.Printf("%-6s %-28s %10s %10s %10s\n", "node", "task", "size unit", "rel speed", "task size")
-	for _, s := range res.SizeTrace {
-		var label string
-		switch s.Node {
-		case fast.ID:
-			label = "FAST"
-		case slow.ID:
-			label = "slow"
-		default:
-			continue
+	// Each sizing decision is a sizer event (rel_speed, size_unit, the
+	// requested size) followed on the same node by the task-bind event
+	// holding the task and the BUs it bound.
+	var decisions []flexmap.TraceEvent
+	for _, e := range res.Trace.Events() {
+		if k := e.Kind.String(); (k == "sizer" || k == "task-bind") && (e.Node == fast.ID || e.Node == slow.ID) {
+			decisions = append(decisions, e)
 		}
-		fmt.Printf("%-6s %-28s %7d BU %10.2f %7d BU (%d MB)\n",
-			label, s.Task, s.SizeUnit, s.RelSpeed, s.BUs, s.BUs*8)
 	}
+	fmt.Printf("sizing decisions on node %d (fastest) and node %d (slowest):\n", fast.ID, slow.ID)
+	fmt.Print(flexmap.RenderTimeline(decisions))
 	fmt.Println("\nThe size unit doubles while productivity < 0.8, then grows one BU per")
 	fmt.Println("wave (vertical scaling); the dispatched size is the unit times the")
 	fmt.Println("node's relative speed (horizontal scaling), shrinking again only in")

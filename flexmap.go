@@ -33,7 +33,6 @@ package flexmap
 
 import (
 	"flexmap/internal/cluster"
-	"flexmap/internal/core"
 	"flexmap/internal/dfs"
 	"flexmap/internal/elastic"
 	"flexmap/internal/faults"
@@ -77,8 +76,6 @@ type (
 	// NetLinkStat is one fabric link's end-of-run byte count and peak
 	// utilization (RunResult.NetLinks; topology runs only).
 	NetLinkStat = net.LinkStat
-	// SizeSample is one dispatched FlexMap task size (Fig. 7 traces).
-	SizeSample = core.SizeSample
 	// Benchmark names a PUMA workload.
 	Benchmark = puma.Benchmark
 	// EngineKind selects a map-execution engine.
@@ -89,7 +86,8 @@ type (
 	ClusterFactory = runner.ClusterFactory
 	// Scenario describes the fixed conditions of a comparison.
 	Scenario = runner.Scenario
-	// RunResult bundles a JobResult with engine-specific traces.
+	// RunResult bundles a JobResult with the run's cluster, commit
+	// counts and event trace.
 	RunResult = runner.Result
 	// FaultPlan parameterizes seeded node-crash injection. The zero value
 	// injects nothing.

@@ -47,9 +47,6 @@ type AM struct {
 	nextTask  engine.TaskID
 	tasksLeft int // live (incomplete) tasks with attempts in flight
 
-	// SizeTrace records every dispatched task's size for Fig. 7.
-	SizeTrace []SizeSample
-
 	// fairShare cache: totalRel and oneWave are pure functions of the
 	// speed windows (monitor epoch), the size units (sizer epoch), and
 	// cluster membership (speed epoch — joins and releases bump it), but
@@ -61,15 +58,6 @@ type AM struct {
 	fsClusterAt uint64
 	fsTotalRel  float64
 	fsOneWave   int
-}
-
-// SizeSample is one dispatched task size, for the Fig. 7 trace.
-type SizeSample struct {
-	Task     string
-	Node     cluster.NodeID
-	BUs      int
-	SizeUnit int
-	RelSpeed float64
 }
 
 // NewAM builds the FlexMap AM over the driver. It does not bind itself to
@@ -141,10 +129,6 @@ func (am *AM) OnSlotFree(node *cluster.Node) bool {
 	am.nextTask++
 	am.d.Trace.TaskBind(task, node.ID, len(bus), local)
 	am.tasksLeft++
-	am.SizeTrace = append(am.SizeTrace, SizeSample{
-		Task: task, Node: node.ID, BUs: len(bus),
-		SizeUnit: am.sizer.SizeUnit(int(node.ID)), RelSpeed: rel,
-	})
 	am.book.Launch(engine.MapLaunch{Task: task, TaskID: id, Node: node, BUs: bus, LocalBUs: local})
 	return true
 }

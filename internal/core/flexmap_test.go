@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 	"testing/quick"
@@ -12,11 +14,13 @@ import (
 	"flexmap/internal/randutil"
 	"flexmap/internal/sim"
 	"flexmap/internal/speculate"
+	"flexmap/internal/trace"
 	"flexmap/internal/yarn"
 )
 
-// runFlexMap wires and runs a complete FlexMap job.
-func runFlexMap(t *testing.T, c *cluster.Cluster, fileBUs int64, spec mr.JobSpec, speculation engine.SpeculationPolicy) (*AM, *engine.Driver) {
+// runFlexMap wires and runs a complete FlexMap job with its event trace
+// collected.
+func runFlexMap(t *testing.T, c *cluster.Cluster, fileBUs int64, spec mr.JobSpec, speculation engine.SpeculationPolicy) *engine.Driver {
 	t.Helper()
 	eng := sim.New()
 	store := dfs.NewStore(c, 3, randutil.New(5))
@@ -28,6 +32,7 @@ func runFlexMap(t *testing.T, c *cluster.Cluster, fileBUs int64, spec mr.JobSpec
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.Trace = trace.New(eng)
 	am, err := NewAM(d, randutil.New(5).Split("flexmap"))
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +44,51 @@ func runFlexMap(t *testing.T, c *cluster.Cluster, fileBUs int64, spec mr.JobSpec
 	if !d.Finished() {
 		t.Fatal("flexmap job did not finish")
 	}
-	return am, d
+	return d
+}
+
+// sizing is one dispatched task read from the trace: a task-bind event
+// and the sizer decision emitted just before it on the same node.
+type sizing struct {
+	Task     string
+	Node     cluster.NodeID
+	BUs      int
+	SizeUnit int
+	RelSpeed float64
+}
+
+// sizings decodes the dispatches among events from their JSONL encoding,
+// the form a traced run writes.
+func sizings(t *testing.T, events []trace.Event) []sizing {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.WriteJSONL(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	type line struct {
+		Kind     string         `json:"kind"`
+		Node     cluster.NodeID `json:"node"`
+		Task     string         `json:"task"`
+		RelSpeed float64        `json:"rel_speed"`
+		SizeUnit int            `json:"size_unit"`
+		BUs      int            `json:"bus"`
+	}
+	var out []sizing
+	var prev line
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var e line
+		if err := dec.Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Kind == "task-bind" {
+			if prev.Kind != "sizer" || prev.Node != e.Node {
+				t.Fatalf("task-bind %s on node %d follows %+v, not its sizer decision", e.Task, e.Node, prev)
+			}
+			out = append(out, sizing{Task: e.Task, Node: e.Node, BUs: e.BUs, SizeUnit: prev.SizeUnit, RelSpeed: prev.RelSpeed})
+		}
+		prev = e
+	}
+	return out
 }
 
 func flexSpec(reducers int) mr.JobSpec {
@@ -50,7 +99,7 @@ func flexSpec(reducers int) mr.JobSpec {
 }
 
 func TestFlexMapCoversEveryBUExactlyOnce(t *testing.T) {
-	_, d := runFlexMap(t, cluster.Heterogeneous6(), 256, flexSpec(4), nil)
+	d := runFlexMap(t, cluster.Heterogeneous6(), 256, flexSpec(4), nil)
 	total := 0
 	for _, a := range d.Result.MapAttempts() {
 		total += a.BUs
@@ -61,13 +110,14 @@ func TestFlexMapCoversEveryBUExactlyOnce(t *testing.T) {
 }
 
 func TestFlexMapTaskSizesGrow(t *testing.T) {
-	am, _ := runFlexMap(t, cluster.Heterogeneous6(), 512, flexSpec(0), nil)
-	if len(am.SizeTrace) == 0 {
-		t.Fatal("no size trace recorded")
+	d := runFlexMap(t, cluster.Heterogeneous6(), 512, flexSpec(0), nil)
+	dispatched := sizings(t, d.Trace.Events())
+	if len(dispatched) == 0 {
+		t.Fatal("no task-bind event traced")
 	}
-	first := am.SizeTrace[0].BUs
+	first := dispatched[0].BUs
 	max := 0
-	for _, s := range am.SizeTrace {
+	for _, s := range dispatched {
 		if s.BUs > max {
 			max = s.BUs
 		}
@@ -81,11 +131,11 @@ func TestFlexMapTaskSizesGrow(t *testing.T) {
 }
 
 func TestFlexMapFastNodesGetBiggerTasks(t *testing.T) {
-	am, d := runFlexMap(t, cluster.Heterogeneous6(), 1024, flexSpec(0), nil)
-	// Mean successful-task size per node, weighted toward the steady state
+	d := runFlexMap(t, cluster.Heterogeneous6(), 1024, flexSpec(0), nil)
+	// Mean dispatched-task size per node, weighted toward the steady state
 	// by skipping each node's first three dispatches.
 	perNode := map[cluster.NodeID][]int{}
-	for _, s := range am.SizeTrace {
+	for _, s := range sizings(t, d.Trace.Events()) {
 		perNode[s.Node] = append(perNode[s.Node], s.BUs)
 	}
 	meanAfterRamp := func(sizes []int) float64 {
@@ -123,7 +173,7 @@ func TestFlexMapFastNodesGetBiggerTasks(t *testing.T) {
 }
 
 func TestFlexMapDataProportionalToCapacity(t *testing.T) {
-	_, d := runFlexMap(t, cluster.Heterogeneous6(), 1024, flexSpec(0), nil)
+	d := runFlexMap(t, cluster.Heterogeneous6(), 1024, flexSpec(0), nil)
 	bytesPerClass := map[string]int64{}
 	for _, a := range d.Result.MapAttempts() {
 		bytesPerClass[d.Cluster.Node(a.Node).Class] += a.Bytes
@@ -144,7 +194,7 @@ func TestFlexMapReduceBiasFavorsFastNodes(t *testing.T) {
 		{Name: "s0", BaseSpeed: 1, Slots: 8}, {Name: "s1", BaseSpeed: 1, Slots: 8},
 		{Name: "s2", BaseSpeed: 1, Slots: 8}, {Name: "s3", BaseSpeed: 1, Slots: 8},
 	})
-	_, d := runFlexMap(t, c, 512, flexSpec(16), nil)
+	d := runFlexMap(t, c, 512, flexSpec(16), nil)
 	fast, slow := 0, 0
 	for _, a := range d.Result.ReduceAttempts() {
 		if d.Cluster.Node(a.Node).BaseSpeed == 3 {
@@ -205,7 +255,7 @@ func TestFlexMapSpeculationRescuesStragglers(t *testing.T) {
 
 func TestFlexMapDeterminism(t *testing.T) {
 	run := func() (sim.Time, int) {
-		_, d := runFlexMap(t, cluster.Heterogeneous6(), 256, flexSpec(4), speculate.NewLATE())
+		d := runFlexMap(t, cluster.Heterogeneous6(), 256, flexSpec(4), speculate.NewLATE())
 		return d.Result.Finished, len(d.Result.Attempts)
 	}
 	t1, a1 := run()
@@ -217,7 +267,7 @@ func TestFlexMapDeterminism(t *testing.T) {
 
 func TestFlexMapMapsDoneFiresOnce(t *testing.T) {
 	// A panic from double MapsDone would fail this test.
-	_, d := runFlexMap(t, cluster.Homogeneous(3), 64, flexSpec(2), speculate.NewLATE())
+	d := runFlexMap(t, cluster.Homogeneous(3), 64, flexSpec(2), speculate.NewLATE())
 	if !d.MapsFinished() {
 		t.Fatal("maps not finished")
 	}

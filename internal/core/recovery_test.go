@@ -11,11 +11,13 @@ import (
 	"flexmap/internal/randutil"
 	"flexmap/internal/sim"
 	"flexmap/internal/speculate"
+	"flexmap/internal/trace"
 	"flexmap/internal/yarn"
 )
 
-// flexHarness wires a FlexMap job but leaves the engine unstarted so
-// tests can inject crash/restore events first, through target.
+// flexHarness wires a FlexMap job with its event trace collected but
+// leaves the engine unstarted so tests can inject crash/restore events
+// first, through target.
 type flexHarness struct {
 	eng    *sim.Engine
 	c      *cluster.Cluster
@@ -39,6 +41,7 @@ func newFlexHarness(t *testing.T, c *cluster.Cluster, fileBUs int64, spec mr.Job
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.Trace = trace.New(eng)
 	am, err := NewAM(d, randutil.New(5).Split("flexmap"))
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +139,7 @@ func TestFlexMapRejoinResetsSpeedWindow(t *testing.T) {
 		if h.am.monitor.GetSpeed(victim) == 0 {
 			t.Error("victim had no speed estimate before the crash")
 		}
-		markAt = len(h.am.SizeTrace)
+		markAt = len(h.d.Trace.Events())
 		h.target.CrashNode(victim)
 	})
 	h.eng.At(90, "restore", func() { h.target.RestoreNode(victim) })
@@ -145,17 +148,17 @@ func TestFlexMapRejoinResetsSpeedWindow(t *testing.T) {
 	if markAt < 0 {
 		t.Fatal("crash event never fired")
 	}
-	var preCrash, postRejoin []SizeSample
-	for i, s := range h.am.SizeTrace {
-		if s.Node != victim {
-			continue
+	onVictim := func(events []trace.Event) []sizing {
+		var out []sizing
+		for _, s := range sizings(t, events) {
+			if s.Node == victim {
+				out = append(out, s)
+			}
 		}
-		if i < markAt {
-			preCrash = append(preCrash, s)
-		} else {
-			postRejoin = append(postRejoin, s)
-		}
+		return out
 	}
+	events := h.d.Trace.Events()
+	preCrash, postRejoin := onVictim(events[:markAt]), onVictim(events[markAt:])
 	if len(preCrash) == 0 {
 		t.Fatal("victim never dispatched before the crash")
 	}

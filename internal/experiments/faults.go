@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"flexmap/internal/faults"
-	"flexmap/internal/metrics"
 	"flexmap/internal/puma"
 	"flexmap/internal/runner"
 )
@@ -116,11 +115,10 @@ func faultTolerance(cfg Config, rates []float64) (*Table, error) {
 		if math.IsInf(jcts[i], 1) {
 			jct.Text, norm.Text = "failed", "inf"
 		}
-		f := metrics.SummarizeFaults(r.JobResult)
 		panel.Rows = append(panel.Rows, []Cell{label(fmt.Sprintf("%g", rate)), label(eng.String()), jct, norm,
-			num("%.3f", r.Goodput(r.InputBytes)), num("%.0f", float64(f.NodesLost)), num("%.0f", float64(f.NodesRejoined)),
-			num("%.0f", float64(f.AttemptsCrashed)), num("%.0f", float64(f.TaskRetries)),
-			num("%.0f", float64(f.ReprocessedBytes/runner.MB))})
+			num("%.3f", r.Goodput(r.InputBytes)), num("%.0f", float64(r.NodesLost)), num("%.0f", float64(r.NodesRejoined)),
+			num("%.0f", float64(r.AttemptsCrashed)), num("%.0f", float64(r.TaskRetries)),
+			num("%.0f", float64(r.ReprocessedBytes/runner.MB))})
 	}
 	return &Table{
 		Title:   fmt.Sprintf("Fault tolerance — makespan & goodput vs crash rate (%s large, physical 12-node cluster)", bench.Short()),

@@ -18,12 +18,9 @@ import (
 type Summary struct {
 	Engine     string
 	JCT        float64
-	MapPhase   float64
 	Efficiency float64
 	// MeanProductivity averages Eq. 1 over successful map attempts.
 	MeanProductivity float64
-	Attempts         int
-	Speculative      int
 }
 
 // Summarize extracts a Summary from a job result.
@@ -41,36 +38,8 @@ func Summarize(r *mr.JobResult) Summary {
 	return Summary{
 		Engine:           r.Engine,
 		JCT:              float64(r.JCT()),
-		MapPhase:         float64(r.MapPhaseRuntime()),
 		Efficiency:       r.Efficiency(),
 		MeanProductivity: prod,
-		Attempts:         len(r.Attempts),
-		Speculative:      r.SpeculativeLaunches,
-	}
-}
-
-// FaultSummary condenses one run's failure-and-recovery counters — the
-// per-cell numbers of the fault-tolerance figure.
-type FaultSummary struct {
-	Engine           string
-	NodesLost        int
-	NodesRejoined    int
-	AttemptsCrashed  int
-	TaskRetries      int
-	ReprocessedBytes int64
-	OutputBUsLost    int
-}
-
-// SummarizeFaults extracts a FaultSummary from a job result.
-func SummarizeFaults(r *mr.JobResult) FaultSummary {
-	return FaultSummary{
-		Engine:           r.Engine,
-		NodesLost:        r.NodesLost,
-		NodesRejoined:    r.NodesRejoined,
-		AttemptsCrashed:  r.AttemptsCrashed,
-		TaskRetries:      r.TaskRetries,
-		ReprocessedBytes: r.ReprocessedBytes,
-		OutputBUsLost:    r.OutputBUsLost,
 	}
 }
 

@@ -29,15 +29,12 @@ func sampleResult() *mr.JobResult {
 
 func TestSummarize(t *testing.T) {
 	s := Summarize(sampleResult())
-	if s.Engine != "hadoop-64m" || s.JCT != 20 || s.MapPhase != 10 {
+	if s.Engine != "hadoop-64m" || s.JCT != 20 {
 		t.Fatalf("summary basics wrong: %+v", s)
 	}
 	wantProd := (3.0/4 + 7.0/8) / 2
 	if math.Abs(s.MeanProductivity-wantProd) > 1e-12 {
 		t.Fatalf("mean productivity = %v, want %v", s.MeanProductivity, wantProd)
-	}
-	if s.Attempts != 4 || s.Speculative != 1 {
-		t.Fatalf("counters wrong: %+v", s)
 	}
 }
 

@@ -9,19 +9,17 @@ import "math/rand"
 // the seed, so every rand.Rand method over an lfg returns what it returns
 // over rand.NewSource.
 //
-// Three things differ, none visible in the stream. Seeding is lazy: slot
-// i's initial word is chain(x0, i) ^ cooked[i], and chain reaches any
-// point of the seed's Lehmer chain in O(1) (lehmerPow), so a slot is
-// seeded when a draw first reads it rather than all 607 up front. The
-// register itself is lazy: draws 1–273 read only seed words (feed slot
-// 334−k and tap slot 607−k, which no earlier draw wrote), so they are
-// computed from the seed alone, and the register is allocated at draw 274
-// by replaying them. A stream that draws a handful of values never pays
-// for it. And int63s draws a batch without an interface call per draw.
+// Two things differ, none visible in the stream. The register is lazy:
+// slot i's initial word is chain(x0, i) ^ cooked[i], and chain reaches
+// any point of the seed's Lehmer chain in O(1) (lehmerPow). Draws 1–273
+// read only initial words (feed slot 334−k and tap slot 607−k, which no
+// earlier draw wrote), so they are computed from the seed alone, and the
+// register is allocated, seeded and replayed at draw 274. A stream that
+// draws a handful of values never pays for it. And int63s draws a batch
+// without an interface call per draw.
 type lfg struct {
 	tap, feed int
-	// x0 is the reduced seed, the Lehmer chain's start, while some slot
-	// is still unseeded; it is 0 once the register is full.
+	// x0 is the reduced seed, the Lehmer chain's start.
 	x0 uint64
 	// vec is the register, nil until the first draw that reads a slot an
 	// earlier draw wrote.
@@ -94,6 +92,7 @@ func chain(x0 uint64, i int) int64 {
 }
 
 // Seed resets the generator to the stream rand.NewSource(seed) yields.
+// A register already allocated is kept and seeded in full.
 func (g *lfg) Seed(seed int64) {
 	seed %= lehmerM
 	if seed < 0 {
@@ -103,6 +102,9 @@ func (g *lfg) Seed(seed int64) {
 		seed = zeroSeed
 	}
 	g.tap, g.feed, g.x0 = 0, lfgFill, uint64(seed)
+	if g.vec != nil {
+		g.seedRegister()
+	}
 }
 
 // Int63 returns the next draw's low 63 bits.
@@ -126,20 +128,18 @@ func (g *lfg) Uint64() uint64 {
 		}
 		g.grow()
 	}
-	if g.x0 != 0 {
-		g.seedSlots()
-	}
 	x := g.vec[g.feed] + g.vec[g.tap]
 	g.vec[g.feed] = x
 	return uint64(x)
 }
 
 // grow allocates the register at draw 274, whose tap slot draw 1 wrote,
-// and replays draws 1–273 into it. Tap and feed already point at draw
-// 274's slots; the replay leaves them there.
+// seeds every slot and replays draws 1–273 into it. Tap and feed already
+// point at draw 274's slots; the replay leaves them there.
 func (g *lfg) grow() {
 	tap, feed := g.tap, g.feed
 	g.vec = new([lfgLen]int64)
+	g.seedRegister()
 	g.tap, g.feed = 0, lfgFill
 	for range lfgTap {
 		g.Uint64()
@@ -150,24 +150,17 @@ func (g *lfg) grow() {
 // seedWord returns slot i's initial word.
 func (g *lfg) seedWord(i int) int64 { return chain(g.x0, i) ^ cooked[i] }
 
-// seedSlots writes the initial words of the slots the current draw reads
-// first: draw k ≤ 334 reads feed slot 334−k for the first time, and draw
-// k ≤ 273 tap slot 607−k (later tap slots were feed slots 273 draws
-// earlier). Draw 334 fills slot 0, the last one.
-func (g *lfg) seedSlots() {
-	g.vec[g.feed] = g.seedWord(g.feed)
-	if g.tap >= lfgFill {
-		g.vec[g.tap] = g.seedWord(g.tap)
-	}
-	if g.feed == 0 {
-		g.x0 = 0
+// seedRegister writes every slot's initial word.
+func (g *lfg) seedRegister() {
+	for i := range g.vec {
+		g.vec[i] = g.seedWord(i)
 	}
 }
 
-// int63s fills dst with the next len(dst) Int63 draws. Past the seeding
-// draws it keeps tap, feed and the register in locals.
+// int63s fills dst with the next len(dst) Int63 draws. Once the register
+// exists it keeps tap, feed and the register in locals.
 func (g *lfg) int63s(dst []int64) {
-	for len(dst) > 0 && g.x0 != 0 {
+	for len(dst) > 0 && g.vec == nil {
 		dst[0] = g.Int63()
 		dst = dst[1:]
 	}

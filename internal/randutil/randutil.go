@@ -14,8 +14,8 @@ import (
 // splitting: derived sources are seeded from the parent seed and a label,
 // so adding a new consumer of randomness does not perturb existing ones.
 // Its *rand.Rand runs over lfg, which yields exactly rand.NewSource(seed)'s
-// stream but seeds register slots as draws first read them and allocates
-// the register only at the 274th draw.
+// stream but computes the first 273 draws from the seed alone and
+// allocates and seeds the register only at the 274th draw.
 type Source struct {
 	seed int64
 	*rand.Rand

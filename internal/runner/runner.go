@@ -176,11 +176,10 @@ type Scenario struct {
 	Trace trace.Options
 }
 
-// Result bundles the job result with engine-specific traces.
+// Result bundles the job result with the run's cluster, commit counts,
+// event trace and fabric summary.
 type Result struct {
 	*mr.JobResult
-	// SizeTrace is FlexMap's dispatched task sizes (nil for others).
-	SizeTrace []core.SizeSample
 	// Cluster is the post-run cluster (for inspecting node state).
 	Cluster *cluster.Cluster
 	// BUCommits is the final per-BU commit count — the exactly-once
@@ -228,9 +227,9 @@ func (e *JobFailedError) Error() string {
 // buildAM constructs the selected engine's ApplicationMaster over the
 // driver and returns the scheduler the RM must offer the job's capacity
 // to: for SkewTune its own AM, not the stock AM inside it; for FlexMap a
-// *core.AM, whose size trace the caller may want. flexSeed seeds
-// FlexMap's placement bias; the other engines draw nothing from it and
-// seed no source.
+// *core.AM, whose relative speeds the elastic controller reads. flexSeed
+// seeds FlexMap's placement bias; the other engines draw nothing from it
+// and seed no source.
 func buildAM(driver *engine.Driver, eng Engine, flexSeed int64) (yarn.Scheduler, error) {
 	// The split size is checked in MB: its byte count may not fit an int64.
 	splitBUs := 8
@@ -372,9 +371,6 @@ func run(sc Scenario, spec mr.JobSpec, eng Engine, wrap func(*stack, yarn.Schedu
 		Trace:      s.tracer,
 		SimEvents:  s.eng.Fired(),
 		NodeHours:  s.nodeHours(driver.Result.Finished),
-	}
-	if flexAM != nil {
-		out.SizeTrace = flexAM.SizeTrace
 	}
 	if s.fabric != nil {
 		out.CrossRackBytes = s.fabric.CrossRackBytes()

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -502,14 +503,12 @@ func diffFirings(t *testing.T, label string, got, want []firing) {
 }
 
 // compareResults asserts every comparable field of two run results is
-// identical (the cluster and tracer pointers are per-run objects).
+// identical (the cluster and tracer pointers are per-run objects; FlexMap's
+// sizing decisions are in the trace, whose bytes the caller compares).
 func compareResults(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(got.JobResult, want.JobResult) {
 		t.Errorf("%s: JobResult differs:\ngot  %+v\nwant %+v", label, got.JobResult, want.JobResult)
-	}
-	if !reflect.DeepEqual(got.SizeTrace, want.SizeTrace) {
-		t.Errorf("%s: SizeTrace differs (%d vs %d samples)", label, len(got.SizeTrace), len(want.SizeTrace))
 	}
 	if !reflect.DeepEqual(got.BUCommits, want.BUCommits) {
 		t.Errorf("%s: BUCommits differs", label)
@@ -597,20 +596,98 @@ func TestLiveExecutionIdenticalAcrossEngines(t *testing.T) {
 	}
 }
 
-func TestFlexMapSizeTracePopulated(t *testing.T) {
-	res, err := Run(smallScenario(hetFactory), wcSpec(t, 2), Engine{Kind: FlexMap})
+// sizingEvent is one decoded JSONL trace line, with the fields of the
+// sizer and task-bind kinds.
+type sizingEvent struct {
+	T    float64        `json:"t"`
+	Kind string         `json:"kind"`
+	Job  string         `json:"job"`
+	Node cluster.NodeID `json:"node"`
+	Task string         `json:"task"`
+	Size int            `json:"size"`
+	BUs  int            `json:"bus"`
+}
+
+// checkSizingTrace decodes a collected trace's JSONL and checks that
+// every task-bind directly follows the sizer decision that sized it — at
+// the same instant, on the same node, for the same job — and binds at
+// most the BUs that decision requested. It returns each job's sizer and
+// task-bind counts.
+func checkSizingTrace(t *testing.T, tr *trace.Tracer) (sizers, binds map[string]int) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.WriteJSONL(&buf, tr.Events()); err != nil {
+		t.Fatal(err)
+	}
+	sizers, binds = map[string]int{}, map[string]int{}
+	var prev sizingEvent
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var e sizingEvent
+		if err := dec.Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		switch e.Kind {
+		case "sizer":
+			sizers[e.Job]++
+		case "task-bind":
+			binds[e.Job]++
+			if prev.Kind != "sizer" || prev.T != e.T || prev.Node != e.Node || prev.Job != e.Job {
+				t.Fatalf("task-bind %+v follows %+v, not its sizer decision", e, prev)
+			}
+			if e.BUs > prev.Size {
+				t.Fatalf("task-bind %s bound %d BUs, its sizer decision asked for %d", e.Task, e.BUs, prev.Size)
+			}
+		}
+		prev = e
+	}
+	return sizers, binds
+}
+
+// TestSizingTraceContract: the trace is the one record of FlexMap's
+// sizing decisions, on a solo job and inside a mixed workload, and only
+// FlexMap makes them.
+func TestSizingTraceContract(t *testing.T) {
+	sc := smallScenario(hetFactory)
+	sc.Trace = trace.Options{Collect: true}
+	for _, eng := range []Engine{{Kind: FlexMap}, {Kind: Hadoop}, {Kind: SkewTune}} {
+		res, err := Run(sc, wcSpec(t, 2), eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizers, binds := checkSizingTrace(t, res.Trace)
+		if eng.Kind != FlexMap {
+			if sizers[""] != 0 || binds[""] != 0 {
+				t.Fatalf("%s traced %d sizer and %d task-bind events, want none", eng, sizers[""], binds[""])
+			}
+			continue
+		}
+		if binds[""] == 0 {
+			t.Fatal("FlexMap run traced no task-bind event")
+		}
+	}
+
+	wsc := testWorkload(7, 12)
+	wsc.Trace = trace.Options{Collect: true}
+	res, err := RunWorkload(wsc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.SizeTrace) == 0 {
-		t.Fatal("FlexMap run has no size trace")
+	sizers, binds := checkSizingTrace(t, res.Trace)
+	flexJobs := 0
+	for _, j := range res.Jobs {
+		if wsc.Classes[j.Class].Engine.Kind != FlexMap {
+			if sizers[j.ID] != 0 {
+				t.Fatalf("stock job %s traced %d sizer events", j.ID, sizers[j.ID])
+			}
+			continue
+		}
+		flexJobs++
+		if binds[j.ID] == 0 {
+			t.Fatalf("FlexMap job %s traced no task-bind event", j.ID)
+		}
 	}
-	stock, err := Run(smallScenario(hetFactory), wcSpec(t, 2), Engine{Kind: Hadoop})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stock.SizeTrace != nil {
-		t.Fatal("stock run unexpectedly has a size trace")
+	if flexJobs == 0 {
+		t.Fatal("workload drew no FlexMap job; the cell no longer covers it")
 	}
 }
 
