@@ -39,6 +39,7 @@ type Node struct {
 	interference float64  // current multiplier in (0,1]; 1 = no interference
 	down         bool     // crashed (fault injection); no heartbeats, no work
 	offline      bool     // provisioned but not a cluster member (elastic spare)
+	draining     bool     // member in graceful decommission; no new offers
 	c            *Cluster // owner: speed epoch and speed hook
 }
 
@@ -54,6 +55,11 @@ func (n *Node) Down() bool { return n.down || n.offline }
 // spare (or a released former member). Distinct from a crash: an offline
 // node is absent by plan, so liveness watchers must not declare it lost.
 func (n *Node) Offline() bool { return n.offline }
+
+// Draining reports whether the member is in graceful decommission: it
+// keeps heartbeating and its running containers finish, but it takes no
+// new work until ReleaseNode takes it out of the cluster.
+func (n *Node) Draining() bool { return n.draining }
 
 // SetDown marks the node crashed or restored. It only flips the flag:
 // killing resident work and reconciling RM capacity are the fault
@@ -186,6 +192,14 @@ type Cluster struct {
 	// Per-node slot counts never change, but elastic membership moves
 	// whole nodes in and out of the total via JoinNode/ReleaseNode.
 	totalSlots int
+
+	// base is the number of nodes NewCluster built; the spares AddSpares
+	// appends follow as NodeIDs base, base+1, …. joinedAt and spareSecs
+	// are indexed by NodeID - base: a spare's latest join instant and the
+	// seconds of its completed joined intervals.
+	base      int
+	joinedAt  []sim.Time
+	spareSecs []float64
 }
 
 // SpeedEpoch returns the cluster-wide speed epoch: it increments whenever
@@ -208,7 +222,7 @@ func (c *Cluster) OnSpeedChange(fn func(*Node)) {
 // stored in one contiguous slab (struct-of-arrays friendly: dense IDs
 // index both Nodes and every per-node slice in the scheduler stack).
 func NewCluster(name string, specs []NodeSpec) *Cluster {
-	c := &Cluster{Name: name, NetBW: 1250}
+	c := &Cluster{Name: name, NetBW: 1250, base: len(specs)}
 	c.slab = make([]Node, len(specs))
 	c.Nodes = make([]*Node, 0, len(specs))
 	for i, s := range specs {
@@ -236,11 +250,8 @@ func NewCluster(name string, specs []NodeSpec) *Cluster {
 			interference: 1.0,
 			c:            c,
 		}
-		c.slab[i].offline = s.Offline
 		c.Nodes = append(c.Nodes, &c.slab[i])
-		if !s.Offline {
-			c.totalSlots += slots
-		}
+		c.totalSlots += slots
 	}
 	c.members = c.online()
 	return c
@@ -263,10 +274,6 @@ type NodeSpec struct {
 	Class     string
 	BaseSpeed float64
 	Slots     int
-	// Offline provisions the node as an elastic spare: it occupies a
-	// NodeID (so topology racks are fixed for the whole run) but is not a
-	// member until JoinNode brings it online.
-	Offline bool
 }
 
 // AddSpares appends n offline spare nodes cut from the given spec
@@ -313,36 +320,90 @@ func (c *Cluster) AddSpares(n int, spec NodeSpec) []NodeID {
 		c.Nodes = append(c.Nodes, &spares[i])
 		ids[i] = id
 	}
+	c.joinedAt = append(c.joinedAt, make([]sim.Time, n)...)
+	c.spareSecs = append(c.spareSecs, make([]float64, n)...)
 	return ids
 }
 
-// JoinNode brings an offline spare online: it becomes a member, its
-// slots join the total, and the speed epoch advances so every cached
-// speed-derived percentile re-reads the fleet. Joining an online node is
-// a no-op (the autoscaler and a scheduled plan may race benignly).
-func (c *Cluster) JoinNode(id NodeID) {
+// JoinNode brings an offline node online at instant now: it becomes a
+// member, its slots join the total, and the speed epoch advances so
+// every cached speed-derived percentile re-reads the fleet. A spare's
+// joined interval opens at now. Joining an online node is a no-op (the
+// autoscaler and a scheduled plan may race benignly).
+func (c *Cluster) JoinNode(id NodeID, now sim.Time) {
 	n := c.Node(id)
 	if !n.offline {
 		return
 	}
 	n.offline = false
+	if i := int(id) - c.base; i >= 0 {
+		c.joinedAt[i] = now
+	}
 	c.totalSlots += n.Slots
 	c.speedEpoch++
 	c.members = c.online()
 }
 
-// ReleaseNode returns a member to the offline pool (elastic scale-in or
-// spot reclaim). Releasing an offline node is a no-op. The node keeps
-// its identity: re-provisioning the same NodeID later is a fresh join.
-func (c *Cluster) ReleaseNode(id NodeID) {
+// StartDrain begins a member's graceful decommission: it stays a member,
+// but the RM offers it no more work. Draining an offline node is a
+// no-op; ReleaseNode ends the drain.
+func (c *Cluster) StartDrain(id NodeID) {
+	if n := c.Node(id); !n.offline {
+		n.draining = true
+	}
+}
+
+// ReleaseNode returns a member to the offline pool at instant now
+// (elastic scale-in or spot reclaim), ending any drain and closing a
+// spare's joined interval. Releasing an offline node is a no-op. The
+// node keeps its identity: re-provisioning the same NodeID later is a
+// fresh join.
+func (c *Cluster) ReleaseNode(id NodeID, now sim.Time) {
 	n := c.Node(id)
 	if n.offline {
 		return
 	}
-	n.offline = true
+	n.offline, n.draining = true, false
+	if i := int(id) - c.base; i >= 0 {
+		c.spareSecs[i] += float64(now - c.joinedAt[i])
+	}
 	c.totalSlots -= n.Slots
 	c.speedEpoch++
 	c.members = c.online()
+}
+
+// NodeHours returns the machine-hours consumed through instant until:
+// the nodes NewCluster built run the whole span, spares only their
+// joined intervals. It is the cost axis of static and elastic runs alike.
+func (c *Cluster) NodeHours(until sim.Time) float64 {
+	total := float64(c.base) * float64(until)
+	for i, secs := range c.spareSecs {
+		total += secs
+		if !c.Nodes[c.base+i].offline {
+			total += float64(until - c.joinedAt[i])
+		}
+	}
+	return total / 3600
+}
+
+// SlotSeconds returns the slot-seconds of capacity provisioned through
+// instant until, counted like NodeHours: the utilization denominator,
+// which TotalSlots() × until would overstate while spares are out.
+func (c *Cluster) SlotSeconds(until sim.Time) float64 {
+	baseSlots := 0
+	for _, n := range c.Nodes[:c.base] {
+		baseSlots += n.Slots
+	}
+	total := float64(baseSlots) * float64(until)
+	for i, secs := range c.spareSecs {
+		n := c.Nodes[c.base+i]
+		slots := float64(n.Slots)
+		total += secs * slots
+		if !n.offline {
+			total += float64(until-c.joinedAt[i]) * slots
+		}
+	}
+	return total
 }
 
 // Size returns the number of provisioned worker nodes, online or not.

@@ -26,8 +26,9 @@ func refSortedSpeeds(c *Cluster) []float64 {
 // matches the reference table after every step, rebuilding only when the
 // epoch moved.
 func TestSpeedEpochTransitions(t *testing.T) {
-	c := NewCluster("t", []NodeSpec{{BaseSpeed: 1}, {BaseSpeed: 2}, {BaseSpeed: 3}, {BaseSpeed: 4, Offline: true}})
+	c := NewCluster("t", []NodeSpec{{BaseSpeed: 1}, {BaseSpeed: 2}, {BaseSpeed: 3}})
 	spares := c.AddSpares(2, NodeSpec{BaseSpeed: 5})
+	slower := c.AddSpares(1, NodeSpec{BaseSpeed: 4})[0]
 	steps := []struct {
 		name  string
 		apply func()
@@ -37,12 +38,13 @@ func TestSpeedEpochTransitions(t *testing.T) {
 		{"interfere again", func() { c.Node(2).SetInterference(0.25) }, false},
 		{"crash", func() { c.Node(1).SetDown(true) }, true},
 		{"crash again", func() { c.Node(1).SetDown(true) }, false},
-		{"join a spare", func() { c.JoinNode(spares[0]) }, true},
-		{"join it again", func() { c.JoinNode(spares[0]) }, false},
-		{"join the offline base node", func() { c.JoinNode(3) }, true},
+		{"join a spare", func() { c.JoinNode(spares[0], 0) }, true},
+		{"join it again", func() { c.JoinNode(spares[0], 0) }, false},
+		{"join a slower spare", func() { c.JoinNode(slower, 0) }, true},
+		{"drain it", func() { c.StartDrain(slower) }, false},
 		{"restore", func() { c.Node(1).SetDown(false) }, true},
-		{"release", func() { c.ReleaseNode(0) }, true},
-		{"release again", func() { c.ReleaseNode(0) }, false},
+		{"release", func() { c.ReleaseNode(0, 0) }, true},
+		{"release again", func() { c.ReleaseNode(0, 0) }, false},
 		{"interfere a spare", func() { c.Node(spares[1]).SetInterference(0.5) }, true},
 		{"clear interference", func() { c.Node(2).SetInterference(1) }, true},
 	}
@@ -72,8 +74,9 @@ func TestSpeedEpochTransitions(t *testing.T) {
 	}
 }
 
-// TestMembership checks AddSpares, JoinNode and ReleaseNode against the
-// member list, the live size, the slot total and each node's flags.
+// TestMembership checks AddSpares, JoinNode, StartDrain and ReleaseNode
+// against the member list, the live size, the slot total and each
+// node's flags.
 func TestMembership(t *testing.T) {
 	c := NewCluster("t", []NodeSpec{{Slots: 3}, {}})
 	if ids := c.AddSpares(0, NodeSpec{}); ids != nil {
@@ -106,14 +109,22 @@ func TestMembership(t *testing.T) {
 	}
 	check("initial", []NodeID{0, 1}, 5)
 	held := c.Members()
-	c.JoinNode(3)
+	c.JoinNode(3, 0)
 	check("join 3", []NodeID{0, 1, 3}, 7)
-	c.JoinNode(2)
+	c.JoinNode(2, 0)
 	check("join 2", []NodeID{0, 1, 2, 3}, 9)
-	c.ReleaseNode(0)
+	// A drain keeps the member until its release ends it.
+	c.StartDrain(4)
+	c.StartDrain(0)
+	check("drain 0", []NodeID{0, 1, 2, 3}, 9)
+	if c.Node(4).Draining() || !c.Node(0).Draining() || c.Node(0).Down() {
+		t.Fatalf("drain flags: offline spare %v, member %v (down %v)",
+			c.Node(4).Draining(), c.Node(0).Draining(), c.Node(0).Down())
+	}
+	c.ReleaseNode(0, 0)
 	check("release 0", []NodeID{1, 2, 3}, 6)
-	if n := c.Node(0); !n.Offline() || !n.Down() {
-		t.Fatal("a released node is not offline")
+	if n := c.Node(0); !n.Offline() || !n.Down() || n.Draining() {
+		t.Fatalf("released node: offline %v, down %v, draining %v", n.Offline(), n.Down(), n.Draining())
 	}
 	if len(held) != 2 || held[0].ID != 0 || held[1].ID != 1 {
 		t.Fatal("a membership change edited a member list already returned")
@@ -123,6 +134,38 @@ func TestMembership(t *testing.T) {
 	check("crash 1", []NodeID{1, 2, 3}, 6)
 	if n := c.Node(1); !n.Down() || n.Offline() {
 		t.Fatalf("crashed member: down %v, offline %v", n.Down(), n.Offline())
+	}
+}
+
+// TestClusterAccounting bills four base nodes for the whole span and a
+// spare for its one completed joined interval, 100–230 s.
+func TestClusterAccounting(t *testing.T) {
+	c := Homogeneous(4)
+	spares := c.AddSpares(2, NodeSpec{Slots: 3})
+	c.JoinNode(spares[0], 100)
+	c.StartDrain(spares[0])
+	c.ReleaseNode(spares[0], 230)
+	if got, want := c.NodeHours(1000), (4*1000.0+130)/3600; got != want {
+		t.Fatalf("NodeHours = %v, want %v", got, want)
+	}
+	if got, want := c.SlotSeconds(1000), float64(4*2)*1000+130*3; got != want {
+		t.Fatalf("SlotSeconds = %v, want %v", got, want)
+	}
+}
+
+// TestClusterAccountingOpenInterval counts a spare still joined at the
+// horizon up to "until", after the intervals it already completed.
+func TestClusterAccountingOpenInterval(t *testing.T) {
+	c := Homogeneous(4)
+	spare := c.AddSpares(1, NodeSpec{})[0]
+	c.JoinNode(spare, 50)
+	c.ReleaseNode(spare, 60)
+	c.JoinNode(spare, 100)
+	if got, want := c.NodeHours(500), (4*500.0+10+400)/3600; got != want {
+		t.Fatalf("NodeHours = %v, want %v", got, want)
+	}
+	if got, want := c.SlotSeconds(500), float64(4*2)*500+10*2+400*2; got != want {
+		t.Fatalf("SlotSeconds = %v, want %v", got, want)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"flexmap/internal/randutil"
 	"flexmap/internal/sim"
 	"flexmap/internal/speculate"
+	"flexmap/internal/trace"
 	"flexmap/internal/yarn"
 )
 
@@ -224,6 +225,7 @@ func TestSpeedTablesMatchReference(t *testing.T) {
 						},
 					}, spares)
 					ctl.SetWatcher(w)
+					ctl.Trace = trace.New(eng)
 					ctl.Speeds = am.RelativeSpeed
 					ctl.Start(seed)
 				}
@@ -239,9 +241,15 @@ func TestSpeedTablesMatchReference(t *testing.T) {
 				if c.crashes && rejoins == 0 {
 					t.Fatal("no crashed node rejoined")
 				}
-				if c.spares && (ctl.Joins < 2 || ctl.Releases < 1 || probe.spareOffers == 0) {
-					t.Fatalf("spares did not churn: %d joins, %d releases, %d spare offers",
-						ctl.Joins, ctl.Releases, probe.spareOffers)
+				if c.spares {
+					kinds := map[trace.Kind]int{}
+					for _, e := range ctl.Trace.Events() {
+						kinds[e.Kind]++
+					}
+					if kinds[trace.KindNodeJoin] < 2 || kinds[trace.KindNodeRelease] < 1 || probe.spareOffers == 0 {
+						t.Fatalf("spares did not churn: %d joins, %d releases, %d spare offers",
+							kinds[trace.KindNodeJoin], kinds[trace.KindNodeRelease], probe.spareOffers)
+					}
 				}
 			})
 		}

@@ -188,9 +188,9 @@ func (tc storeCase) run(t *testing.T) (*Store, *refStore, []string) {
 			ref.applySkew(randutil.New(skewSeed), o.sigma)
 		case o.toggle:
 			if c.Node(o.node).Offline() {
-				c.JoinNode(o.node)
+				c.JoinNode(o.node, 0)
 			} else {
-				c.ReleaseNode(o.node)
+				c.ReleaseNode(o.node, 0)
 			}
 		case o.data != nil:
 			if _, err := s.AddFileWithData(name, o.data); err != nil {

@@ -60,7 +60,7 @@ func TestPlacementMatchesReference(t *testing.T) {
 		spares := c.AddSpares(gen.Intn(12), cluster.NodeSpec{})
 		for _, id := range spares {
 			if gen.Intn(3) == 0 {
-				c.JoinNode(id)
+				c.JoinNode(id, 0)
 			}
 		}
 		seed := gen.Int63() - gen.Int63()
@@ -69,10 +69,10 @@ func TestPlacementMatchesReference(t *testing.T) {
 		load := make([]int, c.Size())
 		for f := 0; f < 1+gen.Intn(4); f++ {
 			if len(spares) > 0 && gen.Intn(2) == 0 {
-				c.JoinNode(spares[gen.Intn(len(spares))])
+				c.JoinNode(spares[gen.Intn(len(spares))], 0)
 			}
 			if gen.Intn(3) == 0 {
-				c.ReleaseNode(cluster.NodeID(gen.Intn(c.Size())))
+				c.ReleaseNode(cluster.NodeID(gen.Intn(c.Size())), 0)
 			}
 			name := fmt.Sprint(f)
 			file, err := s.AddFile(name, 1+gen.Int63n(40*GroupBUs*BUSize))

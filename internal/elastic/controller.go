@@ -12,9 +12,6 @@ type ResourceManager interface {
 	// NodeJoined registers a fresh member's slots; offers begin at the
 	// next heartbeat.
 	NodeJoined(id cluster.NodeID)
-	// DrainNode stops new offers on the node while running containers
-	// finish.
-	DrainNode(id cluster.NodeID)
 	// NodeReleased withdraws the node's capacity entirely.
 	NodeReleased(id cluster.NodeID)
 	// Occupancy reports granted and total slots over schedulable members.
@@ -37,9 +34,10 @@ type Watcher interface {
 
 // Controller applies an elastic plan to a running simulation: it arms
 // the precomputed membership timeline, runs the optional autoscaler
-// policy, sequences each join and drain-then-release across the cluster
-// / RM / watcher / drainer layers (one Drainer for all of a run's jobs),
-// and accounts node-hours so runs can report cost next to makespan.
+// policy, and sequences each join and drain-then-release across the
+// cluster / RM / watcher / drainer layers (one Drainer for all of a
+// run's jobs). The cluster is the one record of membership: it knows
+// which spares are joined or draining and bills their joined intervals.
 //
 // Joining an online spare and draining an offline one are no-ops, so a
 // scheduled timeline and the autoscaler compose without coordination.
@@ -53,68 +51,38 @@ type Controller struct {
 	// scale-in picks the highest-ID joined spare.
 	Speeds func(id cluster.NodeID) float64
 
-	eng      *sim.Engine
-	c        *cluster.Cluster
-	rm       ResourceManager
-	plan     Plan
-	spares   []cluster.NodeID
-	spareIdx map[cluster.NodeID]int
-	drainer  Drainer
-	watcher  Watcher
+	eng     *sim.Engine
+	c       *cluster.Cluster
+	rm      ResourceManager
+	plan    Plan
+	spares  []cluster.NodeID
+	drainer Drainer
+	watcher Watcher
 
-	// Per-spare membership state, indexed like spares.
-	joined   []bool
-	draining []bool
-	joinedAt []sim.Time
-	// Accrued spare usage from completed join→release intervals.
-	nodeSecs []float64
-
-	baseNodes int
-	baseSlots int
-	schedule  []Event
-	auto      Autoscaler
+	schedule []Event
+	auto     Autoscaler
 
 	// Autoscaler streak/cooldown state.
 	highStreak int
 	lowStreak  int
 	lastAction sim.Time
 	acted      bool
-
-	// Joins / Drains / Releases count membership changes actually
-	// applied (no-op events excluded).
-	Joins    int
-	Drains   int
-	Releases int
 }
 
-// NewController builds a controller over the given spare pool (the IDs
-// returned by cluster.AddSpares). Base-fleet nodes — every node not in
-// spares — are permanent members and never touched. d evicts the run's
-// work from each released node. Call Start to arm.
+// NewController builds a controller over the given spare pool (the
+// contiguous IDs returned by cluster.AddSpares). Base-fleet nodes —
+// every node not in spares — are permanent members and never touched. d
+// evicts the run's work from each released node. Call Start to arm.
 func NewController(eng *sim.Engine, c *cluster.Cluster, rm ResourceManager, d Drainer, plan Plan, spares []cluster.NodeID) *Controller {
-	ctl := &Controller{
-		eng:      eng,
-		c:        c,
-		rm:       rm,
-		drainer:  d,
-		plan:     plan.withDefaults(),
-		spares:   spares,
-		spareIdx: make(map[cluster.NodeID]int, len(spares)),
-		joined:   make([]bool, len(spares)),
-		draining: make([]bool, len(spares)),
-		joinedAt: make([]sim.Time, len(spares)),
-		nodeSecs: make([]float64, len(spares)),
+	return &Controller{eng: eng, c: c, rm: rm, drainer: d, plan: plan.withDefaults(), spares: spares}
+}
+
+// spare returns the node if id is one of the controller's spares.
+func (ctl *Controller) spare(id cluster.NodeID) (*cluster.Node, bool) {
+	if len(ctl.spares) == 0 || id < ctl.spares[0] || id > ctl.spares[len(ctl.spares)-1] {
+		return nil, false
 	}
-	for i, id := range spares {
-		ctl.spareIdx[id] = i
-	}
-	for _, n := range c.Nodes {
-		if _, isSpare := ctl.spareIdx[n.ID]; !isSpare {
-			ctl.baseNodes++
-			ctl.baseSlots += n.Slots
-		}
-	}
-	return ctl
+	return ctl.c.Node(id), true
 }
 
 // SetWatcher wires the liveness watcher, when one exists (fault plans).
@@ -140,65 +108,54 @@ func (ctl *Controller) apply(ev Event) {
 	case Join:
 		ctl.join(ev.Node)
 	case Drain, Spot:
-		ctl.drain(ev.Node, ev.Kind == Spot)
+		ctl.drain(ev.Node, ev.Kind)
 	}
 }
 
-// join brings an offline spare online. Joining an online or draining
+// join brings an offline spare online. Joining an online (or draining)
 // node is a no-op, so schedule and autoscaler compose.
 func (ctl *Controller) join(id cluster.NodeID) {
-	i, ok := ctl.spareIdx[id]
-	if !ok || ctl.joined[i] || ctl.draining[i] {
+	n, ok := ctl.spare(id)
+	if !ok || !n.Offline() {
 		return
 	}
-	ctl.joined[i] = true
-	ctl.joinedAt[i] = ctl.eng.Now()
-	ctl.c.JoinNode(id)
+	ctl.c.JoinNode(id, ctl.eng.Now())
 	if ctl.watcher != nil {
 		ctl.watcher.Register(id)
 	}
 	ctl.rm.NodeJoined(id)
-	ctl.Joins++
-	ctl.Trace.NodeJoin(id, ctl.c.Node(id).Slots)
+	ctl.Trace.NodeJoin(id, n.Slots)
 }
 
-// drain starts a graceful decommission: the RM stops offering the node
-// and the release fires after the notice. Draining an offline or
-// already-draining node is a no-op.
-func (ctl *Controller) drain(id cluster.NodeID, spot bool) {
-	i, ok := ctl.spareIdx[id]
-	if !ok || !ctl.joined[i] || ctl.draining[i] {
+// drain starts a graceful decommission of kind Drain or Spot: the RM
+// stops offering the node and the release fires after the kind's notice.
+// Draining an offline or already-draining node is a no-op.
+func (ctl *Controller) drain(id cluster.NodeID, kind Kind) {
+	n, ok := ctl.spare(id)
+	if !ok || n.Offline() || n.Draining() {
 		return
 	}
-	notice := ctl.plan.Notice
-	if spot {
-		notice = ctl.plan.SpotNotice
-	}
-	ctl.draining[i] = true
-	ctl.rm.DrainNode(id)
-	ctl.Drains++
-	ctl.Trace.NodeDrain(id, notice, spot)
+	notice := ctl.plan.notice(kind)
+	ctl.c.StartDrain(id)
+	ctl.Trace.NodeDrain(id, notice, kind == Spot)
 	ctl.eng.After(notice, "elastic-release", func() { ctl.release(id) })
 }
 
-// release completes a drain at its deadline. Order matters: usage is
-// accrued and capacity withdrawn first, the node goes offline (which
-// also drops it from the liveness watcher's sweep), and only then does
-// the drainer evict remaining work — the drivers' requeues already see
-// the node as unavailable. Committed map output survives: a
-// decommission is not a crash, so downstream reducers re-fetch nothing.
+// release completes a drain at its deadline. Order matters: capacity is
+// withdrawn first, the node goes offline (the cluster accrues its joined
+// interval and ends the drain; the liveness watcher's sweep drops it),
+// and only then does the drainer evict remaining work — the drivers'
+// requeues already see the node as unavailable. Committed map output
+// survives: a decommission is not a crash, so downstream reducers
+// re-fetch nothing.
 func (ctl *Controller) release(id cluster.NodeID) {
-	i, ok := ctl.spareIdx[id]
-	if !ok || !ctl.draining[i] {
+	n, ok := ctl.spare(id)
+	if !ok || !n.Draining() {
 		return
 	}
-	ctl.nodeSecs[i] += float64(ctl.eng.Now() - ctl.joinedAt[i])
-	ctl.joined[i] = false
-	ctl.draining[i] = false
 	ctl.rm.NodeReleased(id)
-	ctl.c.ReleaseNode(id)
+	ctl.c.ReleaseNode(id, ctl.eng.Now())
 	preempted := ctl.drainer.DrainNode(id)
-	ctl.Releases++
 	ctl.Trace.NodeRelease(id, preempted)
 }
 
@@ -234,17 +191,17 @@ func (ctl *Controller) autoscaleTick(now sim.Time) {
 	if ctl.lowStreak >= ctl.auto.Streak {
 		if id, ok := ctl.scaleInTarget(); ok {
 			ctl.Trace.Autoscale("scale-in", id, busy, slots)
-			ctl.drain(id, false)
+			ctl.drain(id, Drain)
 			ctl.lastAction, ctl.acted = now, true
 			ctl.highStreak, ctl.lowStreak = 0, 0
 		}
 	}
 }
 
-// scaleOutTarget picks the lowest-ID offline, non-draining spare.
+// scaleOutTarget picks the lowest-ID offline spare.
 func (ctl *Controller) scaleOutTarget() (cluster.NodeID, bool) {
-	for i, id := range ctl.spares {
-		if !ctl.joined[i] && !ctl.draining[i] {
+	for _, id := range ctl.spares {
+		if ctl.c.Node(id).Offline() {
 			return id, true
 		}
 	}
@@ -256,8 +213,8 @@ func (ctl *Controller) scaleOutTarget() (cluster.NodeID, bool) {
 // deterministic), else simply the highest-ID joined spare.
 func (ctl *Controller) scaleInTarget() (cluster.NodeID, bool) {
 	best, bestSpeed, found := cluster.NodeID(0), 0.0, false
-	for i, id := range ctl.spares {
-		if !ctl.joined[i] || ctl.draining[i] {
+	for _, id := range ctl.spares {
+		if n := ctl.c.Node(id); n.Offline() || n.Draining() {
 			continue
 		}
 		speed := 0.0
@@ -269,33 +226,4 @@ func (ctl *Controller) scaleInTarget() (cluster.NodeID, bool) {
 		}
 	}
 	return best, found
-}
-
-// NodeHours returns machine-hours consumed through the given instant:
-// base nodes run the whole span, spares only their joined intervals.
-// This is the cost axis of the autoscale experiment's frontier.
-func (ctl *Controller) NodeHours(until sim.Time) float64 {
-	total := float64(ctl.baseNodes) * float64(until)
-	for i := range ctl.spares {
-		total += ctl.nodeSecs[i]
-		if ctl.joined[i] {
-			total += float64(until - ctl.joinedAt[i])
-		}
-	}
-	return total / 3600
-}
-
-// SlotSeconds returns slot-seconds of provisioned capacity through the
-// given instant — the utilization denominator for elastic runs, where
-// cluster.TotalSlots() × span would overcount intervals with spares out.
-func (ctl *Controller) SlotSeconds(until sim.Time) float64 {
-	total := float64(ctl.baseSlots) * float64(until)
-	for i, id := range ctl.spares {
-		slots := float64(ctl.c.Node(id).Slots)
-		total += ctl.nodeSecs[i] * slots
-		if ctl.joined[i] {
-			total += float64(until-ctl.joinedAt[i]) * slots
-		}
-	}
-	return total
 }

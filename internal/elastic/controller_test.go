@@ -6,6 +6,7 @@ import (
 
 	"flexmap/internal/cluster"
 	"flexmap/internal/sim"
+	"flexmap/internal/trace"
 )
 
 // fakeRM records capacity calls and serves a scripted occupancy.
@@ -16,7 +17,6 @@ type fakeRM struct {
 }
 
 func (f *fakeRM) NodeJoined(id cluster.NodeID)   { f.calls = append(f.calls, "joined") }
-func (f *fakeRM) DrainNode(id cluster.NodeID)    { f.calls = append(f.calls, "drain") }
 func (f *fakeRM) NodeReleased(id cluster.NodeID) { f.calls = append(f.calls, "released") }
 func (f *fakeRM) Occupancy() (int, int)          { return f.busy, f.slots }
 
@@ -58,7 +58,21 @@ func newHarness(t *testing.T, plan Plan, spares int) *harness {
 	h.spares = h.c.AddSpares(spares, cluster.NodeSpec{})
 	h.ctl = NewController(h.eng, h.c, h.rm, h.drainer, plan, h.spares)
 	h.ctl.SetWatcher(h.watcher)
+	h.ctl.Trace = trace.New(h.eng)
 	return h
+}
+
+// count returns how many membership changes of the kind the controller
+// has applied, read from its trace: node-join, node-drain or
+// node-release.
+func (h *harness) count(kind trace.Kind) int {
+	n := 0
+	for _, e := range h.ctl.Trace.Events() {
+		if e.Kind == kind {
+			n++
+		}
+	}
+	return n
 }
 
 func scriptPlan(script ...Event) Plan {
@@ -85,8 +99,8 @@ func TestControllerJoin(t *testing.T) {
 	if want := []string{"register"}; !reflect.DeepEqual(h.watcher.calls, want) {
 		t.Fatalf("watcher calls = %v, want %v", h.watcher.calls, want)
 	}
-	if h.ctl.Joins != 1 {
-		t.Fatalf("Joins = %d, want 1", h.ctl.Joins)
+	if got := h.count(trace.KindNodeJoin); got != 1 {
+		t.Fatalf("joins = %d, want 1", got)
 	}
 }
 
@@ -98,8 +112,8 @@ func TestControllerJoinIdempotent(t *testing.T) {
 	), 2)
 	h.ctl.Start(1)
 	h.eng.RunUntil(20)
-	if h.ctl.Joins != 1 {
-		t.Fatalf("Joins = %d, want 1 (double join and non-spare are no-ops)", h.ctl.Joins)
+	if got := h.count(trace.KindNodeJoin); got != 1 {
+		t.Fatalf("joins = %d, want 1 (double join and non-spare are no-ops)", got)
 	}
 }
 
@@ -111,17 +125,17 @@ func TestControllerDrainThenRelease(t *testing.T) {
 	h.drainer.preempted = 2
 	h.ctl.Start(1)
 	h.eng.RunUntil(40) // drained at 20, release pending until 50
-	if h.c.Node(h.spares[0]).Offline() {
-		t.Fatal("node released before the notice elapsed")
+	if n := h.c.Node(h.spares[0]); n.Offline() || !n.Draining() {
+		t.Fatalf("during the notice: offline %v, draining %v; want a draining member", n.Offline(), n.Draining())
 	}
-	if want := []string{"joined", "drain"}; !reflect.DeepEqual(h.rm.calls, want) {
+	if want := []string{"joined"}; !reflect.DeepEqual(h.rm.calls, want) {
 		t.Fatalf("rm calls during notice = %v, want %v", h.rm.calls, want)
 	}
 	h.eng.RunUntil(60)
-	if !h.c.Node(h.spares[0]).Offline() {
-		t.Fatal("node not offline after release")
+	if n := h.c.Node(h.spares[0]); !n.Offline() || n.Draining() {
+		t.Fatalf("after release: offline %v, draining %v; want offline", n.Offline(), n.Draining())
 	}
-	if want := []string{"joined", "drain", "released"}; !reflect.DeepEqual(h.rm.calls, want) {
+	if want := []string{"joined", "released"}; !reflect.DeepEqual(h.rm.calls, want) {
 		t.Fatalf("rm calls = %v, want %v", h.rm.calls, want)
 	}
 	if want := []string{"register"}; !reflect.DeepEqual(h.watcher.calls, want) {
@@ -130,8 +144,8 @@ func TestControllerDrainThenRelease(t *testing.T) {
 	if want := []cluster.NodeID{4}; !reflect.DeepEqual(h.drainer.drained, want) {
 		t.Fatalf("drained = %v, want %v", h.drainer.drained, want)
 	}
-	if h.ctl.Drains != 1 || h.ctl.Releases != 1 {
-		t.Fatalf("Drains/Releases = %d/%d, want 1/1", h.ctl.Drains, h.ctl.Releases)
+	if d, r := h.count(trace.KindNodeDrain), h.count(trace.KindNodeRelease); d != 1 || r != 1 {
+		t.Fatalf("drains/releases = %d/%d, want 1/1", d, r)
 	}
 }
 
@@ -154,47 +168,21 @@ func TestControllerDrainNoOps(t *testing.T) {
 		Event{At: 30, Node: 5, Kind: Drain},
 		Event{At: 32, Node: 5, Kind: Drain}, // already draining
 		Event{At: 34, Node: 5, Kind: Join},  // draining nodes don't rejoin
+		Event{At: 36, Node: 0, Kind: Drain}, // a base node, not a spare
 	), 2)
 	h.ctl.Start(1)
 	h.eng.RunUntil(100)
-	if h.ctl.Drains != 1 {
-		t.Fatalf("Drains = %d, want 1", h.ctl.Drains)
+	if h.c.Node(0).Draining() {
+		t.Fatal("the controller drained a base node")
 	}
-	if h.ctl.Joins != 1 {
-		t.Fatalf("Joins = %d, want 1", h.ctl.Joins)
+	if got := h.count(trace.KindNodeDrain); got != 1 {
+		t.Fatalf("drains = %d, want 1", got)
+	}
+	if got := h.count(trace.KindNodeJoin); got != 1 {
+		t.Fatalf("joins = %d, want 1", got)
 	}
 	if !h.c.Node(h.spares[1]).Offline() {
 		t.Fatal("drained spare should be offline at the end")
-	}
-}
-
-func TestControllerAccounting(t *testing.T) {
-	h := newHarness(t, scriptPlan(
-		Event{At: 100, Node: 4, Kind: Join},
-		Event{At: 200, Node: 4, Kind: Drain}, // released at 230
-	), 2)
-	h.ctl.Start(1)
-	h.eng.RunUntil(1000)
-	// 4 base nodes for the whole span, one spare joined for 130 s.
-	wantHours := (4*1000.0 + 130) / 3600
-	if got := h.ctl.NodeHours(1000); got != wantHours {
-		t.Fatalf("NodeHours = %v, want %v", got, wantHours)
-	}
-	slots := float64(h.c.Node(h.spares[0]).Slots)
-	wantSlotSecs := float64(h.ctl.baseSlots)*1000 + 130*slots
-	if got := h.ctl.SlotSeconds(1000); got != wantSlotSecs {
-		t.Fatalf("SlotSeconds = %v, want %v", got, wantSlotSecs)
-	}
-}
-
-func TestControllerAccountingOpenInterval(t *testing.T) {
-	h := newHarness(t, scriptPlan(Event{At: 100, Node: 4, Kind: Join}), 2)
-	h.ctl.Start(1)
-	h.eng.RunUntil(500)
-	// Still joined at the horizon: the open interval counts to "until".
-	want := (4*500.0 + 400) / 3600
-	if got := h.ctl.NodeHours(500); got != want {
-		t.Fatalf("NodeHours = %v, want %v", got, want)
 	}
 }
 
@@ -212,24 +200,24 @@ func TestAutoscalerScaleOutAfterStreak(t *testing.T) {
 	h.rm.busy, h.rm.slots = 8, 8 // saturated
 	h.ctl.Start(1)
 	h.eng.RunUntil(11)
-	if h.ctl.Joins != 0 {
+	if h.count(trace.KindNodeJoin) != 0 {
 		t.Fatal("scaled out after one tick; streak is 2")
 	}
 	h.eng.RunUntil(21)
-	if h.ctl.Joins != 1 {
-		t.Fatalf("Joins after streak = %d, want 1", h.ctl.Joins)
+	if got := h.count(trace.KindNodeJoin); got != 1 {
+		t.Fatalf("joins after streak = %d, want 1", got)
 	}
 	if h.c.Node(h.spares[0]).Offline() {
 		t.Fatal("scale-out should join the lowest-ID offline spare")
 	}
 	// Cooldown 15 spans the next tick; the one after may act again.
 	h.eng.RunUntil(31)
-	if h.ctl.Joins != 1 {
-		t.Fatalf("Joins during cooldown = %d, want 1", h.ctl.Joins)
+	if got := h.count(trace.KindNodeJoin); got != 1 {
+		t.Fatalf("joins during cooldown = %d, want 1", got)
 	}
 	h.eng.RunUntil(51)
-	if h.ctl.Joins != 2 {
-		t.Fatalf("Joins after cooldown = %d, want 2", h.ctl.Joins)
+	if got := h.count(trace.KindNodeJoin); got != 2 {
+		t.Fatalf("joins after cooldown = %d, want 2", got)
 	}
 }
 
@@ -245,22 +233,22 @@ func TestAutoscalerWatermarks(t *testing.T) {
 	h.rm.busy, h.rm.slots = 699, slots
 	h.ctl.Start(1)
 	h.eng.RunUntil(100)
-	if h.ctl.Joins != 0 {
-		t.Fatalf("Joins = %d one slot under highWater, want 0", h.ctl.Joins)
+	if got := h.count(trace.KindNodeJoin); got != 0 {
+		t.Fatalf("joins = %d one slot under highWater, want 0", got)
 	}
 	h.rm.busy = 700
 	h.eng.RunUntil(200)
-	if h.ctl.Joins != 2 {
-		t.Fatalf("Joins = %d at highWater, want 2", h.ctl.Joins)
+	if got := h.count(trace.KindNodeJoin); got != 2 {
+		t.Fatalf("joins = %d at highWater, want 2", got)
 	}
 	h.rm.busy = 201
 	h.eng.RunUntil(300)
-	if h.ctl.Drains != 0 {
-		t.Fatalf("Drains = %d one slot over lowWater, want 0", h.ctl.Drains)
+	if got := h.count(trace.KindNodeDrain); got != 0 {
+		t.Fatalf("drains = %d one slot over lowWater, want 0", got)
 	}
 	h.rm.busy = 200
 	h.eng.RunUntil(400)
-	if h.ctl.Drains == 0 {
+	if h.count(trace.KindNodeDrain) == 0 {
 		t.Fatal("no scale-in at lowWater")
 	}
 }
@@ -272,12 +260,12 @@ func TestAutoscalerScaleInPicksSlowest(t *testing.T) {
 	h.ctl.Speeds = func(id cluster.NodeID) float64 { return speeds[id] }
 	h.ctl.Start(1)
 	h.eng.RunUntil(55) // both spares join (saturation persists)
-	if h.ctl.Joins != 2 {
-		t.Fatalf("Joins = %d, want 2", h.ctl.Joins)
+	if got := h.count(trace.KindNodeJoin); got != 2 {
+		t.Fatalf("joins = %d, want 2", got)
 	}
 	h.rm.busy = 0 // idle: scale in
 	h.eng.RunUntil(200)
-	if h.ctl.Drains == 0 {
+	if h.count(trace.KindNodeDrain) == 0 {
 		t.Fatal("no scale-in despite idle occupancy")
 	}
 	if got := h.drainer.drained[0]; got != 4 {
@@ -292,7 +280,7 @@ func TestAutoscalerScaleInWithoutSpeeds(t *testing.T) {
 	h.eng.RunUntil(55)
 	h.rm.busy = 0
 	h.eng.RunUntil(100)
-	if h.ctl.Drains == 0 {
+	if h.count(trace.KindNodeDrain) == 0 {
 		t.Fatal("no scale-in despite idle occupancy")
 	}
 	if got := h.drainer.drained[0]; got != 5 {
@@ -305,7 +293,7 @@ func TestAutoscalerNoSlotsNoAction(t *testing.T) {
 	h.rm.busy, h.rm.slots = 0, 0
 	h.ctl.Start(1)
 	h.eng.RunUntil(100)
-	if h.ctl.Joins != 0 || h.ctl.Drains != 0 {
+	if h.count(trace.KindNodeJoin) != 0 || h.count(trace.KindNodeDrain) != 0 {
 		t.Fatal("autoscaler acted with zero reported slots")
 	}
 }
@@ -315,7 +303,7 @@ func TestAutoscalerExhaustedPool(t *testing.T) {
 	h.rm.busy, h.rm.slots = 8, 8
 	h.ctl.Start(1)
 	h.eng.RunUntil(100)
-	if h.ctl.Joins != 0 {
+	if h.count(trace.KindNodeJoin) != 0 {
 		t.Fatal("joined with an empty spare pool")
 	}
 }
@@ -337,7 +325,7 @@ func TestAutoscalerDeterministic(t *testing.T) {
 		for _, at := range []sim.Time{50, 100, 200} {
 			at := at
 			h.eng.At(at, "sample", func() {
-				log = append(log, action{h.ctl.Joins, h.ctl.Drains})
+				log = append(log, action{h.count(trace.KindNodeJoin), h.count(trace.KindNodeDrain)})
 			})
 		}
 		h.eng.RunUntil(200)

@@ -146,9 +146,6 @@ func TestInjectorCrashThenRestore(t *testing.T) {
 	if want := []string{"crash", "restore"}; !reflect.DeepEqual(tgt.calls, want) {
 		t.Fatalf("calls = %v, want %v", tgt.calls, want)
 	}
-	if inj.Injected != 1 {
-		t.Fatalf("Injected = %d, want 1", inj.Injected)
-	}
 }
 
 func TestInjectorSkipsDownNode(t *testing.T) {
@@ -162,8 +159,5 @@ func TestInjectorSkipsDownNode(t *testing.T) {
 	eng.RunUntil(105) // before the t=110 restore
 	if want := []string{"crash"}; !reflect.DeepEqual(tgt.calls, want) {
 		t.Fatalf("calls = %v, want %v", tgt.calls, want)
-	}
-	if inj.Injected != 1 {
-		t.Fatalf("Injected = %d, want 1 (the later crash of the dead node skipped)", inj.Injected)
 	}
 }

@@ -30,9 +30,6 @@ type Injector struct {
 
 	// Trace, when non-nil, records each crash actually applied.
 	Trace *trace.Tracer
-
-	// Injected counts crashes actually applied (skips excluded).
-	Injected int
 }
 
 // NewInjector builds an injector over a schedule. Call Start to arm it.
@@ -52,7 +49,6 @@ func (in *Injector) apply(ev Event) {
 	if in.c.Node(ev.Node).Down() {
 		return
 	}
-	in.Injected++
 	in.Trace.FaultInject(ev.Node, ev.Duration)
 	in.target.CrashNode(ev.Node)
 	in.eng.After(ev.Duration, "fault-restore", func() { in.target.RestoreNode(ev.Node) })

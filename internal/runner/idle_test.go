@@ -64,7 +64,7 @@ func (p *offerProbe) Bound(dst []cluster.NodeID) ([]cluster.NodeID, bool) {
 func (p *offerProbe) audit(claim string, skip []cluster.NodeID) {
 	free, queued, traced := p.s.rm.TotalFree(), p.s.eng.Pending(), len(p.s.tracer.Events())
 	for _, n := range p.s.clus.Nodes {
-		if p.s.rm.FreeSlots(n.ID) <= 0 || n.Down() || p.s.rm.Draining(n.ID) || slices.Contains(skip, n.ID) {
+		if p.s.rm.FreeSlots(n.ID) <= 0 || n.Down() || n.Draining() || slices.Contains(skip, n.ID) {
 			continue
 		}
 		if p.inner.OnSlotFree(n) {

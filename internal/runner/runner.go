@@ -370,7 +370,7 @@ func run(sc Scenario, spec mr.JobSpec, eng Engine, wrap func(*stack, yarn.Schedu
 		InputBytes: sc.InputSize,
 		Trace:      s.tracer,
 		SimEvents:  s.eng.Fired(),
-		NodeHours:  s.nodeHours(driver.Result.Finished),
+		NodeHours:  s.clus.NodeHours(driver.Result.Finished),
 	}
 	if s.fabric != nil {
 		out.CrossRackBytes = s.fabric.CrossRackBytes()

@@ -309,13 +309,3 @@ func (s *stack) run() {
 	s.rm.Start()
 	s.eng.RunUntil(s.deadline)
 }
-
-// nodeHours is machine-hours consumed up to until: the whole fleet on a
-// static cluster; base nodes plus each spare's joined intervals on an
-// elastic one.
-func (s *stack) nodeHours(until sim.Time) float64 {
-	if s.ctl != nil {
-		return s.ctl.NodeHours(until)
-	}
-	return float64(s.clus.Size()) * float64(until) / 3600
-}

@@ -376,12 +376,8 @@ func summarize(sc WorkloadScenario, policy string, s *stack, st *workloadState) 
 	out.Span = sim.Duration(span)
 	if span > 0 {
 		out.GoodputBytesPerSec = float64(goodBytes) / float64(span)
-		slotSecs := float64(span) * float64(s.clus.TotalSlots())
-		if s.ctl != nil {
-			slotSecs = s.ctl.SlotSeconds(span)
-		}
-		out.NodeHours = s.nodeHours(span)
-		out.Utilization = float64(busy) / slotSecs
+		out.NodeHours = s.clus.NodeHours(span)
+		out.Utilization = float64(busy) / s.clus.SlotSeconds(span)
 	}
 	if waited > 0 {
 		out.MeanQueueWait = waitSum / sim.Duration(waited)

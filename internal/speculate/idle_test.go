@@ -156,9 +156,9 @@ func TestLATEIdleWhenNoNodeCanWin(t *testing.T) {
 	check("interference on node a lifted", false, a)
 	a.SetInterference(0.5)
 	check("interference on node a back", true, nil)
-	c.JoinNode(spare)
+	c.JoinNode(spare, eng.Now())
 	check("a fast spare joined", false, c.Node(spare))
-	c.ReleaseNode(spare)
+	c.ReleaseNode(spare, eng.Now())
 	check("the spare released", true, nil)
 }
 

@@ -153,7 +153,7 @@ func checkPacing(t *testing.T, rm *RM, step int, op string) {
 	now := rm.eng.Now()
 	for _, n := range rm.cluster.Nodes {
 		id := n.ID
-		if rm.free[id] > 0 && rm.granted[id] && !n.Down() && !rm.draining[id] &&
+		if rm.free[id] > 0 && rm.granted[id] && !n.Down() && !n.Draining() &&
 			now < rm.lastGrant[id]+sim.Time(AssignDelay) && !rm.offerScheduled[id] {
 			t.Fatalf("step %d (%s), t=%v: node %d has %d free slots, last grant at %v, and no offer armed",
 				step, op, now, id, rm.free[id], rm.lastGrant[id])
@@ -219,17 +219,17 @@ func TestPacingInvariant(t *testing.T) {
 				}
 			case "drain":
 				if !n.Down() {
-					rm.DrainNode(n.ID)
+					c.StartDrain(n.ID)
 				}
 			case "elastic-release":
-				if rm.Draining(n.ID) {
+				if n.Draining() {
 					rm.NodeReleased(n.ID)
-					c.ReleaseNode(n.ID)
+					c.ReleaseNode(n.ID, eng.Now())
 					j.dropOn(n.ID)
 				}
 			case "join":
 				if n.Offline() {
-					c.JoinNode(n.ID)
+					c.JoinNode(n.ID, eng.Now())
 					rm.NodeJoined(n.ID)
 				}
 			}

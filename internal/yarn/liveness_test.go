@@ -144,7 +144,7 @@ func TestRepeatedCrashRejoinCycles(t *testing.T) {
 // left are tracked as before.
 func TestDeregisteredNodeSilenceNotLost(t *testing.T) {
 	h := newLivenessHarness(2)
-	h.eng.At(6, "release", func() { h.c.ReleaseNode(0) })
+	h.eng.At(6, "release", func() { h.c.ReleaseNode(0, h.eng.Now()) })
 	h.eng.At(51, "crash", func() { h.c.Node(1).SetDown(true) })
 	h.eng.RunUntil(200)
 	if len(h.lost) != 1 || h.lost[0] != 1 {
@@ -163,11 +163,11 @@ func TestDeregisterClearsPendingLossAndRejoin(t *testing.T) {
 		if !h.w.lost[0] {
 			t.Fatal("precondition: node should be lost by t=25")
 		}
-		h.c.ReleaseNode(0)
+		h.c.ReleaseNode(0, h.eng.Now())
 	})
 	h.eng.At(30, "power-up", func() { h.c.Node(0).SetDown(false) })
 	h.eng.At(100, "join", func() {
-		h.c.JoinNode(0)
+		h.c.JoinNode(0, h.eng.Now())
 		h.w.Register(0)
 	})
 	h.eng.RunUntil(200)
@@ -187,11 +187,11 @@ func TestDeregisterClearsPendingLossAndRejoin(t *testing.T) {
 // loss declaration, even if it was silent long before T.
 func TestRegisterGrantsFullTimeout(t *testing.T) {
 	h := newLivenessHarness(2)
-	h.eng.At(6, "release", func() { h.c.ReleaseNode(0) })
+	h.eng.At(6, "release", func() { h.c.ReleaseNode(0, h.eng.Now()) })
 	// Rejoin at t=60 but immediately dead: loss needs beats at 65, 70,
 	// 75 all missed — declared at the t=75 tick, not before.
 	h.eng.At(60, "rejoin", func() {
-		h.c.JoinNode(0)
+		h.c.JoinNode(0, h.eng.Now())
 		h.c.Node(0).SetDown(true) // joins broken: never heartbeats
 		h.w.Register(0)
 	})
@@ -210,9 +210,9 @@ func TestRegisterGrantsFullTimeout(t *testing.T) {
 // join is declared at the third missed beat.
 func TestDeregisterRegisterCycleWhileUp(t *testing.T) {
 	h := newLivenessHarness(1)
-	h.eng.At(10, "release", func() { h.c.ReleaseNode(0) })
+	h.eng.At(10, "release", func() { h.c.ReleaseNode(0, h.eng.Now()) })
 	h.eng.At(40, "join", func() {
-		h.c.JoinNode(0)
+		h.c.JoinNode(0, h.eng.Now())
 		h.w.Register(0)
 	})
 	h.eng.RunUntil(100)

@@ -85,11 +85,11 @@ func TestPolicyOrderMatchesReference(t *testing.T) {
 						ij.Retire(handles[rng.Intn(len(handles))]) // may already be retired
 					case r < 4:
 						if clus.Node(spare).Offline() {
-							clus.JoinNode(spare)
+							clus.JoinNode(spare, eng.Now())
 							rm.NodeJoined(spare)
 						} else {
 							rm.NodeReleased(spare)
-							clus.ReleaseNode(spare)
+							clus.ReleaseNode(spare, eng.Now())
 						}
 					case r < 5:
 						// Nothing moves; the next offer reuses the cached order.

@@ -61,7 +61,6 @@ type RM struct {
 	offerScheduled []bool
 	lastGrant      []sim.Time
 	granted        []bool
-	draining       []bool
 	offerFns       []func()
 	nextCID        int
 	started        bool
@@ -91,7 +90,6 @@ func NewRM(eng *sim.Engine, c *cluster.Cluster) *RM {
 		offerScheduled: make([]bool, c.Size()),
 		lastGrant:      make([]sim.Time, c.Size()),
 		granted:        make([]bool, c.Size()),
-		draining:       make([]bool, c.Size()),
 		offerFns:       make([]func(), c.Size()),
 	}
 	for i, n := range c.Nodes {
@@ -191,7 +189,7 @@ func (rm *RM) freeAt(id cluster.NodeID) int {
 // on one node are globally paced: no two grants land within AssignDelay,
 // no matter how often the AM pokes.
 func (rm *RM) offerNow(n *cluster.Node) {
-	if !rm.started || rm.free[n.ID] <= 0 || n.Down() || rm.draining[n.ID] {
+	if !rm.started || rm.free[n.ID] <= 0 || n.Down() || n.Draining() {
 		// A down node sends no NodeManager heartbeats, so it makes no
 		// offers; capacity is reconciled wholesale by NodeRestored. A
 		// draining node keeps heartbeating but its slots are being
@@ -252,39 +250,24 @@ func (rm *RM) NodeRestored(id cluster.NodeID) {
 // and offers begin at the next heartbeat. The elastic controller flips
 // the cluster-side membership before calling this.
 func (rm *RM) NodeJoined(id cluster.NodeID) {
-	rm.draining[id] = false
 	rm.free[id] = rm.cluster.Node(id).Slots
 	if rm.started {
 		rm.scheduleOffer(id, AssignDelay)
 	}
 }
 
-// DrainNode starts a graceful decommission: the node makes no further
-// offers, running containers keep their slots until they finish, and
-// released capacity idles until NodeReleased withdraws it (or NodeJoined
-// cancels the drain).
-func (rm *RM) DrainNode(id cluster.NodeID) { rm.draining[id] = true }
-
-// Draining reports whether a node is in graceful decommission.
-func (rm *RM) Draining(id cluster.NodeID) bool {
-	return int(id) >= 0 && int(id) < len(rm.draining) && rm.draining[id]
-}
-
 // NodeReleased withdraws a drained node's capacity entirely — the
 // elastic counterpart of NodeLost, minus the crash semantics. Any
 // containers still granted are being preempted by the caller; their
 // handles release as no-ops once the node is offline.
-func (rm *RM) NodeReleased(id cluster.NodeID) {
-	rm.draining[id] = false
-	rm.free[id] = 0
-}
+func (rm *RM) NodeReleased(id cluster.NodeID) { rm.free[id] = 0 }
 
 // Occupancy reports granted and total slots over schedulable members:
 // offline, down, and draining nodes contribute nothing, so the
 // autoscaler reads the load on exactly the capacity that can take work.
 func (rm *RM) Occupancy() (busy, slots int) {
 	for _, n := range rm.cluster.Nodes {
-		if n.Down() || rm.draining[n.ID] {
+		if n.Down() || n.Draining() {
 			continue
 		}
 		slots += n.Slots
