@@ -88,12 +88,22 @@ type Store struct {
 	placed   []placement
 	nodeLoad []int // BUs stored per node, by dense NodeID, for balancing
 
-	// members, ties and best are placement scratch, reused across files:
-	// the online members of the file being placed, one tie draw each, and
-	// the best candidates of the group being placed.
+	// members and best are placement scratch, reused across files: the
+	// online members of the file being placed and the best candidates of
+	// the group being placed. ties, draws and ids hold the tie draws a
+	// group ranks at a time: up to rankHead draws in member order, or the
+	// draws a filtered call reports and the members that drew them.
 	members []cluster.NodeID
-	ties    []int64
 	best    []replicaCand
+	ties    [rankHead]int64
+	draws   [rankHead]randutil.Draw
+	ids     [rankHead]cluster.NodeID
+	// minLoad is the least load among members and minCount how many
+	// members hold it, kept only while a file with more than rankHead
+	// members is placed, the only placement that reads them. Placement
+	// stays exact while minLoad is at most the true least load; the count
+	// says when it has fallen below and must be recounted.
+	minLoad, minCount int
 
 	// content and weights are indexed by BUID and stay nil until used. An
 	// ID past their end has no payload and weight 1.0.
@@ -180,17 +190,41 @@ func (s *Store) addFile(name string, size int64, data []byte) (*File, error) {
 	groups := (numBUs + GroupBUs - 1) / GroupBUs
 	p := placement{base: base, n: numBUs, size: size, width: min(s.replication, len(members))}
 	p.replicas = make([]cluster.NodeID, 0, groups*p.width)
+	track := len(members) > rankHead
+	if track {
+		s.recountMin()
+	}
 	for g := 0; g < groups; g++ {
 		n := len(p.replicas)
 		p.replicas = s.appendReplicaNodes(p.replicas, members)
 		bus := min(GroupBUs, numBUs-g*GroupBUs)
 		for _, nid := range p.replicas[n:] {
+			if track && s.nodeLoad[nid] == s.minLoad {
+				s.minCount--
+			}
 			s.nodeLoad[nid] += bus
+		}
+		if track && s.minCount == 0 {
+			s.recountMin()
 		}
 	}
 	s.placed = append(s.placed, p)
 	s.files[name] = f
 	return f, nil
+}
+
+// recountMin sets minLoad and minCount over the members.
+func (s *Store) recountMin() {
+	least, count := math.MaxInt, 0
+	for _, id := range s.members {
+		switch l := s.nodeLoad[id]; {
+		case l < least:
+			least, count = l, 1
+		case l == least:
+			count++
+		}
+	}
+	s.minLoad, s.minCount = least, count
 }
 
 // next returns the BUID the next stored BU receives.
@@ -239,6 +273,11 @@ type replicaCand struct {
 	tie  int64
 }
 
+// rankHead is how many tie draws a group ranks at a time while every
+// draw can win: all of a file with at most this many members, which
+// therefore keeps no minimum-load count.
+const rankHead = 64
+
 // appendReplicaNodes chooses `replication` distinct nodes among members,
 // preferring nodes storing the fewest BUs (ties broken pseudo-randomly) so
 // placement stays balanced, as HDFS's balancer would keep it, and appends
@@ -246,23 +285,59 @@ type replicaCand struct {
 func (s *Store) appendReplicaNodes(dst, members []cluster.NodeID) []cluster.NodeID {
 	// One scan keeping the `replication` best (load, tie) pairs — a full
 	// sort of the fleet per BU is O(n log n) and dominated 10k-node setup.
-	// Every member node still draws a tie value, in member order and in
-	// one batch, so the random stream (and with it every downstream
-	// placement) matches the old sorted version. Offline spares are not
-	// members: they neither draw nor qualify, so base-fleet placement is
-	// identical whether or not a run provisions spares, and a spare that
-	// has joined by the time a file is added receives replicas normally.
-	ties := slices.Grow(s.ties[:0], len(members))[:len(members)]
-	s.ties = ties
-	s.rng.Int63s(ties)
-	load := s.nodeLoad
-	best := slices.Grow(s.best[:0], s.replication)
+	// Every member node still draws a tie value, in member order, so the
+	// random stream (and with it every downstream placement) matches the
+	// old sorted version. Offline spares are not members: they neither
+	// draw nor qualify, so base-fleet placement is identical whether or
+	// not a run provisions spares, and a spare that has joined by the time
+	// a file is added receives replicas normally.
+	s.best = slices.Grow(s.best[:0], s.replication)
+	for j := 0; j < len(members); {
+		var ids []cluster.NodeID
+		var ties []int64
+		if r := len(s.best); r == s.replication && s.best[r-1].load == s.minLoad {
+			// The R-th best holds the members' least load, so only a
+			// member with a smaller tie can beat it: draw on, ranking
+			// only those. A full buffer stops the draws, and the next
+			// call's bound is the tightened tie.
+			draws, taken := s.rng.Int63sBelow(s.draws[:0], len(members)-j, s.best[r-1].tie)
+			for k, d := range draws {
+				s.ids[k], s.ties[k] = members[j+d.Off], d.Val
+			}
+			ids, ties = s.ids[:len(draws)], s.ties[:len(draws)]
+			j += taken
+		} else {
+			n := min(len(members)-j, rankHead)
+			ids, ties = members[j:j+n], s.ties[:n]
+			s.rng.Int63s(ties)
+			j += n
+		}
+		s.rank(ids, ties)
+	}
+	// Fewer members than the replication factor (elastic scale-in below
+	// the store's initial member count) degrades gracefully to the
+	// members available, like HDFS under-replication.
+	for _, c := range s.best {
+		dst = append(dst, c.id)
+	}
+	return dst
+}
+
+// rank enters the members ids, whose tie draws are ties, into s.best,
+// the group's `replication` best candidates in (load, tie) order. It is
+// a function of its own so that its loop, which makes no call, keeps the
+// ranking state in registers.
+func (s *Store) rank(ids []cluster.NodeID, ties []int64) {
+	load, best := s.nodeLoad, s.best
 	// (wLoad, wTie) is the R-th best pair so far; until R members are
 	// seen it ranks below every member. A member qualifies if its pair
 	// is smaller: the borrow out of the 128-bit difference load:tie −
 	// wLoad:wTie, which does not branch on which nodes already hold data.
 	wLoad, wTie := math.MaxInt, int64(0)
-	for j, id := range members {
+	if len(best) == s.replication {
+		wLoad, wTie = best[len(best)-1].load, best[len(best)-1].tie
+	}
+	for j, id := range ids {
 		c := replicaCand{id, load[id], ties[j]}
 		_, borrow := bits.Sub64(uint64(c.tie), uint64(wTie), 0)
 		if _, borrow = bits.Sub64(uint64(c.load), uint64(wLoad), borrow); borrow == 0 {
@@ -272,24 +347,17 @@ func (s *Store) appendReplicaNodes(dst, members []cluster.NodeID) []cluster.Node
 			best = best[:len(best)-1]
 		}
 		i := len(best)
+		best = append(best, c)
 		for i > 0 && (c.load < best[i-1].load || (c.load == best[i-1].load && c.tie < best[i-1].tie)) {
+			best[i] = best[i-1]
 			i--
 		}
-		best = append(best, replicaCand{})
-		copy(best[i+1:], best[i:])
 		best[i] = c
 		if len(best) == s.replication {
 			wLoad, wTie = best[len(best)-1].load, best[len(best)-1].tie
 		}
 	}
 	s.best = best
-	// Fewer members than the replication factor (elastic scale-in below
-	// the store's initial member count) degrades gracefully to the
-	// members available, like HDFS under-replication.
-	for _, c := range best {
-		dst = append(dst, c.id)
-	}
-	return dst
 }
 
 // File returns a stored file by name.

@@ -166,7 +166,28 @@ func storeCases() []storeCase {
 		{"repl-capped", 2, 0, 3, []storeOp{{size: 35 * BUSize}, {data: payload(3, 5)}}},
 		{"offline-spares", 5, 3, 3, []storeOp{{size: 50 * BUSize}, {sigma: 0.3}, {size: 7 * BUSize}}},
 		{"scale-in-below-repl", 3, 1, 3, []storeOp{{size: 20 * BUSize}, {toggle: true, node: 1}, {size: 40*BUSize - 3}, {toggle: true, node: 3}, {size: 9 * BUSize}}},
+		// More members than rankHead: after the first draws a group ranks
+		// only ties that can win. Spares join and members leave between
+		// files, and a spare joins at load 0 once every member holds data,
+		// so the minimum load must be recounted over the new members.
+		{"filtered-churn", 210, 4, 4, []storeOp{
+			{size: 160 * BUSize}, {toggle: true, node: 211}, {size: 160 * BUSize}, {toggle: true, node: 7},
+			{size: 160 * BUSize}, {size: 160 * BUSize}, {size: 160 * BUSize}, {size: 160 * BUSize},
+			{toggle: true, node: 211}, {toggle: true, node: 210}, {size: 97*BUSize + 1}, {data: payload(BUSize+9, 6)},
+		}},
+		loadLevels(1), loadLevels(2), loadLevels(3), loadLevels(4),
 	}
+}
+
+// loadLevels is a store scenario on just over rankHead members whose
+// files raise the minimum load about repl times, each file ending in a
+// short group.
+func loadLevels(repl int) storeCase {
+	tc := storeCase{name: fmt.Sprint("load-levels-r", repl), nodes: rankHead + 3, repl: repl}
+	for range 8 {
+		tc.ops = append(tc.ops, storeOp{size: (maxFuzzBUs-5)*BUSize + 7})
+	}
+	return tc
 }
 
 // run drives a store and the reference through the case's steps and
@@ -224,13 +245,15 @@ func TestStoreIndicesMatchReference(t *testing.T) {
 	}
 }
 
-// Fuzz scenario encoding: a header of node count, spares and
-// replication, then up to maxFuzzOps steps. A step is a kind byte and,
-// for a file, a little-endian uint32 size (up to maxFuzzBUs BUs modeled,
-// maxFuzzDataBUs real); for ApplySkew, a sigma byte in tenths; for a
-// membership change, a node byte.
+// Fuzz scenario encoding: a header of a little-endian uint16 node count
+// (up to maxFuzzNodes), spares and replication, then up to maxFuzzOps
+// steps. A step is a kind byte and, for a file, a little-endian uint32
+// size (up to maxFuzzBUs BUs modeled, maxFuzzDataBUs real); for
+// ApplySkew, a sigma byte in tenths; for a membership change, a
+// little-endian uint16 node.
 const (
-	maxFuzzOps     = 8
+	maxFuzzNodes   = 320
+	maxFuzzOps     = 12
 	maxFuzzBUs     = 160
 	maxFuzzDataBUs = 4
 )
@@ -238,13 +261,14 @@ const (
 var fuzzPayload []byte // shared by every real file a fuzz input adds
 
 func (tc storeCase) encode() []byte {
-	b := []byte{byte(tc.nodes - 1), byte(tc.spares), byte(tc.repl)}
+	b := binary.LittleEndian.AppendUint16(nil, uint16(tc.nodes-1))
+	b = append(b, byte(tc.spares), byte(tc.repl))
 	for _, o := range tc.ops {
 		switch {
 		case o.sigma > 0:
 			b = append(b, 2, byte(math.Round(o.sigma*10))-1)
 		case o.toggle:
-			b = append(b, 3, byte(o.node))
+			b = binary.LittleEndian.AppendUint16(append(b, 3), uint16(o.node))
 		case o.data != nil:
 			b = binary.LittleEndian.AppendUint32(append(b, 1), uint32(len(o.data)-1))
 		default:
@@ -255,23 +279,23 @@ func (tc storeCase) encode() []byte {
 }
 
 func decodeStoreCase(b []byte) (storeCase, bool) {
-	if len(b) < 3 {
+	if len(b) < 4 {
 		return storeCase{}, false
 	}
-	tc := storeCase{name: "fuzz", nodes: 1 + int(b[0]%16), spares: int(b[1] % 4), repl: int(b[2] % 5)}
-	b = b[3:]
+	nodes := 1 + int(binary.LittleEndian.Uint16(b)%maxFuzzNodes)
+	tc := storeCase{name: "fuzz", nodes: nodes, spares: int(b[2] % 8), repl: int(b[3] % 5)}
+	b = b[4:]
 	for len(b) > 0 && len(tc.ops) < maxFuzzOps {
 		kind := b[0] % 4
 		b = b[1:]
 		var o storeOp
 		switch {
-		case kind >= 2 && len(b) >= 1:
-			if kind == 2 {
-				o.sigma = float64(1+b[0]%30) / 10
-			} else {
-				o = storeOp{toggle: true, node: cluster.NodeID(int(b[0]) % (tc.nodes + tc.spares))}
-			}
+		case kind == 2 && len(b) >= 1:
+			o.sigma = float64(1+b[0]%30) / 10
 			b = b[1:]
+		case kind == 3 && len(b) >= 2:
+			o = storeOp{toggle: true, node: cluster.NodeID(int(binary.LittleEndian.Uint16(b)) % (tc.nodes + tc.spares))}
+			b = b[2:]
 		case kind < 2 && len(b) >= 4:
 			n := int64(binary.LittleEndian.Uint32(b))
 			b = b[4:]
@@ -311,9 +335,12 @@ func FuzzStoreMatchesReference(f *testing.F) {
 }
 
 // TestStoreCasesRoundTrip checks that the fuzz seed corpus encodes
-// TestStoreIndicesMatchReference's cases exactly.
+// TestStoreIndicesMatchReference's cases exactly, fleets of more than
+// rankHead members among them.
 func TestStoreCasesRoundTrip(t *testing.T) {
+	filtered := false
 	for _, tc := range storeCases() {
+		filtered = filtered || tc.nodes > rankHead
 		got, ok := decodeStoreCase(tc.encode())
 		if !ok || got.nodes != tc.nodes || got.spares != tc.spares || got.repl != tc.repl || len(got.ops) != len(tc.ops) {
 			t.Fatalf("%s: decoded %+v", tc.name, got)
@@ -324,6 +351,9 @@ func TestStoreCasesRoundTrip(t *testing.T) {
 				t.Fatalf("%s step %d: decoded %+v", tc.name, i, g)
 			}
 		}
+	}
+	if !filtered {
+		t.Fatalf("no seed case has more than %d members", rankHead)
 	}
 }
 

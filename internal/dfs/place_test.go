@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -52,7 +53,9 @@ func refPick(c *cluster.Cluster, load []int, repl int, rng *rand.Rand) []cluster
 // released between files, replication 1–4) and requires every BU's
 // replica set to equal refPick's over math/rand itself. The placement
 // stream's next draw must match too, so exactly groups × members ties
-// were drawn, in member order.
+// were drawn, in member order. After a file of more than rankHead
+// members, the store's minimum-load count must match a recount, so that
+// no later group filters on a stale minimum.
 func TestPlacementMatchesReference(t *testing.T) {
 	gen := rand.New(rand.NewSource(7))
 	for tc := 0; tc < 150; tc++ {
@@ -89,6 +92,19 @@ func TestPlacementMatchesReference(t *testing.T) {
 				}
 				for _, nid := range want {
 					load[nid]++
+				}
+			}
+			if len(s.members) > rankHead {
+				minLoad, minCount := math.MaxInt, 0
+				for _, id := range s.members {
+					if l := s.nodeLoad[id]; l < minLoad {
+						minLoad, minCount = l, 1
+					} else if l == minLoad {
+						minCount++
+					}
+				}
+				if s.minLoad != minLoad || s.minCount != minCount {
+					t.Fatalf("case %d file %d: minimum load %d on %d members, recount %d on %d", tc, f, s.minLoad, s.minCount, minLoad, minCount)
 				}
 			}
 		}

@@ -14,9 +14,10 @@ import "math/rand"
 // any point of the seed's Lehmer chain in O(1) (lehmerPow). Draws 1–273
 // read only initial words (feed slot 334−k and tap slot 607−k, which no
 // earlier draw wrote), so they are computed from the seed alone, and the
-// register is allocated, seeded and replayed at draw 274. A stream that
-// draws a handful of values never pays for it. And int63s draws a batch
-// without an interface call per draw.
+// register is allocated, seeded and replayed at draw 274, or before a
+// batch's first draw. A stream that draws a handful of values never pays
+// for it. And int63s and int63sBelow step a batch without an interface
+// call per draw, in runs that end only where tap or feed wraps.
 type lfg struct {
 	tap, feed int
 	// x0 is the reduced seed, the Lehmer chain's start.
@@ -126,22 +127,24 @@ func (g *lfg) Uint64() uint64 {
 			// no draw before 274 reads.
 			return uint64(g.seedWord(g.feed) + g.seedWord(g.tap))
 		}
-		g.grow()
+		g.grow(lfgTap)
 	}
 	x := g.vec[g.feed] + g.vec[g.tap]
 	g.vec[g.feed] = x
 	return uint64(x)
 }
 
-// grow allocates the register at draw 274, whose tap slot draw 1 wrote,
-// seeds every slot and replays draws 1–273 into it. Tap and feed already
-// point at draw 274's slots; the replay leaves them there.
-func (g *lfg) grow() {
+// grow allocates the register, seeds every slot and replays the
+// stream's first n draws into it, n ≤ 273, and leaves tap and feed where
+// they were. Draw 274, whose tap slot draw 1 wrote, grows it after
+// stepping tap and feed to its slots; a batch grows it before its first
+// draw.
+func (g *lfg) grow(n int) {
 	tap, feed := g.tap, g.feed
 	g.vec = new([lfgLen]int64)
 	g.seedRegister()
 	g.tap, g.feed = 0, lfgFill
-	for range lfgTap {
+	for range n {
 		g.Uint64()
 	}
 	g.tap, g.feed = tap, feed
@@ -157,26 +160,71 @@ func (g *lfg) seedRegister() {
 	}
 }
 
-// int63s fills dst with the next len(dst) Int63 draws. Once the register
-// exists it keeps tap, feed and the register in locals.
+// run returns the register slots of the stream's next draws, at most n
+// of them and none past a wrap of tap or feed: the run's j-th draw adds
+// t[len(t)-1-j] into f[len(t)-1-j]. A batch steps them itself and takes
+// them with skip. The register is allocated first if need be; before
+// draw 274 feed is 334 minus the draws taken.
+func (g *lfg) run(n int) (t, f []int64) {
+	if g.vec == nil {
+		g.grow(lfgFill - g.feed)
+	}
+	if g.tap == 0 {
+		g.tap = lfgLen
+	}
+	if g.feed == 0 {
+		g.feed = lfgLen
+	}
+	m := min(g.tap, g.feed, n)
+	return g.vec[g.tap-m : g.tap], g.vec[g.feed-m : g.feed]
+}
+
+// skip takes the first m draws of the current run.
+func (g *lfg) skip(m int) { g.tap, g.feed = g.tap-m, g.feed-m }
+
+// int63s fills dst with the next len(dst) Int63 draws.
 func (g *lfg) int63s(dst []int64) {
-	for len(dst) > 0 && g.vec == nil {
-		dst[0] = g.Int63()
-		dst = dst[1:]
-	}
-	tap, feed, vec := g.tap, g.feed, g.vec
-	for i := range dst {
-		tap--
-		if tap < 0 {
-			tap += lfgLen
+	for len(dst) > 0 {
+		t, f := g.run(len(dst))
+		f, d := f[:len(t)], dst[:len(t)]
+		for i := range d {
+			k := len(d) - 1 - i
+			x := f[k] + t[k]
+			f[k] = x
+			d[i] = x & lfgMask
 		}
-		feed--
-		if feed < 0 {
-			feed += lfgLen
-		}
-		x := vec[feed] + vec[tap]
-		vec[feed] = x
-		dst[i] = x & lfgMask
+		g.skip(len(t))
+		dst = dst[len(t):]
 	}
-	g.tap, g.feed = tap, feed
+}
+
+// int63sBelow advances the stream by up to n Int63 draws and appends to
+// dst each draw below bound, with its offset among them. It stops after
+// the draw that fills dst to capacity and returns dst and the number of
+// draws taken. A draw that misses the bound stores nothing.
+func (g *lfg) int63sBelow(dst []Draw, n int, bound int64) ([]Draw, int) {
+	out := dst[len(dst):cap(dst)]
+	if len(out) == 0 {
+		panic("randutil: Int63sBelow needs spare capacity in dst")
+	}
+	i, h := 0, 0
+	for i < n {
+		t, f := g.run(n - i)
+		f = f[:len(t)]
+		for k := len(t) - 1; k >= 0; k-- {
+			x := f[k] + t[k]
+			f[k] = x
+			if x &= lfgMask; x < bound {
+				j := len(t) - k // the run's draws taken
+				out[h] = Draw{i + j - 1, x}
+				if h++; h == len(out) {
+					g.skip(j)
+					return dst[:len(dst)+h], i + j
+				}
+			}
+		}
+		g.skip(len(t))
+		i += len(t)
+	}
+	return dst[:len(dst)+h], i
 }

@@ -16,13 +16,18 @@ var edgeSeeds = []int64{
 	lehmerM << 32, math.MinInt64, math.MaxInt64, zeroSeed, -zeroSeed, 1 << 31, -1 << 31,
 }
 
-// batchLens are the Int63s lengths at the seeding boundaries (273 draws
-// seed tap slots, 334 seed feed slots, 607 wrap the register) and past
-// them.
+// batchLens are the Int63s and Int63sBelow lengths at the seeding
+// boundaries (273 draws seed tap slots, 334 seed feed slots, 607 wrap the
+// register) and past them.
 var batchLens = []int{0, 1, 272, 273, 274, 333, 334, 335, 607, 608, 10000}
 
+// belowBounds are the Int63sBelow bounds replayOps picks from: every draw
+// but MaxInt64, none, about half, one in 2⁸ and one in 2¹² of the draws,
+// and -1, which checkBelow replaces with the middle draw's value.
+var belowBounds = []int64{math.MaxInt64, 0, 1 << 62, 1 << 55, 1 << 51, -1}
+
 // opCount is the number of operations replayOps decodes.
-const opCount = 11
+const opCount = 12
 
 // replayOps decodes ops as a script of draws, two bytes an operation (an
 // opcode and an argument), and runs it on New(seed) and on
@@ -77,6 +82,13 @@ func replayOps(seed int64, ops []byte) error {
 			g, w = got.Int63n(int64(arg)<<40+1), want.Int63n(int64(arg)<<40+1)
 		case 10:
 			g, w = got.Int31(), want.Int31()
+		case 11:
+			n := batchLens[arg%len(batchLens)]
+			bound := belowBounds[arg/len(batchLens)%len(belowBounds)]
+			if err := checkBelow(got, want, n, bound, 1+arg%3); err != nil {
+				return fmt.Errorf("op %d: %v", i/2, err)
+			}
+			continue
 		}
 		if g != w {
 			return fmt.Errorf("op %d (code %d, arg %d): got %v, want %v", i/2, op, arg, g, w)
@@ -85,14 +97,63 @@ func replayOps(seed int64, ops []byte) error {
 	return nil
 }
 
+// checkBelow draws n values from got with Int63sBelow into a buffer of
+// size buf, calling again after each early stop, and n from want with
+// Int63. Every reported draw must be want's at its offset, every draw not
+// reported at least bound, each call must stop only right after the draw
+// that fills the buffer, and the next draw must match. A negative bound
+// stands for the middle draw's value, so that one draw equals the bound.
+func checkBelow(got *Source, want *rand.Rand, n int, bound int64, buf int) error {
+	ref := make([]int64, n)
+	for j := range ref {
+		ref[j] = want.Int63()
+	}
+	if bound < 0 && n > 0 {
+		bound = ref[n/2]
+	}
+	reported := make([]bool, n)
+	hits := make([]Draw, 0, buf)
+	for taken := 0; taken < n; {
+		var k int
+		hits, k = got.Int63sBelow(hits[:0], n-taken, bound)
+		switch {
+		case k < 1 || k > n-taken:
+			return fmt.Errorf("Int63sBelow(%d, %d) took %d draws", n-taken, bound, k)
+		case len(hits) < buf && k != n-taken:
+			return fmt.Errorf("Int63sBelow(%d, %d) stopped after %d draws with %d of %d hits", n-taken, bound, k, len(hits), buf)
+		case len(hits) == buf && hits[buf-1].Off != k-1:
+			return fmt.Errorf("Int63sBelow(%d, %d) filled its buffer at draw %d, stopped after %d", n-taken, bound, hits[buf-1].Off, k)
+		}
+		prev := -1
+		for _, h := range hits {
+			if h.Off <= prev || h.Off >= k || h.Val != ref[taken+h.Off] || h.Val >= bound {
+				return fmt.Errorf("Int63sBelow(%d, %d) reported %+v after offset %d", n-taken, bound, h, prev)
+			}
+			prev = h.Off
+			reported[taken+h.Off] = true
+		}
+		taken += k
+	}
+	for j, r := range ref {
+		if !reported[j] && r < bound {
+			return fmt.Errorf("Int63sBelow(%d, %d) skipped draw %d, %d", n, bound, j, r)
+		}
+	}
+	if g, w := got.Int63(), want.Int63(); g != w {
+		return fmt.Errorf("draw after Int63sBelow(%d, %d): got %d, want %d", n, bound, g, w)
+	}
+	return nil
+}
+
 // opScript calls every operation and every batch length, reseeding
-// mid-stream once per batch length, with a batch after each operation so
-// batches start at many register phases.
+// mid-stream once per batch length, with an Int63s and an Int63sBelow
+// batch after each operation so batches start at many register phases.
+// The Int63sBelow argument runs through every bound and buffer size.
 func opScript() []byte {
 	var ops []byte
 	for l := range batchLens {
 		for op := 0; op < opCount; op++ {
-			ops = append(ops, byte(op), byte(7*l+op), 2, byte(l))
+			ops = append(ops, byte(op), byte(7*l+op), 2, byte(l), 11, byte(l+len(batchLens)*op))
 		}
 	}
 	return ops
@@ -140,6 +201,17 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestInt63sBelowNeedsCapacity checks that a full buffer, which could
+// not stop a call at its first hit, is refused.
+func TestInt63sBelowNeedsCapacity(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Int63sBelow into a full buffer did not panic")
+		}
+	}()
+	New(1).Int63sBelow(make([]Draw, 2), 10, math.MaxInt64)
 }
 
 // TestShortStreamAllocatesNoRegister checks that the register is lazy: a
@@ -192,5 +264,17 @@ func BenchmarkInt63s(b *testing.B) {
 	b.SetBytes(8 * int64(len(dst)))
 	for i := 0; i < b.N; i++ {
 		s.Int63s(dst)
+	}
+}
+
+// BenchmarkInt63sBelow measures the filtered scan of a 10,000-member
+// placement group, where about one draw in 2¹³ is below the bound.
+func BenchmarkInt63sBelow(b *testing.B) {
+	s := New(1)
+	const n = 10000
+	hits := make([]Draw, 0, 64)
+	b.SetBytes(8 * n)
+	for i := 0; i < b.N; i++ {
+		hits, _ = s.Int63sBelow(hits[:0], n, 1<<50)
 	}
 }

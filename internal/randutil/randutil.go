@@ -15,7 +15,8 @@ import (
 // so adding a new consumer of randomness does not perturb existing ones.
 // Its *rand.Rand runs over lfg, which yields exactly rand.NewSource(seed)'s
 // stream but computes the first 273 draws from the seed alone and
-// allocates and seeds the register only at the 274th draw.
+// allocates and seeds the register only at the 274th draw or the first
+// batch (Int63s, Int63sBelow).
 type Source struct {
 	seed int64
 	*rand.Rand
@@ -33,6 +34,23 @@ func New(seed int64) *Source {
 // Int63s fills dst with the next len(dst) Int63 draws, the values that
 // many Int63 calls would return, without an interface call per draw.
 func (s *Source) Int63s(dst []int64) { s.gen.int63s(dst) }
+
+// Draw is one Int63 draw that Int63sBelow reports: its offset among the
+// call's draws, counting from 0, and its value.
+type Draw struct {
+	Off int
+	Val int64
+}
+
+// Int63sBelow advances the stream by up to n Int63 draws, the values that
+// many Int63 calls would return, and appends to dst, in stream order,
+// each draw below bound. It stops after the draw that fills dst to
+// capacity, so a caller can tighten the bound before drawing on, and
+// returns dst and the number of draws taken, n unless it stopped early.
+// dst must have spare capacity.
+func (s *Source) Int63sBelow(dst []Draw, n int, bound int64) ([]Draw, int) {
+	return s.gen.int63sBelow(dst, n, bound)
+}
 
 // Seed returns the seed the source was created with.
 func (s *Source) Seed() int64 { return s.seed }
