@@ -41,9 +41,9 @@ func benchMonitor(b *testing.B, n int) *SpeedMonitor {
 }
 
 // BenchmarkRelativeSpeed measures what fairShare reads after a window
-// changes: every node's relative speed. Resetting one node's window each
-// iteration bumps the monitor's epoch, so the first read recomputes the
-// slowest speed instead of hitting the epoch memo.
+// changes: every node's relative speed. Each iteration resets one node's
+// window, which drops the memoized extremes when the node held one, so
+// the first read after it rescans the windows.
 func BenchmarkRelativeSpeed(b *testing.B) {
 	m := benchMonitor(b, 200)
 	b.ReportAllocs()

@@ -32,12 +32,14 @@ type SpeedMonitor struct {
 	ticker  *sim.Ticker
 
 	// epoch increments whenever any node's window changes (push or
-	// reset). The slowest and fastest measured speeds are pure functions
-	// of the windows, so they are memoized on it: per-offer callers
-	// between heartbeats hit the memo, and RelativeSpeed costs a lookup
-	// and a division instead of a scan of the windows.
-	epoch    uint64
-	extAt    uint64 // epoch slowest and fastest were computed at
+	// reset), for caches that derive from the speeds.
+	epoch uint64
+
+	// The slowest and fastest measured speeds, memoized so RelativeSpeed
+	// costs a lookup and a division instead of a scan of the windows.
+	// A window change folds the window's new mean in, and drops the memo
+	// only when the old mean was one of the two extremes: with it gone,
+	// only a rescan knows the next one.
 	extValid bool
 	slowest  float64 // least positive windowed speed; 0 when none
 	fastest  float64 // greatest windowed speed; 0 when none
@@ -167,8 +169,27 @@ func remoteHeavy(a *engine.MapAttempt) bool {
 }
 
 func (m *SpeedMonitor) push(id cluster.NodeID, ips float64) {
-	m.samples.Put(id).push(ips)
+	r := m.samples.Put(id)
+	old := r.avg
+	r.push(ips)
+	m.fold(old, r.avg)
+}
+
+// fold moves the memoized extremes along with one window whose mean went
+// from old to cur, and bumps the epoch. Folding into a dropped memo is
+// harmless: the next read rescans.
+func (m *SpeedMonitor) fold(old, cur float64) {
 	m.epoch++
+	if old > 0 && (old == m.slowest || old == m.fastest) {
+		m.extValid = false
+	} else if cur > 0 {
+		if m.slowest == 0 || cur < m.slowest {
+			m.slowest = cur
+		}
+		if cur > m.fastest {
+			m.fastest = cur
+		}
+	}
 }
 
 // ResetNode clears a node's IPS window. Called when a node rejoins after
@@ -177,8 +198,9 @@ func (m *SpeedMonitor) push(id cluster.NodeID, ips float64) {
 // mis-size the first post-rejoin tasks.
 func (m *SpeedMonitor) ResetNode(id cluster.NodeID) {
 	if r := m.samples.Get(id); r != nil {
+		old := r.avg
 		*r = ipsRing{}
-		m.epoch++
+		m.fold(old, 0)
 	}
 }
 
@@ -199,7 +221,7 @@ func (m *SpeedMonitor) Epoch() uint64 { return m.epoch }
 // extremes returns the slowest and fastest windowed speeds, 0 when no
 // node has a measurement.
 func (m *SpeedMonitor) extremes() (slowest, fastest float64) {
-	if !m.extValid || m.extAt != m.epoch {
+	if !m.extValid {
 		m.slowest, m.fastest = 0, 0
 		m.samples.Each(func(_ cluster.NodeID, r *ipsRing) {
 			if s := r.avg; s > 0 {
@@ -211,7 +233,7 @@ func (m *SpeedMonitor) extremes() (slowest, fastest float64) {
 				}
 			}
 		})
-		m.extValid, m.extAt = true, m.epoch
+		m.extValid = true
 	}
 	return m.slowest, m.fastest
 }

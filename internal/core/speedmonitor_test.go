@@ -189,3 +189,57 @@ func TestMonitorStopsWithJob(t *testing.T) {
 		t.Fatalf("heartbeat ticker kept the engine alive until %v", end)
 	}
 }
+
+// TestMonitorExtremesMatchRecount runs random push and ResetNode
+// sequences over a few nodes, with samples from a small set so that
+// windows tie at an extreme, and resets aimed at the node holding one.
+// After every step, the memoized slowest and fastest speeds must equal
+// a recount of the windows.
+func TestMonitorExtremesMatchRecount(t *testing.T) {
+	rng := randutil.New(23)
+	m := &SpeedMonitor{}
+	samples := []float64{0, 1, 2, 3, 5, 8, 1e-3, 1e6}
+	drops, folds := 0, 0
+	for step := 0; step < 20000; step++ {
+		// One to three changes per step, so some land on a dropped memo.
+		for ops := 1 + rng.Intn(3); ops > 0; ops-- {
+			id := cluster.NodeID(rng.Intn(6))
+			slowest, fastest := m.slowest, m.fastest
+			switch rng.Intn(8) {
+			case 0:
+				m.ResetNode(id)
+			case 1:
+				// Reset the node that holds an extreme, if one does.
+				m.samples.Each(func(n cluster.NodeID, r *ipsRing) {
+					if r.avg > 0 && (r.avg == slowest || r.avg == fastest) {
+						id = n
+					}
+				})
+				m.ResetNode(id)
+			default:
+				m.push(id, samples[rng.Intn(len(samples))])
+			}
+			if m.extValid {
+				folds++
+			} else {
+				drops++
+			}
+		}
+		var wantSlow, wantFast float64
+		m.samples.Each(func(_ cluster.NodeID, r *ipsRing) {
+			if s := r.mean(); s > 0 {
+				if wantSlow == 0 || s < wantSlow {
+					wantSlow = s
+				}
+				wantFast = max(wantFast, s)
+			}
+		})
+		if slow, fast := m.extremes(); slow != wantSlow || fast != wantFast {
+			t.Fatalf("step %d: extremes (%v, %v), recount (%v, %v)", step, slow, fast, wantSlow, wantFast)
+		}
+	}
+	if drops == 0 || folds == 0 {
+		t.Fatalf("%d changes dropped the memo and %d folded into it; want both", drops, folds)
+	}
+	t.Logf("%d changes folded, %d dropped the memo", folds, drops)
+}

@@ -195,17 +195,21 @@ func TestSelectKthMatchesSort(t *testing.T) {
 // speed: one straggler choice as LATE makes it per instant. "mature" is
 // 4,000 attempts past minAge. "immature-tail" is FlexMap's endgame on
 // 10,000 nodes: the same 4,000, then 36,000 launched inside minAge, in
-// launch order, which the scan cuts off at the first.
+// launch order, which the scan cuts off at the first. Both probe one
+// instant, so the threshold never moves and the band always hits.
+// "advancing" probes the mature set at instants 50 ms apart, wrapping
+// after a second: the threshold drifts, and jumps back at the wrap.
 func BenchmarkSelectVictim(b *testing.B) {
 	for _, c := range []struct {
 		name string
-		tail int // immature attempts per node
-	}{{"mature", 0}, {"immature-tail", 18}} {
-		b.Run(c.name, func(b *testing.B) { benchSelectVictim(b, c.tail) })
+		tail int          // immature attempts per node
+		step sim.Duration // clock advance between probes
+	}{{"mature", 0, 0}, {"immature-tail", 18, 0}, {"advancing", 0, 0.05}} {
+		b.Run(c.name, func(b *testing.B) { benchSelectVictim(b, c.tail, c.step) })
 	}
 }
 
-func benchSelectVictim(b *testing.B, tail int) {
+func benchSelectVictim(b *testing.B, tail int, step sim.Duration) {
 	const nodes, slots, busPerTask = 2000, 2, 8
 	eng := sim.New()
 	specs := make([]cluster.NodeSpec, nodes)
@@ -246,7 +250,7 @@ func benchSelectVictim(b *testing.B, tail int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if v, _ := l.selectVictim(eng.Now(), cands); v == nil {
+		if v, _ := l.selectVictim(eng.Now()+sim.Time(step)*sim.Time(i%20), cands); v == nil {
 			b.Fatal("no victim")
 		}
 	}

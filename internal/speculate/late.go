@@ -38,14 +38,27 @@ const (
 	// minAge is the minimum attempt age before its progress rate is
 	// considered meaningful (covers startup overhead).
 	minAge sim.Duration = 3
+	// thresholdBand is the relative half-width of the band around the
+	// last slow-task threshold that a probe selects within first.
+	thresholdBand = 0.02
 )
 
 // LATE is the policy. The zero value is ready to use; NewLATE is
 // equivalent.
 type LATE struct {
-	// Per-Pick scratch, reused across calls (one policy serves one AM).
-	mature []scoredAttempt
-	rates  []float64
+	// Per-probe scratch, reused across calls (one policy serves one AM)
+	// and free of pointers, so filling it costs no write barriers: the
+	// mature attempts' rates, each one's index in the candidate set, and
+	// the values the threshold is selected from.
+	rates []float64
+	index []int32
+	pool  []float64
+
+	// threshold is the last probe's slow-task threshold, the centre of
+	// the band the next probe selects within first; hasThreshold is false
+	// until a probe has set it.
+	threshold    float64
+	hasThreshold bool
 
 	// walked counts the candidate entries selectVictim has visited,
 	// tombstones included. Only tests read it.
@@ -59,12 +72,6 @@ type LATE struct {
 	pickValid  bool
 	pickVictim *engine.MapAttempt
 	pickWorst  sim.Duration
-}
-
-// scoredAttempt pairs an attempt with its observed progress rate.
-type scoredAttempt struct {
-	a    *engine.MapAttempt
-	rate float64
 }
 
 // NewLATE returns a policy with the canonical thresholds.
@@ -141,8 +148,8 @@ func (l *LATE) victim(now sim.Time, candidates []*engine.MapAttempt, candEpoch u
 // every live entry after it is younger still.
 func (l *LATE) selectVictim(now sim.Time, candidates []*engine.MapAttempt) (*engine.MapAttempt, sim.Duration) {
 	// Progress rates for mature attempts (scratch reused across calls).
-	l.mature = l.mature[:0]
 	l.rates = l.rates[:0]
+	l.index = l.index[:0]
 	walked := len(candidates)
 	for i, a := range candidates {
 		if a == nil {
@@ -159,37 +166,67 @@ func (l *LATE) selectVictim(now sim.Time, candidates []*engine.MapAttempt) (*eng
 		if a.Killed() {
 			continue
 		}
-		r := a.Progress(now) / float64(age)
-		l.mature = append(l.mature, scoredAttempt{a, r})
-		l.rates = append(l.rates, r)
+		l.rates = append(l.rates, a.Progress(now)/float64(age))
+		l.index = append(l.index, int32(i))
 	}
 	l.walked += walked
-	if len(l.mature) == 0 {
+	if len(l.rates) == 0 {
 		return nil, -1
 	}
-	// Threshold rate at the slow-task percentile: the idx-th smallest
-	// rate. Only that value is read, and it is the same whichever way the
-	// rates are ordered around it, so a selection replaces a full sort.
-	idx := int(slowTaskPercentile * float64(len(l.rates)))
-	if idx >= len(l.rates) {
-		idx = len(l.rates) - 1
-	}
-	threshold := selectKth(l.rates, idx)
+	threshold := l.slowThreshold()
 
 	// Among below-threshold tasks, pick the longest estimated time to
 	// end, ties to the lexicographically smallest task — a unique winner,
 	// so this scan needs no particular order.
 	var victim *engine.MapAttempt
 	var worst sim.Duration = -1
-	for _, s := range l.mature {
-		if s.rate > threshold {
+	for k, r := range l.rates {
+		if r > threshold {
 			continue
 		}
-		if rem := s.a.EstRemaining(now); rem > worst || (rem == worst && victim != nil && s.a.Task < victim.Task) {
-			worst, victim = rem, s.a
+		a := candidates[l.index[k]]
+		if rem := a.EstRemaining(now); rem > worst || (rem == worst && victim != nil && a.Task < victim.Task) {
+			worst, victim = rem, a
 		}
 	}
 	return victim, worst
+}
+
+// slowThreshold returns the rate at the slow-task percentile: the idx-th
+// smallest of l.rates, which it leaves unpermuted for the victim pass.
+// Only that value is read, and it is the same whichever way the rates
+// are ordered around it, so a selection replaces a full sort.
+//
+// The threshold moves little from one probe to the next, so the probe
+// first counts the rates below a band of ±thresholdBand around the last
+// one and collects those inside it. When the idx-th smallest falls in
+// the band, it is the (idx − below)-th smallest of the band alone;
+// otherwise the selection runs over a copy of every rate.
+func (l *LATE) slowThreshold() float64 {
+	idx := int(slowTaskPercentile * float64(len(l.rates)))
+	if idx >= len(l.rates) {
+		idx = len(l.rates) - 1
+	}
+	if l.hasThreshold {
+		// Rates are non-negative, so lo ≤ hi.
+		lo, hi := l.threshold*(1-thresholdBand), l.threshold*(1+thresholdBand)
+		below := 0
+		l.pool = l.pool[:0]
+		for _, r := range l.rates {
+			if r < lo {
+				below++
+			} else if r <= hi {
+				l.pool = append(l.pool, r)
+			}
+		}
+		if k := idx - below; k >= 0 && k < len(l.pool) {
+			l.threshold = selectKth(l.pool, k)
+			return l.threshold
+		}
+	}
+	l.pool = append(l.pool[:0], l.rates...)
+	l.threshold, l.hasThreshold = selectKth(l.pool, idx), true
+	return l.threshold
 }
 
 // selectKth returns the k-th smallest value of xs (0-based), permuting xs

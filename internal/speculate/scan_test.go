@@ -19,6 +19,12 @@ import (
 	"flexmap/internal/yarn"
 )
 
+// scoredAttempt pairs an attempt with its observed progress rate.
+type scoredAttempt struct {
+	a    *engine.MapAttempt
+	rate float64
+}
+
 // refSelectVictim is selectVictim as it was while the candidate set was
 // unordered: it visits every candidate (skipping tombstones) and ranks
 // the threshold with a full sort.

@@ -1,38 +1,59 @@
 package trace
 
 import (
-	"bufio"
 	"io"
+	"math"
 	"strconv"
 )
+
+// jsonlBlock is the size at which WriteJSONL hands its buffer to the
+// writer.
+const jsonlBlock = 64 << 10
 
 // WriteJSONL writes events as JSON Lines, one object per event. The
 // encoding is hand-rolled so output bytes are a pure function of the
 // event stream: fixed field order (t, kind, node, task, then each Arg in
 // emit order), shortest-round-trip float formatting, no map iteration.
 // Same seed ⇒ same events ⇒ same bytes, serial or parallel.
+//
+// Events come in same-instant runs, so the previous event's formatted
+// "t" is reused while At keeps the same bits (bits, not ==, keep −0 and
+// +0 apart).
 func WriteJSONL(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	buf := make([]byte, 0, 256)
+	buf := make([]byte, 0, jsonlBlock+1024)
+	var lastAt uint64
+	var lastT []byte
 	for i := range events {
-		buf = appendEvent(buf[:0], &events[i])
-		if _, err := bw.Write(buf); err != nil {
-			return err
+		e := &events[i]
+		buf = append(buf, `{"t":`...)
+		if at := math.Float64bits(float64(e.At)); lastT == nil || at != lastAt {
+			start := len(buf)
+			buf = appendFloat(buf, float64(e.At))
+			lastAt, lastT = at, append(lastT[:0], buf[start:]...)
+		} else {
+			buf = append(buf, lastT...)
+		}
+		buf = appendEvent(buf, e)
+		if len(buf) >= jsonlBlock {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
+// appendEvent appends everything of an event's line after its "t".
 func appendEvent(b []byte, e *Event) []byte {
-	b = append(b, `{"t":`...)
-	b = appendFloat(b, float64(e.At))
 	b = append(b, `,"kind":"`...)
 	b = append(b, e.Kind.String()...)
 	b = append(b, '"')
 	if e.Job != "" {
 		// Workload runs only: solo traces stay byte-identical.
 		b = append(b, `,"job":`...)
-		b = strconv.AppendQuote(b, e.Job)
+		b = appendQuoted(b, e.Job)
 	}
 	if e.Node != NoNode {
 		b = append(b, `,"node":`...)
@@ -40,13 +61,27 @@ func appendEvent(b []byte, e *Event) []byte {
 	}
 	if e.Task != "" {
 		b = append(b, `,"task":`...)
-		b = strconv.AppendQuote(b, e.Task)
+		b = appendQuoted(b, e.Task)
 	}
 	for i := range e.Args {
 		b = appendArg(b, &e.Args[i])
 	}
 	b = append(b, '}', '\n')
 	return b
+}
+
+// appendQuoted appends s as strconv.AppendQuote does. Plain printable
+// ASCII, with no quote or backslash, quotes as itself, so only other
+// strings take the general path.
+func appendQuoted(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // appendArg appends `,"key":value`. Keys are code-fixed identifiers that
@@ -61,7 +96,7 @@ func appendArg(b []byte, a *Arg) []byte {
 	case argFloat:
 		b = appendFloat(b, a.f)
 	case argStr:
-		b = strconv.AppendQuote(b, a.s)
+		b = appendQuoted(b, a.s)
 	case argBool:
 		if a.i != 0 {
 			b = append(b, "true"...)

@@ -3,6 +3,8 @@ package trace
 import (
 	"fmt"
 	"strings"
+
+	"flexmap/internal/maputil"
 )
 
 // RenderTimeline renders the event stream as a chronological text
@@ -54,28 +56,13 @@ func RenderTimeline(events []Event) string {
 	}
 	if len(beats) > 0 {
 		b.WriteString("heartbeats:")
-		for node := 0; ; node++ {
-			// Nodes are small dense ints; walk up to the max present.
-			n, ok := beats[node]
-			if !ok {
-				if node > maxKey(beats) {
-					break
-				}
-				continue
+		// Node-less samples are counted but not listed.
+		for _, node := range maputil.SortedKeys(beats) {
+			if node >= 0 {
+				fmt.Fprintf(&b, " node%d=%d(%.2gMB/s)", node, beats[node], lastWindow[node]/(1<<20))
 			}
-			fmt.Fprintf(&b, " node%d=%d(%.2gMB/s)", node, n, lastWindow[node]/(1<<20))
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func maxKey(m map[int]int) int {
-	max := 0
-	for k := range m {
-		if k > max {
-			max = k
-		}
-	}
-	return max
 }

@@ -174,10 +174,23 @@ type Event struct {
 }
 
 // traceState is the storage shared by every job-scoped view of one run:
-// a single chronologically interleaved event stream.
+// a single chronologically interleaved event stream, and the arena its
+// events' args live in.
 type traceState struct {
 	events []Event
+	// args is the arena's current chunk. Each event's Args is a
+	// sub-slice of a chunk, capped at its own length, so an append to one
+	// event's Args reallocates instead of overwriting the next event's.
+	// Chunks double from minArgChunk up to maxArgChunk, so a small run
+	// keeps a small arena.
+	args []Arg
 }
+
+// Arena chunk bounds, in Args.
+const (
+	minArgChunk = 64
+	maxArgChunk = 4096
+)
 
 // Tracer collects a run's events, the run's only telemetry record.
 // The zero value is not used; a nil *Tracer is the disabled tracer and
@@ -218,11 +231,23 @@ func (t *Tracer) Events() []Event {
 	return t.st.events
 }
 
-// emit appends one event stamped at the current virtual time. Callers
-// have already nil-checked t.
+// emit appends one event stamped at the current virtual time, copying
+// its args into the arena: the variadic slice does not escape, so an
+// emission allocates nothing beyond the amortized growth of the event
+// slice and the arena. Callers have already nil-checked t.
 func (t *Tracer) emit(kind Kind, node cluster.NodeID, task string, args ...Arg) {
-	t.st.events = append(t.st.events, Event{
-		At: t.eng.Now(), Kind: kind, Job: t.job, Node: node, Task: task, Args: args,
+	st := t.st
+	var kept []Arg
+	if n := len(args); n > 0 {
+		if cap(st.args)-len(st.args) < n {
+			st.args = make([]Arg, 0, max(n, min(2*cap(st.args), maxArgChunk), minArgChunk))
+		}
+		at := len(st.args)
+		st.args = append(st.args, args...)
+		kept = st.args[at : at+n : at+n]
+	}
+	st.events = append(st.events, Event{
+		At: t.eng.Now(), Kind: kind, Job: t.job, Node: node, Task: task, Args: kept,
 	})
 }
 

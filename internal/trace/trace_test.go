@@ -3,6 +3,10 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -145,10 +149,10 @@ func TestTimelineRendering(t *testing.T) {
 	}
 }
 
-// TestEmitAllocatesOnlyArgs pins the cost of tracing on: once the event
-// slice has grown, an emission allocates only its variadic args slice,
+// TestEmitAllocatesNothing pins the cost of tracing on: once the event
+// slice and the args arena have grown, an emission allocates nothing,
 // from the root view and from a job view alike.
-func TestEmitAllocatesOnlyArgs(t *testing.T) {
+func TestEmitAllocatesNothing(t *testing.T) {
 	root := New(sim.New())
 	for _, tr := range []*Tracer{root, root.ForJob("j0000")} {
 		for _, c := range []struct {
@@ -158,13 +162,159 @@ func TestEmitAllocatesOnlyArgs(t *testing.T) {
 			{"Heartbeat", func() { tr.Heartbeat(3, 10<<20, 9<<20, false) }},
 			{"MapDispatch", func() { tr.MapDispatch("map-0000", 3, 1, 4, 2, 4<<23, 2<<23, true) }},
 			{"TaskDone", func() { tr.TaskDone("map-0000", 3, 4<<23) }},
+			{"FaultDetect", func() { tr.FaultDetect(3) }},
 		} {
 			for i := 0; i < 1024; i++ {
 				c.emit()
 			}
-			if allocs := testing.AllocsPerRun(1000, c.emit); allocs > 1 {
-				t.Errorf("%s (job %q): %v allocs per emission, want <= 1", c.name, tr.job, allocs)
+			if allocs := testing.AllocsPerRun(1000, c.emit); allocs != 0 {
+				t.Errorf("%s (job %q): %v allocs per emission, want 0", c.name, tr.job, allocs)
 			}
+		}
+	}
+}
+
+// TestEventArgsIsolated checks that events sharing an arena chunk do not
+// share args: appending to one event's Args leaves the next event's
+// unchanged, and a zero-arg event has nil Args.
+func TestEventArgsIsolated(t *testing.T) {
+	tr := New(sim.New())
+	tr.TaskDone("map-0000", 1, 10)
+	tr.TaskDone("map-0001", 2, 20)
+	tr.FaultDetect(3)
+	events := tr.Events()
+	first := append(events[0].Args, Int("extra", 99))
+	if len(first) != 2 || first[1].i != 99 {
+		t.Fatalf("append to the first event's args gave %+v", first)
+	}
+	if next := events[1].Args; len(next) != 1 || next[0].Key != "bytes" || next[0].i != 20 {
+		t.Fatalf("appending to one event's args changed the next event's: %+v", next)
+	}
+	if events[2].Args != nil {
+		t.Fatalf("zero-arg event has args %+v, want nil", events[2].Args)
+	}
+}
+
+// TestArenaChunksGrow checks the arena's chunk sizes: a small run keeps
+// a small chunk, and chunks double up to the cap.
+func TestArenaChunksGrow(t *testing.T) {
+	tr := New(sim.New())
+	tr.TaskDone("map-0000", 1, 10)
+	if got := cap(tr.st.args); got != minArgChunk {
+		t.Fatalf("first chunk holds %d args, want %d", got, minArgChunk)
+	}
+	for i := 0; i < 4*maxArgChunk; i++ {
+		tr.TaskDone("map-0000", 1, 10)
+	}
+	if got := cap(tr.st.args); got != maxArgChunk {
+		t.Fatalf("chunk holds %d args after %d events, want the %d cap", got, 4*maxArgChunk+1, maxArgChunk)
+	}
+}
+
+// failWriter fails every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+func TestWriteJSONLReportsWriteErrors(t *testing.T) {
+	events := emitEveryKind()
+	for _, n := range []int{0, 1, len(events)} {
+		if err := WriteJSONL(failWriter{}, events[:n]); err == nil {
+			t.Fatalf("%d events: no error from a failing writer", n)
+		}
+	}
+	// Enough events to fill a block before the last one.
+	var many []Event
+	for len(many)*64 < 2*jsonlBlock {
+		many = append(many, events...)
+	}
+	if err := WriteJSONL(failWriter{}, many); err == nil {
+		t.Fatal("no error from a failing writer on a multi-block stream")
+	}
+}
+
+// TestOptionsWrite writes both files into a temporary directory and
+// checks them against the encoders' own output, then checks the errors
+// for a path that cannot be created.
+func TestOptionsWrite(t *testing.T) {
+	tr := emitSample(t)
+	dir := t.TempDir()
+	o := Options{JSONLPath: filepath.Join(dir, "events.jsonl"), PerfettoPath: filepath.Join(dir, "perfetto.json")}
+	if err := o.Write(tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		path  string
+		write func(io.Writer, []Event) error
+	}{{o.JSONLPath, WriteJSONL}, {o.PerfettoPath, WritePerfetto}} {
+		var want bytes.Buffer
+		if err := f.write(&want, tr.Events()); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s holds %d bytes, want %d", f.path, len(got), want.Len())
+		}
+	}
+	// No paths: nothing written, no error.
+	if err := (Options{Collect: true}).Write(tr); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(dir, "no-such-dir", "x")
+	for _, o := range []Options{{JSONLPath: missing}, {PerfettoPath: missing}} {
+		if err := o.Write(tr); err == nil || !strings.HasPrefix(err.Error(), "trace: ") {
+			t.Fatalf("%+v: error %v, want a trace: error", o, err)
+		}
+	}
+	// A write that fails: /dev/full accepts the open and fails the write.
+	if _, err := os.Stat("/dev/full"); err == nil {
+		if err := (Options{JSONLPath: "/dev/full"}).Write(tr); err == nil || !strings.Contains(err.Error(), "writing /dev/full") {
+			t.Fatalf("error %v, want a writing error", err)
+		}
+	}
+}
+
+// BenchmarkEmit measures one traced emission per kind shape: six args,
+// one arg and none. The stream is cut back every 65,536 events, so the
+// benchmark's memory stays bounded and the event slice stops growing.
+func BenchmarkEmit(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		emit func(*Tracer)
+	}{
+		{"MapDispatch", func(tr *Tracer) { tr.MapDispatch("map-0000", 3, 1, 4, 2, 4<<23, 2<<23, true) }},
+		{"TaskDone", func(tr *Tracer) { tr.TaskDone("map-0000", 3, 4<<23) }},
+		{"FaultDetect", func(tr *Tracer) { tr.FaultDetect(3) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			tr := New(sim.New()).ForJob("j0000")
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%(1<<16) == 0 {
+					tr.st.events = tr.st.events[:0]
+				}
+				c.emit(tr)
+			}
+		})
+	}
+}
+
+// BenchmarkWriteJSONL encodes every kind's events, repeated to about
+// 10,000 events in same-instant runs.
+func BenchmarkWriteJSONL(b *testing.B) {
+	one := emitEveryKind()
+	var events []Event
+	for len(events) < 10000 {
+		events = append(events, one...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteJSONL(io.Discard, events); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
