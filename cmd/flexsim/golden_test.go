@@ -39,7 +39,7 @@ func TestGoldenSkewTuneWorkloadTrace(t *testing.T) {
 		policy:      "fair",
 		sizeBytes:   4 * flexmap.GB,
 		downtime:    120,
-		tracePath:   path,
+		trace:       flexmap.TraceOptions{JSONLPath: path},
 	})
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -130,9 +130,6 @@ func main() {
 		if *skew != 0 {
 			fatalf("-workload does not model data skew; drop -skew")
 		}
-		if *perfettoPath != "" {
-			fatalf("-workload cannot write a Perfetto trace: every job names its tasks map-NNNN, so spans would collide; drop -perfetto")
-		}
 		for _, f := range []struct {
 			name string
 			set  bool
@@ -155,7 +152,7 @@ func main() {
 			crashRate:   *crashRate,
 			downtime:    *downtime,
 			membership:  membership,
-			tracePath:   *tracePath,
+			trace:       flexmap.TraceOptions{JSONLPath: *tracePath, PerfettoPath: *perfettoPath},
 		})
 		return
 	}
@@ -315,7 +312,7 @@ type workloadArgs struct {
 	crashRate   float64
 	downtime    float64
 	membership  flexmap.MembershipPlan
-	tracePath   string
+	trace       flexmap.TraceOptions
 }
 
 // runWorkload runs the open multi-job mode and prints per-job outcomes
@@ -341,7 +338,7 @@ func runWorkload(a workloadArgs) {
 		Policy:     a.policy,
 		Faults:     flexmap.FaultPlan{CrashRate: a.crashRate, MeanDowntime: flexmap.Duration(a.downtime)},
 		Membership: a.membership,
-		Trace:      flexmap.TraceOptions{JSONLPath: a.tracePath},
+		Trace:      a.trace,
 	}
 	switch a.process {
 	case "poisson":
@@ -381,8 +378,8 @@ func runWorkload(a workloadArgs) {
 			j.ID, j.Engine, j.InputBytes/flexmap.MB, float64(j.Submitted), float64(j.Finished),
 			float64(j.Latency), float64(j.QueueWait), status)
 	}
-	if a.tracePath != "" {
-		fmt.Printf("\nevent trace written to %s\n", a.tracePath)
+	if a.trace.JSONLPath != "" {
+		fmt.Printf("\nevent trace written to %s\n", a.trace.JSONLPath)
 	}
 }
 

@@ -3,6 +3,8 @@ package flexmap
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -75,7 +77,8 @@ func TestBadSlowFractionIsError(t *testing.T) {
 // TestBadScheduleIsError: a membership script event before t=0, a
 // negative MaxSimTime and an input size past the largest storable file
 // are errors from Run and RunWorkload, not a panic in the event queue or
-// the block store, or a report of a scheduler hang.
+// the block store, or a report of a scheduler hang. A Perfetto path is
+// an error from RunWorkload, which writes nothing: spans carry no job.
 func TestBadScheduleIsError(t *testing.T) {
 	spec, err := PUMASpec(WordCount, 8)
 	if err != nil {
@@ -108,6 +111,14 @@ func TestBadScheduleIsError(t *testing.T) {
 		sc.InputSize = size
 		wl.Classes[0].MinBytes, wl.Classes[0].MaxBytes = size, size
 		check(fmt.Sprintf("input size %d", size), sc, wl)
+	}
+	_, wl = scenarios()
+	wl.Trace.PerfettoPath = filepath.Join(t.TempDir(), "trace.json")
+	if _, err := RunWorkload(wl); err == nil || !strings.Contains(err.Error(), "Perfetto") {
+		t.Errorf("Perfetto path: RunWorkload err = %v, want a rejection", err)
+	}
+	if _, err := os.Stat(wl.Trace.PerfettoPath); !os.IsNotExist(err) {
+		t.Errorf("Perfetto path: %s exists (%v), want nothing written", wl.Trace.PerfettoPath, err)
 	}
 }
 

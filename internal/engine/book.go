@@ -293,7 +293,7 @@ func (b *AttemptBook) removeCand(id TaskID) {
 	b.cands = b.cands[:n]
 	// Hadoop's endgame candidates are all mature, so LATE walks the whole
 	// slice, tombstones too. At 1/32 that walk stays as short as over a
-	// set with no tombstones (TestSpeculationWalkPerEvent).
+	// set with no tombstones (TestCountedCosts, walked/ev).
 	if 32*b.holes > n {
 		b.compact()
 	}

@@ -8,12 +8,9 @@ import (
 	"testing"
 
 	"flexmap/internal/cluster"
-	"flexmap/internal/core"
 	"flexmap/internal/dfs"
 	"flexmap/internal/elastic"
-	"flexmap/internal/engine"
 	"flexmap/internal/faults"
-	"flexmap/internal/speculate"
 	"flexmap/internal/trace"
 	"flexmap/internal/workload"
 	"flexmap/internal/yarn"
@@ -79,7 +76,7 @@ func (p *offerProbe) audit(claim string, skip []cluster.NodeID) {
 
 // probeWith returns a wrap for run and runWorkload that installs a probe
 // sharing stats.
-func probeWith(t *testing.T, check bool, stats *probeStats) func(*stack, yarn.Scheduler) yarn.Scheduler {
+func probeWith(t *testing.T, check bool, stats *probeStats) wrapper {
 	return func(s *stack, inner yarn.Scheduler) yarn.Scheduler {
 		return &offerProbe{t: t, s: s, inner: inner, check: check, stats: stats}
 	}
@@ -188,77 +185,6 @@ func TestIdleDeclinesEveryOffer(t *testing.T) {
 	}
 }
 
-// TestOffersPerEventScaling is the counted scaling gate: the offers the
-// RM makes per fired event must not grow with the fleet. One WordCount
-// job over 2 BUs per node with n/4 reducers runs at n = 200 and n = 2000,
-// and the n = 2000 ratio must stay within 2× of the n = 200 one. Counts,
-// not times, so the gate cannot flake. Before RM.Poke skipped idle
-// sweeps, every expired locality wait offered every node to a stock AM
-// with nothing left to place: 58 offers per event at n = 200 and 627 at
-// n = 2000.
-func TestOffersPerEventScaling(t *testing.T) {
-	perEvent := func(n int, kind EngineKind) float64 {
-		sc := Scenario{Name: "scaling", Cluster: equivCluster(n), Seed: 42, InputSize: int64(n*2) * dfs.BUSize}
-		var stats probeStats
-		res, err := run(sc, wcSpec(t, n/4), Engine{Kind: kind}, probeWith(t, false, &stats))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return float64(stats.offers) / float64(res.SimEvents)
-	}
-	for _, kind := range []EngineKind{Hadoop, FlexMap} {
-		small, large := perEvent(200, kind), perEvent(2000, kind)
-		t.Logf("%s: %.2f offers/event at n=200, %.2f at n=2000", kind, small, large)
-		if large > 2*small {
-			t.Errorf("%s: %.2f offers/event at n=2000 is more than 2× the %.2f at n=200", kind, large, small)
-		}
-	}
-}
-
-// lateWalked returns the candidate entries a LATE policy's scans have
-// visited so far, tombstones included. The count is an unexported field
-// so that no caller outside a test can read it.
-func lateWalked(l *speculate.LATE) int64 {
-	return reflect.ValueOf(l).Elem().FieldByName("walked").Int()
-}
-
-// TestSpeculationWalkPerEvent is the counted gate on LATE's victim scan:
-// the candidate entries it walks per fired event, tombstones included,
-// for one WordCount job over 2 BUs per node on n = 2000. The candidate
-// set is in launch order, so the scan stops at the first attempt younger
-// than LATE's minimum age. FlexMap's endgame is mostly such attempts:
-// a full scan walked 112 entries per event, the cut-off 1.0. Hadoop's
-// endgame candidates are all mature, so its walk stays the live set plus
-// the tombstones the book has yet to compact: 16.08, where the full scan
-// walked 16.07. Counts, not times, so the gate cannot flake.
-func TestSpeculationWalkPerEvent(t *testing.T) {
-	for _, c := range []struct {
-		kind EngineKind
-		max  float64
-	}{{Hadoop, 16.1}, {FlexMap, 10}} {
-		const n = 2000
-		sc := Scenario{Name: "walk", Cluster: equivCluster(n), Seed: 42, InputSize: int64(n*2) * dfs.BUSize}
-		var am yarn.Scheduler
-		keep := func(_ *stack, s yarn.Scheduler) yarn.Scheduler { am = s; return s }
-		res, err := run(sc, wcSpec(t, n/4), Engine{Kind: c.kind}, keep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var policy engine.SpeculationPolicy
-		switch am := am.(type) {
-		case *engine.StockAM:
-			policy = am.Speculation
-		case *core.AM:
-			policy = am.Speculation
-		}
-		perEvent := float64(lateWalked(policy.(*speculate.LATE))) / float64(res.SimEvents)
-		t.Logf("%s: %.2f candidates walked per event at n=%d", c.kind, perEvent, n)
-		if perEvent > c.max {
-			t.Errorf("%s: %.2f candidates walked per event at n=%d, more than %.1f", c.kind, perEvent, n, c.max)
-		}
-	}
-}
-
 // fullWalk hides the inter-job scheduler's Bound from the RM: every
 // Poke sweeps every node, no job is marked idle or bound, and every
 // offer walks every job.
@@ -340,45 +266,6 @@ func TestIdleMarksMatchFullWalk(t *testing.T) {
 	for eng, n := range preempted {
 		if n == 0 {
 			t.Fatalf("drains preempted no %s map attempt; the churn cells no longer reach OnPreempted", eng)
-		}
-	}
-}
-
-// TestInterJobWalkPerEvent is the counted gate on the inter-job offer
-// walk: job schedulers consulted per fired event, for one fair mix of 20
-// WordCount jobs on 100 nodes. With only the idle marks, Hadoop's walk
-// consulted 94.45 jobs per event and FlexMap's 11.14: jobs in their
-// reduce phase, whose partitions queue for a few nodes, were offered
-// every node, and LATE stayed busy when no node could win. With node
-// bounds and LATE's fastest-node test they read 3.20 and 2.75. The gate
-// is per event, not per offer, because the bounds cut the offers too.
-// Counts, not times, so the gate cannot flake.
-func TestInterJobWalkPerEvent(t *testing.T) {
-	for _, c := range []struct {
-		kind EngineKind
-		max  float64
-	}{{Hadoop, 4}, {FlexMap, 3.5}} {
-		sc := WorkloadScenario{
-			Name:    "walk",
-			Cluster: equivCluster(100),
-			Seed:    42,
-			Pattern: workload.Pattern{Jobs: 20, Rate: 24},
-			Classes: []WorkloadClass{{Name: "wc", Weight: 1, MinBytes: 8 * dfs.BUSize, MaxBytes: 24 * dfs.BUSize,
-				Engine: Engine{Kind: c.kind}, Spec: wcSpec(t, 4)}},
-			Policy: "fair",
-		}
-		var ij *yarn.InterJob
-		res, err := runWorkload(sc, func(_ *stack, mux yarn.Scheduler) yarn.Scheduler {
-			ij = mux.(*yarn.InterJob)
-			return mux
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		perEvent := float64(consulted(ij)) / float64(res.SimEvents)
-		t.Logf("%s: %.3f jobs consulted per event over %d events", c.kind, perEvent, res.SimEvents)
-		if perEvent > c.max {
-			t.Errorf("%s: %.3f jobs consulted per event, more than %.2f", c.kind, perEvent, c.max)
 		}
 	}
 }

@@ -200,6 +200,9 @@ func runWorkload(sc WorkloadScenario, wrap func(*stack, yarn.Scheduler) yarn.Sch
 	if len(sc.Classes) == 0 {
 		return nil, fmt.Errorf("runner: workload %q has no job classes", sc.Name)
 	}
+	if sc.Trace.PerfettoPath != "" {
+		return nil, fmt.Errorf("runner: workload %q cannot write a Perfetto trace: spans are keyed by task and node, not job, so concurrent jobs' map-NNNN spans would collide (ROADMAP 7(d))", sc.Name)
+	}
 	policy, fair, err := workloadPolicy(sc)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -540,5 +541,9 @@ func TestWorkloadValidation(t *testing.T) {
 	}
 	if err := bad(func(sc *WorkloadScenario) { sc.MaxSimTime = 10 }); err == nil {
 		t.Error("impossible deadline accepted (jobs can't finish)")
+	}
+	// Perfetto spans carry no job, so concurrent jobs' spans would collide.
+	if err := bad(func(sc *WorkloadScenario) { sc.Trace.PerfettoPath = filepath.Join(t.TempDir(), "p.json") }); err == nil {
+		t.Error("Perfetto trace path accepted")
 	}
 }
